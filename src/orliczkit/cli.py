@@ -524,6 +524,18 @@ def _cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """Type of the count and length flags, so that 0 is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orliczkit",
@@ -549,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tabulate the conjugate Young function")
     p.add_argument("--orlicz", required=True)
     p.add_argument("--grid-max", type=float, default=10.0)
-    p.add_argument("--grid-count", type=int, default=50)
+    p.add_argument("--grid-count", type=_positive_int, default=50)
     p.set_defaults(func=_cmd_conjugate)
 
     p = sub.add_parser("classify", parents=[common],
@@ -575,8 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rv", default=None, help="limit point (default zero)")
     p.add_argument("--mode", choices=_GENERATOR_MODES + ("all",),
                    default="all")
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--length", type=int, default=24)
+    p.add_argument("--count", type=_positive_int, default=20)
+    p.add_argument("--length", type=_positive_int, default=24)
     p.set_defaults(func=_cmd_fatou_test)
 
     p = sub.add_parser("extract-subseq", parents=[common],
@@ -593,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertices", required=True)
     p.add_argument("--rv", required=True)
     p.add_argument("--orlicz", required=True)
-    p.add_argument("--length", type=int, default=32)
+    p.add_argument("--length", type=_positive_int, default=32)
     p.set_defaults(func=_cmd_closure_demo)
 
     p = sub.add_parser("verify-all", parents=[common],

@@ -276,8 +276,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     g *= c
                     v = val
 
-            gain = v - v_before
-            if gain <= 1e-11 * (1.0 + abs(v)):
+            # a restart stuck at -inf is flat too: there v - v_before is nan
+            if v == v_before or v - v_before <= 1e-11 * (1.0 + abs(v)):
                 flat += 1
                 if flat >= 2:
                     break

@@ -71,14 +71,19 @@ class MeasureSpace:
         """Index arrays of the blocks, ordered by ascending block id."""
         return self._blocks
 
-    def block_mass(self, block: np.ndarray) -> float:
-        return float(self.weights[block].sum())
-
     def is_probability(self, tol: float = 1e-9) -> bool:
         return abs(self.total_mass - 1.0) <= tol
 
     def same_space(self, other: "MeasureSpace") -> bool:
-        return self is other or self._fingerprint == other._fingerprint
+        """Equal kind, ids, weights and blocks; the fingerprint only screens,
+        since two different spaces can share a hash."""
+        if self is other:
+            return True
+        return (self._fingerprint == other._fingerprint
+                and self.kind == other.kind
+                and np.array_equal(self.atom_ids, other.atom_ids)
+                and np.array_equal(self.weights, other.weights)
+                and np.array_equal(self.block_ids, other.block_ids))
 
     # -- constructors ------------------------------------------------------
 
@@ -202,9 +207,6 @@ class Rv:
 
     def min_value(self) -> float:
         return float(self.values.min())
-
-    def max_value(self) -> float:
-        return float(self.values.max())
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())

@@ -148,10 +148,6 @@ class OrliczFunction:
         return out
 
     @property
-    def finite_horizon(self) -> float:
-        return self.horizon
-
-    @property
     def is_finite_everywhere(self) -> bool:
         return math.isinf(self.horizon)
 
@@ -200,11 +196,6 @@ def _spot_check_custom(fn: OrliczFunction) -> None:
             raise ValueError(
                 "declared finiteness horizon is not a horizon: function is finite beyond it"
             )
-
-
-def evaluate(phi: OrliczFunction, t: float) -> float:
-    """Functional form of ``phi(t)``."""
-    return phi(t)
 
 
 # -- Young conjugation -----------------------------------------------------

@@ -256,6 +256,27 @@ def test_usage_errors_exit_2(files, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("fatou-test", "--count"),
+    ("fatou-test", "--length"),
+    ("conjugate", "--grid-count"),
+    ("closure-demo", "--length"),
+])
+def test_non_positive_counts_exit_2(files, capsys, command, flag):
+    space = files("space.csv", PROB2)
+    inputs = {
+        "fatou-test": ["--space", space, "--risk", "entropic:beta=1"],
+        "conjugate": [],
+        "closure-demo": ["--space", space, "--vertices", space, "--rv", space],
+    }[command]
+    for bad in ("0", "-3"):
+        code, out, err = run_cli(capsys, command, *inputs, "--orlicz",
+                                 "power:p=2", flag, bad)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}" in err
+
+
 def test_malformed_input_file_exits_2(files, capsys):
     space = files("space.csv", SPACE3)
     rv = files("f.csv", "atom_id,value\n0,1\n")  # missing atoms 1 and 2

@@ -239,6 +239,27 @@ def test_maximize_dual_moves_mass_between_atoms():
     assert calls <= 3000
 
 
+def test_maximize_dual_stops_a_restart_stuck_outside_the_domain():
+    # finite only at the uniform density, where restart 0 starts; restart 1
+    # starts elsewhere and stays at -inf, where a sweep's gain is nan
+    sp = uniform_probability(4)
+    calls = 0
+
+    def obj(g):
+        nonlocal calls
+        calls += 1
+        return 1.0 if np.array_equal(g, np.ones(4)) else -math.inf
+
+    res = maximize_dual(obj, sp, seed=0, restarts=2)
+    assert res.start_index == 0
+    assert res.value == 1.0
+    assert np.array_equal(res.g, np.ones(4))
+    # two flat sweeps per restart take 872 calls; running restart 1 to the
+    # 500-sweep cap took 109,934
+    assert res.evaluations == calls
+    assert calls <= 3000
+
+
 # -- reconstruction certificates ----------------------------------------------
 
 

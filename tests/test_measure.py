@@ -65,6 +65,15 @@ def test_fingerprint_identity():
     assert not a.same_space(c)
 
 
+def test_same_space_survives_a_fingerprint_collision():
+    a = uniform_probability(5)
+    b = MeasureSpace.finite([0.1, 0.2, 0.3, 0.2, 0.2])
+    object.__setattr__(b, "_fingerprint", a.fingerprint)
+    assert not a.same_space(b)
+    assert not b.same_space(a)
+    assert a.same_space(uniform_probability(5))
+
+
 def test_rv_is_copied_and_read_only():
     sp = counting(3)
     raw = np.array([1.0, 2.0, 3.0])

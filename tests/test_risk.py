@@ -1,11 +1,19 @@
 """Risk functional catalog: evaluations, conjugates, maximizers, validation."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
+import orliczkit
 from orliczkit import (
     MeasureSpace,
     Rv,
@@ -14,11 +22,14 @@ from orliczkit import (
     entropic,
     expectation,
     increasing_catalog,
+    non_lsc_control,
     non_monotone_control,
     uniform_probability,
     validate,
     worst_case,
 )
+
+EPS = np.finfo(float).eps
 
 
 def avar_oracle(values, weights, alpha):
@@ -76,6 +87,19 @@ def test_entropic_conjugate_is_scaled_relative_entropy():
     # off the simplex: +inf
     assert ent.closed_form_conjugate(Rv(sp, [2.0, 2.0])) == math.inf
     assert ent.closed_form_conjugate(Rv(sp, [3.0, -1.0])) == math.inf
+    # a coordinate within FEAS_TOL below zero counts as zero
+    assert ent.closed_form_conjugate(Rv(sp, [2.0, -1e-12])) == pytest.approx(
+        math.log(2.0) / 2.0)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(orliczkit.__file__).resolve().parents[1])
+    code = ("import orliczkit, sys; "
+            "assert not any(m.startswith('scipy') for m in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_entropic_gibbs_maximizer_attains():
@@ -186,3 +210,96 @@ def test_catalog_members_are_labeled_increasing():
     assert all(fn.is_monotone and fn.is_convex for fn in cat)
     assert any("entropic" in n for n in names)
     assert any("value_at_risk" in n for n in names)
+
+
+# -- row kernels against the scalar reference ---------------------------------
+
+
+@st.composite
+def weighted_rows(draw):
+    """A probability space with non-uniform weights and a (k, n) matrix of
+    outcome rows; half the matrices draw from at most three values, so
+    their rows hold ties."""
+    n = draw(st.integers(1, 60))
+    raw = draw(arrays(float, n, elements=st.floats(1e-3, 1.0)))
+    space = MeasureSpace.finite(raw / raw.sum())
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3))
+        entries = st.sampled_from(pool)
+    else:
+        entries = st.floats(-1e6, 1e6)
+    return space, draw(arrays(float, (k, n), elements=entries))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=weighted_rows(), beta=st.floats(0.5, 2.0), alpha=st.floats(0.01, 1.0))
+def test_evaluate_rows_matches_scalar_evaluate(case, beta, alpha):
+    space, rows = case
+    n = space.n_atoms
+    for fn in increasing_catalog(space, beta=beta, alpha=alpha):
+        got = fn.evaluate_rows(rows)
+        assert got.shape == (len(rows),)
+        for value, row in zip(got, rows):
+            expected = fn.evaluate(Rv(space, row))
+            # the two kernels sum n terms of size at most max|f| in different
+            # orders, so each is within n * eps * max|f| of the exact sum
+            bound = 4.0 * n * EPS * (1.0 + float(np.max(np.abs(row))))
+            assert abs(value - expected) <= bound, fn.name
+
+
+def scalar_validate(fn, trials, seed):
+    """The trial loop ``validate`` replaced, on the same draws: the first
+    monotone and convex violations, or None."""
+    rng = np.random.default_rng(seed)
+    n = fn.space.n_atoms
+    a = rng.normal(0.0, 2.0, (trials, n))
+    b = a + rng.exponential(1.0, (trials, n))
+    c = rng.normal(0.0, 2.0, (trials, n))
+    theta = rng.uniform(0.05, 0.95, trials)
+    mono = conv = None
+    for t in range(trials):
+        fa, fb = fn.evaluate(Rv(fn.space, a[t])), fn.evaluate(Rv(fn.space, b[t]))
+        if mono is None and fa > fb + 1e-9:
+            mono = (a[t], b[t])
+        mixed = theta[t] * a[t] + (1.0 - theta[t]) * c[t]
+        mix = fn.evaluate(Rv(fn.space, mixed))
+        fc = fn.evaluate(Rv(fn.space, c[t]))
+        if conv is None and mix > theta[t] * fa + (1.0 - theta[t]) * fc + 1e-9:
+            conv = (a[t], c[t])
+    return mono, conv
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(1, 60), trials=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1), skew=st.floats(0.0, 4.0))
+def test_validate_agrees_with_scalar_loop(n, trials, seed, skew):
+    raw = np.random.default_rng(seed).uniform(0.01, 1.0, n) ** skew
+    space = MeasureSpace.finite(raw / raw.sum())
+    # the bump sits on validate's first draw, so the fallback path (no row
+    # kernel) meets it in its samples, mostly as a monotonicity violation
+    first = np.random.default_rng(seed).normal(0.0, 2.0, (trials, n))[0]
+    bumped = non_lsc_control(expectation(space), Rv(space, first))
+    functionals = increasing_catalog(space) + [non_monotone_control(space),
+                                               bumped]
+    for fn in functionals:
+        report = validate(fn, trials=trials, seed=seed)
+        mono, conv = scalar_validate(fn, trials, seed)
+        assert report.monotone_ok == (mono is None), fn.name
+        assert report.convex_ok == (conv is None), fn.name
+        for got, want in ((report.monotone_witness, mono),
+                          (report.convex_witness, conv)):
+            if want is not None:
+                assert np.array_equal(got[0], want[0]), fn.name
+                assert np.array_equal(got[1], want[1]), fn.name
+
+
+def test_validate_refuses_a_stale_row_kernel():
+    # replacing evaluate alone keeps the entropic kernel, which no longer
+    # agrees; the sampled verdicts would be the old functional's
+    sp = uniform_probability(4)
+    ent = entropic(1.0, sp)
+    flipped = replace(ent, evaluate=lambda f: -ent.evaluate(f))
+    with pytest.raises(ValueError, match="evaluate_rows"):
+        validate(flipped, trials=10)
+    assert not validate(replace(flipped, evaluate_rows=None), trials=10).monotone_ok
