@@ -1,15 +1,15 @@
 """Derivative-free one-dimensional search kernels.
 
-Bracket expansion, golden-section search and predicate bisection. All kernels
-are deterministic and tolerate objectives that return ``+-inf`` on part of
-their domain (the infinite region is assumed to sit at one end of the
-interval, which is the shape every caller in this package produces).
+Bracket expansion, Brent line maximization and predicate bisection. All
+kernels are deterministic and tolerate objectives that return ``+-inf`` on
+part of their domain: ``brent_max`` wherever the infinite region sits,
+``bracket_min`` when it sits near 0, which is the shape its caller produces.
+``brent_max`` is the package's one line search; minimizers pass ``-fn``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import NumericFailure
@@ -24,65 +24,96 @@ UNBOUNDED_RUN = 40
 DOUBLING_CAP = 64
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    x: float
-    value: float
-    iterations: int
-    unbounded: bool = False
-
-
-def golden_max(
-    fn: Callable[[float], float],
+def brent_max(
+    h: Callable[[float], float],
     lo: float,
     hi: float,
-    rel_tol: float = 1e-10,
-    max_iter: int = 300,
-) -> SearchResult:
-    """Maximize a unimodal ``fn`` over ``[lo, hi]``.
+    width: float,
+    anchor: tuple[float, float] | None = None,
+) -> tuple[float, float, int]:
+    """Maximize a unimodal ``h`` on ``[lo, hi]`` by Brent's method.
 
-    Both endpoints are evaluated, so a supremum attained at the boundary is
-    returned exactly rather than approached from inside. ``fn`` may return
-    ``-inf`` off its effective domain provided the infinite region is an
-    interval touching the right endpoint.
+    ``h`` may return ``-inf`` anywhere off its effective domain. Each probe is
+    a parabolic step through the three best points when all three are finite
+    and the step is safe, a golden-section step into the larger side of the
+    bracket otherwise (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973).
+
+    Both endpoints are evaluated first, so a supremum attained at the
+    boundary is exact. ``anchor`` is a known point ``(t0, h(t0))`` inside the
+    interval; without one the search evaluates its own seed at the interior
+    golden point. The best point moves only on strict improvement, and a
+    probe that does not improve cuts the bracket on its far side, so -inf
+    probes around the best point never discard the feasible region holding
+    it. Stops once the bracket is no wider than ``width`` (floored at
+    ``1e-15 * (1 + |lo| + |hi|)``), or after three probes per golden-section
+    step that this width takes. Returns ``(best_t, best_v, evaluations)``; the
+    value is never worse than the anchor's.
     """
+    # callers pass numpy scalars; plain floats make the loop's arithmetic cheaper
+    lo, hi, width = float(lo), float(hi), float(width)
     if not hi >= lo:
         raise NumericFailure(f"empty bracket [{lo}, {hi}]")
-    best_x, best_v = lo, fn(lo)
-    v_hi = fn(hi)
-    if v_hi > best_v:
-        best_x, best_v = hi, v_hi
-    a, b = lo, hi
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    iters = 0
-    while iters < max_iter and (b - a) > rel_tol * max(1.0, abs(a), abs(b)):
-        iters += 1
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = fn(c)
+    f_lo, f_hi = h(lo), h(hi)
+    evals = 2
+    if anchor is None:
+        t0 = hi - INV_PHI * (hi - lo)
+        v0 = h(t0)
+        evals += 1
+    else:
+        t0, v0 = float(anchor[0]), anchor[1]
+    # x is the best point, w the second best, v the third (Brent's naming);
+    # the stable sort lets the anchor win ties
+    (fx, x), (fw, w), (fv, v) = sorted(((v0, t0), (f_lo, lo), (f_hi, hi)),
+                                       key=lambda p: -p[0])
+    # unimodality: the maximizer lies between the nearest seeds around x
+    a = max((t for t in (w, v) if t < x), default=x)
+    b = min((t for t in (w, v) if t > x), default=x)
+    steps = (math.ceil(math.log(width / (hi - lo), INV_PHI) - 1e-9)
+             if 0.0 < width < hi - lo else 0)
+    tol = 0.25 * max(width, 1e-15 * (1.0 + abs(lo) + abs(hi)))
+    step = prev = 0.0
+    for _ in range(3 * steps):
+        mid = 0.5 * (a + b)
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(prev) > tol and math.isfinite(fx + fw + fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            last, prev = prev, step
+            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+                step = p / q
+                if x + step - a < 2.0 * tol or b - x - step < 2.0 * tol:
+                    step = tol if mid >= x else -tol
+                golden = False
+        if golden:
+            prev = (a - x) if x >= mid else (b - x)
+            step = (1.0 - INV_PHI) * prev
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = h(u)
+        evals += 1
+        if fu > fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = fn(d)
-        if fc > best_v:
-            best_x, best_v = c, fc
-        if fd > best_v:
-            best_x, best_v = d, fd
-    return SearchResult(best_x, best_v, iters)
-
-
-def golden_min(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-10,
-    max_iter: int = 300,
-) -> SearchResult:
-    res = golden_max(lambda x: -fn(x), lo, hi, rel_tol=rel_tol, max_iter=max_iter)
-    return SearchResult(res.x, -res.value, res.iterations, res.unbounded)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx, evals
 
 
 def expand_max_bracket(

@@ -46,15 +46,12 @@ class RunConfig:
     truncation: int = DEFAULT_TRUNCATION
     fmt: str = "json"
     tol_override: float | None = None
-    max_iterations: int = 500
 
     def __post_init__(self):
         if self.tol_override is not None and self.tol_override < 0.0:
             raise ParseError("tolerance must be nonnegative")
         if self.truncation < 1:
             raise ParseError("truncation must be positive")
-        if self.max_iterations < 1:
-            raise ParseError("max_iterations must be positive")
 
     def tol(self, default: float) -> float:
         return default if self.tol_override is None else self.tol_override

@@ -417,6 +417,9 @@ def non_lsc_control(base: RiskFunctional, at: Rv) -> RiskFunctional:
 # hull closure demo
 # ---------------------------------------------------------------------------
 
+#: projection sweeps before closure_demo stops short of converging
+CLOSURE_SWEEP_CAP = 10_000
+
 
 @dataclass(frozen=True)
 class ClosureReport:
@@ -431,8 +434,7 @@ class ClosureReport:
 
 
 def closure_demo(vertices: Sequence[Rv], f: Rv, phi: OrliczFunction, *,
-                 hull_tol: float = 1e-9, length: int = 32,
-                 sweep_cap: int = 10_000) -> ClosureReport:
+                 hull_tol: float = 1e-9, length: int = 32) -> ClosureReport:
     """Project ``f`` onto the convex hull of ``vertices`` and emit a hull
     sequence obeying the envelope ||f_n - f|| <= (1 + 1/n)·dist + 1/n.
 
@@ -470,7 +472,7 @@ def closure_demo(vertices: Sequence[Rv], f: Rv, phi: OrliczFunction, *,
     fv = f.values
     snapshots = [x.copy()]
     sweeps = 0
-    for _ in range(sweep_cap):
+    for _ in range(CLOSURE_SWEEP_CAP):
         sweeps += 1
         before = float(np.dot(fv - x, fv - x))
         for i in range(m):

@@ -15,13 +15,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._search import INV_PHI, brent_max
 from .errors import SlopeConditionError, SpaceMismatchError
 from .measure import AeVerdict, MeasureSpace, Rv, ae_converges
 from .norms import dual_pairing, heart_member
 from .orlicz import OrliczFunction
 from .risk import RiskFunctional, validate
-
-_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
 # A single ray probe beyond this value is conclusive divergence on its own.
 DIVERGENCE_HARD = 1e10
@@ -29,85 +28,13 @@ DIVERGENCE_HARD = 1e10
 DIVERGENCE_SOFT = 1e4
 PROBE_EXPONENTS = (1, 2, 3, 4, 5, 6)
 
-
-# ---------------------------------------------------------------------------
-# line search: Brent maximum with a known anchor
-# ---------------------------------------------------------------------------
-
-
-def _anchored_line_max(h, lo: float, hi: float, t0: float, v0: float,
-                       iters: int) -> tuple[float, float, int]:
-    """Maximize a concave ``h`` on [lo, hi] where ``h`` may be -inf off its
-    effective domain.
-
-    Brent's method: a parabolic step through the three best points when all
-    three are finite and the step is safe, a golden-section step into the
-    larger side of the bracket otherwise. ``(t0, v0)`` is the current point,
-    known to lie in [lo, hi]; it seeds the search together with the two
-    endpoints, which are evaluated first so that suprema attained at clamped
-    boundaries are exact. The best point moves only on strict improvement and
-    a probe that does not improve cuts the bracket on its far side, so -inf
-    probes around the anchor never discard the feasible region containing it.
-    Stops once the bracket is no wider than ``(hi - lo) * _INV**iters``, the
-    width ``iters`` golden-section steps reach (at most ``3 * iters`` probes
-    past the endpoints). Returns (best_t, best_v, evaluations); never worse
-    than the anchor.
-    """
-    # callers pass numpy scalars; plain floats make the loop's arithmetic cheaper
-    lo, hi, t0 = float(lo), float(hi), float(t0)
-    f_lo, f_hi = h(lo), h(hi)
-    evals = 2
-    # x is the best point, w the second best, v the third (Brent's naming);
-    # the stable sort lets the anchor win ties
-    (fx, x), (fw, w), (fv, v) = sorted(((v0, t0), (f_lo, lo), (f_hi, hi)),
-                                       key=lambda p: -p[0])
-    # concavity: the maximizer lies between the nearest seeds around x
-    a = max((t for t in (w, v) if t < x), default=x)
-    b = min((t for t in (w, v) if t > x), default=x)
-    width = max((hi - lo) * _INV ** iters, 1e-15 * (1.0 + abs(lo) + abs(hi)))
-    tol = 0.25 * width
-    step = prev = 0.0
-    for _ in range(3 * iters):
-        mid = 0.5 * (a + b)
-        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
-            break
-        golden = True
-        if abs(prev) > tol and math.isfinite(fx + fw + fv):
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            last, prev = prev, step
-            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
-                step = p / q
-                if x + step - a < 2.0 * tol or b - x - step < 2.0 * tol:
-                    step = tol if mid >= x else -tol
-                golden = False
-        if golden:
-            prev = (a - x) if x >= mid else (b - x)
-            step = (1.0 - _INV) * prev
-        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
-        fu = h(u)
-        evals += 1
-        if fu > fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx, evals
+#: a line search stops once its bracket has shrunk by INV_PHI**LINE_STEPS,
+#: the width LINE_STEPS golden-section steps reach
+LINE_STEPS = 32
+#: sweeps per restart before the ascent gives up on flattening out
+SWEEP_CAP = 500
+#: seeded random pairs added to the transfer ring on spaces above 8 atoms
+EXTRA_PAIRS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +70,6 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                   seed: int = 0,
                   restarts: int = 8,
                   nonneg: bool = True,
-                  sweep_cap: int = 500,
-                  line_iters: int = 32,
-                  extra_pairs: int = 2,
                   starts: Sequence[np.ndarray] | None = None) -> AscentResult:
     """Maximize a concave ``objective`` over coordinate vectors ``g``.
 
@@ -155,7 +79,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     extra pairs otherwise), a global additive shift, and a global rescaling.
     Objectives are free to return -inf off their domain; moves apply only on
     strict improvement. Each line search stops once its bracket has shrunk
-    by ``_INV**line_iters``. Deterministic in ``seed``: restart r draws from
+    by ``INV_PHI**LINE_STEPS``. Deterministic in ``seed``: restart r draws from
     default_rng([seed, r]) and ties prefer the lowest start index.
     """
     w = space.weights
@@ -180,7 +104,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
         evals = 1
         sweeps = 0
         flat = 0
-        for _ in range(sweep_cap):
+        for _ in range(SWEEP_CAP):
             sweeps += 1
             v_before = v
             span = 2.0 * (1.0 + float(np.max(np.abs(g)))) if n else 1.0
@@ -202,15 +126,17 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                 if _line_infeasible(h, lo, hi):
                     evals += 2
                     continue
-                t, val, ev = _anchored_line_max(h, lo, hi, t0, v, line_iters)
+                t, val, ev = brent_max(h, lo, hi,
+                                       (hi - lo) * INV_PHI ** LINE_STEPS,
+                                       (t0, v))
                 evals += ev + 2
                 if val > v:
                     g[i] = t
                     v = val
 
             pairs = list(base_pairs)
-            if n > 8 and extra_pairs:
-                for _k in range(extra_pairs):
+            if n > 8:
+                for _k in range(EXTRA_PAIRS):
                     i, j = rng.choice(n, size=2, replace=False)
                     pairs.append((int(i), int(j)))
             for i, j in pairs:
@@ -231,7 +157,9 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     g[i], g[j] = oi, oj
                     return val
 
-                s, val, ev = _anchored_line_max(h, lo, hi, 0.0, v, line_iters)
+                s, val, ev = brent_max(h, lo, hi,
+                                       (hi - lo) * INV_PHI ** LINE_STEPS,
+                                       (0.0, v))
                 evals += ev
                 if val > v:
                     g[i] += s / wi
@@ -254,8 +182,9 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                 if _line_infeasible(h_add, lo, hi):
                     evals += 2
                 else:
-                    t, val, ev = _anchored_line_max(h_add, lo, hi, 0.0, v,
-                                                    line_iters)
+                    t, val, ev = brent_max(h_add, lo, hi,
+                                           (hi - lo) * INV_PHI ** LINE_STEPS,
+                                           (0.0, v))
                     evals += ev + 2
                     if val > v:
                         g += t
@@ -269,8 +198,9 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
             if _line_infeasible(h_scale, 0.25, 4.0):
                 evals += 2
             else:
-                c, val, ev = _anchored_line_max(h_scale, 0.25, 4.0, 1.0, v,
-                                                line_iters)
+                c, val, ev = brent_max(h_scale, 0.25, 4.0,
+                                       (4.0 - 0.25) * INV_PHI ** LINE_STEPS,
+                                       (1.0, v))
                 evals += ev + 2
                 if val > v:
                     g *= c
@@ -309,8 +239,8 @@ def _strictly_increasing(trace: Sequence[float]) -> bool:
 
 
 def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
-                            restarts: int = 8, force_numeric: bool = False,
-                            line_iters: int = 32) -> ConjugateEstimate:
+                            restarts: int = 8,
+                            force_numeric: bool = False) -> ConjugateEstimate:
     """``phi*(g) = sup_f (<f, g> - phi(f))``, extended-real valued.
 
     Uses the declared closed form when available (unless ``force_numeric``).
@@ -353,7 +283,7 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
                                      diverged_ray=Rv(space, ray))
 
     res = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                        nonneg=False, line_iters=line_iters)
+                        nonneg=False)
     if res.value > 1e12:
         scale = max(1.0, float(np.max(np.abs(res.g))))
         return ConjugateEstimate(math.inf, numeric=True,
@@ -448,10 +378,24 @@ def _conjugate_fn(phi: RiskFunctional, seed: int,
     return numeric
 
 
+def _dual_objective(conj: Callable[[Rv], float], space: MeasureSpace,
+                    fv: np.ndarray) -> Callable[[np.ndarray], float]:
+    """``garr -> <f, garr> - conj(garr)`` for f with values ``fv``; -inf
+    where ``conj`` is +inf."""
+    w = space.weights
+
+    def obj(garr: np.ndarray) -> float:
+        cv = conj(Rv._wrap(space, garr))
+        if cv == math.inf:
+            return -math.inf
+        return float(np.dot(w, fv * garr)) - cv
+
+    return obj
+
+
 def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
                 seed: int = 0, restarts: int = 8, force_numeric: bool = False,
-                validation_trials: int = 120,
-                line_iters: int = 32) -> tuple[float, DualCertificate]:
+                validation_trials: int = 120) -> tuple[float, DualCertificate]:
     """Recover ``phi(f)`` as ``sup_{g >= 0} (<f, g> - phi*(g))``.
 
     ``psi`` is the conjugate Young function whose heart the dual variable
@@ -499,17 +443,8 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
         )
         return achieved, cert
 
-    w = space.weights
-    fv = f.values
-
-    def obj(garr: np.ndarray) -> float:
-        cv = conj(Rv._wrap(space, garr))
-        if cv == math.inf:
-            return -math.inf
-        return float(np.dot(w, fv * garr)) - cv
-
-    res = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                        nonneg=True, line_iters=line_iters)
+    res = maximize_dual(_dual_objective(conj, space, f.values), space,
+                        seed=seed, restarts=restarts, nonneg=True)
     g = Rv(space, res.g)
     cval = float(conj(g))
     achieved = dual_pairing(f, g) - cval if math.isfinite(cval) else -math.inf
@@ -545,8 +480,7 @@ class BiconjugateReport:
 
 
 def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
-                      seed: int = 0, restarts: int = 4,
-                      line_iters: int = 32) -> BiconjugateReport:
+                      seed: int = 0, restarts: int = 4) -> BiconjugateReport:
     """Compare ``phi**`` with ``phi`` on the given probes.
 
     The biconjugate supremum is taken over sign-free g (the domain of phi*
@@ -556,25 +490,17 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
     sign-free supremum against phi itself.
     """
     space = phi.space
-    w = space.weights
     conj = _conjugate_fn(phi, seed, max(2, restarts // 2))
     deviations = []
     splits = []
     for f in probes:
         if not space.same_space(f.space):
             raise SpaceMismatchError("probe lives on a different space")
-        fv = f.values
-
-        def obj(garr: np.ndarray) -> float:
-            cv = conj(Rv._wrap(space, garr))
-            if cv == math.inf:
-                return -math.inf
-            return float(np.dot(w, fv * garr)) - cv
-
+        obj = _dual_objective(conj, space, f.values)
         free = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                             nonneg=False, line_iters=line_iters)
+                             nonneg=False)
         cone = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                             nonneg=True, line_iters=line_iters)
+                             nonneg=True)
         deviations.append(abs(free.value - phi.evaluate(f)))
         splits.append(abs(free.value - cone.value))
     return BiconjugateReport(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect_predicate, bracket_min, golden_min
+from ._search import bisect_predicate, bracket_min, brent_max
 from .errors import NumericFailure
 from .measure import MeasureSpace, Rv
 from .orlicz import OrliczFunction
@@ -67,11 +67,13 @@ def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
 
 
 def amemiya_norm(f: Rv, phi: OrliczFunction) -> NormReport:
-    """``inf_{k>0} (1 + modular(f, 1/k)) / k`` by golden section.
+    """``inf_{k>0} (1 + modular(f, 1/k)) / k`` by Brent's method.
 
     Substituting u = 1/k turns the objective into
     ``u * (1 + modular(f, u))``, the perspective of the modular -- convex in
-    u -- so a bracketed golden-section search finds the minimum.
+    u -- so a bracketed Brent search (maximizing its negative) finds the
+    minimum to a bracket of width ``1e-10 * max(1, |lo|, |hi|)``.
+    ``iterations`` counts objective evaluations, bracketing included.
     """
     top = f.sup_norm()
     if top == 0.0:
@@ -83,9 +85,11 @@ def amemiya_norm(f: Rv, phi: OrliczFunction) -> NormReport:
         return u * (1.0 + modular(f, u, phi))
 
     lo, hi, evals = bracket_min(obj, top)
-    res = golden_min(obj, lo, hi, rel_tol=1e-10)
-    u_star = res.x if math.isfinite(res.value) else hi
-    return NormReport(res.value, res.iterations + evals, (lo, hi), modular(f, u_star, phi))
+    u, neg, ev = brent_max(lambda t: -obj(t), lo, hi,
+                           1e-10 * max(1.0, abs(lo), abs(hi)))
+    value = -neg
+    u_star = u if math.isfinite(value) else hi
+    return NormReport(value, ev + evals, (lo, hi), modular(f, u_star, phi))
 
 
 def heart_member(f: Rv, phi: OrliczFunction) -> bool:

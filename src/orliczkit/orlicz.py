@@ -20,7 +20,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from ._search import bisect_predicate, expand_max_bracket, golden_max
+from ._search import bisect_predicate, brent_max, expand_max_bracket
 from .errors import NumericFailure
 
 POWER = "power"
@@ -250,11 +250,12 @@ def conjugate(phi: OrliczFunction) -> OrliczFunction:
 def conjugate_value(phi: OrliczFunction, s: float) -> float:
     """Numeric ``sup_t (t*s - phi(t))`` over ``t >= 0``.
 
-    Bracket expansion along a doubling ray followed by golden-section search
-    (relative tolerance 1e-10). The objective is declared unbounded -- and
-    ``+inf`` returned -- after 40 consecutive strict increases along the ray.
-    Since the evaluations approach the supremum from below, the result never
-    overshoots.
+    Bracket expansion along a doubling ray, then Brent's method on
+    ``[0, hi]`` down to a bracket of width ``1e-10 * max(1, hi)``; a finite
+    horizon is the bracket's right end, where the objective may be -inf. The
+    objective is declared unbounded -- and ``+inf`` returned -- after 40
+    consecutive strict increases along the ray. Since the evaluations
+    approach the supremum from below, the result never overshoots.
     """
     if s < 0.0:
         raise ValueError(f"conjugate argument must be >= 0, got {s}")
@@ -263,14 +264,14 @@ def conjugate_value(phi: OrliczFunction, s: float) -> float:
         return s * t - phi(t)
 
     if math.isfinite(phi.horizon):
-        res = golden_max(obj, 0.0, phi.horizon)
-        return max(res.value, 0.0)
-    hi, unbounded, _ = expand_max_bracket(obj, start=1.0)
-    if unbounded:
-        return math.inf
-    res = golden_max(obj, 0.0, hi)
+        hi = phi.horizon
+    else:
+        hi, unbounded, _ = expand_max_bracket(obj, start=1.0)
+        if unbounded:
+            return math.inf
+    _, value, _ = brent_max(obj, 0.0, hi, 1e-10 * max(1.0, hi))
     # sup >= value at t=0, which is 0
-    return max(res.value, 0.0)
+    return max(value, 0.0)
 
 
 # -- doubling condition ----------------------------------------------------

@@ -29,7 +29,7 @@ from orliczkit import (
     worst_case,
     zeros,
 )
-from orliczkit.duality import _anchored_line_max
+from orliczkit._search import INV_PHI, brent_max
 
 PSI2 = conjugate(OrliczFunction.power(2.0))
 
@@ -138,28 +138,29 @@ def test_line_max_keeps_feasible_band_around_anchor():
     def h(t):
         return -(t - 0.3) ** 2 if 0.25 <= t <= 0.35 else -math.inf
 
-    t, v, _ = _anchored_line_max(h, -50.0, 50.0, 0.28, h(0.28), 32)
+    t, v, _ = brent_max(h, -50.0, 50.0, 100.0 * INV_PHI ** 32, (0.28, h(0.28)))
     assert t == pytest.approx(0.3, abs=1e-4)
     assert v >= h(0.28)
     # an infeasible anchor is never replaced by an equally infeasible probe
-    t, v, _ = _anchored_line_max(lambda s: -math.inf, -1.0, 1.0, 0.5,
-                                 -math.inf, 32)
+    t, v, _ = brent_max(lambda s: -math.inf, -1.0, 1.0, 2.0 * INV_PHI ** 32,
+                        (0.5, -math.inf))
     assert (t, v) == (0.5, -math.inf)
 
 
 def test_line_max_endpoints_exact_and_never_below_anchor():
     # increasing line: the supremum sits on the clamped endpoint exactly
-    t, v, _ = _anchored_line_max(lambda s: 2.0 * s, 0.0, 1.5, 0.4, 0.8, 32)
+    t, v, _ = brent_max(lambda s: 2.0 * s, 0.0, 1.5, 1.5 * INV_PHI ** 32,
+                        (0.4, 0.8))
     assert (t, v) == (1.5, 3.0)
     # a smooth concave line: the maximizer to bracket width, far fewer
     # probes than the 36 of a 32-step golden-section search
-    t, v, evals = _anchored_line_max(lambda s: -(s - 0.7) ** 2, -2.0, 2.0,
-                                     0.0, -0.49, 32)
+    t, v, evals = brent_max(lambda s: -(s - 0.7) ** 2, -2.0, 2.0,
+                            4.0 * INV_PHI ** 32, (0.0, -0.49))
     assert t == pytest.approx(0.7, abs=1e-6)
     assert evals <= 12
     # a flat line never moves off the anchor
-    assert _anchored_line_max(lambda s: 1.0, -1.0, 1.0, 0.2, 1.0, 32)[:2] \
-        == (0.2, 1.0)
+    assert brent_max(lambda s: 1.0, -1.0, 1.0, 2.0 * INV_PHI ** 32,
+                     (0.2, 1.0))[:2] == (0.2, 1.0)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -176,7 +177,7 @@ def test_line_max_lands_within_bracket_width_of_peak(peak, curv, lo, span,
     def h(t):
         return -curv * (t - peak) ** 2
 
-    t, v, evals = _anchored_line_max(h, lo, hi, t0, h(t0), 32)
+    t, v, evals = brent_max(h, lo, hi, (hi - lo) * INV_PHI ** 32, (t0, h(t0)))
     assert v >= h(t0)
     width = span * ((math.sqrt(5.0) - 1.0) / 2.0) ** 32
     assert abs(t - min(max(peak, lo), hi)) <= width

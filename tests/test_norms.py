@@ -101,6 +101,33 @@ def test_amemiya_sandwich(vals):
         assert lux - 1e-9 <= ame <= 2.0 * lux + 1e-9
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(atoms=st.integers(1, 64).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n),
+    st.lists(st.floats(-30.0, 30.0, allow_subnormal=False),
+             min_size=n, max_size=n))))
+def test_amemiya_power2_is_twice_the_weighted_2norm(atoms):
+    # inf_k (1 + k^2 |f|_2^2) / k is attained at k = 1/|f|_2, where it is
+    # 2|f|_2; the oracle scales by max|f| so tiny entries do not underflow
+    weights, vals = atoms
+    sp = MeasureSpace.finite(weights)
+    f = Rv(sp, vals)
+    top = float(np.max(np.abs(vals)))
+    expected = (0.0 if top == 0.0 else 2.0 * top * math.sqrt(
+        float(np.dot(sp.weights, (np.asarray(vals) / top) ** 2))))
+    assert amemiya_norm(f, POWER2).value == pytest.approx(expected, rel=1e-9)
+
+
+def test_amemiya_evaluation_count():
+    # iterations counts every objective evaluation, bracketing included:
+    # Brent's method makes 28-33 here, a golden-section search made 56-58
+    sp = MeasureSpace.finite([0.5, 1.0, 0.25, 2.0, 0.75, 1.5])
+    f = Rv(sp, [1.0, -2.0, 0.5, 3.0, -0.25, 1.5])
+    for phi in (POWER2, OrliczFunction.scaled_power(1.5),
+                OrliczFunction.exp_young()):
+        assert amemiya_norm(f, phi).iterations <= 45
+
+
 def test_heart_member():
     sp = uniform_probability(3)
     f = Rv(sp, [5.0, -2.0, 0.1])

@@ -132,6 +132,28 @@ def test_conjugate_of_custom_is_numeric_pointwise():
         assert psi(s) == pytest.approx(s * s / 4.0, abs=1e-8)
 
 
+CUBE_THIRD = OrliczFunction.custom(lambda t: t ** 3 / 3.0, label="t^3/3")
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(s=st.floats(1e-2, 1e2),
+       case=st.sampled_from(("p1.5", "p2", "p3", "cube")))
+def test_numeric_conjugate_approaches_exact_from_below(s, case):
+    # scaled_power(p) = t^p/p has conjugate s^q/q with 1/p + 1/q = 1, and
+    # the custom t^3/3 has (2/3) s^(3/2); the search only ever evaluates
+    # s*t - phi(t), so it never overshoots beyond the rounding of that
+    # difference and of the exact formula (a few ulps, taken as 8 eps)
+    if case == "cube":
+        phi, exact = CUBE_THIRD, (2.0 / 3.0) * s ** 1.5
+    else:
+        p = {"p1.5": 1.5, "p2": 2.0, "p3": 3.0}[case]
+        q = p / (p - 1.0)
+        phi, exact = OrliczFunction.scaled_power(p), s ** q / q
+    got = conjugate_value(phi, s)
+    assert got <= exact * (1.0 + 8.0 * np.finfo(float).eps)
+    assert got >= exact * (1.0 - 1e-9)
+
+
 def test_conjugate_rejects_negative_argument():
     with pytest.raises(ValueError):
         conjugate_value(OrliczFunction.power(2.0), -1.0)
