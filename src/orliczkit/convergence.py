@@ -10,7 +10,7 @@ limit) are enforced rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,27 +28,62 @@ CUSTOM = "custom"
 _MODES = (NORM_CONVERGENT, AE_ONLY_SPIKE, ORDER_CONVERGENT, CUSTOM)
 
 
+#: rows of a family read per matrix call by the extraction, w*-limit and
+#: decay checks; their scratch memory is a few blocks of this many terms
+BLOCK_ROWS = 256
+
+
 @dataclass(frozen=True, eq=False)
 class SequenceFamily:
     """An ordered, norm-bounded family of random variables with a declared
     limit. ``norm_bound`` is a declared (structural) bound on the Luxemburg
     norms of the terms; ``math.inf`` marks a family declared unbounded, which
-    downstream checks refuse."""
+    downstream checks refuse.
+
+    The terms are stored once, as the rows of the read-only
+    ``(len, n_atoms)`` float64 array ``values``; ``terms`` holds no-copy
+    ``Rv`` views of those rows. Terms passed to the constructor are stacked
+    into that array, a family of L terms on n atoms takes L * n * 8 bytes.
+    """
 
     terms: tuple[Rv, ...]
     norm_bound: float
     mode: str
     limit: Rv
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("a sequence family needs at least one term")
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown family mode {self.mode!r}")
         space = self.limit.space
         for t in self.terms:
             if not space.same_space(t.space):
                 raise ValueError("family terms live on mismatched spaces")
+        self._adopt(np.stack([t.values for t in self.terms]))
+
+    def _adopt(self, rows: np.ndarray) -> None:
+        """Take ``rows`` over as the family's storage and view the terms
+        into it."""
+        if self.mode not in _MODES:
+            raise ValueError(f"unknown family mode {self.mode!r}")
+        rows.setflags(write=False)
+        space = self.limit.space
+        object.__setattr__(self, "values", rows)
+        object.__setattr__(self, "terms",
+                           tuple(Rv._wrap(space, row) for row in rows))
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray, norm_bound: float, mode: str,
+                   limit: Rv) -> "SequenceFamily":
+        """Internal no-copy constructor: ``rows`` is a fresh, finite
+        ``(len >= 1, n_atoms)`` float64 array on ``limit``'s space, which the
+        family owns from here on."""
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "norm_bound", norm_bound)
+        object.__setattr__(fam, "mode", mode)
+        object.__setattr__(fam, "limit", limit)
+        fam._adopt(rows)
+        return fam
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -68,6 +103,12 @@ class SequenceFamily:
                    mode=mode, limit=limit)
 
 
+def _row_blocks(rows: np.ndarray):
+    """Consecutive ``(start, block)`` slices of at most BLOCK_ROWS rows."""
+    for start in range(0, len(rows), BLOCK_ROWS):
+        yield start, rows[start:start + BLOCK_ROWS]
+
+
 def generate_sequence(space: MeasureSpace, phi: OrliczFunction, f: Rv,
                       mode: str, length: int = 32, seed: int = 0,
                       spike_height: float = 1.0) -> SequenceFamily:
@@ -85,7 +126,10 @@ def generate_sequence(space: MeasureSpace, phi: OrliczFunction, f: Rv,
                         |f_n - f| <= (1/n) F is dominated.
 
     The declared norm bound is structural (triangle inequality on the pieces)
-    rather than a per-term norm computation, plus a 1e-9 relative margin.
+    rather than a per-term norm computation, plus a 1e-9 relative margin. For
+    the spike it takes one indicator norm, at the largest visited weight: an
+    indicator's norm grows with its mass. The terms are written straight
+    into the family's one array.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
@@ -94,34 +138,32 @@ def generate_sequence(space: MeasureSpace, phi: OrliczFunction, f: Rv,
     rng = np.random.default_rng(seed)
     n = space.n_atoms
     base_norm = luxemburg_norm(f, phi).value
+    rows = np.empty((length, n))
+    steps = np.arange(1, length + 1, dtype=float)[:, None]
 
     if mode == NORM_CONVERGENT:
         z = np.abs(rng.normal(0.0, 1.0, n))
-        terms = [Rv(space, f.values + z / k) for k in range(1, length + 1)]
+        np.divide(z, steps, out=rows)
+        rows += f.values
         bound = base_norm + luxemburg_norm(Rv(space, z), phi).value
     elif mode == AE_ONLY_SPIKE:
         c = float(spike_height)
-        terms = []
-        visited_weights = set()
-        for k in range(1, length + 1):
-            v = f.values.copy()
-            if k <= n:
-                v[k - 1] += c
-                visited_weights.add(float(space.weights[k - 1]))
-            terms.append(Rv(space, v))
-        worst = max((indicator_norm(phi, w) for w in visited_weights),
-                    default=0.0)
+        if not math.isfinite(c):
+            raise ValueError("spike height must be finite")
+        rows[:] = f.values
+        visited = np.arange(min(length, n))
+        rows[visited, visited] += c
+        worst = indicator_norm(phi, float(space.weights[visited].max()))
         bound = base_norm + abs(c) * worst
     elif mode == ORDER_CONVERGENT:
         envelope = np.abs(rng.normal(0.0, 1.0, n)) + 0.1
-        terms = [Rv(space, f.values + envelope / k)
-                 for k in range(1, length + 1)]
+        np.divide(envelope, steps, out=rows)
+        rows += f.values
         bound = base_norm + luxemburg_norm(Rv(space, envelope), phi).value
     else:
         raise ValueError(f"unknown generator mode {mode!r}")
     bound += 1e-9 * (1.0 + bound)
-    return SequenceFamily(terms=tuple(terms), norm_bound=bound, mode=mode,
-                          limit=f)
+    return SequenceFamily._from_rows(rows, bound, mode, f)
 
 
 # ---------------------------------------------------------------------------
@@ -171,60 +213,55 @@ def extract_ae_subsequence(family: SequenceFamily, f: Rv, g0: Rv, f0: Rv, *,
         raise ValueError("f, g0, f0 must share one measure space")
     if g0.values.min() <= 0.0 or f0.values.min() <= 0.0:
         raise ValueError("g0 and f0 must be strictly positive")
-    w = space.weights
-    gv = g0.values
-    diffs = [np.abs(t.values - f.values) for t in family.terms]
-    pairings_all = [float(np.dot(w, d * gv)) for d in diffs]
+    wg = space.weights * g0.values
+    fv = f.values
+    pairings_all = np.empty(len(family))
+    scratch = np.empty((min(BLOCK_ROWS, len(family)), space.n_atoms))
+    for start, rows in _row_blocks(family.values):
+        d = np.subtract(rows, fv, out=scratch[:len(rows)])
+        np.abs(d, out=d)
+        np.matmul(d, wg, out=pairings_all[start:start + len(rows)])
 
     q = max(1, len(pairings_all) // 4)
-    pairings_decay = min(pairings_all[-q:]) <= 0.5 * max(pairings_all[:q]) + 1e-12
+    pairings_decay = bool(pairings_all[-q:].min()
+                          <= 0.5 * pairings_all[:q].max() + 1e-12)
 
     indices: list[int] = []
-    picked_pairings: list[float] = []
     targets: list[float] = []
     cursor = 0
     stalled_at: int | None = None
     for pick in range(1, max_picks + 1):
         target = 2.0 ** (-pick)
-        found = None
-        for j in range(cursor, len(family.terms)):
-            if pairings_all[j] <= target:
-                found = j
-                break
-        if found is None:
+        hits = np.flatnonzero(pairings_all[cursor:] <= target)
+        if hits.size == 0:
             stalled_at = pick
             break
+        found = cursor + int(hits[0])
         indices.append(found)
-        picked_pairings.append(pairings_all[found])
         targets.append(target)
         cursor = found + 1
+    picked_pairings = [float(pairings_all[j]) for j in indices]
 
     status = "ok" if (pairings_decay and indices) else "inconclusive"
 
     trace: list[float] = []
     trace_ok = True
-    if indices:
-        capped = [np.minimum(diffs[j], f0.values) for j in indices]
-        # running sup over the tail of the selected subsequence
-        tail_sup = np.zeros_like(capped[0])
-        sups = [None] * len(capped)
-        for m in range(len(capped) - 1, -1, -1):
-            tail_sup = np.maximum(tail_sup, capped[m])
-            sups[m] = tail_sup.copy()
-        for m, s in enumerate(sups, start=1):
-            t_m = float(np.dot(w, s * gv))
-            trace.append(t_m)
-            if t_m > 2.0 ** (-(m - 1)) + 1e-12:
-                trace_ok = False
-
     pointwise = None
     pointwise_ok = False
     if indices:
+        resid = np.abs(family.values[indices] - fv)
+        # running sup over the tail of the selected subsequence
+        sups = np.maximum.accumulate(
+            np.minimum(resid, f0.values)[::-1], axis=0)[::-1]
+        for m, t_m in enumerate(sups @ wg, start=1):
+            trace.append(float(t_m))
+            if t_m > 2.0 ** (-(m - 1)) + 1e-12:
+                trace_ok = False
+
         pointwise = ae_converges([family.terms[j] for j in indices], f,
                                  tol=ae_tol)
         pointwise_ok = pointwise.converged
         if not pointwise_ok:
-            resid = np.stack([diffs[j] for j in indices])
             half = max(1, len(indices) // 2)
             head = resid[:half].max(axis=0)
             tail = resid[half:].max(axis=0) if half < len(indices) else head
@@ -284,29 +321,32 @@ def wstar_limit_check(family: SequenceFamily, f: Rv, tests: Sequence[Rv],
                              "conjugate Young function")
     if f0 is None:
         f0 = Rv(space, np.ones(space.n_atoms))
-    w = space.weights
-    q = max(0, (3 * len(family.terms)) // 4 - 1)
-    tail_terms = family.terms[q:]
-    diffs = [np.abs(t.values - f.values) for t in tail_terms]
-    signed = [t.values - f.values for t in tail_terms]
-
-    tails, over_tails, dom_tails = [], [], []
-    for g in tests:
-        gv = g.values
-        ag = np.abs(gv)
-        tails.append(max(abs(float(np.dot(w, s * gv))) for s in signed))
-        over_tails.append(max(float(np.dot(w, np.maximum(d - f0.values, 0.0) * ag))
-                              for d in diffs))
-        dom_tails.append(max(float(np.dot(w, np.minimum(d, f0.values) * ag))
-                             for d in diffs))
-    worst = max(tails)
+    fv, f0v = f.values, f0.values
+    gs = np.stack([g.values for g in tests], axis=1)  # (n, tests)
+    wg = space.weights[:, None] * gs
+    wag = np.abs(wg)
+    q = max(0, (3 * len(family)) // 4 - 1)
+    tail = family.values[q:]
+    # every pairing below is >= 0, so the running maxima start at 0
+    tails, over_tails, dom_tails = (np.zeros(len(tests)) for _ in range(3))
+    scratch = np.empty((2, min(BLOCK_ROWS, len(tail)), space.n_atoms))
+    for _, rows in _row_blocks(tail):
+        signed = np.subtract(rows, fv, out=scratch[0, :len(rows)])
+        np.maximum(tails, np.abs(signed @ wg).max(axis=0), out=tails)
+        d = np.abs(signed, out=signed)
+        part = np.subtract(d, f0v, out=scratch[1, :len(rows)])
+        np.maximum(part, 0.0, out=part)
+        np.maximum(over_tails, (part @ wag).max(axis=0), out=over_tails)
+        np.minimum(d, f0v, out=part)
+        np.maximum(dom_tails, (part @ wag).max(axis=0), out=dom_tails)
+    worst = float(tails.max())
     return WstarReport(
         converged=worst <= tail_tol,
         tail_tol=tail_tol,
         worst_tail=worst,
-        tails=tuple(tails),
-        overflow_tails=tuple(over_tails),
-        dominated_tails=tuple(dom_tails),
+        tails=tuple(tails.tolist()),
+        overflow_tails=tuple(over_tails.tolist()),
+        dominated_tails=tuple(dom_tails.tolist()),
     )
 
 
@@ -339,10 +379,12 @@ def _require_ae_decay(family: SequenceFamily) -> None:
     atomwise residuals over the last quarter must have at least halved
     relative to the first quarter (or be negligible outright)."""
     limit = family.limit.values
-    sups = [float(np.max(np.abs(t.values - limit))) for t in family.terms]
+    sups = np.empty(len(family))
+    for start, rows in _row_blocks(family.values):
+        sups[start:start + len(rows)] = np.abs(rows - limit).max(axis=1)
     q = max(1, len(sups) // 4)
-    head = max(sups[:q])
-    tail = min(sups[-q:])
+    head = float(sups[:q].max())
+    tail = float(sups[-q:].min())
     if tail > 0.5 * head + 1e-12:
         raise ValueError(
             "family does not settle toward its declared limit "
@@ -455,10 +497,9 @@ def closure_demo(vertices: Sequence[Rv], f: Rv, phi: OrliczFunction, *,
 
     for v in vertices:
         if np.array_equal(v.values, f.values):
-            fam = SequenceFamily(
-                terms=tuple(Rv(space, f.values.copy()) for _ in range(length)),
-                norm_bound=luxemburg_norm(f, phi).value + 1e-12,
-                mode=CUSTOM, limit=f)
+            fam = SequenceFamily._from_rows(
+                np.tile(f.values, (length, 1)),
+                luxemburg_norm(f, phi).value + 1e-12, CUSTOM, f)
             return ClosureReport(
                 projection=Rv(space, f.values.copy()),
                 weights=tuple(1.0 if u is v else 0.0 for u in vertices),
@@ -508,7 +549,7 @@ def closure_demo(vertices: Sequence[Rv], f: Rv, phi: OrliczFunction, *,
         return lux_cache[k]
 
     dist_lux = lux_at(len(snapshots) - 1)
-    terms = []
+    picks = []
     envelope_ok = True
     cursor = 0
     for k in range(1, length + 1):
@@ -523,10 +564,11 @@ def closure_demo(vertices: Sequence[Rv], f: Rv, phi: OrliczFunction, *,
             if lux_at(chosen) > budget:
                 envelope_ok = False
         cursor = chosen
-        terms.append(Rv(space, snapshots[chosen].copy()))
+        picks.append(snapshots[chosen])
     vertex_norms = [luxemburg_norm(v, phi).value for v in vertices]
-    fam = SequenceFamily(terms=tuple(terms), norm_bound=max(vertex_norms) + 1e-12,
-                         mode=CUSTOM, limit=Rv(space, x.copy()))
+    fam = SequenceFamily._from_rows(np.stack(picks),
+                                    max(vertex_norms) + 1e-12, CUSTOM,
+                                    Rv(space, x.copy()))
     return ClosureReport(
         projection=Rv(space, x.copy()),
         weights=tuple(float(t) for t in theta),

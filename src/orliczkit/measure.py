@@ -260,14 +260,15 @@ def strictly_positive_witness(space: MeasureSpace, phi) -> Rv:
     Block n (1-based, in block order) carries the constant
     ``2**-n / (1 + ||indicator(block)||_phi)``; summing over blocks gives a
     strictly positive element whose norm is bounded by the triangle
-    inequality by sum 2**-n <= 1.
+    inequality by sum 2**-n <= 1. An indicator's norm depends only on the
+    block's mass, so each block costs one one-atom bisection, whatever its
+    number of atoms.
     """
-    from .norms import luxemburg_norm  # local import to avoid a module cycle
+    from .norms import indicator_norm  # local import to avoid a module cycle
 
     v = np.zeros(space.n_atoms)
     for n, block in enumerate(space.blocks(), start=1):
-        chi = indicator(space, block)
-        nrm = luxemburg_norm(chi, phi).value
+        nrm = indicator_norm(phi, float(space.weights[block].sum()))
         v[block] = 2.0**-n / (1.0 + nrm)
     return Rv(space, v)
 

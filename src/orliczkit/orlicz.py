@@ -8,6 +8,7 @@ zero, is not identically zero and may take the value ``+inf`` (modelled by
 * ``scaled_power(p, c)`` -- c * t**p; default c = 1/p (the normalized family)
 * ``linear()``           -- t (the boundary case with limit slope 1)
 * ``exp_young()``        -- exp(t) - t - 1
+* ``exp_young_conjugate()`` -- (1+s) log(1+s) - s, the conjugate of exp_young
 * ``linf_step()``        -- 0 on [0, 1], +inf beyond (sup-norm geometry)
 * ``custom(...)``        -- user evaluator with a declared finiteness horizon
 """
@@ -27,6 +28,7 @@ POWER = "power"
 SCALED_POWER = "scaled_power"
 LINEAR = "linear"
 EXP_YOUNG = "exp_young"
+EXP_YOUNG_CONJUGATE = "exp_young_conjugate"
 LINF_STEP = "linf_step"
 CUSTOM = "custom"
 
@@ -83,6 +85,19 @@ class OrliczFunction:
         return OrliczFunction(EXP_YOUNG, label="exp_young")
 
     @staticmethod
+    def exp_young_conjugate() -> "OrliczFunction":
+        """psi(s) = (1+s) log(1+s) - s, the conjugate of exp_young.
+
+        It satisfies the doubling condition with k = 4 at zero and at
+        infinity. Since psi'(s) = log(1+s), the bound s psi'(s) <= 2 psi(s)
+        reads (2+s) log(1+s) >= 2s; both sides vanish at s = 0 and the
+        difference has derivative log(1+s) - s/(1+s) >= 0. Integrating
+        d log psi(s) <= 2 ds / s from u to 2u gives psi(2u) <= 4 psi(u) for
+        every u > 0.
+        """
+        return OrliczFunction(EXP_YOUNG_CONJUGATE, label="exp_young_conjugate")
+
+    @staticmethod
     def linf_step() -> "OrliczFunction":
         return OrliczFunction(LINF_STEP, horizon=1.0, label="linf_step")
 
@@ -119,6 +134,8 @@ class OrliczFunction:
                 return math.expm1(t) - t
             except OverflowError:
                 return math.inf
+        if k == EXP_YOUNG_CONJUGATE:
+            return (1.0 + t) * math.log1p(t) - t
         if k == LINF_STEP:
             return 0.0 if t <= 1.0 else math.inf
         return self.evaluator(t)
@@ -138,6 +155,8 @@ class OrliczFunction:
                 return ts.copy()
             if k == EXP_YOUNG:
                 return np.expm1(ts) - ts
+            if k == EXP_YOUNG_CONJUGATE:
+                return (1.0 + ts) * np.log1p(ts) - ts
             if k == LINF_STEP:
                 return np.where(ts <= 1.0, 0.0, math.inf)
         out = np.empty(ts.shape, dtype=float)
@@ -209,7 +228,7 @@ def conjugate(phi: OrliczFunction) -> OrliczFunction:
     * ``c * t**p``  <->  ``c' * s**q`` with 1/p + 1/q = 1 (the normalized
       family t**p / p maps to s**q / q),
     * ``linear``    <->  ``linf_step`` and back,
-    * ``exp_young`` ->   ``(1+s) log(1+s) - s`` (closed form, custom kind).
+    * ``exp_young`` <->  ``exp_young_conjugate``, i.e. ``(1+s) log(1+s) - s``.
 
     Custom functions get a pointwise numeric conjugate built on
     :func:`conjugate_value`.
@@ -225,14 +244,9 @@ def conjugate(phi: OrliczFunction) -> OrliczFunction:
     if k == LINF_STEP:
         return OrliczFunction.linear()
     if k == EXP_YOUNG:
-        def _exp_young_dual(s: float) -> float:
-            if s < 0.0:
-                raise ValueError("conjugates are defined on s >= 0")
-            return (1.0 + s) * math.log1p(s) - s
-
-        return OrliczFunction.custom(
-            _exp_young_dual, label="exp_young_conjugate", spot_check=False
-        )
+        return OrliczFunction.exp_young_conjugate()
+    if k == EXP_YOUNG_CONJUGATE:
+        return OrliczFunction.exp_young()
     # custom: numeric pointwise conjugate; its finiteness horizon is the
     # limit slope of phi (the conjugate is finite exactly up to that slope).
     slope = limit_slope(phi)
@@ -317,6 +331,10 @@ def check_delta2(
                                  note="ratio tends to 4 at zero; bound valid on u <= 1")
         return Delta2Verdict(FAILS, regime, witness=32.0, exact=True,
                              note="ratio grows like exp(u)")
+    if k == EXP_YOUNG_CONJUGATE:
+        # proof in OrliczFunction.exp_young_conjugate
+        return Delta2Verdict(HOLDS, regime, k=4.0, exact=True,
+                             note="s psi'(s) <= 2 psi(s) for all s > 0")
     if k == LINF_STEP:
         if regime == "at_zero":
             return Delta2Verdict(HOLDS, regime, k=1.0, exact=True,
@@ -418,7 +436,7 @@ def limit_slope(phi: OrliczFunction) -> SlopeClass:
     ray; the answer carries ``estimated=True`` when it comes from the probe.
     """
     k = phi.kind
-    if k in (POWER, SCALED_POWER, EXP_YOUNG):
+    if k in (POWER, SCALED_POWER, EXP_YOUNG, EXP_YOUNG_CONJUGATE):
         return SlopeClass(math.inf, True)
     if k == LINF_STEP:
         return SlopeClass(math.inf, True)

@@ -7,6 +7,7 @@ import pytest
 
 from orliczkit import (
     ClosureRefusal,
+    MeasureSpace,
     OrliczFunction,
     Rv,
     SequenceFamily,
@@ -77,6 +78,22 @@ def test_spike_supremum_grows_with_truncation():
         sup = np.max(np.stack([t.values for t in fam.terms]), axis=0)
         assert luxemburg_norm(Rv(sp, sup), POWER2).value == pytest.approx(
             math.sqrt(n), rel=1e-9)
+
+
+def test_spike_bound_covers_every_term_on_geometric_weights():
+    # distinct weights: one indicator norm at the largest visited weight
+    # bounds every term, since an indicator's norm grows with its mass
+    n = 40
+    sp = MeasureSpace.truncated_countable(0.5 ** np.arange(1, n + 1))
+    f = Rv(sp, np.random.default_rng(4).normal(0.0, 1.0, n))
+    for phi in (POWER2, PSI2, OrliczFunction.exp_young(),
+                conjugate(OrliczFunction.exp_young())):
+        for length in (1, 7, n + 8):
+            fam = generate_sequence(sp, phi, f, "ae_only_traveling_spike",
+                                    length=length, spike_height=2.5)
+            norms = [luxemburg_norm(t, phi).value for t in fam.terms]
+            assert max(norms) <= fam.norm_bound
+            assert fam.check_norm_bound(phi, slack=0.0)
 
 
 def test_order_convergent_family_dominated():

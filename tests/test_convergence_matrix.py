@@ -1,0 +1,249 @@
+"""The block-wise matrix readers of a family against row-by-row references,
+the one-array family layout, and the memory the readers take."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orliczkit import (
+    OrliczFunction,
+    Rv,
+    SequenceFamily,
+    conjugate,
+    extract_ae_subsequence,
+    generate_sequence,
+    strictly_positive_witness,
+    uniform_probability,
+    wstar_limit_check,
+)
+from orliczkit.convergence import BLOCK_ROWS, _require_ae_decay
+from orliczkit.measure import MeasureSpace, ae_converges
+
+POWER2 = OrliczFunction.power(2.0)
+PSI2 = conjugate(POWER2)
+EPS = np.finfo(float).eps
+
+
+# -- row-by-row references: one Python pass per term -------------------------
+
+
+def ref_extract(family, f, g0, f0, max_picks=40, ae_tol=1e-8):
+    w, gv = f.space.weights, g0.values
+    diffs = [np.abs(t.values - f.values) for t in family.terms]
+    pairings = [float(np.dot(w, d * gv)) for d in diffs]
+    q = max(1, len(pairings) // 4)
+    decay = min(pairings[-q:]) <= 0.5 * max(pairings[:q]) + 1e-12
+    indices, cursor, stalled_at = [], 0, None
+    for pick in range(1, max_picks + 1):
+        found = next((j for j in range(cursor, len(pairings))
+                      if pairings[j] <= 2.0 ** -pick), None)
+        if found is None:
+            stalled_at = pick
+            break
+        indices.append(found)
+        cursor = found + 1
+    trace, pointwise_ok = [], False
+    if indices:
+        tail_sup = np.zeros(f.space.n_atoms)
+        for j in reversed(indices):
+            tail_sup = np.maximum(tail_sup, np.minimum(diffs[j], f0.values))
+            trace.append(float(np.dot(w, tail_sup * gv)))
+        trace.reverse()
+        pointwise_ok = ae_converges([family.terms[j] for j in indices], f,
+                                    tol=ae_tol).converged
+        if not pointwise_ok:
+            resid = np.stack([diffs[j] for j in indices])
+            half = max(1, len(indices) // 2)
+            head = resid[:half].max(axis=0)
+            tail = resid[half:].max(axis=0) if half < len(indices) else head
+            pointwise_ok = bool(np.all(tail <= np.maximum(ae_tol, 0.5 * head)))
+    status = "ok" if (decay and indices) else "inconclusive"
+    return (status, indices, [pairings[j] for j in indices], trace,
+            stalled_at, pointwise_ok)
+
+
+def ref_wstar(family, f, tests, f0):
+    w = f.space.weights
+    q = max(0, (3 * len(family.terms)) // 4 - 1)
+    signed = [t.values - f.values for t in family.terms[q:]]
+    tails, over, dom = [], [], []
+    for g in tests:
+        ag = np.abs(g.values)
+        tails.append(max(abs(float(np.dot(w, s * g.values))) for s in signed))
+        over.append(max(float(np.dot(w, np.maximum(np.abs(s) - f0.values, 0.0)
+                                     * ag)) for s in signed))
+        dom.append(max(float(np.dot(w, np.minimum(np.abs(s), f0.values) * ag))
+                       for s in signed))
+    return tails, over, dom
+
+
+def ref_settles(family):
+    sups = [float(np.max(np.abs(t.values - family.limit.values)))
+            for t in family.terms]
+    q = max(1, len(sups) // 4)
+    return min(sups[-q:]) <= 0.5 * max(sups[:q]) + 1e-12
+
+
+def assert_close(got, want, n):
+    """Equal up to the rounding of two length-n sums taken in different
+    orders: 4 n eps (1 + max |.|)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    if got.size:
+        scale = 1.0 + max(np.abs(got).max(), np.abs(want).max())
+        assert np.all(np.abs(got - want) <= 4.0 * n * EPS * scale)
+
+
+def settles(family):
+    try:
+        _require_ae_decay(family)
+    except ValueError:
+        return False
+    return True
+
+
+# -- families of every layout and length around BLOCK_ROWS --------------------
+
+LENGTHS = (1, 2, 37, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+           2 * BLOCK_ROWS + 5)
+KINDS = ("norm_convergent", "ae_only_traveling_spike", "order_convergent",
+         "loose_decaying", "loose_flat")
+
+
+def make_family(kind, length, n, seed):
+    rng = np.random.default_rng(seed)
+    space = MeasureSpace.truncated_countable(rng.uniform(0.05, 1.0, n) / n)
+    f = Rv(space, rng.normal(0.0, 1.0, n))
+    if kind in ("loose_decaying", "loose_flat"):
+        # the decay starts 60 terms from the end, so the picks of a long
+        # family straddle a block boundary
+        rate = 0.8 if kind == "loose_decaying" else 1.0
+        late = max(0, length - 60)
+        terms = [Rv(space, f.values + rng.normal(0.0, 1.0, n)
+                    * rate ** max(0, k - late)) for k in range(length)]
+        return space, f, SequenceFamily.from_terms(terms, f, POWER2)
+    return space, f, generate_sequence(space, POWER2, f, kind, length=length,
+                                       seed=seed)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(KINDS), length=st.sampled_from(LENGTHS),
+       n=st.integers(1, 24), seed=st.integers(0, 2**16))
+def test_matrix_readers_match_row_by_row_reference(kind, length, n, seed):
+    space, f, fam = make_family(kind, length, n, seed)
+    g0 = strictly_positive_witness(space, PSI2)
+    f0 = strictly_positive_witness(space, POWER2)
+
+    res = extract_ae_subsequence(fam, f, g0, f0)
+    status, indices, pairings, trace, stalled_at, pointwise_ok = ref_extract(
+        fam, f, g0, f0)
+    assert res.status == status
+    assert list(res.indices) == indices
+    assert res.stalled_at == stalled_at
+    assert res.pointwise_ok == pointwise_ok
+    assert_close(res.pairings, pairings, n)
+    assert_close(res.trace, trace, n)
+
+    tests = [g0, Rv(space, np.ones(n)), Rv(space, np.linspace(-1.0, 2.0, n))]
+    rep = wstar_limit_check(fam, f, tests, PSI2, f0=f0)
+    tails, over, dom = ref_wstar(fam, f, tests, f0)
+    assert_close(rep.tails, tails, n)
+    assert_close(rep.overflow_tails, over, n)
+    assert_close(rep.dominated_tails, dom, n)
+    assert rep.worst_tail == max(rep.tails)
+
+    assert settles(fam) == ref_settles(fam)
+
+
+def test_decay_verdicts_on_both_sides():
+    sp = uniform_probability(3)
+    limit = Rv(sp, np.zeros(3))
+    for length in (1, BLOCK_ROWS + 1):
+        flat = SequenceFamily.from_terms(
+            [Rv(sp, np.ones(3))] * length, limit, POWER2)
+        shrinking = SequenceFamily.from_terms(
+            [Rv(sp, np.ones(3) / (k + 1)) for k in range(length)], limit,
+            POWER2)
+        assert settles(flat) == ref_settles(flat)
+        assert settles(shrinking) == ref_settles(shrinking)
+    assert not settles(flat) and settles(shrinking)
+
+
+# -- layout --------------------------------------------------------------------
+
+
+def test_generated_terms_are_read_only_views_of_one_buffer():
+    for kind in KINDS:
+        _, _, fam = make_family(kind, BLOCK_ROWS + 3, 7, seed=1)
+        assert fam.values.shape == (BLOCK_ROWS + 3, 7)
+        assert fam.values.dtype == np.float64
+        assert not fam.values.flags.writeable
+        for j, t in enumerate(fam.terms):
+            assert t.values.base is fam.values
+            assert not t.values.flags.writeable
+            assert np.array_equal(t.values, fam.values[j])
+        with pytest.raises(ValueError):
+            fam.terms[0].values[0] = 1.0
+
+
+def test_loose_terms_are_stacked_once_and_keep_their_values():
+    sp = uniform_probability(4)
+    f = Rv(sp, np.zeros(4))
+    raw = [Rv(sp, np.arange(4.0) + k) for k in range(5)]
+    fam = SequenceFamily(terms=tuple(raw), norm_bound=100.0, mode="custom",
+                         limit=f)
+    assert len(fam) == 5
+    assert np.array_equal(fam.values, np.stack([r.values for r in raw]))
+    assert all(t.values.base is fam.values for t in fam.terms)
+    assert all(t.space is sp for t in fam.terms)
+
+
+def test_generated_values_match_their_formulas():
+    sp = uniform_probability(5)
+    f = Rv(sp, [1.0, -1.0, 0.0, 2.0, 0.5])
+    spike = generate_sequence(sp, POWER2, f, "ae_only_traveling_spike",
+                              length=8, spike_height=0.5)
+    for k, t in enumerate(spike.terms):
+        v = f.values.copy()
+        if k < 5:
+            v[k] += 0.5
+        assert np.array_equal(t.values, v)
+    nc = generate_sequence(sp, POWER2, f, "norm_convergent", length=6, seed=3)
+    z = np.abs(np.random.default_rng(3).normal(0.0, 1.0, 5))
+    for k, t in enumerate(nc.terms, start=1):
+        assert np.array_equal(t.values, f.values + z / k)
+    with pytest.raises(ValueError):
+        generate_sequence(sp, POWER2, f, "ae_only_traveling_spike",
+                          spike_height=math.inf)
+
+
+# -- memory --------------------------------------------------------------------
+
+
+def test_readers_stay_within_a_fraction_of_the_family():
+    # N = 4096 spike family: 4,160 terms, a 136 MB array
+    n = 4096
+    space = uniform_probability(n, truncated=True)
+    f = Rv(space, np.random.default_rng(0).normal(0.0, 1.0, n))
+    g0 = strictly_positive_witness(space, PSI2)
+    f0 = strictly_positive_witness(space, POWER2)
+    tests = [g0, Rv(space, np.ones(n))]
+    tracemalloc.start()
+    try:
+        fam = generate_sequence(space, POWER2, f, "ae_only_traveling_spike",
+                                length=n + 64)
+        size = fam.values.nbytes
+        assert size == (n + 64) * n * 8
+        assert tracemalloc.get_traced_memory()[1] <= 1.05 * size
+
+        for run in (lambda: extract_ae_subsequence(fam, f, g0, f0),
+                    lambda: wstar_limit_check(fam, f, tests, PSI2)):
+            tracemalloc.reset_peak()
+            baseline = tracemalloc.get_traced_memory()[0]
+            run()
+            assert tracemalloc.get_traced_memory()[1] - baseline <= 0.35 * size
+    finally:
+        tracemalloc.stop()

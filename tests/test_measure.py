@@ -153,6 +153,51 @@ def test_witness_norm_at_most_one():
             assert luxemburg_norm(w, phi).value <= 1.0 + 1e-9
 
 
+def n_atom_witness(space, phi):
+    """The witness with each block's constant from a Luxemburg bisection of
+    the block's indicator over all atoms of the space."""
+    from orliczkit import luxemburg_norm
+    v = np.zeros(space.n_atoms)
+    for n, block in enumerate(space.blocks(), start=1):
+        v[block] = 2.0**-n / (1.0 + luxemburg_norm(indicator(space, block),
+                                                   phi).value)
+    return v
+
+
+WITNESS_YOUNG = (OrliczFunction.power(2.0), OrliczFunction.scaled_power(2.0, 0.25),
+                 OrliczFunction.exp_young(),
+                 OrliczFunction.exp_young_conjugate(),
+                 OrliczFunction.linf_step(),
+                 OrliczFunction.custom(lambda t: t ** 3, label="t^3"))
+
+
+def test_block_mass_witness_equals_n_atom_reference():
+    rng = np.random.default_rng(11)
+    spaces = [uniform_probability(1024, truncated=True),
+              MeasureSpace.truncated_countable(0.5 ** np.arange(1, 41))]
+    for _ in range(3):
+        n = int(rng.integers(5, 200))
+        blocks = np.sort(rng.integers(0, max(2, n // 4), n))
+        spaces.append(MeasureSpace.truncated_countable(
+            rng.uniform(0.01, 2.0, n), block_ids=blocks))
+    for sp in spaces:
+        for phi in WITNESS_YOUNG:
+            assert np.array_equal(strictly_positive_witness(sp, phi).values,
+                                  n_atom_witness(sp, phi))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(weights=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=40),
+       data=st.data(), phi=st.sampled_from(WITNESS_YOUNG))
+def test_block_mass_witness_matches_reference_on_random_blocks(weights, data,
+                                                               phi):
+    blocks = data.draw(st.lists(st.integers(0, 6), min_size=len(weights),
+                                max_size=len(weights)))
+    sp = MeasureSpace.finite(weights, block_ids=blocks)
+    got = strictly_positive_witness(sp, phi).values
+    assert np.allclose(got, n_atom_witness(sp, phi), rtol=1e-9, atol=0.0)
+
+
 def test_ae_converges_residual_profile():
     sp = counting(3)
     f = Rv(sp, [0.0, 2.0, 3.0])  # zero base keeps the residual exactly 1/n

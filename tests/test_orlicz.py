@@ -111,6 +111,37 @@ def test_conjugate_exp_young_stationarity():
     assert psi(0.0) == 0.0
 
 
+def test_exp_young_conjugate_is_a_vectorized_catalog_kind():
+    psi = conjugate(OrliczFunction.exp_young())
+    assert (psi.kind, psi.label) == ("exp_young_conjugate",
+                                     "exp_young_conjugate")
+    assert conjugate(psi).kind == "exp_young"
+    s = np.concatenate(([0.0], np.geomspace(1e-12, 1e6, 4001),
+                        np.linspace(0.0, 1e6, 4001)))
+    scalar = np.array([(1.0 + x) * math.log1p(x) - x for x in s])
+    vec = psi.values(s)
+    assert vec[0] == 0.0
+    # numpy's and libm's log1p may differ in the last bit, and the
+    # subtraction cancels near 0, so the bound scales with the two terms
+    terms = (1.0 + s) * np.log1p(s) + s
+    assert np.all(np.abs(vec - scalar) <= 8.0 * np.finfo(float).eps * terms)
+    assert all(psi(float(x)) == y for x, y in zip(s[::97], scalar[::97]))
+
+
+def test_exp_young_conjugate_exact_verdicts():
+    psi = OrliczFunction.exp_young_conjugate()
+    for regime in ("at_zero", "at_infinity"):
+        v = check_delta2(psi, regime)
+        assert (v.status, v.k, v.exact) == (HOLDS, 4.0, True)
+    # s psi'(s) <= 2 psi(s) integrates to psi(2u) <= 4 psi(u) for every u
+    u = np.geomspace(1e-6, 1e12, 2001)
+    assert np.all(psi.values(2.0 * u) <= 4.0 * psi.values(u))
+    slope = limit_slope(psi)
+    assert slope.is_infinite and not slope.estimated
+    exp = classify_space(OrliczFunction.exp_young(), finite_measure=False)
+    assert all(v.exact and v.status == HOLDS for v in exp.conjugate_delta2)
+
+
 def test_conjugate_linear_step_pair():
     psi = conjugate(OrliczFunction.linear())
     assert psi.kind == "linf_step"
