@@ -213,9 +213,6 @@ def _cmd_extract_subseq(args) -> int:
     family = SequenceFamily.from_terms(terms, f, phi_young)
     g0, f0 = _witnesses(space, phi_young)
     res = extract_ae_subsequence(family, f, g0, f0, ae_tol=cfg.tol(1e-8))
-    trace_margin = 0.0
-    for m, t in enumerate(res.trace, start=1):
-        trace_margin = max(trace_margin, t - (2.0 ** (-(m - 1)) + 1e-12))
     record = {
         "command": "extract-subseq",
         "orlicz": args.orlicz,
@@ -224,7 +221,7 @@ def _cmd_extract_subseq(args) -> int:
         "indices": list(res.indices),
         "stalled_at": res.stalled_at,
         "trace_bound_ok": res.trace_bound_ok,
-        "trace_margin": trace_margin,
+        "trace_margin": res.trace_margin,
         "pointwise_converged": res.pointwise_ok,
     }
     _emit(render_record(record, cfg.fmt))
@@ -455,11 +452,9 @@ def run_battery(cfg: RunConfig) -> list[dict]:
     g0 = strictly_positive_witness(big, psi2)
     f0 = strictly_positive_witness(big, power2)
     res = extract_ae_subsequence(fam, limit, g0, f0)
-    excess = 0.0
-    for m, t in enumerate(res.trace, start=1):
-        excess = max(excess, t - (2.0 ** (-(m - 1)) + 1e-12))
     penalty = 0.0 if (res.status == "ok" and res.pointwise_ok) else 1.0
-    rows.append(_row("extraction_truncated", max(excess, penalty), 0.0, cfg,
+    rows.append(_row("extraction_truncated", max(res.trace_margin, penalty),
+                     0.0, cfg,
                      f"N={cfg.truncation} spike family, "
                      f"{len(res.indices)} picks"))
 
@@ -625,10 +620,7 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3
-    except (SlopeConditionError, ClosureRefusal) as exc:
-        sys.stderr.write(f"refused: {exc}\n")
-        return 4
-    except ValueError as exc:
+    except (SlopeConditionError, ClosureRefusal, ValueError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 4
 

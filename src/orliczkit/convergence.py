@@ -98,9 +98,17 @@ class SequenceFamily:
     @classmethod
     def from_terms(cls, terms: Sequence[Rv], limit: Rv, phi: OrliczFunction,
                    mode: str = CUSTOM) -> "SequenceFamily":
-        bound = max(luxemburg_norm(t, phi).value for t in terms)
-        return cls(terms=tuple(terms), norm_bound=bound + 1e-12 * (1.0 + bound),
-                   mode=mode, limit=limit)
+        """A family declared with the norm of the pointwise envelope
+        ``max_j |t_j|`` as its bound: one Luxemburg norm, not one per term.
+        The norm is monotone in ``|f|``, so the envelope's norm covers every
+        term's. Bisection reads each norm up to a relative 1e-10 above its
+        true value, so the bound carries a 1e-9 relative margin."""
+        fam = cls(terms=tuple(terms), norm_bound=math.inf, mode=mode,
+                  limit=limit)
+        envelope = np.abs(fam.values).max(axis=0)
+        bound = luxemburg_norm(Rv._wrap(limit.space, envelope), phi).value
+        object.__setattr__(fam, "norm_bound", bound + 1e-9 * (1.0 + bound))
+        return fam
 
 
 def _row_blocks(rows: np.ndarray):
@@ -178,6 +186,7 @@ class ExtractionResult:
     pairings: tuple[float, ...]
     targets: tuple[float, ...]
     trace: tuple[float, ...]
+    trace_margin: float
     trace_bound_ok: bool
     stalled_at: int | None
     pointwise: AeVerdict | None
@@ -199,7 +208,8 @@ def extract_ae_subsequence(family: SequenceFamily, f: Rv, g0: Rv, f0: Rv, *,
     target noted in ``stalled_at``. When it fails the status is
     "inconclusive". The diagnostic trace
     t_n = <sup_{m>=n}(|f_{a_m} - f| ^ f0), g0> is reported together with the
-    telescoped bound check t_n <= 2^-(n-1) + 1e-12 and two atomwise
+    telescoped bound check t_n <= 2^-(n-1) + 1e-12, whose largest excess
+    (0.0 when it holds) is ``trace_margin``, and two atomwise
     convergence verdicts for the selected subsequence: settle-within-ae_tol,
     and the finite-recording fallback that each atom's residual sup has at
     least halved from the first half of the picks to the second (or sits at
@@ -245,7 +255,7 @@ def extract_ae_subsequence(family: SequenceFamily, f: Rv, g0: Rv, f0: Rv, *,
     status = "ok" if (pairings_decay and indices) else "inconclusive"
 
     trace: list[float] = []
-    trace_ok = True
+    trace_margin = 0.0
     pointwise = None
     pointwise_ok = False
     if indices:
@@ -255,8 +265,8 @@ def extract_ae_subsequence(family: SequenceFamily, f: Rv, g0: Rv, f0: Rv, *,
             np.minimum(resid, f0.values)[::-1], axis=0)[::-1]
         for m, t_m in enumerate(sups @ wg, start=1):
             trace.append(float(t_m))
-            if t_m > 2.0 ** (-(m - 1)) + 1e-12:
-                trace_ok = False
+            trace_margin = max(trace_margin,
+                               float(t_m) - (2.0 ** (-(m - 1)) + 1e-12))
 
         pointwise = ae_converges([family.terms[j] for j in indices], f,
                                  tol=ae_tol)
@@ -273,7 +283,8 @@ def extract_ae_subsequence(family: SequenceFamily, f: Rv, g0: Rv, f0: Rv, *,
         pairings=tuple(picked_pairings),
         targets=tuple(targets),
         trace=tuple(trace),
-        trace_bound_ok=trace_ok,
+        trace_margin=trace_margin,
+        trace_bound_ok=trace_margin == 0.0,
         stalled_at=stalled_at,
         pointwise=pointwise,
         pointwise_ok=pointwise_ok,
@@ -449,8 +460,6 @@ def non_lsc_control(base: RiskFunctional, at: Rv) -> RiskFunctional:
         name=f"non_lsc({base.name})",
         space=space,
         evaluate=ev,
-        is_monotone=False,
-        is_convex=False,
         proper_witness=zeros(space),
     )
 

@@ -56,14 +56,6 @@ class AscentResult:
     evaluations: int
 
 
-def _line_infeasible(h, lo: float, hi: float) -> bool:
-    """Two shoulder probes; used to skip moves whose whole line (bar the
-    current point) sits outside the objective's domain, as single-coordinate
-    and additive moves do under an equality constraint."""
-    return (h(lo + 0.25 * (hi - lo)) == -math.inf
-            and h(lo + 0.75 * (hi - lo)) == -math.inf)
-
-
 def maximize_dual(objective: Callable[[np.ndarray], float],
                   space: MeasureSpace,
                   *,
@@ -90,7 +82,26 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     else:
         base_pairs = [(i, (i + 1) % n) for i in range(n)]
     best: AscentResult | None = None
-    total_evals = 0
+    evals = 0
+
+    def line(h, lo, hi, t0, guard=True):
+        """One move: Brent along ``h`` on ``[lo, hi]`` from ``(t0, v)``.
+        Returns ``(t, h(t))`` on strict improvement over ``v``, else None.
+        ``guard`` spends two shoulder probes first and skips the line when
+        both are -inf: then all of it bar the current point sits outside the
+        objective's domain, as single-coordinate and additive moves do under
+        an equality constraint."""
+        nonlocal evals
+        if guard:
+            evals += 2
+            if (h(lo + 0.25 * (hi - lo)) == -math.inf
+                    and h(lo + 0.75 * (hi - lo)) == -math.inf):
+                return None
+        t, val, ev = brent_max(h, lo, hi, (hi - lo) * INV_PHI ** LINE_STEPS,
+                               (t0, v))
+        evals += ev
+        return (t, val) if val > v else None
+
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         if starts is not None and r < len(starts):
@@ -101,7 +112,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
             raw = np.abs(rng.normal(0.0, 1.0, n)) + 0.05
             g = raw / float(np.dot(w, raw))
         v = objective(g)
-        evals = 1
+        evals += 1
         sweeps = 0
         flat = 0
         for _ in range(SWEEP_CAP):
@@ -123,16 +134,9 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     g[i] = old
                     return val
 
-                if _line_infeasible(h, lo, hi):
-                    evals += 2
-                    continue
-                t, val, ev = brent_max(h, lo, hi,
-                                       (hi - lo) * INV_PHI ** LINE_STEPS,
-                                       (t0, v))
-                evals += ev + 2
-                if val > v:
-                    g[i] = t
-                    v = val
+                step = line(h, lo, hi, t0)
+                if step:
+                    g[i], v = step
 
             pairs = list(base_pairs)
             if n > 8:
@@ -157,11 +161,9 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     g[i], g[j] = oi, oj
                     return val
 
-                s, val, ev = brent_max(h, lo, hi,
-                                       (hi - lo) * INV_PHI ** LINE_STEPS,
-                                       (0.0, v))
-                evals += ev
-                if val > v:
+                step = line(h, lo, hi, 0.0, guard=False)
+                if step:
+                    s, v = step
                     g[i] += s / wi
                     g[j] -= s / wj
                     if nonneg:
@@ -171,40 +173,20 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                             g[i] = 0.0
                         if g[j] < 0.0 and g[j] > -1e-13:
                             g[j] = 0.0
-                    v = val
-
-            def h_add(t):
-                return objective(g + t)
 
             lo = max(-float(np.min(g)), -span) if nonneg else -span
-            hi = span
-            if hi > lo:
-                if _line_infeasible(h_add, lo, hi):
-                    evals += 2
-                else:
-                    t, val, ev = brent_max(h_add, lo, hi,
-                                           (hi - lo) * INV_PHI ** LINE_STEPS,
-                                           (0.0, v))
-                    evals += ev + 2
-                    if val > v:
-                        g += t
-                        if nonneg:
-                            np.maximum(g, 0.0, out=g)
-                        v = val
+            if span > lo:
+                step = line(lambda t: objective(g + t), lo, span, 0.0)
+                if step:
+                    t, v = step
+                    g += t
+                    if nonneg:
+                        np.maximum(g, 0.0, out=g)
 
-            def h_scale(c):
-                return objective(c * g)
-
-            if _line_infeasible(h_scale, 0.25, 4.0):
-                evals += 2
-            else:
-                c, val, ev = brent_max(h_scale, 0.25, 4.0,
-                                       (4.0 - 0.25) * INV_PHI ** LINE_STEPS,
-                                       (1.0, v))
-                evals += ev + 2
-                if val > v:
-                    g *= c
-                    v = val
+            step = line(lambda c: objective(c * g), 0.25, 4.0, 1.0)
+            if step:
+                c, v = step
+                g *= c
 
             # a restart stuck at -inf is flat too: there v - v_before is nan
             if v == v_before or v - v_before <= 1e-11 * (1.0 + abs(v)):
@@ -213,12 +195,11 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     break
             else:
                 flat = 0
-        total_evals += evals
         if best is None or v > best.value:
             best = AscentResult(g=g.copy(), value=v, start_index=r,
                                 sweeps=sweeps, evaluations=0)
     assert best is not None
-    return replace(best, evaluations=total_evals)
+    return replace(best, evaluations=evals)
 
 
 # ---------------------------------------------------------------------------
@@ -428,26 +409,15 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
 
     if phi.closed_form_maximizer is not None and not force_numeric:
         g = phi.closed_form_maximizer(f)
-        cval = float(conj(g))
-        achieved = dual_pairing(f, g) - cval
-        cert = DualCertificate(
-            g=g,
-            conjugate_value=cval,
-            achieved=achieved,
-            gap=primal - achieved,
-            nonnegative_ok=bool(g.values.min() >= 0.0),
-            heart_ok=heart_member(g, psi),
-            heart_vacuous=psi.is_finite_everywhere,
-            start_index=None,
-            sweeps=0,
-        )
-        return achieved, cert
-
-    res = maximize_dual(_dual_objective(conj, space, f.values), space,
-                        seed=seed, restarts=restarts, nonneg=True)
-    g = Rv(space, res.g)
+        start_index, sweeps = None, 0
+    else:
+        res = maximize_dual(_dual_objective(conj, space, f.values), space,
+                            seed=seed, restarts=restarts, nonneg=True)
+        g = Rv(space, res.g)
+        start_index, sweeps = res.start_index, res.sweeps
     cval = float(conj(g))
-    achieved = dual_pairing(f, g) - cval if math.isfinite(cval) else -math.inf
+    # a conjugate value of +inf makes the achieved value -inf
+    achieved = dual_pairing(f, g) - cval
     cert = DualCertificate(
         g=g,
         conjugate_value=cval,
@@ -456,8 +426,8 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
         nonnegative_ok=bool(g.values.min() >= 0.0),
         heart_ok=heart_member(g, psi),
         heart_vacuous=psi.is_finite_everywhere,
-        start_index=res.start_index,
-        sweeps=res.sweeps,
+        start_index=start_index,
+        sweeps=sweeps,
     )
     return achieved, cert
 
@@ -547,17 +517,14 @@ def level_set_probe(phi: RiskFunctional, lam: float, boundary_f: Rv,
                 f"sequence member {k} violates the level constraint: "
                 f"phi = {val!r} > {lam!r} + {membership_tol!r}")
     ae = ae_converges(approx_seq, boundary_f, tol=ae_tol)
-    if not ae.converged:
-        return LevelSetVerdict(status="inconclusive", threshold=lam,
-                               limit_value=None, margin=None,
-                               witness_atom_id=None, ae=ae)
-    limit_value = phi.evaluate(boundary_f)
-    if limit_value <= lam + value_tol:
-        return LevelSetVerdict(status="holds", threshold=lam,
-                               limit_value=limit_value,
-                               margin=limit_value - lam,
-                               witness_atom_id=None, ae=ae)
-    return LevelSetVerdict(status="fails", threshold=lam,
-                           limit_value=limit_value,
-                           margin=limit_value - lam,
-                           witness_atom_id=ae.slowest_atom_id, ae=ae)
+    status, limit_value, margin, witness = "inconclusive", None, None, None
+    if ae.converged:
+        limit_value = phi.evaluate(boundary_f)
+        margin = limit_value - lam
+        if limit_value <= lam + value_tol:
+            status = "holds"
+        else:
+            status, witness = "fails", ae.slowest_atom_id
+    return LevelSetVerdict(status=status, threshold=lam,
+                           limit_value=limit_value, margin=margin,
+                           witness_atom_id=witness, ae=ae)

@@ -1,8 +1,9 @@
 """Catalog of convex risk functionals on discrete probability spaces.
 
-Each functional carries declared structure flags, a properness witness and
--- where known -- a closed-form Fenchel conjugate and maximizing density, so
-the duality engine can certify representations without numeric search.
+Each functional carries a properness witness and -- where known -- a
+closed-form Fenchel conjugate and maximizing density, so the duality engine
+can certify representations without numeric search. Whether a functional is
+increasing and convex is for ``validate`` to decide, not declared.
 Conjugates take a candidate density ``g`` and return the conjugate value,
 ``+inf`` off the effective domain.
 """
@@ -34,8 +35,6 @@ class RiskFunctional:
     name: str
     space: MeasureSpace
     evaluate: Callable[[Rv], float]
-    is_monotone: bool
-    is_convex: bool
     proper_witness: Rv
     closed_form_conjugate: Callable[[Rv], float] | None = None
     closed_form_maximizer: Callable[[Rv], Rv] | None = None
@@ -92,8 +91,6 @@ def entropic(beta: float, space: MeasureSpace) -> RiskFunctional:
         name=f"entropic(beta={beta})",
         space=space,
         evaluate=ev,
-        is_monotone=True,
-        is_convex=True,
         proper_witness=zeros(space),
         closed_form_conjugate=conj,
         closed_form_maximizer=maximizer,
@@ -158,8 +155,6 @@ def average_value_at_risk(alpha: float, space: MeasureSpace) -> RiskFunctional:
         name=f"average_value_at_risk(alpha={alpha})",
         space=space,
         evaluate=ev,
-        is_monotone=True,
-        is_convex=True,
         proper_witness=zeros(space),
         closed_form_conjugate=conj,
         closed_form_maximizer=maximizer,
@@ -189,8 +184,6 @@ def worst_case(space: MeasureSpace) -> RiskFunctional:
         name="worst_case",
         space=space,
         evaluate=ev,
-        is_monotone=True,
-        is_convex=True,
         proper_witness=zeros(space),
         closed_form_conjugate=conj,
         closed_form_maximizer=maximizer,
@@ -215,8 +208,6 @@ def expectation(space: MeasureSpace) -> RiskFunctional:
         name="expectation",
         space=space,
         evaluate=ev,
-        is_monotone=True,
-        is_convex=True,
         proper_witness=zeros(space),
         closed_form_conjugate=conj,
         closed_form_maximizer=maximizer,
@@ -238,8 +229,6 @@ def non_monotone_control(space: MeasureSpace) -> RiskFunctional:
         name="non_monotone_control",
         space=space,
         evaluate=ev,
-        is_monotone=False,
-        is_convex=True,
         proper_witness=zeros(space),
     )
 

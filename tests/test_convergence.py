@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orliczkit import (
     ClosureRefusal,
@@ -27,6 +28,8 @@ from orliczkit import (
     wstar_limit_check,
     zeros,
 )
+from orliczkit import convergence
+from orliczkit.specs import load_custom_table
 
 POWER2 = OrliczFunction.power(2.0)
 PSI2 = conjugate(POWER2)
@@ -125,6 +128,55 @@ def test_family_bound_declaration():
     assert not declared_low.check_norm_bound(POWER2)
 
 
+def test_from_terms_takes_one_norm(monkeypatch):
+    calls = []
+
+    def counted(f, phi):
+        calls.append(f)
+        return luxemburg_norm(f, phi)
+
+    monkeypatch.setattr(convergence, "luxemburg_norm", counted)
+    sp = uniform_probability(3)
+    f = Rv(sp, [1.0, -2.0, 3.0])
+    terms = [f, Rv(sp, [-3.0, 0.5, 1.0]), 0.5 * f]
+    fam = SequenceFamily.from_terms(terms, f, POWER2)
+    # the one norm is the envelope's, max_j |t_j| atom by atom
+    assert len(calls) == 1
+    assert np.array_equal(calls[0].values, [3.0, 2.0, 3.0])
+    assert fam.norm_bound >= luxemburg_norm(calls[0], POWER2).value
+
+
+@pytest.fixture(scope="module")
+def young_functions(tmp_path_factory):
+    table = tmp_path_factory.mktemp("young") / "table.csv"
+    table.write_text("t,value\n0,0\n1,1\n2,4\n", encoding="utf-8")
+    return {"power2": POWER2, "exp_young": OrliczFunction.exp_young(),
+            "linf_step": OrliczFunction.linf_step(),
+            "table": load_custom_table(str(table))}
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(name=st.sampled_from(("power2", "exp_young", "linf_step", "table")),
+       shape=st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+           lambda s: st.tuples(
+               st.lists(st.floats(1e-9, 10.0), min_size=s[1], max_size=s[1]),
+               st.lists(st.lists(st.floats(-30.0, 30.0,
+                                           allow_subnormal=False),
+                                 min_size=s[1], max_size=s[1]),
+                        min_size=s[0], max_size=s[0]))))
+# a near tie: the envelope exceeds the first term only on a light atom, and
+# bisection reads the term's norm 2.6e-11 relative above the envelope's
+@example(name="power2", shape=([1.0, 1e-9], [[0.94, 1.0], [0.0, 1.0 + 1e-9]]))
+def test_from_terms_bound_covers_every_term(young_functions, name, shape):
+    weights, rows = shape
+    phi = young_functions[name]
+    sp = MeasureSpace.finite(weights)
+    terms = [Rv(sp, row) for row in rows]
+    fam = SequenceFamily.from_terms(terms, terms[0], phi)
+    # every term's Luxemburg norm is at most the bound, with no slack
+    assert fam.check_norm_bound(phi, slack=0.0)
+
+
 # -- extraction ---------------------------------------------------------------
 
 
@@ -206,6 +258,10 @@ def test_extraction_trace_is_nonincreasing_tail_sup():
     res = extract_ae_subsequence(fam, f, g0, f0)
     assert res.trace_bound_ok
     assert all(a >= b - 1e-15 for a, b in zip(res.trace, res.trace[1:]))
+    # the margin is the largest excess over the telescoped bound, 0.0 here
+    excess = max(t - (2.0 ** (-(m - 1)) + 1e-12)
+                 for m, t in enumerate(res.trace, start=1))
+    assert res.trace_margin == max(0.0, excess) == 0.0
 
 
 # -- w*-limit checks ----------------------------------------------------------

@@ -214,12 +214,15 @@ def test_maximize_dual_respects_nonnegativity():
     assert res.g[1] == pytest.approx(0.0, abs=1e-7)
 
 
-def test_maximize_dual_moves_mass_between_atoms():
+@pytest.mark.parametrize("n, nonneg", [(4, True), (4, False), (10, True)])
+def test_maximize_dual_moves_mass_between_atoms(n, nonneg):
     # objective finite only on the simplex of densities: single-coordinate
-    # moves are all infeasible, so progress requires pairwise transfers
-    sp = uniform_probability(4)
+    # moves are all infeasible, so progress requires pairwise transfers; ten
+    # atoms take the ring plus seeded extra pairs instead of all pairs
+    sp = uniform_probability(n)
     w = sp.weights
-    target = np.array([2.0, 1.0, 0.5, 0.5])
+    target = (np.array([2.0, 1.0, 0.5, 0.5]) if n == 4
+              else np.linspace(0.5, 1.5, n))
     calls = 0
 
     def obj(g):
@@ -230,14 +233,16 @@ def test_maximize_dual_moves_mass_between_atoms():
         d = g - target
         return -float(d @ d)
 
-    res = maximize_dual(obj, sp, seed=1, restarts=4, nonneg=True)
+    res = maximize_dual(obj, sp, seed=1, restarts=4, nonneg=nonneg)
     assert res.value == pytest.approx(0.0, abs=1e-7)
     assert np.allclose(res.g, target, atol=1e-3)
     # the count covers every restart, and is a machine-independent work
-    # measure: the engine makes 2,106 calls here (a plain golden-section line
-    # search made 10,036), so 3,000 leaves about 40 % headroom
+    # measure
     assert res.evaluations == calls
-    assert calls <= 3000
+    if n == 4 and nonneg:
+        # the engine makes 2,106 calls here (a plain golden-section line
+        # search made 10,036), so 3,000 leaves about 40 % headroom
+        assert calls <= 3000
 
 
 def test_maximize_dual_stops_a_restart_stuck_outside_the_domain():

@@ -207,7 +207,7 @@ def test_catalog_members_are_labeled_increasing():
     cat = increasing_catalog(sp, beta=2.0, alpha=0.25)
     names = [fn.name for fn in cat]
     assert len(cat) == 4
-    assert all(fn.is_monotone and fn.is_convex for fn in cat)
+    assert all(validate(fn).all_ok for fn in cat)
     assert any("entropic" in n for n in names)
     assert any("value_at_risk" in n for n in names)
 

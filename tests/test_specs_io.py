@@ -70,7 +70,7 @@ def test_parse_risk_names():
     assert parse_risk_spec("worst_case", sp).name == "worst_case"
     assert parse_risk_spec("expectation", sp).name == "expectation"
     ctrl = parse_risk_spec("control:square", sp)
-    assert not ctrl.is_monotone
+    assert ctrl.name == "non_monotone_control"
 
 
 @pytest.mark.parametrize("bad", [
