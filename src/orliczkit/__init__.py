@@ -2,7 +2,7 @@
 spaces: Young functions and their conjugates, Luxemburg/Amemiya norms, dual
 representation certificates, and convergence diagnostics."""
 
-from .errors import (ClosureRefusal, NumericFailure, ParseError,
+from .errors import (ClosureRefusal, NumericFailure, ParseError, Refusal,
                      SlopeConditionError, SpaceMismatchError)
 from .measure import (DEFAULT_TRUNCATION, FINITE, TRUNCATED, AeVerdict,
                       MeasureSpace, Rv, ae_converges, counting, indicator,

@@ -16,13 +16,6 @@ from .errors import NumericFailure
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: consecutive strict increases along a doubling ray before the objective is
-#: declared unbounded
-UNBOUNDED_RUN = 40
-
-#: bracket expansion never goes past start * 2**DOUBLING_CAP
-DOUBLING_CAP = 64
-
 
 def brent_max(
     h: Callable[[float], float],
@@ -122,27 +115,22 @@ def expand_max_bracket(
 ) -> tuple[float, bool, int]:
     """Expand a doubling ray until ``fn`` stops increasing.
 
-    Returns ``(hi, unbounded, evals)``: a maximizer of ``fn`` on ``[0, inf)``
-    lies in ``[0, hi]`` unless ``unbounded`` is set, which happens after
-    ``UNBOUNDED_RUN`` consecutive strict increases (the cap is
-    ``start * 2**DOUBLING_CAP``).
+    Returns ``(hi, unbounded, evals)``: a maximizer of a unimodal ``fn`` on
+    ``[0, inf)`` lies in ``[0, hi]`` unless ``unbounded`` is set, which
+    happens when ``fn`` still increases where the next doubling would leave
+    the float range.
     """
     t = start
     v_prev = fn(t)
-    run = 0
     evals = 1
-    for _ in range(DOUBLING_CAP):
+    while 2.0 * t < math.inf:
         t *= 2.0
         v = fn(t)
         evals += 1
-        if v > v_prev:
-            run += 1
-            if run >= UNBOUNDED_RUN:
-                return t, True, evals
-        else:
+        if not v > v_prev:
             return t, False, evals
         v_prev = v
-    return t, False, evals
+    return t, True, evals
 
 
 def bisect_predicate(

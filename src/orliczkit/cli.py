@@ -1,9 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 parse/usage error, 3 numeric failure, 4 hypothesis
-refusal (slope condition, validation, hull membership), 5 property violation
-(gap above tolerance, Fatou violation, failed verify-all rows). Reports are
-deterministic: same inputs, same seed, same bytes.
+refusal (an ``errors.Refusal``: slope condition, validation, hull
+membership), 5 property violation (gap above tolerance, Fatou violation,
+failed verify-all rows). Any other exception is a bug and surfaces as a
+traceback. Reports are deterministic: same inputs, same seed, same bytes.
 """
 
 from __future__ import annotations
@@ -20,16 +21,14 @@ from .convergence import (SequenceFamily, closure_demo,
                           generate_sequence, non_lsc_control)
 from .duality import (biconjugate_check, fenchel_conjugate_value,
                       positivity_evidence, reconstruct)
-from .errors import (ClosureRefusal, NumericFailure, ParseError,
-                     SlopeConditionError)
+from .errors import NumericFailure, ParseError, Refusal, SlopeConditionError
 from .io import read_rv, read_space, read_stacked_rvs, render_record, render_table
 from .measure import (DEFAULT_TRUNCATION, MeasureSpace, Rv,
                       strictly_positive_witness, uniform_probability, zeros)
 from .norms import amemiya_norm, luxemburg_norm
 from .orlicz import (FAILS, HOLDS, OrliczFunction, classify_space, conjugate,
                      conjugate_value, limit_slope)
-from .risk import (average_value_at_risk, entropic, expectation,
-                   increasing_catalog, validate)
+from .risk import entropic, increasing_catalog, validate
 from .specs import parse_orlicz_spec, parse_risk_spec
 
 _GENERATOR_MODES = ("norm_convergent", "ae_only_traveling_spike",
@@ -264,53 +263,37 @@ def _cmd_closure_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _row(label: str, margin: float, default_tol: float, cfg: RunConfig,
-         detail: str) -> dict:
-    tol = cfg.tol(default_tol)
-    passed = margin <= tol
-    return {
-        "label": label,
-        "passed": passed,
-        "margin": float(margin),
-        "tol": tol,
-        "tolerance_induced": bool((not passed) and margin <= default_tol),
-        "detail": detail,
-    }
-
-
-def _feasible_dual(name: str, space: MeasureSpace,
-                   rng: np.random.Generator) -> np.ndarray:
-    n = space.n_atoms
-    w = space.weights
-    if name.startswith("expectation"):
-        return np.ones(n)
-    raw = np.abs(rng.normal(0.0, 1.0, n)) + 0.05
-    g = raw / float(np.dot(w, raw))
-    if name.startswith("average_value_at_risk"):
-        alpha = 0.5
-        cap = 1.0 / alpha
-        peak = float(np.max(g))
-        if peak > cap:
-            t = (cap - 1.0) / (peak - 1.0)
-            g = t * g + (1.0 - t) * np.ones(n)
-    return g
-
-
 def run_battery(cfg: RunConfig) -> list[dict]:
     """The verify-all rows; deterministic given the config."""
     rows: list[dict] = []
-    sp = uniform_probability(6)
+
+    def row(label: str, margin: float, default_tol: float,
+            detail: str) -> None:
+        tol = cfg.tol(default_tol)
+        passed = margin <= tol
+        rows.append({
+            "label": label,
+            "passed": passed,
+            "margin": float(margin),
+            "tol": tol,
+            "tolerance_induced": bool((not passed) and margin <= default_tol),
+            "detail": detail,
+        })
+
+    sp3 = uniform_probability(3)
     sp_small = uniform_probability(4)
     power2 = OrliczFunction.power(2.0)
     psi2 = conjugate(power2)
     catalog = increasing_catalog(sp_small, beta=1.0, alpha=0.5)
+    _, avar4, _, exp4 = catalog
+    ent3 = entropic(1.0, sp3)
 
     # properties of the catalog functionals themselves
     failing = [c.name for c in catalog
                if not validate(c, trials=60, seed=cfg.seed).all_ok]
-    rows.append(_row("validate_catalog", float(len(failing)), 0.0, cfg,
-                     "all increasing catalog members pass validate"
-                     if not failing else "failing: " + ",".join(failing)))
+    row("validate_catalog", float(len(failing)), 0.0,
+        "all increasing catalog members pass validate"
+        if not failing else "failing: " + ",".join(failing))
 
     # Luxemburg norm against the analytic weighted 2-norm
     rng = np.random.default_rng([cfg.seed, 1])
@@ -318,164 +301,126 @@ def run_battery(cfg: RunConfig) -> list[dict]:
     margin = 0.0
     for _ in range(20):
         v = rng.normal(0.0, 3.0, 6)
-        f = Rv(wspace, v)
         pnorm = float(np.sqrt(np.dot(wspace.weights, v * v)))
-        err = abs(luxemburg_norm(f, power2).value - pnorm) / (1.0 + pnorm)
-        margin = max(margin, err)
-    rows.append(_row("norm_power2_oracle", margin, 1e-8, cfg,
-                     "luxemburg vs analytic weighted 2-norm, 20 draws"))
+        err = abs(luxemburg_norm(Rv(wspace, v), power2).value - pnorm)
+        margin = max(margin, err / (1.0 + pnorm))
+    row("norm_power2_oracle", margin, 1e-8,
+        "luxemburg vs analytic weighted 2-norm, 20 draws")
 
     # numeric conjugate against the analytic conjugate pair
     sp_phi = OrliczFunction.scaled_power(2.0)
     margin = max(abs(conjugate_value(sp_phi, s) - 0.5 * s * s)
                  for s in np.linspace(0.0, 10.0, 12))
-    rows.append(_row("conjugate_roundtrip", margin, 1e-6, cfg,
-                     "numeric vs analytic conjugate of t^2/2 on [0,10]"))
+    row("conjugate_roundtrip", margin, 1e-6,
+        "numeric vs analytic conjugate of t^2/2 on [0,10]")
 
     # Young's inequality sweep
     rng = np.random.default_rng([cfg.seed, 2])
     violations = 0
-    checked = 0
-    for phi in (power2, sp_phi, OrliczFunction.linear(),
-                OrliczFunction.exp_young(), OrliczFunction.linf_step()):
+    young = (power2, sp_phi, OrliczFunction.linear(),
+             OrliczFunction.exp_young(), OrliczFunction.linf_step())
+    for phi in young:
         psi = conjugate(phi)
         for _ in range(400):
             t = float(rng.uniform(0.0, 5.0))
             s = float(rng.uniform(0.0, 5.0))
-            lhs = t * s
-            rhs = phi(t) + psi(s)
-            checked += 1
-            if lhs > rhs + 1e-9:
-                violations += 1
-    rows.append(_row("young_inequality", float(violations), 0.0, cfg,
-                     f"{checked} (t,s) pairs across the catalog"))
+            violations += t * s > phi(t) + psi(s) + 1e-9
+    row("young_inequality", float(violations), 0.0,
+        f"{400 * len(young)} (t,s) pairs across the catalog")
 
-    # dual representation: entropic, closed form and numeric cold starts
+    # dual representation certificates: closed forms and a numeric cold start;
+    # closed forms never read ``restarts``
     rng = np.random.default_rng([cfg.seed, 3])
-    ent6 = entropic(1.0, sp)
-    margin = 0.0
-    for _ in range(8):
-        f = Rv(sp, rng.normal(0.0, 1.5, 6))
-        _, cert = reconstruct(ent6, f, psi2, seed=cfg.seed,
-                              validation_trials=40)
-        margin = max(margin, abs(cert.gap))
-    rows.append(_row("represent_entropic_closed", margin, 1e-6, cfg,
-                     "Gibbs-maximizer certificates, 8 draws, n=6"))
+    certificates = (
+        ("represent_entropic_closed", entropic(1.0, uniform_probability(6)),
+         8, 1.5, False, 1e-6, "Gibbs-maximizer certificates, 8 draws, n=6"),
+        ("represent_entropic_numeric", ent3, 4, 1.5, True, 1e-4,
+         "cold-start coordinate ascent, 4 draws, n=3"),
+        ("represent_expectation_exact", exp4, 1, 1.0, False, 1e-12,
+         "certificate g = 1 is exact"),
+        ("represent_avar_closed", avar4, 6, 2.0, False, 1e-10,
+         "greedy tail-density certificates, 6 draws"),
+    )
+    for label, functional, draws, scale, numeric, tol, detail in certificates:
+        space = functional.space
+        margin = 0.0
+        for _ in range(draws):
+            f = Rv(space, rng.normal(0.0, scale, space.n_atoms))
+            _, cert = reconstruct(functional, f, psi2, seed=cfg.seed,
+                                  restarts=2, force_numeric=numeric,
+                                  validation_trials=40)
+            margin = max(margin, abs(cert.gap))
+        row(label, margin, tol, detail)
 
-    sp3 = uniform_probability(3)
-    ent3 = entropic(1.0, sp3)
-    margin = 0.0
-    for _ in range(4):
-        f = Rv(sp3, rng.normal(0.0, 1.5, 3))
-        _, cert = reconstruct(ent3, f, psi2, seed=cfg.seed, restarts=2,
-                              force_numeric=True, validation_trials=40)
-        margin = max(margin, abs(cert.gap))
-    rows.append(_row("represent_entropic_numeric", margin, 1e-4, cfg,
-                     "cold-start coordinate ascent, 4 draws, n=3"))
-
-    exp4 = expectation(sp_small)
-    f = Rv(sp_small, rng.normal(0.0, 1.0, 4))
-    _, cert = reconstruct(exp4, f, psi2, seed=cfg.seed, validation_trials=40)
-    rows.append(_row("represent_expectation_exact", abs(cert.gap), 1e-12, cfg,
-                     "certificate g = 1 is exact"))
-
-    avar4 = average_value_at_risk(0.5, sp_small)
-    margin = 0.0
-    for _ in range(6):
-        f = Rv(sp_small, rng.normal(0.0, 2.0, 4))
-        _, cert = reconstruct(avar4, f, psi2, seed=cfg.seed,
-                              validation_trials=40)
-        margin = max(margin, abs(cert.gap))
-    rows.append(_row("represent_avar_closed", margin, 1e-10, cfg,
-                     "greedy tail-density certificates, 6 draws"))
-
-    # dual positivity, both directions
+    # dual positivity, both directions; each functional's own maximizer is a
+    # feasible dual, and a negative dip must diverge with evidence
     rng = np.random.default_rng([cfg.seed, 4])
     mis_neg = 0
     mis_pos = 0
-    trace_bad = 0
     for functional in catalog:
         for _ in range(8):
-            g = _feasible_dual(functional.name, sp_small, rng)
-            dip = int(rng.integers(0, 4))
-            g_neg = g.copy()
-            g_neg[dip] = -0.5
-            est = fenchel_conjugate_value(functional, Rv(sp_small, g_neg),
-                                          seed=cfg.seed, restarts=2,
-                                          force_numeric=True)
-            if est.value != math.inf:
-                mis_neg += 1
-            ev = positivity_evidence(functional, Rv(sp_small, g_neg))
-            if not ev.divergent:
-                trace_bad += 1
-            est = fenchel_conjugate_value(functional, Rv(sp_small, g),
-                                          seed=cfg.seed, restarts=2,
-                                          force_numeric=True)
-            if not math.isfinite(est.value):
-                mis_pos += 1
-    rows.append(_row("dual_positivity_negative", float(mis_neg + trace_bad),
-                     0.0, cfg, "negative-dip duals diverge with evidence, "
-                     "8 draws x 4 functionals"))
-    rows.append(_row("dual_positivity_feasible", float(mis_pos), 0.0, cfg,
-                     "feasible duals stay finite, 8 draws x 4 functionals"))
+            g = functional.closed_form_maximizer(
+                Rv(sp_small, rng.normal(0.0, 1.5, 4)))
+            dipped = g.values.copy()
+            dipped[int(rng.integers(0, 4))] = -0.5
+            g_neg = Rv(sp_small, dipped)
+            est = fenchel_conjugate_value(functional, g_neg, seed=cfg.seed,
+                                          restarts=2, force_numeric=True)
+            mis_neg += (est.value != math.inf
+                        or not positivity_evidence(functional,
+                                                   g_neg).divergent)
+            est = fenchel_conjugate_value(functional, g, seed=cfg.seed,
+                                          restarts=2, force_numeric=True)
+            mis_pos += not math.isfinite(est.value)
+    row("dual_positivity_negative", float(mis_neg), 0.0,
+        "negative-dip duals diverge with evidence, 8 draws x 4 functionals")
+    row("dual_positivity_feasible", float(mis_pos), 0.0,
+        "feasible duals stay finite, 8 draws x 4 functionals")
 
     # Fatou condition across generator modes, plus the non-lsc control
     rng = np.random.default_rng([cfg.seed, 5])
     base = Rv(sp_small, rng.normal(0.0, 1.0, 4))
-    families = []
-    for m_idx, mode in enumerate(_GENERATOR_MODES):
-        for k in range(6):
-            families.append(generate_sequence(
-                sp_small, power2, base, mode, length=24,
-                seed=cfg.seed + 31 * m_idx + k))
-    worst = -math.inf
-    violations = 0
-    for functional in catalog:
-        rep = fatou_check(functional, families, tol=cfg.tol(1e-9))
-        worst = max(worst, rep.worst_margin)
-        violations += rep.violation_count
-    rows.append(_row("fatou_catalog", worst, 1e-9, cfg,
-                     f"{len(families)} families x 4 functionals, "
-                     f"{violations} violations"))
+    families = [generate_sequence(sp_small, power2, base, mode, length=24,
+                                  seed=cfg.seed + 31 * m_idx + k)
+                for m_idx, mode in enumerate(_GENERATOR_MODES)
+                for k in range(6)]
+    reports = [fatou_check(c, families, tol=cfg.tol(1e-9)) for c in catalog]
+    row("fatou_catalog", max(r.worst_margin for r in reports), 1e-9,
+        f"{len(families)} families x 4 functionals, "
+        f"{sum(r.violation_count for r in reports)} violations")
 
-    control = non_lsc_control(expectation(sp_small), base)
-    ctrl_rep = fatou_check(control, families, tol=cfg.tol(1e-9))
-    shortfall = max(0.0, 0.5 - ctrl_rep.worst_margin)
-    rows.append(_row("fatou_control_caught", shortfall, 0.0, cfg,
-                     f"non-lsc control worst margin {ctrl_rep.worst_margin!r}"))
+    control = non_lsc_control(exp4, base)
+    ctrl_margin = fatou_check(control, families,
+                              tol=cfg.tol(1e-9)).worst_margin
+    row("fatou_control_caught", max(0.0, 0.5 - ctrl_margin), 0.0,
+        f"non-lsc control worst margin {ctrl_margin!r}")
 
     # subsequence extraction on the truncated space
     big = uniform_probability(cfg.truncation, truncated=True)
     limit = zeros(big)
     fam = generate_sequence(big, power2, limit, "ae_only_traveling_spike",
                             length=cfg.truncation + 64, seed=cfg.seed)
-    g0 = strictly_positive_witness(big, psi2)
-    f0 = strictly_positive_witness(big, power2)
-    res = extract_ae_subsequence(fam, limit, g0, f0)
+    res = extract_ae_subsequence(fam, limit, *_witnesses(big, power2))
     penalty = 0.0 if (res.status == "ok" and res.pointwise_ok) else 1.0
-    rows.append(_row("extraction_truncated", max(res.trace_margin, penalty),
-                     0.0, cfg,
-                     f"N={cfg.truncation} spike family, "
-                     f"{len(res.indices)} picks"))
+    row("extraction_truncated", max(res.trace_margin, penalty), 0.0,
+        f"N={cfg.truncation} spike family, {len(res.indices)} picks")
 
     # biconjugation
     rng = np.random.default_rng([cfg.seed, 6])
     probes = [Rv(sp3, rng.normal(0.0, 1.5, 3)) for _ in range(12)]
     bi = biconjugate_check(ent3, probes, seed=cfg.seed, restarts=2)
-    rows.append(_row("biconjugate_entropic", bi.max_deviation, 1e-5, cfg,
-                     "sign-free double conjugate vs entropic, 12 probes"))
-    rows.append(_row("biconjugate_split", bi.max_split, 1e-6, cfg,
-                     "sign-free vs nonnegative dual suprema"))
+    row("biconjugate_entropic", bi.max_deviation, 1e-5,
+        "sign-free double conjugate vs entropic, 12 probes")
+    row("biconjugate_split", bi.max_split, 1e-6,
+        "sign-free vs nonnegative dual suprema")
 
     # space classification verdicts
-    cls_p2 = classify_space(power2, finite_measure=True)
-    cls_step = classify_space(OrliczFunction.linf_step(), finite_measure=True)
-    cls_exp = classify_space(OrliczFunction.exp_young(), finite_measure=True)
-    mismatches = sum([cls_p2.reflexive != HOLDS,
-                      cls_step.reflexive != FAILS,
-                      cls_exp.reflexive != FAILS])
-    rows.append(_row("classification_verdicts", float(mismatches), 0.0, cfg,
-                     "power2 reflexive, step and exp_young not"))
+    expected = ((power2, HOLDS), (OrliczFunction.linf_step(), FAILS),
+                (OrliczFunction.exp_young(), FAILS))
+    mismatches = sum(classify_space(phi, finite_measure=True).reflexive
+                     != verdict for phi, verdict in expected)
+    row("classification_verdicts", float(mismatches), 0.0,
+        "power2 reflexive, step and exp_young not")
 
     # in-process determinism of a representative numeric search
     f = Rv(sp3, rng.normal(0.0, 1.0, 3))
@@ -483,8 +428,8 @@ def run_battery(cfg: RunConfig) -> list[dict]:
                         force_numeric=True, validation_trials=40)
     v2, _ = reconstruct(ent3, f, psi2, seed=cfg.seed, restarts=2,
                         force_numeric=True, validation_trials=40)
-    rows.append(_row("determinism_reprobe", 0.0 if v1 == v2 else 1.0, 0.0,
-                     cfg, "same seed, same numeric supremum bits"))
+    row("determinism_reprobe", 0.0 if v1 == v2 else 1.0, 0.0,
+        "same seed, same numeric supremum bits")
     return rows
 
 
@@ -493,10 +438,8 @@ def _cmd_verify_all(args) -> int:
     rows = run_battery(cfg)
     failures = sum(not r["passed"] for r in rows)
     if cfg.fmt == "csv":
-        columns = {key: [r[key] for r in rows]
-                   for key in ("label", "passed", "margin", "tol",
-                               "tolerance_induced", "detail")}
-        _emit(render_table(columns, "csv"))
+        _emit(render_table({key: [r[key] for r in rows] for key in rows[0]},
+                           "csv"))
     else:
         record = {
             "command": "verify-all",
@@ -620,7 +563,7 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3
-    except (SlopeConditionError, ClosureRefusal, ValueError) as exc:
+    except Refusal as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return 4
 

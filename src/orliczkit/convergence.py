@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ClosureRefusal
 from .measure import AeVerdict, MeasureSpace, Rv, ae_converges, zeros
-from .norms import dual_pairing, heart_member, indicator_norm, luxemburg_norm
+from .norms import heart_member, indicator_norm, luxemburg_norm
 from .orlicz import OrliczFunction
 from .risk import RiskFunctional
 
@@ -419,9 +419,8 @@ def fatou_check(phi: RiskFunctional, families: Sequence[SequenceFamily],
         if not math.isfinite(fam.norm_bound):
             raise ValueError(f"family {idx} is declared norm-unbounded")
         _require_ae_decay(fam)
-        values = [phi.evaluate(t) for t in fam.terms]
-        q = max(1, len(values) // 4)
-        liminf = min(values[-q:])
+        q = max(1, len(fam) // 4)
+        liminf = min(phi.evaluate(t) for t in fam.terms[-q:])
         limit_value = phi.evaluate(fam.limit)
         margin = limit_value - liminf
         rows.append(FatouRow(

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._search import INV_PHI, brent_max
-from .errors import SlopeConditionError, SpaceMismatchError
+from .errors import Refusal, SlopeConditionError, SpaceMismatchError
 from .measure import AeVerdict, MeasureSpace, Rv, ae_converges
 from .norms import dual_pairing, heart_member
 from .orlicz import OrliczFunction
@@ -61,8 +61,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                   *,
                   seed: int = 0,
                   restarts: int = 8,
-                  nonneg: bool = True,
-                  starts: Sequence[np.ndarray] | None = None) -> AscentResult:
+                  nonneg: bool = True) -> AscentResult:
     """Maximize a concave ``objective`` over coordinate vectors ``g``.
 
     Move set per sweep: single-coordinate line searches (projected to g >= 0
@@ -87,16 +86,18 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     def line(h, lo, hi, t0, guard=True):
         """One move: Brent along ``h`` on ``[lo, hi]`` from ``(t0, v)``.
         Returns ``(t, h(t))`` on strict improvement over ``v``, else None.
-        ``guard`` spends two shoulder probes first and skips the line when
-        both are -inf: then all of it bar the current point sits outside the
-        objective's domain, as single-coordinate and additive moves do under
-        an equality constraint."""
+        ``guard`` probes the two shoulders first, the second only when the
+        first is -inf, and skips the line when both are: then all of it bar
+        the current point sits outside the objective's domain, as
+        single-coordinate and additive moves do under an equality
+        constraint."""
         nonlocal evals
         if guard:
-            evals += 2
-            if (h(lo + 0.25 * (hi - lo)) == -math.inf
-                    and h(lo + 0.75 * (hi - lo)) == -math.inf):
-                return None
+            evals += 1
+            if h(lo + 0.25 * (hi - lo)) == -math.inf:
+                evals += 1
+                if h(lo + 0.75 * (hi - lo)) == -math.inf:
+                    return None
         t, val, ev = brent_max(h, lo, hi, (hi - lo) * INV_PHI ** LINE_STEPS,
                                (t0, v))
         evals += ev
@@ -104,9 +105,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
 
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        if starts is not None and r < len(starts):
-            g = np.array(starts[r], dtype=float)
-        elif r == 0:
+        if r == 0:
             g = np.full(n, 1.0 / total)
         else:
             raw = np.abs(rng.normal(0.0, 1.0, n)) + 0.05
@@ -334,6 +333,10 @@ def positivity_evidence(phi: RiskFunctional, g: Rv) -> PositivityEvidence:
 # ---------------------------------------------------------------------------
 
 
+class _ValidationRefusal(Refusal, ValueError):
+    """The functional handed to ``reconstruct`` failed ``validate``."""
+
+
 @dataclass(frozen=True)
 class DualCertificate:
     g: Rv
@@ -396,7 +399,7 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
         broken = [name for name, ok in (("monotone", report.monotone_ok),
                                         ("convex", report.convex_ok),
                                         ("proper", report.proper_ok)) if not ok]
-        raise ValueError(
+        raise _ValidationRefusal(
             f"{phi.name} failed validation ({', '.join(broken)}); a dual "
             "representation over nonnegative densities is not available")
     if not psi.is_finite_everywhere:

@@ -9,7 +9,12 @@ class SpaceMismatchError(ValueError):
     """Two vectors living on different measure spaces were combined."""
 
 
-class SlopeConditionError(RuntimeError):
+class Refusal(Exception):
+    """A hypothesis of the requested operation fails for its inputs. The
+    CLI reports these, and only these, with exit code 4."""
+
+
+class SlopeConditionError(Refusal, RuntimeError):
     """An operation requiring lim Phi(t)/t = +inf was given a function that
     fails it (equivalently: its conjugate is not finite-valued)."""
 
@@ -18,7 +23,7 @@ class NumericFailure(RuntimeError):
     """A numeric search failed to bracket or converge."""
 
 
-class ClosureRefusal(RuntimeError):
+class ClosureRefusal(Refusal, RuntimeError):
     """Target point lies outside the convex set beyond tolerance."""
 
     def __init__(self, message: str, margin: float):

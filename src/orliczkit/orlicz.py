@@ -16,13 +16,12 @@ zero, is not identically zero and may take the value ``+inf`` (modelled by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 
 from ._search import bisect_predicate, brent_max, expand_max_bracket
-from .errors import NumericFailure
 
 POWER = "power"
 SCALED_POWER = "scaled_power"
@@ -248,13 +247,13 @@ def conjugate(phi: OrliczFunction) -> OrliczFunction:
     if k == EXP_YOUNG_CONJUGATE:
         return OrliczFunction.exp_young()
     # custom: numeric pointwise conjugate; its finiteness horizon is the
-    # limit slope of phi (the conjugate is finite exactly up to that slope).
+    # limit slope of phi (the conjugate is finite exactly up to that slope),
+    # and beyond the horizon it is +inf without a search.
     slope = limit_slope(phi)
     hz = math.inf if slope.is_infinite else slope.limit
-    base = phi
 
     def _numeric_dual(s: float) -> float:
-        return conjugate_value(base, s)
+        return math.inf if s > hz else conjugate_value(phi, s)
 
     return OrliczFunction.custom(
         _numeric_dual, horizon=hz, label=f"conjugate({phi.label})", spot_check=False
@@ -267,8 +266,8 @@ def conjugate_value(phi: OrliczFunction, s: float) -> float:
     Bracket expansion along a doubling ray, then Brent's method on
     ``[0, hi]`` down to a bracket of width ``1e-10 * max(1, hi)``; a finite
     horizon is the bracket's right end, where the objective may be -inf. The
-    objective is declared unbounded -- and ``+inf`` returned -- after 40
-    consecutive strict increases along the ray. Since the evaluations
+    objective is declared unbounded -- and ``+inf`` returned -- only when it
+    still increases at the end of the float range. Since the evaluations
     approach the supremum from below, the result never overshoots.
     """
     if s < 0.0:
@@ -307,7 +306,8 @@ def check_delta2(
     """Does ``phi(2u) <= k * phi(u)`` hold near the regime's end?
 
     ``at_zero`` asks for some k on all small u, ``at_infinity`` on all large
-    u. Catalog kinds answer exactly; custom evaluators are probed on
+    u. Catalog kinds answer exactly, and so does any function with a finite
+    horizon at infinity, where it fails; custom evaluators are probed on
     geometric grids pushed successively deeper into the regime, reporting
     ``holds`` with an estimated k when the ratio stays bounded, ``fails``
     with a witness when it blows up (or hits +inf over finite values), and
@@ -335,12 +335,13 @@ def check_delta2(
         # proof in OrliczFunction.exp_young_conjugate
         return Delta2Verdict(HOLDS, regime, k=4.0, exact=True,
                              note="s psi'(s) <= 2 psi(s) for all s > 0")
+    if regime == "at_infinity" and math.isfinite(phi.horizon):
+        return Delta2Verdict(FAILS, regime, witness=0.75 * phi.horizon,
+                             exact=True, note="phi(2u) = +inf while phi(u) "
+                             "is finite for u in (horizon/2, horizon]")
     if k == LINF_STEP:
-        if regime == "at_zero":
-            return Delta2Verdict(HOLDS, regime, k=1.0, exact=True,
-                                 note="vacuous: the function vanishes near zero")
-        return Delta2Verdict(FAILS, regime, witness=0.75, exact=True,
-                             note="phi(2u)=+inf while phi(u)=0 for u in (1/2, 1]")
+        return Delta2Verdict(HOLDS, regime, k=1.0, exact=True,
+                             note="vacuous: the function vanishes near zero")
     return _delta2_heuristic(phi, regime, sample_count)
 
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from orliczkit import cli
 from orliczkit.cli import main
 
 SPACE3 = "atom_id,weight,block_id\n0,1.0,0\n1,1.0,0\n2,1.0,1\n"
@@ -113,6 +114,21 @@ def test_represent_refuses_linear_growth(files, capsys):
                            "--risk", "entropic:beta=1", "--orlicz", "linear")
     assert code == 4
     assert "slope" in err
+
+
+def test_value_error_inside_a_command_is_not_a_refusal(files, capsys,
+                                                       monkeypatch):
+    # a ValueError out of a library call is a bug, not a failed hypothesis:
+    # it surfaces as a traceback instead of exit 4
+    def broken(*args, **kwargs):
+        raise ValueError("broken library call")
+
+    monkeypatch.setattr(cli, "luxemburg_norm", broken)
+    space = files("space.csv", SPACE3)
+    rv = files("f.csv", "atom_id,value\n0,1\n1,2\n2,2\n")
+    with pytest.raises(ValueError, match="broken library call"):
+        main(["norm", "--space", space, "--rv", rv, "--orlicz", "power:p=2"])
+    assert "refused:" not in capsys.readouterr().err
 
 
 def test_represent_rejects_control_properties(files, capsys):

@@ -1,6 +1,7 @@
 """Sequence generators, extraction, w*-limits, Fatou checks, hull closure."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -359,6 +360,22 @@ def test_fatou_liminf_uses_last_quarter():
     row = rep.rows[0]
     tail_values = [expectation(sp).evaluate(t) for t in fam.terms[30:]]
     assert row.liminf_estimate == pytest.approx(min(tail_values), abs=1e-15)
+
+
+def test_fatou_evaluates_only_the_last_quarter():
+    sp = uniform_probability(2)
+    fam = generate_sequence(sp, POWER2, zeros(sp), "norm_convergent",
+                            length=40, seed=5)
+    base = expectation(sp)
+    calls = 0
+
+    def counted(rv):
+        nonlocal calls
+        calls += 1
+        return base.evaluate(rv)
+
+    fatou_check(replace(base, evaluate=counted, evaluate_rows=None), [fam])
+    assert calls == 10 + 1  # the last quarter of 40 terms and the limit
 
 
 # -- hull closure -------------------------------------------------------------

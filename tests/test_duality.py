@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orliczkit import (
+    ClosureRefusal,
     OrliczFunction,
+    Refusal,
     RiskFunctional,
     Rv,
     SlopeConditionError,
@@ -197,6 +199,24 @@ def test_maximize_dual_concave_quadratic_free():
     assert np.allclose(res.g, target, atol=1e-4)
 
 
+def test_maximize_dual_counts_only_the_probes_it_makes():
+    # finite along every line, so a guarded move makes its first shoulder
+    # probe only; counting both read 308 evaluations for 278 calls here
+    sp = uniform_probability(3)
+    target = np.array([0.7, -0.4, 1.3])
+    calls = 0
+
+    def obj(g):
+        nonlocal calls
+        calls += 1
+        d = g - target
+        return -float(d @ d)
+
+    res = maximize_dual(obj, sp, seed=0, restarts=2, nonneg=False)
+    assert res.value == pytest.approx(0.0, abs=1e-9)
+    assert res.evaluations == calls
+
+
 def test_maximize_dual_respects_nonnegativity():
     sp = uniform_probability(3)
     target = np.array([0.7, -0.4, 1.3])
@@ -337,6 +357,20 @@ def test_reconstruct_refuses_invalid_functional():
     ctrl = non_monotone_control(sp)
     with pytest.raises(ValueError, match="monotone"):
         reconstruct(ctrl, zeros(sp), PSI2)
+
+
+def test_refusals_share_one_type():
+    # the CLI maps exactly these to exit 4; the validation failure stays a
+    # ValueError as well
+    sp = uniform_probability(3)
+    with pytest.raises(Refusal, match="monotone") as err:
+        reconstruct(non_monotone_control(sp), zeros(sp), PSI2)
+    assert isinstance(err.value, ValueError)
+    with pytest.raises(Refusal):
+        reconstruct(entropic(1.0, sp), zeros(sp),
+                    conjugate(OrliczFunction.linear()))
+    assert issubclass(SlopeConditionError, Refusal)
+    assert issubclass(ClosureRefusal, Refusal)
 
 
 def test_translation_shifts_conjugate_by_constant():

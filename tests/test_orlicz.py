@@ -18,6 +18,7 @@ from orliczkit import (
     generalized_inverse,
     limit_slope,
 )
+from orliczkit.specs import load_custom_table
 
 
 def grid_conjugate(phi, s, t_max=60.0, n=240_001):
@@ -330,3 +331,61 @@ def test_classify_infinite_measure_uses_both_regimes():
     assert lin.order_continuous == HOLDS
     assert lin.reflexive == FAILS
     assert lin.c_property_for_sigma_n == INCONCLUSIVE
+
+
+def verdicts(cls):
+    return (cls.reflexive, cls.order_continuous, cls.c_property_for_sigma_n,
+            [v.status for v in cls.phi_delta2],
+            [v.status for v in cls.conjugate_delta2])
+
+
+@pytest.mark.parametrize("finite_measure", [True, False])
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+def test_classify_custom_power_matches_catalog(p, finite_measure):
+    # the numeric conjugate of t^p/p peaks at t = s^(1/(p-1)), far past 2^40
+    # at the doubling heuristic's probes when p is near 1
+    custom = OrliczFunction.custom(lambda t: t ** p / p, label=f"t^{p}/{p}")
+    assert (verdicts(classify_space(custom, finite_measure))
+            == verdicts(classify_space(OrliczFunction.scaled_power(p),
+                                       finite_measure)))
+
+
+@pytest.mark.parametrize("finite_measure", [True, False])
+def test_classify_custom_tables(tmp_path, finite_measure):
+    def table(text):
+        path = tmp_path / "young.csv"
+        path.write_text(text)
+        return load_custom_table(str(path))
+
+    # linear growth: the conjugate is +inf beyond slope 1, as for linear()
+    assert (verdicts(classify_space(table("0,0\n1,1\n2,2\n"), finite_measure))
+            == verdicts(classify_space(OrliczFunction.linear(),
+                                       finite_measure)))
+    # the tail continues as t^1.42
+    tail = classify_space(table("0,0\n1,0.5\n2,1.5\n4,4\n"), finite_measure)
+    assert (tail.reflexive, tail.order_continuous,
+            tail.c_property_for_sigma_n) == (HOLDS, HOLDS, HOLDS)
+
+
+def test_conjugate_value_past_two_to_the_forty():
+    # the maximizer t = s^2 = 1e12 lies beyond 2^40
+    phi = OrliczFunction.custom(lambda t: t ** 1.5 / 1.5)
+    assert conjugate_value(phi, 1e6) == pytest.approx(1e18 / 3.0, rel=1e-9)
+
+
+def test_custom_conjugate_is_infinite_beyond_its_horizon_without_search():
+    calls = 0
+
+    def ev(t):
+        nonlocal calls
+        calls += 1
+        return max(0.0, 2.0 * t - 1.0)
+
+    psi = conjugate(OrliczFunction.custom(ev, label="ramp"))
+    assert psi.horizon == pytest.approx(2.0, rel=1e-6)
+    calls = 0
+    assert psi(3.0) == math.inf
+    assert calls == 0
+    at_inf = check_delta2(psi, "at_infinity")
+    assert (at_inf.status, at_inf.exact) == (FAILS, True)
+    assert at_inf.witness == 0.75 * psi.horizon
