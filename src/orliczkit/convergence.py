@@ -493,8 +493,9 @@ def closure_demo(vertices: Sequence[Rv], f: Rv, phi: OrliczFunction, *,
     distance exceeds ``hull_tol`` the point is outside the closure and a
     ClosureRefusal carrying the separating margin is raised. Inside, the
     emitted terms are projection iterates (members of the hull throughout),
-    thinned to meet the envelope in Luxemburg norm; a point sitting on a
-    vertex short-circuits to the constant sequence.
+    thinned to meet the envelope in Luxemburg norm and ending on the final
+    iterate; a point sitting on a vertex short-circuits to the constant
+    sequence.
     """
     if not vertices:
         raise ValueError("need at least one vertex")
@@ -573,6 +574,9 @@ def closure_demo(vertices: Sequence[Rv], f: Rv, phi: OrliczFunction, *,
                 envelope_ok = False
         cursor = chosen
         picks.append(snapshots[chosen])
+    # the early snapshots meet the envelope but need not approach the
+    # projection, so the family ends on the final iterate itself
+    picks[-1] = snapshots[-1]
     vertex_norms = [luxemburg_norm(v, phi).value for v in vertices]
     fam = SequenceFamily._from_rows(np.stack(picks),
                                     max(vertex_norms) + 1e-12, CUSTOM,

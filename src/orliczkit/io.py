@@ -8,9 +8,7 @@ included.
 
 from __future__ import annotations
 
-import csv
 import json
-import math
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,106 +17,84 @@ from .errors import ParseError
 from .measure import FINITE, MeasureSpace, Rv
 
 
-def _read_rows(path: str, expected_header: tuple[str, ...]) -> list[list[str]]:
+def _columns(path: str, header: tuple[str, ...],
+             kinds: tuple[type, ...]) -> list[np.ndarray]:
+    """The file's columns as contiguous arrays: blank lines skipped, the
+    header checked, the body parsed in one ``np.loadtxt`` call."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader
-                    if row and any(cell.strip() for cell in row)]
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(filter(str.strip, fh.read().split("\n")))
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
-    if not rows:
+    if not lines:
         raise ParseError(f"{path}: empty file")
-    header = tuple(cell.strip().lower() for cell in rows[0])
-    if header != expected_header:
-        raise ParseError(f"{path}: expected header "
-                         f"{','.join(expected_header)!r}, got "
-                         f"{','.join(header)!r}")
-    return rows[1:]
-
-
-def read_space(path: str, kind: str = FINITE) -> MeasureSpace:
-    """CSV with header ``atom_id,weight,block_id``, atoms in ascending id."""
-    body = _read_rows(path, ("atom_id", "weight", "block_id"))
-    if not body:
-        raise ParseError(f"{path}: no atoms")
-    ids, weights, blocks = [], [], []
-    for lineno, row in enumerate(body, start=2):
-        if len(row) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 columns")
-        try:
-            ids.append(int(row[0]))
-            weights.append(float(row[1]))
-            blocks.append(int(row[2]))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    got = tuple(cell.strip().strip('"').lower() for cell in lines[0].split(","))
+    if got != header:
+        raise ParseError(f"{path}: expected header {','.join(header)!r}, "
+                         f"got {','.join(got)!r}")
+    if len(lines) == 1:  # loadtxt would only warn on an empty body
+        raise ParseError(f"{path}: no rows after the header")
     try:
-        return MeasureSpace(atom_ids=np.array(ids, dtype=np.int64),
-                            weights=np.array(weights, dtype=float),
-                            block_ids=np.array(blocks, dtype=np.int64),
-                            kind=kind)
+        table = np.loadtxt(lines[1:], dtype=list(zip(header, kinds)),
+                           delimiter=",", comments=None, quotechar='"',
+                           ndmin=1)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    # strided field views would change np.dot's summation downstream
+    return [np.ascontiguousarray(table[name]) for name in header]
+
+
+def read_space(path: str) -> MeasureSpace:
+    """CSV with header ``atom_id,weight,block_id``, atoms in ascending id."""
+    ids, weights, blocks = _columns(path, ("atom_id", "weight", "block_id"),
+                                    (np.int64, float, np.int64))
+    try:
+        return MeasureSpace(ids, weights, blocks, FINITE)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _align_to_space(path: str, pairs: list[tuple[int, float]],
-                    space: MeasureSpace) -> np.ndarray:
-    known = {int(a): i for i, a in enumerate(space.atom_ids)}
-    values = np.full(space.n_atoms, np.nan)
-    for atom_id, value in pairs:
-        if atom_id not in known:
-            raise ParseError(f"{path}: unknown atom_id {atom_id}")
-        pos = known[atom_id]
-        if not math.isnan(values[pos]):
-            raise ParseError(f"{path}: duplicate atom_id {atom_id}")
-        values[pos] = value
-    if np.isnan(values).any():
-        missing = [int(space.atom_ids[i])
-                   for i in np.flatnonzero(np.isnan(values))]
-        raise ParseError(f"{path}: missing atoms {missing}")
-    return values
+def _align(path: str, space: MeasureSpace, terms: np.ndarray,
+           atoms: np.ndarray, values: np.ndarray) -> list[Rv]:
+    """One Rv per distinct term index, in ascending order; every term must
+    give each atom of the space exactly once."""
+    ids, n = space.atom_ids, space.n_atoms
+    pos = np.minimum(np.searchsorted(ids, atoms), n - 1)
+    unknown = ids[pos] != atoms
+    if unknown.any():
+        raise ParseError(f"{path}: unknown atom_id {atoms[unknown][0]}")
+    index, term_of = np.unique(terms, return_inverse=True)
+    cells = term_of * n + pos
+    count = np.bincount(cells, minlength=index.size * n).reshape(-1, n)
+    bad = (count != 1).any(axis=1)
+    if bad.any():
+        term = int(np.argmax(bad))
+        where = f"term {index[term]}: " if index.size > 1 else ""
+        if count[term].max() > 1:
+            what = f"duplicate atom_id {ids[np.argmax(count[term])]}"
+        else:
+            what = f"missing atoms {ids[count[term] == 0].tolist()}"
+        raise ParseError(f"{path}: {where}{what}")
+    table = np.empty((index.size, n))
+    table.reshape(-1)[cells] = values
+    try:
+        return [Rv(space, row) for row in table]
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def read_rv(path: str, space: MeasureSpace) -> Rv:
     """CSV with header ``atom_id,value`` covering exactly the space's atoms."""
-    body = _read_rows(path, ("atom_id", "value"))
-    pairs = []
-    for lineno, row in enumerate(body, start=2):
-        if len(row) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 columns")
-        try:
-            pairs.append((int(row[0]), float(row[1])))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-    try:
-        return Rv(space, _align_to_space(path, pairs, space))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    atoms, values = _columns(path, ("atom_id", "value"), (np.int64, float))
+    return _align(path, space, np.zeros_like(atoms), atoms, values)[0]
 
 
 def read_stacked_rvs(path: str, space: MeasureSpace) -> list[Rv]:
     """CSV with header ``term_index,atom_id,value``: one Rv per term index,
     ordered by index; every term must cover the whole space."""
-    body = _read_rows(path, ("term_index", "atom_id", "value"))
-    groups: dict[int, list[tuple[int, float]]] = {}
-    for lineno, row in enumerate(body, start=2):
-        if len(row) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 columns")
-        try:
-            term = int(row[0])
-            pair = (int(row[1]), float(row[2]))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        groups.setdefault(term, []).append(pair)
-    if not groups:
-        raise ParseError(f"{path}: no terms")
-    terms = []
-    for term in sorted(groups):
-        try:
-            terms.append(Rv(space, _align_to_space(path, groups[term], space)))
-        except ValueError as exc:
-            raise ParseError(f"{path}: term {term}: {exc}") from exc
-    return terms
+    terms, atoms, values = _columns(path, ("term_index", "atom_id", "value"),
+                                    (np.int64, np.int64, float))
+    return _align(path, space, terms, atoms, values)
 
 
 # ---------------------------------------------------------------------------

@@ -46,22 +46,25 @@ def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
     def feasible(lam: float) -> bool:
         return modular(f, lam, phi) <= 1.0
 
+    # halve while feasible, or double until feasible; top is tested once
     lo = hi = top
     expand = 0
     if feasible(top):
-        while feasible(lo):
-            hi = lo
-            lo *= 0.5
+        while True:
+            hi, lo = lo, lo * 0.5
             expand += 1
             if lo < 1e-300 or expand > 4000:
                 raise NumericFailure("Luxemburg bracket collapse: modular never exceeds 1")
+            if not feasible(lo):
+                break
     else:
-        while not feasible(hi):
-            lo = hi
-            hi *= 2.0
+        while True:
+            lo, hi = hi, hi * 2.0
             expand += 1
             if expand > 4000:
                 raise NumericFailure("Luxemburg bracket blow-up: modular never drops to 1")
+            if feasible(hi):
+                break
     lo, hi, iters = bisect_predicate(feasible, lo, hi, rel_tol=1e-10, abs_floor=1e-14)
     return NormReport(hi, iters + expand, (lo, hi), modular(f, hi, phi))
 

@@ -1,8 +1,8 @@
 """Text grammars for Young functions and risk functionals.
 
 Young function specs: ``power:p=2``, ``scaled_power:p=2`` (optionally
-``c=0.5``), ``linear``, ``exp_young``, ``linf_step``,
-``custom:file=<path>``. Risk specs: ``entropic:beta=1``,
+``c=0.5``), ``linear``, ``exp_young``, ``exp_young_conjugate``,
+``linf_step``, ``custom:file=<path>``. Risk specs: ``entropic:beta=1``,
 ``avar:alpha=0.05``, ``worst_case``, ``expectation``, ``control:square``.
 Everything malformed raises ParseError.
 """
@@ -20,6 +20,25 @@ from .risk import (RiskFunctional, average_value_at_risk, entropic,
                    expectation, non_monotone_control, worst_case)
 
 
+#: spec name -> (constructor, required parameters, optional parameters);
+#: a body without ``=`` is a variant and part of the name (``control:square``)
+_YOUNG = {
+    "power": (OrliczFunction.power, ("p",), ()),
+    "scaled_power": (OrliczFunction.scaled_power, ("p",), ("c",)),
+    "linear": (OrliczFunction.linear, (), ()),
+    "exp_young": (OrliczFunction.exp_young, (), ()),
+    "exp_young_conjugate": (OrliczFunction.exp_young_conjugate, (), ()),
+    "linf_step": (OrliczFunction.linf_step, (), ()),
+}
+_RISK = {
+    "entropic": (entropic, ("beta",), ()),
+    "avar": (average_value_at_risk, ("alpha",), ()),
+    "worst_case": (worst_case, (), ()),
+    "expectation": (expectation, (), ()),
+    "control:square": (non_monotone_control, (), ()),
+}
+
+
 def _split_params(body: str, spec: str) -> dict[str, str]:
     params: dict[str, str] = {}
     if not body:
@@ -35,88 +54,52 @@ def _split_params(body: str, spec: str) -> dict[str, str]:
     return params
 
 
-def _float_param(params: dict[str, str], key: str, spec: str,
-                 default: float | None = None) -> float:
-    if key not in params:
-        if default is None:
-            raise ParseError(f"{spec!r} requires parameter {key}=<value>")
-        return default
+def _parse(spec: str, table: dict, what: str, *args):
+    """Look the spec's name up in ``table`` and call its constructor with
+    the numeric parameters (required ones positionally) and ``args``."""
+    name, _, body = spec.strip().partition(":")
+    name, body = name.strip().lower(), body.strip()
+    if body and "=" not in body:
+        name, body = f"{name}:{body.lower()}", ""
+    if name not in table:
+        raise ParseError(f"unknown {what} {name!r} in {spec!r}")
+    make, required, optional = table[name]
+    params = _split_params(body, spec)
+    missing = [key for key in required if key not in params]
+    if missing:
+        raise ParseError(f"{spec!r} requires parameter {missing[0]}=<value>")
+    unknown = sorted(set(params) - set(required) - set(optional))
+    if unknown:
+        raise ParseError(f"unknown parameters {unknown} in {spec!r}")
+    values = {}
+    for key, text in params.items():
+        try:
+            values[key] = float(text)
+        except ValueError:
+            raise ParseError(
+                f"parameter {key} in {spec!r} is not a number") from None
+    positional = [values.pop(key) for key in required]
     try:
-        return float(params.pop(key))
+        return make(*positional, *args, **values)
     except ValueError as exc:
-        raise ParseError(f"parameter {key} in {spec!r} is not a number") from exc
+        raise ParseError(f"invalid {what} spec {spec!r}: {exc}") from exc
 
 
 def parse_orlicz_spec(spec: str) -> OrliczFunction:
-    text = spec.strip()
-    name, _, body = text.partition(":")
-    name = name.strip().lower()
-    if name == "custom":
-        params = _split_params(body, spec)
-        path = params.pop("file", None)
-        if path is None:
-            raise ParseError(f"{spec!r}: custom requires file=<path>")
-        if params:
-            raise ParseError(f"unknown parameters {sorted(params)} in {spec!r}")
-        return load_custom_table(path)
+    name, _, body = spec.strip().partition(":")
+    if name.strip().lower() != "custom":
+        return _parse(spec, _YOUNG, "Young function")
     params = _split_params(body, spec)
-    try:
-        if name == "power":
-            fn = OrliczFunction.power(_float_param(params, "p", spec))
-        elif name == "scaled_power":
-            p = _float_param(params, "p", spec)
-            c = _float_param(params, "c", spec, default=1.0 / p)
-            fn = OrliczFunction.scaled_power(p, c)
-        elif name == "linear":
-            fn = OrliczFunction.linear()
-        elif name == "exp_young":
-            fn = OrliczFunction.exp_young()
-        elif name == "linf_step":
-            fn = OrliczFunction.linf_step()
-        else:
-            raise ParseError(f"unknown Young function {name!r} in {spec!r}")
-    except ValueError as exc:
-        raise ParseError(f"invalid Young function spec {spec!r}: {exc}") from exc
+    path = params.pop("file", None)
+    if path is None:
+        raise ParseError(f"{spec!r}: custom requires file=<path>")
     if params:
         raise ParseError(f"unknown parameters {sorted(params)} in {spec!r}")
-    return fn
+    return load_custom_table(path)
 
 
 def parse_risk_spec(spec: str, space: MeasureSpace) -> RiskFunctional:
-    text = spec.strip()
-    name, _, body = text.partition(":")
-    name = name.strip().lower()
-    try:
-        if name == "entropic":
-            params = _split_params(body, spec)
-            beta = _float_param(params, "beta", spec)
-            if params:
-                raise ParseError(f"unknown parameters {sorted(params)} in {spec!r}")
-            return entropic(beta, space)
-        if name == "avar":
-            params = _split_params(body, spec)
-            alpha = _float_param(params, "alpha", spec)
-            if params:
-                raise ParseError(f"unknown parameters {sorted(params)} in {spec!r}")
-            return average_value_at_risk(alpha, space)
-        if name == "worst_case":
-            if body:
-                raise ParseError(f"worst_case takes no parameters: {spec!r}")
-            return worst_case(space)
-        if name == "expectation":
-            if body:
-                raise ParseError(f"expectation takes no parameters: {spec!r}")
-            return expectation(space)
-        if name == "control":
-            variant = body.strip().lower()
-            if variant != "square":
-                raise ParseError(
-                    f"unknown control variant {variant!r} in {spec!r} "
-                    "(expected control:square)")
-            return non_monotone_control(space)
-    except ValueError as exc:
-        raise ParseError(f"invalid risk spec {spec!r}: {exc}") from exc
-    raise ParseError(f"unknown risk functional {name!r} in {spec!r}")
+    return _parse(spec, _RISK, "risk functional", space)
 
 
 # ---------------------------------------------------------------------------

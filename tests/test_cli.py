@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from orliczkit import cli
@@ -88,6 +89,17 @@ def test_classify_infinite_measure_checks_both_regimes(files, capsys):
     doc = json.loads(out)
     assert "phi_delta2_at_zero" in doc
     assert "phi_delta2_at_infinity" in doc
+
+
+def test_classify_exp_young_conjugate(files, capsys):
+    # L log L: its Young function is doubling, its conjugate exp_young is not
+    code, out, _ = run_cli(capsys, "classify", "--orlicz",
+                           "exp_young_conjugate")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["phi_delta2_at_infinity"] == "holds"
+    assert doc["conjugate_delta2_at_infinity"] == "fails"
+    assert doc["reflexive"] == "fails"
 
 
 # -- represent ----------------------------------------------------------------
@@ -224,6 +236,41 @@ def test_closure_demo_interior_and_refusal(files, capsys):
     assert code == 4
     assert "outside the hull" in err
     assert "0.5773502691896258" in err
+
+
+def hull_files(files, seed, offset):
+    """A 3-vertex hull in R^6 on the uniform space, and a point of it
+    (offset 0) or a point pushed off its plane."""
+    rng = np.random.default_rng(seed)
+    verts = rng.normal(0.0, 1.0, (3, 6))
+    point = rng.dirichlet(np.ones(3)) @ verts + offset * rng.normal(0, 1, 6)
+    space = files("space6.csv", "atom_id,weight,block_id\n" + "".join(
+        f"{i},{1 / 6!r},{i}\n" for i in range(6)))
+    vfile = files("verts6.csv", "term_index,atom_id,value\n" + "".join(
+        f"{k},{i},{float(v)!r}\n" for k in range(3)
+        for i, v in enumerate(verts[k])))
+    rv = files("point6.csv", "atom_id,value\n" + "".join(
+        f"{i},{float(v)!r}\n" for i, v in enumerate(point)))
+    return ["--space", space, "--vertices", vfile, "--rv", rv,
+            "--orlicz", "power:p=2"]
+
+
+def test_closure_demo_certifies_interior_points(files, capsys):
+    # seeds 16 and 17 stopped short of the projection and exited 5; the
+    # library test covers 200 such points
+    for seed in range(20):
+        code, out, _ = run_cli(capsys, "closure-demo",
+                               *hull_files(files, seed, 0.0))
+        assert code == 0, seed
+        assert json.loads(out)["extraction_pointwise"] is True
+
+
+def test_closure_demo_refuses_points_off_the_hull(files, capsys):
+    for seed in range(50):
+        code, _, err = run_cli(capsys, "closure-demo",
+                               *hull_files(files, 1000 + seed, 0.5))
+        assert code == 4, seed
+        assert "outside the hull" in err
 
 
 # -- verify-all ---------------------------------------------------------------

@@ -443,3 +443,26 @@ def test_closure_family_feeds_extraction():
     assert res.status == "ok"
     assert res.trace_bound_ok
     assert res.pointwise_ok
+
+
+def random_hull(seed, atoms=6, corners=3):
+    rng = np.random.default_rng(seed)
+    verts = rng.normal(0.0, 1.0, (corners, atoms))
+    return rng, verts, rng.dirichlet(np.ones(corners)) @ verts
+
+
+def test_closure_family_converges_to_its_projection():
+    # interior points of 3-vertex hulls in R^6: the envelope alone let the
+    # emitted family stop short of the projection, and 27 of these 200
+    # failed the pointwise check that closure-demo reports
+    sp = uniform_probability(6)
+    g0, f0 = witnesses(sp)
+    failed = []
+    for seed in range(200):
+        _, verts, point = random_hull(seed)
+        rep = closure_demo([Rv(sp, v) for v in verts], Rv(sp, point), POWER2)
+        res = extract_ae_subsequence(rep.family, rep.projection, g0, f0)
+        if not (rep.envelope_ok and res.trace_bound_ok and res.pointwise_ok):
+            failed.append(seed)
+    assert failed == []
+    assert np.array_equal(rep.family.values[-1], rep.projection.values)

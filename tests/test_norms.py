@@ -165,3 +165,25 @@ def test_norm_reports_expose_iterations():
     rep = luxemburg_norm(f, POWER2)
     assert rep.iterations > 0
     assert rep.bracket[0] <= rep.value <= rep.bracket[1]
+
+
+@pytest.mark.parametrize("mass", [0.1, 10.0])  # the walk goes down, up
+def test_luxemburg_evaluates_the_modular_at_top_once(monkeypatch, mass):
+    # one call at top, one per walk step and bisection step, one for the
+    # report: iterations + 2; a walk that re-tests top makes iterations + 3
+    from orliczkit import norms
+    calls = []
+
+    def counted(f, lam, phi):
+        calls.append(lam)
+        return modular(f, lam, phi)
+
+    monkeypatch.setattr(norms, "modular", counted)
+    sp = MeasureSpace.finite(mass * np.array([0.25, 0.5, 0.25]))
+    f = Rv(sp, [1.0, -2.0, 0.5])
+    for phi in (POWER2, OrliczFunction.exp_young()):
+        calls.clear()
+        rep = luxemburg_norm(f, phi)
+        assert (rep.value < 2.0) == (mass < 1.0)
+        assert len(calls) == rep.iterations + 2
+        assert 2.0 not in calls[1:-1]  # walk and bisection skip top

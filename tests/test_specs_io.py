@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orliczkit import (
     ParseError,
@@ -57,6 +58,24 @@ def test_parse_parameterless_names():
 def test_parse_orlicz_rejects(bad):
     with pytest.raises(ParseError):
         parse_orlicz_spec(bad)
+
+
+@pytest.mark.parametrize("spec,label", [
+    ("power:p=3", "power(p=3.0)"),
+    ("scaled_power:p=2", "scaled_power(p=2.0, c=0.5)"),
+    (" scaled_power: p = 2 , c = 0.25 ", "scaled_power(p=2.0, c=0.25)"),
+    ("linear", "linear"),
+    ("exp_young", "exp_young"),
+    ("EXP_YOUNG_CONJUGATE", "exp_young_conjugate"),
+    ("linf_step", "linf_step"),
+])
+def test_parse_orlicz_labels(spec, label):
+    assert parse_orlicz_spec(spec).label == label
+
+
+def test_unknown_young_function_is_reported_once():
+    with pytest.raises(ParseError, match="^unknown Young function 'sideways'"):
+        parse_orlicz_spec("sideways")
 
 
 # -- risk grammar -------------------------------------------------------------
@@ -196,6 +215,11 @@ def test_read_stacked_rvs(tmp_path):
     assert terms[1].values.tolist() == [10.0, 11.0]
 
 
+SPACE2 = "atom_id,weight,block_id\n0,0.5,0\n1,0.5,0\n"
+RV_HEADER = "atom_id,value\n"
+STACKED_HEADER = "term_index,atom_id,value\n"
+
+
 @pytest.mark.parametrize("text,reader", [
     ("atom_id,value\n0,1\n", "space"),            # wrong header
     ("atom_id,weight,block_id\n", "space"),       # no atoms
@@ -204,6 +228,37 @@ def test_read_stacked_rvs(tmp_path):
     ("atom_id,value\n0,1.0\n0,2.0\n", "rv"),      # duplicate atom
     ("atom_id,value\n0,1.0\n", "rv"),             # missing atom 1
     ("term_index,atom_id,value\n0,0,1.0\n", "stacked"),  # term misses atom 1
+    ("", "rv"),                                      # empty file
+    ("\n  \n", "stacked"),
+    (RV_HEADER + "\n\n", "rv"),                      # header only
+    (STACKED_HEADER, "stacked"),
+    ("atom,weight,block_id\n0,1,0\n", "space"),      # wrong header
+    ("atom_id,value,extra\n0,1,0\n1,1,0\n", "rv"),
+    (RV_HEADER + "0,1\n1,1\n", "stacked"),
+    ("atom_id,weight,block_id\n0,1,0\n1,1\n", "space"),  # ragged row
+    (STACKED_HEADER + "0,0,1\n0,1\n", "stacked"),
+    (RV_HEADER + "0,1,\n1,1,\n", "rv"),              # trailing cell
+    ("atom_id,weight,block_id\n0,1,0,\n", "space"),
+    ("atom_id,weight,block_id\n1.5,1,0\n", "space"),  # non-integer id
+    (RV_HEADER + "0,1\n1.5,1\n", "rv"),
+    (STACKED_HEADER + "1.5,0,1\n1.5,1,1\n", "stacked"),  # term index
+    (RV_HEADER + "0,1\n1,x\n", "rv"),                # non-numeric
+    (RV_HEADER + "0,nan\n1,1\n", "rv"),              # nan value
+    (STACKED_HEADER + "0,0,1\n0,1,nan\n", "stacked"),
+    (RV_HEADER + "0,inf\n1,1\n", "rv"),              # inf value
+    ("atom_id,weight,block_id\n0,inf,0\n", "space"),
+    ("atom_id,weight,block_id\n0,nan,0\n", "space"),
+    ("atom_id,weight,block_id\n0,0,0\n1,1,0\n", "space"),  # zero weight
+    ("atom_id,weight,block_id\n1,1,0\n0,1,0\n", "space"),  # unsorted ids
+    ("atom_id,weight,block_id\n0,1,0\n0,1,0\n", "space"),  # repeated id
+    ("atom_id,weight,block_id\n# atoms\n0,1,0\n", "space"),  # '#' line
+    ("# values\n" + RV_HEADER + "0,1\n1,1\n", "rv"),
+    (RV_HEADER + "0,1\n1,1 # one\n", "rv"),
+    (RV_HEADER + "0,nan\n0,2\n1,1\n", "rv"),       # duplicate after nan
+    # an unknown, a duplicate and a missing atom, each in term 1
+    (STACKED_HEADER + "0,0,1\n0,1,1\n1,0,1\n1,9,1\n", "stacked"),
+    (STACKED_HEADER + "0,0,1\n0,1,1\n1,0,1\n1,0,1\n1,1,1\n", "stacked"),
+    (STACKED_HEADER + "0,0,1\n0,1,1\n1,0,1\n", "stacked"),
 ])
 def test_readers_reject(tmp_path, text, reader):
     sp_path = write_table(tmp_path,
@@ -224,6 +279,84 @@ def test_read_space_rejects_empty_file(tmp_path):
     path = write_table(tmp_path, "", "empty.csv")
     with pytest.raises(ParseError, match="empty"):
         read_space(path)
+
+
+def test_readers_accept_crlf_blank_lines_and_quotes(tmp_path):
+    space = read_space(write_table(
+        tmp_path, 'atom_id,weight,block_id\r\n\r\n0,"0.5",0\r\n 1 ,0.5,0\r\n',
+        "space.csv"))
+    assert space.weights.tolist() == [0.5, 0.5]
+    path = tmp_path / "terms.csv"
+    path.write_bytes(b'term_index,atom_id,value\r\n"1",0,2\r\n\t\r\n'
+                     b'1,1,"3"\r\n0,1,1\r\n0,0,0\r\n')
+    terms = read_stacked_rvs(str(path), space)
+    assert [t.values.tolist() for t in terms] == [[0.0, 1.0], [2.0, 3.0]]
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def render_csv(data, header, rows, shuffle):
+    """CSV text of ``rows`` with repr floats, in random row order when
+    ``shuffle``, random quoted cells, and blank or whitespace-only lines."""
+    order = (data.draw(st.permutations(range(len(rows)))) if shuffle
+             else range(len(rows)))
+    lines = [header]
+    for i in order:
+        if data.draw(st.booleans()):
+            lines.append(data.draw(st.sampled_from(["", "  ", "\t"])))
+        quoted = data.draw(st.lists(st.booleans(), min_size=len(rows[i]),
+                                    max_size=len(rows[i])))
+        lines.append(",".join(f'"{cell!r}"' if q else repr(cell)
+                              for cell, q in zip(rows[i], quoted)))
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol
+
+
+def same_bits(array, expected, dtype):
+    assert array.flags.c_contiguous
+    assert array.dtype == dtype
+    assert array.tobytes() == np.asarray(expected, dtype=dtype).tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(),
+       ids=st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=8,
+                    unique=True).map(sorted),
+       terms=st.lists(st.integers(-1000, 1000), min_size=1, max_size=4,
+                      unique=True))
+def test_readers_round_trip_bit_identical(tmp_path, data, ids, terms):
+    n = len(ids)
+    weights = data.draw(st.lists(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        min_size=n, max_size=n))
+    blocks = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    values = data.draw(st.lists(st.lists(FINITE_FLOATS, min_size=n,
+                                         max_size=n),
+                                min_size=len(terms), max_size=len(terms)))
+    (tmp_path / "space.csv").write_bytes(render_csv(
+        data, "atom_id,weight,block_id", list(zip(ids, weights, blocks)),
+        shuffle=False).encode())
+    (tmp_path / "rv.csv").write_bytes(render_csv(
+        data, "atom_id,value", list(zip(ids, values[0])),
+        shuffle=True).encode())
+    (tmp_path / "terms.csv").write_bytes(render_csv(
+        data, "term_index,atom_id,value",
+        [(t, a, v) for t, row in zip(terms, values)
+         for a, v in zip(ids, row)], shuffle=True).encode())
+
+    space = read_space(str(tmp_path / "space.csv"))
+    same_bits(space.atom_ids, ids, np.int64)
+    same_bits(space.weights, weights, np.float64)
+    same_bits(space.block_ids, blocks, np.int64)
+    same_bits(read_rv(str(tmp_path / "rv.csv"), space).values, values[0],
+              np.float64)
+    stacked = read_stacked_rvs(str(tmp_path / "terms.csv"), space)
+    assert len(stacked) == len(terms)
+    for rv, (_, row) in zip(stacked, sorted(zip(terms, values))):
+        assert rv.space is space
+        same_bits(rv.values, row, np.float64)
 
 
 # -- rendering ----------------------------------------------------------------
