@@ -10,9 +10,9 @@ traceback. Reports are deterministic: same inputs, same seed, same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,34 +35,11 @@ _GENERATOR_MODES = ("norm_convergent", "ae_only_traveling_spike",
                     "order_convergent")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide knobs. ``tol_override`` replaces every subcommand's default
-    tolerance when set; zero is allowed and runs checks in diagnostic mode
-    (failures at tolerance zero are flagged as tolerance-induced when they
-    would pass at the built-in default)."""
-    seed: int = 0
-    truncation: int = DEFAULT_TRUNCATION
-    fmt: str = "json"
-    tol_override: float | None = None
-
-    def __post_init__(self):
-        if self.tol_override is not None and self.tol_override < 0.0:
-            raise ParseError("tolerance must be nonnegative")
-        if self.truncation < 1:
-            raise ParseError("truncation must be positive")
-
-    def tol(self, default: float) -> float:
-        return default if self.tol_override is None else self.tol_override
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(seed=args.seed, truncation=args.truncation,
-                     fmt=args.format, tol_override=args.tol)
-
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
+def _tol(args, default: float) -> float:
+    """The check's built-in tolerance, unless ``--tol`` overrides it; zero
+    runs checks in diagnostic mode (failures at tolerance zero are flagged
+    as tolerance-induced when they would pass at the built-in default)."""
+    return default if args.tol is None else args.tol
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +48,12 @@ def _emit(text: str) -> None:
 
 
 def _cmd_norm(args) -> int:
-    cfg = _config(args)
     space = read_space(args.space)
     f = read_rv(args.rv, space)
     phi = parse_orlicz_spec(args.orlicz)
     lux = luxemburg_norm(f, phi)
     ame = amemiya_norm(f, phi)
-    slack = cfg.tol(1e-9)
+    slack = _tol(args, 1e-9)
     sandwich = (lux.value <= ame.value + slack
                 and ame.value <= 2.0 * lux.value + slack)
     record = {
@@ -90,25 +66,24 @@ def _cmd_norm(args) -> int:
         "luxemburg_iterations": lux.iterations,
         "amemiya_iterations": ame.iterations,
     }
-    _emit(render_record(record, cfg.fmt))
+    sys.stdout.write(render_record(record, args.format))
     return 0
 
 
 def _cmd_conjugate(args) -> int:
-    cfg = _config(args)
     phi = parse_orlicz_spec(args.orlicz)
     psi = conjugate(phi)
     if args.grid_max <= 0 or args.grid_count < 2:
         raise ParseError("grid must have positive extent and >= 2 points")
     grid = np.linspace(0.0, args.grid_max, args.grid_count)
     values = psi.values(grid)
-    _emit(render_table({"s": [float(s) for s in grid],
-                        "conjugate": [float(v) for v in values]}, cfg.fmt))
+    sys.stdout.write(render_table({"s": [float(s) for s in grid],
+                                   "conjugate": [float(v) for v in values]},
+                                  args.format))
     return 0
 
 
 def _cmd_classify(args) -> int:
-    cfg = _config(args)
     phi = parse_orlicz_spec(args.orlicz)
     cls = classify_space(phi, finite_measure=(args.measure == "finite"))
     record = {
@@ -123,12 +98,11 @@ def _cmd_classify(args) -> int:
         record[f"phi_delta2_{verdict.regime}"] = verdict.status
     for verdict in cls.conjugate_delta2:
         record[f"conjugate_delta2_{verdict.regime}"] = verdict.status
-    _emit(render_record(record, cfg.fmt))
+    sys.stdout.write(render_record(record, args.format))
     return 0
 
 
 def _cmd_represent(args) -> int:
-    cfg = _config(args)
     space = read_space(args.space)
     f = read_rv(args.rv, space)
     phi_young = parse_orlicz_spec(args.orlicz)
@@ -140,8 +114,8 @@ def _cmd_represent(args) -> int:
             f"linearly (limit slope {slope.limit!r}); the dual "
             "representation requires superlinear growth")
     psi = conjugate(phi_young)
-    value, cert = reconstruct(functional, f, psi, seed=cfg.seed)
-    gap_tol = cfg.tol(1e-6)
+    value, cert = reconstruct(functional, f, psi, seed=args.seed)
+    gap_tol = _tol(args, 1e-6)
     record = {
         "command": "represent",
         "risk": args.risk,
@@ -158,26 +132,21 @@ def _cmd_represent(args) -> int:
         "start_index": cert.start_index,
         "sweeps": cert.sweeps,
     }
-    _emit(render_record(record, cfg.fmt))
+    sys.stdout.write(render_record(record, args.format))
     return 0 if cert.gap <= gap_tol else 5
 
 
 def _cmd_fatou_test(args) -> int:
-    cfg = _config(args)
     space = read_space(args.space)
     phi_young = parse_orlicz_spec(args.orlicz)
     functional = parse_risk_spec(args.risk, space)
     f = read_rv(args.rv, space) if args.rv else zeros(space)
     modes = _GENERATOR_MODES if args.mode == "all" else (args.mode,)
-    tol = cfg.tol(1e-9)
-    families = []
-    family_modes = []
-    for m_idx, mode in enumerate(modes):
-        for k in range(args.count):
-            families.append(generate_sequence(
-                space, phi_young, f, mode, length=args.length,
-                seed=cfg.seed + 9973 * m_idx + k))
-            family_modes.append(mode)
+    tol = _tol(args, 1e-9)
+    families = [generate_sequence(space, phi_young, f, mode,
+                                  length=args.length,
+                                  seed=args.seed + 9973 * m_idx + k)
+                for m_idx, mode in enumerate(modes) for k in range(args.count)]
     report = fatou_check(functional, families, tol=tol)
     worst = report.rows[report.worst_family_index]
     record = {
@@ -192,7 +161,7 @@ def _cmd_fatou_test(args) -> int:
         "worst_family_index": report.worst_family_index,
         "worst_mode": worst.mode,
     }
-    _emit(render_record(record, cfg.fmt))
+    sys.stdout.write(render_record(record, args.format))
     return 0 if report.violation_count == 0 else 5
 
 
@@ -204,14 +173,13 @@ def _witnesses(space: MeasureSpace, phi_young: OrliczFunction):
 
 
 def _cmd_extract_subseq(args) -> int:
-    cfg = _config(args)
     space = read_space(args.space)
     phi_young = parse_orlicz_spec(args.orlicz)
     f = read_rv(args.rv, space)
     terms = read_stacked_rvs(args.family, space)
     family = SequenceFamily.from_terms(terms, f, phi_young)
     g0, f0 = _witnesses(space, phi_young)
-    res = extract_ae_subsequence(family, f, g0, f0, ae_tol=cfg.tol(1e-8))
+    res = extract_ae_subsequence(family, f, g0, f0, ae_tol=_tol(args, 1e-8))
     record = {
         "command": "extract-subseq",
         "orlicz": args.orlicz,
@@ -223,18 +191,17 @@ def _cmd_extract_subseq(args) -> int:
         "trace_margin": res.trace_margin,
         "pointwise_converged": res.pointwise_ok,
     }
-    _emit(render_record(record, cfg.fmt))
+    sys.stdout.write(render_record(record, args.format))
     ok = res.status == "ok" and res.trace_bound_ok and res.pointwise_ok
     return 0 if ok else 5
 
 
 def _cmd_closure_demo(args) -> int:
-    cfg = _config(args)
     space = read_space(args.space)
     phi_young = parse_orlicz_spec(args.orlicz)
     f = read_rv(args.rv, space)
     vertices = read_stacked_rvs(args.vertices, space)
-    report = closure_demo(vertices, f, phi_young, hull_tol=cfg.tol(1e-9),
+    report = closure_demo(vertices, f, phi_young, hull_tol=_tol(args, 1e-9),
                           length=args.length)
     g0, f0 = _witnesses(space, phi_young)
     extraction = extract_ae_subsequence(report.family, report.projection,
@@ -253,7 +220,7 @@ def _cmd_closure_demo(args) -> int:
         "extraction_trace_ok": extraction.trace_bound_ok,
         "extraction_pointwise": pointwise_ok,
     }
-    _emit(render_record(record, cfg.fmt))
+    sys.stdout.write(render_record(record, args.format))
     ok = (report.envelope_ok and extraction.trace_bound_ok and pointwise_ok)
     return 0 if ok else 5
 
@@ -263,13 +230,14 @@ def _cmd_closure_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_battery(cfg: RunConfig) -> list[dict]:
-    """The verify-all rows; deterministic given the config."""
+def run_battery(args) -> list[dict]:
+    """The verify-all rows; deterministic given ``--seed``, ``--truncation``
+    and ``--tol``."""
     rows: list[dict] = []
 
     def row(label: str, margin: float, default_tol: float,
             detail: str) -> None:
-        tol = cfg.tol(default_tol)
+        tol = _tol(args, default_tol)
         passed = margin <= tol
         rows.append({
             "label": label,
@@ -290,13 +258,13 @@ def run_battery(cfg: RunConfig) -> list[dict]:
 
     # properties of the catalog functionals themselves
     failing = [c.name for c in catalog
-               if not validate(c, trials=60, seed=cfg.seed).all_ok]
+               if not validate(c, trials=60, seed=args.seed).all_ok]
     row("validate_catalog", float(len(failing)), 0.0,
         "all increasing catalog members pass validate"
         if not failing else "failing: " + ",".join(failing))
 
     # Luxemburg norm against the analytic weighted 2-norm
-    rng = np.random.default_rng([cfg.seed, 1])
+    rng = np.random.default_rng([args.seed, 1])
     wspace = MeasureSpace.finite(rng.uniform(0.2, 2.0, 6))
     margin = 0.0
     for _ in range(20):
@@ -315,7 +283,7 @@ def run_battery(cfg: RunConfig) -> list[dict]:
         "numeric vs analytic conjugate of t^2/2 on [0,10]")
 
     # Young's inequality sweep
-    rng = np.random.default_rng([cfg.seed, 2])
+    rng = np.random.default_rng([args.seed, 2])
     violations = 0
     young = (power2, sp_phi, OrliczFunction.linear(),
              OrliczFunction.exp_young(), OrliczFunction.linf_step())
@@ -330,7 +298,7 @@ def run_battery(cfg: RunConfig) -> list[dict]:
 
     # dual representation certificates: closed forms and a numeric cold start;
     # closed forms never read ``restarts``
-    rng = np.random.default_rng([cfg.seed, 3])
+    rng = np.random.default_rng([args.seed, 3])
     certificates = (
         ("represent_entropic_closed", entropic(1.0, uniform_probability(6)),
          8, 1.5, False, 1e-6, "Gibbs-maximizer certificates, 8 draws, n=6"),
@@ -346,7 +314,7 @@ def run_battery(cfg: RunConfig) -> list[dict]:
         margin = 0.0
         for _ in range(draws):
             f = Rv(space, rng.normal(0.0, scale, space.n_atoms))
-            _, cert = reconstruct(functional, f, psi2, seed=cfg.seed,
+            _, cert = reconstruct(functional, f, psi2, seed=args.seed,
                                   restarts=2, force_numeric=numeric,
                                   validation_trials=40)
             margin = max(margin, abs(cert.gap))
@@ -354,7 +322,7 @@ def run_battery(cfg: RunConfig) -> list[dict]:
 
     # dual positivity, both directions; each functional's own maximizer is a
     # feasible dual, and a negative dip must diverge with evidence
-    rng = np.random.default_rng([cfg.seed, 4])
+    rng = np.random.default_rng([args.seed, 4])
     mis_neg = 0
     mis_pos = 0
     for functional in catalog:
@@ -364,12 +332,12 @@ def run_battery(cfg: RunConfig) -> list[dict]:
             dipped = g.values.copy()
             dipped[int(rng.integers(0, 4))] = -0.5
             g_neg = Rv(sp_small, dipped)
-            est = fenchel_conjugate_value(functional, g_neg, seed=cfg.seed,
+            est = fenchel_conjugate_value(functional, g_neg, seed=args.seed,
                                           restarts=2, force_numeric=True)
             mis_neg += (est.value != math.inf
                         or not positivity_evidence(functional,
                                                    g_neg).divergent)
-            est = fenchel_conjugate_value(functional, g, seed=cfg.seed,
+            est = fenchel_conjugate_value(functional, g, seed=args.seed,
                                           restarts=2, force_numeric=True)
             mis_pos += not math.isfinite(est.value)
     row("dual_positivity_negative", float(mis_neg), 0.0,
@@ -378,37 +346,37 @@ def run_battery(cfg: RunConfig) -> list[dict]:
         "feasible duals stay finite, 8 draws x 4 functionals")
 
     # Fatou condition across generator modes, plus the non-lsc control
-    rng = np.random.default_rng([cfg.seed, 5])
+    rng = np.random.default_rng([args.seed, 5])
     base = Rv(sp_small, rng.normal(0.0, 1.0, 4))
     families = [generate_sequence(sp_small, power2, base, mode, length=24,
-                                  seed=cfg.seed + 31 * m_idx + k)
+                                  seed=args.seed + 31 * m_idx + k)
                 for m_idx, mode in enumerate(_GENERATOR_MODES)
                 for k in range(6)]
-    reports = [fatou_check(c, families, tol=cfg.tol(1e-9)) for c in catalog]
+    reports = [fatou_check(c, families, tol=_tol(args, 1e-9)) for c in catalog]
     row("fatou_catalog", max(r.worst_margin for r in reports), 1e-9,
         f"{len(families)} families x 4 functionals, "
         f"{sum(r.violation_count for r in reports)} violations")
 
     control = non_lsc_control(exp4, base)
     ctrl_margin = fatou_check(control, families,
-                              tol=cfg.tol(1e-9)).worst_margin
+                              tol=_tol(args, 1e-9)).worst_margin
     row("fatou_control_caught", max(0.0, 0.5 - ctrl_margin), 0.0,
         f"non-lsc control worst margin {ctrl_margin!r}")
 
     # subsequence extraction on the truncated space
-    big = uniform_probability(cfg.truncation, truncated=True)
+    big = uniform_probability(args.truncation, truncated=True)
     limit = zeros(big)
     fam = generate_sequence(big, power2, limit, "ae_only_traveling_spike",
-                            length=cfg.truncation + 64, seed=cfg.seed)
+                            length=args.truncation + 64, seed=args.seed)
     res = extract_ae_subsequence(fam, limit, *_witnesses(big, power2))
     penalty = 0.0 if (res.status == "ok" and res.pointwise_ok) else 1.0
     row("extraction_truncated", max(res.trace_margin, penalty), 0.0,
-        f"N={cfg.truncation} spike family, {len(res.indices)} picks")
+        f"N={args.truncation} spike family, {len(res.indices)} picks")
 
     # biconjugation
-    rng = np.random.default_rng([cfg.seed, 6])
+    rng = np.random.default_rng([args.seed, 6])
     probes = [Rv(sp3, rng.normal(0.0, 1.5, 3)) for _ in range(12)]
-    bi = biconjugate_check(ent3, probes, seed=cfg.seed, restarts=2)
+    bi = biconjugate_check(ent3, probes, seed=args.seed, restarts=2)
     row("biconjugate_entropic", bi.max_deviation, 1e-5,
         "sign-free double conjugate vs entropic, 12 probes")
     row("biconjugate_split", bi.max_split, 1e-6,
@@ -424,9 +392,9 @@ def run_battery(cfg: RunConfig) -> list[dict]:
 
     # in-process determinism of a representative numeric search
     f = Rv(sp3, rng.normal(0.0, 1.0, 3))
-    v1, _ = reconstruct(ent3, f, psi2, seed=cfg.seed, restarts=2,
+    v1, _ = reconstruct(ent3, f, psi2, seed=args.seed, restarts=2,
                         force_numeric=True, validation_trials=40)
-    v2, _ = reconstruct(ent3, f, psi2, seed=cfg.seed, restarts=2,
+    v2, _ = reconstruct(ent3, f, psi2, seed=args.seed, restarts=2,
                         force_numeric=True, validation_trials=40)
     row("determinism_reprobe", 0.0 if v1 == v2 else 1.0, 0.0,
         "same seed, same numeric supremum bits")
@@ -434,23 +402,22 @@ def run_battery(cfg: RunConfig) -> list[dict]:
 
 
 def _cmd_verify_all(args) -> int:
-    cfg = _config(args)
-    rows = run_battery(cfg)
+    rows = run_battery(args)
     failures = sum(not r["passed"] for r in rows)
-    if cfg.fmt == "csv":
-        _emit(render_table({key: [r[key] for r in rows] for key in rows[0]},
-                           "csv"))
+    if args.format == "csv":
+        sys.stdout.write(render_table(
+            {key: [r[key] for r in rows] for key in rows[0]}, "csv"))
     else:
         record = {
             "command": "verify-all",
-            "seed": cfg.seed,
-            "truncation": cfg.truncation,
-            "tol_override": cfg.tol_override,
+            "seed": args.seed,
+            "truncation": args.truncation,
+            "tol_override": args.tol,
             "rows": rows,
             "failures": failures,
             "all_passed": failures == 0,
         }
-        _emit(render_record(record, "json"))
+        sys.stdout.write(render_record(record, "json"))
     return 0 if failures == 0 else 5
 
 
@@ -459,100 +426,94 @@ def _cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    """Type of the count and length flags, so that 0 is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _at_least(low, cast=int):
+    """An argparse type: ``cast(text)``, and a usage error unless it is at
+    least ``low`` (so ``nan`` is refused too)."""
+    kind = "an integer" if cast is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not value >= low:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind} >= {low}, got {text!r}")
+        return value
+    return parse
 
 
+_positive_int = _at_least(1)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every caller, so
+    callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="orliczkit",
         description="Orlicz-space norms, Young conjugates, and dual "
                     "representations of convex risk functionals.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the subcommand's default tolerance "
-                             "(0 = diagnostic mode)")
-    common.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("norm", parents=[common],
-                       help="Luxemburg and Amemiya norms of a scenario")
-    p.add_argument("--space", required=True)
-    p.add_argument("--rv", required=True)
-    p.add_argument("--orlicz", required=True)
-    p.set_defaults(func=_cmd_norm)
+    def command(name, handler, help, *required_flags, **flag_help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--seed", type=_at_least(0), default=0)
+        p.add_argument("--tol", type=_at_least(0.0, float), default=None,
+                       help="override the subcommand's default tolerance "
+                            "(0 = diagnostic mode)")
+        p.add_argument("--truncation", type=_positive_int,
+                       default=DEFAULT_TRUNCATION)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        for flag in required_flags:
+            p.add_argument(f"--{flag}", required=True,
+                           help=flag_help.get(flag))
+        p.set_defaults(func=handler)
+        return p
 
-    p = sub.add_parser("conjugate", parents=[common],
-                       help="tabulate the conjugate Young function")
-    p.add_argument("--orlicz", required=True)
+    command("norm", _cmd_norm, "Luxemburg and Amemiya norms of a scenario",
+            "space", "rv", "orlicz")
+
+    p = command("conjugate", _cmd_conjugate,
+                "tabulate the conjugate Young function", "orlicz")
     p.add_argument("--grid-max", type=float, default=10.0)
     p.add_argument("--grid-count", type=_positive_int, default=50)
-    p.set_defaults(func=_cmd_conjugate)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="doubling/reflexivity verdicts for the space")
-    p.add_argument("--orlicz", required=True)
+    p = command("classify", _cmd_classify,
+                "doubling/reflexivity verdicts for the space", "orlicz")
     p.add_argument("--measure", choices=("finite", "infinite"),
                    default="finite")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("represent", parents=[common],
-                       help="dual representation certificate for a scenario")
-    p.add_argument("--space", required=True)
-    p.add_argument("--rv", required=True)
-    p.add_argument("--risk", required=True)
-    p.add_argument("--orlicz", required=True)
-    p.set_defaults(func=_cmd_represent)
+    command("represent", _cmd_represent,
+            "dual representation certificate for a scenario",
+            "space", "rv", "risk", "orlicz")
 
-    p = sub.add_parser("fatou-test", parents=[common],
-                       help="lower-semicontinuity check on generated families")
-    p.add_argument("--space", required=True)
-    p.add_argument("--risk", required=True)
-    p.add_argument("--orlicz", required=True)
+    p = command("fatou-test", _cmd_fatou_test,
+                "lower-semicontinuity check on generated families",
+                "space", "risk", "orlicz")
     p.add_argument("--rv", default=None, help="limit point (default zero)")
     p.add_argument("--mode", choices=_GENERATOR_MODES + ("all",),
                    default="all")
     p.add_argument("--count", type=_positive_int, default=20)
     p.add_argument("--length", type=_positive_int, default=24)
-    p.set_defaults(func=_cmd_fatou_test)
 
-    p = sub.add_parser("extract-subseq", parents=[common],
-                       help="a.e.-convergent subsequence extraction")
-    p.add_argument("--space", required=True)
-    p.add_argument("--family", required=True)
-    p.add_argument("--rv", required=True, help="declared limit")
-    p.add_argument("--orlicz", required=True)
-    p.set_defaults(func=_cmd_extract_subseq)
+    command("extract-subseq", _cmd_extract_subseq,
+            "a.e.-convergent subsequence extraction",
+            "space", "family", "rv", "orlicz", rv="declared limit")
 
-    p = sub.add_parser("closure-demo", parents=[common],
-                       help="project onto a hull and emit a certified sequence")
-    p.add_argument("--space", required=True)
-    p.add_argument("--vertices", required=True)
-    p.add_argument("--rv", required=True)
-    p.add_argument("--orlicz", required=True)
+    p = command("closure-demo", _cmd_closure_demo,
+                "project onto a hull and emit a certified sequence",
+                "space", "vertices", "rv", "orlicz")
     p.add_argument("--length", type=_positive_int, default=32)
-    p.set_defaults(func=_cmd_closure_demo)
 
-    p = sub.add_parser("verify-all", parents=[common],
-                       help="run the deterministic verification battery")
-    p.set_defaults(func=_cmd_verify_all)
+    command("verify-all", _cmd_verify_all,
+            "run the deterministic verification battery")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -447,10 +447,6 @@ class BiconjugateReport:
     deviations: tuple[float, ...]
     splits: tuple[float, ...]
 
-    @property
-    def probe_count(self) -> int:
-        return len(self.deviations)
-
 
 def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
                       seed: int = 0, restarts: int = 4) -> BiconjugateReport:

@@ -261,15 +261,18 @@ def strictly_positive_witness(space: MeasureSpace, phi) -> Rv:
     ``2**-n / (1 + ||indicator(block)||_phi)``; summing over blocks gives a
     strictly positive element whose norm is bounded by the triangle
     inequality by sum 2**-n <= 1. An indicator's norm depends only on the
-    block's mass, so each block costs one one-atom bisection, whatever its
-    number of atoms.
+    block's mass, so each distinct mass costs one one-atom bisection,
+    whatever the number of blocks and atoms carrying it.
     """
     from .norms import indicator_norm  # local import to avoid a module cycle
 
     v = np.zeros(space.n_atoms)
+    norms: dict[float, float] = {}
     for n, block in enumerate(space.blocks(), start=1):
-        nrm = indicator_norm(phi, float(space.weights[block].sum()))
-        v[block] = 2.0**-n / (1.0 + nrm)
+        mass = float(space.weights[block].sum())
+        if mass not in norms:
+            norms[mass] = indicator_norm(phi, mass)
+        v[block] = 2.0**-n / (1.0 + norms[mass])
     return Rv(space, v)
 
 

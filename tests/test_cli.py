@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output documents, determinism."""
 
+import argparse
 import json
 import math
 
@@ -352,3 +353,81 @@ def test_malformed_input_file_exits_2(files, capsys):
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "norm", "--help")[0] == 0
+
+
+@pytest.mark.parametrize("command", ["norm", "fatou-test", "verify-all"])
+@pytest.mark.parametrize("flag, bad", [
+    ("--seed", "-1"),
+    ("--tol", "nan"),
+    ("--tol", "-1"),
+    ("--truncation", "0"),
+])
+def test_bad_run_flags_exit_2_before_the_command_runs(files, capsys, command,
+                                                      flag, bad):
+    # --seed -1 was a numpy traceback, and --tol nan failed every
+    # verify-all row with exit 5
+    space = files("space.csv", PROB2)
+    rv = files("f.csv", "atom_id,value\n0,1\n1,-1\n")
+    inputs = {
+        "norm": ["--space", space, "--rv", rv, "--orlicz", "power:p=2"],
+        "fatou-test": ["--space", space, "--risk", "entropic:beta=1",
+                       "--orlicz", "power:p=2", "--count", "1"],
+        "verify-all": [],
+    }[command]
+    code, out, err = run_cli(capsys, command, *inputs, flag, bad)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}" in err
+
+
+# -- parser -------------------------------------------------------------------
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    argv = ["classify", "--orlicz", "power:p=2"]
+    assert main(argv) == 0
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+RUN_DEFAULTS = {"seed": 0, "tol": None, "truncation": 1024, "format": "json"}
+
+
+@pytest.mark.parametrize("argv, handler, flags", [
+    (["norm", "--space", "s", "--rv", "r", "--orlicz", "o"], "norm",
+     {"space": "s", "rv": "r", "orlicz": "o"}),
+    (["conjugate", "--orlicz", "o"], "conjugate",
+     {"orlicz": "o", "grid_max": 10.0, "grid_count": 50}),
+    (["classify", "--orlicz", "o"], "classify",
+     {"orlicz": "o", "measure": "finite"}),
+    (["represent", "--space", "s", "--rv", "r", "--risk", "k",
+      "--orlicz", "o"], "represent",
+     {"space": "s", "rv": "r", "risk": "k", "orlicz": "o"}),
+    (["fatou-test", "--space", "s", "--risk", "k", "--orlicz", "o"],
+     "fatou_test",
+     {"space": "s", "risk": "k", "orlicz": "o", "rv": None, "mode": "all",
+      "count": 20, "length": 24}),
+    (["extract-subseq", "--space", "s", "--family", "m", "--rv", "r",
+      "--orlicz", "o"], "extract_subseq",
+     {"space": "s", "family": "m", "rv": "r", "orlicz": "o"}),
+    (["closure-demo", "--space", "s", "--vertices", "v", "--rv", "r",
+      "--orlicz", "o"], "closure_demo",
+     {"space": "s", "vertices": "v", "rv": "r", "orlicz": "o",
+      "length": 32}),
+    (["verify-all"], "verify_all", {}),
+])
+def test_minimal_argv_parses_to_pinned_namespace(argv, handler, flags):
+    args = cli.build_parser().parse_args(argv)
+    assert vars(args) == {"subcommand": argv[0],
+                          "func": getattr(cli, f"_cmd_{handler}"),
+                          **RUN_DEFAULTS, **flags}

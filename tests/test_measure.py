@@ -198,6 +198,51 @@ def test_block_mass_witness_matches_reference_on_random_blocks(weights, data,
     assert np.allclose(got, n_atom_witness(sp, phi), rtol=1e-9, atol=0.0)
 
 
+def per_block_witness(space, phi):
+    """The witness with one indicator norm per block, repeated masses too."""
+    from orliczkit.norms import indicator_norm
+    v = np.zeros(space.n_atoms)
+    for n, block in enumerate(space.blocks(), start=1):
+        mass = float(space.weights[block].sum())
+        v[block] = 2.0**-n / (1.0 + indicator_norm(phi, mass))
+    return v
+
+
+def test_witness_takes_one_indicator_norm_per_distinct_mass(monkeypatch):
+    from orliczkit import norms
+    masses = []
+    real = norms.indicator_norm
+
+    def counted(phi, mass):
+        masses.append(mass)
+        return real(phi, mass)
+
+    monkeypatch.setattr(norms, "indicator_norm", counted)
+    sp = MeasureSpace.finite(np.full(6, 1.0 / 6.0), block_ids=range(6))
+    for phi in WITNESS_YOUNG:
+        masses.clear()
+        strictly_positive_witness(sp, phi)
+        assert masses == [1.0 / 6.0], phi.label
+
+
+def test_witness_equals_per_block_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    spaces = [uniform_probability(n, truncated=True) for n in (16, 256, 1024)]
+    spaces.append(MeasureSpace.truncated_countable(0.5 ** np.arange(1, 41)))
+    for _ in range(4):
+        # weights from a short list, so that many blocks share a mass
+        n = int(rng.integers(5, 120))
+        weights = rng.choice(rng.uniform(0.01, 2.0, 3), n)
+        spaces.append(MeasureSpace.finite(weights, block_ids=range(n)))
+        blocks = np.sort(rng.integers(0, max(2, n // 3), n))
+        spaces.append(MeasureSpace.finite(rng.uniform(0.01, 2.0, n),
+                                          block_ids=blocks))
+    for sp in spaces:
+        for phi in WITNESS_YOUNG:
+            assert np.array_equal(strictly_positive_witness(sp, phi).values,
+                                  per_block_witness(sp, phi))
+
+
 def test_ae_converges_residual_profile():
     sp = counting(3)
     f = Rv(sp, [0.0, 2.0, 3.0])  # zero base keeps the residual exactly 1/n
