@@ -73,8 +73,8 @@ def _cmd_norm(args) -> int:
 def _cmd_conjugate(args) -> int:
     phi = parse_orlicz_spec(args.orlicz)
     psi = conjugate(phi)
-    if args.grid_max <= 0 or args.grid_count < 2:
-        raise ParseError("grid must have positive extent and >= 2 points")
+    if args.grid_count < 2:
+        raise ParseError("grid must have >= 2 points")
     grid = np.linspace(0.0, args.grid_max, args.grid_count)
     values = psi.values(grid)
     sys.stdout.write(render_table({"s": [float(s) for s in grid],
@@ -426,24 +426,31 @@ def _cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _at_least(low, cast=int):
-    """An argparse type: ``cast(text)``, and a usage error unless it is at
-    least ``low`` (so ``nan`` is refused too)."""
-    kind = "an integer" if cast is int else "a number"
+def _checked(cast, accept, expected: str):
+    """An argparse type: ``cast(text)``, and a usage error naming
+    ``expected`` unless ``accept(value)`` holds (write ``accept`` so that
+    ``nan`` fails it)."""
 
     def parse(text: str):
         try:
             value = cast(text)
         except ValueError:
             value = None
-        if value is None or not value >= low:
+        if value is None or not accept(value):
             raise argparse.ArgumentTypeError(
-                f"expected {kind} >= {low}, got {text!r}")
+                f"expected {expected}, got {text!r}")
         return value
     return parse
 
 
+def _at_least(low, cast=int):
+    kind = "an integer" if cast is int else "a number"
+    return _checked(cast, lambda value: value >= low, f"{kind} >= {low}")
+
+
 _positive_int = _at_least(1)
+_positive_finite = _checked(float, lambda value: 0.0 < value < math.inf,
+                            "a finite number > 0")
 
 
 @functools.cache
@@ -476,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("conjugate", _cmd_conjugate,
                 "tabulate the conjugate Young function", "orlicz")
-    p.add_argument("--grid-max", type=float, default=10.0)
+    p.add_argument("--grid-max", type=_positive_finite, default=10.0)
     p.add_argument("--grid-count", type=_positive_int, default=50)
 
     p = command("classify", _cmd_classify,

@@ -3,7 +3,8 @@
 Everything here is derivative-free: conjugates and dual suprema are computed
 by per-coordinate line-search ascent with deterministic multi-starts, plus
 mass-preserving pairwise transfers so the search can move along density
-simplices that single-coordinate steps cannot leave. Divergence of a
+simplices that single-coordinate steps cannot leave; for cash-additive
+functionals the dual ascent runs those transfers alone. Divergence of a
 conjugate (the +inf case) is detected by ray probes before any ascent runs.
 """
 
@@ -33,8 +34,6 @@ PROBE_EXPONENTS = (1, 2, 3, 4, 5, 6)
 LINE_STEPS = 32
 #: sweeps per restart before the ascent gives up on flattening out
 SWEEP_CAP = 500
-#: seeded random pairs added to the transfer ring on spaces above 8 atoms
-EXTRA_PAIRS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -61,36 +60,49 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                   *,
                   seed: int = 0,
                   restarts: int = 8,
-                  nonneg: bool = True) -> AscentResult:
+                  nonneg: bool = True,
+                  cash_additive: bool = False) -> AscentResult:
     """Maximize a concave ``objective`` over coordinate vectors ``g``.
 
     Move set per sweep: single-coordinate line searches (projected to g >= 0
-    when ``nonneg``), pairwise transfers g_i += s/w_i, g_j -= s/w_j that keep
-    the weighted mass fixed (all pairs for small spaces, a ring plus seeded
-    extra pairs otherwise), a global additive shift, and a global rescaling.
+    when ``nonneg``), pairwise transfers g_i += s/w_i, g_j -= s/w_j over all
+    pairs i < j, which keep the weighted mass fixed, a global additive
+    shift, and a global rescaling. With ``cash_additive`` the objective is
+    taken to be -inf off the hyperplane of the starting mass, as the dual
+    objective of a cash-additive functional is (its conjugate is +inf off
+    E[g] = 1), and each sweep runs the pair transfers only: the other three
+    moves change the mass, so they could only probe -inf. A wrong
+    declaration can only make the ascent weaker, never its answer
+    infeasible.
+
     Objectives are free to return -inf off their domain; moves apply only on
-    strict improvement. Each line search stops once its bracket has shrunk
-    by ``INV_PHI**LINE_STEPS``. Deterministic in ``seed``: restart r draws from
+    strict improvement. Each line search stops once its bracket is as narrow
+    as ``INV_PHI**LINE_STEPS`` times its segment. A pair that moved by s in
+    the previous sweep first searches the window [-4|s|, 4|s|] of its
+    segment at that same absolute width; it falls back to the whole segment
+    when the window's best point gains nothing or lands on an inner edge of
+    the window (the line is concave, so a best point inside the window is
+    the line's maximum), and always in a restart's first sweep. A restart
+    ends after its first sweep that gains at most 1e-11 relative. The
+    result is deterministic in ``seed``: restart r draws from
     default_rng([seed, r]) and ties prefer the lowest start index.
     """
     w = space.weights
     n = space.n_atoms
     total = float(space.total_mass)
-    if n <= 8:
-        base_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    else:
-        base_pairs = [(i, (i + 1) % n) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     best: AscentResult | None = None
     evals = 0
 
-    def line(h, lo, hi, t0, guard=True):
+    def line(h, lo, hi, t0, guard=True, reach=0.0):
         """One move: Brent along ``h`` on ``[lo, hi]`` from ``(t0, v)``.
         Returns ``(t, h(t))`` on strict improvement over ``v``, else None.
         ``guard`` probes the two shoulders first, the second only when the
         first is -inf, and skips the line when both are: then all of it bar
         the current point sits outside the objective's domain, as
         single-coordinate and additive moves do under an equality
-        constraint."""
+        constraint. ``reach > 0`` searches the window within ``reach`` of
+        ``t0`` first, as ``maximize_dual`` describes."""
         nonlocal evals
         if guard:
             evals += 1
@@ -98,8 +110,14 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                 evals += 1
                 if h(lo + 0.75 * (hi - lo)) == -math.inf:
                     return None
-        t, val, ev = brent_max(h, lo, hi, (hi - lo) * INV_PHI ** LINE_STEPS,
-                               (t0, v))
+        width = (hi - lo) * INV_PHI ** LINE_STEPS
+        if reach > 0.0:
+            a, b = max(lo, t0 - reach), min(hi, t0 + reach)
+            t, val, ev = brent_max(h, a, b, width, (t0, v))
+            evals += ev
+            if val > v and (t != a or a == lo) and (t != b or b == hi):
+                return t, val
+        t, val, ev = brent_max(h, lo, hi, width, (t0, v))
         evals += ev
         return (t, val) if val > v else None
 
@@ -113,58 +131,57 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
         v = objective(g)
         evals += 1
         sweeps = 0
-        flat = 0
+        # per pair, the warm window's half-width: 4 |last sweep's step|
+        reach = [0.0] * len(pairs)
         for _ in range(SWEEP_CAP):
             sweeps += 1
             v_before = v
-            span = 2.0 * (1.0 + float(np.max(np.abs(g)))) if n else 1.0
 
-            for i in range(n):
-                t0 = g[i]
-                lo = max(0.0, t0 - span) if nonneg else t0 - span
-                hi = t0 + span
-                if hi <= lo:
-                    continue
+            if not cash_additive:
+                span = 2.0 * (1.0 + float(np.max(np.abs(g)))) if n else 1.0
+                for i in range(n):
+                    t0 = g[i]
+                    lo = max(0.0, t0 - span) if nonneg else t0 - span
+                    hi = t0 + span
+                    if hi <= lo:
+                        continue
 
-                def h(t, i=i):
-                    old = g[i]
-                    g[i] = t
-                    val = objective(g)
-                    g[i] = old
-                    return val
+                    def h(t, i=i):
+                        old = g[i]
+                        g[i] = t
+                        val = objective(g)
+                        g[i] = old
+                        return val
 
-                step = line(h, lo, hi, t0)
-                if step:
-                    g[i], v = step
+                    step = line(h, lo, hi, t0)
+                    if step:
+                        g[i], v = step
 
-            pairs = list(base_pairs)
-            if n > 8:
-                for _k in range(EXTRA_PAIRS):
-                    i, j = rng.choice(n, size=2, replace=False)
-                    pairs.append((int(i), int(j)))
-            for i, j in pairs:
+            for k, (i, j) in enumerate(pairs):
                 wi, wj = float(w[i]), float(w[j])
+                gi, gj = float(g[i]), float(g[j])
                 if nonneg:
-                    lo, hi = -g[i] * wi, g[j] * wj
+                    lo, hi = -gi * wi, gj * wj
                 else:
                     s_span = 1.0 + float(np.dot(w, np.abs(g)))
                     lo, hi = -s_span, s_span
                 if hi - lo <= 1e-300:
+                    reach[k] = 0.0
                     continue
 
-                def h(s, i=i, j=j, wi=wi, wj=wj):
-                    oi, oj = g[i], g[j]
-                    g[i] = oi + s / wi
-                    g[j] = oj - s / wj
+                def h(s, i=i, j=j, wi=wi, wj=wj, gi=gi, gj=gj):
+                    g[i] = gi + s / wi
+                    g[j] = gj - s / wj
                     val = objective(g)
-                    g[i], g[j] = oi, oj
+                    g[i], g[j] = gi, gj
                     return val
 
-                step = line(h, lo, hi, 0.0, guard=False)
+                step = line(h, lo, hi, 0.0, guard=False, reach=reach[k])
+                reach[k] = 4.0 * abs(step[0]) if step else 0.0
                 if step:
                     s, v = step
-                    g[i] += s / wi
-                    g[j] -= s / wj
+                    g[i] = gi + s / wi
+                    g[j] = gj - s / wj
                     if nonneg:
                         # transfers that land on a clamp boundary should sit
                         # on it exactly, not a rounding error below zero
@@ -173,27 +190,24 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         if g[j] < 0.0 and g[j] > -1e-13:
                             g[j] = 0.0
 
-            lo = max(-float(np.min(g)), -span) if nonneg else -span
-            if span > lo:
-                step = line(lambda t: objective(g + t), lo, span, 0.0)
-                if step:
-                    t, v = step
-                    g += t
-                    if nonneg:
-                        np.maximum(g, 0.0, out=g)
+            if not cash_additive:
+                lo = max(-float(np.min(g)), -span) if nonneg else -span
+                if span > lo:
+                    step = line(lambda t: objective(g + t), lo, span, 0.0)
+                    if step:
+                        t, v = step
+                        g += t
+                        if nonneg:
+                            np.maximum(g, 0.0, out=g)
 
-            step = line(lambda c: objective(c * g), 0.25, 4.0, 1.0)
-            if step:
-                c, v = step
-                g *= c
+                step = line(lambda c: objective(c * g), 0.25, 4.0, 1.0)
+                if step:
+                    c, v = step
+                    g *= c
 
             # a restart stuck at -inf is flat too: there v - v_before is nan
             if v == v_before or v - v_before <= 1e-11 * (1.0 + abs(v)):
-                flat += 1
-                if flat >= 2:
-                    break
-            else:
-                flat = 0
+                break
         if best is None or v > best.value:
             best = AscentResult(g=g.copy(), value=v, start_index=r,
                                 sweeps=sweeps, evaluations=0)
@@ -387,8 +401,14 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     Young function grows superlinearly), else the representation hypothesis
     fails and a SlopeConditionError is raised. The functional must pass
     ``validate`` (convex, increasing, proper). With a declared closed-form
-    maximizer the certificate is exact; otherwise projected multi-start
-    coordinate ascent with mass-preserving transfers searches over g >= 0.
+    maximizer the certificate is exact; otherwise ``maximize_dual`` searches
+    over g >= 0 from deterministic multi-starts. For a functional declared
+    ``cash_additive`` each sweep runs only the mass-preserving pair
+    transfers; otherwise it adds coordinate, shift and scale moves. A pair
+    that moved in the previous sweep first searches a window of four times
+    that step, falling back to its whole segment when the window's best
+    point sits on the window's inner edge or gains nothing, and each restart
+    ends after its first sweep that gains at most 1e-11 relative.
     Returns (dual value, certificate); certificate.gap = phi(f) - dual value.
     """
     space = phi.space
@@ -415,7 +435,8 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
         start_index, sweeps = None, 0
     else:
         res = maximize_dual(_dual_objective(conj, space, f.values), space,
-                            seed=seed, restarts=restarts, nonneg=True)
+                            seed=seed, restarts=restarts, nonneg=True,
+                            cash_additive=phi.cash_additive)
         g = Rv(space, res.g)
         start_index, sweeps = res.start_index, res.sweeps
     cval = float(conj(g))
@@ -467,9 +488,9 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
             raise SpaceMismatchError("probe lives on a different space")
         obj = _dual_objective(conj, space, f.values)
         free = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                             nonneg=False)
+                             nonneg=False, cash_additive=phi.cash_additive)
         cone = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                             nonneg=True)
+                             nonneg=True, cash_additive=phi.cash_additive)
         deviations.append(abs(free.value - phi.evaluate(f)))
         splits.append(abs(free.value - cone.value))
     return BiconjugateReport(

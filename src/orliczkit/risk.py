@@ -31,6 +31,12 @@ class RiskFunctional:
     ``dataclasses.replace`` that swaps ``evaluate`` must swap or clear
     ``evaluate_rows`` too; ``validate`` refuses a kernel that disagrees
     with ``evaluate``.
+
+    ``cash_additive`` declares phi(f + c) = phi(f) + c for every constant c.
+    Then phi*(g) is +inf unless E[g] = 1, so the duality engine's ascents
+    over g move mass between atoms and never change its total. Declaring it
+    for a functional that is not cash-additive can only weaken those
+    ascents: every certificate's gap is still computed from phi* itself.
     """
     name: str
     space: MeasureSpace
@@ -39,6 +45,7 @@ class RiskFunctional:
     closed_form_conjugate: Callable[[Rv], float] | None = None
     closed_form_maximizer: Callable[[Rv], Rv] | None = None
     evaluate_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    cash_additive: bool = False
 
 
 def _check_probability(space: MeasureSpace, what: str) -> None:
@@ -72,7 +79,7 @@ def entropic(beta: float, space: MeasureSpace) -> RiskFunctional:
 
     def conj(g: Rv) -> float:
         gv = g.values
-        lowest = gv.min()
+        lowest = np.minimum.reduce(gv)
         if lowest < -FEAS_TOL or abs(float(np.dot(w, gv)) - 1.0) > FEAS_TOL:
             return math.inf
         if lowest > 0.0:
@@ -95,6 +102,7 @@ def entropic(beta: float, space: MeasureSpace) -> RiskFunctional:
         closed_form_conjugate=conj,
         closed_form_maximizer=maximizer,
         evaluate_rows=ev_rows,
+        cash_additive=True,
     )
 
 
@@ -159,6 +167,7 @@ def average_value_at_risk(alpha: float, space: MeasureSpace) -> RiskFunctional:
         closed_form_conjugate=conj,
         closed_form_maximizer=maximizer,
         evaluate_rows=ev_rows,
+        cash_additive=True,
     )
 
 
@@ -188,11 +197,15 @@ def worst_case(space: MeasureSpace) -> RiskFunctional:
         closed_form_conjugate=conj,
         closed_form_maximizer=maximizer,
         evaluate_rows=lambda F: F.max(axis=1),
+        cash_additive=True,
     )
 
 
 def expectation(space: MeasureSpace) -> RiskFunctional:
-    """``E[f]``; conjugate is the indicator of the single density 1."""
+    """``E[f]``; conjugate is the indicator of the single density 1.
+
+    Cash-additive only on a probability space: E[f + c] = E[f] + c P(Omega).
+    """
     w = space.weights
 
     def ev(f: Rv) -> float:
@@ -212,6 +225,7 @@ def expectation(space: MeasureSpace) -> RiskFunctional:
         closed_form_conjugate=conj,
         closed_form_maximizer=maximizer,
         evaluate_rows=lambda F: F @ w,
+        cash_additive=space.is_probability(FEAS_TOL),
     )
 
 

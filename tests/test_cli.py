@@ -341,6 +341,15 @@ def test_non_positive_counts_exit_2(files, capsys, command, flag):
         assert f"argument {flag}" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+def test_grid_max_must_be_finite_and_positive(capsys, bad):
+    code, out, err = run_cli(capsys, "conjugate", "--orlicz", "power:p=2",
+                             "--grid-max", bad)
+    assert code == 2
+    assert out == ""
+    assert "argument --grid-max" in err
+
+
 def test_malformed_input_file_exits_2(files, capsys):
     space = files("space.csv", SPACE3)
     rv = files("f.csv", "atom_id,value\n0,1\n")  # missing atoms 1 and 2
