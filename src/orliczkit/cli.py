@@ -21,13 +21,13 @@ from .convergence import (SequenceFamily, closure_demo,
                           generate_sequence, non_lsc_control)
 from .duality import (biconjugate_check, fenchel_conjugate_value,
                       positivity_evidence, reconstruct)
-from .errors import NumericFailure, ParseError, Refusal, SlopeConditionError
+from .errors import NumericFailure, ParseError, Refusal
 from .io import read_rv, read_space, read_stacked_rvs, render_record, render_table
 from .measure import (DEFAULT_TRUNCATION, MeasureSpace, Rv,
                       strictly_positive_witness, uniform_probability, zeros)
 from .norms import amemiya_norm, luxemburg_norm
 from .orlicz import (FAILS, HOLDS, OrliczFunction, classify_space, conjugate,
-                     conjugate_value, limit_slope)
+                     conjugate_value)
 from .risk import entropic, increasing_catalog, validate
 from .specs import parse_orlicz_spec, parse_risk_spec
 
@@ -73,8 +73,6 @@ def _cmd_norm(args) -> int:
 def _cmd_conjugate(args) -> int:
     phi = parse_orlicz_spec(args.orlicz)
     psi = conjugate(phi)
-    if args.grid_count < 2:
-        raise ParseError("grid must have >= 2 points")
     grid = np.linspace(0.0, args.grid_max, args.grid_count)
     values = psi.values(grid)
     sys.stdout.write(render_table({"s": [float(s) for s in grid],
@@ -107,14 +105,8 @@ def _cmd_represent(args) -> int:
     f = read_rv(args.rv, space)
     phi_young = parse_orlicz_spec(args.orlicz)
     functional = parse_risk_spec(args.risk, space)
-    slope = limit_slope(phi_young)
-    if not slope.is_infinite:
-        raise SlopeConditionError(
-            "slope condition fails: the Young function grows at most "
-            f"linearly (limit slope {slope.limit!r}); the dual "
-            "representation requires superlinear growth")
-    psi = conjugate(phi_young)
-    value, cert = reconstruct(functional, f, psi, seed=args.seed)
+    value, cert = reconstruct(functional, f, conjugate(phi_young),
+                              seed=args.seed)
     gap_tol = _tol(args, 1e-6)
     record = {
         "command": "represent",
@@ -484,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("conjugate", _cmd_conjugate,
                 "tabulate the conjugate Young function", "orlicz")
     p.add_argument("--grid-max", type=_positive_finite, default=10.0)
-    p.add_argument("--grid-count", type=_positive_int, default=50)
+    p.add_argument("--grid-count", type=_at_least(2), default=50)
 
     p = command("classify", _cmd_classify,
                 "doubling/reflexivity verdicts for the space", "orlicz")

@@ -3,9 +3,11 @@
 Everything here is derivative-free: conjugates and dual suprema are computed
 by per-coordinate line-search ascent with deterministic multi-starts, plus
 mass-preserving pairwise transfers so the search can move along density
-simplices that single-coordinate steps cannot leave; for cash-additive
-functionals the dual ascent runs those transfers alone. Divergence of a
-conjugate (the +inf case) is detected by ray probes before any ascent runs.
+simplices that single-coordinate steps cannot leave. When the ascent's
+first sweep finds every move that changes the mass outside the objective's
+domain, as on the dual of a cash-additive functional, it runs those
+transfers alone. Divergence of a conjugate (the +inf case) is detected by
+ray probes before any ascent runs.
 """
 
 from __future__ import annotations
@@ -60,20 +62,20 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                   *,
                   seed: int = 0,
                   restarts: int = 8,
-                  nonneg: bool = True,
-                  cash_additive: bool = False) -> AscentResult:
+                  nonneg: bool = True) -> AscentResult:
     """Maximize a concave ``objective`` over coordinate vectors ``g``.
 
     Move set per sweep: single-coordinate line searches (projected to g >= 0
     when ``nonneg``), pairwise transfers g_i += s/w_i, g_j -= s/w_j over all
     pairs i < j, which keep the weighted mass fixed, a global additive
-    shift, and a global rescaling. With ``cash_additive`` the objective is
-    taken to be -inf off the hyperplane of the starting mass, as the dual
-    objective of a cash-additive functional is (its conjugate is +inf off
-    E[g] = 1), and each sweep runs the pair transfers only: the other three
-    moves change the mass, so they could only probe -inf. A wrong
-    declaration can only make the ascent weaker, never its answer
-    infeasible.
+    shift, and a global rescaling. The coordinate, shift and scale lines
+    are guarded: each first probes its shoulders and is skipped when both
+    are -inf. If the guard skips every one of them in restart 0's first
+    sweep, the objective is read as -inf off the hyperplane of the starting
+    mass, as the dual objective of a cash-additive functional is (its
+    conjugate is +inf off E[g] = 1), and the rest of the call runs the pair
+    transfers only. A wrong reading can only make the ascent weaker, never
+    its answer infeasible.
 
     Objectives are free to return -inf off their domain; moves apply only on
     strict improvement. Each line search stops once its bracket is as narrow
@@ -93,6 +95,11 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     best: AscentResult | None = None
     evals = 0
+    # guarded lines tried and skipped by the guard; once the guard lets one
+    # line through the two never agree again, so only restart 0's first
+    # sweep can switch the ascent to transfers only
+    tried = skipped = 0
+    transfers_only = False
 
     def line(h, lo, hi, t0, guard=True, reach=0.0):
         """One move: Brent along ``h`` on ``[lo, hi]`` from ``(t0, v)``.
@@ -103,12 +110,14 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
         single-coordinate and additive moves do under an equality
         constraint. ``reach > 0`` searches the window within ``reach`` of
         ``t0`` first, as ``maximize_dual`` describes."""
-        nonlocal evals
+        nonlocal evals, tried, skipped
         if guard:
+            tried += 1
             evals += 1
             if h(lo + 0.25 * (hi - lo)) == -math.inf:
                 evals += 1
                 if h(lo + 0.75 * (hi - lo)) == -math.inf:
+                    skipped += 1
                     return None
         width = (hi - lo) * INV_PHI ** LINE_STEPS
         if reach > 0.0:
@@ -137,7 +146,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
             sweeps += 1
             v_before = v
 
-            if not cash_additive:
+            if not transfers_only:
                 span = 2.0 * (1.0 + float(np.max(np.abs(g)))) if n else 1.0
                 for i in range(n):
                     t0 = g[i]
@@ -190,7 +199,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         if g[j] < 0.0 and g[j] > -1e-13:
                             g[j] = 0.0
 
-            if not cash_additive:
+            if not transfers_only:
                 lo = max(-float(np.min(g)), -span) if nonneg else -span
                 if span > lo:
                     step = line(lambda t: objective(g + t), lo, span, 0.0)
@@ -204,6 +213,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                 if step:
                     c, v = step
                     g *= c
+                transfers_only = skipped == tried
 
             # a restart stuck at -inf is flat too: there v - v_before is nan
             if v == v_before or v - v_before <= 1e-11 * (1.0 + abs(v)):
@@ -402,18 +412,26 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     fails and a SlopeConditionError is raised. The functional must pass
     ``validate`` (convex, increasing, proper). With a declared closed-form
     maximizer the certificate is exact; otherwise ``maximize_dual`` searches
-    over g >= 0 from deterministic multi-starts. For a functional declared
-    ``cash_additive`` each sweep runs only the mass-preserving pair
-    transfers; otherwise it adds coordinate, shift and scale moves. A pair
-    that moved in the previous sweep first searches a window of four times
-    that step, falling back to its whole segment when the window's best
-    point sits on the window's inner edge or gains nothing, and each restart
-    ends after its first sweep that gains at most 1e-11 relative.
+    over g >= 0 from deterministic multi-starts. Each sweep runs the
+    mass-preserving pair transfers plus coordinate, shift and scale moves;
+    when restart 0's first sweep finds all of the latter outside the dual's
+    domain, as for a cash-additive functional, the rest run the transfers
+    only. A pair that moved in the previous sweep first searches a window
+    of four times that step, falling back to its whole segment when the
+    window's best point sits on the window's inner edge or gains nothing,
+    and each restart ends after its first sweep that gains at most 1e-11
+    relative.
     Returns (dual value, certificate); certificate.gap = phi(f) - dual value.
     """
     space = phi.space
     if not space.same_space(f.space):
         raise SpaceMismatchError("f lives on a different space")
+    if not psi.is_finite_everywhere:
+        raise SlopeConditionError(
+            "slope condition fails: the conjugate Young function takes the "
+            "value +inf, so the Young function grows at most linearly (finite "
+            "limit slope); the dual representation requires superlinear "
+            "growth")
     report = validate(phi, trials=validation_trials, seed=seed + 101)
     if not report.all_ok:
         broken = [name for name, ok in (("monotone", report.monotone_ok),
@@ -422,11 +440,6 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
         raise _ValidationRefusal(
             f"{phi.name} failed validation ({', '.join(broken)}); a dual "
             "representation over nonnegative densities is not available")
-    if not psi.is_finite_everywhere:
-        raise SlopeConditionError(
-            "conjugate Young function takes the value +inf, so the primal "
-            "Young function is not superlinear and the representation "
-            "hypothesis fails")
     primal = phi.evaluate(f)
     conj = _conjugate_fn(phi, seed, max(2, restarts // 2))
 
@@ -435,8 +448,7 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
         start_index, sweeps = None, 0
     else:
         res = maximize_dual(_dual_objective(conj, space, f.values), space,
-                            seed=seed, restarts=restarts, nonneg=True,
-                            cash_additive=phi.cash_additive)
+                            seed=seed, restarts=restarts, nonneg=True)
         g = Rv(space, res.g)
         start_index, sweeps = res.start_index, res.sweeps
     cval = float(conj(g))
@@ -488,9 +500,9 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
             raise SpaceMismatchError("probe lives on a different space")
         obj = _dual_objective(conj, space, f.values)
         free = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                             nonneg=False, cash_additive=phi.cash_additive)
+                             nonneg=False)
         cone = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                             nonneg=True, cash_additive=phi.cash_additive)
+                             nonneg=True)
         deviations.append(abs(free.value - phi.evaluate(f)))
         splits.append(abs(free.value - cone.value))
     return BiconjugateReport(

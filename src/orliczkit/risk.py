@@ -31,12 +31,6 @@ class RiskFunctional:
     ``dataclasses.replace`` that swaps ``evaluate`` must swap or clear
     ``evaluate_rows`` too; ``validate`` refuses a kernel that disagrees
     with ``evaluate``.
-
-    ``cash_additive`` declares phi(f + c) = phi(f) + c for every constant c.
-    Then phi*(g) is +inf unless E[g] = 1, so the duality engine's ascents
-    over g move mass between atoms and never change its total. Declaring it
-    for a functional that is not cash-additive can only weaken those
-    ascents: every certificate's gap is still computed from phi* itself.
     """
     name: str
     space: MeasureSpace
@@ -45,7 +39,6 @@ class RiskFunctional:
     closed_form_conjugate: Callable[[Rv], float] | None = None
     closed_form_maximizer: Callable[[Rv], Rv] | None = None
     evaluate_rows: Callable[[np.ndarray], np.ndarray] | None = None
-    cash_additive: bool = False
 
 
 def _check_probability(space: MeasureSpace, what: str) -> None:
@@ -102,7 +95,6 @@ def entropic(beta: float, space: MeasureSpace) -> RiskFunctional:
         closed_form_conjugate=conj,
         closed_form_maximizer=maximizer,
         evaluate_rows=ev_rows,
-        cash_additive=True,
     )
 
 
@@ -167,7 +159,6 @@ def average_value_at_risk(alpha: float, space: MeasureSpace) -> RiskFunctional:
         closed_form_conjugate=conj,
         closed_form_maximizer=maximizer,
         evaluate_rows=ev_rows,
-        cash_additive=True,
     )
 
 
@@ -197,15 +188,11 @@ def worst_case(space: MeasureSpace) -> RiskFunctional:
         closed_form_conjugate=conj,
         closed_form_maximizer=maximizer,
         evaluate_rows=lambda F: F.max(axis=1),
-        cash_additive=True,
     )
 
 
 def expectation(space: MeasureSpace) -> RiskFunctional:
-    """``E[f]``; conjugate is the indicator of the single density 1.
-
-    Cash-additive only on a probability space: E[f + c] = E[f] + c P(Omega).
-    """
+    """``E[f]``; conjugate is the indicator of the single density 1."""
     w = space.weights
 
     def ev(f: Rv) -> float:
@@ -225,7 +212,6 @@ def expectation(space: MeasureSpace) -> RiskFunctional:
         closed_form_conjugate=conj,
         closed_form_maximizer=maximizer,
         evaluate_rows=lambda F: F @ w,
-        cash_additive=space.is_probability(FEAS_TOL),
     )
 
 

@@ -129,6 +129,18 @@ def test_represent_refuses_linear_growth(files, capsys):
     assert "slope" in err
 
 
+def test_represent_refuses_a_custom_table_of_limit_slope_one(files, capsys):
+    space = files("space.csv", PROB2)
+    rv = files("f.csv", "atom_id,value\n0,1\n1,-1\n")
+    table = files("young.csv", "t,value\n0,0\n1,1\n2,2\n")
+    code, out, err = run_cli(capsys, "represent", "--space", space, "--rv",
+                             rv, "--risk", "entropic:beta=1", "--orlicz",
+                             f"custom:file={table}")
+    assert code == 4
+    assert out == ""
+    assert "slope" in err
+
+
 def test_value_error_inside_a_command_is_not_a_refusal(files, capsys,
                                                        monkeypatch):
     # a ValueError out of a library call is a bug, not a failed hypothesis:
@@ -348,6 +360,14 @@ def test_grid_max_must_be_finite_and_positive(capsys, bad):
     assert code == 2
     assert out == ""
     assert "argument --grid-max" in err
+
+
+def test_grid_count_needs_two_points(capsys):
+    code, out, err = run_cli(capsys, "conjugate", "--orlicz", "power:p=2",
+                             "--grid-count", "1")
+    assert code == 2
+    assert out == ""
+    assert "argument --grid-count" in err
 
 
 def test_malformed_input_file_exits_2(files, capsys):
