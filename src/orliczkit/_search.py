@@ -5,6 +5,10 @@ kernels are deterministic and tolerate objectives that return ``+-inf`` on
 part of their domain: ``brent_max`` wherever the infinite region sits,
 ``bracket_min`` when it sits near 0, which is the shape its caller produces.
 ``brent_max`` is the package's one line search; minimizers pass ``-fn``.
+Every line it searches is concave -- a dual objective along a move, a
+conjugate's ``s*t - phi(t)``, a negated convex norm objective -- and it
+relies on that: three well-separated probes at the best value certify a
+plateau, so the search stops there instead of narrowing its bracket.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ def brent_max(
     width: float,
     anchor: tuple[float, float] | None = None,
 ) -> tuple[float, float, int]:
-    """Maximize a unimodal ``h`` on ``[lo, hi]`` by Brent's method.
+    """Maximize a concave ``h`` on ``[lo, hi]`` by Brent's method.
 
     ``h`` may return ``-inf`` anywhere off its effective domain. Each probe is
     a parabolic step through the three best points when all three are finite
@@ -39,9 +43,14 @@ def brent_max(
     probe that does not improve cuts the bracket on its far side, so -inf
     probes around the best point never discard the feasible region holding
     it. Stops once the bracket is no wider than ``width`` (floored at
-    ``1e-15 * (1 + |lo| + |hi|)``), or after three probes per golden-section
-    step that this width takes. Returns ``(best_t, best_v, evaluations)``; the
-    value is never worse than the anchor's.
+    ``1e-15 * (1 + |lo| + |hi|)``), after three probes per golden-section
+    step that this width takes, or as soon as three points, the seeds
+    included, share the best finite value and lie more than a quarter of
+    that width apart: with h(a) = h(m) = h(b) = M and a < m < b, concavity
+    gives h <= M everywhere, so no probe can improve on it. A -inf best is
+    never a plateau, and the tie set restarts whenever the best point
+    improves. Returns ``(best_t, best_v, evaluations)``; the value is never
+    worse than the anchor's.
     """
     # callers pass numpy scalars; plain floats make the loop's arithmetic cheaper
     lo, hi, width = float(lo), float(hi), float(width)
@@ -59,14 +68,20 @@ def brent_max(
     # the stable sort lets the anchor win ties
     (fx, x), (fw, w), (fv, v) = sorted(((v0, t0), (f_lo, lo), (f_hi, hi)),
                                        key=lambda p: -p[0])
-    # unimodality: the maximizer lies between the nearest seeds around x
+    # concavity: the maximizer lies between the nearest seeds around x
     a = max((t for t in (w, v) if t < x), default=x)
     b = min((t for t in (w, v) if t > x), default=x)
     steps = (math.ceil(math.log(width / (hi - lo), INV_PHI) - 1e-9)
              if 0.0 < width < hi - lo else 0)
     tol = 0.25 * max(width, 1e-15 * (1.0 + abs(lo) + abs(hi)))
+    # points at the best finite value (fx >= fw >= fv): three of them more
+    # than tol apart certify a plateau
+    ties = [x, w, v][:1 + (fw == fx) + (fv == fx)] if fx > -math.inf else []
+    plateau = len(ties) == 3 and _plateau(ties, tol)
     step = prev = 0.0
     for _ in range(3 * steps):
+        if plateau:
+            break
         mid = 0.5 * (a + b)
         if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
             break
@@ -97,7 +112,11 @@ def brent_max(
             else:
                 b = x
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+            ties = [u]
         else:
+            if fu == fx > -math.inf:
+                ties.append(u)
+                plateau = len(ties) >= 3 and _plateau(ties, tol)
             if u < x:
                 a = u
             else:
@@ -109,21 +128,32 @@ def brent_max(
     return x, fx, evals
 
 
+def _plateau(ties: list[float], tol: float) -> bool:
+    """Do three of ``ties`` lie more than ``tol`` apart from each other?
+
+    Closer points are one point to the search, and between them a slope
+    can hide below the rounding of the values.
+    """
+    a, b = min(ties), max(ties)
+    return any(a + tol < t < b - tol for t in ties)
+
+
 def expand_max_bracket(
     fn: Callable[[float], float],
     start: float = 1.0,
+    stop: float = math.inf,
 ) -> tuple[float, bool, int]:
-    """Expand a doubling ray until ``fn`` stops increasing.
+    """Expand a doubling ray from ``start`` until ``fn`` stops increasing.
 
-    Returns ``(hi, unbounded, evals)``: a maximizer of a unimodal ``fn`` on
-    ``[0, inf)`` lies in ``[0, hi]`` unless ``unbounded`` is set, which
-    happens when ``fn`` still increases where the next doubling would leave
-    the float range.
+    Returns ``(hi, rising, evals)``: a maximizer of a unimodal ``fn`` on
+    ``[0, inf)`` lies in ``[0, hi]`` unless ``rising`` is set, which happens
+    when ``fn`` still increases at ``hi``, the first probe at or beyond
+    ``stop``, or where the next doubling would leave the float range.
     """
     t = start
     v_prev = fn(t)
     evals = 1
-    while 2.0 * t < math.inf:
+    while 2.0 * t < math.inf and t < stop:
         t *= 2.0
         v = fn(t)
         evals += 1

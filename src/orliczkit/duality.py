@@ -79,7 +79,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
 
     Objectives are free to return -inf off their domain; moves apply only on
     strict improvement. Each line search stops once its bracket is as narrow
-    as ``INV_PHI**LINE_STEPS`` times its segment. A pair that moved by s in
+    as ``INV_PHI**LINE_STEPS`` times its segment, or on a plateau that three
+    of its probes certify (the lines are concave). A pair that moved by s in
     the previous sweep first searches the window [-4|s|, 4|s|] of its
     segment at that same absolute width; it falls back to the whole segment
     when the window's best point gains nothing or lands on an inner edge of
@@ -232,10 +233,13 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
 
 @dataclass(frozen=True)
 class ConjugateEstimate:
+    """``evaluations`` counts the functional's ``evaluate`` calls: the ray
+    probes plus the ascent's objective calls, 0 on the closed-form path."""
     value: float
     numeric: bool
     best_f: Rv | None = None
     diverged_ray: Rv | None = None
+    evaluations: int = 0
 
 
 def _strictly_increasing(trace: Sequence[float]) -> bool:
@@ -253,6 +257,7 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     value beyond 1e10, or a strictly increasing trace ending above 1e4, is
     reported as +inf together with the offending ray. Otherwise a multi-start
     sign-free coordinate ascent over f estimates the supremum.
+    ``evaluations`` reports the ``phi.evaluate`` calls this made.
     """
     space = phi.space
     if not space.same_space(g.space):
@@ -278,22 +283,27 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
         rays.append(e)
     rays.append(-np.ones(n))
     rays.append(np.ones(n))
+    probes = 0
     for ray in rays:
         trace = [obj((10.0 ** k) * ray) for k in PROBE_EXPONENTS]
+        probes += len(trace)
         if (max(trace) > DIVERGENCE_HARD
                 or (_strictly_increasing(trace)
                     and trace[-1] > DIVERGENCE_SOFT)):
             return ConjugateEstimate(math.inf, numeric=True,
-                                     diverged_ray=Rv(space, ray))
+                                     diverged_ray=Rv(space, ray),
+                                     evaluations=probes)
 
     res = maximize_dual(obj, space, seed=seed, restarts=restarts,
                         nonneg=False)
+    evals = probes + res.evaluations
     if res.value > 1e12:
         scale = max(1.0, float(np.max(np.abs(res.g))))
         return ConjugateEstimate(math.inf, numeric=True,
-                                 diverged_ray=Rv(space, res.g / scale))
+                                 diverged_ray=Rv(space, res.g / scale),
+                                 evaluations=evals)
     return ConjugateEstimate(res.value, numeric=True,
-                             best_f=Rv(space, res.g))
+                             best_f=Rv(space, res.g), evaluations=evals)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +373,8 @@ class _ValidationRefusal(Refusal, ValueError):
 
 @dataclass(frozen=True)
 class DualCertificate:
+    """``evaluations`` counts the dual ascent's objective calls, 0 with a
+    closed-form maximizer; each call costs one conjugate value."""
     g: Rv
     conjugate_value: float
     achieved: float
@@ -372,6 +384,7 @@ class DualCertificate:
     heart_vacuous: bool
     start_index: int | None
     sweeps: int
+    evaluations: int
 
 
 def _conjugate_fn(phi: RiskFunctional, seed: int,
@@ -445,12 +458,13 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
 
     if phi.closed_form_maximizer is not None and not force_numeric:
         g = phi.closed_form_maximizer(f)
-        start_index, sweeps = None, 0
+        start_index, sweeps, evaluations = None, 0, 0
     else:
         res = maximize_dual(_dual_objective(conj, space, f.values), space,
                             seed=seed, restarts=restarts, nonneg=True)
         g = Rv(space, res.g)
         start_index, sweeps = res.start_index, res.sweeps
+        evaluations = res.evaluations
     cval = float(conj(g))
     # a conjugate value of +inf makes the achieved value -inf
     achieved = dual_pairing(f, g) - cval
@@ -464,6 +478,7 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
         heart_vacuous=psi.is_finite_everywhere,
         start_index=start_index,
         sweeps=sweeps,
+        evaluations=evaluations,
     )
     return achieved, cert
 

@@ -39,6 +39,9 @@ Regime = Literal["at_zero", "at_infinity"]
 
 _REGIMES = ("at_zero", "at_infinity")
 
+#: ``limit_slope`` probes custom functions at t = 1, 2, 4, ..., SLOPE_RAY_END
+SLOPE_RAY_END = 2.0**50
+
 
 @dataclass(frozen=True, eq=False)
 class OrliczFunction:
@@ -140,10 +143,19 @@ class OrliczFunction:
         return self.evaluator(t)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation (used by modular sums)."""
+        """Vectorized evaluation on an array of ``t >= 0``.
+
+        Raises ``ValueError`` on a negative entry. Hot loops whose inputs
+        are nonnegative by construction, as ``norms.modular``'s ``|f|/lam``,
+        call ``_values`` and skip that check.
+        """
         ts = np.asarray(ts, dtype=float)
-        if np.any(ts < 0.0):
+        if (ts < 0.0).any():
             raise ValueError("Orlicz functions are defined on t >= 0")
+        return self._values(ts)
+
+    def _values(self, ts: np.ndarray) -> np.ndarray:
+        """``values`` on a float array already known to be nonnegative."""
         k = self.kind
         with np.errstate(over="ignore"):
             if k == POWER:
@@ -265,10 +277,14 @@ def conjugate_value(phi: OrliczFunction, s: float) -> float:
 
     Bracket expansion along a doubling ray, then Brent's method on
     ``[0, hi]`` down to a bracket of width ``1e-10 * max(1, hi)``; a finite
-    horizon is the bracket's right end, where the objective may be -inf. The
-    objective is declared unbounded -- and ``+inf`` returned -- only when it
-    still increases at the end of the float range. Since the evaluations
-    approach the supremum from below, the result never overshoots.
+    horizon is the bracket's right end, where the objective may be -inf.
+    A ray still rising at ``limit_slope``'s last probe point T has
+    ``s > phi(T)/T``; when ``limit_slope``'s rule reads a finite slope from
+    the ratios at T/2 and T, s is beyond it and ``+inf`` is returned there,
+    as :func:`conjugate` would. Otherwise the ray goes on, and the objective
+    is declared unbounded only when it still increases at the end of the
+    float range. Since the evaluations approach the supremum from below, a
+    finite result never overshoots.
     """
     if s < 0.0:
         raise ValueError(f"conjugate argument must be >= 0, got {s}")
@@ -279,8 +295,13 @@ def conjugate_value(phi: OrliczFunction, s: float) -> float:
     if math.isfinite(phi.horizon):
         hi = phi.horizon
     else:
-        hi, unbounded, _ = expand_max_bracket(obj, start=1.0)
-        if unbounded:
+        hi, rising, _ = expand_max_bracket(obj, start=1.0, stop=SLOPE_RAY_END)
+        # rising at T: phi(T) - phi(T/2) < s*T/2, and convexity gives
+        # phi(T/2) <= phi(T)/2, so phi(T)/T < s
+        if rising and _slope_from_ratios(phi(0.5 * hi) / (0.5 * hi),
+                                         phi(hi) / hi).is_infinite:
+            hi, rising, _ = expand_max_bracket(obj, start=hi)
+        if rising:
             return math.inf
     _, value, _ = brent_max(obj, 0.0, hi, 1e-10 * max(1.0, hi))
     # sup >= value at t=0, which is 0
@@ -445,15 +466,19 @@ def limit_slope(phi: OrliczFunction) -> SlopeClass:
         return SlopeClass(1.0, False)
     if math.isfinite(phi.horizon):
         return SlopeClass(math.inf, True)  # +inf beyond the horizon
-    ratios = []
+    prev = last = 0.0
     t = 1.0
-    for _ in range(51):
+    while t <= SLOPE_RAY_END:
         v = phi(t)
         if math.isinf(v):
             return SlopeClass(math.inf, True)
-        ratios.append(v / t)
+        prev, last = last, v / t
         t *= 2.0
-    last, prev = ratios[-1], ratios[-2]
+    return _slope_from_ratios(prev, last)
+
+
+def _slope_from_ratios(prev: float, last: float) -> SlopeClass:
+    """``limit_slope``'s reading of ``phi(t)/t`` at T/2 and T."""
     if last > 1e9 or (prev > 0 and last > 1.05 * prev):
         return SlopeClass(math.inf, True, estimated=True)
     return SlopeClass(last, False, estimated=True)

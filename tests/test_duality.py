@@ -208,6 +208,74 @@ def test_line_max_lands_within_bracket_width_of_peak(peak, curv, lo, span,
     assert evals <= 2 + 3 * 32
 
 
+def test_line_max_stops_on_a_certified_plateau():
+    # the two endpoints tie with the anchor: three distinct points at the best
+    # value, so concavity rules out any gain and no probe follows the seeds
+    t, v, evals = brent_max(lambda s: 1.0, -1.0, 1.0, 2.0 * INV_PHI ** 32,
+                            (0.2, 1.0))
+    assert (t, v, evals) == (0.2, 1.0, 2)
+    # a -inf best is no plateau: the seeds all read -inf, the search goes on
+    # and finds the finite band
+    t, v, evals = brent_max(
+        lambda s: -(s - 0.1) ** 2 if abs(s) <= 0.3 else -math.inf,
+        -1.0, 1.0, 2.0 * INV_PHI ** 32, (0.5, -math.inf))
+    assert t == pytest.approx(0.1, abs=1e-6) and evals > 3
+    # ties are reset when the best point improves. lo and the anchor tie at
+    # 0 on this tent, whose peak 1 sits where two later probes, one on each
+    # side of it, read exactly 0.809; counted with the stale ties at 0 they
+    # would pass for a plateau
+    lo, hi, t0, c = -1.0, 2.6370361492941417, 0.7484876223726105, \
+        -0.33213733343287727
+    t, v, evals = brent_max(lambda s: min((s - lo) / (c - lo),
+                                          (t0 - s) / (t0 - c)),
+                            lo, hi, (hi - lo) * INV_PHI ** 32, (t0, 0.0))
+    assert t == pytest.approx(c, abs=1e-6) and v > 0.99999
+    # points closer than the search's resolution count as one: the anchor
+    # sits 1e-90 from lo, where the tent's values round to lo's, and hi
+    # mirrors lo, so three float-distinct points share -0.5
+    t, v, evals = brent_max(lambda s: min(s - 0.5, 0.5 - s), 0.0, 1.0,
+                            INV_PHI ** 32, (1e-90, -0.5))
+    assert t == pytest.approx(0.5, abs=1e-6)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(shape=st.sampled_from(("flat_top", "quadratic")),
+       lo=st.floats(-10.0, 0.0), span=st.floats(1e-3, 20.0),
+       left=st.floats(-0.5, 1.5), length=st.floats(0.0, 1.0),
+       up=st.floats(1e-3, 1e3), down=st.floats(1e-3, 1e3),
+       top=st.floats(-5.0, 5.0), frac=st.floats(0.0, 1.0))
+def test_line_max_reaches_the_dense_grid_maximum(shape, lo, span, left,
+                                                 length, up, down, top,
+                                                 frac):
+    # concave lines: piecewise-linear ones rising at slope ``up`` to a flat
+    # top [t1, t2] at height ``top`` and falling at slope ``down`` after it,
+    # the top touching or passing lo or hi when ``left`` leaves [0, 1]; and
+    # quadratics peaking at t1 with curvature ``up``, at height 0 so that
+    # their values resolve the slope at the bracket's resolution. The search
+    # stops on a plateau or at its bracket width, and either way lands
+    # within slope * width of the best value a dense grid finds, never
+    # below its anchor
+    hi = lo + span
+    t1 = lo + left * span
+    t2 = t1 + length * span
+    if shape == "flat_top":
+        def h(t):
+            return top + min(0.0, up * (t - t1), down * (t2 - t))
+        slope = max(up, down)
+    else:
+        def h(t):
+            return -up * (t - t1) ** 2
+        slope = 2.0 * up * max(t1 - lo, hi - t1)
+    t0 = lo + frac * span
+    width = span * INV_PHI ** 32
+    t, v, evals = brent_max(h, lo, hi, width, (t0, h(t0)))
+    grid = max(h(float(x)) for x in np.linspace(lo, hi, 4001))
+    assert v >= h(t0)
+    assert v >= grid - slope * width
+    assert v == h(t) and lo <= t <= hi
+    assert evals <= 2 + 3 * 32
+
+
 def test_maximize_dual_concave_quadratic_free():
     sp = uniform_probability(3)
     target = np.array([0.7, -0.4, 1.3])
@@ -458,6 +526,61 @@ def test_criterion_4_numeric_path_call_budget(dual_calls):
                               validation_trials=40)
         assert abs(cert.gap) <= 1e-11
     assert dual_calls[0] <= 110_000
+
+
+def test_feasible_dual_conjugates_stop_on_their_plateau():
+    # verify-all's dual-positivity inputs at --seed 41: each catalog member's
+    # own maximizers, whose numeric conjugate line searches run along flat
+    # lines. The parent of the plateau stop made 24,678 evaluate calls on the
+    # AVaR, worst-case and expectation ones (60 ray probes per call
+    # included); the plateau stop makes 4,490
+    sp = uniform_probability(4)
+    rng = np.random.default_rng([41, 4])
+    total = 0
+    for functional in increasing_catalog(sp, beta=1.0, alpha=0.5):
+        for _ in range(8):
+            g = functional.closed_form_maximizer(
+                Rv(sp, rng.normal(0.0, 1.5, 4)))
+            rng.integers(0, 4)  # verify-all's negative dip, drawn in between
+            if functional.name.startswith("entropic"):
+                continue
+            est = fenchel_conjugate_value(functional, g, seed=41, restarts=2,
+                                          force_numeric=True)
+            assert math.isfinite(est.value)
+            assert est.evaluations > 60
+            total += est.evaluations
+    assert total <= 6_000
+
+
+def test_results_report_their_evaluations():
+    sp = uniform_probability(3)
+    ent = entropic(1.0, sp)
+    g = Rv(sp, [1.4, 0.8, 0.8])
+    assert fenchel_conjugate_value(ent, g).evaluations == 0
+    calls = [0]
+
+    def counted(f):
+        calls[0] += 1
+        return ent.evaluate(f)
+
+    wrapped = replace(ent, evaluate=counted)
+    est = fenchel_conjugate_value(wrapped, g, force_numeric=True, restarts=2)
+    assert est.evaluations == calls[0] > 8 * 6
+    # a divergent dual stops at its first diverging ray, six probes each
+    calls[0] = 0
+    dip = fenchel_conjugate_value(wrapped, Rv(sp, [1.5, 1.0, -0.5]),
+                                  force_numeric=True)
+    assert dip.value == math.inf
+    assert dip.evaluations == calls[0] and dip.evaluations % 6 == 0
+    f = Rv(sp, [0.3, -0.2, 0.5])
+    _, closed = reconstruct(ent, f, PSI2, validation_trials=40)
+    assert (closed.evaluations, closed.sweeps) == (0, 0)
+    _, numeric = reconstruct(ent, f, PSI2, restarts=2, force_numeric=True,
+                             validation_trials=40)
+    res = maximize_dual(duality._dual_objective(ent.closed_form_conjugate,
+                                                sp, f.values),
+                        sp, restarts=2)
+    assert numeric.evaluations == res.evaluations > 0
 
 
 def test_weak_duality_invariant():

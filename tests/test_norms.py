@@ -42,6 +42,34 @@ def test_modular_values():
         modular(f, 0.0, POWER2)
 
 
+MODULAR_KINDS = (
+    OrliczFunction.power(2.5),
+    OrliczFunction.scaled_power(1.5),
+    OrliczFunction.linear(),
+    OrliczFunction.exp_young(),
+    OrliczFunction.exp_young_conjugate(),
+    STEP,
+    OrliczFunction.custom(lambda t: t * t + t ** 3, label="t^2 + t^3"),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data(), kind=st.integers(0, len(MODULAR_KINDS) - 1),
+       n=st.integers(1, 9), lam=st.floats(1e-3, 1e3))
+def test_modular_equals_the_checked_reference(data, kind, n, lam):
+    # the unchecked kernel and the single dot product give the bits of the
+    # checked evaluation with an explicit +inf scan; |f| / lam reaches
+    # 8e5, where exp_young overflows to +inf, and linf_step's horizon
+    phi = MODULAR_KINDS[kind]
+    w = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n))
+    v = data.draw(st.lists(st.floats(-800.0, 800.0), min_size=n, max_size=n))
+    f = Rv(MeasureSpace.finite(w), v)
+    vals = phi.values(np.abs(f.values) / lam)
+    expected = (math.inf if np.any(np.isinf(vals))
+                else float(np.dot(f.space.weights, vals)))
+    assert modular(f, lam, phi).hex() == expected.hex()
+
+
 def test_luxemburg_matches_weighted_pnorm():
     rng = np.random.default_rng(42)
     for p in (1.5, 2.0, 3.0):

@@ -50,8 +50,14 @@ def test_catalog_evaluations():
 def test_negative_argument_rejected():
     with pytest.raises(ValueError):
         OrliczFunction.power(2.0)(-0.1)
-    with pytest.raises(ValueError):
-        OrliczFunction.linear().values(np.array([0.5, -0.5]))
+    # the vectorized check covers every kind, the smallest negative included
+    for phi in (OrliczFunction.power(2.5), OrliczFunction.scaled_power(1.5),
+                OrliczFunction.linear(), OrliczFunction.exp_young(),
+                OrliczFunction.exp_young_conjugate(),
+                OrliczFunction.linf_step(),
+                OrliczFunction.custom(lambda t: t * t)):
+        with pytest.raises(ValueError, match="t >= 0"):
+            phi.values(np.array([0.5, -5e-324]))
 
 
 def test_constructor_validation():
@@ -371,6 +377,41 @@ def test_conjugate_value_past_two_to_the_forty():
     # the maximizer t = s^2 = 1e12 lies beyond 2^40
     phi = OrliczFunction.custom(lambda t: t ** 1.5 / 1.5)
     assert conjugate_value(phi, 1e6) == pytest.approx(1e18 / 3.0, rel=1e-9)
+
+
+def counted(fn):
+    """``fn`` with a one-item list counting its calls."""
+    calls = [0]
+
+    def ev(t):
+        calls[0] += 1
+        return fn(t)
+    return ev, calls
+
+
+def test_conjugate_value_beyond_the_limit_slope_stops_at_the_slope_probes():
+    # the ramp max(0, 2t - 1) has limit slope 2: at s = 3 the ray still rises
+    # at limit_slope's last probe point, 2^50, where the slope reads finite,
+    # so the value is +inf after 53 calls (1,076 walking the float range)
+    ev, calls = counted(lambda t: max(0.0, 2.0 * t - 1.0))
+    ramp = OrliczFunction.custom(ev, label="ramp", spot_check=False)
+    assert conjugate_value(ramp, 3.0) == math.inf
+    assert calls[0] <= 64
+    # direct calls agree with conjugate() on both sides of the slope
+    psi = conjugate(ramp)
+    for s in (0.0, 0.5, 1.9, 2.1, 3.0, 1e3):
+        assert conjugate_value(ramp, s) == psi(s)
+    # a call whose ray turns down below 2^50 makes no extra calls: t^2 at
+    # s = 3 takes 9
+    ev, calls = counted(lambda t: t * t)
+    square = OrliczFunction.custom(ev, label="square", spot_check=False)
+    assert conjugate_value(square, 3.0) == pytest.approx(2.25, rel=1e-12)
+    assert calls[0] == 9
+    # a superlinear ray rising past 2^50 goes on to its maximizer: t^1.2/1.2
+    # at s = 1e4 peaks at t = 1e20
+    superlinear = OrliczFunction.custom(lambda t: t ** 1.2 / 1.2)
+    assert conjugate_value(superlinear, 1e4) == pytest.approx(1e24 / 6.0,
+                                                             rel=1e-9)
 
 
 def test_custom_conjugate_is_infinite_beyond_its_horizon_without_search():
