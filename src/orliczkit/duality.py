@@ -6,8 +6,10 @@ mass-preserving pairwise transfers so the search can move along density
 simplices that single-coordinate steps cannot leave. When the ascent's
 first sweep finds every move that changes the mass outside the objective's
 domain, as on the dual of a cash-additive functional, it runs those
-transfers alone. Divergence of a conjugate (the +inf case) is detected by
-ray probes before any ascent runs.
+transfers alone. A dual ascent whose primal value phi(f) is known stops
+as soon as it reaches it, since by weak duality no dual value exceeds it.
+Divergence of a conjugate (the +inf case) is detected by ray probes before
+any ascent runs.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ PROBE_EXPONENTS = (1, 2, 3, 4, 5, 6)
 LINE_STEPS = 32
 #: sweeps per restart before the ascent gives up on flattening out
 SWEEP_CAP = 500
+#: an ascent with a known upper bound (its ``ceiling``) stops once it comes
+#: within CEILING_TOL * (1 + |ceiling|) of it, a tenth of the flat-sweep gain
+CEILING_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -49,12 +54,18 @@ class AscentResult:
 
     ``sweeps`` belongs to the winning restart (``start_index``);
     ``evaluations`` counts every objective call over all restarts.
+    ``stop_reason`` says why the winning restart ended: ``"ceiling"`` (it
+    came within ``CEILING_TOL`` of the caller's upper bound, and the call
+    skipped every later sweep and restart), ``"flat"`` (a sweep gained at
+    most 1e-11 relative), ``"sweep_cap"`` (``SWEEP_CAP`` sweeps ran), or
+    ``"stuck_at_-inf"`` (no restart found a finite value).
     """
     g: np.ndarray
     value: float
     start_index: int
     sweeps: int
     evaluations: int
+    stop_reason: str
 
 
 def maximize_dual(objective: Callable[[np.ndarray], float],
@@ -62,7 +73,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                   *,
                   seed: int = 0,
                   restarts: int = 8,
-                  nonneg: bool = True) -> AscentResult:
+                  nonneg: bool = True,
+                  ceiling: float = math.inf) -> AscentResult:
     """Maximize a concave ``objective`` over coordinate vectors ``g``.
 
     Move set per sweep: single-coordinate line searches (projected to g >= 0
@@ -86,10 +98,25 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     when the window's best point gains nothing or lands on an inner edge of
     the window (the line is concave, so a best point inside the window is
     the line's maximum), and always in a restart's first sweep. A restart
-    ends after its first sweep that gains at most 1e-11 relative. The
-    result is deterministic in ``seed``: restart r draws from
-    default_rng([seed, r]) and ties prefer the lowest start index.
+    ends after its first sweep that gains at most 1e-11 relative.
+
+    ``ceiling`` is a known upper bound on the objective, such as phi(f) for
+    the dual of phi at f (weak duality). The call returns as soon as an
+    accepted move of any kind reaches ``ceiling - CEILING_TOL * (1 +
+    |ceiling|)``, skipping the remaining sweeps and restarts; a point it
+    stops at is within that distance of the supremum, whatever the rest of
+    the search would have found. A ceiling the ascent never reaches, a
+    non-finite one included, leaves every step as without one. The result
+    is deterministic in ``seed``: restart r draws from default_rng([seed,
+    r]) and ties prefer the lowest start index. ``restarts`` below 1 raise
+    ValueError before the first objective call.
     """
+    if restarts < 1:
+        raise ValueError(f"maximize_dual needs at least one restart, "
+                         f"got restarts={restarts!r}")
+    # nan compares false with every value, so a non-finite ceiling never fires
+    stop_at = (ceiling - CEILING_TOL * (1.0 + abs(ceiling))
+               if math.isfinite(ceiling) else math.nan)
     w = space.weights
     n = space.n_atoms
     total = float(space.total_mass)
@@ -131,6 +158,10 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
         evals += ev
         return (t, val) if val > v else None
 
+    def at_ceiling():
+        return AscentResult(g=g.copy(), value=v, start_index=r, sweeps=sweeps,
+                            evaluations=evals, stop_reason="ceiling")
+
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         if r == 0:
@@ -166,6 +197,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     step = line(h, lo, hi, t0)
                     if step:
                         g[i], v = step
+                        if v >= stop_at:
+                            return at_ceiling()
 
             for k, (i, j) in enumerate(pairs):
                 wi, wj = float(w[i]), float(w[j])
@@ -199,6 +232,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                             g[i] = 0.0
                         if g[j] < 0.0 and g[j] > -1e-13:
                             g[j] = 0.0
+                    if v >= stop_at:
+                        return at_ceiling()
 
             if not transfers_only:
                 lo = max(-float(np.min(g)), -span) if nonneg else -span
@@ -209,20 +244,27 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         g += t
                         if nonneg:
                             np.maximum(g, 0.0, out=g)
+                        if v >= stop_at:
+                            return at_ceiling()
 
                 step = line(lambda c: objective(c * g), 0.25, 4.0, 1.0)
                 if step:
                     c, v = step
                     g *= c
+                    if v >= stop_at:
+                        return at_ceiling()
                 transfers_only = skipped == tried
 
             # a restart stuck at -inf is flat too: there v - v_before is nan
             if v == v_before or v - v_before <= 1e-11 * (1.0 + abs(v)):
+                reason = "flat" if v > -math.inf else "stuck_at_-inf"
                 break
+        else:
+            reason = "sweep_cap"
         if best is None or v > best.value:
             best = AscentResult(g=g.copy(), value=v, start_index=r,
-                                sweeps=sweeps, evaluations=0)
-    assert best is not None
+                                sweeps=sweeps, evaluations=0,
+                                stop_reason=reason)
     return replace(best, evaluations=evals)
 
 
@@ -374,7 +416,9 @@ class _ValidationRefusal(Refusal, ValueError):
 @dataclass(frozen=True)
 class DualCertificate:
     """``evaluations`` counts the dual ascent's objective calls, 0 with a
-    closed-form maximizer; each call costs one conjugate value."""
+    closed-form maximizer; each call costs one conjugate value.
+    ``stop_reason`` is the ascent's ``AscentResult.stop_reason``, or
+    ``"closed_form"`` with a closed-form maximizer."""
     g: Rv
     conjugate_value: float
     achieved: float
@@ -385,6 +429,7 @@ class DualCertificate:
     start_index: int | None
     sweeps: int
     evaluations: int
+    stop_reason: str
 
 
 def _conjugate_fn(phi: RiskFunctional, seed: int,
@@ -433,7 +478,9 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     of four times that step, falling back to its whole segment when the
     window's best point sits on the window's inner edge or gains nothing,
     and each restart ends after its first sweep that gains at most 1e-11
-    relative.
+    relative. phi(f) bounds every dual value (weak duality), so it is the
+    ascent's ``ceiling``: the search stops, skipping any later restart, as
+    soon as it comes within ``CEILING_TOL * (1 + |phi(f)|)`` of phi(f).
     Returns (dual value, certificate); certificate.gap = phi(f) - dual value.
     """
     space = phi.space
@@ -459,12 +506,14 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     if phi.closed_form_maximizer is not None and not force_numeric:
         g = phi.closed_form_maximizer(f)
         start_index, sweeps, evaluations = None, 0, 0
+        stop_reason = "closed_form"
     else:
         res = maximize_dual(_dual_objective(conj, space, f.values), space,
-                            seed=seed, restarts=restarts, nonneg=True)
+                            seed=seed, restarts=restarts, nonneg=True,
+                            ceiling=primal)
         g = Rv(space, res.g)
         start_index, sweeps = res.start_index, res.sweeps
-        evaluations = res.evaluations
+        evaluations, stop_reason = res.evaluations, res.stop_reason
     cval = float(conj(g))
     # a conjugate value of +inf makes the achieved value -inf
     achieved = dual_pairing(f, g) - cval
@@ -479,6 +528,7 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
         start_index=start_index,
         sweeps=sweeps,
         evaluations=evaluations,
+        stop_reason=stop_reason,
     )
     return achieved, cert
 
@@ -504,8 +554,13 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
     does any restricting), and again over g >= 0; ``max_split`` is the
     largest disagreement between the two, which vanishes exactly when the
     optimal dual variable is nonnegative. ``max_deviation`` compares the
-    sign-free supremum against phi itself.
+    sign-free supremum against phi itself. phi** <= phi bounds both suprema,
+    so phi(f), computed once per probe, is the ``ceiling`` of both ascents.
+    An empty probe list raises ValueError.
     """
+    if not probes:
+        raise ValueError("empty probe list: biconjugate_check needs at least "
+                         "one probe")
     space = phi.space
     conj = _conjugate_fn(phi, seed, max(2, restarts // 2))
     deviations = []
@@ -514,11 +569,12 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
         if not space.same_space(f.space):
             raise SpaceMismatchError("probe lives on a different space")
         obj = _dual_objective(conj, space, f.values)
+        primal = phi.evaluate(f)
         free = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                             nonneg=False)
+                             nonneg=False, ceiling=primal)
         cone = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                             nonneg=True)
-        deviations.append(abs(free.value - phi.evaluate(f)))
+                             nonneg=True, ceiling=primal)
+        deviations.append(abs(free.value - primal))
         splits.append(abs(free.value - cone.value))
     return BiconjugateReport(
         max_deviation=max(deviations),
