@@ -28,9 +28,13 @@ CUSTOM = "custom"
 _MODES = (NORM_CONVERGENT, AE_ONLY_SPIKE, ORDER_CONVERGENT, CUSTOM)
 
 
-#: rows of a family read per matrix call by the extraction, w*-limit and
-#: decay checks; their scratch memory is a few blocks of this many terms
-BLOCK_ROWS = 256
+#: bytes of one scratch block. The extraction, w*-limit and decay checks
+#: read a family on n atoms in blocks of max(1, BLOCK_BYTES // (8 n)) rows,
+#: one matrix call per block, so their scratch is one or two such blocks
+#: whatever the family's length. 512 KiB won a sweep from 256 KiB to 2 MiB
+#: on a 2-CPU machine with 2 MiB of L2 cache per core (BENCH_15.json): the
+#: w*-check's two blocks fit in that cache together.
+BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +48,8 @@ class SequenceFamily:
     ``(len, n_atoms)`` float64 array ``values``; ``terms`` holds no-copy
     ``Rv`` views of those rows. Terms passed to the constructor are stacked
     into that array, a family of L terms on n atoms takes L * n * 8 bytes.
+    The extraction, w*-limit and decay checks read it in blocks of
+    ``BLOCK_BYTES``, so their scratch memory does not grow with L.
     """
 
     terms: tuple[Rv, ...]
@@ -111,10 +117,17 @@ class SequenceFamily:
         return fam
 
 
+def _block_rows(n_atoms: int) -> int:
+    """Rows of ``n_atoms`` float64 values in one BLOCK_BYTES block, at least 1."""
+    return max(1, BLOCK_BYTES // (8 * n_atoms))
+
+
 def _row_blocks(rows: np.ndarray):
-    """Consecutive ``(start, block)`` slices of at most BLOCK_ROWS rows."""
-    for start in range(0, len(rows), BLOCK_ROWS):
-        yield start, rows[start:start + BLOCK_ROWS]
+    """Consecutive ``(start, block)`` slices of a ``(len, n_atoms)`` array,
+    each of ``_block_rows(n_atoms)`` rows but the last."""
+    step = _block_rows(rows.shape[1])
+    for start in range(0, len(rows), step):
+        yield start, rows[start:start + step]
 
 
 def generate_sequence(space: MeasureSpace, phi: OrliczFunction, f: Rv,
@@ -226,7 +239,8 @@ def extract_ae_subsequence(family: SequenceFamily, f: Rv, g0: Rv, f0: Rv, *,
     wg = space.weights * g0.values
     fv = f.values
     pairings_all = np.empty(len(family))
-    scratch = np.empty((min(BLOCK_ROWS, len(family)), space.n_atoms))
+    scratch = np.empty((min(_block_rows(space.n_atoms), len(family)),
+                        space.n_atoms))
     for start, rows in _row_blocks(family.values):
         d = np.subtract(rows, fv, out=scratch[:len(rows)])
         np.abs(d, out=d)
@@ -340,7 +354,8 @@ def wstar_limit_check(family: SequenceFamily, f: Rv, tests: Sequence[Rv],
     tail = family.values[q:]
     # every pairing below is >= 0, so the running maxima start at 0
     tails, over_tails, dom_tails = (np.zeros(len(tests)) for _ in range(3))
-    scratch = np.empty((2, min(BLOCK_ROWS, len(tail)), space.n_atoms))
+    scratch = np.empty((2, min(_block_rows(space.n_atoms), len(tail)),
+                        space.n_atoms))
     for _, rows in _row_blocks(tail):
         signed = np.subtract(rows, fv, out=scratch[0, :len(rows)])
         np.maximum(tails, np.abs(signed @ wg).max(axis=0), out=tails)
@@ -391,8 +406,11 @@ def _require_ae_decay(family: SequenceFamily) -> None:
     relative to the first quarter (or be negligible outright)."""
     limit = family.limit.values
     sups = np.empty(len(family))
+    scratch = np.empty((min(_block_rows(limit.size), len(family)), limit.size))
     for start, rows in _row_blocks(family.values):
-        sups[start:start + len(rows)] = np.abs(rows - limit).max(axis=1)
+        d = np.subtract(rows, limit, out=scratch[:len(rows)])
+        np.abs(d, out=d)
+        d.max(axis=1, out=sups[start:start + len(rows)])
     q = max(1, len(sups) // 4)
     head = float(sups[:q].max())
     tail = float(sups[-q:].min())

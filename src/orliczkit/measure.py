@@ -261,18 +261,20 @@ def strictly_positive_witness(space: MeasureSpace, phi) -> Rv:
     ``2**-n / (1 + ||indicator(block)||_phi)``; summing over blocks gives a
     strictly positive element whose norm is bounded by the triangle
     inequality by sum 2**-n <= 1. An indicator's norm depends only on the
-    block's mass, so each distinct mass costs one one-atom bisection,
-    whatever the number of blocks and atoms carrying it.
+    block's mass, so the distinct block masses take one lockstep bisection
+    (``norms._indicator_norms``), whatever the number of blocks and atoms
+    carrying them.
     """
-    from .norms import indicator_norm  # local import to avoid a module cycle
+    from .norms import _indicator_norms  # local import to avoid a module cycle
 
+    blocks = space.blocks()
+    masses = np.array([space.weights[block].sum() for block in blocks])
+    distinct, which = np.unique(masses, return_inverse=True)
+    consts = (np.ldexp(1.0, -np.arange(1, len(blocks) + 1))
+              / (1.0 + _indicator_norms(phi, distinct)[which]))
     v = np.zeros(space.n_atoms)
-    norms: dict[float, float] = {}
-    for n, block in enumerate(space.blocks(), start=1):
-        mass = float(space.weights[block].sum())
-        if mass not in norms:
-            norms[mass] = indicator_norm(phi, mass)
-        v[block] = 2.0**-n / (1.0 + norms[mass])
+    for block, c in zip(blocks, consts):
+        v[block] = c
     return Rv(space, v)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from ._search import bisect_predicate, bracket_min, brent_max
 from .errors import NumericFailure
-from .measure import MeasureSpace, Rv
+from .measure import Rv
 from .orlicz import OrliczFunction
 
 
@@ -38,9 +38,13 @@ def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
     """``inf { lam > 0 : modular(f, lam) <= 1 }`` by bracketed bisection.
 
     The modular is nonincreasing in lam, so the predicate
-    ``modular <= 1`` is monotone; bisection shrinks the bracket to relative
-    width 1e-10 (absolute floor 1e-14) and the feasible end is returned, so
-    ``modular_at_value <= 1`` always holds in the report.
+    ``modular <= 1`` is monotone. A walk from ``top = sup |f|`` halves or
+    doubles lam until it brackets the switch, and bisection then shrinks
+    the bracket to relative width 1e-10, with no absolute floor, so tiny
+    norms keep their relative accuracy; a bracket whose midpoint rounds to
+    an end stops early. The feasible end is returned, so
+    ``modular_at_value <= 1`` always holds in the report. This is the
+    scalar reference of ``_indicator_norms``.
     """
     top = f.sup_norm()
     if top == 0.0:
@@ -68,7 +72,7 @@ def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
                 raise NumericFailure("Luxemburg bracket blow-up: modular never drops to 1")
             if feasible(hi):
                 break
-    lo, hi, iters = bisect_predicate(feasible, lo, hi, rel_tol=1e-10, abs_floor=1e-14)
+    lo, hi, iters = bisect_predicate(feasible, lo, hi, rel_tol=1e-10, abs_floor=0.0)
     return NormReport(hi, iters + expand, (lo, hi), modular(f, hi, phi))
 
 
@@ -119,10 +123,58 @@ def dual_pairing(f: Rv, g: Rv) -> float:
 def indicator_norm(phi: OrliczFunction, mass: float) -> float:
     """Luxemburg norm of an indicator, which depends only on the set's mass.
 
-    Computed on a synthetic one-atom space carrying that mass, so it agrees
-    with the norm on any actual space up to bisection tolerance.
+    It is the norm on a one-atom space carrying that mass, computed by
+    ``_indicator_norms``, so it agrees with the norm on any actual space up
+    to bisection tolerance.
     """
-    if not mass > 0.0:
-        raise ValueError(f"indicator mass must be positive, got {mass}")
-    one_atom = MeasureSpace.finite([mass])
-    return luxemburg_norm(Rv(one_atom, np.ones(1)), phi).value
+    return float(_indicator_norms(phi, [mass])[0])
+
+
+def _indicator_norms(phi: OrliczFunction, masses) -> np.ndarray:
+    """Luxemburg norms of indicators of the given masses, all at once.
+
+    The norm of an indicator of mass m is ``inf { lam : m phi(1/lam) <= 1 }``.
+    Each mass runs the walk and the bisection of ``luxemburg_norm`` on a
+    one-atom space of that mass, and all of them run in lockstep: every step
+    makes one ``phi._values(1.0 / lam)`` call over the masses still moving.
+    A mass takes the steps of its own scalar run, so each norm has the bits
+    of ``luxemburg_norm(Rv(MeasureSpace.finite([m]), [1.0]), phi).value``.
+    """
+    m = np.array(masses, dtype=float).reshape(-1)
+    bad = m[~((m > 0.0) & (m < math.inf))]
+    if bad.size:
+        need = "finite" if bad[0] == math.inf else "positive"
+        raise ValueError(f"indicator mass must be {need}, got {bad[0]}")
+
+    # the walk from top = 1: halve while feasible, or double until feasible;
+    # a halving walk stops at an infeasible lo, a doubling one at a feasible hi
+    lo, hi = np.ones(m.size), np.ones(m.size)
+    down = m * phi._values(1.0 / lo) <= 1.0
+    walking, expand = np.arange(m.size), 0
+    while walking.size:
+        expand += 1
+        d, lo_w, hi_w = down[walking], lo[walking], hi[walking]
+        lo_w, hi_w = np.where(d, 0.5 * lo_w, hi_w), np.where(d, lo_w, 2.0 * hi_w)
+        lo[walking], hi[walking] = lo_w, hi_w
+        if expand > 4000 or np.any(d & (lo_w < 1e-300)):
+            if d.any():
+                raise NumericFailure("Luxemburg bracket collapse: modular never exceeds 1")
+            raise NumericFailure("Luxemburg bracket blow-up: modular never drops to 1")
+        probe = np.where(d, lo_w, hi_w)
+        walking = walking[(m[walking] * phi._values(1.0 / probe) <= 1.0) == d]
+    # bisect to relative width 1e-10; a midpoint that rounds to an end stops
+    # its mass. m, lo and hi shrink to the masses still moving.
+    out = np.empty(m.size)
+    moving = np.arange(m.size)
+    while moving.size:
+        mid = 0.5 * (lo + hi)
+        going = (hi - lo > 1e-10 * hi) & (lo < mid) & (mid < hi)
+        if np.count_nonzero(going) < going.size:
+            out[moving[~going]] = hi[~going]
+            moving, m, lo, hi, mid = (a[going] for a in (moving, m, lo, hi, mid))
+            if not moving.size:
+                break
+        ok = m * phi._values(1.0 / mid) <= 1.0
+        np.copyto(hi, mid, where=ok)
+        np.copyto(lo, mid, where=~ok)
+    return out

@@ -19,7 +19,8 @@ from orliczkit import (
     uniform_probability,
     wstar_limit_check,
 )
-from orliczkit.convergence import BLOCK_ROWS, _require_ae_decay
+from orliczkit import convergence
+from orliczkit.convergence import _block_rows, _require_ae_decay
 from orliczkit.measure import MeasureSpace, ae_converges
 
 POWER2 = OrliczFunction.power(2.0)
@@ -105,10 +106,22 @@ def settles(family):
     return True
 
 
-# -- families of every layout and length around BLOCK_ROWS --------------------
+# -- families of every layout and length around a block -----------------------
 
-LENGTHS = (1, 2, 37, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
-           2 * BLOCK_ROWS + 5)
+#: scratch budgets the readers are checked under: 2 KiB, which holds
+#: 256 // n rows of n atoms, and 1 byte, below one row, so that every block
+#: holds a single row
+BUDGETS = (2048, 1)
+
+
+def lengths_around_blocks(n):
+    """Family lengths that fill 1, 2 and 3 blocks of ``_block_rows(n)``
+    rows, or stop one row short of a block or one row past it."""
+    rows = _block_rows(n)
+    return sorted({1, 2, 37, rows, rows + 1, 2 * rows + 1, 2 * rows + 5}
+                  | ({rows - 1} if rows > 1 else set()))
+
+
 KINDS = ("norm_convergent", "ae_only_traveling_spike", "order_convergent",
          "loose_decaying", "loose_flat")
 
@@ -129,10 +142,18 @@ def make_family(kind, length, n, seed):
                                        seed=seed)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(kind=st.sampled_from(KINDS), length=st.sampled_from(LENGTHS),
-       n=st.integers(1, 24), seed=st.integers(0, 2**16))
-def test_matrix_readers_match_row_by_row_reference(kind, length, n, seed):
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(KINDS), budget=st.sampled_from(BUDGETS),
+       n=st.integers(1, 24), seed=st.integers(0, 2**16), data=st.data())
+def test_matrix_readers_match_row_by_row_reference(kind, budget, n, seed,
+                                                   data):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convergence, "BLOCK_BYTES", budget)
+        length = data.draw(st.sampled_from(lengths_around_blocks(n)))
+        check_readers(kind, length, n, seed)
+
+
+def check_readers(kind, length, n, seed):
     space, f, fam = make_family(kind, length, n, seed)
     g0 = strictly_positive_witness(space, PSI2)
     f0 = strictly_positive_witness(space, POWER2)
@@ -158,18 +179,27 @@ def test_matrix_readers_match_row_by_row_reference(kind, length, n, seed):
     assert settles(fam) == ref_settles(fam)
 
 
-def test_decay_verdicts_on_both_sides():
+def test_decay_verdicts_on_both_sides(monkeypatch):
     sp = uniform_probability(3)
     limit = Rv(sp, np.zeros(3))
-    for length in (1, BLOCK_ROWS + 1):
-        flat = SequenceFamily.from_terms(
-            [Rv(sp, np.ones(3))] * length, limit, POWER2)
-        shrinking = SequenceFamily.from_terms(
-            [Rv(sp, np.ones(3) / (k + 1)) for k in range(length)], limit,
-            POWER2)
-        assert settles(flat) == ref_settles(flat)
-        assert settles(shrinking) == ref_settles(shrinking)
-    assert not settles(flat) and settles(shrinking)
+    for budget in BUDGETS:
+        monkeypatch.setattr(convergence, "BLOCK_BYTES", budget)
+        for length in (1, _block_rows(3) + 1):
+            flat = SequenceFamily.from_terms(
+                [Rv(sp, np.ones(3))] * length, limit, POWER2)
+            shrinking = SequenceFamily.from_terms(
+                [Rv(sp, np.ones(3) / (k + 1)) for k in range(length)], limit,
+                POWER2)
+            assert settles(flat) == ref_settles(flat)
+            assert settles(shrinking) == ref_settles(shrinking)
+        assert not settles(flat) and settles(shrinking)
+
+
+def test_block_rows_follow_the_byte_budget(monkeypatch):
+    monkeypatch.setattr(convergence, "BLOCK_BYTES", 2048)
+    assert [_block_rows(n) for n in (1, 3, 256, 257)] == [256, 85, 1, 1]
+    monkeypatch.setattr(convergence, "BLOCK_BYTES", 1)
+    assert _block_rows(1) == 1
 
 
 # -- layout --------------------------------------------------------------------
@@ -177,8 +207,8 @@ def test_decay_verdicts_on_both_sides():
 
 def test_generated_terms_are_read_only_views_of_one_buffer():
     for kind in KINDS:
-        _, _, fam = make_family(kind, BLOCK_ROWS + 3, 7, seed=1)
-        assert fam.values.shape == (BLOCK_ROWS + 3, 7)
+        _, _, fam = make_family(kind, 259, 7, seed=1)
+        assert fam.values.shape == (259, 7)
         assert fam.values.dtype == np.float64
         assert not fam.values.flags.writeable
         for j, t in enumerate(fam.terms):
@@ -240,10 +270,11 @@ def test_readers_stay_within_a_fraction_of_the_family():
         assert tracemalloc.get_traced_memory()[1] <= 1.05 * size
 
         for run in (lambda: extract_ae_subsequence(fam, f, g0, f0),
-                    lambda: wstar_limit_check(fam, f, tests, PSI2)):
+                    lambda: wstar_limit_check(fam, f, tests, PSI2),
+                    lambda: _require_ae_decay(fam)):
             tracemalloc.reset_peak()
             baseline = tracemalloc.get_traced_memory()[0]
             run()
-            assert tracemalloc.get_traced_memory()[1] - baseline <= 0.35 * size
+            assert tracemalloc.get_traced_memory()[1] - baseline <= 0.08 * size
     finally:
         tracemalloc.stop()

@@ -210,19 +210,19 @@ def per_block_witness(space, phi):
 
 def test_witness_takes_one_indicator_norm_per_distinct_mass(monkeypatch):
     from orliczkit import norms
-    masses = []
-    real = norms.indicator_norm
+    calls = []
+    real = norms._indicator_norms
 
-    def counted(phi, mass):
-        masses.append(mass)
-        return real(phi, mass)
+    def counted(phi, masses):
+        calls.append(list(masses))
+        return real(phi, masses)
 
-    monkeypatch.setattr(norms, "indicator_norm", counted)
+    monkeypatch.setattr(norms, "_indicator_norms", counted)
     sp = MeasureSpace.finite(np.full(6, 1.0 / 6.0), block_ids=range(6))
     for phi in WITNESS_YOUNG:
-        masses.clear()
+        calls.clear()
         strictly_positive_witness(sp, phi)
-        assert masses == [1.0 / 6.0], phi.label
+        assert calls == [[1.0 / 6.0]], phi.label
 
 
 def test_witness_equals_per_block_reference_bit_for_bit():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orliczkit import (
     MeasureSpace,
@@ -12,6 +12,7 @@ from orliczkit import (
     OrliczFunction,
     Rv,
     amemiya_norm,
+    conjugate,
     counting,
     dual_pairing,
     heart_member,
@@ -20,6 +21,8 @@ from orliczkit import (
     modular,
     uniform_probability,
 )
+from orliczkit.norms import _indicator_norms
+from orliczkit.specs import parse_orlicz_spec
 
 POWER2 = OrliczFunction.power(2.0)
 STEP = OrliczFunction.linf_step()
@@ -98,6 +101,89 @@ def test_luxemburg_zero_and_scaling():
     n1 = luxemburg_norm(f, POWER2).value
     n3 = luxemburg_norm(3.0 * f, POWER2).value
     assert n3 == pytest.approx(3.0 * n1, rel=1e-9)
+
+
+HOMOGENEITY_KINDS = (POWER2, OrliczFunction.power(1.5),
+                     OrliczFunction.exp_young(),
+                     OrliczFunction.exp_young_conjugate(), STEP)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(kind=st.integers(0, len(HOMOGENEITY_KINDS) - 1),
+       log_c=st.floats(-20.0, 6.0), data=st.data())
+def test_luxemburg_is_homogeneous_down_to_tiny_scales(kind, log_c, data):
+    # the bracket shrinks to a width relative to the norm, with no absolute
+    # floor, so a norm of 1e-20 is as accurate as a norm of 1
+    phi = HOMOGENEITY_KINDS[kind]
+    n = data.draw(st.integers(1, 6))
+    w = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n))
+    v = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 50.0),
+                                     st.floats(-50.0, -0.01)),
+                           min_size=n, max_size=n).filter(any))
+    c = 10.0 ** log_c
+    f = Rv(MeasureSpace.finite(w), v)
+    want = c * luxemburg_norm(f, phi).value
+    assert luxemburg_norm(c * f, phi).value == pytest.approx(want, rel=1e-9,
+                                                             abs=0.0)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(p=st.sampled_from((1.2, 1.5, 2.0, 3.0)), log_m=st.floats(-40.0, 6.0))
+# under an absolute floor of 1e-14 the first two were 42 % and 78 % off
+@example(p=2.0, log_m=-28.0)
+@example(p=2.0, log_m=-30.0)
+@example(p=2.0, log_m=-300.0)
+def test_power_indicator_norms_are_exact_down_to_tiny_masses(p, log_m):
+    # one atom of mass m under t^p: m / lam^p = 1 at lam = m^(1/p)
+    m = 10.0 ** log_m
+    got = indicator_norm(OrliczFunction.power(p), m)
+    assert got == pytest.approx(m ** (1.0 / p), rel=1e-9, abs=0.0)
+
+
+def test_luxemburg_is_accurate_at_tiny_scales():
+    # under an absolute floor of 1e-14 the norm at c = 1e-16 was 39 % high
+    sp = uniform_probability(3)
+    exact = math.sqrt(14.0 / 3.0)  # the weighted 2-norm of (1, 2, 3)
+    for c in (1e-6, 1e-8, 1e-16, 1e-100):
+        got = luxemburg_norm(Rv(sp, [c, 2.0 * c, 3.0 * c]), POWER2).value
+        assert got == pytest.approx(c * exact, rel=1e-9, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def indicator_kinds(tmp_path_factory):
+    table = tmp_path_factory.mktemp("young") / "table.csv"
+    table.write_text("t,value\n0,0\n1,1\n2,4\n", encoding="utf-8")
+    return [*(OrliczFunction.power(p) for p in (1.2, 1.5, 2.0, 3.0)),
+            OrliczFunction.exp_young(), OrliczFunction.exp_young_conjugate(),
+            STEP, conjugate(POWER2),
+            OrliczFunction.custom(lambda t: t * t + t ** 3,
+                                  label="t^2 + t^3"),
+            parse_orlicz_spec(f"custom:file={table}")]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(kind=st.integers(0, 9),
+       pool=st.lists(st.floats(-12.0, 3.0), min_size=1, max_size=8),
+       data=st.data())
+def test_lockstep_indicator_norms_equal_the_scalar_reference(
+        indicator_kinds, kind, pool, data):
+    # repeats and any order: each mass takes its own scalar run's steps
+    phi = indicator_kinds[kind]
+    masses = [10.0 ** e for e in data.draw(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=40))]
+    got = _indicator_norms(phi, masses)
+    assert got.shape == (len(masses),)
+    for m, norm in zip(masses, got):
+        one_atom = Rv(MeasureSpace.finite([m]), [1.0])
+        assert norm.hex() == luxemburg_norm(one_atom, phi).value.hex()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, -math.inf, math.nan, math.inf])
+def test_indicator_norms_refuse_bad_masses(bad):
+    with pytest.raises(ValueError, match="indicator mass"):
+        indicator_norm(POWER2, bad)
+    with pytest.raises(ValueError, match="indicator mass"):
+        _indicator_norms(POWER2, [0.5, bad, 2.0])
 
 
 def test_luxemburg_modular_at_value_near_one():
