@@ -6,10 +6,12 @@ mass-preserving pairwise transfers so the search can move along density
 simplices that single-coordinate steps cannot leave. When the ascent's
 first sweep finds every move that changes the mass outside the objective's
 domain, as on the dual of a cash-additive functional, it runs those
-transfers alone. A dual ascent whose primal value phi(f) is known stops
-as soon as it reaches it, since by weak duality no dual value exceeds it.
-Divergence of a conjugate (the +inf case) is detected by ray probes before
-any ascent runs.
+transfers alone. From a restart's second sweep on, each sweep ends with a
+pattern move (Hooke & Jeeves, 1961): one more line search along the sweep's
+net move, which shortens the slow linear tail of coordinate-wise ascent. A
+dual ascent whose primal value phi(f) is known stops as soon as it reaches
+it, since by weak duality no dual value exceeds it. Divergence of a
+conjugate (the +inf case) is detected by ray probes before any ascent runs.
 """
 
 from __future__ import annotations
@@ -41,11 +43,32 @@ SWEEP_CAP = 500
 #: an ascent with a known upper bound (its ``ceiling``) stops once it comes
 #: within CEILING_TOL * (1 + |ceiling|) of it, a tenth of the flat-sweep gain
 CEILING_TOL = 1e-12
+#: the pattern line g + t d through a sweep's net move d searches t in this
+#: range, before the sign cut of ``_pattern_segment``
+PATTERN_RANGE = (-1.0, 8.0)
 
 
 # ---------------------------------------------------------------------------
 # multi-start ascent engine
 # ---------------------------------------------------------------------------
+
+
+def _pattern_segment(g: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """The pattern line's segment ``[lo, hi]`` for ``g + t d``.
+
+    ``PATTERN_RANGE`` cut to where no coordinate that is nonnegative at
+    t = 0 turns negative, so the line never enters the slack that closed-form
+    conjugates leave below zero. It always holds t = 0.
+    """
+    lo, hi = PATTERN_RANGE
+    kept = g >= 0.0
+    down = kept & (d < 0.0)
+    if down.any():
+        hi = min(hi, float(np.min(g[down] / -d[down])))
+    up = kept & (d > 0.0)
+    if up.any():
+        lo = max(lo, float(np.max(-g[up] / d[up])))
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -97,8 +120,17 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     segment at that same absolute width; it falls back to the whole segment
     when the window's best point gains nothing or lands on an inner edge of
     the window (the line is concave, so a best point inside the window is
-    the line's maximum), and always in a restart's first sweep. A restart
-    ends after its first sweep that gains at most 1e-11 relative.
+    the line's maximum), and always in a restart's first sweep.
+
+    From a restart's second sweep on, the sweep's last move is a pattern
+    move along its net move d = g - (g at the sweep's start): a line search
+    over g + t d from t = 0 for t in ``PATTERN_RANGE`` = [-1, 8], cut to
+    where no coordinate that is nonnegative at t = 0 turns negative, so it
+    never enters the slack a closed-form conjugate allows below zero. d is a
+    sum of the sweep's moves, so under transfers only it keeps the mass and
+    the line stays on the starting mass's hyperplane. A restart ends after
+    its first sweep, pattern move included, that gains at most 1e-11
+    relative.
 
     ``ceiling`` is a known upper bound on the objective, such as phi(f) for
     the dual of phi at f (weak duality). The call returns as soon as an
@@ -177,6 +209,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
         for _ in range(SWEEP_CAP):
             sweeps += 1
             v_before = v
+            g_start = g.copy()
 
             if not transfers_only:
                 span = 2.0 * (1.0 + float(np.max(np.abs(g)))) if n else 1.0
@@ -254,6 +287,22 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     if v >= stop_at:
                         return at_ceiling()
                 transfers_only = skipped == tried
+
+            if sweeps > 1:
+                d = g - g_start
+                lo, hi = _pattern_segment(g, d)
+                if hi - lo > 1e-300:
+                    step = line(lambda t: objective(g + t * d), lo, hi, 0.0,
+                                guard=False)
+                    if step:
+                        t, v = step
+                        kept = g >= 0.0
+                        g += t * d
+                        # the segment ends where a coordinate reaches zero;
+                        # it should sit there exactly, as after a transfer
+                        g[kept & (g < 0.0) & (g > -1e-13)] = 0.0
+                        if v >= stop_at:
+                            return at_ceiling()
 
             # a restart stuck at -inf is flat too: there v - v_before is nan
             if v == v_before or v - v_before <= 1e-11 * (1.0 + abs(v)):
@@ -476,11 +525,14 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     domain, as for a cash-additive functional, the rest run the transfers
     only. A pair that moved in the previous sweep first searches a window
     of four times that step, falling back to its whole segment when the
-    window's best point sits on the window's inner edge or gains nothing,
-    and each restart ends after its first sweep that gains at most 1e-11
-    relative. phi(f) bounds every dual value (weak duality), so it is the
-    ascent's ``ceiling``: the search stops, skipping any later restart, as
-    soon as it comes within ``CEILING_TOL * (1 + |phi(f)|)`` of phi(f).
+    window's best point sits on the window's inner edge or gains nothing.
+    From a restart's second sweep on, a sweep ends with a pattern move, a
+    line search along the sweep's net move d over g + t d for t in [-1, 8],
+    cut where a nonnegative density would turn negative. Each restart ends
+    after its first sweep that gains at most 1e-11 relative. phi(f) bounds
+    every dual value (weak duality), so it is the ascent's ``ceiling``: the
+    search stops, skipping any later restart, as soon as it comes within
+    ``CEILING_TOL * (1 + |phi(f)|)`` of phi(f).
     Returns (dual value, certificate); certificate.gap = phi(f) - dual value.
     """
     space = phi.space

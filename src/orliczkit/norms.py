@@ -42,7 +42,8 @@ def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
     doubles lam until it brackets the switch, and bisection then shrinks
     the bracket to relative width 1e-10, with no absolute floor, so tiny
     norms keep their relative accuracy; a bracket whose midpoint rounds to
-    an end stops early. The feasible end is returned, so
+    an end stops early. The halving walk gives up 1e300 below ``top``, so
+    it is as scale-free as the bisection. The feasible end is returned, so
     ``modular_at_value <= 1`` always holds in the report. This is the
     scalar reference of ``_indicator_norms``.
     """
@@ -60,7 +61,7 @@ def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
         while True:
             hi, lo = lo, lo * 0.5
             expand += 1
-            if lo < 1e-300 or expand > 4000:
+            if not lo > 1e-300 * top or expand > 4000:
                 raise NumericFailure("Luxemburg bracket collapse: modular never exceeds 1")
             if not feasible(lo):
                 break

@@ -146,7 +146,7 @@ def average_value_at_risk(alpha: float, space: MeasureSpace) -> RiskFunctional:
         gv = g.values
         feasible = (
             gv.min() >= -FEAS_TOL
-            and gv.max() <= cap + FEAS_TOL
+            and gv.max() <= cap
             and abs(float(np.dot(w, gv)) - 1.0) <= FEAS_TOL
         )
         return 0.0 if feasible else math.inf

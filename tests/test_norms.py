@@ -149,6 +149,20 @@ def test_luxemburg_is_accurate_at_tiny_scales():
         assert got == pytest.approx(c * exact, rel=1e-9, abs=0.0)
 
 
+def test_luxemburg_walks_below_1e_300():
+    # the halving walk gave up at the absolute lo < 1e-300, so a norm below
+    # 2e-300 raised NumericFailure (bracket collapse)
+    sp = uniform_probability(3)
+    exact = math.sqrt(14.0 / 3.0)
+    for c in (1e-300, 1e-302, 1e-305):
+        got = luxemburg_norm(Rv(sp, [c, 2.0 * c, 3.0 * c]), POWER2).value
+        assert got == pytest.approx(c * exact, rel=1e-9, abs=0.0)
+    one = MeasureSpace.finite([1.0])
+    tiny = 8.550141232540677e-303
+    got = luxemburg_norm(Rv(one, [tiny]), POWER2).value
+    assert got == pytest.approx(tiny, rel=1e-9, abs=0.0)
+
+
 @pytest.fixture(scope="module")
 def indicator_kinds(tmp_path_factory):
     table = tmp_path_factory.mktemp("young") / "table.csv"

@@ -144,6 +144,10 @@ def test_avar_conjugate_box_rules():
     assert av.closed_form_conjugate(Rv(sp, [1.0, 1.0, 1.0, 1.0])) == 0.0
     # cap 1/alpha = 2 exceeded
     assert av.closed_form_conjugate(Rv(sp, [3.0, 1.0, 0.0, 0.0])) == math.inf
+    # exactly: the greedy maximizer writes the cap itself, and a FEAS_TOL
+    # slack above it let an ascent beat phi(f)
+    over = Rv(sp, [2.0 + 4.8e-10, 0.0, 0.0, 2.0 - 4.8e-10])
+    assert av.closed_form_conjugate(over) == math.inf
     # mass off one
     assert av.closed_form_conjugate(Rv(sp, [2.0, 1.0, 0.0, 0.0])) == math.inf
     assert av.closed_form_conjugate(Rv(sp, [2.0, 2.0, -0.5, 0.5])) == math.inf
