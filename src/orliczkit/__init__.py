@@ -6,12 +6,11 @@ from .errors import (ClosureRefusal, NumericFailure, ParseError, Refusal,
                      SlopeConditionError, SpaceMismatchError)
 from .measure import (DEFAULT_TRUNCATION, FINITE, TRUNCATED, AeVerdict,
                       MeasureSpace, Rv, ae_converges, counting, indicator,
-                      join, lattice_ops, meet, ones, strictly_positive_witness,
+                      join, meet, ones, strictly_positive_witness,
                       uniform_probability, zeros)
 from .orlicz import (FAILS, HOLDS, INCONCLUSIVE, Delta2Verdict, OrliczFunction,
                      SlopeClass, SpaceClassification, check_delta2,
-                     classify_space, conjugate, conjugate_value,
-                     generalized_inverse, limit_slope)
+                     classify_space, conjugate, conjugate_value, limit_slope)
 from .norms import (NormReport, amemiya_norm, dual_pairing, heart_member,
                     indicator_norm, luxemburg_norm, modular)
 from .risk import (FEAS_TOL, RiskFunctional, ValidationReport,
@@ -19,10 +18,9 @@ from .risk import (FEAS_TOL, RiskFunctional, ValidationReport,
                    increasing_catalog, non_monotone_control, validate,
                    worst_case)
 from .duality import (AscentResult, BiconjugateReport, ConjugateEstimate,
-                      DualCertificate, LevelSetVerdict, PositivityEvidence,
-                      biconjugate_check, fenchel_conjugate_value,
-                      level_set_probe, maximize_dual, positivity_evidence,
-                      reconstruct)
+                      DualCertificate, PositivityEvidence, biconjugate_check,
+                      fenchel_conjugate_value, maximize_dual,
+                      positivity_evidence, reconstruct)
 from .convergence import (AE_ONLY_SPIKE, NORM_CONVERGENT, ORDER_CONVERGENT,
                           ClosureReport, ExtractionResult, FatouReport,
                           FatouRow, SequenceFamily, WstarReport, closure_demo,

@@ -1,9 +1,10 @@
 """Derivative-free one-dimensional search kernels.
 
-Bracket expansion, Brent line maximization and predicate bisection. All
-kernels are deterministic and tolerate objectives that return ``+-inf`` on
-part of their domain: ``brent_max`` wherever the infinite region sits,
-``bracket_min`` when it sits near 0, which is the shape its caller produces.
+Bracket expansion and Brent line maximization. All kernels are
+deterministic and tolerate objectives that return ``+-inf`` on part of their
+domain: ``brent_max`` wherever the infinite region sits, ``bracket_min`` when
+it sits near 0, which is the shape its caller produces. The Luxemburg norm
+bisects inline, in ``norms``.
 ``brent_max`` is the package's one line search; minimizers pass ``-fn``.
 Every line it searches is concave -- a dual objective along a move, a
 conjugate's ``s*t - phi(t)``, a negated convex norm objective -- and it
@@ -163,44 +164,15 @@ def expand_max_bracket(
     return t, True, evals
 
 
-def bisect_predicate(
-    pred: Callable[[float], bool],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-10,
-    abs_floor: float = 1e-14,
-    max_iter: int = 20000,
-) -> tuple[float, float, int]:
-    """Shrink ``[lo, hi]`` around the switch point of a monotone predicate.
-
-    Requires ``pred(hi)`` true and ``pred(lo)`` false; maintains that
-    invariant and stops when the bracket width drops below
-    ``max(abs_floor, rel_tol * hi)``. Returns ``(lo, hi, iterations)``.
-    """
-    iters = 0
-    while (hi - lo) > max(abs_floor, rel_tol * abs(hi)) and iters < max_iter:
-        iters += 1
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float exhaustion
-            break
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi, iters
-
-
-def bracket_min(
-    fn: Callable[[float], float],
-    x0: float,
-    factor: float = 2.0,
-    max_steps: int = 400,
-) -> tuple[float, float, int]:
+def bracket_min(fn: Callable[[float], float],
+                x0: float) -> tuple[float, float, int]:
     """Bracket a minimizer of a convex ``fn`` on ``(0, inf)``.
 
-    ``fn`` may be ``+inf`` near 0 (the only infinite region our callers
-    produce). Returns ``(lo, hi, evals)`` with a minimizer inside.
+    Walks from ``x0`` by factors of 2, at most 400 steps in all. ``fn`` may
+    be ``+inf`` near 0 (the only infinite region our callers produce).
+    Returns ``(lo, hi, evals)`` with a minimizer inside.
     """
+    factor, max_steps = 2.0, 400
     x = x0
     v = fn(x)
     evals = 1

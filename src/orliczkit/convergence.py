@@ -330,7 +330,9 @@ def wstar_limit_check(family: SequenceFamily, f: Rv, tests: Sequence[Rv],
     residual is split against a positive f0 (default: the constant one) into
     an overflow part <(|f_n - f| - f0)^+, |g|> and a dominated part
     <|f_n - f| ^ f0, |g|>, so a failure is attributable to mass escaping
-    upward versus persistent dominated discrepancy.
+    upward versus persistent dominated discrepancy. No CLI command calls
+    this, as the CLI reads no file format for heart test functions; the
+    ``truncated_diagnostics`` benchmark workload and the tests do.
     """
     if not math.isfinite(family.norm_bound):
         raise ValueError("family is declared norm-unbounded; the w*-limit "
@@ -515,6 +517,8 @@ def closure_demo(vertices: Sequence[Rv], f: Rv, phi: OrliczFunction, *,
     iterate; a point sitting on a vertex short-circuits to the constant
     sequence.
     """
+    if length < 1:
+        raise ValueError("length must be at least 1")
     if not vertices:
         raise ValueError("need at least one vertex")
     space = f.space

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._search import INV_PHI, brent_max
 from .errors import Refusal, SlopeConditionError, SpaceMismatchError
-from .measure import AeVerdict, MeasureSpace, Rv, ae_converges
+from .measure import MeasureSpace, Rv
 from .norms import dual_pairing, heart_member
 from .orlicz import OrliczFunction
 from .risk import RiskFunctional, validate
@@ -184,6 +184,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
             a, b = max(lo, t0 - reach), min(hi, t0 + reach)
             t, val, ev = brent_max(h, a, b, width, (t0, v))
             evals += ev
+            # inner edges fall back: without it numeric AVaR took 2-7 % more calls
             if val > v and (t != a or a == lo) and (t != b or b == hi):
                 return t, val
         t, val, ev = brent_max(h, lo, hi, width, (t0, v))
@@ -634,52 +635,3 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
         deviations=tuple(deviations),
         splits=tuple(splits),
     )
-
-
-# ---------------------------------------------------------------------------
-# level sets under a.e. limits
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LevelSetVerdict:
-    status: str  # "holds" | "fails" | "inconclusive"
-    threshold: float
-    limit_value: float | None
-    margin: float | None
-    witness_atom_id: int | None
-    ae: AeVerdict
-
-
-def level_set_probe(phi: RiskFunctional, lam: float, boundary_f: Rv,
-                    approx_seq: Sequence[Rv], *, ae_tol: float = 1e-8,
-                    value_tol: float = 1e-9,
-                    membership_tol: float = 1e-12) -> LevelSetVerdict:
-    """Check that a.e. limits of sequences from {phi <= lam} stay inside.
-
-    Every sequence member must already satisfy phi <= lam + membership_tol
-    (precondition, raises ValueError). A sequence that fails to converge
-    atomwise to ``boundary_f`` yields an inconclusive verdict rather than an
-    error. On failure the verdict carries the limit value, the margin above
-    the threshold and the slowest-settling atom as witness.
-    """
-    if not approx_seq:
-        raise ValueError("empty approximating sequence")
-    for k, member in enumerate(approx_seq):
-        val = phi.evaluate(member)
-        if val > lam + membership_tol:
-            raise ValueError(
-                f"sequence member {k} violates the level constraint: "
-                f"phi = {val!r} > {lam!r} + {membership_tol!r}")
-    ae = ae_converges(approx_seq, boundary_f, tol=ae_tol)
-    status, limit_value, margin, witness = "inconclusive", None, None, None
-    if ae.converged:
-        limit_value = phi.evaluate(boundary_f)
-        margin = limit_value - lam
-        if limit_value <= lam + value_tol:
-            status = "holds"
-        else:
-            status, witness = "fails", ae.slowest_atom_id
-    return LevelSetVerdict(status=status, threshold=lam,
-                           limit_value=limit_value, margin=margin,
-                           witness_atom_id=witness, ae=ae)

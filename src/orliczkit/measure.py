@@ -237,20 +237,6 @@ def join(x: Rv, y: Rv) -> Rv:
     return Rv(x.space, np.maximum(x.values, y.values))
 
 
-@dataclass(frozen=True)
-class LatticeOps:
-    meet: Rv
-    join: Rv
-    abs: Rv
-    pos_part: Rv
-    neg_part: Rv
-
-
-def lattice_ops(x: Rv, y: Rv) -> LatticeOps:
-    """Meet/join of the pair plus the unary lattice parts of ``x``."""
-    return LatticeOps(meet(x, y), join(x, y), x.abs(), x.pos_part(), x.neg_part())
-
-
 # -- strictly positive witness ---------------------------------------------
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._search import bisect_predicate, bracket_min, brent_max
+from ._search import bracket_min, brent_max
 from .errors import NumericFailure
 from .measure import Rv
 from .orlicz import OrliczFunction
@@ -39,13 +39,15 @@ def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
 
     The modular is nonincreasing in lam, so the predicate
     ``modular <= 1`` is monotone. A walk from ``top = sup |f|`` halves or
-    doubles lam until it brackets the switch, and bisection then shrinks
-    the bracket to relative width 1e-10, with no absolute floor, so tiny
-    norms keep their relative accuracy; a bracket whose midpoint rounds to
-    an end stops early. The halving walk gives up 1e300 below ``top``, so
-    it is as scale-free as the bisection. The feasible end is returned, so
-    ``modular_at_value <= 1`` always holds in the report. This is the
-    scalar reference of ``_indicator_norms``.
+    doubles lam until it brackets the switch, and an inline bisection then
+    shrinks the bracket to relative width 1e-10, with no absolute floor, so
+    tiny norms keep their relative accuracy; a bracket whose midpoint
+    rounds to an end, which happens once it is subnormal, stops early. The
+    halving walk gives up 1e300 below ``top``, so it is as scale-free as the
+    bisection. ``iterations`` counts the walk's steps and the bisection's,
+    the step that finds its midpoint at an end included. The feasible end
+    is returned, so ``modular_at_value <= 1`` always holds in the report.
+    This is the scalar reference of ``_indicator_norms``.
     """
     top = f.sup_norm()
     if top == 0.0:
@@ -73,8 +75,17 @@ def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
                 raise NumericFailure("Luxemburg bracket blow-up: modular never drops to 1")
             if feasible(hi):
                 break
-    lo, hi, iters = bisect_predicate(feasible, lo, hi, rel_tol=1e-10, abs_floor=0.0)
-    return NormReport(hi, iters + expand, (lo, hi), modular(f, hi, phi))
+    iters = expand
+    while hi - lo > 1e-10 * hi:
+        iters += 1
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # float exhaustion
+            break
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return NormReport(hi, iters, (lo, hi), modular(f, hi, phi))
 
 
 def amemiya_norm(f: Rv, phi: OrliczFunction) -> NormReport:
@@ -163,18 +174,20 @@ def _indicator_norms(phi: OrliczFunction, masses) -> np.ndarray:
             raise NumericFailure("Luxemburg bracket blow-up: modular never drops to 1")
         probe = np.where(d, lo_w, hi_w)
         walking = walking[(m[walking] * phi._values(1.0 / probe) <= 1.0) == d]
-    # bisect to relative width 1e-10; a midpoint that rounds to an end stops
-    # its mass. m, lo and hi shrink to the masses still moving.
+    # bisect to relative width 1e-10. The walk keeps lo above 1e-300, so
+    # every midpoint of a bracket that wide lies strictly inside it, and the
+    # scalar run's float-exhaustion break never fires here; an infinite hi
+    # stops at once. m, lo and hi shrink to the masses still moving.
     out = np.empty(m.size)
     moving = np.arange(m.size)
     while moving.size:
-        mid = 0.5 * (lo + hi)
-        going = (hi - lo > 1e-10 * hi) & (lo < mid) & (mid < hi)
+        going = hi - lo > 1e-10 * hi
         if np.count_nonzero(going) < going.size:
             out[moving[~going]] = hi[~going]
-            moving, m, lo, hi, mid = (a[going] for a in (moving, m, lo, hi, mid))
+            moving, m, lo, hi = (a[going] for a in (moving, m, lo, hi))
             if not moving.size:
                 break
+        mid = 0.5 * (lo + hi)
         ok = m * phi._values(1.0 / mid) <= 1.0
         np.copyto(hi, mid, where=ok)
         np.copyto(lo, mid, where=~ok)

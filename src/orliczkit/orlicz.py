@@ -21,7 +21,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from ._search import bisect_predicate, brent_max, expand_max_bracket
+from ._search import brent_max, expand_max_bracket
 
 POWER = "power"
 SCALED_POWER = "scaled_power"
@@ -38,6 +38,8 @@ INCONCLUSIVE = "inconclusive"
 Regime = Literal["at_zero", "at_infinity"]
 
 _REGIMES = ("at_zero", "at_infinity")
+# grid points per span of the doubling heuristic for custom functions
+_DELTA2_SAMPLES = 64
 
 #: ``limit_slope`` probes custom functions at t = 1, 2, 4, ..., SLOPE_RAY_END
 SLOPE_RAY_END = 2.0**50
@@ -321,9 +323,7 @@ class Delta2Verdict:
     note: str = ""
 
 
-def check_delta2(
-    phi: OrliczFunction, regime: Regime, sample_count: int = 64
-) -> Delta2Verdict:
+def check_delta2(phi: OrliczFunction, regime: Regime) -> Delta2Verdict:
     """Does ``phi(2u) <= k * phi(u)`` hold near the regime's end?
 
     ``at_zero`` asks for some k on all small u, ``at_infinity`` on all large
@@ -337,8 +337,6 @@ def check_delta2(
     """
     if regime not in _REGIMES:
         raise ValueError(f"regime must be one of {_REGIMES}, got {regime!r}")
-    if sample_count < 16:
-        raise ValueError("sample_count must be at least 16")
     k = phi.kind
     if k in (POWER, SCALED_POWER):
         return Delta2Verdict(HOLDS, regime, k=2.0**phi.p, exact=True)
@@ -363,12 +361,10 @@ def check_delta2(
     if k == LINF_STEP:
         return Delta2Verdict(HOLDS, regime, k=1.0, exact=True,
                              note="vacuous: the function vanishes near zero")
-    return _delta2_heuristic(phi, regime, sample_count)
+    return _delta2_heuristic(phi, regime)
 
 
-def _delta2_heuristic(
-    phi: OrliczFunction, regime: Regime, m: int
-) -> Delta2Verdict:
+def _delta2_heuristic(phi: OrliczFunction, regime: Regime) -> Delta2Verdict:
     if regime == "at_infinity":
         spans = [(1.0, 2.0**10), (1.0, 2.0**20), (1.0, 2.0**30)]
     else:
@@ -377,10 +373,10 @@ def _delta2_heuristic(
     sups: list[float] = []
     witnesses: list[float | None] = []
     for lo, hi in spans:
-        us = np.geomspace(lo, hi, m)
+        us = np.geomspace(lo, hi, _DELTA2_SAMPLES)
         if regime == "at_zero":
             us = us[::-1]  # order toward the regime limit
-        tail = us[m // 2 :]
+        tail = us[_DELTA2_SAMPLES // 2:]
         sup = 0.0
         witness = None
         for u in tail:
@@ -412,33 +408,6 @@ def _delta2_heuristic(
                              note=f"ratio bounded across refinements: {sups}")
     return Delta2Verdict(INCONCLUSIVE, regime,
                          note=f"doubling ratios neither stabilize nor clearly grow: {sups}")
-
-
-# -- generalized inverse ---------------------------------------------------
-
-
-def generalized_inverse(phi: OrliczFunction, y: float) -> float:
-    """Right-continuous generalized inverse ``inf{t >= 0 : phi(t) >= y}``.
-
-    Bisection to absolute tolerance 1e-12. When phi jumps to ``+inf`` before
-    reaching ``y`` the jump point (finiteness horizon) is returned.
-    """
-    if y < 0.0:
-        raise ValueError(f"generalized inverse needs y >= 0, got {y}")
-    if y == 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    found = phi(hi) >= y
-    for _ in range(1100):
-        if found:
-            break
-        lo = hi
-        hi *= 2.0
-        found = phi(hi) >= y
-    if not found:
-        raise ValueError(f"phi never reaches y={y} (bounded function)")
-    _, hi, _ = bisect_predicate(lambda t: phi(t) >= y, lo, hi, rel_tol=0.0, abs_floor=1e-12)
-    return hi
 
 
 # -- limit slope -----------------------------------------------------------

@@ -412,6 +412,18 @@ def test_closure_demo_vertex_shortcut():
     assert rep.envelope_ok
 
 
+@pytest.mark.parametrize("length", [0, -1])
+@pytest.mark.parametrize("on_vertex", [True, False])
+def test_closure_demo_refuses_lengths_below_one(length, on_vertex):
+    # off the vertex shortcut this raised IndexError; on it, it returned
+    # a family of no terms
+    sp = uniform_probability(3)
+    verts = simplex_vertices(sp)
+    f = verts[2] if on_vertex else Rv(sp, [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="length must be at least 1"):
+        closure_demo(verts, f, POWER2, length=length)
+
+
 def test_closure_demo_refuses_outside_point():
     sp = uniform_probability(3)
     verts = simplex_vertices(sp)

@@ -22,9 +22,7 @@ from orliczkit import (
     expectation,
     fenchel_conjugate_value,
     increasing_catalog,
-    level_set_probe,
     maximize_dual,
-    non_lsc_control,
     non_monotone_control,
     positivity_evidence,
     reconstruct,
@@ -794,47 +792,3 @@ def test_biconjugate_recovers_entropic():
 def test_biconjugate_check_refuses_an_empty_probe_list():
     with pytest.raises(ValueError, match="empty probe list"):
         biconjugate_check(entropic(1.0, uniform_probability(3)), [])
-
-
-def test_level_set_probe_holds():
-    sp = uniform_probability(3)
-    ent = entropic(1.0, sp)
-    boundary = Rv(sp, [0.2, 0.1, 0.0])
-    lam = ent.evaluate(boundary) + 1e-3
-    seq = [boundary - Rv(sp, [0.1 / n, 0.0, 0.0]) for n in range(1, 60)]
-    verdict = level_set_probe(ent, lam, boundary, seq, ae_tol=1e-2)
-    assert verdict.status == "holds"
-    assert verdict.margin < 0.0
-
-
-def test_level_set_probe_membership_precondition():
-    sp = uniform_probability(3)
-    ent = entropic(1.0, sp)
-    boundary = Rv(sp, [0.2, 0.1, 0.0])
-    bad_seq = [boundary + 1.0]
-    with pytest.raises(ValueError, match="level constraint"):
-        level_set_probe(ent, ent.evaluate(boundary), boundary, bad_seq)
-
-
-def test_level_set_probe_inconclusive_without_convergence():
-    sp = uniform_probability(3)
-    ent = entropic(1.0, sp)
-    boundary = zeros(sp)
-    lam = ent.evaluate(boundary + 1.0)
-    wobble = [Rv(sp, [(-1.0) ** n, 0.0, 0.0]) for n in range(12)]
-    verdict = level_set_probe(ent, lam, boundary, wobble)
-    assert verdict.status == "inconclusive"
-
-
-def test_level_set_probe_fails_on_up_jump():
-    # a functional that jumps up at the limit point breaks closedness
-    sp = uniform_probability(2)
-    base = expectation(sp)
-    at = zeros(sp)
-    jumpy = non_lsc_control(base, at)
-    seq = [Rv(sp, [0.5 / n, 0.0]) for n in range(1, 50)]
-    lam = 0.5  # every member has mean <= 0.25, limit evaluates to 0 + 1
-    verdict = level_set_probe(jumpy, lam, at, seq, ae_tol=1e-1)
-    assert verdict.status == "fails"
-    assert verdict.limit_value == pytest.approx(1.0)
-    assert verdict.witness_atom_id is not None

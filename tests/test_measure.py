@@ -13,7 +13,6 @@ from orliczkit import (
     counting,
     indicator,
     join,
-    lattice_ops,
     meet,
     ones,
     strictly_positive_witness,
@@ -127,9 +126,6 @@ def test_lattice_identities(a, b):
     # meet + join = f + g, and |f - g| = join - meet
     assert np.allclose(lo.values + hi.values, f.values + g.values)
     assert np.allclose((f - g).abs().values, hi.values - lo.values)
-    ops = lattice_ops(f, g)
-    assert np.array_equal(ops.meet.values, lo.values)
-    assert np.array_equal(ops.join.values, hi.values)
 
 
 def test_witness_frozen_blocks():

@@ -192,6 +192,20 @@ def test_lockstep_indicator_norms_equal_the_scalar_reference(
         assert norm.hex() == luxemburg_norm(one_atom, phi).value.hex()
 
 
+@pytest.mark.parametrize("kind", range(8))
+def test_lockstep_indicator_norms_at_extreme_masses(indicator_kinds, kind):
+    # the lockstep bisection has no float-exhaustion break: the walk keeps
+    # lo above 1e-300, where the 1e-10 width test stops every mass before a
+    # midpoint can round to an end, so the bits still match the scalar run.
+    # Kind 8, the custom t^2 + t^3, overflows in Python's t ** 3 here.
+    phi = indicator_kinds[kind]
+    masses = [1e-300, 1e-200, 1e100, 1e300]
+    got = _indicator_norms(phi, masses)
+    for m, norm in zip(masses, got):
+        one_atom = Rv(MeasureSpace.finite([m]), [1.0])
+        assert norm.hex() == luxemburg_norm(one_atom, phi).value.hex()
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, -math.inf, math.nan, math.inf])
 def test_indicator_norms_refuse_bad_masses(bad):
     with pytest.raises(ValueError, match="indicator mass"):
@@ -315,3 +329,24 @@ def test_luxemburg_evaluates_the_modular_at_top_once(monkeypatch, mass):
         assert (rep.value < 2.0) == (mass < 1.0)
         assert len(calls) == rep.iterations + 2
         assert 2.0 not in calls[1:-1]  # walk and bisection skip top
+
+
+def test_luxemburg_counts_the_float_exhaustion_step(monkeypatch):
+    # at sup|f| = 1e-320 the bracket is subnormal and its midpoint rounds to
+    # an end before the relative width is met; that step counts as an
+    # iteration but makes no modular call, so the calls are iterations + 1
+    from orliczkit import norms
+    calls = []
+
+    def counted(f, lam, phi):
+        calls.append(lam)
+        return modular(f, lam, phi)
+
+    monkeypatch.setattr(norms, "modular", counted)
+    sp = MeasureSpace.finite([1.0, 0.5])
+    rep = luxemburg_norm(Rv(sp, [1e-320, -5e-321]), POWER2)
+    lo, hi = rep.bracket
+    assert hi - lo > 1e-10 * hi
+    assert 0.5 * (lo + hi) in (lo, hi)
+    assert rep.modular_at_value <= 1.0
+    assert len(calls) == rep.iterations + 1

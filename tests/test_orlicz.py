@@ -1,4 +1,4 @@
-"""Young functions: evaluation, conjugation, doubling, inverses, slopes."""
+"""Young functions: evaluation, conjugation, doubling, slopes."""
 
 import math
 
@@ -15,7 +15,6 @@ from orliczkit import (
     classify_space,
     conjugate,
     conjugate_value,
-    generalized_inverse,
     limit_slope,
 )
 from orliczkit.specs import load_custom_table
@@ -269,32 +268,6 @@ def test_delta2_custom_heuristic():
 
     with pytest.raises(ValueError):
         check_delta2(quad, "somewhere")
-    with pytest.raises(ValueError):
-        check_delta2(quad, "at_zero", sample_count=4)
-
-
-# -- generalized inverse -----------------------------------------------------
-
-
-def test_generalized_inverse_catalog():
-    p2 = OrliczFunction.power(2.0)
-    assert generalized_inverse(p2, 4.0) == pytest.approx(2.0, abs=1e-9)
-    assert generalized_inverse(p2, 0.0) == 0.0
-    assert generalized_inverse(OrliczFunction.linear(), 3.25) == pytest.approx(3.25)
-    # the step reaches 0.5 only past the horizon, whose edge is t = 1
-    assert generalized_inverse(OrliczFunction.linf_step(), 0.5) == pytest.approx(1.0)
-    assert generalized_inverse(OrliczFunction.linf_step(), 0.0) == 0.0
-
-
-def test_generalized_inverse_is_monotone():
-    phi = OrliczFunction.exp_young()
-    ys = np.linspace(0.0, 50.0, 40)
-    ts = [generalized_inverse(phi, float(y)) for y in ys]
-    assert all(a <= b + 1e-12 for a, b in zip(ts, ts[1:]))
-    # round trip: phi(ginv(y)) >= y up to solver tolerance
-    for y in (0.5, 2.0, 20.0):
-        t = generalized_inverse(phi, y)
-        assert phi(t) >= y - 1e-6
 
 
 # -- limit slopes and space classification -----------------------------------
