@@ -1,0 +1,139 @@
+"""Check that the tests still catch recorded source mutations.
+
+    python ci/mutants.py
+
+Each entry of MUTANTS names a file, an exact text in it, the text that
+replaces it, and the test ids that must fail once it does. The script
+copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary directory,
+runs every named id there once unmutated (they must all pass, or a failure
+under a mutant would prove nothing), then applies each mutant alone and
+runs only its ids. It exits 1 when the unmutated run fails, when a mutant's
+old text no longer occurs exactly once (so a refactor that moves the code
+must update the table), or when a named id passes under its mutant.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DUALITY = "src/orliczkit/duality.py"
+
+# (name, file, old text, new text, test ids that must fail)
+MUTANTS = [
+    ("row probes report the last diverging ray, not the first",
+     DUALITY,
+     "        probes = len(rows)\n",
+     "        probes = len(rows)\n"
+     "        rays, traces = rays[::-1], traces[::-1]\n",
+     ["tests/test_duality.py::"
+      "test_fenchel_negative_coordinate_diverges_via_indicator_ray",
+      "tests/test_duality.py::test_row_probes_match_the_scalar_path"]),
+    ("a warm window that gains nothing falls back to the whole segment",
+     DUALITY,
+     "        if not val > v:\n"
+     "            return None, evals\n"
+     "        # inner edges fall back: without it numeric AVaR took 2-7 % more"
+     " calls\n"
+     "        if (t != a or a == lo) and (t != b or b == hi):\n",
+     "        # inner edges fall back: without it numeric AVaR took 2-7 % more"
+     " calls\n"
+     "        if val > v and (t != a or a == lo) and (t != b or b == hi):\n",
+     ["tests/test_duality.py::"
+      "test_feasible_dual_conjugates_stop_on_their_plateau",
+      "tests/test_duality.py::"
+      "test_a_warm_window_that_gains_nothing_ends_its_line"]),
+    ("restart 0 never tries the unit density",
+     DUALITY,
+     "        if r == 0 and v == -math.inf:\n",
+     "        if False:\n",
+     ["tests/test_duality.py::test_numeric_expectation_on_a_space_of_mass_two"]),
+    ("the Luxemburg bisection keeps a 1e-14 absolute floor",
+     "src/orliczkit/norms.py",
+     "    while hi - lo > 1e-10 * hi:\n",
+     "    while hi - lo > max(1e-10 * hi, 1e-14):\n",
+     ["tests/test_norms.py::test_luxemburg_is_accurate_at_tiny_scales"]),
+    ("the pattern line's segment is PATTERN_RANGE uncut",
+     DUALITY,
+     "    lo, hi = PATTERN_RANGE\n",
+     "    return PATTERN_RANGE\n",
+     ["tests/test_duality.py::"
+      "test_pattern_line_stops_where_a_coordinate_reaches_zero",
+      "tests/test_duality.py::"
+      "test_pattern_segment_keeps_nonnegative_coordinates_nonnegative"]),
+    ("AVaR's conjugate allows g up to 1/alpha + FEAS_TOL",
+     "src/orliczkit/risk.py",
+     "            and gv.max() <= cap\n",
+     "            and gv.max() <= cap + FEAS_TOL\n",
+     ["tests/test_risk.py::test_avar_conjugate_box_rules",
+      "tests/test_duality.py::test_avar_ascent_stays_inside_the_cap"]),
+]
+
+
+def run_tests(copy: Path, ids: list[str]) -> tuple[int, set[str]]:
+    """Run ``ids`` in ``copy``: pytest's exit code and the ids that failed."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
+         "no:cacheprovider", *ids],
+        cwd=copy, env=env, capture_output=True, text=True)
+    failed = {line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))}
+    return proc.returncode, failed
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+
+        code, failed = run_tests(copy, sorted({i for *_, ids in MUTANTS
+                                               for i in ids}))
+        if code != 0:
+            print(f"FAIL unmutated: pytest exit {code}; failed: "
+                  f"{', '.join(sorted(failed)) or 'none reported'}")
+            return 1
+
+        for name, rel, old, new, ids in MUTANTS:
+            path = copy / rel
+            text = path.read_text()
+            found = text.count(old)
+            if found != 1:
+                print(f"FAIL {name}: its old text occurs {found} times in "
+                      f"{rel}, not once")
+                failures += 1
+                continue
+            start = time.perf_counter()
+            path.write_text(text.replace(old, new))
+            try:
+                code, failed = run_tests(copy, ids)
+            finally:
+                path.write_text(text)
+            took = time.perf_counter() - start
+            survivors = [i for i in ids if i not in failed]
+            # pytest exits 1 when tests ran and some failed; any other code
+            # with failures missing means the ids did not all run
+            if code == 1 and not survivors:
+                print(f"killed   {name} ({took:.1f} s)")
+            else:
+                print(f"FAIL {name}: pytest exit {code}; passed or did not "
+                      f"run: {', '.join(survivors)}")
+                failures += 1
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

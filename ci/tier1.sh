@@ -13,7 +13,7 @@ set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-STEPS=(install tests selftest verify_all verify_seeds verify_bytes
+STEPS=(install tests mutants selftest verify_all verify_seeds verify_bytes
        verify_4096 script_matches_module script_exit_codes bench_workloads
        bench_traced)
 
@@ -31,6 +31,11 @@ install() {
 tests() {
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -X dev -m pytest -q \
     -W error::ResourceWarning --continue-on-collection-errors --durations=15
+}
+
+# The tests catch the recorded source mutations (ci/mutants.py)
+mutants() {
+  python ci/mutants.py
 }
 
 # Benchmark self-test

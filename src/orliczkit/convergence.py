@@ -273,24 +273,33 @@ def extract_ae_subsequence(family: SequenceFamily, f: Rv, g0: Rv, f0: Rv, *,
     pointwise = None
     pointwise_ok = False
     if indices:
-        resid = np.abs(family.values[indices] - fv)
-        # running sup over the tail of the selected subsequence
-        sups = np.maximum.accumulate(
-            np.minimum(resid, f0.values)[::-1], axis=0)[::-1]
+        pointwise = ae_converges([family.terms[j] for j in indices], f,
+                                 tol=ae_tol)
+        # one (picks, n) buffer, written in place: the residuals |f_a - f|,
+        # then the running sup over the tail of |f_a - f| ^ f0. Its rows run
+        # in reverse pick order, so that sup runs forward, and the trace's
+        # product reads a reversed view, which numpy sums without BLAS, in
+        # the order it always did
+        rev = np.take(family.values, indices[::-1], axis=0)
+        np.subtract(rev, fv, out=rev)
+        np.abs(rev, out=rev)
+        pointwise_ok = pointwise.converged
+        if not pointwise_ok:
+            half = max(1, len(indices) // 2)
+            head = rev[len(indices) - half:].max(axis=0)
+            tail = (rev[:len(indices) - half].max(axis=0)
+                    if half < len(indices) else head)
+            pointwise_ok = bool(
+                np.all(tail <= np.maximum(ae_tol, 0.5 * head)))
+
+        np.minimum(rev, f0.values, out=rev)
+        for m in range(1, len(indices)):
+            np.maximum(rev[m], rev[m - 1], out=rev[m])
+        sups = rev[::-1]
         for m, t_m in enumerate(sups @ wg, start=1):
             trace.append(float(t_m))
             trace_margin = max(trace_margin,
                                float(t_m) - (2.0 ** (-(m - 1)) + 1e-12))
-
-        pointwise = ae_converges([family.terms[j] for j in indices], f,
-                                 tol=ae_tol)
-        pointwise_ok = pointwise.converged
-        if not pointwise_ok:
-            half = max(1, len(indices) // 2)
-            head = resid[:half].max(axis=0)
-            tail = resid[half:].max(axis=0) if half < len(indices) else head
-            pointwise_ok = bool(
-                np.all(tail <= np.maximum(ae_tol, 0.5 * head)))
     return ExtractionResult(
         status=status,
         indices=tuple(indices),

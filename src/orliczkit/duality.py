@@ -6,12 +6,17 @@ mass-preserving pairwise transfers so the search can move along density
 simplices that single-coordinate steps cannot leave. When the ascent's
 first sweep finds every move that changes the mass outside the objective's
 domain, as on the dual of a cash-additive functional, it runs those
-transfers alone. From a restart's second sweep on, each sweep ends with a
-pattern move (Hooke & Jeeves, 1961): one more line search along the sweep's
-net move, which shortens the slow linear tail of coordinate-wise ascent. A
-dual ascent whose primal value phi(f) is known stops as soon as it reaches
-it, since by weak duality no dual value exceeds it. Divergence of a
-conjugate (the +inf case) is detected by ray probes before any ascent runs.
+transfers alone. A coordinate or pair line that moved in the previous sweep
+searches a window around its last step first; a window none of whose
+probes gains ends the line, since a concave line's chord slopes never
+increase (Rockafellar, *Convex Analysis*, 1970, Thm 24.1). From a
+restart's second sweep on, each sweep ends with a pattern move (Hooke &
+Jeeves, 1961): one more line search along the sweep's net move, which
+shortens the slow linear tail of coordinate-wise ascent. A dual ascent
+whose primal value phi(f) is known stops as soon as it reaches it, since by
+weak duality no dual value exceeds it. Divergence of a conjugate (the +inf
+case) is detected by ray probes before any ascent runs, all of them in one
+``evaluate_rows`` call when the functional has a row kernel.
 """
 
 from __future__ import annotations
@@ -71,6 +76,34 @@ def _pattern_segment(g: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
+def _line_search(h: Callable[[float], float], lo: float, hi: float,
+                 t0: float, v: float,
+                 reach: float) -> tuple[tuple[float, float] | None, int]:
+    """Brent along a concave ``h`` on ``[lo, hi]`` from ``(t0, v = h(t0))``.
+
+    Returns ``(step, evaluations)``: ``step = (t, h(t))`` on strict
+    improvement over ``v``, else None. The search stops once its bracket
+    is as narrow as ``INV_PHI**LINE_STEPS`` times the segment. ``reach > 0``
+    (with v finite) searches the window within ``reach`` of ``t0`` first, at
+    that same width, as ``maximize_dual`` describes.
+    """
+    width = (hi - lo) * INV_PHI ** LINE_STEPS
+    evals = 0
+    if reach > 0.0:
+        a, b = max(lo, t0 - reach), min(hi, t0 + reach)
+        t, val, evals = brent_max(h, a, b, width, (t0, v))
+        # brent_max read both window ends, and neither beat h(t0) with t0 in
+        # [a, b]; the chord slopes of a concave h never increase, so
+        # h <= h(t0) on the whole segment, -inf beyond a or b included
+        if not val > v:
+            return None, evals
+        # inner edges fall back: without it numeric AVaR took 2-7 % more calls
+        if (t != a or a == lo) and (t != b or b == hi):
+            return (t, val), evals
+    t, val, ev = brent_max(h, lo, hi, width, (t0, v))
+    return ((t, val) if val > v else None), evals + ev
+
+
 @dataclass(frozen=True)
 class AscentResult:
     """Best point over all restarts.
@@ -115,12 +148,16 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     Objectives are free to return -inf off their domain; moves apply only on
     strict improvement. Each line search stops once its bracket is as narrow
     as ``INV_PHI**LINE_STEPS`` times its segment, or on a plateau that three
-    of its probes certify (the lines are concave). A pair that moved by s in
-    the previous sweep first searches the window [-4|s|, 4|s|] of its
-    segment at that same absolute width; it falls back to the whole segment
-    when the window's best point gains nothing or lands on an inner edge of
-    the window (the line is concave, so a best point inside the window is
-    the line's maximum), and always in a restart's first sweep.
+    of its probes certify (the lines are concave). A coordinate or pair that
+    moved by s in the previous sweep of its restart first searches the
+    window [-4|s|, 4|s|] of its line around the current point, at that same
+    absolute width; the guard probes stay on the whole segment. The line is
+    concave and the window's search reads both its ends, so a window whose
+    best point gains nothing ends the line with no move (no point of the
+    segment beats the current one), and a best point inside the window is
+    the line's maximum. Only a best point on an inner edge of the window
+    falls back to the whole segment, as does every line in a restart's
+    first sweep.
 
     From a restart's second sweep on, the sweep's last move is a pattern
     move along its net move d = g - (g at the sweep's start): a line search
@@ -139,9 +176,13 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     stops at is within that distance of the supremum, whatever the rest of
     the search would have found. A ceiling the ascent never reaches, a
     non-finite one included, leaves every step as without one. The result
-    is deterministic in ``seed``: restart r draws from default_rng([seed,
-    r]) and ties prefer the lowest start index. ``restarts`` below 1 raise
-    ValueError before the first objective call.
+    is deterministic in ``seed``: restart 0 starts at the constant density
+    1 / total mass, restart r > 0 draws from default_rng([seed, r]), and
+    ties prefer the lowest start index. When restart 0's start reads -inf,
+    it moves to g = 1 if that reads higher, before its first sweep: on a
+    space of mass other than 1, the expectation's dual is finite at g = 1
+    only. ``restarts`` below 1 raise ValueError before the first objective
+    call.
     """
     if restarts < 1:
         raise ValueError(f"maximize_dual needs at least one restart, "
@@ -168,8 +209,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
         first is -inf, and skips the line when both are: then all of it bar
         the current point sits outside the objective's domain, as
         single-coordinate and additive moves do under an equality
-        constraint. ``reach > 0`` searches the window within ``reach`` of
-        ``t0`` first, as ``maximize_dual`` describes."""
+        constraint. ``reach`` is ``_line_search``'s."""
         nonlocal evals, tried, skipped
         if guard:
             tried += 1
@@ -179,17 +219,9 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                 if h(lo + 0.75 * (hi - lo)) == -math.inf:
                     skipped += 1
                     return None
-        width = (hi - lo) * INV_PHI ** LINE_STEPS
-        if reach > 0.0:
-            a, b = max(lo, t0 - reach), min(hi, t0 + reach)
-            t, val, ev = brent_max(h, a, b, width, (t0, v))
-            evals += ev
-            # inner edges fall back: without it numeric AVaR took 2-7 % more calls
-            if val > v and (t != a or a == lo) and (t != b or b == hi):
-                return t, val
-        t, val, ev = brent_max(h, lo, hi, width, (t0, v))
+        step, ev = _line_search(h, lo, hi, t0, v, reach)
         evals += ev
-        return (t, val) if val > v else None
+        return step
 
     def at_ceiling():
         return AscentResult(g=g.copy(), value=v, start_index=r, sweeps=sweeps,
@@ -204,8 +236,16 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
             g = raw / float(np.dot(w, raw))
         v = objective(g)
         evals += 1
+        if r == 0 and v == -math.inf:
+            one = np.ones(n)
+            v_one = objective(one)
+            evals += 1
+            if v_one > v:
+                g, v = one, v_one
         sweeps = 0
-        # per pair, the warm window's half-width: 4 |last sweep's step|
+        # per coordinate and per pair, the warm window's half-width:
+        # 4 |last sweep's step|
+        coord_reach = [0.0] * n
         reach = [0.0] * len(pairs)
         for _ in range(SWEEP_CAP):
             sweeps += 1
@@ -228,7 +268,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         g[i] = old
                         return val
 
-                    step = line(h, lo, hi, t0)
+                    step = line(h, lo, hi, t0, reach=coord_reach[i])
+                    coord_reach[i] = 4.0 * abs(step[0] - t0) if step else 0.0
                     if step:
                         g[i], v = step
                         if v >= stop_at:
@@ -325,8 +366,9 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
 
 @dataclass(frozen=True)
 class ConjugateEstimate:
-    """``evaluations`` counts the functional's ``evaluate`` calls: the ray
-    probes plus the ascent's objective calls, 0 on the closed-form path."""
+    """``evaluations`` counts the functional's evaluations, ``evaluate``
+    calls and ``evaluate_rows`` rows alike: the ray probes plus the ascent's
+    objective calls, 0 on the closed-form path."""
     value: float
     numeric: bool
     best_f: Rv | None = None
@@ -347,9 +389,13 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     The numeric path first fires divergence probes along +-10^k rays through
     every coordinate axis and through the constant vector, k = 1..6: a probe
     value beyond 1e10, or a strictly increasing trace ending above 1e4, is
-    reported as +inf together with the offending ray. Otherwise a multi-start
-    sign-free coordinate ascent over f estimates the supremum.
-    ``evaluations`` reports the ``phi.evaluate`` calls this made.
+    reported as +inf together with the first offending ray, in the order
+    -e_1, +e_1, ..., -e_n, +e_n, -1, +1. With a row kernel
+    (``phi.evaluate_rows``) all (2n + 2) x 6 probes are one call; without
+    one they are ``phi.evaluate`` calls, and the rays after a diverging one
+    are never probed. Otherwise a multi-start sign-free coordinate ascent
+    over f estimates the supremum. ``evaluations`` reports the rows and
+    ``phi.evaluate`` calls this evaluated.
     """
     space = phi.space
     if not space.same_space(g.space):
@@ -357,28 +403,36 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     if phi.closed_form_conjugate is not None and not force_numeric:
         return ConjugateEstimate(float(phi.closed_form_conjugate(g)),
                                  numeric=False)
-    w = space.weights
-    gv = g.values
     n = space.n_atoms
+    wg = space.weights * g.values
 
     def obj(fv: np.ndarray) -> float:
         val = phi.evaluate(Rv._wrap(space, fv))
         if val == math.inf:
             return -math.inf
-        return float(np.dot(w, fv * gv)) - val
+        return float(np.dot(wg, fv)) - val
 
-    rays: list[np.ndarray] = []
+    # -e_i and +e_i for each atom i in turn, then -1 and +1
+    rays = np.zeros((2 * n + 2, n))
     for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        rays.append(-e)
-        rays.append(e)
-    rays.append(-np.ones(n))
-    rays.append(np.ones(n))
-    probes = 0
-    for ray in rays:
-        trace = [obj((10.0 ** k) * ray) for k in PROBE_EXPONENTS]
-        probes += len(trace)
+        rays[2 * i:2 * i + 2, i] = -1.0, 1.0
+    rays[-2], rays[-1] = -1.0, 1.0
+    scales = 10.0 ** np.array(PROBE_EXPONENTS, dtype=float)
+    if phi.evaluate_rows is None:
+        # lazily, so the rays after a diverging one are never probed
+        traces = ([obj(c * ray) for c in scales] for ray in rays)
+        probes = 0
+    else:
+        # every probe in one row call, which costs about what one evaluate
+        # call does; all its rows count, whichever ray diverges
+        rows = (rays[:, None, :] * scales[:, None]).reshape(-1, n)
+        vals = np.asarray(phi.evaluate_rows(rows), dtype=float)
+        traces = np.where(vals == math.inf, -math.inf, rows @ wg - vals)
+        traces = traces.reshape(len(rays), len(scales)).tolist()
+        probes = len(rows)
+    for ray, trace in zip(rays, traces):
+        if phi.evaluate_rows is None:
+            probes += len(trace)
         if (max(trace) > DIVERGENCE_HARD
                 or (_strictly_increasing(trace)
                     and trace[-1] > DIVERGENCE_SOFT)):
@@ -498,13 +552,13 @@ def _dual_objective(conj: Callable[[Rv], float], space: MeasureSpace,
                     fv: np.ndarray) -> Callable[[np.ndarray], float]:
     """``garr -> <f, garr> - conj(garr)`` for f with values ``fv``; -inf
     where ``conj`` is +inf."""
-    w = space.weights
+    wf = space.weights * fv
 
     def obj(garr: np.ndarray) -> float:
         cv = conj(Rv._wrap(space, garr))
         if cv == math.inf:
             return -math.inf
-        return float(np.dot(w, fv * garr)) - cv
+        return float(np.dot(wf, garr)) - cv
 
     return obj
 
@@ -524,9 +578,12 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     mass-preserving pair transfers plus coordinate, shift and scale moves;
     when restart 0's first sweep finds all of the latter outside the dual's
     domain, as for a cash-additive functional, the rest run the transfers
-    only. A pair that moved in the previous sweep first searches a window
-    of four times that step, falling back to its whole segment when the
-    window's best point sits on the window's inner edge or gains nothing.
+    only. A coordinate or pair that moved in the previous sweep first
+    searches a window of four times that step. A concave line that gains
+    nothing anywhere in the window gains nothing anywhere, so the line ends
+    there; only a best point on the window's inner edge falls back to the
+    whole segment. When restart 0 starts at -inf, the ascent moves to g = 1
+    first, where the expectation's dual is finite whatever the space's mass.
     From a restart's second sweep on, a sweep ends with a pattern move, a
     line search along the sweep's net move d over g + t d for t in [-1, 8],
     cut where a nonnegative density would turn negative. Each restart ends

@@ -287,13 +287,17 @@ def ae_converges(seq: Sequence[Rv], f: Rv, tol: float) -> AeVerdict:
     """
     if len(seq) == 0:
         raise ValueError("cannot judge convergence of an empty sequence")
-    for term in seq:
+    n_terms = len(seq)
+    resid = np.empty((n_terms, f.space.n_atoms))
+    for row, term in zip(resid, seq):
         term._peer(f)
-    resid = np.stack([np.abs(term.values - f.values) for term in seq])
-    tail_sup = np.maximum.accumulate(resid[::-1], axis=0)[::-1]
-    settled = tail_sup <= tol
-    n_terms = resid.shape[0]
-    settle_steps = n_terms - settled.sum(axis=0)
+        np.subtract(term.values, f.values, out=row)
+        np.abs(row, out=row)
+    # the tail supremum stays within tol from the step after an atom's last
+    # residual that is not (nan included)
+    late = ~(resid <= tol)
+    settle_steps = np.where(late.any(axis=0),
+                            n_terms - np.argmax(late[::-1], axis=0), 0)
     converged = bool(np.all(settle_steps < n_terms))
     if converged:
         slow_pos = int(np.argmax(settle_steps))
@@ -301,10 +305,11 @@ def ae_converges(seq: Sequence[Rv], f: Rv, tol: float) -> AeVerdict:
         unsettled = settle_steps >= n_terms
         finals = np.where(unsettled, resid[-1], -np.inf)
         slow_pos = int(np.argmax(finals))
+    # a copy: a view would keep the whole residual matrix alive
     return AeVerdict(
         converged=converged,
         settle_steps=settle_steps,
-        final_residuals=resid[-1],
+        final_residuals=resid[-1].copy(),
         slowest_atom_id=int(f.space.atom_ids[slow_pos]),
         slowest_settle_step=int(settle_steps[slow_pos]),
         tol=tol,

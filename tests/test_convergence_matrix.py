@@ -278,3 +278,35 @@ def test_readers_stay_within_a_fraction_of_the_family():
             assert tracemalloc.get_traced_memory()[1] - baseline <= 0.08 * size
     finally:
         tracemalloc.stop()
+
+
+def test_extraction_after_its_block_pass_takes_one_buffer():
+    # N = 4096 spike family, 40 picks of 4,096 atoms, 1.3 MB a copy: the
+    # post-pass copied them about five times, a 6.1 MB peak for the call.
+    # One buffer written in place keeps the trace's and verdicts' bits, so
+    # the unbuffered expressions are the reference
+    n = 4096
+    space = uniform_probability(n, truncated=True)
+    f = Rv(space, np.zeros(n))
+    fam = generate_sequence(space, POWER2, f, "ae_only_traveling_spike",
+                            length=n + 64, seed=7)
+    g0 = strictly_positive_witness(space, PSI2)
+    f0 = strictly_positive_witness(space, POWER2)
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        res = extract_ae_subsequence(fam, f, g0, f0)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert len(res.indices) == 40
+    assert peak <= 3.05e6
+    resid = np.abs(fam.values[list(res.indices)] - f.values)
+    sups = np.maximum.accumulate(np.minimum(resid, f0.values)[::-1],
+                                 axis=0)[::-1]
+    assert res.trace == tuple(
+        float(t) for t in sups @ (space.weights * g0.values))
+    tail_sup = np.maximum.accumulate(resid[::-1], axis=0)[::-1]
+    settle_steps = len(resid) - (tail_sup <= 1e-8).sum(axis=0)
+    assert res.pointwise.settle_steps.tobytes() == settle_steps.tobytes()
+    assert res.pointwise.final_residuals.tobytes() == resid[-1].tobytes()

@@ -274,6 +274,44 @@ def test_line_max_reaches_the_dense_grid_maximum(shape, lo, span, left,
     assert evals <= 2 + 3 * 32
 
 
+def test_a_line_beyond_its_warm_window_reaches_its_maximum():
+    # a coordinate line at t0 = 1 whose last step was 0.05: its window is
+    # [0.8, 1.2], the best point there is the inner edge 1.2, and the search
+    # falls back to the whole segment [0, 6], where the maximum is 3
+    probed = []
+
+    def h(t):
+        probed.append(t)
+        return -(t - 3.0) ** 2
+
+    step, evals = duality._line_search(h, 0.0, 6.0, 1.0, -4.0, 0.2)
+    assert step[0] == pytest.approx(3.0, abs=1e-6)
+    assert evals == len(probed) and max(probed) == 6.0
+    # a window edge on the segment's end is no inner edge: the best point
+    # there is the line's, and the window's search is the only one
+    probed.clear()
+    step, evals = duality._line_search(h, 0.0, 2.1, 1.9, h(1.9), 0.4)
+    assert step == (2.1, h(2.1))
+    assert all(1.5 <= t <= 2.1 for t in probed)
+
+
+def test_a_warm_window_that_gains_nothing_ends_its_line():
+    # concavity: neither window end nor any probe beats h(t0), so no point
+    # of the segment does, and the whole segment is never searched
+    probed = []
+
+    def h(t):
+        probed.append(t)
+        return -abs(t - 1.0) if 0.5 <= t <= 4.0 else -math.inf
+
+    for t0, reach in ((1.0, 0.1), (1.0, 2.0)):
+        probed.clear()
+        step, evals = duality._line_search(h, -10.0, 10.0, t0, h(t0), reach)
+        assert step is None
+        assert evals == len(probed) - 1
+        assert all(t0 - reach <= t <= t0 + reach for t in probed)
+
+
 def test_maximize_dual_concave_quadratic_free():
     sp = uniform_probability(3)
     target = np.array([0.7, -0.4, 1.3])
@@ -672,23 +710,60 @@ def test_feasible_dual_conjugates_stop_on_their_plateau():
     # own maximizers, whose numeric conjugate line searches run along flat
     # lines. The parent of the plateau stop made 24,678 evaluate calls on the
     # AVaR, worst-case and expectation ones (60 ray probes per call
-    # included); the plateau stop makes 4,490
+    # included); the plateau stop makes 4,490. The entropic ones take 6,856
+    # with warm coordinate windows, 8,535 with whole-segment coordinate
+    # lines, and 8,598 with warm windows that fall back to the whole segment
+    # after gaining nothing
     sp = uniform_probability(4)
     rng = np.random.default_rng([41, 4])
-    total = 0
+    total = entropic_total = 0
     for functional in increasing_catalog(sp, beta=1.0, alpha=0.5):
         for _ in range(8):
             g = functional.closed_form_maximizer(
                 Rv(sp, rng.normal(0.0, 1.5, 4)))
             rng.integers(0, 4)  # verify-all's negative dip, drawn in between
-            if functional.name.startswith("entropic"):
-                continue
             est = fenchel_conjugate_value(functional, g, seed=41, restarts=2,
                                           force_numeric=True)
             assert math.isfinite(est.value)
             assert est.evaluations > 60
-            total += est.evaluations
+            if functional.name.startswith("entropic"):
+                entropic_total += est.evaluations
+            else:
+                total += est.evaluations
     assert total <= 6_000
+    assert entropic_total <= 7_500
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(member=st.integers(0, 4), n=st.integers(2, 8),
+       dip=st.one_of(st.none(), st.floats(-2.0, -0.5)), data=st.data())
+def test_row_probes_match_the_scalar_path(member, n, dip, data):
+    # the ray probes in one evaluate_rows call give the scalar path's value
+    # and first diverging ray; member 4 is a custom functional with no row
+    # kernel, which takes the scalar path either way
+    sp = uniform_probability(n)
+    catalog = increasing_catalog(sp, beta=1.0, alpha=0.5)
+    shifted = RiskFunctional("shifted_entropic", sp,
+                             lambda f: catalog[0].evaluate(f) + 0.25,
+                             zeros(sp))
+    phi = (*catalog, shifted)[member]
+    f = Rv(sp, data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n,
+                                  max_size=n)))
+    gv = catalog[member % 4].closed_form_maximizer(f).values.copy()
+    if dip is not None:
+        gv[data.draw(st.integers(0, n - 1))] = dip
+    g = Rv(sp, gv)
+    rows = fenchel_conjugate_value(phi, g, seed=3, restarts=2,
+                                   force_numeric=True)
+    scalar = fenchel_conjugate_value(replace(phi, evaluate_rows=None), g,
+                                     seed=3, restarts=2, force_numeric=True)
+    assert rows.value == scalar.value
+    assert math.isfinite(rows.value) == (dip is None)
+    if dip is None:
+        assert rows.diverged_ray is scalar.diverged_ray is None
+    else:
+        assert rows.diverged_ray.values.tobytes() == \
+            scalar.diverged_ray.values.tobytes()
 
 
 def test_results_report_their_evaluations():
@@ -702,15 +777,29 @@ def test_results_report_their_evaluations():
         calls[0] += 1
         return ent.evaluate(f)
 
-    wrapped = replace(ent, evaluate=counted)
+    def counted_rows(rows):
+        calls[0] += len(rows)
+        return ent.evaluate_rows(rows)
+
+    # a copy that swaps evaluate swaps evaluate_rows too; each row counts
+    wrapped = replace(ent, evaluate=counted, evaluate_rows=counted_rows)
     est = fenchel_conjugate_value(wrapped, g, force_numeric=True, restarts=2)
     assert est.evaluations == calls[0] > 8 * 6
-    # a divergent dual stops at its first diverging ray, six probes each
+    # the ray probes are one row call of 8 rays x 6 exponents
     calls[0] = 0
     dip = fenchel_conjugate_value(wrapped, Rv(sp, [1.5, 1.0, -0.5]),
                                   force_numeric=True)
     assert dip.value == math.inf
+    assert dip.evaluations == calls[0] == 8 * 6
+    # without a row kernel a divergent dual stops at its first diverging
+    # ray, six probes each
+    calls[0] = 0
+    scalar = replace(wrapped, evaluate_rows=None)
+    dip = fenchel_conjugate_value(scalar, Rv(sp, [1.5, 1.0, -0.5]),
+                                  force_numeric=True)
+    assert dip.value == math.inf
     assert dip.evaluations == calls[0] and dip.evaluations % 6 == 0
+    assert dip.evaluations < 8 * 6
     f = Rv(sp, [0.3, -0.2, 0.5])
     _, closed = reconstruct(ent, f, PSI2, validation_trials=40)
     assert (closed.evaluations, closed.sweeps) == (0, 0)
@@ -720,6 +809,18 @@ def test_results_report_their_evaluations():
                                                 sp, f.values),
                         sp, restarts=2, ceiling=ent.evaluate(f))
     assert numeric.evaluations == res.evaluations > 0
+
+
+def test_numeric_expectation_on_a_space_of_mass_two():
+    # the dual of E[f] is finite at g = 1 only; every restart started at
+    # mass 1, so the ascent read -inf everywhere and the gap was infinite
+    sp = MeasureSpace.finite([1.0, 1.0])
+    f = Rv(sp, [0.3, -0.2])
+    got, cert = reconstruct(expectation(sp), f, PSI2, force_numeric=True,
+                            restarts=2, validation_trials=40)
+    assert got == pytest.approx(0.1, abs=1e-15)
+    assert cert.gap == 0.0
+    assert np.array_equal(cert.g.values, np.ones(2))
 
 
 def test_weak_duality_invariant():
@@ -768,6 +869,7 @@ def test_translation_shifts_conjugate_by_constant():
     c = 0.35
     shifted = replace(ent, name="entropic_shifted",
                       evaluate=lambda f: ent.evaluate(f) + c,
+                      evaluate_rows=lambda rows: ent.evaluate_rows(rows) + c,
                       closed_form_conjugate=None, closed_form_maximizer=None)
     g = Rv(sp, [1.4, 0.8, 0.8])
     base = fenchel_conjugate_value(ent, g, force_numeric=True, seed=3)
