@@ -31,8 +31,8 @@ DUALITY = "src/orliczkit/duality.py"
 MUTANTS = [
     ("row probes report the last diverging ray, not the first",
      DUALITY,
-     "        probes = len(rows)\n",
-     "        probes = len(rows)\n"
+     "        probes = len(rows) + 1\n",
+     "        probes = len(rows) + 1\n"
      "        rays, traces = rays[::-1], traces[::-1]\n",
      ["tests/test_duality.py::"
       "test_fenchel_negative_coordinate_diverges_via_indicator_ray",
@@ -56,6 +56,29 @@ MUTANTS = [
      "        if r == 0 and v == -math.inf:\n",
      "        if False:\n",
      ["tests/test_duality.py::test_numeric_expectation_on_a_space_of_mass_two"]),
+    ("the ascent never switches to transfers only",
+     DUALITY,
+     "                transfers_only = skipped == tried\n",
+     "                transfers_only = False\n",
+     ["tests/test_duality.py::"
+      "test_catalog_ascent_leaves_the_unit_mass_only_to_measure"]),
+    ("a restart's start point is never compared with the ceiling",
+     DUALITY,
+     "        sweeps = 0\n"
+     "        if v >= stop_at:\n"
+     "            return at_ceiling()\n",
+     "        sweeps = 0\n",
+     ["tests/test_duality.py::"
+      "test_a_start_at_the_ceiling_stops_there[mass_two]",
+      "tests/test_duality.py::"
+      "test_a_start_at_the_ceiling_stops_there[uniform_five]"]),
+    ("the numeric conjugate trusts the row kernel unchecked",
+     DUALITY,
+     "        check_rows(phi, rows, vals)\n",
+     "",
+     ["tests/test_duality.py::"
+      "test_fenchel_conjugate_refuses_a_stale_row_kernel",
+      "tests/test_duality.py::test_results_report_their_evaluations"]),
     ("the Luxemburg bisection keeps a 1e-14 absolute floor",
      "src/orliczkit/norms.py",
      "    while hi - lo > 1e-10 * hi:\n",

@@ -1,18 +1,18 @@
 """Fenchel conjugation and certified dual representations.
 
 Everything here is derivative-free: conjugates and dual suprema are computed
-by per-coordinate line-search ascent with deterministic multi-starts, plus
-mass-preserving pairwise transfers so the search can move along density
-simplices that single-coordinate steps cannot leave. When the ascent's
-first sweep finds every move that changes the mass outside the objective's
-domain, as on the dual of a cash-additive functional, it runs those
-transfers alone. A coordinate or pair line that moved in the previous sweep
-searches a window around its last step first; a window none of whose
-probes gains ends the line, since a concave line's chord slopes never
-increase (Rockafellar, *Convex Analysis*, 1970, Thm 24.1). From a
-restart's second sweep on, each sweep ends with a pattern move (Hooke &
+by line-search ascent with deterministic multi-starts. Each sweep has three
+kinds of move: single-coordinate lines, mass-preserving pairwise transfers,
+which move along density simplices that single-coordinate steps cannot
+leave, and, from a restart's second sweep on, a pattern move (Hooke &
 Jeeves, 1961): one more line search along the sweep's net move, which
-shortens the slow linear tail of coordinate-wise ascent. A dual ascent
+shortens the slow linear tail of coordinate-wise ascent. When the ascent's
+first sweep finds every coordinate line outside the objective's domain, as
+on the dual of a cash-additive functional, it runs the transfers and the
+pattern move alone. A coordinate or pair line that moved in the previous
+sweep searches a window around its last step first; a window none of whose
+probes gains ends the line, since a concave line's chord slopes never
+increase (Rockafellar, *Convex Analysis*, 1970, Thm 24.1). A dual ascent
 whose primal value phi(f) is known stops as soon as it reaches it, since by
 weak duality no dual value exceeds it. Divergence of a conjugate (the +inf
 case) is detected by ray probes before any ascent runs, all of them in one
@@ -32,7 +32,7 @@ from .errors import Refusal, SlopeConditionError, SpaceMismatchError
 from .measure import MeasureSpace, Rv
 from .norms import dual_pairing, heart_member
 from .orlicz import OrliczFunction
-from .risk import RiskFunctional, validate
+from .risk import RiskFunctional, check_rows, validate
 
 # A single ray probe beyond this value is conclusive divergence on its own.
 DIVERGENCE_HARD = 1e10
@@ -133,17 +133,17 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                   ceiling: float = math.inf) -> AscentResult:
     """Maximize a concave ``objective`` over coordinate vectors ``g``.
 
-    Move set per sweep: single-coordinate line searches (projected to g >= 0
-    when ``nonneg``), pairwise transfers g_i += s/w_i, g_j -= s/w_j over all
-    pairs i < j, which keep the weighted mass fixed, a global additive
-    shift, and a global rescaling. The coordinate, shift and scale lines
-    are guarded: each first probes its shoulders and is skipped when both
-    are -inf. If the guard skips every one of them in restart 0's first
-    sweep, the objective is read as -inf off the hyperplane of the starting
-    mass, as the dual objective of a cash-additive functional is (its
-    conjugate is +inf off E[g] = 1), and the rest of the call runs the pair
-    transfers only. A wrong reading can only make the ascent weaker, never
-    its answer infeasible.
+    Move set per sweep, three kinds: single-coordinate line searches
+    (projected to g >= 0 when ``nonneg``), pairwise transfers g_i += s/w_i,
+    g_j -= s/w_j over all pairs i < j, which keep the weighted mass fixed,
+    and the pattern move below. Only the coordinate lines are guarded: each
+    first probes its shoulders and is skipped when both are -inf. If the
+    guard skips every one of them in restart 0's first sweep, the objective
+    is read as -inf off the hyperplane of the starting mass, as the dual
+    objective of a cash-additive functional is (its conjugate is +inf off
+    E[g] = 1), and the rest of the call runs the pair transfers and the
+    pattern move only. A wrong reading can only make the ascent weaker,
+    never its answer infeasible.
 
     Objectives are free to return -inf off their domain; moves apply only on
     strict improvement. Each line search stops once its bracket is as narrow
@@ -170,19 +170,19 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     relative.
 
     ``ceiling`` is a known upper bound on the objective, such as phi(f) for
-    the dual of phi at f (weak duality). The call returns as soon as an
-    accepted move of any kind reaches ``ceiling - CEILING_TOL * (1 +
-    |ceiling|)``, skipping the remaining sweeps and restarts; a point it
-    stops at is within that distance of the supremum, whatever the rest of
-    the search would have found. A ceiling the ascent never reaches, a
-    non-finite one included, leaves every step as without one. The result
-    is deterministic in ``seed``: restart 0 starts at the constant density
-    1 / total mass, restart r > 0 draws from default_rng([seed, r]), and
-    ties prefer the lowest start index. When restart 0's start reads -inf,
-    it moves to g = 1 if that reads higher, before its first sweep: on a
-    space of mass other than 1, the expectation's dual is finite at g = 1
-    only. ``restarts`` below 1 raise ValueError before the first objective
-    call.
+    the dual of phi at f (weak duality). The call returns as soon as a
+    restart's start point or an accepted move of any kind reaches
+    ``ceiling - CEILING_TOL * (1 + |ceiling|)``, skipping the remaining
+    sweeps and restarts; a point it stops at is within that distance of the
+    supremum, whatever the rest of the search would have found. A ceiling
+    the ascent never reaches, a non-finite one included, leaves every step
+    as without one. The result is deterministic in ``seed``: restart 0
+    starts at the constant density 1 / total mass, restart r > 0 draws from
+    default_rng([seed, r]), and ties prefer the lowest start index. When
+    restart 0's start reads -inf, it moves to g = 1 if that reads higher,
+    before its first sweep: on a space of mass other than 1, the
+    expectation's dual is finite at g = 1 only. ``restarts`` below 1 raise
+    ValueError before the first objective call.
     """
     if restarts < 1:
         raise ValueError(f"maximize_dual needs at least one restart, "
@@ -196,42 +196,21 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     best: AscentResult | None = None
     evals = 0
-    # guarded lines tried and skipped by the guard; once the guard lets one
-    # line through the two never agree again, so only restart 0's first
+    # coordinate lines tried and skipped by the guard; once the guard lets
+    # one line through the two never agree again, so only restart 0's first
     # sweep can switch the ascent to transfers only
     tried = skipped = 0
     transfers_only = False
-
-    def line(h, lo, hi, t0, guard=True, reach=0.0):
-        """One move: Brent along ``h`` on ``[lo, hi]`` from ``(t0, v)``.
-        Returns ``(t, h(t))`` on strict improvement over ``v``, else None.
-        ``guard`` probes the two shoulders first, the second only when the
-        first is -inf, and skips the line when both are: then all of it bar
-        the current point sits outside the objective's domain, as
-        single-coordinate and additive moves do under an equality
-        constraint. ``reach`` is ``_line_search``'s."""
-        nonlocal evals, tried, skipped
-        if guard:
-            tried += 1
-            evals += 1
-            if h(lo + 0.25 * (hi - lo)) == -math.inf:
-                evals += 1
-                if h(lo + 0.75 * (hi - lo)) == -math.inf:
-                    skipped += 1
-                    return None
-        step, ev = _line_search(h, lo, hi, t0, v, reach)
-        evals += ev
-        return step
 
     def at_ceiling():
         return AscentResult(g=g.copy(), value=v, start_index=r, sweeps=sweeps,
                             evaluations=evals, stop_reason="ceiling")
 
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
         if r == 0:
             g = np.full(n, 1.0 / total)
         else:
+            rng = np.random.default_rng([seed, r])
             raw = np.abs(rng.normal(0.0, 1.0, n)) + 0.05
             g = raw / float(np.dot(w, raw))
         v = objective(g)
@@ -243,6 +222,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
             if v_one > v:
                 g, v = one, v_one
         sweeps = 0
+        if v >= stop_at:
+            return at_ceiling()
         # per coordinate and per pair, the warm window's half-width:
         # 4 |last sweep's step|
         coord_reach = [0.0] * n
@@ -253,13 +234,11 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
             g_start = g.copy()
 
             if not transfers_only:
-                span = 2.0 * (1.0 + float(np.max(np.abs(g)))) if n else 1.0
+                span = 2.0 * (1.0 + float(np.max(np.abs(g))))
                 for i in range(n):
                     t0 = g[i]
                     lo = max(0.0, t0 - span) if nonneg else t0 - span
                     hi = t0 + span
-                    if hi <= lo:
-                        continue
 
                     def h(t, i=i):
                         old = g[i]
@@ -268,12 +247,26 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         g[i] = old
                         return val
 
-                    step = line(h, lo, hi, t0, reach=coord_reach[i])
+                    # the guard: both shoulders -inf (the second probed only
+                    # when the first is) put all of the line bar the current
+                    # point outside the objective's domain, as under an
+                    # equality constraint on the mass
+                    tried += 1
+                    evals += 1
+                    if h(lo + 0.25 * (hi - lo)) == -math.inf:
+                        evals += 1
+                        if h(lo + 0.75 * (hi - lo)) == -math.inf:
+                            skipped += 1
+                            coord_reach[i] = 0.0
+                            continue
+                    step, ev = _line_search(h, lo, hi, t0, v, coord_reach[i])
+                    evals += ev
                     coord_reach[i] = 4.0 * abs(step[0] - t0) if step else 0.0
                     if step:
                         g[i], v = step
                         if v >= stop_at:
                             return at_ceiling()
+                transfers_only = skipped == tried
 
             for k, (i, j) in enumerate(pairs):
                 wi, wj = float(w[i]), float(w[j])
@@ -294,7 +287,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     g[i], g[j] = gi, gj
                     return val
 
-                step = line(h, lo, hi, 0.0, guard=False, reach=reach[k])
+                step, ev = _line_search(h, lo, hi, 0.0, v, reach[k])
+                evals += ev
                 reach[k] = 4.0 * abs(step[0]) if step else 0.0
                 if step:
                     s, v = step
@@ -310,32 +304,13 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     if v >= stop_at:
                         return at_ceiling()
 
-            if not transfers_only:
-                lo = max(-float(np.min(g)), -span) if nonneg else -span
-                if span > lo:
-                    step = line(lambda t: objective(g + t), lo, span, 0.0)
-                    if step:
-                        t, v = step
-                        g += t
-                        if nonneg:
-                            np.maximum(g, 0.0, out=g)
-                        if v >= stop_at:
-                            return at_ceiling()
-
-                step = line(lambda c: objective(c * g), 0.25, 4.0, 1.0)
-                if step:
-                    c, v = step
-                    g *= c
-                    if v >= stop_at:
-                        return at_ceiling()
-                transfers_only = skipped == tried
-
             if sweeps > 1:
                 d = g - g_start
                 lo, hi = _pattern_segment(g, d)
                 if hi - lo > 1e-300:
-                    step = line(lambda t: objective(g + t * d), lo, hi, 0.0,
-                                guard=False)
+                    step, ev = _line_search(lambda t: objective(g + t * d),
+                                            lo, hi, 0.0, v, 0.0)
+                    evals += ev
                     if step:
                         t, v = step
                         kept = g >= 0.0
@@ -391,11 +366,13 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     value beyond 1e10, or a strictly increasing trace ending above 1e4, is
     reported as +inf together with the first offending ray, in the order
     -e_1, +e_1, ..., -e_n, +e_n, -1, +1. With a row kernel
-    (``phi.evaluate_rows``) all (2n + 2) x 6 probes are one call; without
-    one they are ``phi.evaluate`` calls, and the rays after a diverging one
-    are never probed. Otherwise a multi-start sign-free coordinate ascent
-    over f estimates the supremum. ``evaluations`` reports the rows and
-    ``phi.evaluate`` calls this evaluated.
+    (``phi.evaluate_rows``) all (2n + 2) x 6 probes are one call, which
+    ``check_rows`` cross-checks with one ``phi.evaluate`` call (ValueError
+    when they disagree); without one they are ``phi.evaluate`` calls, and
+    the rays after a diverging one are never probed. Otherwise a multi-start
+    sign-free ascent over f (``maximize_dual``) estimates the supremum.
+    ``evaluations`` reports the rows and ``phi.evaluate`` calls this
+    evaluated.
     """
     space = phi.space
     if not space.same_space(g.space):
@@ -424,12 +401,14 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
         probes = 0
     else:
         # every probe in one row call, which costs about what one evaluate
-        # call does; all its rows count, whichever ray diverges
+        # call does; all its rows count, whichever ray diverges, and so does
+        # the evaluate call that cross-checks the kernel
         rows = (rays[:, None, :] * scales[:, None]).reshape(-1, n)
         vals = np.asarray(phi.evaluate_rows(rows), dtype=float)
+        check_rows(phi, rows, vals)
         traces = np.where(vals == math.inf, -math.inf, rows @ wg - vals)
         traces = traces.reshape(len(rays), len(scales)).tolist()
-        probes = len(rows)
+        probes = len(rows) + 1
     for ray, trace in zip(rays, traces):
         if phi.evaluate_rows is None:
             probes += len(trace)
@@ -574,23 +553,10 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     fails and a SlopeConditionError is raised. The functional must pass
     ``validate`` (convex, increasing, proper). With a declared closed-form
     maximizer the certificate is exact; otherwise ``maximize_dual`` searches
-    over g >= 0 from deterministic multi-starts. Each sweep runs the
-    mass-preserving pair transfers plus coordinate, shift and scale moves;
-    when restart 0's first sweep finds all of the latter outside the dual's
-    domain, as for a cash-additive functional, the rest run the transfers
-    only. A coordinate or pair that moved in the previous sweep first
-    searches a window of four times that step. A concave line that gains
-    nothing anywhere in the window gains nothing anywhere, so the line ends
-    there; only a best point on the window's inner edge falls back to the
-    whole segment. When restart 0 starts at -inf, the ascent moves to g = 1
-    first, where the expectation's dual is finite whatever the space's mass.
-    From a restart's second sweep on, a sweep ends with a pattern move, a
-    line search along the sweep's net move d over g + t d for t in [-1, 8],
-    cut where a nonnegative density would turn negative. Each restart ends
-    after its first sweep that gains at most 1e-11 relative. phi(f) bounds
-    every dual value (weak duality), so it is the ascent's ``ceiling``: the
-    search stops, skipping any later restart, as soon as it comes within
-    ``CEILING_TOL * (1 + |phi(f)|)`` of phi(f).
+    over g >= 0 from deterministic multi-starts, with phi(f) as its
+    ``ceiling``: phi(f) bounds every dual value (weak duality), so the
+    search stops as soon as it comes within ``CEILING_TOL * (1 + |phi(f)|)``
+    of it. ``maximize_dual`` describes the moves and the stop rules.
     Returns (dual value, certificate); certificate.gap = phi(f) - dual value.
     """
     space = phi.space

@@ -9,7 +9,7 @@ import numpy as np
 
 from ._search import bracket_min, brent_max
 from .errors import NumericFailure
-from .measure import Rv
+from .measure import MeasureSpace, Rv
 from .orlicz import OrliczFunction
 
 
@@ -135,11 +135,23 @@ def dual_pairing(f: Rv, g: Rv) -> float:
 def indicator_norm(phi: OrliczFunction, mass: float) -> float:
     """Luxemburg norm of an indicator, which depends only on the set's mass.
 
-    It is the norm on a one-atom space carrying that mass, computed by
-    ``_indicator_norms``, so it agrees with the norm on any actual space up
-    to bisection tolerance.
+    It is ``luxemburg_norm`` on a one-atom space carrying that mass, so it
+    agrees with the norm on any actual space up to bisection tolerance, and
+    bit for bit with ``_indicator_norms``.
     """
-    return float(_indicator_norms(phi, [mass])[0])
+    _indicator_masses([mass])
+    return luxemburg_norm(Rv(MeasureSpace.finite([mass]), [1.0]), phi).value
+
+
+def _indicator_masses(masses) -> np.ndarray:
+    """``masses`` as a flat float array; ValueError unless each is finite
+    and positive."""
+    m = np.array(masses, dtype=float).reshape(-1)
+    bad = m[~((m > 0.0) & (m < math.inf))]
+    if bad.size:
+        need = "finite" if bad[0] == math.inf else "positive"
+        raise ValueError(f"indicator mass must be {need}, got {bad[0]}")
+    return m
 
 
 def _indicator_norms(phi: OrliczFunction, masses) -> np.ndarray:
@@ -152,12 +164,7 @@ def _indicator_norms(phi: OrliczFunction, masses) -> np.ndarray:
     A mass takes the steps of its own scalar run, so each norm has the bits
     of ``luxemburg_norm(Rv(MeasureSpace.finite([m]), [1.0]), phi).value``.
     """
-    m = np.array(masses, dtype=float).reshape(-1)
-    bad = m[~((m > 0.0) & (m < math.inf))]
-    if bad.size:
-        need = "finite" if bad[0] == math.inf else "positive"
-        raise ValueError(f"indicator mass must be {need}, got {bad[0]}")
-
+    m = _indicator_masses(masses)
     # the walk from top = 1: halve while feasible, or double until feasible;
     # a halving walk stops at an infeasible lo, a doubling one at a feasible hi
     lo, hi = np.ones(m.size), np.ones(m.size)

@@ -29,8 +29,9 @@ class RiskFunctional:
     to the ``(k,)`` values ``evaluate`` gives row by row; ``validate`` uses
     it to score all its samples in one call. A copy made with
     ``dataclasses.replace`` that swaps ``evaluate`` must swap or clear
-    ``evaluate_rows`` too; ``validate`` refuses a kernel that disagrees
-    with ``evaluate``.
+    ``evaluate_rows`` too; ``validate`` and the numeric
+    ``fenchel_conjugate_value`` refuse a kernel that disagrees with
+    ``evaluate`` (``check_rows``).
     """
     name: str
     space: MeasureSpace
@@ -237,6 +238,20 @@ def non_monotone_control(space: MeasureSpace) -> RiskFunctional:
 # -- sampled validation ------------------------------------------------------
 
 
+def check_rows(phi: RiskFunctional, rows: np.ndarray,
+               values: np.ndarray) -> None:
+    """Raise ValueError unless ``values``, from ``phi.evaluate_rows(rows)``,
+    matches ``phi.evaluate`` on the first row within 1e-9 relative.
+
+    One ``evaluate`` call catches a stale kernel, say one that a
+    ``dataclasses.replace`` of ``evaluate`` left behind.
+    """
+    ref = phi.evaluate(Rv._wrap(phi.space, rows[0]))
+    if not (values[0] == ref
+            or abs(values[0] - ref) <= 1e-9 * (1.0 + abs(ref))):
+        raise ValueError(f"{phi.name}: evaluate_rows disagrees with evaluate")
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     monotone_ok: bool
@@ -277,12 +292,8 @@ def validate(phi: RiskFunctional, trials: int = 200, seed: int = 0) -> Validatio
                           dtype=float)
     else:
         values = np.asarray(phi.evaluate_rows(rows), dtype=float)
-        if trials:  # a stale kernel (say, left behind by a replace) fails here
-            ref = phi.evaluate(Rv._wrap(space, rows[0]))
-            if not (values[0] == ref
-                    or abs(values[0] - ref) <= slack * (1.0 + abs(ref))):
-                raise ValueError(f"{phi.name}: evaluate_rows disagrees with "
-                                 "evaluate")
+        if trials:
+            check_rows(phi, rows, values)
     fa, fb, mix, fc = values.reshape(4, trials)
     mono_bad = np.flatnonzero(fa > fb + slack)
     conv_bad = np.flatnonzero(mix > theta * fa + (1.0 - theta) * fc + slack)
