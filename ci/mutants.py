@@ -26,13 +26,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 DUALITY = "src/orliczkit/duality.py"
+CONVERGENCE = "src/orliczkit/convergence.py"
+SPIKE_PROPERTY = ("tests/test_convergence_matrix.py::"
+                  "test_spike_layout_readers_match_a_dense_copy_bit_for_bit")
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
     ("row probes report the last diverging ray, not the first",
      DUALITY,
-     "        probes = len(rows) + 1\n",
-     "        probes = len(rows) + 1\n"
+     "        probes = len(rows) + 2\n",
+     "        probes = len(rows) + 2\n"
      "        rays, traces = rays[::-1], traces[::-1]\n",
      ["tests/test_duality.py::"
       "test_fenchel_negative_coordinate_diverges_via_indicator_ray",
@@ -61,7 +64,7 @@ MUTANTS = [
      "                transfers_only = skipped == tried\n",
      "                transfers_only = False\n",
      ["tests/test_duality.py::"
-      "test_catalog_ascent_leaves_the_unit_mass_only_to_measure"]),
+      "test_entropic_ascent_probes_off_the_unit_mass_twice_per_atom"]),
     ("a restart's start point is never compared with the ceiling",
      DUALITY,
      "        sweeps = 0\n"
@@ -74,7 +77,7 @@ MUTANTS = [
       "test_a_start_at_the_ceiling_stops_there[uniform_five]"]),
     ("the numeric conjugate trusts the row kernel unchecked",
      DUALITY,
-     "        check_rows(phi, rows, vals)\n",
+     "        check_rows(phi, rows[[0, -1]], vals[[0, -1]])\n",
      "",
      ["tests/test_duality.py::"
       "test_fenchel_conjugate_refuses_a_stale_row_kernel",
@@ -98,6 +101,17 @@ MUTANTS = [
      "            and gv.max() <= cap + FEAS_TOL\n",
      ["tests/test_risk.py::test_avar_conjugate_box_rules",
       "tests/test_duality.py::test_avar_ascent_stays_inside_the_cap"]),
+    ("the spike layout's readers skip the limit-equality check",
+     CONVERGENCE,
+     "    if family._spike is None or not np.array_equal(f.values,\n"
+     "                                                   family.limit.values):\n",
+     "    if family._spike is None:\n",
+     [SPIKE_PROPERTY]),
+    ("the spike layout's residual r_k is taken as c",
+     CONVERGENCE,
+     "    return (fv + height) - fv\n",
+     "    return np.full(len(fv), height)\n",
+     [SPIKE_PROPERTY]),
 ]
 
 

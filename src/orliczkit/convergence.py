@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ClosureRefusal
-from .measure import AeVerdict, MeasureSpace, Rv, ae_converges, zeros
+from .measure import AeVerdict, MeasureSpace, Rv, _ae_verdict, zeros
 from .norms import heart_member, indicator_norm, luxemburg_norm
 from .orlicz import OrliczFunction
 from .risk import RiskFunctional
@@ -50,6 +50,13 @@ class SequenceFamily:
     into that array, a family of L terms on n atoms takes L * n * 8 bytes.
     The extraction, w*-limit and decay checks read it in blocks of
     ``BLOCK_BYTES``, so their scratch memory does not grow with L.
+
+    A generated traveling-spike family stores no rows, only its layout: its
+    limit, its height c and its length L, term k being the limit plus c at
+    atom k while k < n_atoms and the limit itself after. Its ``values`` and
+    ``terms`` are built on first access and then kept; ``len`` does not
+    build them. Handed the family's own limit, the extraction, w*-limit and
+    decay checks read the layout instead, in O(L + n_atoms) time and memory.
     """
 
     terms: tuple[Rv, ...]
@@ -57,6 +64,9 @@ class SequenceFamily:
     mode: str
     limit: Rv
     values: np.ndarray = field(init=False, repr=False)
+    # (height, length) of a family stored as its spike layout, else None;
+    # a class attribute, not a field
+    _spike = None
 
     def __post_init__(self):
         if not self.terms:
@@ -91,8 +101,32 @@ class SequenceFamily:
         fam._adopt(rows)
         return fam
 
+    @classmethod
+    def _from_spike(cls, limit: Rv, height: float, length: int,
+                    norm_bound: float) -> "SequenceFamily":
+        """Internal constructor of a spike family's layout: ``length >= 1``
+        terms of finite ``height``, no rows stored."""
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "norm_bound", norm_bound)
+        object.__setattr__(fam, "mode", AE_ONLY_SPIKE)
+        object.__setattr__(fam, "limit", limit)
+        object.__setattr__(fam, "_spike", (height, length))
+        return fam
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set yet: a spike layout's rows
+        if self._spike is None or name not in ("values", "terms"):
+            raise AttributeError(name)
+        height, length = self._spike
+        rows = np.empty((length, self.limit.values.size))
+        rows[:] = self.limit.values
+        visited = np.arange(min(length, rows.shape[1]))
+        rows[visited, visited] += height
+        self._adopt(rows)
+        return object.__getattribute__(self, name)
+
     def __len__(self) -> int:
-        return len(self.terms)
+        return self._spike[1] if self._spike else len(self.terms)
 
     def check_norm_bound(self, phi: OrliczFunction, slack: float = 1e-12) -> bool:
         """Verify the declared bound against actual Luxemburg norms."""
@@ -130,6 +164,20 @@ def _row_blocks(rows: np.ndarray):
         yield start, rows[start:start + step]
 
 
+def _spike_residuals(family: SequenceFamily, f: Rv) -> np.ndarray | None:
+    """The residuals r_k = (f_k + c) - f_k of a spike layout's terms
+    k < min(len, n_atoms) against its own limit ``f``: row k of
+    ``family.values - f`` is r_k at atom k and exactly 0 elsewhere, and the
+    later rows are 0. None for a family stored as rows, or an ``f`` other
+    than the family's limit; those take the block readers."""
+    if family._spike is None or not np.array_equal(f.values,
+                                                   family.limit.values):
+        return None
+    height, length = family._spike
+    fv = f.values[:length]
+    return (fv + height) - fv
+
+
 def generate_sequence(space: MeasureSpace, phi: OrliczFunction, f: Rv,
                       mode: str, length: int = 32, seed: int = 0,
                       spike_height: float = 1.0) -> SequenceFamily:
@@ -149,8 +197,9 @@ def generate_sequence(space: MeasureSpace, phi: OrliczFunction, f: Rv,
     The declared norm bound is structural (triangle inequality on the pieces)
     rather than a per-term norm computation, plus a 1e-9 relative margin. For
     the spike it takes one indicator norm, at the largest visited weight: an
-    indicator's norm grows with its mass. The terms are written straight
-    into the family's one array.
+    indicator's norm grows with its mass. The spike family is stored as its
+    layout (see ``SequenceFamily``); the other two write their terms
+    straight into the family's one array.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
@@ -159,23 +208,21 @@ def generate_sequence(space: MeasureSpace, phi: OrliczFunction, f: Rv,
     rng = np.random.default_rng(seed)
     n = space.n_atoms
     base_norm = luxemburg_norm(f, phi).value
+    if mode == AE_ONLY_SPIKE:
+        c = float(spike_height)
+        if not math.isfinite(c):
+            raise ValueError("spike height must be finite")
+        worst = indicator_norm(phi, float(space.weights[:length].max()))
+        bound = base_norm + abs(c) * worst
+        return SequenceFamily._from_spike(f, c, length,
+                                          bound + 1e-9 * (1.0 + bound))
     rows = np.empty((length, n))
     steps = np.arange(1, length + 1, dtype=float)[:, None]
-
     if mode == NORM_CONVERGENT:
         z = np.abs(rng.normal(0.0, 1.0, n))
         np.divide(z, steps, out=rows)
         rows += f.values
         bound = base_norm + luxemburg_norm(Rv(space, z), phi).value
-    elif mode == AE_ONLY_SPIKE:
-        c = float(spike_height)
-        if not math.isfinite(c):
-            raise ValueError("spike height must be finite")
-        rows[:] = f.values
-        visited = np.arange(min(length, n))
-        rows[visited, visited] += c
-        worst = indicator_norm(phi, float(space.weights[visited].max()))
-        bound = base_norm + abs(c) * worst
     elif mode == ORDER_CONVERGENT:
         envelope = np.abs(rng.normal(0.0, 1.0, n)) + 0.1
         np.divide(envelope, steps, out=rows)
@@ -232,19 +279,27 @@ def extract_ae_subsequence(family: SequenceFamily, f: Rv, g0: Rv, f0: Rv, *,
         raise ValueError("family is declared norm-unbounded; extraction "
                          "requires a norm-bounded sequence")
     space = f.space
-    if not (space.same_space(g0.space) and space.same_space(f0.space)):
-        raise ValueError("f, g0, f0 must share one measure space")
+    if not (space.same_space(g0.space) and space.same_space(f0.space)
+            and space.same_space(family.limit.space)):
+        raise ValueError("the family, f, g0 and f0 must share one measure "
+                         "space")
     if g0.values.min() <= 0.0 or f0.values.min() <= 0.0:
         raise ValueError("g0 and f0 must be strictly positive")
     wg = space.weights * g0.values
     fv = f.values
-    pairings_all = np.empty(len(family))
-    scratch = np.empty((min(_block_rows(space.n_atoms), len(family)),
-                        space.n_atoms))
-    for start, rows in _row_blocks(family.values):
-        d = np.subtract(rows, fv, out=scratch[:len(rows)])
-        np.abs(d, out=d)
-        np.matmul(d, wg, out=pairings_all[start:start + len(rows)])
+    spikes = _spike_residuals(family, f)
+    if spikes is not None:
+        np.abs(spikes, out=spikes)
+        pairings_all = np.zeros(len(family))
+        np.multiply(spikes, wg[:len(spikes)], out=pairings_all[:len(spikes)])
+    else:
+        pairings_all = np.empty(len(family))
+        scratch = np.empty((min(_block_rows(space.n_atoms), len(family)),
+                            space.n_atoms))
+        for start, rows in _row_blocks(family.values):
+            d = np.subtract(rows, fv, out=scratch[:len(rows)])
+            np.abs(d, out=d)
+            np.matmul(d, wg, out=pairings_all[start:start + len(rows)])
 
     q = max(1, len(pairings_all) // 4)
     pairings_decay = bool(pairings_all[-q:].min()
@@ -273,16 +328,21 @@ def extract_ae_subsequence(family: SequenceFamily, f: Rv, g0: Rv, f0: Rv, *,
     pointwise = None
     pointwise_ok = False
     if indices:
-        pointwise = ae_converges([family.terms[j] for j in indices], f,
-                                 tol=ae_tol)
         # one (picks, n) buffer, written in place: the residuals |f_a - f|,
         # then the running sup over the tail of |f_a - f| ^ f0. Its rows run
         # in reverse pick order, so that sup runs forward, and the trace's
         # product reads a reversed view, which numpy sums without BLAS, in
         # the order it always did
-        rev = np.take(family.values, indices[::-1], axis=0)
-        np.subtract(rev, fv, out=rev)
-        np.abs(rev, out=rev)
+        picks = np.array(indices[::-1])
+        if spikes is not None:
+            rev = np.zeros((len(picks), space.n_atoms))
+            at = np.flatnonzero(picks < len(spikes))
+            rev[at, picks[at]] = spikes[picks[at]]
+        else:
+            rev = np.take(family.values, picks, axis=0)
+            np.subtract(rev, fv, out=rev)
+            np.abs(rev, out=rev)
+        pointwise = _ae_verdict(rev[::-1], space, ae_tol)
         pointwise_ok = pointwise.converged
         if not pointwise_ok:
             half = max(1, len(indices) // 2)
@@ -357,25 +417,40 @@ def wstar_limit_check(family: SequenceFamily, f: Rv, tests: Sequence[Rv],
                              "conjugate Young function")
     if f0 is None:
         f0 = Rv(space, np.ones(space.n_atoms))
+    elif f0.values.min() <= 0.0:
+        raise ValueError("f0 must be strictly positive")
     fv, f0v = f.values, f0.values
     gs = np.stack([g.values for g in tests], axis=1)  # (n, tests)
     wg = space.weights[:, None] * gs
     wag = np.abs(wg)
     q = max(0, (3 * len(family)) // 4 - 1)
-    tail = family.values[q:]
     # every pairing below is >= 0, so the running maxima start at 0
     tails, over_tails, dom_tails = (np.zeros(len(tests)) for _ in range(3))
-    scratch = np.empty((2, min(_block_rows(space.n_atoms), len(tail)),
-                        space.n_atoms))
-    for _, rows in _row_blocks(tail):
-        signed = np.subtract(rows, fv, out=scratch[0, :len(rows)])
-        np.maximum(tails, np.abs(signed @ wg).max(axis=0), out=tails)
-        d = np.abs(signed, out=signed)
-        part = np.subtract(d, f0v, out=scratch[1, :len(rows)])
-        np.maximum(part, 0.0, out=part)
-        np.maximum(over_tails, (part @ wag).max(axis=0), out=over_tails)
-        np.minimum(d, f0v, out=part)
-        np.maximum(dom_tails, (part @ wag).max(axis=0), out=dom_tails)
+    spikes = _spike_residuals(family, f)
+    if spikes is not None:
+        # row k's pairings are its one residual times row k of the weights;
+        # at every other atom |0| - f0 < 0 and min(|0|, f0) = 0, as f0 > 0
+        tail = slice(q, len(spikes))
+        if q < len(spikes):
+            d = np.abs(spikes[tail, None])
+            tails = np.abs(spikes[tail, None] * wg[tail]).max(axis=0)
+            over_tails = (np.maximum(d - f0v[tail, None], 0.0)
+                          * wag[tail]).max(axis=0)
+            dom_tails = (np.minimum(d, f0v[tail, None])
+                         * wag[tail]).max(axis=0)
+    else:
+        tail = family.values[q:]
+        scratch = np.empty((2, min(_block_rows(space.n_atoms), len(tail)),
+                            space.n_atoms))
+        for _, rows in _row_blocks(tail):
+            signed = np.subtract(rows, fv, out=scratch[0, :len(rows)])
+            np.maximum(tails, np.abs(signed @ wg).max(axis=0), out=tails)
+            d = np.abs(signed, out=signed)
+            part = np.subtract(d, f0v, out=scratch[1, :len(rows)])
+            np.maximum(part, 0.0, out=part)
+            np.maximum(over_tails, (part @ wag).max(axis=0), out=over_tails)
+            np.minimum(d, f0v, out=part)
+            np.maximum(dom_tails, (part @ wag).max(axis=0), out=dom_tails)
     worst = float(tails.max())
     return WstarReport(
         converged=worst <= tail_tol,
@@ -416,12 +491,18 @@ def _require_ae_decay(family: SequenceFamily) -> None:
     atomwise residuals over the last quarter must have at least halved
     relative to the first quarter (or be negligible outright)."""
     limit = family.limit.values
-    sups = np.empty(len(family))
-    scratch = np.empty((min(_block_rows(limit.size), len(family)), limit.size))
-    for start, rows in _row_blocks(family.values):
-        d = np.subtract(rows, limit, out=scratch[:len(rows)])
-        np.abs(d, out=d)
-        d.max(axis=1, out=sups[start:start + len(rows)])
+    spikes = _spike_residuals(family, family.limit)
+    if spikes is not None:
+        sups = np.zeros(len(family))
+        np.abs(spikes, out=sups[:len(spikes)])
+    else:
+        sups = np.empty(len(family))
+        scratch = np.empty((min(_block_rows(limit.size), len(family)),
+                            limit.size))
+        for start, rows in _row_blocks(family.values):
+            d = np.subtract(rows, limit, out=scratch[:len(rows)])
+            np.abs(d, out=d)
+            d.max(axis=1, out=sups[start:start + len(rows)])
     q = max(1, len(sups) // 4)
     head = float(sups[:q].max())
     tail = float(sups[-q:].min())

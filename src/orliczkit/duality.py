@@ -367,7 +367,7 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     reported as +inf together with the first offending ray, in the order
     -e_1, +e_1, ..., -e_n, +e_n, -1, +1. With a row kernel
     (``phi.evaluate_rows``) all (2n + 2) x 6 probes are one call, which
-    ``check_rows`` cross-checks with one ``phi.evaluate`` call (ValueError
+    ``check_rows`` cross-checks with two ``phi.evaluate`` calls (ValueError
     when they disagree); without one they are ``phi.evaluate`` calls, and
     the rays after a diverging one are never probed. Otherwise a multi-start
     sign-free ascent over f (``maximize_dual``) estimates the supremum.
@@ -401,14 +401,16 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
         probes = 0
     else:
         # every probe in one row call, which costs about what one evaluate
-        # call does; all its rows count, whichever ray diverges, and so does
-        # the evaluate call that cross-checks the kernel
+        # call does; all its rows count, whichever ray diverges, and so do
+        # the two evaluate calls that cross-check the kernel, on -10 e_1 and
+        # on 10^6 (1, ..., 1): a kernel stale only where f_1 >= 0 agrees on
+        # the first
         rows = (rays[:, None, :] * scales[:, None]).reshape(-1, n)
         vals = np.asarray(phi.evaluate_rows(rows), dtype=float)
-        check_rows(phi, rows, vals)
+        check_rows(phi, rows[[0, -1]], vals[[0, -1]])
         traces = np.where(vals == math.inf, -math.inf, rows @ wg - vals)
         traces = traces.reshape(len(rays), len(scales)).tolist()
-        probes = len(rows) + 1
+        probes = len(rows) + 2
     for ray, trace in zip(rays, traces):
         if phi.evaluate_rows is None:
             probes += len(trace)

@@ -127,13 +127,6 @@ def uniform_probability(n: int, truncated: bool = False) -> MeasureSpace:
     return MeasureSpace.finite(w)
 
 
-def counting(n: int, truncated: bool = False) -> MeasureSpace:
-    w = np.ones(n)
-    if truncated:
-        return MeasureSpace.truncated_countable(w)
-    return MeasureSpace.finite(w)
-
-
 # -- random variables ------------------------------------------------------
 
 
@@ -287,12 +280,20 @@ def ae_converges(seq: Sequence[Rv], f: Rv, tol: float) -> AeVerdict:
     """
     if len(seq) == 0:
         raise ValueError("cannot judge convergence of an empty sequence")
-    n_terms = len(seq)
-    resid = np.empty((n_terms, f.space.n_atoms))
+    resid = np.empty((len(seq), f.space.n_atoms))
     for row, term in zip(resid, seq):
         term._peer(f)
         np.subtract(term.values, f.values, out=row)
         np.abs(row, out=row)
+    return _ae_verdict(resid, f.space, tol)
+
+
+def _ae_verdict(resid: np.ndarray, space: MeasureSpace,
+                tol: float) -> AeVerdict:
+    """``ae_converges``'s verdict from its ``(terms >= 1, n_atoms)`` matrix
+    of residuals ``|f_n - f|`` in recording order, which it only reads, so
+    a reversed view of a buffer will do."""
+    n_terms = len(resid)
     # the tail supremum stays within tol from the step after an atom's last
     # residual that is not (nan included)
     late = ~(resid <= tol)
@@ -310,7 +311,7 @@ def ae_converges(seq: Sequence[Rv], f: Rv, tol: float) -> AeVerdict:
         converged=converged,
         settle_steps=settle_steps,
         final_residuals=resid[-1].copy(),
-        slowest_atom_id=int(f.space.atom_ids[slow_pos]),
+        slowest_atom_id=int(space.atom_ids[slow_pos]),
         slowest_settle_step=int(settle_steps[slow_pos]),
         tol=tol,
     )

@@ -15,7 +15,6 @@ from orliczkit import (
     SequenceFamily,
     closure_demo,
     conjugate,
-    counting,
     entropic,
     expectation,
     extract_ae_subsequence,
@@ -58,7 +57,7 @@ def test_norm_convergent_family_shrinks():
 
 
 def test_spike_family_constant_norm_until_exit():
-    sp = counting(4, truncated=True)
+    sp = MeasureSpace.truncated_countable(np.ones(4))
     f = zeros(sp)
     fam = generate_sequence(sp, POWER2, f, "ae_only_traveling_spike",
                             length=7, seed=0, spike_height=1.0)
@@ -76,7 +75,7 @@ def test_spike_supremum_grows_with_truncation():
     # pointwise sup over the family is the all-ones vector: its norm grows
     # like N^(1/2) under t^2 with counting weights
     for n in (4, 16, 64):
-        sp = counting(n, truncated=True)
+        sp = MeasureSpace.truncated_countable(np.ones(n))
         fam = generate_sequence(sp, POWER2, zeros(sp),
                                 "ae_only_traveling_spike", length=n, seed=0)
         sup = np.max(np.stack([t.values for t in fam.terms]), axis=0)
@@ -295,6 +294,18 @@ def test_wstar_check_rejects_test_outside_heart():
     psi_step = OrliczFunction.linf_step()
     with pytest.raises(ValueError, match="heart"):
         wstar_limit_check(fam, f, [f + 1.0], psi_step)
+
+
+@pytest.mark.parametrize("f0", [[1.0, -0.5, 1.0], [1.0, 0.0, 1.0]])
+def test_wstar_check_refuses_a_non_positive_f0(f0):
+    # with a zero or negative f0 the overflow and dominated parts of a zero
+    # residual are not zero, which the spike layout's readers rely on
+    sp = uniform_probability(3)
+    f = zeros(sp)
+    fam = generate_sequence(sp, POWER2, f, "ae_only_traveling_spike",
+                            length=4)
+    with pytest.raises(ValueError, match="f0"):
+        wstar_limit_check(fam, f, [f + 1.0], PSI2, f0=Rv(sp, f0))
 
 
 def test_wstar_split_attributes_spike_overflow():

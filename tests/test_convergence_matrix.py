@@ -1,12 +1,13 @@
 """The block-wise matrix readers of a family against row-by-row references,
-the one-array family layout, and the memory the readers take."""
+the one-array family layout, the spike layout's one-atom readers against
+the block readers, and the memory the readers take."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orliczkit import (
     OrliczFunction,
@@ -179,6 +180,62 @@ def check_readers(kind, length, n, seed):
     assert settles(fam) == ref_settles(fam)
 
 
+def reader_bits(fam, f, g0, f0, tests):
+    """Every output bit of the extraction, the w*-check with and without
+    ``f0`` and the decay check, as one comparable tuple."""
+    res = extract_ae_subsequence(fam, f, g0, f0)
+    pw = res.pointwise
+    out = [res.status, res.indices, res.stalled_at, res.pointwise_ok,
+           res.trace_bound_ok, np.array(res.pairings).tobytes(),
+           np.array(res.trace).tobytes(),
+           np.float64(res.trace_margin).tobytes()]
+    if pw is not None:
+        out += [pw.converged, pw.slowest_atom_id, pw.slowest_settle_step,
+                pw.settle_steps.tobytes(), pw.final_residuals.tobytes()]
+    for kw in ({}, {"f0": f0}):
+        rep = wstar_limit_check(fam, f, tests, PSI2, **kw)
+        out += [rep.converged] + [np.array(x).tobytes() for x in (
+            rep.tails, rep.overflow_tails, rep.dominated_tails)]
+    try:
+        _require_ae_decay(fam)
+        out.append(None)
+    except ValueError as exc:
+        out.append(str(exc))
+    return tuple(out)
+
+
+# the two examples fail at once, with no search or shrinking, when the
+# readers skip the limit check or take c for (f_k + c) - f_k
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(n=st.integers(1, 24), seed=st.integers(0, 2**16),
+       height=st.floats(-4.0, 4.0), off_limit=st.booleans(),
+       past_n=st.sampled_from((-1, 0, 1, 64)))
+@example(n=12, seed=5, height=0.7, off_limit=False, past_n=64)
+@example(n=12, seed=5, height=0.7, off_limit=True, past_n=-1)
+def test_spike_layout_readers_match_a_dense_copy_bit_for_bit(n, seed, height,
+                                                             off_limit,
+                                                             past_n):
+    # lengths below, at and above n: spikes on every atom or only some, and
+    # limit rows after them; an f other than the limit takes the block path
+    length = max(1, n + past_n)
+    rng = np.random.default_rng(seed)
+    space = MeasureSpace.truncated_countable(rng.uniform(0.05, 1.0, n) / n)
+    limit = Rv(space, rng.normal(0.0, 1.0, n))
+    f = Rv(space, limit.values + 1e-3 * rng.normal(0.0, 1.0, n)
+           if off_limit else limit.values.copy())
+    fam = generate_sequence(space, POWER2, limit, "ae_only_traveling_spike",
+                            length=length, spike_height=height)
+    g0 = strictly_positive_witness(space, PSI2)
+    f0 = strictly_positive_witness(space, POWER2)
+    tests = [g0, Rv(space, np.ones(n)), Rv(space, np.linspace(-1.0, 2.0, n))]
+    got = reader_bits(fam, f, g0, f0, tests)
+    # only the block path builds the rows
+    assert len(fam) == length and ("values" in vars(fam)) == off_limit
+    dense = SequenceFamily._from_rows(fam.values.copy(), fam.norm_bound,
+                                      fam.mode, fam.limit)
+    assert got == reader_bits(dense, f, g0, f0, tests)
+
+
 def test_decay_verdicts_on_both_sides(monkeypatch):
     sp = uniform_probability(3)
     limit = Rv(sp, np.zeros(3))
@@ -254,7 +311,9 @@ def test_generated_values_match_their_formulas():
 
 
 def test_readers_stay_within_a_fraction_of_the_family():
-    # N = 4096 spike family: 4,160 terms, a 136 MB array
+    # N = 4096 spike family: 4,160 terms, a 136 MB array once built. Its
+    # layout takes the one-atom readers; a family of the same rows stored
+    # as rows takes the block readers
     n = 4096
     space = uniform_probability(n, truncated=True)
     f = Rv(space, np.random.default_rng(0).normal(0.0, 1.0, n))
@@ -269,13 +328,17 @@ def test_readers_stay_within_a_fraction_of_the_family():
         assert size == (n + 64) * n * 8
         assert tracemalloc.get_traced_memory()[1] <= 1.05 * size
 
-        for run in (lambda: extract_ae_subsequence(fam, f, g0, f0),
-                    lambda: wstar_limit_check(fam, f, tests, PSI2),
-                    lambda: _require_ae_decay(fam)):
-            tracemalloc.reset_peak()
-            baseline = tracemalloc.get_traced_memory()[0]
-            run()
-            assert tracemalloc.get_traced_memory()[1] - baseline <= 0.08 * size
+        dense = SequenceFamily._from_rows(fam.values, fam.norm_bound,
+                                          fam.mode, fam.limit)
+        for family in (fam, dense):
+            for run in (lambda: extract_ae_subsequence(family, f, g0, f0),
+                        lambda: wstar_limit_check(family, f, tests, PSI2),
+                        lambda: _require_ae_decay(family)):
+                tracemalloc.reset_peak()
+                baseline = tracemalloc.get_traced_memory()[0]
+                run()
+                assert (tracemalloc.get_traced_memory()[1] - baseline
+                        <= 0.08 * size)
     finally:
         tracemalloc.stop()
 
@@ -310,3 +373,29 @@ def test_extraction_after_its_block_pass_takes_one_buffer():
     settle_steps = len(resid) - (tail_sup <= 1e-8).sum(axis=0)
     assert res.pointwise.settle_steps.tobytes() == settle_steps.tobytes()
     assert res.pointwise.final_residuals.tobytes() == resid[-1].tobytes()
+
+
+def test_spike_pipeline_at_16384_atoms_never_builds_the_family():
+    # the dense family would take (16384 + 64) x 16384 x 8 bytes, 2.16 GB.
+    # The pipeline's peak is the extraction's one (40 picks, n) buffer,
+    # 5.2 MB, and its pointwise verdict's boolean scratch: 7.1 MB measured
+    n = 16384
+    space = uniform_probability(n, truncated=True)
+    f = Rv(space, np.random.default_rng(0).normal(0.0, 1.0, n))
+    g0 = strictly_positive_witness(space, PSI2)
+    f0 = strictly_positive_witness(space, POWER2)
+    tests = [g0, Rv(space, np.ones(n))]
+    tracemalloc.start()
+    try:
+        fam = generate_sequence(space, POWER2, f, "ae_only_traveling_spike",
+                                length=n + 64)
+        res = extract_ae_subsequence(fam, f, g0, f0)
+        rep = wstar_limit_check(fam, f, tests, PSI2)
+        _require_ae_decay(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "values" not in vars(fam) and len(fam) == n + 64
+    assert len(res.indices) == 40 and res.status == "ok"
+    assert not rep.converged
+    assert peak <= 8e6

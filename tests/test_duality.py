@@ -507,6 +507,25 @@ def test_catalog_ascent_leaves_the_unit_mass_only_to_measure(member, n,
     assert res.value <= phi.evaluate(Rv(sp, fv)) + 1e-12
 
 
+def test_entropic_ascent_probes_off_the_unit_mass_twice_per_atom():
+    # one input of the property above, pinned: its off-mass calls are the
+    # 2 n guard probes exactly; an ascent that never switches to transfers
+    # only makes 48 of its 437 calls off the unit mass here
+    n = 4
+    sp = uniform_probability(n)
+    obj = duality._dual_objective(entropic(1.0, sp).closed_form_conjugate,
+                                  sp, np.linspace(-1.0, 1.5, n))
+    off = 0
+
+    def counted(g):
+        nonlocal off
+        off += abs(float(sp.weights @ g) - 1.0) > FEAS_TOL
+        return obj(g)
+
+    maximize_dual(counted, sp, seed=0, restarts=2, nonneg=True)
+    assert off == 2 * n
+
+
 def test_avar_ascent_stays_inside_the_cap():
     # a draw of the test above: a transfer ended at g_0 = 2 + 4.8e-10 while
     # the conjugate let densities exceed the cap 1/alpha = 2 by FEAS_TOL,
@@ -789,13 +808,13 @@ def test_results_report_their_evaluations():
     wrapped = replace(ent, evaluate=counted, evaluate_rows=counted_rows)
     est = fenchel_conjugate_value(wrapped, g, force_numeric=True, restarts=2)
     assert est.evaluations == calls[0] > 8 * 6
-    # the ray probes are one row call of 8 rays x 6 exponents, plus the one
-    # evaluate call that cross-checks the row kernel
+    # the ray probes are one row call of 8 rays x 6 exponents, plus the two
+    # evaluate calls that cross-check the row kernel
     calls[0] = 0
     dip = fenchel_conjugate_value(wrapped, Rv(sp, [1.5, 1.0, -0.5]),
                                   force_numeric=True)
     assert dip.value == math.inf
-    assert dip.evaluations == calls[0] == 8 * 6 + 1
+    assert dip.evaluations == calls[0] == 8 * 6 + 2
     # without a row kernel a divergent dual stops at its first diverging
     # ray, six probes each
     calls[0] = 0
@@ -854,6 +873,18 @@ def test_fenchel_conjugate_refuses_a_stale_row_kernel():
                       closed_form_conjugate=None)
     with pytest.raises(ValueError, match="evaluate_rows"):
         fenchel_conjugate_value(shifted, Rv(sp, [1.4, 0.8, 0.8]))
+
+
+def test_fenchel_conjugate_refuses_a_kernel_stale_past_its_first_row():
+    # the first ray probe is -10 e_1, where this copy's evaluate still
+    # agrees with the entropic kernel it kept
+    sp = uniform_probability(3)
+    ent = entropic(1.0, sp)
+    bumped = replace(ent, closed_form_conjugate=None,
+                     evaluate=lambda f: ent.evaluate(f)
+                     + (0.25 if f.values[0] >= 0.0 else 0.0))
+    with pytest.raises(ValueError, match="evaluate_rows"):
+        fenchel_conjugate_value(bumped, Rv(sp, [1.4, 0.8, 0.8]))
 
 
 def test_weak_duality_invariant():

@@ -10,7 +10,6 @@ from orliczkit import (
     Rv,
     SpaceMismatchError,
     ae_converges,
-    counting,
     indicator,
     join,
     meet,
@@ -58,7 +57,7 @@ def test_truncated_space_dyadic_blocks():
 def test_fingerprint_identity():
     a = uniform_probability(5)
     b = uniform_probability(5)
-    c = counting(5)
+    c = MeasureSpace.finite(np.ones(5))
     assert a.same_space(b)
     assert a.fingerprint == b.fingerprint
     assert not a.same_space(c)
@@ -74,7 +73,7 @@ def test_same_space_survives_a_fingerprint_collision():
 
 
 def test_rv_is_copied_and_read_only():
-    sp = counting(3)
+    sp = MeasureSpace.finite(np.ones(3))
     raw = np.array([1.0, 2.0, 3.0])
     f = Rv(sp, raw)
     raw[0] = 99.0
@@ -84,7 +83,7 @@ def test_rv_is_copied_and_read_only():
 
 
 def test_rv_validation():
-    sp = counting(3)
+    sp = MeasureSpace.finite(np.ones(3))
     with pytest.raises(ValueError):
         Rv(sp, [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -94,7 +93,7 @@ def test_rv_validation():
 
 
 def test_rv_arithmetic_and_mismatch():
-    sp = counting(2)
+    sp = MeasureSpace.finite(np.ones(2))
     f = Rv(sp, [1.0, -2.0])
     g = Rv(sp, [3.0, 5.0])
     assert (f + g).values.tolist() == [4.0, 3.0]
@@ -104,13 +103,13 @@ def test_rv_arithmetic_and_mismatch():
     assert f.pos_part().values.tolist() == [1.0, 0.0]
     assert f.neg_part().values.tolist() == [0.0, 2.0]
     assert f.sup_norm() == 2.0
-    other = Rv(counting(2, truncated=True), [0.0, 0.0])
+    other = Rv(MeasureSpace.truncated_countable(np.ones(2)), [0.0, 0.0])
     with pytest.raises(SpaceMismatchError):
         f + other
 
 
 def test_helpers():
-    sp = counting(4)
+    sp = MeasureSpace.finite(np.ones(4))
     assert zeros(sp).values.tolist() == [0.0] * 4
     assert ones(sp).values.tolist() == [1.0] * 4
     assert indicator(sp, 2).values.tolist() == [0.0, 0.0, 1.0, 0.0]
@@ -120,7 +119,7 @@ def test_helpers():
 @settings(max_examples=100, derandomize=True)
 @given(a=finite_vec, b=finite_vec)
 def test_lattice_identities(a, b):
-    sp = counting(4)
+    sp = MeasureSpace.finite(np.ones(4))
     f, g = Rv(sp, a), Rv(sp, b)
     lo, hi = meet(f, g), join(f, g)
     # meet + join = f + g, and |f - g| = join - meet
@@ -143,7 +142,8 @@ def test_witness_norm_at_most_one():
     from orliczkit import luxemburg_norm
     for phi in (OrliczFunction.power(2.0), OrliczFunction.exp_young(),
                 OrliczFunction.linf_step()):
-        for sp in (uniform_probability(16, truncated=True), counting(6)):
+        for sp in (uniform_probability(16, truncated=True),
+                   MeasureSpace.finite(np.ones(6))):
             w = strictly_positive_witness(sp, phi)
             assert w.min_value() > 0.0
             assert luxemburg_norm(w, phi).value <= 1.0 + 1e-9
@@ -240,7 +240,7 @@ def test_witness_equals_per_block_reference_bit_for_bit():
 
 
 def test_ae_converges_residual_profile():
-    sp = counting(3)
+    sp = MeasureSpace.finite(np.ones(3))
     f = Rv(sp, [0.0, 2.0, 3.0])  # zero base keeps the residual exactly 1/n
     seq = [f + Rv(sp, [1.0 / n, 0.0, 0.0]) for n in range(1, 40)]
     verdict = ae_converges(seq, f, tol=0.1)
@@ -252,7 +252,7 @@ def test_ae_converges_residual_profile():
 
 
 def test_ae_converges_detects_failure():
-    sp = counting(2)
+    sp = MeasureSpace.finite(np.ones(2))
     f = zeros(sp)
     seq = [Rv(sp, [0.0, 1.0]) for _ in range(10)]
     verdict = ae_converges(seq, f, tol=1e-6)

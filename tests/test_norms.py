@@ -13,7 +13,6 @@ from orliczkit import (
     Rv,
     amemiya_norm,
     conjugate,
-    counting,
     dual_pairing,
     heart_member,
     indicator_norm,
@@ -88,7 +87,7 @@ def test_luxemburg_matches_weighted_pnorm():
 
 
 def test_luxemburg_step_is_weighted_sup_norm():
-    sp = counting(3)
+    sp = MeasureSpace.finite(np.ones(3))
     f = Rv(sp, [3.0, -1.0, 0.5])
     # smallest lam with all |f|/lam <= 1 is max|f|
     assert luxemburg_norm(f, STEP).value == pytest.approx(3.0, abs=1e-9)
@@ -224,7 +223,7 @@ def test_luxemburg_modular_at_value_near_one():
 
 def test_amemiya_single_atom_power2():
     # inf_t (1 + t^2)/t = 2 at t = 1, for f = indicator on a unit atom
-    sp = counting(1)
+    sp = MeasureSpace.finite(np.ones(1))
     f = Rv(sp, [1.0])
     assert amemiya_norm(f, POWER2).value == pytest.approx(2.0, abs=1e-9)
     assert luxemburg_norm(f, POWER2).value == pytest.approx(1.0, abs=1e-9)

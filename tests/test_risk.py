@@ -18,7 +18,6 @@ from orliczkit import (
     MeasureSpace,
     Rv,
     average_value_at_risk,
-    counting,
     entropic,
     expectation,
     increasing_catalog,
@@ -163,9 +162,9 @@ def test_avar_parameter_validation():
         entropic(0.0, sp)
     # both need probability weights
     with pytest.raises(ValueError):
-        entropic(1.0, counting(3))
+        entropic(1.0, MeasureSpace.finite(np.ones(3)))
     with pytest.raises(ValueError):
-        average_value_at_risk(0.5, counting(3))
+        average_value_at_risk(0.5, MeasureSpace.finite(np.ones(3)))
 
 
 def test_worst_case_and_expectation():

@@ -108,9 +108,9 @@ def test_parse_risk_rejects(bad):
 
 
 def test_parse_risk_requires_probability_space_where_needed():
-    from orliczkit import counting
+    from orliczkit import MeasureSpace
     with pytest.raises(ParseError):
-        parse_risk_spec("entropic:beta=1", counting(3))
+        parse_risk_spec("entropic:beta=1", MeasureSpace.finite(np.ones(3)))
 
 
 # -- custom tables ------------------------------------------------------------
