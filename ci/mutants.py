@@ -103,15 +103,24 @@ MUTANTS = [
       "tests/test_duality.py::test_avar_ascent_stays_inside_the_cap"]),
     ("the spike layout's readers skip the limit-equality check",
      CONVERGENCE,
-     "    if family._spike is None or not np.array_equal(f.values,\n"
-     "                                                   family.limit.values):\n",
-     "    if family._spike is None:\n",
+     "    if (isinstance(family._layout, np.ndarray)\n"
+     "            or not np.array_equal(f.values, family.limit.values)):\n",
+     "    if isinstance(family._layout, np.ndarray):\n",
      [SPIKE_PROPERTY]),
     ("the spike layout's residual r_k is taken as c",
      CONVERGENCE,
      "    return (fv + height) - fv\n",
      "    return np.full(len(fv), height)\n",
      [SPIKE_PROPERTY]),
+    ("the spike rows' bumps start at row 0 of every read, not at its start",
+     CONVERGENCE,
+     "        spiked = np.arange(start, min(start + len(out), limit.size))\n"
+     "        out[spiked - start, spiked] += height\n",
+     "        spiked = np.arange(min(len(out), limit.size))\n"
+     "        out[spiked, spiked] += height\n",
+     [SPIKE_PROPERTY,
+      "tests/test_convergence_matrix.py::"
+      "test_fatou_on_a_spike_layout_matches_a_dense_copy_bit_for_bit[2]"]),
 ]
 
 

@@ -5,9 +5,8 @@ representation certificates, and convergence diagnostics."""
 from .errors import (ClosureRefusal, NumericFailure, ParseError, Refusal,
                      SlopeConditionError, SpaceMismatchError)
 from .measure import (DEFAULT_TRUNCATION, FINITE, TRUNCATED, AeVerdict,
-                      MeasureSpace, Rv, ae_converges, indicator, join, meet,
-                      ones, strictly_positive_witness, uniform_probability,
-                      zeros)
+                      MeasureSpace, Rv, ae_converges, indicator, ones,
+                      strictly_positive_witness, uniform_probability, zeros)
 from .orlicz import (FAILS, HOLDS, INCONCLUSIVE, Delta2Verdict, OrliczFunction,
                      SlopeClass, SpaceClassification, check_delta2,
                      classify_space, conjugate, conjugate_value, limit_slope)

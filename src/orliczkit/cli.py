@@ -454,15 +454,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Orlicz-space norms, Young conjugates, and dual "
                     "representations of convex risk functionals.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    run_flags = {
+        "seed": dict(type=_at_least(0), default=0),
+        "tol": dict(type=_at_least(0.0, float), default=None,
+                    help="override the subcommand's default tolerance "
+                         "(0 = diagnostic mode)"),
+        "truncation": dict(type=_positive_int, default=DEFAULT_TRUNCATION),
+    }
 
-    def command(name, handler, help, *required_flags, **flag_help):
+    def command(name, handler, help, *required_flags, reads=(), **flag_help):
+        """A subcommand that declares the run flags it ``reads``, its
+        ``required_flags`` and ``--format``."""
         p = sub.add_parser(name, help=help)
-        p.add_argument("--seed", type=_at_least(0), default=0)
-        p.add_argument("--tol", type=_at_least(0.0, float), default=None,
-                       help="override the subcommand's default tolerance "
-                            "(0 = diagnostic mode)")
-        p.add_argument("--truncation", type=_positive_int,
-                       default=DEFAULT_TRUNCATION)
+        for flag in reads:
+            p.add_argument(f"--{flag}", **run_flags[flag])
         p.add_argument("--format", choices=("json", "csv"), default="json")
         for flag in required_flags:
             p.add_argument(f"--{flag}", required=True,
@@ -471,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("norm", _cmd_norm, "Luxemburg and Amemiya norms of a scenario",
-            "space", "rv", "orlicz")
+            "space", "rv", "orlicz", reads=("tol",))
 
     p = command("conjugate", _cmd_conjugate,
                 "tabulate the conjugate Young function", "orlicz")
@@ -485,11 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("represent", _cmd_represent,
             "dual representation certificate for a scenario",
-            "space", "rv", "risk", "orlicz")
+            "space", "rv", "risk", "orlicz", reads=("seed", "tol"))
 
     p = command("fatou-test", _cmd_fatou_test,
                 "lower-semicontinuity check on generated families",
-                "space", "risk", "orlicz")
+                "space", "risk", "orlicz", reads=("seed", "tol"))
     p.add_argument("--rv", default=None, help="limit point (default zero)")
     p.add_argument("--mode", choices=_GENERATOR_MODES + ("all",),
                    default="all")
@@ -498,15 +503,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("extract-subseq", _cmd_extract_subseq,
             "a.e.-convergent subsequence extraction",
-            "space", "family", "rv", "orlicz", rv="declared limit")
+            "space", "family", "rv", "orlicz", reads=("tol",),
+            rv="declared limit")
 
     p = command("closure-demo", _cmd_closure_demo,
                 "project onto a hull and emit a certified sequence",
-                "space", "vertices", "rv", "orlicz")
+                "space", "vertices", "rv", "orlicz", reads=("tol",))
     p.add_argument("--length", type=_positive_int, default=32)
 
     command("verify-all", _cmd_verify_all,
-            "run the deterministic verification battery")
+            "run the deterministic verification battery",
+            reads=("seed", "tol", "truncation"))
     return parser
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -37,103 +38,94 @@ _MODES = (NORM_CONVERGENT, AE_ONLY_SPIKE, ORDER_CONVERGENT, CUSTOM)
 BLOCK_BYTES = 1 << 19
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SequenceFamily:
     """An ordered, norm-bounded family of random variables with a declared
     limit. ``norm_bound`` is a declared (structural) bound on the Luxemburg
     norms of the terms; ``math.inf`` marks a family declared unbounded, which
     downstream checks refuse.
 
-    The terms are stored once, as the rows of the read-only
-    ``(len, n_atoms)`` float64 array ``values``; ``terms`` holds no-copy
-    ``Rv`` views of those rows. Terms passed to the constructor are stacked
-    into that array, a family of L terms on n atoms takes L * n * 8 bytes.
-    The extraction, w*-limit and decay checks read it in blocks of
-    ``BLOCK_BYTES``, so their scratch memory does not grow with L.
+    A family stores one layout. Most store their terms once, as the rows of
+    a read-only ``(len, n_atoms)`` float64 array; terms passed to the
+    constructor are stacked into it, so a family of L terms on n atoms takes
+    L * n * 8 bytes. A generated traveling-spike family stores no rows, only
+    its limit, its height c and its length L: term k is the limit plus c at
+    atom k while k < n_atoms, and the limit itself after.
 
-    A generated traveling-spike family stores no rows, only its layout: its
-    limit, its height c and its length L, term k being the limit plus c at
-    atom k while k < n_atoms and the limit itself after. Its ``values`` and
-    ``terms`` are built on first access and then kept; ``len`` does not
-    build them. Handed the family's own limit, the extraction, w*-limit and
-    decay checks read the layout instead, in O(L + n_atoms) time and memory.
+    ``rows(start, stop)`` reads either layout: a view of the stored rows, or
+    just the requested spike rows, built on the call. The extraction,
+    w*-limit, decay and Fatou checks read through it in blocks of
+    ``BLOCK_BYTES``, so their scratch memory does not grow with L; handed a
+    spike family's own limit, the first three read its layout instead, in
+    O(L + n_atoms) time and memory. ``values`` (the whole array) and
+    ``terms`` (no-copy ``Rv`` views of its rows) are built on first access
+    and then kept, for callers that want them; no check reads them.
     """
 
-    terms: tuple[Rv, ...]
     norm_bound: float
     mode: str
     limit: Rv
-    values: np.ndarray = field(init=False, repr=False)
-    # (height, length) of a family stored as its spike layout, else None;
-    # a class attribute, not a field
-    _spike = None
+    # the read-only (len, n_atoms) rows, or a spike's (height, length)
+    _layout: np.ndarray | tuple[float, int] = field(repr=False)
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: Sequence[Rv], norm_bound: float, mode: str,
+                 limit: Rv):
+        if not terms:
             raise ValueError("a sequence family needs at least one term")
-        space = self.limit.space
-        for t in self.terms:
-            if not space.same_space(t.space):
+        for t in terms:
+            if not limit.space.same_space(t.space):
                 raise ValueError("family terms live on mismatched spaces")
-        self._adopt(np.stack([t.values for t in self.terms]))
-
-    def _adopt(self, rows: np.ndarray) -> None:
-        """Take ``rows`` over as the family's storage and view the terms
-        into it."""
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown family mode {self.mode!r}")
-        rows.setflags(write=False)
-        space = self.limit.space
-        object.__setattr__(self, "values", rows)
-        object.__setattr__(self, "terms",
-                           tuple(Rv._wrap(space, row) for row in rows))
+        # the internal constructor does the storing; take its fields
+        vars(self).update(vars(self._stored(
+            np.stack([t.values for t in terms]), norm_bound, mode, limit)))
 
     @classmethod
-    def _from_rows(cls, rows: np.ndarray, norm_bound: float, mode: str,
-                   limit: Rv) -> "SequenceFamily":
-        """Internal no-copy constructor: ``rows`` is a fresh, finite
-        ``(len >= 1, n_atoms)`` float64 array on ``limit``'s space, which the
-        family owns from here on."""
+    def _stored(cls, layout: np.ndarray | tuple[float, int],
+                norm_bound: float, mode: str, limit: Rv) -> "SequenceFamily":
+        """Internal no-copy constructor. ``layout`` is either a fresh,
+        finite ``(len >= 1, n_atoms)`` float64 array on ``limit``'s space,
+        which the family owns from here on, or a spike's ``(height,
+        length)``, of finite height and length >= 1."""
+        if mode not in _MODES:
+            raise ValueError(f"unknown family mode {mode!r}")
+        if isinstance(layout, np.ndarray):
+            layout.setflags(write=False)
         fam = object.__new__(cls)
-        object.__setattr__(fam, "norm_bound", norm_bound)
-        object.__setattr__(fam, "mode", mode)
-        object.__setattr__(fam, "limit", limit)
-        fam._adopt(rows)
+        vars(fam).update(norm_bound=norm_bound, mode=mode, limit=limit,
+                         _layout=layout)
         return fam
-
-    @classmethod
-    def _from_spike(cls, limit: Rv, height: float, length: int,
-                    norm_bound: float) -> "SequenceFamily":
-        """Internal constructor of a spike family's layout: ``length >= 1``
-        terms of finite ``height``, no rows stored."""
-        fam = object.__new__(cls)
-        object.__setattr__(fam, "norm_bound", norm_bound)
-        object.__setattr__(fam, "mode", AE_ONLY_SPIKE)
-        object.__setattr__(fam, "limit", limit)
-        object.__setattr__(fam, "_spike", (height, length))
-        return fam
-
-    def __getattr__(self, name: str):
-        # reached only for an attribute not set yet: a spike layout's rows
-        if self._spike is None or name not in ("values", "terms"):
-            raise AttributeError(name)
-        height, length = self._spike
-        rows = np.empty((length, self.limit.values.size))
-        rows[:] = self.limit.values
-        visited = np.arange(min(length, rows.shape[1]))
-        rows[visited, visited] += height
-        self._adopt(rows)
-        return object.__getattribute__(self, name)
 
     def __len__(self) -> int:
-        return self._spike[1] if self._spike else len(self.terms)
+        layout = self._layout
+        return len(layout) if isinstance(layout, np.ndarray) else layout[1]
 
-    def check_norm_bound(self, phi: OrliczFunction, slack: float = 1e-12) -> bool:
-        """Verify the declared bound against actual Luxemburg norms."""
-        if not math.isfinite(self.norm_bound):
-            return True
-        return all(luxemburg_norm(t, phi).value <= self.norm_bound + slack
-                   for t in self.terms)
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` of the family's ``(len, n_atoms)`` array: a
+        read-only view of the stored rows, or a new array holding only
+        these rows of a spike layout."""
+        if isinstance(self._layout, np.ndarray):
+            return self._layout[start:stop]
+        height, length = self._layout
+        limit = self.limit.values
+        out = np.empty((max(0, min(stop, length) - start), limit.size))
+        out[:] = limit
+        spiked = np.arange(start, min(start + len(out), limit.size))
+        out[spiked - start, spiked] += height
+        return out
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The whole read-only ``(len, n_atoms)`` array, built once."""
+        if isinstance(self._layout, np.ndarray):
+            return self._layout
+        rows = self.rows(0, len(self))
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def terms(self) -> tuple[Rv, ...]:
+        """No-copy ``Rv`` views of the rows of ``values``."""
+        return tuple(Rv._wrap(self.limit.space, row) for row in self.values)
 
     @classmethod
     def from_terms(cls, terms: Sequence[Rv], limit: Rv, phi: OrliczFunction,
@@ -143,9 +135,8 @@ class SequenceFamily:
         The norm is monotone in ``|f|``, so the envelope's norm covers every
         term's. Bisection reads each norm up to a relative 1e-10 above its
         true value, so the bound carries a 1e-9 relative margin."""
-        fam = cls(terms=tuple(terms), norm_bound=math.inf, mode=mode,
-                  limit=limit)
-        envelope = np.abs(fam.values).max(axis=0)
+        fam = cls(terms, math.inf, mode, limit)
+        envelope = np.abs(fam.rows(0, len(fam))).max(axis=0)
         bound = luxemburg_norm(Rv._wrap(limit.space, envelope), phi).value
         object.__setattr__(fam, "norm_bound", bound + 1e-9 * (1.0 + bound))
         return fam
@@ -156,12 +147,12 @@ def _block_rows(n_atoms: int) -> int:
     return max(1, BLOCK_BYTES // (8 * n_atoms))
 
 
-def _row_blocks(rows: np.ndarray):
-    """Consecutive ``(start, block)`` slices of a ``(len, n_atoms)`` array,
-    each of ``_block_rows(n_atoms)`` rows but the last."""
-    step = _block_rows(rows.shape[1])
-    for start in range(0, len(rows), step):
-        yield start, rows[start:start + step]
+def _row_blocks(family: SequenceFamily, start: int = 0):
+    """Consecutive ``(start, rows)`` blocks of ``family.rows`` from row
+    ``start`` on, each of ``_block_rows(n_atoms)`` rows but the last."""
+    step = _block_rows(family.limit.values.size)
+    for lo in range(start, len(family), step):
+        yield lo, family.rows(lo, lo + step)
 
 
 def _spike_residuals(family: SequenceFamily, f: Rv) -> np.ndarray | None:
@@ -170,10 +161,10 @@ def _spike_residuals(family: SequenceFamily, f: Rv) -> np.ndarray | None:
     ``family.values - f`` is r_k at atom k and exactly 0 elsewhere, and the
     later rows are 0. None for a family stored as rows, or an ``f`` other
     than the family's limit; those take the block readers."""
-    if family._spike is None or not np.array_equal(f.values,
-                                                   family.limit.values):
+    if (isinstance(family._layout, np.ndarray)
+            or not np.array_equal(f.values, family.limit.values)):
         return None
-    height, length = family._spike
+    height, length = family._layout
     fv = f.values[:length]
     return (fv + height) - fv
 
@@ -214,8 +205,8 @@ def generate_sequence(space: MeasureSpace, phi: OrliczFunction, f: Rv,
             raise ValueError("spike height must be finite")
         worst = indicator_norm(phi, float(space.weights[:length].max()))
         bound = base_norm + abs(c) * worst
-        return SequenceFamily._from_spike(f, c, length,
-                                          bound + 1e-9 * (1.0 + bound))
+        return SequenceFamily._stored((c, length),
+                                      bound + 1e-9 * (1.0 + bound), mode, f)
     rows = np.empty((length, n))
     steps = np.arange(1, length + 1, dtype=float)[:, None]
     if mode == NORM_CONVERGENT:
@@ -231,7 +222,7 @@ def generate_sequence(space: MeasureSpace, phi: OrliczFunction, f: Rv,
     else:
         raise ValueError(f"unknown generator mode {mode!r}")
     bound += 1e-9 * (1.0 + bound)
-    return SequenceFamily._from_rows(rows, bound, mode, f)
+    return SequenceFamily._stored(rows, bound, mode, f)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +287,7 @@ def extract_ae_subsequence(family: SequenceFamily, f: Rv, g0: Rv, f0: Rv, *,
         pairings_all = np.empty(len(family))
         scratch = np.empty((min(_block_rows(space.n_atoms), len(family)),
                             space.n_atoms))
-        for start, rows in _row_blocks(family.values):
+        for start, rows in _row_blocks(family):
             d = np.subtract(rows, fv, out=scratch[:len(rows)])
             np.abs(d, out=d)
             np.matmul(d, wg, out=pairings_all[start:start + len(rows)])
@@ -339,7 +330,9 @@ def extract_ae_subsequence(family: SequenceFamily, f: Rv, g0: Rv, f0: Rv, *,
             at = np.flatnonzero(picks < len(spikes))
             rev[at, picks[at]] = spikes[picks[at]]
         else:
-            rev = np.take(family.values, picks, axis=0)
+            rev = np.empty((len(picks), space.n_atoms))
+            for row, j in zip(rev, picks):
+                row[:] = family.rows(j, j + 1)[0]
             np.subtract(rev, fv, out=rev)
             np.abs(rev, out=rev)
         pointwise = _ae_verdict(rev[::-1], space, ae_tol)
@@ -394,7 +387,9 @@ def wstar_limit_check(family: SequenceFamily, f: Rv, tests: Sequence[Rv],
                       tail_tol: float = 1e-8) -> WstarReport:
     """Check <f_n - f, g> -> 0 for every test g from the heart of ``psi``.
 
-    Convergence is judged on the last quarter of the sequence: the max
+    Convergence is judged on the tail of a family of L terms from 0-based
+    index max(0, floor(3L/4) - 1) on: the last ceil(L/4) + 1 terms when
+    L >= 2, one more than a quarter, and the one term when L = 1. The max
     absolute pairing there must fall below ``tail_tol``. For diagnosis each
     residual is split against a positive f0 (default: the constant one) into
     an overflow part <(|f_n - f| - f0)^+, |g|> and a dominated part
@@ -439,10 +434,9 @@ def wstar_limit_check(family: SequenceFamily, f: Rv, tests: Sequence[Rv],
             dom_tails = (np.minimum(d, f0v[tail, None])
                          * wag[tail]).max(axis=0)
     else:
-        tail = family.values[q:]
-        scratch = np.empty((2, min(_block_rows(space.n_atoms), len(tail)),
-                            space.n_atoms))
-        for _, rows in _row_blocks(tail):
+        scratch = np.empty((2, min(_block_rows(space.n_atoms),
+                                   len(family) - q), space.n_atoms))
+        for _, rows in _row_blocks(family, q):
             signed = np.subtract(rows, fv, out=scratch[0, :len(rows)])
             np.maximum(tails, np.abs(signed @ wg).max(axis=0), out=tails)
             d = np.abs(signed, out=signed)
@@ -499,7 +493,7 @@ def _require_ae_decay(family: SequenceFamily) -> None:
         sups = np.empty(len(family))
         scratch = np.empty((min(_block_rows(limit.size), len(family)),
                             limit.size))
-        for start, rows in _row_blocks(family.values):
+        for start, rows in _row_blocks(family):
             d = np.subtract(rows, limit, out=scratch[:len(rows)])
             np.abs(d, out=d)
             d.max(axis=1, out=sups[start:start + len(rows)])
@@ -516,10 +510,13 @@ def fatou_check(phi: RiskFunctional, families: Sequence[SequenceFamily],
                 tol: float = 1e-9) -> FatouReport:
     """Assert phi(limit) <= liminf phi(f_n) + tol for each family.
 
-    The liminf over a finite recording is estimated by the minimum over the
-    last quarter of terms -- deliberately conservative, so the check can only
-    get stricter. Families must be norm bounded and settle toward their
-    declared limits (preconditions, raised); Fatou violations themselves are
+    The liminf over a finite recording of L terms is estimated by the
+    minimum of ``phi.evaluate`` over its last max(1, floor(L/4)) terms --
+    deliberately conservative, so the check can only get stricter. Those
+    terms are read through ``SequenceFamily.rows`` one block at a time and
+    evaluated one row at a time, so a spike family's whole array is never
+    built. Families must be norm bounded and settle toward their declared
+    limits (preconditions, raised); Fatou violations themselves are
     reported with witnesses, never raised.
     """
     if not families:
@@ -530,7 +527,9 @@ def fatou_check(phi: RiskFunctional, families: Sequence[SequenceFamily],
             raise ValueError(f"family {idx} is declared norm-unbounded")
         _require_ae_decay(fam)
         q = max(1, len(fam) // 4)
-        liminf = min(phi.evaluate(t) for t in fam.terms[-q:])
+        liminf = min(phi.evaluate(Rv._wrap(fam.limit.space, row))
+                     for _, block in _row_blocks(fam, len(fam) - q)
+                     for row in block)
         limit_value = phi.evaluate(fam.limit)
         margin = limit_value - liminf
         rows.append(FatouRow(
@@ -618,7 +617,7 @@ def closure_demo(vertices: Sequence[Rv], f: Rv, phi: OrliczFunction, *,
 
     for v in vertices:
         if np.array_equal(v.values, f.values):
-            fam = SequenceFamily._from_rows(
+            fam = SequenceFamily._stored(
                 np.tile(f.values, (length, 1)),
                 luxemburg_norm(f, phi).value + 1e-12, CUSTOM, f)
             return ClosureReport(
@@ -690,9 +689,8 @@ def closure_demo(vertices: Sequence[Rv], f: Rv, phi: OrliczFunction, *,
     # projection, so the family ends on the final iterate itself
     picks[-1] = snapshots[-1]
     vertex_norms = [luxemburg_norm(v, phi).value for v in vertices]
-    fam = SequenceFamily._from_rows(np.stack(picks),
-                                    max(vertex_norms) + 1e-12, CUSTOM,
-                                    Rv(space, x.copy()))
+    fam = SequenceFamily._stored(np.stack(picks), max(vertex_norms) + 1e-12,
+                                 CUSTOM, Rv(space, x.copy()))
     return ClosureReport(
         projection=Rv(space, x.copy()),
         weights=tuple(float(t) for t in theta),

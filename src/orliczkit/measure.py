@@ -192,15 +192,6 @@ class Rv:
     def abs(self) -> "Rv":
         return Rv(self.space, np.abs(self.values))
 
-    def pos_part(self) -> "Rv":
-        return Rv(self.space, np.maximum(self.values, 0.0))
-
-    def neg_part(self) -> "Rv":
-        return Rv(self.space, np.maximum(-self.values, 0.0))
-
-    def min_value(self) -> float:
-        return float(self.values.min())
-
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
 
@@ -218,16 +209,6 @@ def indicator(space: MeasureSpace, index: Sequence[int] | np.ndarray | int) -> R
     v = np.zeros(space.n_atoms)
     v[np.asarray(index)] = 1.0
     return Rv(space, v)
-
-
-def meet(x: Rv, y: Rv) -> Rv:
-    x._peer(y)
-    return Rv(x.space, np.minimum(x.values, y.values))
-
-
-def join(x: Rv, y: Rv) -> Rv:
-    x._peer(y)
-    return Rv(x.space, np.maximum(x.values, y.values))
 
 
 # -- strictly positive witness ---------------------------------------------

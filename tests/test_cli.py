@@ -353,6 +353,43 @@ def test_non_positive_counts_exit_2(files, capsys, command, flag):
         assert f"argument {flag}" in err
 
 
+# each command's shortest argv; the inputs are placeholders
+MINIMAL_ARGV = {
+    "norm": ["norm", "--space", "s", "--rv", "r", "--orlicz", "o"],
+    "conjugate": ["conjugate", "--orlicz", "o"],
+    "classify": ["classify", "--orlicz", "o"],
+    "represent": ["represent", "--space", "s", "--rv", "r", "--risk", "k",
+                  "--orlicz", "o"],
+    "fatou-test": ["fatou-test", "--space", "s", "--risk", "k", "--orlicz",
+                   "o"],
+    "extract-subseq": ["extract-subseq", "--space", "s", "--family", "m",
+                       "--rv", "r", "--orlicz", "o"],
+    "closure-demo": ["closure-demo", "--space", "s", "--vertices", "v",
+                     "--rv", "r", "--orlicz", "o"],
+    "verify-all": ["verify-all"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("norm", "--seed"), ("norm", "--truncation"),
+    ("conjugate", "--seed"), ("conjugate", "--tol"),
+    ("conjugate", "--truncation"),
+    ("classify", "--seed"), ("classify", "--tol"),
+    ("classify", "--truncation"),
+    ("represent", "--truncation"), ("fatou-test", "--truncation"),
+    ("extract-subseq", "--seed"), ("extract-subseq", "--truncation"),
+    ("closure-demo", "--seed"), ("closure-demo", "--truncation"),
+])
+def test_run_flags_a_command_does_not_read_exit_2(capsys, command, flag):
+    # these were parsed and then ignored; the parser now refuses them before
+    # any input is read, so the placeholder inputs are never opened
+    value = {"--seed": "1", "--tol": "0.5", "--truncation": "8"}[flag]
+    code, out, err = run_cli(capsys, *MINIMAL_ARGV[command], flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
 def test_grid_max_must_be_finite_and_positive(capsys, bad):
     code, out, err = run_cli(capsys, "conjugate", "--orlicz", "power:p=2",
@@ -384,15 +421,18 @@ def test_help_exits_0(capsys):
     assert run_cli(capsys, "norm", "--help")[0] == 0
 
 
-@pytest.mark.parametrize("command", ["norm", "fatou-test", "verify-all"])
-@pytest.mark.parametrize("flag, bad", [
-    ("--seed", "-1"),
-    ("--tol", "nan"),
-    ("--tol", "-1"),
-    ("--truncation", "0"),
-])
-def test_bad_run_flags_exit_2_before_the_command_runs(files, capsys, command,
-                                                      flag, bad):
+# the run flags each command declares
+READS = {"norm": ("--tol",), "fatou-test": ("--seed", "--tol"),
+         "verify-all": ("--seed", "--tol", "--truncation")}
+
+
+@pytest.mark.parametrize("flag, bad, command", [
+    (flag, bad, command)
+    for flag, bad in (("--seed", "-1"), ("--tol", "nan"), ("--tol", "-1"),
+                      ("--truncation", "0"))
+    for command in READS if flag in READS[command]])
+def test_bad_run_flags_exit_2_before_the_command_runs(files, capsys, flag,
+                                                      bad, command):
     # --seed -1 was a numpy traceback, and --tol nan failed every
     # verify-all row with exit 5
     space = files("space.csv", PROB2)
@@ -429,34 +469,31 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
-RUN_DEFAULTS = {"seed": 0, "tol": None, "truncation": 1024, "format": "json"}
+# the run flags' defaults, for the commands that declare them
+SEED, TOL, TRUNCATION = {"seed": 0}, {"tol": None}, {"truncation": 1024}
 
 
 @pytest.mark.parametrize("argv, handler, flags", [
-    (["norm", "--space", "s", "--rv", "r", "--orlicz", "o"], "norm",
-     {"space": "s", "rv": "r", "orlicz": "o"}),
-    (["conjugate", "--orlicz", "o"], "conjugate",
+    (MINIMAL_ARGV["norm"], "norm",
+     {**TOL, "space": "s", "rv": "r", "orlicz": "o"}),
+    (MINIMAL_ARGV["conjugate"], "conjugate",
      {"orlicz": "o", "grid_max": 10.0, "grid_count": 50}),
-    (["classify", "--orlicz", "o"], "classify",
+    (MINIMAL_ARGV["classify"], "classify",
      {"orlicz": "o", "measure": "finite"}),
-    (["represent", "--space", "s", "--rv", "r", "--risk", "k",
-      "--orlicz", "o"], "represent",
-     {"space": "s", "rv": "r", "risk": "k", "orlicz": "o"}),
-    (["fatou-test", "--space", "s", "--risk", "k", "--orlicz", "o"],
-     "fatou_test",
-     {"space": "s", "risk": "k", "orlicz": "o", "rv": None, "mode": "all",
-      "count": 20, "length": 24}),
-    (["extract-subseq", "--space", "s", "--family", "m", "--rv", "r",
-      "--orlicz", "o"], "extract_subseq",
-     {"space": "s", "family": "m", "rv": "r", "orlicz": "o"}),
-    (["closure-demo", "--space", "s", "--vertices", "v", "--rv", "r",
-      "--orlicz", "o"], "closure_demo",
-     {"space": "s", "vertices": "v", "rv": "r", "orlicz": "o",
+    (MINIMAL_ARGV["represent"], "represent",
+     {**SEED, **TOL, "space": "s", "rv": "r", "risk": "k", "orlicz": "o"}),
+    (MINIMAL_ARGV["fatou-test"], "fatou_test",
+     {**SEED, **TOL, "space": "s", "risk": "k", "orlicz": "o", "rv": None,
+      "mode": "all", "count": 20, "length": 24}),
+    (MINIMAL_ARGV["extract-subseq"], "extract_subseq",
+     {**TOL, "space": "s", "family": "m", "rv": "r", "orlicz": "o"}),
+    (MINIMAL_ARGV["closure-demo"], "closure_demo",
+     {**TOL, "space": "s", "vertices": "v", "rv": "r", "orlicz": "o",
       "length": 32}),
-    (["verify-all"], "verify_all", {}),
+    (MINIMAL_ARGV["verify-all"], "verify_all", {**SEED, **TOL, **TRUNCATION}),
 ])
 def test_minimal_argv_parses_to_pinned_namespace(argv, handler, flags):
     args = cli.build_parser().parse_args(argv)
     assert vars(args) == {"subcommand": argv[0],
                           "func": getattr(cli, f"_cmd_{handler}"),
-                          **RUN_DEFAULTS, **flags}
+                          "format": "json", **flags}

@@ -2,6 +2,7 @@
 the one-array family layout, the spike layout's one-atom readers against
 the block readers, and the memory the readers take."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,7 +15,9 @@ from orliczkit import (
     Rv,
     SequenceFamily,
     conjugate,
+    expectation,
     extract_ae_subsequence,
+    fatou_check,
     generate_sequence,
     strictly_positive_witness,
     uniform_probability,
@@ -229,11 +232,29 @@ def test_spike_layout_readers_match_a_dense_copy_bit_for_bit(n, seed, height,
     f0 = strictly_positive_witness(space, POWER2)
     tests = [g0, Rv(space, np.ones(n)), Rv(space, np.linspace(-1.0, 2.0, n))]
     got = reader_bits(fam, f, g0, f0, tests)
-    # only the block path builds the rows
-    assert len(fam) == length and ("values" in vars(fam)) == off_limit
-    dense = SequenceFamily._from_rows(fam.values.copy(), fam.norm_bound,
-                                      fam.mode, fam.limit)
+    # no reader builds the whole array: the block path reads blocks of rows
+    assert len(fam) == length and "values" not in vars(fam)
+    dense = SequenceFamily._stored(fam.values.copy(), fam.norm_bound,
+                                   fam.mode, fam.limit)
     assert got == reader_bits(dense, f, g0, f0, tests)
+
+
+@pytest.mark.parametrize("past_n", [2, 64])
+def test_fatou_on_a_spike_layout_matches_a_dense_copy_bit_for_bit(past_n):
+    # the last quarter starts past row 0, with one spiked row (past_n = 2)
+    # or none; a family still spiked at its end does not settle
+    n = 12
+    rng = np.random.default_rng(5)
+    space = MeasureSpace.truncated_countable(rng.uniform(0.05, 1.0, n) / n)
+    limit = Rv(space, rng.normal(0.0, 1.0, n))
+    fam = generate_sequence(space, POWER2, limit, "ae_only_traveling_spike",
+                            length=n + past_n, spike_height=0.7)
+    phi = expectation(space)
+    got = fatou_check(phi, [fam]).rows
+    assert "values" not in vars(fam)
+    dense = SequenceFamily._stored(fam.values.copy(), fam.norm_bound,
+                                   fam.mode, fam.limit)
+    assert got == fatou_check(phi, [dense]).rows
 
 
 def test_decay_verdicts_on_both_sides(monkeypatch):
@@ -288,6 +309,15 @@ def test_loose_terms_are_stacked_once_and_keep_their_values():
     assert all(t.space is sp for t in fam.terms)
 
 
+def test_families_stay_immutable():
+    sp = uniform_probability(3)
+    f = Rv(sp, np.zeros(3))
+    for fam in (SequenceFamily.from_terms([f], f, POWER2),
+                generate_sequence(sp, POWER2, f, "ae_only_traveling_spike")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fam.norm_bound = 0.0
+
+
 def test_generated_values_match_their_formulas():
     sp = uniform_probability(5)
     f = Rv(sp, [1.0, -1.0, 0.0, 2.0, 0.5])
@@ -328,8 +358,8 @@ def test_readers_stay_within_a_fraction_of_the_family():
         assert size == (n + 64) * n * 8
         assert tracemalloc.get_traced_memory()[1] <= 1.05 * size
 
-        dense = SequenceFamily._from_rows(fam.values, fam.norm_bound,
-                                          fam.mode, fam.limit)
+        dense = SequenceFamily._stored(fam.values, fam.norm_bound, fam.mode,
+                                       fam.limit)
         for family in (fam, dense):
             for run in (lambda: extract_ae_subsequence(family, f, g0, f0),
                         lambda: wstar_limit_check(family, f, tests, PSI2),
@@ -378,7 +408,9 @@ def test_extraction_after_its_block_pass_takes_one_buffer():
 def test_spike_pipeline_at_16384_atoms_never_builds_the_family():
     # the dense family would take (16384 + 64) x 16384 x 8 bytes, 2.16 GB.
     # The pipeline's peak is the extraction's one (40 picks, n) buffer,
-    # 5.2 MB, and its pointwise verdict's boolean scratch: 7.1 MB measured
+    # 5.2 MB, and its pointwise verdict's boolean scratch: 7.1 MB measured.
+    # The Fatou check reads its last quarter one block of rows at a time,
+    # and repr reads no rows
     n = 16384
     space = uniform_probability(n, truncated=True)
     f = Rv(space, np.random.default_rng(0).normal(0.0, 1.0, n))
@@ -392,10 +424,14 @@ def test_spike_pipeline_at_16384_atoms_never_builds_the_family():
         res = extract_ae_subsequence(fam, f, g0, f0)
         rep = wstar_limit_check(fam, f, tests, PSI2)
         _require_ae_decay(fam)
+        fatou = fatou_check(expectation(space), [fam])
+        text = repr(fam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "values" not in vars(fam) and len(fam) == n + 64
+    assert "values" not in vars(fam) and "terms" not in vars(fam)
+    assert len(fam) == n + 64
     assert len(res.indices) == 40 and res.status == "ok"
     assert not rep.converged
+    assert fatou.violation_count == 0 and text.startswith("SequenceFamily(")
     assert peak <= 8e6
