@@ -27,6 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DUALITY = "src/orliczkit/duality.py"
 CONVERGENCE = "src/orliczkit/convergence.py"
+NORMS = "src/orliczkit/norms.py"
+BISECTION_PROPERTY = ("tests/test_norms.py::"
+                      "test_luxemburg_equals_the_bisection_bit_for_bit")
 SPIKE_PROPERTY = ("tests/test_convergence_matrix.py::"
                   "test_spike_layout_readers_match_a_dense_copy_bit_for_bit")
 
@@ -83,10 +86,29 @@ MUTANTS = [
       "test_fenchel_conjugate_refuses_a_stale_row_kernel",
       "tests/test_duality.py::test_results_report_their_evaluations"]),
     ("the Luxemburg bisection keeps a 1e-14 absolute floor",
-     "src/orliczkit/norms.py",
+     NORMS,
      "    while hi - lo > 1e-10 * hi:\n",
      "    while hi - lo > max(1e-10 * hi, 1e-14):\n",
      ["tests/test_norms.py::test_luxemburg_is_accurate_at_tiny_scales"]),
+    ("the Luxemburg search returns its guessed cell without probing an "
+     "open lower end",
+     NORMS,
+     "        if not undecided:\n            return c_lo, c_hi, b_mod, calls\n",
+     "        if not undecided or c_hi >= b:\n"
+     "            return c_lo, c_hi, b_mod, calls\n",
+     [f"{BISECTION_PROPERTY}[0]", f"{BISECTION_PROPERTY}[2]"]),
+    ("the Luxemburg norm is the infeasible end of the terminal cell",
+     NORMS,
+     "    return NormReport(hi, expand + calls, (lo, hi), hi_mod)\n",
+     "    return NormReport(lo, expand + calls, (lo, hi), hi_mod)\n",
+     [f"{BISECTION_PROPERTY}[1]"]),
+    ("the lockstep norms are the infeasible ends of their grid cells",
+     NORMS,
+     "    return np.where(2.0 * s > 1e-10 * hi33, lo + ib * s, hi33)\n",
+     "    return np.where(2.0 * s > 1e-10 * hi33, lo + (ib - 1.0) * s,\n"
+     "                    hi33 - 2.0 * s)\n",
+     ["tests/test_norms.py::"
+      "test_lockstep_indicator_norms_equal_the_scalar_reference_seeded[0]"]),
     ("the pattern line's segment is PATTERN_RANGE uncut",
      DUALITY,
      "    lo, hi = PATTERN_RANGE\n",

@@ -3,8 +3,8 @@
 Bracket expansion and Brent line maximization. All kernels are
 deterministic and tolerate objectives that return ``+-inf`` on part of their
 domain: ``brent_max`` wherever the infinite region sits, ``bracket_min`` when
-it sits near 0, which is the shape its caller produces. The Luxemburg norm
-bisects inline, in ``norms``.
+it sits near 0, which is the shape its caller produces. The Luxemburg norm's
+root search lives in ``norms``.
 ``brent_max`` is the package's one line search; minimizers pass ``-fn``.
 Every line it searches is concave -- a dual objective along a move, a
 conjugate's ``s*t - phi(t)``, a negated convex norm objective -- and it

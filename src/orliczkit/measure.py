@@ -221,7 +221,7 @@ def strictly_positive_witness(space: MeasureSpace, phi) -> Rv:
     ``2**-n / (1 + ||indicator(block)||_phi)``; summing over blocks gives a
     strictly positive element whose norm is bounded by the triangle
     inequality by sum 2**-n <= 1. An indicator's norm depends only on the
-    block's mass, so the distinct block masses take one lockstep bisection
+    block's mass, so the distinct block masses take one lockstep search
     (``norms._indicator_norms``), whatever the number of blocks and atoms
     carrying them.
     """

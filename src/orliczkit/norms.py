@@ -31,61 +31,175 @@ def modular(f: Rv, lam: float, phi: OrliczFunction) -> float:
     """
     if not lam > 0.0:
         raise ValueError(f"modular scale must be positive, got {lam}")
-    return float(np.dot(f.space.weights, phi._values(np.abs(f.values) / lam)))
+    with np.errstate(over="ignore"):
+        return _modular(f.space.weights, np.abs(f.values), lam, phi)
+
+
+def _modular(weights: np.ndarray, absf: np.ndarray, lam: float,
+             phi: OrliczFunction) -> float:
+    """``modular`` from a precomputed ``|f|``, inside the caller's
+    ``np.errstate(over="ignore")``; the norms' one modular evaluation."""
+    return float(np.dot(weights, phi._values(absf / lam)))
 
 
 def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
-    """``inf { lam > 0 : modular(f, lam) <= 1 }`` by bracketed bisection.
+    """``inf { lam > 0 : modular(f, lam) <= 1 }``: a bisection's answer, found
+    by a verified secant.
 
     The modular is nonincreasing in lam, so the predicate
     ``modular <= 1`` is monotone. A walk from ``top = sup |f|`` halves or
-    doubles lam until it brackets the switch, and an inline bisection then
-    shrinks the bracket to relative width 1e-10, with no absolute floor, so
-    tiny norms keep their relative accuracy; a bracket whose midpoint
-    rounds to an end, which happens once it is subnormal, stops early. The
-    halving walk gives up 1e300 below ``top``, so it is as scale-free as the
-    bisection. ``iterations`` counts the walk's steps and the bisection's,
-    the step that finds its midpoint at an end included. The feasible end
-    is returned, so ``modular_at_value <= 1`` always holds in the report.
-    This is the scalar reference of ``_indicator_norms``.
+    doubles lam until it brackets the switch; the halving walk gives up
+    1e300 below ``top``. The answer is defined by a bisection of that
+    bracket down to relative width 1e-10, with no absolute floor, that stops
+    early when a midpoint rounds to an end (a subnormal bracket). The
+    feasible end is returned, so ``modular_at_value <= 1`` always holds in
+    the report.
+
+    The bisection is replayed rather than run (``_bisection_search``): a
+    secant in (log lam, log modular), exact for power functions, guesses the
+    switch, the bisection's midpoints are replayed in plain Python, and only
+    the ends of the terminal cell the guess leads to are evaluated. The
+    value, the bracket and ``modular_at_value`` are the bisection's bit for
+    bit wherever the computed modular is monotone. The search takes 2
+    modular calls after the walk for power functions, about 5 for
+    ``exp_young`` and its conjugate, and 1 for ``linf_step``, where the
+    bisection took 34. ``iterations`` counts the walk's steps and the
+    modular calls after it, so the modular is evaluated ``iterations + 1``
+    times in all, ``top`` once. |f| is taken, and ``np.errstate`` entered,
+    once per norm. This is the scalar reference of ``_indicator_norms``.
     """
     top = f.sup_norm()
     if top == 0.0:
         return NormReport(0.0, 0, (0.0, 0.0), 0.0)
+    weights, absf = f.space.weights, np.abs(f.values)
 
-    def feasible(lam: float) -> bool:
-        return modular(f, lam, phi) <= 1.0
+    def at(lam: float) -> float:
+        return _modular(weights, absf, lam, phi)
 
-    # halve while feasible, or double until feasible; top is tested once
-    lo = hi = top
-    expand = 0
-    if feasible(top):
-        while True:
-            hi, lo = lo, lo * 0.5
-            expand += 1
-            if not lo > 1e-300 * top or expand > 4000:
-                raise NumericFailure("Luxemburg bracket collapse: modular never exceeds 1")
-            if not feasible(lo):
-                break
-    else:
-        while True:
-            lo, hi = hi, hi * 2.0
-            expand += 1
-            if expand > 4000:
-                raise NumericFailure("Luxemburg bracket blow-up: modular never drops to 1")
-            if feasible(hi):
-                break
-    iters = expand
+    with np.errstate(over="ignore"):
+        # halve while feasible, or double until feasible; top is tested once
+        lo = hi = top
+        lo_mod = hi_mod = at(top)
+        expand = 0
+        if hi_mod <= 1.0:
+            while True:
+                hi, hi_mod, lo = lo, lo_mod, lo * 0.5
+                expand += 1
+                if not lo > 1e-300 * top or expand > 4000:
+                    raise NumericFailure(
+                        "Luxemburg bracket collapse: modular never exceeds 1")
+                lo_mod = at(lo)
+                if not lo_mod <= 1.0:
+                    break
+        else:
+            while True:
+                lo, lo_mod, hi = hi, hi_mod, hi * 2.0
+                expand += 1
+                if expand > 4000:
+                    raise NumericFailure(
+                        "Luxemburg bracket blow-up: modular never drops to 1")
+                hi_mod = at(hi)
+                if hi_mod <= 1.0:
+                    break
+        lo, hi, hi_mod, calls = _bisection_search(lo, hi, lo_mod, hi_mod, at)
+    return NormReport(hi, expand + calls, (lo, hi), hi_mod)
+
+
+def _log_modular(value: float) -> float:
+    """``log(value)``, or nan where the secant cannot use it (0, +inf, nan)."""
+    return math.log(value) if 0.0 < value < math.inf else math.nan
+
+
+def _secant_guess(a: float, b: float, ya: float, yb: float) -> float:
+    """Where the chord through ``(log a, ya)`` and ``(log b, yb)`` crosses
+    zero, as a scale in ``[a, b]``; nan when either log modular is."""
+    return a * math.exp(ya / (ya - yb) * math.log(b / a))
+
+
+def _kept_scale(y_new: float, y_old: float) -> float:
+    """The factor on the log modular of the end a secant probe keeps, when
+    the probe replaced the other end's ``y_old`` by ``y_new``:
+    ``1 - y_new / y_old``, or 1/2 where that is not positive (Anderson &
+    Bjorck 1973). Illinois takes 1/2 always; this converged in fewer calls
+    on ``exp_young`` and its conjugate, and the same on power functions."""
+    scale = 1.0 - y_new / y_old if y_old else 0.5
+    return scale if scale > 0.0 else 0.5
+
+
+def _replay(lo: float, hi: float, a: float, b: float,
+            guess: float) -> tuple[float, float, float, int, int]:
+    """Replay the bisection of ``[lo, hi]`` with no modular call.
+
+    A midpoint ``<= a`` is infeasible and one ``>= b`` feasible, which the
+    monotone modular implies once ``a`` is known infeasible and ``b``
+    feasible; one strictly between them is feasible iff it is ``>= guess``
+    (never, for a nan guess). Returns the terminal cell ``(lo, hi)``, the
+    first midpoint strictly between ``a`` and ``b`` (nan if none), how many
+    such midpoints the path met, and how many midpoints it took.
+    """
+    first, undecided, depth = math.nan, 0, 0
     while hi - lo > 1e-10 * hi:
-        iters += 1
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # float exhaustion
             break
-        if feasible(mid):
+        depth += 1
+        if mid >= b:
             hi = mid
-        else:
+        elif mid <= a:
             lo = mid
-    return NormReport(hi, iters, (lo, hi), modular(f, hi, phi))
+        else:
+            if not undecided:
+                first = mid
+            undecided += 1
+            if mid >= guess:
+                hi = mid
+            else:
+                lo = mid
+    return lo, hi, first, undecided, depth
+
+
+def _bisection_search(lo: float, hi: float, lo_mod: float, hi_mod: float,
+                      at) -> tuple[float, float, float, int]:
+    """The terminal cell of the bisection of ``[lo, hi]``, the modular at its
+    upper end, and the modular calls ``at`` it took.
+
+    ``lo`` is infeasible and ``hi`` feasible, with modulars ``lo_mod`` and
+    ``hi_mod``. The search keeps a known infeasible ``a`` and feasible
+    ``b``, and guesses the switch by a secant in (log lam, log modular)
+    with the Anderson-Bjorck variant of the Illinois step (``_kept_scale``).
+    Each round replays the bisection (``_replay``), midpoints between ``a``
+    and ``b`` taken by the guess, and probes the unknown end of the terminal
+    cell nearer the guess. Every probe is a point of the bisection, so the
+    search is over when no midpoint of the replay lies between ``a`` and
+    ``b``: the terminal cell is then ``[a, b]``, both ends evaluated, and
+    every decision on its path is implied by the modulars there. Dyadic
+    masses under t^2 put the switch exactly on a cell end; its cell is
+    confirmed by one probe. A modular of 0 at ``b`` (a step) takes the guess
+    ``b``. Without a usable guess, or once the probes fall behind the
+    bisection's pace by two calls, the round probes the path's first
+    undecided midpoint instead, as the bisection would.
+    """
+    a, b, b_mod = lo, hi, hi_mod
+    ya, yb = _log_modular(lo_mod), _log_modular(hi_mod)
+    calls = 0
+    while True:
+        guess = b if b_mod == 0.0 else _secant_guess(a, b, ya, yb)
+        c_lo, c_hi, first, undecided, depth = _replay(lo, hi, a, b, guess)
+        if not undecided:
+            return c_lo, c_hi, b_mod, calls
+        if guess != guess or calls + undecided > depth + 1:
+            p = first
+        elif c_lo <= a or (c_hi < b and c_hi - guess <= guess - c_lo):
+            p = c_hi
+        else:
+            p = c_lo
+        value = at(p)
+        calls += 1
+        y = _log_modular(value)
+        if value <= 1.0:
+            b, b_mod, ya, yb = p, value, ya * _kept_scale(y, yb), y
+        else:
+            a, ya, yb = p, y, yb * _kept_scale(y, ya)
 
 
 def amemiya_norm(f: Rv, phi: OrliczFunction) -> NormReport:
@@ -154,48 +268,111 @@ def _indicator_masses(masses) -> np.ndarray:
     return m
 
 
+# scales per kernel call of the lockstep walk
+_WALK_BATCH = 16
+
+
 def _indicator_norms(phi: OrliczFunction, masses) -> np.ndarray:
     """Luxemburg norms of indicators of the given masses, all at once.
 
     The norm of an indicator of mass m is ``inf { lam : m phi(1/lam) <= 1 }``.
-    Each mass runs the walk and the bisection of ``luxemburg_norm`` on a
-    one-atom space of that mass, and all of them run in lockstep: every step
-    makes one ``phi._values(1.0 / lam)`` call over the masses still moving.
-    A mass takes the steps of its own scalar run, so each norm has the bits
-    of ``luxemburg_norm(Rv(MeasureSpace.finite([m]), [1.0]), phi).value``.
+    Each mass has the answer of ``luxemburg_norm`` on a one-atom space of
+    that mass, whose walk starts at top = 1, and all of them are searched in
+    lockstep, one ``phi._values`` call per round over all masses. The walk
+    takes 16 of its scales per call. Its ends are then powers of two, so the
+    bisection's midpoints are exact and its cells form a grid: the search
+    runs the scalar one's guess-and-verify rounds on that grid, evaluating
+    both ends of each mass's guessed cell per round, and reads the terminal
+    cell off the grid instead of replaying the bisection. So each norm has
+    the bits of ``luxemburg_norm(Rv(MeasureSpace.finite([m]), [1.0]),
+    phi).value`` wherever the computed modular is monotone. Under a power
+    function the search takes one round, under ``exp_young`` and its
+    conjugate three to five, where the bisection took 34.
     """
     m = _indicator_masses(masses)
-    # the walk from top = 1: halve while feasible, or double until feasible;
-    # a halving walk stops at an infeasible lo, a doubling one at a feasible hi
-    lo, hi = np.ones(m.size), np.ones(m.size)
-    down = m * phi._values(1.0 / lo) <= 1.0
-    walking, expand = np.arange(m.size), 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _lockstep_norms(phi, m)
+
+
+def _lockstep_norms(phi: OrliczFunction, m: np.ndarray) -> np.ndarray:
+    """``_indicator_norms`` of checked masses, inside the caller's
+    ``np.errstate``: logs of 0 and +inf, and the nan guesses they give, are
+    expected values here."""
+    # The walk from top = 1, _WALK_BATCH steps per kernel call: a halving
+    # walk stops at its first infeasible scale 2^-e, a doubling one at its
+    # first feasible 2^e, as the scalar walk does step by step.
+    top_mod = m * phi._values(np.ones(m.size))
+    down = top_mod <= 1.0
+    lo, lo_mod, hi_mod, last = (np.empty(m.size) for _ in range(4))
+    last[:] = top_mod
+    walking, e0, batch = np.arange(m.size), 0, np.arange(1, _WALK_BATCH + 1)
     while walking.size:
-        expand += 1
-        d, lo_w, hi_w = down[walking], lo[walking], hi[walking]
-        lo_w, hi_w = np.where(d, 0.5 * lo_w, hi_w), np.where(d, lo_w, 2.0 * hi_w)
-        lo[walking], hi[walking] = lo_w, hi_w
-        if expand > 4000 or np.any(d & (lo_w < 1e-300)):
-            if d.any():
-                raise NumericFailure("Luxemburg bracket collapse: modular never exceeds 1")
+        if e0 >= 4000:
             raise NumericFailure("Luxemburg bracket blow-up: modular never drops to 1")
-        probe = np.where(d, lo_w, hi_w)
-        walking = walking[(m[walking] * phi._values(1.0 / probe) <= 1.0) == d]
-    # bisect to relative width 1e-10. The walk keeps lo above 1e-300, so
-    # every midpoint of a bracket that wide lies strictly inside it, and the
-    # scalar run's float-exhaustion break never fires here; an infinite hi
-    # stops at once. m, lo and hi shrink to the masses still moving.
-    out = np.empty(m.size)
-    moving = np.arange(m.size)
-    while moving.size:
-        going = hi - lo > 1e-10 * hi
-        if np.count_nonzero(going) < going.size:
-            out[moving[~going]] = hi[~going]
-            moving, m, lo, hi = (a[going] for a in (moving, m, lo, hi))
-            if not moving.size:
-                break
-        mid = 0.5 * (lo + hi)
-        ok = m * phi._values(1.0 / mid) <= 1.0
-        np.copyto(hi, mid, where=ok)
-        np.copyto(lo, mid, where=~ok)
-    return out
+        d = down[walking]
+        e = np.where(d[:, None], -(e0 + batch), e0 + batch)
+        value = m[walking, None] * phi._values(1.0 / np.ldexp(1.0, e))
+        stop = (value <= 1.0) != d[:, None]
+        hit = stop.any(axis=1)
+        col = stop.argmax(axis=1)
+        # the scalar walk refuses to halve to 1e-300 or below: 2^-997
+        if np.any(d & (np.where(hit, col + 1, _WALK_BATCH + 1) + e0 > 996)):
+            raise NumericFailure("Luxemburg bracket collapse: modular never exceeds 1")
+        row, col, d, done = np.flatnonzero(hit), col[hit], d[hit], walking[hit]
+        at_stop = value[row, col]
+        before = np.where(col > 0, value[row, col - 1], last[done])
+        lo[done] = np.ldexp(1.0, np.where(d, e[row, col], e[row, col] - 1))
+        lo_mod[done] = np.where(d, at_stop, before)
+        hi_mod[done] = np.where(d, before, at_stop)
+        last[walking] = value[:, -1]
+        walking, e0 = walking[~hit], e0 + _WALK_BATCH
+    # lo is a power of two and hi = 2 lo, so the bisection of [lo, hi] takes
+    # exact midpoints: its cells at depth j are [lo + i s, lo + (i + 1) s]
+    # with s = lo 2^-j. Cells at depth 32 are wider than 1e-10 hi and cells
+    # at depth 34 are not, so the search runs on the depth-34 grid,
+    # i = 0 .. 2^34, with ia a known infeasible index and ib a feasible one.
+    # Each round evaluates, for every mass, the grid cell holding its secant
+    # guess (Anderson-Bjorck, as in the scalar search), both ends kept
+    # strictly between ia and ib, in one kernel call. A mass whose cell
+    # straddles the switch is done; a done mass re-evaluates its known ends,
+    # which moves nothing. As in the scalar search, a modular of 0 at ib
+    # guesses ib, and a mass without a usable guess, or more than six rounds
+    # behind the bisection's 34, guesses the middle index. An infinite hi
+    # (a doubling walk past the float range) is the bisection's answer at
+    # once.
+    s = lo * 2.0**-34
+    ib = np.full(m.size, 2.0**34)
+    ia = np.where(lo < 2.0**1023, 0.0, ib - 1.0)
+    ya, yb = np.log(lo_mod), np.log(hi_mod)
+    # both ends of every cell go through one kernel call: lower ends first
+    m2, lo2, s2 = (np.concatenate((v, v)) for v in (m, lo, s))
+    rounds = 0
+    while np.count_nonzero(ib - ia > 1.0):
+        a, b = lo + ia * s, lo + ib * s
+        guess = (a * np.exp(ya / (ya - yb) * np.log(b / a)) - lo) / s
+        guess = np.where(yb == -math.inf, ib, guess)
+        stray = np.isnan(guess) | ~(rounds + np.log2(ib - ia) <= 40.0)
+        first = ia + 1.0
+        upper = np.minimum(np.maximum(
+            np.ceil(np.where(stray, 0.5 * (ia + ib), guess)), first), ib - 1.0)
+        lower = np.maximum(upper - 1.0, first)
+        value = m2 * phi._values(1.0 / (lo2 + np.concatenate((lower, upper)) * s2))
+        y, ok = np.log(value), value <= 1.0
+        y_lo, y_up, ok_lo, ok_up = y[:m.size], y[m.size:], ok[:m.size], ok[m.size:]
+        keep_a, keep_b = _kept_scales(y_lo, yb), _kept_scales(y_up, ya)
+        ya, yb = (np.where(ok_lo, ya * keep_a, np.where(ok_up, y_lo, y_up)),
+                  np.where(ok_lo, y_lo, np.where(ok_up, y_up, yb * keep_b)))
+        ia, ib = (np.where(ok_lo, ia, np.where(ok_up, lower, upper)),
+                  np.where(ok_lo, lower, np.where(ok_up, upper, ib)))
+        rounds += 1
+    # the answer is the upper end of the bisection's terminal cell: the cell
+    # at depth 34 ending at ib, or the depth-33 cell holding it when that one
+    # is already no wider than 1e-10 of its upper end
+    hi33 = lo + 2.0 * np.ceil(0.5 * ib) * s
+    return np.where(2.0 * s > 1e-10 * hi33, lo + ib * s, hi33)
+
+
+def _kept_scales(y_new: np.ndarray, y_old: np.ndarray) -> np.ndarray:
+    """``_kept_scale`` elementwise."""
+    scale = 1.0 - y_new / y_old
+    return np.where(scale > 0.0, scale, 0.5)

@@ -154,24 +154,29 @@ class OrliczFunction:
         ts = np.asarray(ts, dtype=float)
         if (ts < 0.0).any():
             raise ValueError("Orlicz functions are defined on t >= 0")
-        return self._values(ts)
+        with np.errstate(over="ignore"):
+            return self._values(ts)
 
     def _values(self, ts: np.ndarray) -> np.ndarray:
-        """``values`` on a float array already known to be nonnegative."""
+        """``values`` on a float array already known to be nonnegative.
+
+        Callers enter ``np.errstate(over="ignore")`` around it, once per
+        loop rather than once per call: overflow to +inf is the intended
+        value beyond the float range.
+        """
         k = self.kind
-        with np.errstate(over="ignore"):
-            if k == POWER:
-                return np.power(ts, self.p)
-            if k == SCALED_POWER:
-                return self.scale * np.power(ts, self.p)
-            if k == LINEAR:
-                return ts.copy()
-            if k == EXP_YOUNG:
-                return np.expm1(ts) - ts
-            if k == EXP_YOUNG_CONJUGATE:
-                return (1.0 + ts) * np.log1p(ts) - ts
-            if k == LINF_STEP:
-                return np.where(ts <= 1.0, 0.0, math.inf)
+        if k == POWER:
+            return np.power(ts, self.p)
+        if k == SCALED_POWER:
+            return self.scale * np.power(ts, self.p)
+        if k == LINEAR:
+            return ts.copy()
+        if k == EXP_YOUNG:
+            return np.expm1(ts) - ts
+        if k == EXP_YOUNG_CONJUGATE:
+            return (1.0 + ts) * np.log1p(ts) - ts
+        if k == LINF_STEP:
+            return np.where(ts <= 1.0, 0.0, math.inf)
         out = np.empty(ts.shape, dtype=float)
         flat = ts.reshape(-1)
         dst = out.reshape(-1)

@@ -162,6 +162,109 @@ def test_luxemburg_walks_below_1e_300():
     assert got == pytest.approx(tiny, rel=1e-9, abs=0.0)
 
 
+def reference_luxemburg(f, phi):
+    """The bisection that ``luxemburg_norm`` replays, one modular call per
+    midpoint. Returns the report's ``(value, bracket, modular_at_value)``,
+    the walk's steps and the bisection's modular calls."""
+    top = f.sup_norm()
+    if top == 0.0:
+        return (0.0, (0.0, 0.0), 0.0), 0, 0
+
+    def feasible(lam):
+        return modular(f, lam, phi) <= 1.0
+
+    lo = hi = top
+    expand = calls = 0
+    if feasible(top):
+        while True:
+            hi, lo = lo, lo * 0.5
+            expand += 1
+            if not lo > 1e-300 * top:
+                raise NumericFailure("bracket collapse")
+            if not feasible(lo):
+                break
+    else:
+        while True:
+            lo, hi = hi, hi * 2.0
+            expand += 1
+            if feasible(hi):
+                break
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        calls += 1
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (hi, (lo, hi), modular(f, hi, phi)), expand, calls
+
+
+# 3 (t - 1)^+ vanishes on [0, 1], so its modular is 0 at the feasible end
+# of many walks while the switch lies below it; the search's guess there,
+# that end, is wrong, and only probing the guessed cell's lower end shows it
+RAMP = OrliczFunction.custom(lambda t: 3.0 * max(0.0, t - 1.0), label="ramp")
+REFERENCE_KINDS = (
+    *(OrliczFunction.power(p) for p in (1.2, 1.5, 2.0, 3.0)),
+    OrliczFunction.scaled_power(1.5), OrliczFunction.linear(),
+    OrliczFunction.exp_young(), OrliczFunction.exp_young_conjugate(), STEP,
+    conjugate(POWER2),
+    OrliczFunction.custom(lambda t: t * t + t ** 3, label="t^2 + t^3"), RAMP,
+)
+
+
+def random_rv(rng, n_choices=(1, 2, 7, 64, 2048)):
+    """Weights uniform or powers of two, values at a scale in 1e-300 ..
+    1e300, or all equal, so dyadic weights put the switch on a cell end."""
+    n = int(rng.choice(n_choices))
+    w = (2.0 ** rng.integers(-8, 4, n) if rng.random() < 0.4
+         else rng.uniform(0.01, 3.0, n))
+    scale = 10.0 ** rng.uniform(-300.0, 300.0)
+    v = (np.full(n, scale) if rng.random() < 0.2
+         else rng.normal(0.0, 1.0, n) * scale)
+    return Rv(MeasureSpace.finite(w), v)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_luxemburg_equals_the_bisection_bit_for_bit(seed):
+    # the replayed bisection is the bisection: value, bracket and modular at
+    # the value, and never more than 2 modular calls past its count
+    rng = np.random.default_rng([seed, 7041])
+    for phi in REFERENCE_KINDS:
+        f = random_rv(rng, (1, 2, 7, 64) if phi.kind == "custom" else
+                      (1, 2, 7, 64, 2048))
+        (value, bracket, at_value), expand, calls = reference_luxemburg(f, phi)
+        rep = luxemburg_norm(f, phi)
+        assert rep.value.hex() == value.hex(), phi
+        assert [x.hex() for x in rep.bracket] == [x.hex() for x in bracket]
+        assert rep.modular_at_value.hex() == at_value.hex()
+        assert rep.iterations - expand <= calls + 2
+
+
+@pytest.mark.parametrize("kinds,bound", [
+    ((*(OrliczFunction.power(p) for p in (1.2, 1.5, 2.0, 3.0)),
+      OrliczFunction.scaled_power(1.5), conjugate(POWER2)), 8),
+    ((OrliczFunction.exp_young(), OrliczFunction.exp_young_conjugate()), 16),
+], ids=["power", "exp"])
+def test_luxemburg_search_takes_few_modular_calls(monkeypatch, kinds, bound):
+    # the bisection takes 33-35 calls after the walk; the search 2 on powers
+    # and about 5 on the exp pair
+    calls = counting_modular(monkeypatch)
+    rng = np.random.default_rng(1729)
+    counts = []
+    for phi in kinds:
+        for _ in range(12):
+            f = random_rv(rng)
+            _, expand, reference_calls = reference_luxemburg(f, phi)
+            calls.clear()
+            rep = luxemburg_norm(f, phi)
+            assert len(calls) == rep.iterations + 1
+            counts.append(rep.iterations - expand)
+            assert counts[-1] <= reference_calls + 2
+    assert np.median(counts) <= bound
+
+
 @pytest.fixture(scope="module")
 def indicator_kinds(tmp_path_factory):
     table = tmp_path_factory.mktemp("young") / "table.csv"
@@ -189,6 +292,21 @@ def test_lockstep_indicator_norms_equal_the_scalar_reference(
     for m, norm in zip(masses, got):
         one_atom = Rv(MeasureSpace.finite([m]), [1.0])
         assert norm.hex() == luxemburg_norm(one_atom, phi).value.hex()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lockstep_indicator_norms_equal_the_scalar_reference_seeded(
+        indicator_kinds, seed):
+    # the Hypothesis property above with numpy-drawn masses: powers of two,
+    # which put the switch of t^2 on a cell end, and masses 1e-12 .. 1e3
+    rng = np.random.default_rng([seed, 7041])
+    masses = np.concatenate((2.0 ** rng.integers(-40, 20, 12),
+                             10.0 ** rng.uniform(-12.0, 3.0, 12)))
+    for phi in indicator_kinds:
+        got = _indicator_norms(phi, masses)
+        for m, norm in zip(masses, got):
+            one_atom = Rv(MeasureSpace.finite([m]), [1.0])
+            assert norm.hex() == luxemburg_norm(one_atom, phi).value.hex()
 
 
 @pytest.mark.parametrize("kind", range(8))
@@ -308,40 +426,41 @@ def test_norm_reports_expose_iterations():
     assert rep.bracket[0] <= rep.value <= rep.bracket[1]
 
 
-@pytest.mark.parametrize("mass", [0.1, 10.0])  # the walk goes down, up
-def test_luxemburg_evaluates_the_modular_at_top_once(monkeypatch, mass):
-    # one call at top, one per walk step and bisection step, one for the
-    # report: iterations + 2; a walk that re-tests top makes iterations + 3
+def counting_modular(monkeypatch):
+    """Record the scale of every modular call the norms make."""
     from orliczkit import norms
     calls = []
+    kernel = norms._modular
 
-    def counted(f, lam, phi):
+    def counted(weights, absf, lam, phi):
         calls.append(lam)
-        return modular(f, lam, phi)
+        return kernel(weights, absf, lam, phi)
 
-    monkeypatch.setattr(norms, "modular", counted)
+    monkeypatch.setattr(norms, "_modular", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mass", [0.1, 10.0])  # the walk goes down, up
+def test_luxemburg_evaluates_the_modular_at_top_once(monkeypatch, mass):
+    # one call at top, then one per walk step and per probe of the search,
+    # and the report reuses the probe at the value: iterations + 1; a walk
+    # that re-tests top makes iterations + 2
+    calls = counting_modular(monkeypatch)
     sp = MeasureSpace.finite(mass * np.array([0.25, 0.5, 0.25]))
     f = Rv(sp, [1.0, -2.0, 0.5])
     for phi in (POWER2, OrliczFunction.exp_young()):
         calls.clear()
         rep = luxemburg_norm(f, phi)
         assert (rep.value < 2.0) == (mass < 1.0)
-        assert len(calls) == rep.iterations + 2
-        assert 2.0 not in calls[1:-1]  # walk and bisection skip top
+        assert len(calls) == rep.iterations + 1
+        assert 2.0 not in calls[1:]  # walk and search skip top
 
 
 def test_luxemburg_counts_the_float_exhaustion_step(monkeypatch):
     # at sup|f| = 1e-320 the bracket is subnormal and its midpoint rounds to
-    # an end before the relative width is met; that step counts as an
-    # iteration but makes no modular call, so the calls are iterations + 1
-    from orliczkit import norms
-    calls = []
-
-    def counted(f, lam, phi):
-        calls.append(lam)
-        return modular(f, lam, phi)
-
-    monkeypatch.setattr(norms, "modular", counted)
+    # an end before the relative width is met; the replay stops there with
+    # no modular call, and the calls are iterations + 1, top included
+    calls = counting_modular(monkeypatch)
     sp = MeasureSpace.finite([1.0, 0.5])
     rep = luxemburg_norm(Rv(sp, [1e-320, -5e-321]), POWER2)
     lo, hi = rep.bracket
