@@ -44,6 +44,20 @@ _DELTA2_SAMPLES = 64
 #: ``limit_slope`` probes custom functions at t = 1, 2, 4, ..., SLOPE_RAY_END
 SLOPE_RAY_END = 2.0**50
 
+#: ``exp_young`` and its conjugate take their Taylor polynomials below this
+#: argument. Their closed forms, expm1(t) - t and (1+s) log1p(s) - s, cancel
+#: there: about 4e-16 / t of relative error, up to 3e-12 at the threshold
+#: and 1.2e-9 in the norm of an indicator of mass 1e12. The polynomials, of
+#: degrees 5 and 6, leave out less than 1e-17 relative below it. A higher
+#: threshold costs a polynomial in most modular calls of a norm, for the
+#: few arguments of |f| / lam that fall below it.
+TAYLOR_BELOW = 2.0**-12
+# coefficients of t^2, t^3, ...: 1/k! for exp_young, (-1)^k / (k (k-1)) for
+# its conjugate
+_EXP_YOUNG_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(2, 6))
+_EXP_YOUNG_CONJUGATE_TAYLOR = tuple((-1.0) ** k / (k * (k - 1))
+                                    for k in range(2, 8))
+
 
 @dataclass(frozen=True, eq=False)
 class OrliczFunction:
@@ -134,11 +148,15 @@ class OrliczFunction:
         if k == LINEAR:
             return t
         if k == EXP_YOUNG:
+            if t < TAYLOR_BELOW:
+                return _taylor(t, _EXP_YOUNG_TAYLOR)
             try:
                 return math.expm1(t) - t
             except OverflowError:
                 return math.inf
         if k == EXP_YOUNG_CONJUGATE:
+            if t < TAYLOR_BELOW:
+                return _taylor(t, _EXP_YOUNG_CONJUGATE_TAYLOR)
             return (1.0 + t) * math.log1p(t) - t
         if k == LINF_STEP:
             return 0.0 if t <= 1.0 else math.inf
@@ -172,9 +190,10 @@ class OrliczFunction:
         if k == LINEAR:
             return ts.copy()
         if k == EXP_YOUNG:
-            return np.expm1(ts) - ts
+            return _taylor_below(np.expm1(ts) - ts, ts, _EXP_YOUNG_TAYLOR)
         if k == EXP_YOUNG_CONJUGATE:
-            return (1.0 + ts) * np.log1p(ts) - ts
+            return _taylor_below((1.0 + ts) * np.log1p(ts) - ts, ts,
+                                 _EXP_YOUNG_CONJUGATE_TAYLOR)
         if k == LINF_STEP:
             return np.where(ts <= 1.0, 0.0, math.inf)
         out = np.empty(ts.shape, dtype=float)
@@ -190,6 +209,29 @@ class OrliczFunction:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"OrliczFunction<{self.label or self.kind}>"
+
+
+def _taylor(t, coefficients: tuple[float, ...]):
+    """``t^2 (c_0 + c_1 t + c_2 t^2 + ...)`` by Horner's rule, in place for
+    an array; a float takes the same operations, so the same bits."""
+    acc = t * coefficients[-1]
+    for c in coefficients[-2:0:-1]:
+        acc += c
+        acc *= t
+    acc += coefficients[0]
+    return t * t * acc
+
+
+def _taylor_below(out, ts: np.ndarray, coefficients: tuple[float, ...]):
+    """``out``, a closed form evaluated on ``ts``, with its entries at
+    arguments below ``TAYLOR_BELOW`` taken from the Taylor polynomial."""
+    small = ts < TAYLOR_BELOW
+    if not small.any():
+        return out
+    if not isinstance(out, np.ndarray):  # a 0-d ts gives a numpy scalar
+        out = np.array(out)
+    out[small] = _taylor(ts[small], coefficients)
+    return out
 
 
 def _safe_pow(t: float, p: float) -> float:

@@ -148,6 +148,23 @@ def test_luxemburg_is_accurate_at_tiny_scales():
         assert got == pytest.approx(c * exact, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("phi,mass,exact", [
+    # e^x - 1 - x = 1/m and (1+x) log(1+x) - x = 1/m solved in 60-digit
+    # decimals; the norm is 1/x
+    (OrliczFunction.exp_young(), 1e12, 707106.9478532142),
+    (OrliczFunction.exp_young_conjugate(), 2.889e18, 1201873537.273941),
+    (OrliczFunction.exp_young_conjugate(), 1e12, 707106.6145199398),
+], ids=["exp_young-1e12", "conjugate-2.889e18", "conjugate-1e12"])
+def test_indicator_norms_of_heavy_masses_hold_their_width(phi, mass, exact):
+    # an indicator of mass m has its switch at phi(1/lam) = 1/m, an argument
+    # of 1e-6 or less here, where the closed forms of the exp pair cancel:
+    # exp_young's norm at mass 1e12 was 1.2e-9 high, its conjugate's at
+    # 2.889e18 1.1e-7 off, against the bisection's width of 1e-10
+    got = indicator_norm(phi, mass)
+    assert exact <= got <= exact * (1.0 + 1e-10)
+    assert _indicator_norms(phi, [mass])[0] == got
+
+
 def test_luxemburg_walks_below_1e_300():
     # the halving walk gave up at the absolute lo < 1e-300, so a norm below
     # 2e-300 raised NumericFailure (bracket collapse)

@@ -1,6 +1,7 @@
 """Young functions: evaluation, conjugation, doubling, slopes."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from orliczkit import (
     conjugate_value,
     limit_slope,
 )
+from orliczkit.orlicz import TAYLOR_BELOW
 from orliczkit.specs import load_custom_table
 
 
@@ -131,7 +133,42 @@ def test_exp_young_conjugate_is_a_vectorized_catalog_kind():
     # subtraction cancels near 0, so the bound scales with the two terms
     terms = (1.0 + s) * np.log1p(s) + s
     assert np.all(np.abs(vec - scalar) <= 8.0 * np.finfo(float).eps * terms)
-    assert all(psi(float(x)) == y for x, y in zip(s[::97], scalar[::97]))
+    # below TAYLOR_BELOW the scalar and the vector kernel both take the
+    # Taylor polynomial, in the same operations
+    assert all(psi(float(x)) == (y if x >= TAYLOR_BELOW else v)
+               for x, y, v in zip(s[::97], scalar[::97], vec[::97]))
+
+
+def exact_young(kind, t):
+    """``exp_young`` or its conjugate at ``t``, in 320-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 320
+        d = Decimal(t)
+        if kind == "exp_young":
+            return float(d.exp() - 1 - d)
+        return float((1 + d) * (1 + d).ln() - d)
+
+
+@pytest.mark.parametrize("phi", [OrliczFunction.exp_young(),
+                                 OrliczFunction.exp_young_conjugate()],
+                         ids=lambda phi: phi.kind)
+def test_exp_young_pair_is_accurate_at_small_arguments(phi):
+    # the closed forms cancel below 1: at t = 1e-8 expm1(t) - t kept 9
+    # digits, and at 1e-16 the conjugate's closed form was 2.8 times its
+    # value off. With the Taylor branch every value is within 3e-16
+    # relative below TAYLOR_BELOW and 3e-12 above it, scalar and vector
+    # alike, and the kernel is nondecreasing
+    t = np.concatenate((np.geomspace(1e-140, 50.0, 1201),
+                        TAYLOR_BELOW * np.linspace(0.99, 1.01, 41)))
+    t.sort()
+    vec = phi.values(t)
+    exact = np.array([exact_young(phi.kind, x) for x in t])
+    rel = np.abs(vec - exact) / exact
+    below = t < TAYLOR_BELOW
+    assert rel[below].max() <= 3e-16
+    assert rel[~below].max() <= 3e-12
+    assert np.all(np.diff(vec) >= 0.0)
+    assert all(phi(float(x)) == v for x, v in zip(t[::37], vec[::37]))
 
 
 def test_exp_young_conjugate_exact_verdicts():
