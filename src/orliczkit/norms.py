@@ -208,24 +208,28 @@ def amemiya_norm(f: Rv, phi: OrliczFunction) -> NormReport:
     Substituting u = 1/k turns the objective into
     ``u * (1 + modular(f, u))``, the perspective of the modular -- convex in
     u -- so a bracketed Brent search (maximizing its negative) finds the
-    minimum to a bracket of width ``1e-10 * max(1, |lo|, |hi|)``.
-    ``iterations`` counts objective evaluations, bracketing included.
+    minimum. The search runs in s = u / sup|f|, where the objective of
+    ``c f`` is that of ``f`` up to rounding, and stops at a bracket of width
+    ``1e-10 * hi``, relative to its upper end, so the norm is as accurate at
+    any scale. ``bracket`` is the bracket in u. ``iterations`` counts
+    objective evaluations, bracketing included.
     """
     top = f.sup_norm()
     if top == 0.0:
         return NormReport(0.0, 0, (0.0, 0.0), 0.0)
+    weights, absf = f.space.weights, np.abs(f.values)
 
-    def obj(u: float) -> float:
-        if not u > 0.0:
+    def obj(s: float) -> float:
+        if not s > 0.0:
             return math.inf
-        return u * (1.0 + modular(f, u, phi))
+        return s * (1.0 + _modular(weights, absf, top * s, phi))
 
-    lo, hi, evals = bracket_min(obj, top)
-    u, neg, ev = brent_max(lambda t: -obj(t), lo, hi,
-                           1e-10 * max(1.0, abs(lo), abs(hi)))
-    value = -neg
-    u_star = u if math.isfinite(value) else hi
-    return NormReport(value, ev + evals, (lo, hi), modular(f, u_star, phi))
+    with np.errstate(over="ignore"):
+        lo, hi, evals = bracket_min(obj, 1.0)
+        s, neg, ev = brent_max(lambda t: -obj(t), lo, hi, 1e-10 * hi)
+        s_star = s if math.isfinite(neg) else hi
+        at_value = _modular(weights, absf, top * s_star, phi)
+    return NormReport(-neg * top, ev + evals, (top * lo, top * hi), at_value)
 
 
 def heart_member(f: Rv, phi: OrliczFunction) -> bool:

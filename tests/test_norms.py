@@ -394,6 +394,24 @@ def test_amemiya_power2_is_twice_the_weighted_2norm(atoms):
     assert amemiya_norm(f, POWER2).value == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("phi", [POWER2, OrliczFunction.scaled_power(1.5),
+                                 OrliczFunction.exp_young(),
+                                 OrliczFunction.exp_young_conjugate()],
+                         ids=lambda phi: phi.kind)
+def test_amemiya_is_homogeneous_at_every_scale(phi):
+    # the search runs in u / sup|f| with a width relative to its bracket;
+    # with an absolute width below 1, the norm of c (1, 2, 3) under t^2 was
+    # 6.0e-8 off at c = 1e-8 and 6.7 % at 1e-12
+    sp = uniform_probability(3)
+    f = Rv(sp, [1.0, 2.0, 3.0])
+    unit = amemiya_norm(f, phi).value
+    if phi is POWER2:  # inf_k (1 + k^2 |f|_2^2) / k = 2 |f|_2
+        assert unit == pytest.approx(2.0 * math.sqrt(14.0 / 3.0), rel=1e-12)
+    for c in 10.0 ** np.linspace(-300.0, 6.0, 52):
+        got = amemiya_norm(Rv(sp, [c, 2.0 * c, 3.0 * c]), phi).value
+        assert got == pytest.approx(c * unit, rel=1e-9, abs=0.0), c
+
+
 def test_amemiya_evaluation_count():
     # iterations counts every objective evaluation, bracketing included:
     # Brent's method makes 28-33 here, a golden-section search made 56-58
