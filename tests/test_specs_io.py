@@ -60,6 +60,13 @@ def test_parse_orlicz_rejects(bad):
         parse_orlicz_spec(bad)
 
 
+def unspaced_id(value):
+    """A parametrize id without blanks, so ``pytest --collect-only -q``
+    prints one id per line and a line holds no blank; pytest escapes the
+    newlines."""
+    return value.replace(" ", "")
+
+
 @pytest.mark.parametrize("spec,label", [
     ("power:p=3", "power(p=3.0)"),
     ("scaled_power:p=2", "scaled_power(p=2.0, c=0.5)"),
@@ -68,7 +75,7 @@ def test_parse_orlicz_rejects(bad):
     ("exp_young", "exp_young"),
     ("EXP_YOUNG_CONJUGATE", "exp_young_conjugate"),
     ("linf_step", "linf_step"),
-])
+], ids=unspaced_id)
 def test_parse_orlicz_labels(spec, label):
     assert parse_orlicz_spec(spec).label == label
 
@@ -259,7 +266,7 @@ STACKED_HEADER = "term_index,atom_id,value\n"
     (STACKED_HEADER + "0,0,1\n0,1,1\n1,0,1\n1,9,1\n", "stacked"),
     (STACKED_HEADER + "0,0,1\n0,1,1\n1,0,1\n1,0,1\n1,1,1\n", "stacked"),
     (STACKED_HEADER + "0,0,1\n0,1,1\n1,0,1\n", "stacked"),
-])
+], ids=unspaced_id)
 def test_readers_reject(tmp_path, text, reader):
     sp_path = write_table(tmp_path,
                           "atom_id,weight,block_id\n0,0.5,0\n1,0.5,0\n",
