@@ -110,12 +110,6 @@ def _log_modular(value: float) -> float:
     return math.log(value) if 0.0 < value < math.inf else math.nan
 
 
-def _secant_guess(a: float, b: float, ya: float, yb: float) -> float:
-    """Where the chord through ``(log a, ya)`` and ``(log b, yb)`` crosses
-    zero, as a scale in ``[a, b]``; nan when either log modular is."""
-    return a * math.exp(ya / (ya - yb) * math.log(b / a))
-
-
 def _kept_scale(y_new: float, y_old: float) -> float:
     """The factor on the log modular of the end a secant probe keeps, when
     the probe replaced the other end's ``y_old`` by ``y_new``:
@@ -183,7 +177,9 @@ def _bisection_search(lo: float, hi: float, lo_mod: float, hi_mod: float,
     ya, yb = _log_modular(lo_mod), _log_modular(hi_mod)
     calls = 0
     while True:
-        guess = b if b_mod == 0.0 else _secant_guess(a, b, ya, yb)
+        # where the chord through (log a, ya) and (log b, yb) crosses zero;
+        # nan when either log modular is
+        guess = b if b_mod == 0.0 else a * math.exp(ya / (ya - yb) * math.log(b / a))
         c_lo, c_hi, first, undecided, depth = _replay(lo, hi, a, b, guess)
         if not undecided:
             return c_lo, c_hi, b_mod, calls
