@@ -61,7 +61,7 @@ def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
     the ends of the terminal cell the guess leads to are evaluated. The
     value, the bracket and ``modular_at_value`` are the bisection's bit for
     bit wherever the computed modular is monotone. The search takes 2
-    modular calls after the walk for power functions, about 5 for
+    modular calls after the walk for power functions, 4 to 5 for
     ``exp_young`` and its conjugate, and 1 for ``linf_step``, where the
     bisection took 34. ``iterations`` counts the walk's steps and the
     modular calls after it, so the modular is evaluated ``iterations + 1``
