@@ -28,10 +28,13 @@ ROOT = Path(__file__).resolve().parent.parent
 DUALITY = "src/orliczkit/duality.py"
 CONVERGENCE = "src/orliczkit/convergence.py"
 NORMS = "src/orliczkit/norms.py"
+SPECS = "src/orliczkit/specs.py"
 BISECTION_PROPERTY = ("tests/test_norms.py::"
                       "test_luxemburg_equals_the_bisection_bit_for_bit")
 SPIKE_PROPERTY = ("tests/test_convergence_matrix.py::"
                   "test_spike_layout_readers_match_a_dense_copy_bit_for_bit")
+TABLE_PROPERTY = ("tests/test_specs_io.py::"
+                  "test_convex_tables_load_convex_with_exact_conjugates")
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -143,6 +146,20 @@ MUTANTS = [
      [SPIKE_PROPERTY,
       "tests/test_convergence_matrix.py::"
       "test_fatou_on_a_spike_layout_matches_a_dense_copy_bit_for_bit[2]"]),
+    ("tables interpolate log-linearly between positive knots",
+     SPECS,
+     "        return y0 + (t - t0) / (t1 - t0) * (y1 - y0)\n",
+     "        if y0 > 0.0 and y1 > 0.0:\n"
+     "            return y0 * (y1 / y0) ** ((t - t0) / (t1 - t0))\n"
+     "        return y0 + (t - t0) / (t1 - t0) * (y1 - y0)\n",
+     ["tests/test_specs_io.py::test_custom_table_knots_and_interpolation",
+      f"{TABLE_PROPERTY}[0]"]),
+    ("tables whose chord slopes fall are accepted",
+     SPECS,
+     "    if np.any(np.diff(slopes) < -1e-9 * np.maximum(1.0, slopes[:-1])):\n",
+     "    if False:\n",
+     ["tests/test_specs_io.py::"
+      "test_custom_table_rejects[t,value\\n0,0\\n1,1\\n2,1.5\\n]"]),
 ]
 
 

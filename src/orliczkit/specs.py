@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
+from .io import _columns
 from .measure import MeasureSpace
 from .orlicz import OrliczFunction
 from .risk import (RiskFunctional, average_value_at_risk, entropic,
@@ -108,52 +109,28 @@ def parse_risk_spec(spec: str, space: MeasureSpace) -> RiskFunctional:
 
 
 def load_custom_table(path: str) -> OrliczFunction:
-    """Load a two-column ``t, value`` table as a Young function.
+    """Load a CSV table with header ``t,value`` as a Young function.
 
-    The finite rows must start at ``0, 0``, have strictly increasing t and
-    nondecreasing values. Between knots with positive values the table is
-    interpolated log-linearly (exponential in t); segments touching a zero
-    value fall back to plain linear. Beyond the last finite knot the last
-    trend is continued as a power law in t (clamped to growth at least
-    linear). A final row with value ``inf`` declares the horizon: the
+    The file follows the grammar of ``io``'s readers. The finite rows must
+    start at ``0, 0``, have strictly increasing t, nondecreasing values and
+    chord slopes that never fall (to ``_spot_check_custom``'s relative
+    1e-9), so the knots are convex. The table is interpolated linearly
+    between knots. Beyond the last finite knot the last trend is continued
+    as a power law in t (clamped to growth at least linear), which keeps it
+    convex. A final row with value ``inf`` declares the horizon: the
     function is finite up to that argument and +inf strictly beyond it; its
     t may equal the last finite knot (a hard wall, as in the step function).
 
-    Interpolation matches the table exactly at the knots; convexity between
-    them is the table author's responsibility, so the loaded function skips
+    The load checks convexity at the knots, so the loaded function skips
     the convexity spot check.
     """
-    rows: list[tuple[float, float]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read table {path!r}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        pieces = text.replace(",", " ").split()
-        if len(pieces) != 2:
-            raise ParseError(f"{path}:{lineno}: expected two columns")
-        try:
-            t, y = float(pieces[0]), float(pieces[1])
-        except ValueError:
-            if not rows:
-                continue  # header row
-            raise ParseError(f"{path}:{lineno}: non-numeric row") from None
-        rows.append((t, y))
-    if len(rows) < 2:
+    ts, ys = _columns(path, ("t", "value"), (float, float))
+    if len(ts) < 2:
         raise ParseError(f"{path}: need at least two data rows")
-
     horizon = math.inf
-    if math.isinf(rows[-1][1]):
-        horizon = float(rows[-1][0])
-        rows.pop()
-        if not rows:
-            raise ParseError(f"{path}: table is all-infinite")
-    ts = np.array([r[0] for r in rows])
-    ys = np.array([r[1] for r in rows])
+    if ys[-1] == math.inf:
+        horizon = float(ts[-1])
+        ts, ys = ts[:-1], ys[:-1]
     if ts[0] != 0.0 or ys[0] != 0.0:
         raise ParseError(f"{path}: table must start at the row 0, 0")
     if not np.all(np.diff(ts) > 0):
@@ -162,7 +139,11 @@ def load_custom_table(path: str) -> OrliczFunction:
             and np.all(np.diff(ys) >= 0.0)):
         raise ParseError(f"{path}: values must be finite, nonnegative and "
                          "nondecreasing")
-    if horizon < ts[-1]:
+    slopes = np.diff(ys) / np.diff(ts)
+    if np.any(np.diff(slopes) < -1e-9 * np.maximum(1.0, slopes[:-1])):
+        raise ParseError(f"{path}: chord slopes must never fall (the table "
+                         "must be convex)")
+    if not horizon >= ts[-1]:  # nan too
         raise ParseError(f"{path}: horizon row precedes the last finite knot")
 
     t_last, y_last = float(ts[-1]), float(ys[-1])
@@ -174,8 +155,8 @@ def load_custom_table(path: str) -> OrliczFunction:
         t_prev, y_prev = float(ts[-2]), float(ys[-2])
         if y_prev > 0.0 and y_last > 0.0 and t_prev > 0.0:
             gamma = max(1.0, math.log(y_last / y_prev) / math.log(t_last / t_prev))
-        elif t_last > t_prev:
-            slope = (y_last - y_prev) / (t_last - t_prev)
+        else:
+            slope = float(slopes[-1])
 
     def interp(t: float) -> float:
         i = int(np.searchsorted(ts, t, side="right")) - 1
@@ -183,10 +164,7 @@ def load_custom_table(path: str) -> OrliczFunction:
             return y_last
         t0, t1 = float(ts[i]), float(ts[i + 1])
         y0, y1 = float(ys[i]), float(ys[i + 1])
-        frac = (t - t0) / (t1 - t0)
-        if y0 > 0.0 and y1 > 0.0:
-            return y0 * (y1 / y0) ** frac
-        return y0 + frac * (y1 - y0)
+        return y0 + (t - t0) / (t1 - t0) * (y1 - y0)
 
     def ev(t: float) -> float:
         if t > horizon:

@@ -374,11 +374,11 @@ def test_classify_custom_tables(tmp_path, finite_measure):
         return load_custom_table(str(path))
 
     # linear growth: the conjugate is +inf beyond slope 1, as for linear()
-    assert (verdicts(classify_space(table("0,0\n1,1\n2,2\n"), finite_measure))
+    assert (verdicts(classify_space(table("t,value\n0,0\n1,1\n2,2\n"), finite_measure))
             == verdicts(classify_space(OrliczFunction.linear(),
                                        finite_measure)))
     # the tail continues as t^1.42
-    tail = classify_space(table("0,0\n1,0.5\n2,1.5\n4,4\n"), finite_measure)
+    tail = classify_space(table("t,value\n0,0\n1,0.5\n2,1.5\n4,4\n"), finite_measure)
     assert (tail.reflexive, tail.order_continuous,
             tail.c_property_for_sigma_n) == (HOLDS, HOLDS, HOLDS)
 

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from orliczkit import (
     ParseError,
     Rv,
+    conjugate_value,
     load_custom_table,
     parse_orlicz_spec,
     parse_risk_spec,
@@ -136,10 +137,9 @@ def test_custom_table_knots_and_interpolation(tmp_path):
     assert fn(0.0) == 0.0
     assert fn(1.0) == pytest.approx(1.0)
     assert fn(2.0) == pytest.approx(4.0)
-    # log-linear between positive knots: sqrt(1 * 4) at the midpoint
-    assert fn(1.5) == pytest.approx(2.0)
-    # linear on the segment touching zero
-    assert fn(0.5) == pytest.approx(0.5)
+    # linear between knots, on the segment touching zero too
+    assert fn(1.5) == 2.5
+    assert fn(0.5) == 0.5
 
 
 def test_custom_table_power_law_tail(tmp_path):
@@ -161,10 +161,13 @@ def test_custom_table_horizon_row(tmp_path):
 
 
 def test_custom_table_comments_and_blank_lines(tmp_path):
-    path = write_table(tmp_path,
-                       "# grid for a quadratic\n\n0 0\n# midpoint\n1 1\n2 4\n")
-    fn = load_custom_table(path)
-    assert fn(2.0) == pytest.approx(4.0)
+    # a table follows the readers' grammar: blank lines are skipped, and
+    # there are no comments
+    path = write_table(tmp_path, "t,value\n\n0,0\n  \n1,1\n2,4\n\n")
+    assert load_custom_table(path)(2.0) == 4.0
+    path = write_table(tmp_path, "t,value\n0,0\n# midpoint\n1,1\n2,4\n")
+    with pytest.raises(ParseError):
+        load_custom_table(path)
 
 
 @pytest.mark.parametrize("text", [
@@ -176,6 +179,9 @@ def test_custom_table_comments_and_blank_lines(tmp_path):
     "t,value\n0,0\n1,1\nbad,row\n", # non-numeric after data started
     "t,value\n0,0,9\n1,1\n",        # wrong column count
     "t,value\n0,0\n2,4\n1,inf\n",   # horizon precedes last knot
+    "t,value\n0,0\n1,1\n2,1.5\n",   # chord slopes fall: not convex
+    "t,value\n0,0\n1,1\n2,-inf\n",  # -inf is no horizon
+    "t,value\n0,0\n1,1\nnan,inf\n", # nan horizon
 ])
 def test_custom_table_rejects(tmp_path, text):
     path = write_table(tmp_path, text)
@@ -186,7 +192,38 @@ def test_custom_table_rejects(tmp_path, text):
 def test_parse_custom_through_spec_string(tmp_path):
     path = write_table(tmp_path, "t,value\n0,0\n1,1\n2,4\n")
     fn = parse_orlicz_spec(f"custom:file={path}")
-    assert fn(1.5) == pytest.approx(2.0)
+    assert fn(1.5) == 2.5
+
+
+def random_convex_table(rng):
+    """Knots 0 = t_0 < ... < t_k with nondecreasing chord slopes, some of
+    them repeated and the first one sometimes 0."""
+    k = int(rng.integers(2, 8))
+    widths = rng.uniform(0.1, 2.0, k)
+    rises = rng.uniform(0.0, 2.0, k) * (rng.uniform(size=k) < 0.8)
+    slopes = np.cumsum(rises)
+    ts = np.concatenate(([0.0], np.cumsum(widths)))
+    ys = np.concatenate(([0.0], np.cumsum(widths * slopes)))
+    return ts, ys
+
+
+# numpy-seeded rather than Hypothesis: derandomized Hypothesis draws move
+# with any literal constant in the loaded modules
+@pytest.mark.parametrize("seed", range(60))
+def test_convex_tables_load_convex_with_exact_conjugates(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    ts, ys = random_convex_table(rng)
+    fn = load_custom_table(write_table(tmp_path, "t,value\n" + "".join(
+        f"{t!r},{y!r}\n" for t, y in zip(ts.tolist(), ys.tolist()))))
+    assert [fn(t) for t in ts] == ys.tolist()
+    grid = np.linspace(0.0, 3.0 * ts[-1], 3001)
+    vals = np.array([fn(t) for t in grid])
+    excess = vals[1:-1] - 0.5 * (vals[:-2] + vals[2:])
+    assert np.all(excess <= 1e-12 * np.maximum(1.0, vals[2:]))
+    # below the last chord slope the supremum of s t - Phi(t) sits at a knot
+    for s in rng.uniform(0.0, (ys[-1] - ys[-2]) / (ts[-1] - ts[-2]), 4):
+        psi = conjugate_value(fn, s)
+        assert abs(psi - np.max(s * ts - ys)) <= 1e-9 * (1.0 + abs(psi))
 
 
 # -- scenario files -----------------------------------------------------------
@@ -266,6 +303,10 @@ STACKED_HEADER = "term_index,atom_id,value\n"
     (STACKED_HEADER + "0,0,1\n0,1,1\n1,0,1\n1,9,1\n", "stacked"),
     (STACKED_HEADER + "0,0,1\n0,1,1\n1,0,1\n1,0,1\n1,1,1\n", "stacked"),
     (STACKED_HEADER + "0,0,1\n0,1,1\n1,0,1\n", "stacked"),
+    # a Young table is read in the same grammar
+    ("0,0\n1,1\n2,4\n", "table"),                   # no header
+    ("t value\n0 0\n1 1\n2 4\n", "table"),           # blank-separated
+    ("t,value\n# knots\n0,0\n1,1\n2,4\n", "table"),  # '#' line
 ], ids=unspaced_id)
 def test_readers_reject(tmp_path, text, reader):
     sp_path = write_table(tmp_path,
@@ -278,6 +319,8 @@ def test_readers_reject(tmp_path, text, reader):
             read_space(path)
         elif reader == "rv":
             read_rv(path, space)
+        elif reader == "table":
+            load_custom_table(path)
         else:
             read_stacked_rvs(path, space)
 
@@ -298,6 +341,11 @@ def test_readers_accept_crlf_blank_lines_and_quotes(tmp_path):
                      b'1,1,"3"\r\n0,1,1\r\n0,0,0\r\n')
     terms = read_stacked_rvs(str(path), space)
     assert [t.values.tolist() for t in terms] == [[0.0, 1.0], [2.0, 3.0]]
+    path = tmp_path / "young.csv"
+    path.write_bytes(b'"T","Value"\r\n\r\n"0",0\r\n1,"1"\r\n \r\n"2","4"\r\n')
+    fn = load_custom_table(str(path))
+    assert [fn(t) for t in (0.0, 0.5, 1.0, 1.5, 2.0, 4.0)] == [
+        0.0, 0.5, 1.0, 2.5, 4.0, 16.0]
 
 
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
