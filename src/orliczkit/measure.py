@@ -49,9 +49,7 @@ class MeasureSpace:
             object.__setattr__(self, name, arr)
         fp = hash((self.kind, ids.tobytes(), w.tobytes(), blocks.tobytes()))
         object.__setattr__(self, "_fingerprint", fp)
-        uniq = np.unique(blocks)  # ascending block ids define the block order
-        block_index = [np.flatnonzero(blocks == b) for b in uniq]
-        object.__setattr__(self, "_blocks", tuple(block_index))
+        object.__setattr__(self, "_blocks", None)  # built by blocks()
 
     # -- basic queries -----------------------------------------------------
 
@@ -68,7 +66,13 @@ class MeasureSpace:
         return self._fingerprint
 
     def blocks(self) -> tuple[np.ndarray, ...]:
-        """Index arrays of the blocks, ordered by ascending block id."""
+        """Index arrays of the blocks, ordered by ascending block id; built
+        on the first call from one stable sort of the block ids, so each
+        array lists its atoms' positions in ascending order."""
+        if self._blocks is None:
+            order = np.argsort(self.block_ids, kind="stable")
+            cuts = np.flatnonzero(np.diff(self.block_ids[order])) + 1
+            object.__setattr__(self, "_blocks", tuple(np.split(order, cuts)))
         return self._blocks
 
     def is_probability(self, tol: float = 1e-9) -> bool:

@@ -49,6 +49,21 @@ def test_truncated_space_dyadic_blocks():
     assert "truncated" in sp.tail_note
 
 
+def test_blocks_equal_one_flatnonzero_per_block_id():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 120))
+        # negative, interleaved and widely spaced block ids
+        ids = rng.integers(-4, 5, n) * rng.choice([1, 1000], n)
+        sp = MeasureSpace.finite(np.ones(n), block_ids=ids)
+        got = sp.blocks()
+        want = [np.flatnonzero(ids == b) for b in np.unique(ids)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert sp.blocks() is got
+
+
 def test_fingerprint_identity():
     a = uniform_probability(5)
     b = uniform_probability(5)
