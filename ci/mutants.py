@@ -29,10 +29,13 @@ DUALITY = "src/orliczkit/duality.py"
 CONVERGENCE = "src/orliczkit/convergence.py"
 NORMS = "src/orliczkit/norms.py"
 SPECS = "src/orliczkit/specs.py"
+RISK = "src/orliczkit/risk.py"
 BISECTION_PROPERTY = ("tests/test_norms.py::"
                       "test_luxemburg_equals_the_bisection_bit_for_bit")
 SPIKE_PROPERTY = ("tests/test_convergence_matrix.py::"
                   "test_spike_layout_readers_match_a_dense_copy_bit_for_bit")
+PAIR_PROPERTY = ("tests/test_duality.py::"
+                 "test_pair_lines_read_from_two_atoms_match_the_whole_objective")
 TABLE_PROPERTY = ("tests/test_specs_io.py::"
                   "test_convex_tables_load_convex_with_exact_conjugates")
 
@@ -121,11 +124,33 @@ MUTANTS = [
       "tests/test_duality.py::"
       "test_pattern_segment_keeps_nonnegative_coordinates_nonnegative"]),
     ("AVaR's conjugate allows g up to 1/alpha + FEAS_TOL",
-     "src/orliczkit/risk.py",
-     "            and gv.max() <= cap\n",
-     "            and gv.max() <= cap + FEAS_TOL\n",
+     RISK,
+     "        closed_form_conjugate=SeparableConjugate(space, upper=cap),\n",
+     "        closed_form_conjugate=SeparableConjugate(space,\n"
+     "                                                 upper=cap + FEAS_TOL),\n",
      ["tests/test_risk.py::test_avar_conjugate_box_rules",
       "tests/test_duality.py::test_avar_ascent_stays_inside_the_cap"]),
+    ("pair lines skip the conjugate's box check",
+     RISK,
+     "            if not (lower <= xi <= upper and lower <= xj <= upper):\n"
+     "                return -math.inf\n",
+     "",
+     [f"{PAIR_PROPERTY}[0]"]),
+    ("pair lines drop the current atoms' terms",
+     RISK,
+     "            di = (xi * log(xi) if xi > 0.0 else 0.0) - ti\n"
+     "            dj = (xj * log(xj) if xj > 0.0 else 0.0) - tj\n",
+     "            di = xi * log(xi) if xi > 0.0 else 0.0\n"
+     "            dj = xj * log(xj) if xj > 0.0 else 0.0\n",
+     [f"{PAIR_PROPERTY}[0]"]),
+    ("nonnegative pair segments run past the cap",
+     DUALITY,
+     "                    if upper < math.inf:\n"
+     "                        lo, hi = _capped_segment(lo, hi, gi, gj, wi, wj,"
+     " upper)\n",
+     "",
+     ["tests/test_duality.py::"
+      "test_numeric_avar_certificates_reach_the_cap[0.5]"]),
     ("the spike layout's readers skip the limit-equality check",
      CONVERGENCE,
      "    if (isinstance(family._layout, np.ndarray)\n"

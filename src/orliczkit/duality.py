@@ -14,7 +14,13 @@ sweep searches a window around its last step first; a window none of whose
 probes gains ends the line, since a concave line's chord slopes never
 increase (Rockafellar, *Convex Analysis*, 1970, Thm 24.1). A dual ascent
 whose primal value phi(f) is known stops as soon as it reaches it, since by
-weak duality no dual value exceeds it. Divergence of a conjugate (the +inf
+weak duality no dual value exceeds it. When the dual is built on a
+``SeparableConjugate``, as every catalog member's is, a pair transfer
+changes two terms of the conjugate's sum, so each pair-line probe reads
+those two atoms in scalar math instead of the whole n-atom objective (the
+two-variable step of SMO, Platt 1998), and a nonnegative pair segment also
+ends where a density reaches the conjugate's cap, so the line search reads
+AVaR's wall g = 1/alpha as an endpoint. Divergence of a conjugate (the +inf
 case) is detected by ray probes before any ascent runs, all of them in one
 ``evaluate_rows`` call when the functional has a row kernel.
 """
@@ -32,7 +38,7 @@ from .errors import Refusal, SlopeConditionError, SpaceMismatchError
 from .measure import MeasureSpace, Rv
 from .norms import dual_pairing, heart_member
 from .orlicz import OrliczFunction
-from .risk import RiskFunctional, check_rows, validate
+from .risk import RiskFunctional, SeparableConjugate, check_rows, validate
 
 # A single ray probe beyond this value is conclusive divergence on its own.
 DIVERGENCE_HARD = 1e10
@@ -76,6 +82,28 @@ def _pattern_segment(g: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
+def _capped_segment(lo: float, hi: float, gi: float, gj: float, wi: float,
+                    wj: float, upper: float) -> tuple[float, float]:
+    """The pair segment ``[lo, hi]`` cut to where ``g_i + s / w_i`` and
+    ``g_j - s / w_j`` stay at most ``upper``.
+
+    A cut end is the largest transfer whose computed density does not pass
+    ``upper``, so the wall is a probe the line search reads, not a point it
+    closes in on. The segment always holds s = 0.
+    """
+    top = (upper - gi) * wi
+    if top < hi:
+        hi = max(top, 0.0)
+        while hi > 0.0 and gi + hi / wi > upper:
+            hi = math.nextafter(hi, 0.0)
+    bottom = (gj - upper) * wj
+    if bottom > lo:
+        lo = min(bottom, 0.0)
+        while lo < 0.0 and gj - lo / wj > upper:
+            lo = math.nextafter(lo, 0.0)
+    return lo, hi
+
+
 def _line_search(h: Callable[[float], float], lo: float, hi: float,
                  t0: float, v: float,
                  reach: float) -> tuple[tuple[float, float] | None, int]:
@@ -109,7 +137,8 @@ class AscentResult:
     """Best point over all restarts.
 
     ``sweeps`` belongs to the winning restart (``start_index``);
-    ``evaluations`` counts every objective call over all restarts.
+    ``evaluations`` counts every objective call and every probe of a pair
+    line read from two atoms, over all restarts.
     ``stop_reason`` says why the winning restart ended: ``"ceiling"`` (it
     came within ``CEILING_TOL`` of the caller's upper bound, and the call
     skipped every later sweep and restart), ``"flat"`` (a sweep gained at
@@ -136,10 +165,22 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     Move set per sweep, three kinds: single-coordinate line searches
     (projected to g >= 0 when ``nonneg``), pairwise transfers g_i += s/w_i,
     g_j -= s/w_j over all pairs i < j, which keep the weighted mass fixed,
-    and the pattern move below. Only the coordinate lines are guarded: each
-    first probes its shoulders and is skipped when both are -inf. If the
-    guard skips every one of them in restart 0's first sweep, the objective
-    is read as -inf off the hyperplane of the starting mass, as the dual
+    and the pattern move below. An objective that carries a ``pair_line``
+    (a ``_DualObjective`` of a ``SeparableConjugate``) gives each pair line
+    from a point of finite value in O(1), from the two atoms it moves; any
+    other objective, or a point of value -inf, is read whole at every
+    probe. Under ``nonneg`` a pair segment ends where g_i or g_j reaches 0
+    and, when the objective carries a finite ``upper``, where either
+    reaches ``upper``; a density that a transfer leaves within 1e-13 below
+    0 or below ``upper`` is set to that end exactly. With a ``pair_line``,
+    a value that came from a pair line's sums or from before such a snap is
+    read once more from the whole objective, one counted evaluation, before
+    the restart's result is compared or returned, so
+    ``AscentResult.value == objective(g)`` holds bit for bit. Only the
+    coordinate lines are guarded: each first probes its shoulders and is
+    skipped when both are -inf. If the guard skips every one of them in
+    restart 0's first sweep, the objective is read as -inf off the
+    hyperplane of the starting mass, as the dual
     objective of a cash-additive functional is (its conjugate is +inf off
     E[g] = 1), and the rest of the call runs the pair transfers and the
     pattern move only. A wrong reading can only make the ascent weaker,
@@ -194,8 +235,15 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     n = space.n_atoms
     total = float(space.total_mass)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # a _DualObjective of a SeparableConjugate reads its pair lines from two
+    # atoms; any other objective is read whole
+    pair_line = getattr(objective, "pair_line", None)
+    upper = getattr(objective, "upper", math.inf)
     best: AscentResult | None = None
     evals = 0
+    # v came from pair_line's sums, or from before a snap to a segment end,
+    # and is re-read before a result holds it
+    stale = False
     # coordinate lines tried and skipped by the guard; once the guard lets
     # one line through the two never agree again, so only restart 0's first
     # sweep can switch the ascent to transfers only
@@ -203,8 +251,10 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     transfers_only = False
 
     def at_ceiling():
-        return AscentResult(g=g.copy(), value=v, start_index=r, sweeps=sweeps,
-                            evaluations=evals, stop_reason="ceiling")
+        value, extra = (objective(g), 1) if stale else (v, 0)
+        return AscentResult(g=g.copy(), value=value, start_index=r,
+                            sweeps=sweeps, evaluations=evals + extra,
+                            stop_reason="ceiling")
 
     for r in range(restarts):
         if r == 0:
@@ -264,6 +314,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     coord_reach[i] = 4.0 * abs(step[0] - t0) if step else 0.0
                     if step:
                         g[i], v = step
+                        stale = False
                         if v >= stop_at:
                             return at_ceiling()
                 transfers_only = skipped == tried
@@ -273,6 +324,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                 gi, gj = float(g[i]), float(g[j])
                 if nonneg:
                     lo, hi = -gi * wi, gj * wj
+                    if upper < math.inf:
+                        lo, hi = _capped_segment(lo, hi, gi, gj, wi, wj, upper)
                 else:
                     s_span = 1.0 + float(np.dot(w, np.abs(g)))
                     lo, hi = -s_span, s_span
@@ -280,27 +333,33 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     reach[k] = 0.0
                     continue
 
-                def h(s, i=i, j=j, wi=wi, wj=wj, gi=gi, gj=gj):
-                    g[i] = gi + s / wi
-                    g[j] = gj - s / wj
-                    val = objective(g)
-                    g[i], g[j] = gi, gj
-                    return val
+                if pair_line is not None and v > -math.inf:
+                    h = pair_line(g, i, j, v)
+                else:
+                    def h(s, i=i, j=j, wi=wi, wj=wj, gi=gi, gj=gj):
+                        g[i] = gi + s / wi
+                        g[j] = gj - s / wj
+                        val = objective(g)
+                        g[i], g[j] = gi, gj
+                        return val
 
                 step, ev = _line_search(h, lo, hi, 0.0, v, reach[k])
                 evals += ev
                 reach[k] = 4.0 * abs(step[0]) if step else 0.0
                 if step:
                     s, v = step
+                    stale = pair_line is not None
                     g[i] = gi + s / wi
                     g[j] = gj - s / wj
                     if nonneg:
-                        # transfers that land on a clamp boundary should sit
-                        # on it exactly, not a rounding error below zero
-                        if g[i] < 0.0 and g[i] > -1e-13:
-                            g[i] = 0.0
-                        if g[j] < 0.0 and g[j] > -1e-13:
-                            g[j] = 0.0
+                        # transfers that land on a segment end should sit on
+                        # it exactly: on zero, not a rounding error below it,
+                        # and on the cap
+                        for a in (i, j):
+                            if -1e-13 < g[a] < 0.0:
+                                g[a] = 0.0
+                            elif upper - 1e-13 < g[a] < upper:
+                                g[a] = upper
                     if v >= stop_at:
                         return at_ceiling()
 
@@ -313,6 +372,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     evals += ev
                     if step:
                         t, v = step
+                        stale = pair_line is not None
                         kept = g >= 0.0
                         g += t * d
                         # the segment ends where a coordinate reaches zero;
@@ -327,6 +387,10 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                 break
         else:
             reason = "sweep_cap"
+        if stale:
+            v = objective(g)
+            evals += 1
+            stale = False
         if best is None or v > best.value:
             best = AscentResult(g=g.copy(), value=v, start_index=r,
                                 sweeps=sweeps, evaluations=0,
@@ -500,8 +564,9 @@ class _ValidationRefusal(Refusal, ValueError):
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """``evaluations`` counts the dual ascent's objective calls, 0 with a
-    closed-form maximizer; each call costs one conjugate value.
+    """``evaluations`` counts the dual ascent's objective calls and
+    pair-line probes, 0 with a closed-form maximizer; each call costs one
+    conjugate value, each probe two atoms' terms of it.
     ``stop_reason`` is the ascent's ``AscentResult.stop_reason``, or
     ``"closed_form"`` with a closed-form maximizer."""
     g: Rv
@@ -529,19 +594,45 @@ def _conjugate_fn(phi: RiskFunctional, seed: int,
     return numeric
 
 
-def _dual_objective(conj: Callable[[Rv], float], space: MeasureSpace,
-                    fv: np.ndarray) -> Callable[[np.ndarray], float]:
+class _DualObjective:
     """``garr -> <f, garr> - conj(garr)`` for f with values ``fv``; -inf
-    where ``conj`` is +inf."""
-    wf = space.weights * fv
+    where ``conj`` is +inf.
 
-    def obj(garr: np.ndarray) -> float:
-        cv = conj(Rv._wrap(space, garr))
+    With a ``SeparableConjugate``, ``pair_line(g, i, j, v)`` is the
+    objective along the transfer ``g_i += s / w_i``, ``g_j -= s / w_j`` from
+    a point g of finite value v, read from those two atoms
+    (``SeparableConjugate.pair_line``), and ``upper`` is the density cap a
+    nonnegative pair segment ends at. The expectation's box is ``FEAS_TOL``
+    of slack around g = 1, which no line should search into, so only a
+    unit-mass conjugate passes its ``upper`` on. Any other conjugate leaves
+    ``pair_line`` None and ``upper`` +inf, and the ascent reads it whole.
+    """
+
+    __slots__ = ("_conj", "_space", "_wf", "pair_line", "upper")
+
+    def __init__(self, conj: Callable[[Rv], float], space: MeasureSpace,
+                 fv: np.ndarray):
+        self._conj = conj
+        self._space = space
+        self._wf = space.weights * fv
+        self.pair_line = None
+        self.upper = math.inf
+        if isinstance(conj, SeparableConjugate):
+            f = np.asarray(fv, dtype=float).tolist()
+            self.pair_line = (lambda g, i, j, v:
+                              conj.pair_line(g, i, j, f[i] - f[j], v))
+            if conj.unit_mass:
+                self.upper = conj.upper
+
+    def __call__(self, garr: np.ndarray) -> float:
+        cv = self._conj(Rv._wrap(self._space, garr))
         if cv == math.inf:
             return -math.inf
-        return float(np.dot(wf, garr)) - cv
+        return float(np.dot(self._wf, garr)) - cv
 
-    return obj
+
+# reconstruct, biconjugate_check and the tests build objectives by this name
+_dual_objective = _DualObjective
 
 
 def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,

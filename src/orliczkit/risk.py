@@ -4,8 +4,12 @@ Each functional carries a properness witness and -- where known -- a
 closed-form Fenchel conjugate and maximizing density, so the duality engine
 can certify representations without numeric search. Whether a functional is
 increasing and convex is for ``validate`` to decide, not declared.
-Conjugates take a candidate density ``g`` and return the conjugate value,
-``+inf`` off the effective domain.
+Every catalog conjugate is one ``SeparableConjugate``: a sum over atoms,
+``E[g log g] / beta`` or zero, on a box of densities, under a unit mass for
+the cash-additive members. It takes a candidate density ``g`` and returns
+the conjugate value, ``+inf`` off the effective domain, and it gives the
+dual objective along a mass-preserving pair transfer from two atoms' terms
+(``pair_line``), which the dual ascent uses for its pair lines.
 """
 
 from __future__ import annotations
@@ -42,6 +46,78 @@ class RiskFunctional:
     evaluate_rows: Callable[[np.ndarray], np.ndarray] | None = None
 
 
+class SeparableConjugate:
+    """``phi*(g) = E[g log g] / beta`` when every ``g_k`` lies in ``[lower,
+    upper]`` and, if ``unit_mass``, ``E[g] = 1`` within ``FEAS_TOL``;
+    ``+inf`` elsewhere. ``0 log 0 = 0``, and entries of ``g`` at or below
+    zero add nothing; ``beta = inf`` drops the sum, which leaves the
+    indicator of the box. A call takes a candidate density ``Rv``.
+    """
+
+    __slots__ = ("weights", "beta", "lower", "upper", "unit_mass", "_w")
+
+    def __init__(self, space: MeasureSpace, *, beta: float = math.inf,
+                 lower: float = -FEAS_TOL, upper: float = math.inf,
+                 unit_mass: bool = True):
+        self.weights = space.weights
+        self._w = space.weights.tolist()
+        self.beta = beta
+        self.lower = lower
+        self.upper = upper
+        self.unit_mass = unit_mass
+
+    def __call__(self, g: Rv) -> float:
+        gv = g.values
+        w = self.weights
+        # the ufuncs' reduce skips ndarray.min's Python wrapper; nan fails
+        # every comparison, so it reads +inf
+        lowest = np.minimum.reduce(gv)
+        if not lowest >= self.lower:
+            return math.inf
+        if self.upper < math.inf and not np.maximum.reduce(gv) <= self.upper:
+            return math.inf
+        if self.unit_mass and not abs(float(np.dot(w, gv)) - 1.0) <= FEAS_TOL:
+            return math.inf
+        if self.beta == math.inf:
+            return 0.0
+        if lowest > 0.0:
+            return float(np.dot(w, gv * np.log(gv))) / self.beta
+        pos = gv > 0.0
+        return float(np.dot(w[pos], gv[pos] * np.log(gv[pos]))) / self.beta
+
+    def pair_line(self, g: np.ndarray, i: int, j: int, df: float,
+                  v: float) -> Callable[[float], float]:
+        """The dual objective ``<f, g> - phi*(g)`` along the transfer
+        ``x_i = g_i + s / w_i``, ``x_j = g_j - s / w_j``, from its finite
+        value ``v`` at ``g``, where ``df = f_i - f_j``.
+
+        ``h(s) = v + s df - (w_i (x_i log x_i - g_i log g_i) + w_j (x_j log
+        x_j - g_j log g_j)) / beta``, and ``-inf`` where ``x_i`` or ``x_j``
+        leaves the box. The transfer keeps ``E[g]``, and the other atoms'
+        terms do not change, so ``h`` reads two atoms in scalar math; it
+        agrees with the whole objective up to rounding, and ``h(0) == v``.
+        """
+        wi, wj = self._w[i], self._w[j]
+        gi, gj = float(g[i]), float(g[j])
+        lower, upper, beta = self.lower, self.upper, self.beta
+        entropy = beta < math.inf
+        log = math.log
+        ti = gi * log(gi) if entropy and gi > 0.0 else 0.0
+        tj = gj * log(gj) if entropy and gj > 0.0 else 0.0
+
+        def h(s: float) -> float:
+            xi = gi + s / wi
+            xj = gj - s / wj
+            if not (lower <= xi <= upper and lower <= xj <= upper):
+                return -math.inf
+            if not entropy:
+                return v + s * df
+            di = (xi * log(xi) if xi > 0.0 else 0.0) - ti
+            dj = (xj * log(xj) if xj > 0.0 else 0.0) - tj
+            return v + s * df - (wi * di + wj * dj) / beta
+        return h
+
+
 def _check_probability(space: MeasureSpace, what: str) -> None:
     if not space.is_probability(FEAS_TOL):
         raise ValueError(f"{what} requires a probability space (total mass "
@@ -72,17 +148,6 @@ def entropic(beta: float, space: MeasureSpace) -> RiskFunctional:
         m = z.max(axis=1)
         return (m + np.log(np.exp(z - m[:, None]) @ w)) / beta
 
-    def conj(g: Rv) -> float:
-        gv = g.values
-        lowest = np.minimum.reduce(gv)
-        if lowest < -FEAS_TOL or abs(float(np.dot(w, gv)) - 1.0) > FEAS_TOL:
-            return math.inf
-        if lowest > 0.0:
-            return float(np.dot(w, gv * np.log(gv))) / beta
-        # 0 log 0 = 0; entries within FEAS_TOL below zero count as zero
-        pos = gv > 0.0
-        return float(np.dot(w[pos], gv[pos] * np.log(gv[pos]))) / beta
-
     def maximizer(f: Rv) -> Rv:
         z = beta * f.values
         z = z - z.max()
@@ -94,7 +159,7 @@ def entropic(beta: float, space: MeasureSpace) -> RiskFunctional:
         space=space,
         evaluate=ev,
         proper_witness=zeros(space),
-        closed_form_conjugate=conj,
+        closed_form_conjugate=SeparableConjugate(space, beta=beta),
         closed_form_maximizer=maximizer,
         evaluate_rows=ev_rows,
     )
@@ -144,21 +209,12 @@ def average_value_at_risk(alpha: float, space: MeasureSpace) -> RiskFunctional:
         mass = np.clip(1.0 - before, 0.0, full)
         return np.einsum("ij,ij->i", np.take_along_axis(F, order, axis=1), mass)
 
-    def conj(g: Rv) -> float:
-        gv = g.values
-        feasible = (
-            gv.min() >= -FEAS_TOL
-            and gv.max() <= cap
-            and abs(float(np.dot(w, gv)) - 1.0) <= FEAS_TOL
-        )
-        return 0.0 if feasible else math.inf
-
     return RiskFunctional(
         name=f"average_value_at_risk(alpha={alpha})",
         space=space,
         evaluate=ev,
         proper_witness=zeros(space),
-        closed_form_conjugate=conj,
+        closed_form_conjugate=SeparableConjugate(space, upper=cap),
         closed_form_maximizer=maximizer,
         evaluate_rows=ev_rows,
     )
@@ -171,11 +227,6 @@ def worst_case(space: MeasureSpace) -> RiskFunctional:
     def ev(f: Rv) -> float:
         return float(np.maximum.reduce(f.values))
 
-    def conj(g: Rv) -> float:
-        gv = g.values
-        feasible = gv.min() >= -FEAS_TOL and abs(float(np.dot(w, gv)) - 1.0) <= FEAS_TOL
-        return 0.0 if feasible else math.inf
-
     def maximizer(f: Rv) -> Rv:
         i = int(np.argmax(f.values))
         g = np.zeros_like(f.values)
@@ -187,7 +238,7 @@ def worst_case(space: MeasureSpace) -> RiskFunctional:
         space=space,
         evaluate=ev,
         proper_witness=zeros(space),
-        closed_form_conjugate=conj,
+        closed_form_conjugate=SeparableConjugate(space),
         closed_form_maximizer=maximizer,
         evaluate_rows=lambda F: F.max(axis=1),
     )
@@ -200,9 +251,6 @@ def expectation(space: MeasureSpace) -> RiskFunctional:
     def ev(f: Rv) -> float:
         return float(np.dot(w, f.values))
 
-    def conj(g: Rv) -> float:
-        return 0.0 if np.all(np.abs(g.values - 1.0) <= FEAS_TOL) else math.inf
-
     def maximizer(f: Rv) -> Rv:
         return Rv(space, np.ones_like(f.values))
 
@@ -211,7 +259,11 @@ def expectation(space: MeasureSpace) -> RiskFunctional:
         space=space,
         evaluate=ev,
         proper_witness=zeros(space),
-        closed_form_conjugate=conj,
+        # the doubles x with |x - 1| <= FEAS_TOL: 1 + FEAS_TOL rounds up,
+        # one double past them
+        closed_form_conjugate=SeparableConjugate(
+            space, lower=1.0 - FEAS_TOL,
+            upper=math.nextafter(1.0 + FEAS_TOL, 0.0), unit_mass=False),
         closed_form_maximizer=maximizer,
         evaluate_rows=lambda F: F @ w,
     )

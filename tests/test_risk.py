@@ -152,6 +152,78 @@ def test_avar_conjugate_box_rules():
     assert av.closed_form_conjugate(Rv(sp, [2.0, 2.0, -0.5, 0.5])) == math.inf
 
 
+def _closure_conjugates(sp, beta, alpha):
+    """The catalog's conjugates as one closure per member wrote them, the
+    reference the shared SeparableConjugate keeps bit for bit."""
+    w = sp.weights
+    tol = orliczkit.FEAS_TOL
+    cap = 1.0 / alpha
+
+    def ent(gv):
+        lowest = np.minimum.reduce(gv)
+        if lowest < -tol or abs(float(np.dot(w, gv)) - 1.0) > tol:
+            return math.inf
+        if lowest > 0.0:
+            return float(np.dot(w, gv * np.log(gv))) / beta
+        pos = gv > 0.0
+        return float(np.dot(w[pos], gv[pos] * np.log(gv[pos]))) / beta
+
+    def avar(gv):
+        feasible = (gv.min() >= -tol and gv.max() <= cap
+                    and abs(float(np.dot(w, gv)) - 1.0) <= tol)
+        return 0.0 if feasible else math.inf
+
+    def worst(gv):
+        feasible = (gv.min() >= -tol
+                    and abs(float(np.dot(w, gv)) - 1.0) <= tol)
+        return 0.0 if feasible else math.inf
+
+    def expect(gv):
+        return 0.0 if np.all(np.abs(gv - 1.0) <= tol) else math.inf
+
+    return ent, avar, worst, expect
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_catalog_conjugates_keep_their_closed_form_bits(seed):
+    # densities, exact zeros, entries in the slack below zero, the AVaR cap
+    # and the ends of every box and of the mass tolerance, and the doubles
+    # next to them
+    rng = np.random.default_rng([31, seed])
+    tol = orliczkit.FEAS_TOL
+    for n in range(1, 9):
+        raw = rng.uniform(0.2, 1.0, n)
+        for sp in (uniform_probability(n), MeasureSpace.finite(raw / raw.sum())):
+            w = sp.weights
+            beta = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+            alpha = float(rng.choice([0.25, 0.3, 0.5, 1.0]))
+            members = increasing_catalog(sp, beta=beta, alpha=alpha)
+            refs = _closure_conjugates(sp, beta, alpha)
+            for _ in range(40):
+                g = np.abs(rng.normal(0.0, 1.0, n))
+                g[rng.uniform(size=n) < 0.3] = 0.0
+                g[0] += 0.1
+                g /= float(w @ g)
+                k = int(rng.integers(n))
+                kind = int(rng.integers(6))
+                if kind == 1:
+                    g[k] = -tol * float(rng.uniform(0.0, 2.0))
+                elif kind == 2:
+                    g[k] = 1.0 / alpha
+                elif kind == 3:
+                    g = np.full(n, 1.0 + float(rng.choice([-tol, tol])))
+                elif kind == 4:
+                    g *= 1.0 + float(rng.choice([-tol, tol]))
+                if kind in (2, 3, 4, 5):
+                    g[k] = np.nextafter(g[k], g[k] + float(rng.choice(
+                        [-1.0, 1.0])) * float(rng.integers(0, 3)))
+                for phi, ref in zip(members, refs):
+                    got = phi.closed_form_conjugate(Rv(sp, g))
+                    want = ref(g)
+                    assert got == want or (math.isnan(got)
+                                           and math.isnan(want)), phi.name
+
+
 def test_avar_parameter_validation():
     sp = uniform_probability(2)
     with pytest.raises(ValueError):
