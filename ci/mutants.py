@@ -36,6 +36,10 @@ SPIKE_PROPERTY = ("tests/test_convergence_matrix.py::"
                   "test_spike_layout_readers_match_a_dense_copy_bit_for_bit")
 PAIR_PROPERTY = ("tests/test_duality.py::"
                  "test_pair_lines_read_from_two_atoms_match_the_whole_objective")
+STEP_PROPERTY = ("tests/test_duality.py::"
+                 "test_pair_steps_reach_the_line_search_maximum")
+BOX_ONLY_BICONJUGATE = ("tests/test_duality.py::"
+                        "test_biconjugate_recovers_box_only_members")
 TABLE_PROPERTY = ("tests/test_specs_io.py::"
                   "test_convex_tables_load_convex_with_exact_conjugates")
 
@@ -143,6 +147,24 @@ MUTANTS = [
      "            di = xi * log(xi) if xi > 0.0 else 0.0\n"
      "            dj = xj * log(xj) if xj > 0.0 else 0.0\n",
      [f"{PAIR_PROPERTY}[0]"]),
+    ("pair steps are not cut to their segment",
+     RISK,
+     "        return min(max(wi * (xi - gi), lo), hi)\n",
+     "        return wi * (xi - gi)\n",
+     [f"{STEP_PROPERTY}[0]"]),
+    ("entropic pair steps flip the sign of beta df",
+     RISK,
+     "        z = self.beta * df\n",
+     "        z = -self.beta * df\n",
+     [f"{STEP_PROPERTY}[0]",
+      "tests/test_duality.py::"
+      "test_numeric_entropic_reconstruct_resolves_a_tiny_gibbs_mass"]),
+    ("a pair step that reads -inf is not searched",
+     DUALITY,
+     "                        search = val == -math.inf\n",
+     "                        search = False\n",
+     [f"{BOX_ONLY_BICONJUGATE}[3-avar]",
+      f"{BOX_ONLY_BICONJUGATE}[5-worst_case]"]),
     ("nonnegative pair segments run past the cap",
      DUALITY,
      "                    if upper < math.inf:\n"

@@ -16,13 +16,15 @@ increase (Rockafellar, *Convex Analysis*, 1970, Thm 24.1). A dual ascent
 whose primal value phi(f) is known stops as soon as it reaches it, since by
 weak duality no dual value exceeds it. When the dual is built on a
 ``SeparableConjugate``, as every catalog member's is, a pair transfer
-changes two terms of the conjugate's sum, so each pair-line probe reads
-those two atoms in scalar math instead of the whole n-atom objective (the
-two-variable step of SMO, Platt 1998), and a nonnegative pair segment also
-ends where a density reaches the conjugate's cap, so the line search reads
-AVaR's wall g = 1/alpha as an endpoint. Divergence of a conjugate (the +inf
-case) is detected by ray probes before any ascent runs, all of them in one
-``evaluate_rows`` call when the functional has a row kernel.
+changes two terms of the conjugate's sum, so a pair line reads those two
+atoms in scalar math instead of the whole n-atom objective, and its
+maximum is known in closed form (the analytic two-variable step of SMO,
+Platt 1998): each pair move is one step, read once, with no line search
+unless the step reads -inf. A nonnegative pair segment also ends where a
+density reaches the conjugate's cap, so the step lands on AVaR's wall
+g = 1/alpha exactly. Divergence of a conjugate (the +inf case) is detected
+by ray probes before any ascent runs, all of them in one ``evaluate_rows``
+call when the functional has a row kernel.
 """
 
 from __future__ import annotations
@@ -88,8 +90,9 @@ def _capped_segment(lo: float, hi: float, gi: float, gj: float, wi: float,
     ``g_j - s / w_j`` stay at most ``upper``.
 
     A cut end is the largest transfer whose computed density does not pass
-    ``upper``, so the wall is a probe the line search reads, not a point it
-    closes in on. The segment always holds s = 0.
+    ``upper``, so the wall is a point a pair step lands on, or a probe a
+    line search reads, not one it closes in on. The segment always holds
+    s = 0.
     """
     top = (upper - gi) * wi
     if top < hi:
@@ -138,7 +141,8 @@ class AscentResult:
 
     ``sweeps`` belongs to the winning restart (``start_index``);
     ``evaluations`` counts every objective call and every probe of a pair
-    line read from two atoms, over all restarts.
+    line read from two atoms, over all restarts; a closed-form pair step is
+    one such probe.
     ``stop_reason`` says why the winning restart ended: ``"ceiling"`` (it
     came within ``CEILING_TOL`` of the caller's upper bound, and the call
     skipped every later sweep and restart), ``"flat"`` (a sweep gained at
@@ -169,17 +173,23 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     (a ``_DualObjective`` of a ``SeparableConjugate``) gives each pair line
     from a point of finite value in O(1), from the two atoms it moves; any
     other objective, or a point of value -inf, is read whole at every
-    probe. Under ``nonneg`` a pair segment ends where g_i or g_j reaches 0
-    and, when the objective carries a finite ``upper``, where either
-    reaches ``upper``; a density that a transfer leaves within 1e-13 below
-    0 or below ``upper`` is set to that end exactly. With a ``pair_line``,
-    a value that came from a pair line's sums or from before such a snap is
-    read once more from the whole objective, one counted evaluation, before
-    the restart's result is compared or returned, so
-    ``AscentResult.value == objective(g)`` holds bit for bit. Only the
-    coordinate lines are guarded: each first probes its shoulders and is
-    skipped when both are -inf. If the guard skips every one of them in
-    restart 0's first sweep, the objective is read as -inf off the
+    probe. One that also carries a ``pair_step`` gives the line's maximizer
+    on its segment in closed form: from a point of finite value the pair
+    move reads the line once, at the step, one counted evaluation, and
+    takes it on strict improvement, with no line search. A step that reads
+    -inf, a box-only conjugate's segment end past its box (the sign-free
+    segments, and the expectation's box under ``nonneg``), has its line
+    searched as without a step. Under ``nonneg`` a pair segment ends where
+    g_i or g_j reaches 0 and, when the objective carries a finite
+    ``upper``, where either reaches ``upper``; a density that a transfer
+    leaves within 1e-13 below 0 or below ``upper`` is set to that end
+    exactly. With a ``pair_line``, a value that came from a pair line's sums
+    or from before such a snap is read once more from the whole objective,
+    one counted evaluation, before the restart's result is compared or
+    returned, so ``AscentResult.value == objective(g)`` holds bit for bit.
+    Only the coordinate lines are guarded: each first probes its shoulders
+    and is skipped when both are -inf. If the guard skips every one of them
+    in restart 0's first sweep, the objective is read as -inf off the
     hyperplane of the starting mass, as the dual
     objective of a cash-additive functional is (its conjugate is +inf off
     E[g] = 1), and the rest of the call runs the pair transfers and the
@@ -187,7 +197,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     never its answer infeasible.
 
     Objectives are free to return -inf off their domain; moves apply only on
-    strict improvement. Each line search stops once its bracket is as narrow
+    strict improvement. Each line search, on coordinate, pattern and
+    searched pair lines alike, stops once its bracket is as narrow
     as ``INV_PHI**LINE_STEPS`` times its segment, or on a plateau that three
     of its probes certify (the lines are concave). A coordinate or pair that
     moved by s in the previous sweep of its restart first searches the
@@ -236,8 +247,9 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     total = float(space.total_mass)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     # a _DualObjective of a SeparableConjugate reads its pair lines from two
-    # atoms; any other objective is read whole
+    # atoms and steps to their maxima; any other objective is read whole
     pair_line = getattr(objective, "pair_line", None)
+    pair_step = getattr(objective, "pair_step", None)
     upper = getattr(objective, "upper", math.inf)
     best: AscentResult | None = None
     evals = 0
@@ -333,8 +345,18 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     reach[k] = 0.0
                     continue
 
+                search = True
                 if pair_line is not None and v > -math.inf:
                     h = pair_line(g, i, j, v)
+                    if pair_step is not None:
+                        s = pair_step(g, i, j, lo, hi)
+                        val = h(s)
+                        evals += 1
+                        step = (s, val) if val > v else None
+                        # only a box-only step reads -inf: a segment end
+                        # past the box, whose feasible part the line search
+                        # finds
+                        search = val == -math.inf
                 else:
                     def h(s, i=i, j=j, wi=wi, wj=wj, gi=gi, gj=gj):
                         g[i] = gi + s / wi
@@ -343,8 +365,9 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         g[i], g[j] = gi, gj
                         return val
 
-                step, ev = _line_search(h, lo, hi, 0.0, v, reach[k])
-                evals += ev
+                if search:
+                    step, ev = _line_search(h, lo, hi, 0.0, v, reach[k])
+                    evals += ev
                 reach[k] = 4.0 * abs(step[0]) if step else 0.0
                 if step:
                     s, v = step
@@ -566,7 +589,8 @@ class _ValidationRefusal(Refusal, ValueError):
 class DualCertificate:
     """``evaluations`` counts the dual ascent's objective calls and
     pair-line probes, 0 with a closed-form maximizer; each call costs one
-    conjugate value, each probe two atoms' terms of it.
+    conjugate value, each probe two atoms' terms of it, and a pair step is
+    one probe.
     ``stop_reason`` is the ascent's ``AscentResult.stop_reason``, or
     ``"closed_form"`` with a closed-form maximizer."""
     g: Rv
@@ -601,26 +625,31 @@ class _DualObjective:
     With a ``SeparableConjugate``, ``pair_line(g, i, j, v)`` is the
     objective along the transfer ``g_i += s / w_i``, ``g_j -= s / w_j`` from
     a point g of finite value v, read from those two atoms
-    (``SeparableConjugate.pair_line``), and ``upper`` is the density cap a
+    (``SeparableConjugate.pair_line``), ``pair_step(g, i, j, lo, hi)`` is
+    the transfer in ``[lo, hi]`` that maximizes it
+    (``SeparableConjugate.pair_step``), and ``upper`` is the density cap a
     nonnegative pair segment ends at. The expectation's box is ``FEAS_TOL``
     of slack around g = 1, which no line should search into, so only a
     unit-mass conjugate passes its ``upper`` on. Any other conjugate leaves
-    ``pair_line`` None and ``upper`` +inf, and the ascent reads it whole.
+    ``pair_line`` and ``pair_step`` None and ``upper`` +inf, and the ascent
+    reads it whole and searches its lines.
     """
 
-    __slots__ = ("_conj", "_space", "_wf", "pair_line", "upper")
+    __slots__ = ("_conj", "_space", "_wf", "pair_line", "pair_step", "upper")
 
     def __init__(self, conj: Callable[[Rv], float], space: MeasureSpace,
                  fv: np.ndarray):
         self._conj = conj
         self._space = space
         self._wf = space.weights * fv
-        self.pair_line = None
+        self.pair_line = self.pair_step = None
         self.upper = math.inf
         if isinstance(conj, SeparableConjugate):
             f = np.asarray(fv, dtype=float).tolist()
             self.pair_line = (lambda g, i, j, v:
                               conj.pair_line(g, i, j, f[i] - f[j], v))
+            self.pair_step = (lambda g, i, j, lo, hi:
+                              conj.pair_step(g, i, j, f[i] - f[j], lo, hi))
             if conj.unit_mass:
                 self.upper = conj.upper
 

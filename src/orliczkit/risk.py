@@ -9,7 +9,8 @@ Every catalog conjugate is one ``SeparableConjugate``: a sum over atoms,
 the cash-additive members. It takes a candidate density ``g`` and returns
 the conjugate value, ``+inf`` off the effective domain, and it gives the
 dual objective along a mass-preserving pair transfer from two atoms' terms
-(``pair_line``), which the dual ascent uses for its pair lines.
+(``pair_line``) and that line's maximizer in closed form (``pair_step``),
+which the dual ascent uses for its pair moves.
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ class SeparableConjugate:
     upper]`` and, if ``unit_mass``, ``E[g] = 1`` within ``FEAS_TOL``;
     ``+inf`` elsewhere. ``0 log 0 = 0``, and entries of ``g`` at or below
     zero add nothing; ``beta = inf`` drops the sum, which leaves the
-    indicator of the box. A call takes a candidate density ``Rv``.
+    indicator of the box. A call takes a candidate density ``Rv``;
+    ``pair_line`` and ``pair_step`` give the dual objective along a pair
+    transfer and its maximizer there, which the dual ascent takes in place
+    of a line search.
     """
 
     __slots__ = ("weights", "beta", "lower", "upper", "unit_mass", "_w")
@@ -116,6 +120,30 @@ class SeparableConjugate:
             dj = (xj * log(xj) if xj > 0.0 else 0.0) - tj
             return v + s * df - (wi * di + wj * dj) / beta
         return h
+
+    def pair_step(self, g: np.ndarray, i: int, j: int, df: float, lo: float,
+                  hi: float) -> float:
+        """The transfer ``s`` that maximizes ``pair_line``'s ``h``, cut to
+        ``[lo, hi]``, where ``df = f_i - f_j``.
+
+        With ``beta`` finite, ``h`` is concave, and its maximum solves
+        ``x_i / x_j = exp(beta df)`` at the fixed mass ``m = w_i g_i + w_j
+        g_j``: ``x_i = m e^{beta f_i} / (w_i e^{beta f_i} + w_j e^{beta
+        f_j})`` and ``s = w_i (x_i - g_i)``. The exponent is shifted by its
+        larger side, so no ``df`` overflows it. With ``beta = inf``, ``h``
+        is linear and its maximum is the end ``df`` points to, or 0 when
+        ``df = 0``. The step does not check the box: an end outside it
+        reads -inf from ``h``.
+        """
+        if self.beta == math.inf:
+            return hi if df > 0.0 else lo if df < 0.0 else 0.0
+        wi, wj = self._w[i], self._w[j]
+        gi = float(g[i])
+        z = self.beta * df
+        e = math.exp(-abs(z))
+        m = wi * gi + wj * float(g[j])
+        xi = m / (wi + wj * e) if z >= 0.0 else m * e / (wi * e + wj)
+        return min(max(wi * (xi - gi), lo), hi)
 
 
 def _check_probability(space: MeasureSpace, what: str) -> None:
