@@ -40,6 +40,8 @@ STEP_PROPERTY = ("tests/test_duality.py::"
                  "test_pair_steps_reach_the_line_search_maximum")
 BOX_ONLY_BICONJUGATE = ("tests/test_duality.py::"
                         "test_biconjugate_recovers_box_only_members")
+COORD_STEP_PROPERTY = ("tests/test_duality.py::"
+                       "test_coordinate_steps_reach_the_line_search_maximum")
 TABLE_PROPERTY = ("tests/test_specs_io.py::"
                   "test_convex_tables_load_convex_with_exact_conjugates")
 
@@ -64,8 +66,6 @@ MUTANTS = [
      " calls\n"
      "        if val > v and (t != a or a == lo) and (t != b or b == hi):\n",
      ["tests/test_duality.py::"
-      "test_feasible_dual_conjugates_stop_on_their_plateau",
-      "tests/test_duality.py::"
       "test_a_warm_window_that_gains_nothing_ends_its_line"]),
     ("restart 0 never tries the unit density",
      DUALITY,
@@ -74,7 +74,7 @@ MUTANTS = [
      ["tests/test_duality.py::test_numeric_expectation_on_a_space_of_mass_two"]),
     ("the ascent never switches to transfers only",
      DUALITY,
-     "                transfers_only = skipped == tried\n",
+     "                transfers_only = coord_step is None and skipped == tried\n",
      "                transfers_only = False\n",
      ["tests/test_duality.py::"
       "test_entropic_ascent_probes_off_the_unit_mass_twice_per_atom"]),
@@ -173,6 +173,20 @@ MUTANTS = [
      "",
      ["tests/test_duality.py::"
       "test_numeric_avar_certificates_reach_the_cap[0.5]"]),
+    ("the entropic coordinate step's A_i keeps atom i's own term",
+     RISK,
+     "        z[i] = -math.inf\n",
+     "",
+     [f"{COORD_STEP_PROPERTY}[0]",
+      "tests/test_duality.py::test_fenchel_numeric_agrees_with_closed_form"]),
+    ("the kink step's candidates leave out the segment ends",
+     RISK,
+     "        ts = np.concatenate(([lo], np.unique(ts[(ts > lo) & (ts < hi)]),\n"
+     "                             [hi]))\n",
+     "        ts = np.unique(ts[(ts > lo) & (ts < hi)])\n",
+     [f"{COORD_STEP_PROPERTY}[0]",
+      "tests/test_duality.py::"
+      "test_a_slow_ray_past_the_probes_diverges_without_overflow"]),
     ("the spike layout's readers skip the limit-equality check",
      CONVERGENCE,
      "    if (isinstance(family._layout, np.ndarray)\n"

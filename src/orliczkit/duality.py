@@ -24,7 +24,11 @@ unless the step reads -inf. A nonnegative pair segment also ends where a
 density reaches the conjugate's cap, so the step lands on AVaR's wall
 g = 1/alpha exactly. Divergence of a conjugate (the +inf case) is detected
 by ray probes before any ascent runs, all of them in one ``evaluate_rows``
-call when the functional has a row kernel.
+call when the functional has a row kernel. A numeric Fenchel conjugate of a
+functional that declares its ``coordinate_step``, as every catalog member
+does, takes that step on each coordinate line and makes no other move: one
+step of iterative scaling for the entropic (Darroch & Ratcliff 1972), the
+best kink or segment end of a piecewise-linear line for the others.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ DIVERGENCE_HARD = 1e10
 # A strictly increasing probe trace must clear this by the last exponent.
 DIVERGENCE_SOFT = 1e4
 PROBE_EXPONENTS = (1, 2, 3, 4, 5, 6)
+#: a numeric conjugate whose ascent passes this value is reported as +inf
+DIVERGENCE_ASCENT = 1e12
 
 #: a line search stops once its bracket has shrunk by INV_PHI**LINE_STEPS,
 #: the width LINE_STEPS golden-section steps reach
@@ -142,7 +148,7 @@ class AscentResult:
     ``sweeps`` belongs to the winning restart (``start_index``);
     ``evaluations`` counts every objective call and every probe of a pair
     line read from two atoms, over all restarts; a closed-form pair step is
-    one such probe.
+    one such probe. A coordinate step adds the values of phi it read.
     ``stop_reason`` says why the winning restart ended: ``"ceiling"`` (it
     came within ``CEILING_TOL`` of the caller's upper bound, and the call
     skipped every later sweep and restart), ``"flat"`` (a sweep gained at
@@ -196,6 +202,22 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     pattern move only. A wrong reading can only make the ascent weaker,
     never its answer infeasible.
 
+    An objective that carries a ``coord_step`` (a ``_FenchelObjective`` of a
+    functional that declares its ``coordinate_step``) has one move only:
+    each sweep reads the step once per coordinate, one counted evaluation
+    plus the values of phi the step read, and takes it on strict
+    improvement. A step that reads -inf has its line searched as below,
+    guard included; no catalog step does. Such an objective makes no guard
+    probes, pair transfers or pattern moves: a Fenchel ascent is sign-free,
+    with no mass hyperplane to keep, and exact coordinate maximization
+    converges for a smooth concave objective with a unique maximizer on each
+    coordinate line (Luo & Tseng 1992), which the entropic objective is,
+    strictly concave along each line. A box-only member's phi is positively
+    homogeneous, so its conjugate is 0, reached at restart 0's constant
+    start, or else the objective is unbounded along a coordinate or ones
+    ray, where a step takes the segment's end and the segment grows with
+    |f|.
+
     Objectives are free to return -inf off their domain; moves apply only on
     strict improvement. Each line search, on coordinate, pattern and
     searched pair lines alike, stops once its bracket is as narrow
@@ -222,11 +244,14 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     relative.
 
     ``ceiling`` is a known upper bound on the objective, such as phi(f) for
-    the dual of phi at f (weak duality). The call returns as soon as a
+    the dual of phi at f (weak duality), or a value past which the caller's
+    answer no longer depends on the point, as for a Fenchel conjugate's
+    divergence threshold. The call returns as soon as a
     restart's start point or an accepted move of any kind reaches
     ``ceiling - CEILING_TOL * (1 + |ceiling|)``, skipping the remaining
-    sweeps and restarts; a point it stops at is within that distance of the
-    supremum, whatever the rest of the search would have found. A ceiling
+    sweeps and restarts; below an upper bound, a point it stops at is within
+    that distance of the supremum, whatever the rest of the search would
+    have found. A ceiling
     the ascent never reaches, a non-finite one included, leaves every step
     as without one. The result is deterministic in ``seed``: restart 0
     starts at the constant density 1 / total mass, restart r > 0 draws from
@@ -245,7 +270,11 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     w = space.weights
     n = space.n_atoms
     total = float(space.total_mass)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # a _FenchelObjective of a functional that declares its coordinate step
+    # takes that step on each coordinate line, and makes no other move
+    coord_step = getattr(objective, "coord_step", None)
+    pairs = ([] if coord_step is not None else
+             [(i, j) for i in range(n) for j in range(i + 1, n)])
     # a _DualObjective of a SeparableConjugate reads its pair lines from two
     # atoms and steps to their maxima; any other objective is read whole
     pair_line = getattr(objective, "pair_line", None)
@@ -309,6 +338,16 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         g[i] = old
                         return val
 
+                    if coord_step is not None:
+                        t, reads = coord_step(g, i, lo, hi)
+                        val = h(t)
+                        evals += 1 + reads
+                        if val > -math.inf:
+                            if val > v:
+                                g[i], v = t, val
+                                if v >= stop_at:
+                                    return at_ceiling()
+                            continue
                     # the guard: both shoulders -inf (the second probed only
                     # when the first is) put all of the line bar the current
                     # point outside the objective's domain, as under an
@@ -329,7 +368,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         stale = False
                         if v >= stop_at:
                             return at_ceiling()
-                transfers_only = skipped == tried
+                transfers_only = coord_step is None and skipped == tried
 
             for k, (i, j) in enumerate(pairs):
                 wi, wj = float(w[i]), float(w[j])
@@ -386,7 +425,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     if v >= stop_at:
                         return at_ceiling()
 
-            if sweeps > 1:
+            if sweeps > 1 and coord_step is None:
                 d = g - g_start
                 lo, hi = _pattern_segment(g, d)
                 if hi - lo > 1e-300:
@@ -430,16 +469,52 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
 class ConjugateEstimate:
     """``evaluations`` counts the functional's evaluations, ``evaluate``
     calls and ``evaluate_rows`` rows alike: the ray probes plus the ascent's
-    objective calls, 0 on the closed-form path."""
+    objective calls and the rows its coordinate steps read, 0 on the
+    closed-form path.
+    ``stop_reason`` says how the value was found: ``"closed_form"``,
+    ``"ray"`` (a ray probe diverged), ``"unbounded"`` (the ascent passed
+    ``DIVERGENCE_ASCENT``), or else the ascent's ``AscentResult.stop_reason``."""
     value: float
     numeric: bool
     best_f: Rv | None = None
     diverged_ray: Rv | None = None
     evaluations: int = 0
+    stop_reason: str = "closed_form"
 
 
 def _strictly_increasing(trace: Sequence[float]) -> bool:
     return all(b > a for a, b in zip(trace, trace[1:]))
+
+
+class _FenchelObjective:
+    """``fv -> <fv, g> - phi(fv)``, the objective of ``phi*(g)``; -inf where
+    phi is +inf.
+
+    When phi declares a ``coordinate_step``, ``coord_step(f, i, lo, hi)``
+    is that step at this g: ``(t, reads)``, the maximizer of the objective
+    along ``f_i`` on ``[lo, hi]`` and the values of phi it read. Otherwise
+    it is None, and the ascent searches its lines. The twin of
+    ``_DualObjective``.
+    """
+
+    __slots__ = ("_evaluate", "_space", "_wg", "coord_step")
+
+    def __init__(self, phi: RiskFunctional, g: Rv):
+        self._evaluate = phi.evaluate
+        self._space = phi.space
+        self._wg = phi.space.weights * g.values
+        self.coord_step = None
+        step = phi.coordinate_step
+        if step is not None:
+            gv = g.values
+            self.coord_step = (lambda f, i, lo, hi:
+                               step(f, i, gv, float(lo), float(hi)))
+
+    def __call__(self, fv: np.ndarray) -> float:
+        val = self._evaluate(Rv._wrap(self._space, fv))
+        if val == math.inf:
+            return -math.inf
+        return float(np.dot(self._wg, fv)) - val
 
 
 def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
@@ -457,9 +532,14 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     ``check_rows`` cross-checks with two ``phi.evaluate`` calls (ValueError
     when they disagree); without one they are ``phi.evaluate`` calls, and
     the rays after a diverging one are never probed. Otherwise a multi-start
-    sign-free ascent over f (``maximize_dual``) estimates the supremum.
-    ``evaluations`` reports the rows and ``phi.evaluate`` calls this
-    evaluated.
+    sign-free ascent over f (``maximize_dual``) estimates the supremum: by
+    one ``phi.coordinate_step`` per coordinate line when phi declares one,
+    by line searches, pair transfers and pattern moves otherwise. An ascent
+    whose value passes ``DIVERGENCE_ASCENT`` = 1e12 is reported as +inf
+    along the direction of its best point; since its value never falls, it
+    stops at twice that value. ``evaluations`` reports the rows and
+    ``phi.evaluate`` calls this evaluated, a step's rows included, and
+    ``stop_reason`` says how the value was found (``ConjugateEstimate``).
     """
     space = phi.space
     if not space.same_space(g.space):
@@ -469,12 +549,7 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
                                  numeric=False)
     n = space.n_atoms
     wg = space.weights * g.values
-
-    def obj(fv: np.ndarray) -> float:
-        val = phi.evaluate(Rv._wrap(space, fv))
-        if val == math.inf:
-            return -math.inf
-        return float(np.dot(wg, fv)) - val
+    obj = _FenchelObjective(phi, g)
 
     # -e_i and +e_i for each atom i in turn, then -1 and +1
     rays = np.zeros((2 * n + 2, n))
@@ -506,18 +581,22 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
                     and trace[-1] > DIVERGENCE_SOFT)):
             return ConjugateEstimate(math.inf, numeric=True,
                                      diverged_ray=Rv(space, ray),
-                                     evaluations=probes)
+                                     evaluations=probes, stop_reason="ray")
 
+    # an ascent's value never falls, so once it passes DIVERGENCE_ASCENT the
+    # answer is +inf whatever the rest of the search finds; the ceiling's
+    # stop point, 2e12 less its tolerance, lies past it
     res = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                        nonneg=False)
+                        nonneg=False, ceiling=2.0 * DIVERGENCE_ASCENT)
     evals = probes + res.evaluations
-    if res.value > 1e12:
+    if res.value > DIVERGENCE_ASCENT:
         scale = max(1.0, float(np.max(np.abs(res.g))))
         return ConjugateEstimate(math.inf, numeric=True,
                                  diverged_ray=Rv(space, res.g / scale),
-                                 evaluations=evals)
+                                 evaluations=evals, stop_reason="unbounded")
     return ConjugateEstimate(res.value, numeric=True,
-                             best_f=Rv(space, res.g), evaluations=evals)
+                             best_f=Rv(space, res.g), evaluations=evals,
+                             stop_reason=res.stop_reason)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,22 @@ class RiskFunctional:
 
     ``evaluate_rows``, when given, maps a ``(k, n)`` matrix of outcome rows
     to the ``(k,)`` values ``evaluate`` gives row by row; ``validate`` uses
-    it to score all its samples in one call. A copy made with
-    ``dataclasses.replace`` that swaps ``evaluate`` must swap or clear
-    ``evaluate_rows`` too; ``validate`` and the numeric
-    ``fenchel_conjugate_value`` refuse a kernel that disagrees with
-    ``evaluate`` (``check_rows``).
+    it to score all its samples in one call.
+
+    ``coordinate_step``, when given, is ``(f, i, g, lo, hi) -> (t, reads)``
+    for outcome arrays ``f`` and ``g``: ``t`` is the value of ``f_i`` in
+    ``[lo, hi]`` that maximizes ``<f, g> - phi(f)`` with the other outcomes
+    fixed, and ``reads`` is how many values of phi it read to find it (0
+    for a closed form). It reads phi's own formula, never its conjugate's,
+    so the numeric ``fenchel_conjugate_value``, which takes these steps in
+    place of line searches, stays an independent check of
+    ``closed_form_conjugate``.
+
+    A copy made with ``dataclasses.replace`` that swaps ``evaluate`` must
+    swap or clear ``evaluate_rows`` and ``coordinate_step`` too;
+    ``validate`` and the numeric ``fenchel_conjugate_value`` refuse a row
+    kernel that disagrees with ``evaluate`` (``check_rows``), but nothing
+    checks a step.
     """
     name: str
     space: MeasureSpace
@@ -45,6 +56,8 @@ class RiskFunctional:
     closed_form_conjugate: Callable[[Rv], float] | None = None
     closed_form_maximizer: Callable[[Rv], Rv] | None = None
     evaluate_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    coordinate_step: Callable[[np.ndarray, int, np.ndarray, float, float],
+                              tuple[float, int]] | None = None
 
 
 class SeparableConjugate:
@@ -146,6 +159,28 @@ class SeparableConjugate:
         return min(max(wi * (xi - gi), lo), hi)
 
 
+def _kink_step(w: np.ndarray, rows: Callable[[np.ndarray], np.ndarray],
+               kinks: Callable[[np.ndarray, int], np.ndarray]
+               ) -> Callable[..., tuple[float, int]]:
+    """The ``coordinate_step`` of a positively homogeneous phi whose line
+    along ``f_i`` is piecewise linear, with kinks only at ``kinks(f, i)``.
+
+    The line ``t -> w_i g_i t - phi(f with f_i = t)`` is concave, so its
+    maximum on ``[lo, hi]`` sits at a kink inside the segment or at one of
+    its ends. One ``rows`` call reads them all, and the step is the first
+    best one, in the order ``lo``, the kinks ascending, ``hi``.
+    """
+    def step(f, i, g, lo, hi):
+        ts = kinks(f, i)
+        ts = np.concatenate(([lo], np.unique(ts[(ts > lo) & (ts < hi)]),
+                             [hi]))
+        F = np.repeat(f[None, :], len(ts), axis=0)
+        F[:, i] = ts
+        vals = (w[i] * g[i]) * ts - rows(F)
+        return float(ts[np.argmax(vals)]), len(ts)
+    return step
+
+
 def _check_probability(space: MeasureSpace, what: str) -> None:
     if not space.is_probability(FEAS_TOL):
         raise ValueError(f"{what} requires a probability space (total mass "
@@ -163,6 +198,7 @@ def entropic(beta: float, space: MeasureSpace) -> RiskFunctional:
         raise ValueError(f"entropic index must be positive, got {beta}")
     _check_probability(space, "entropic")
     w = space.weights
+    n = space.n_atoms
 
     def ev(f: Rv) -> float:
         # max-shifted log-sum-exp; scipy's logsumexp costs ~20x more per call
@@ -182,6 +218,26 @@ def entropic(beta: float, space: MeasureSpace) -> RiskFunctional:
         e = np.exp(z)
         return Rv(space, e / float(np.dot(w, e)))
 
+    def step(f: np.ndarray, i: int, g: np.ndarray, lo: float,
+             hi: float) -> tuple[float, int]:
+        # the line w_i g_i t - log(A_i + w_i e^{beta t}) / beta, with A_i the
+        # other atoms' sum of w_k e^{beta f_k}, is strictly concave; its
+        # maximum solves e^{beta t} = g_i A_i / (1 - w_i g_i), one step of
+        # iterative scaling (Darroch & Ratcliff 1972)
+        gi = float(g[i])
+        wg = float(w[i]) * gi
+        if wg >= 1.0:  # the line rises without bound
+            return hi, 0
+        if not gi > 0.0 or n == 1:  # it falls throughout (n = 1: A_i = 0)
+            return lo, 0
+        z = beta * f
+        z[i] = -math.inf
+        # shifted by the largest other exponent, as evaluate shifts its sum
+        m = np.maximum.reduce(z)
+        log_a = m + math.log(float(np.dot(w, np.exp(z - m))))
+        t = (math.log(gi) + log_a - math.log1p(-wg)) / beta
+        return min(max(t, lo), hi), 0
+
     return RiskFunctional(
         name=f"entropic(beta={beta})",
         space=space,
@@ -190,6 +246,7 @@ def entropic(beta: float, space: MeasureSpace) -> RiskFunctional:
         closed_form_conjugate=SeparableConjugate(space, beta=beta),
         closed_form_maximizer=maximizer,
         evaluate_rows=ev_rows,
+        coordinate_step=step,
     )
 
 
@@ -245,6 +302,8 @@ def average_value_at_risk(alpha: float, space: MeasureSpace) -> RiskFunctional:
         closed_form_conjugate=SeparableConjugate(space, upper=cap),
         closed_form_maximizer=maximizer,
         evaluate_rows=ev_rows,
+        # the tail mass moves where f_i passes another outcome
+        coordinate_step=_kink_step(w, ev_rows, np.delete),
     )
 
 
@@ -254,6 +313,9 @@ def worst_case(space: MeasureSpace) -> RiskFunctional:
 
     def ev(f: Rv) -> float:
         return float(np.maximum.reduce(f.values))
+
+    def rows(F: np.ndarray) -> np.ndarray:
+        return F.max(axis=1)
 
     def maximizer(f: Rv) -> Rv:
         i = int(np.argmax(f.values))
@@ -268,7 +330,10 @@ def worst_case(space: MeasureSpace) -> RiskFunctional:
         proper_witness=zeros(space),
         closed_form_conjugate=SeparableConjugate(space),
         closed_form_maximizer=maximizer,
-        evaluate_rows=lambda F: F.max(axis=1),
+        evaluate_rows=rows,
+        # max(f_i, the largest other outcome) bends at that outcome only
+        coordinate_step=_kink_step(
+            w, rows, lambda f, i: np.sort(np.delete(f, i))[-1:]),
     )
 
 
@@ -278,6 +343,9 @@ def expectation(space: MeasureSpace) -> RiskFunctional:
 
     def ev(f: Rv) -> float:
         return float(np.dot(w, f.values))
+
+    def rows(F: np.ndarray) -> np.ndarray:
+        return F @ w
 
     def maximizer(f: Rv) -> Rv:
         return Rv(space, np.ones_like(f.values))
@@ -293,7 +361,9 @@ def expectation(space: MeasureSpace) -> RiskFunctional:
             space, lower=1.0 - FEAS_TOL,
             upper=math.nextafter(1.0 + FEAS_TOL, 0.0), unit_mass=False),
         closed_form_maximizer=maximizer,
-        evaluate_rows=lambda F: F @ w,
+        evaluate_rows=rows,
+        # a linear line: its maximum is an end
+        coordinate_step=_kink_step(w, rows, lambda f, i: f[:0]),
     )
 
 
