@@ -55,18 +55,6 @@ MUTANTS = [
      ["tests/test_duality.py::"
       "test_fenchel_negative_coordinate_diverges_via_indicator_ray",
       "tests/test_duality.py::test_row_probes_match_the_scalar_path"]),
-    ("a warm window that gains nothing falls back to the whole segment",
-     DUALITY,
-     "        if not val > v:\n"
-     "            return None, evals\n"
-     "        # inner edges fall back: without it numeric AVaR took 2-7 % more"
-     " calls\n"
-     "        if (t != a or a == lo) and (t != b or b == hi):\n",
-     "        # inner edges fall back: without it numeric AVaR took 2-7 % more"
-     " calls\n"
-     "        if val > v and (t != a or a == lo) and (t != b or b == hi):\n",
-     ["tests/test_duality.py::"
-      "test_a_warm_window_that_gains_nothing_ends_its_line"]),
     ("restart 0 never tries the unit density",
      DUALITY,
      "        if r == 0 and v == -math.inf:\n",
@@ -124,7 +112,7 @@ MUTANTS = [
      "    lo, hi = PATTERN_RANGE\n",
      "    return PATTERN_RANGE\n",
      ["tests/test_duality.py::"
-      "test_pattern_line_stops_where_a_coordinate_reaches_zero",
+      "test_pattern_line_of_a_dual_without_hooks_stops_at_zero",
       "tests/test_duality.py::"
       "test_pattern_segment_keeps_nonnegative_coordinates_nonnegative"]),
     ("AVaR's conjugate allows g up to 1/alpha + FEAS_TOL",
@@ -159,12 +147,38 @@ MUTANTS = [
      [f"{STEP_PROPERTY}[0]",
       "tests/test_duality.py::"
       "test_numeric_entropic_reconstruct_resolves_a_tiny_gibbs_mass"]),
-    ("a pair step that reads -inf is not searched",
+    ("sign-free separable pair segments run past the box",
      DUALITY,
-     "                        search = val == -math.inf\n",
-     "                        search = False\n",
+     "    nonneg = nonneg or pair_step is not None\n",
+     "",
      [f"{BOX_ONLY_BICONJUGATE}[3-avar]",
+      f"{BOX_ONLY_BICONJUGATE}[3-worst_case]",
+      f"{BOX_ONLY_BICONJUGATE}[5-avar]",
       f"{BOX_ONLY_BICONJUGATE}[5-worst_case]"]),
+    ("a 1e-6 ceiling tolerance",
+     DUALITY,
+     "CEILING_TOL = 1e-12\n",
+     "CEILING_TOL = 1e-6\n",
+     ["tests/test_duality.py::test_criterion_4_numeric_path_call_budget",
+      "tests/test_duality.py::"
+      "test_numeric_entropic_reconstruct_matches_gibbs_seeded[0]"]),
+    ("one restart under a finite ceiling",
+     DUALITY,
+     "    for r in range(restarts):\n",
+     "    for r in range(1 if math.isfinite(ceiling) else restarts):\n",
+     ["tests/test_duality.py::"
+      "test_an_unreachable_ceiling_changes_nothing_seeded[0]"]),
+    ("a restart stuck at -inf stops flat",
+     DUALITY,
+     "                reason = \"flat\" if v > -math.inf else"
+     " \"stuck_at_-inf\"\n",
+     "                reason = \"flat\"\n",
+     ["tests/test_duality.py::test_ascent_results_say_why_they_stopped"]),
+    ("the ascent does not check its restart count",
+     DUALITY,
+     "    if restarts < 1:\n",
+     "    if False:\n",
+     ["tests/test_duality.py::test_ascents_need_a_restart"]),
     ("nonnegative pair segments run past the cap",
      DUALITY,
      "                    if upper < math.inf:\n"

@@ -9,26 +9,24 @@ Jeeves, 1961): one more line search along the sweep's net move, which
 shortens the slow linear tail of coordinate-wise ascent. When the ascent's
 first sweep finds every coordinate line outside the objective's domain, as
 on the dual of a cash-additive functional, it runs the transfers and the
-pattern move alone. A coordinate or pair line that moved in the previous
-sweep searches a window around its last step first; a window none of whose
-probes gains ends the line, since a concave line's chord slopes never
-increase (Rockafellar, *Convex Analysis*, 1970, Thm 24.1). A dual ascent
-whose primal value phi(f) is known stops as soon as it reaches it, since by
-weak duality no dual value exceeds it. When the dual is built on a
-``SeparableConjugate``, as every catalog member's is, a pair transfer
-changes two terms of the conjugate's sum, so a pair line reads those two
-atoms in scalar math instead of the whole n-atom objective, and its
-maximum is known in closed form (the analytic two-variable step of SMO,
-Platt 1998): each pair move is one step, read once, with no line search
-unless the step reads -inf. A nonnegative pair segment also ends where a
-density reaches the conjugate's cap, so the step lands on AVaR's wall
-g = 1/alpha exactly. Divergence of a conjugate (the +inf case) is detected
-by ray probes before any ascent runs, all of them in one ``evaluate_rows``
-call when the functional has a row kernel. A numeric Fenchel conjugate of a
-functional that declares its ``coordinate_step``, as every catalog member
-does, takes that step on each coordinate line and makes no other move: one
-step of iterative scaling for the entropic (Darroch & Ratcliff 1972), the
-best kink or segment end of a piecewise-linear line for the others.
+pattern move alone. A dual ascent whose primal value phi(f) is known stops
+as soon as it reaches it, since by weak duality no dual value exceeds it.
+When the dual is built on a ``SeparableConjugate``, as every catalog
+member's is, a pair transfer changes two terms of the conjugate's sum, so a
+pair line reads those two atoms in scalar math instead of the whole n-atom
+objective, and its maximum is known in closed form (the analytic
+two-variable step of SMO, Platt 1998): each pair move is one step, read
+once and taken only if it gains, with no line search. Such a conjugate is
++inf below zero, up to ``FEAS_TOL``, so its pair segments end where a
+density reaches 0 or the conjugate's cap, whatever sign the caller
+allows: the step lands on AVaR's wall g = 1/alpha, or on zero, exactly.
+Divergence of a conjugate (the +inf case) is detected by ray probes before
+any ascent runs, all of them in one ``evaluate_rows`` call when the
+functional has a row kernel. A numeric Fenchel conjugate of a functional
+that declares its ``coordinate_step``, as every catalog member does, takes
+that step on each coordinate line and makes no other move: one step of
+iterative scaling for the entropic (Darroch & Ratcliff 1972), the best kink
+or segment end of a piecewise-linear line for the others.
 """
 
 from __future__ import annotations
@@ -113,32 +111,18 @@ def _capped_segment(lo: float, hi: float, gi: float, gj: float, wi: float,
     return lo, hi
 
 
-def _line_search(h: Callable[[float], float], lo: float, hi: float,
-                 t0: float, v: float,
-                 reach: float) -> tuple[tuple[float, float] | None, int]:
+def _line_search(h: Callable[[float], float], lo: float, hi: float, t0: float,
+                 v: float) -> tuple[tuple[float, float] | None, int]:
     """Brent along a concave ``h`` on ``[lo, hi]`` from ``(t0, v = h(t0))``.
 
     Returns ``(step, evaluations)``: ``step = (t, h(t))`` on strict
-    improvement over ``v``, else None. The search stops once its bracket
-    is as narrow as ``INV_PHI**LINE_STEPS`` times the segment. ``reach > 0``
-    (with v finite) searches the window within ``reach`` of ``t0`` first, at
-    that same width, as ``maximize_dual`` describes.
+    improvement over ``v``, else None. The search runs on the whole segment
+    and stops once its bracket is as narrow as ``INV_PHI**LINE_STEPS`` times
+    it.
     """
-    width = (hi - lo) * INV_PHI ** LINE_STEPS
-    evals = 0
-    if reach > 0.0:
-        a, b = max(lo, t0 - reach), min(hi, t0 + reach)
-        t, val, evals = brent_max(h, a, b, width, (t0, v))
-        # brent_max read both window ends, and neither beat h(t0) with t0 in
-        # [a, b]; the chord slopes of a concave h never increase, so
-        # h <= h(t0) on the whole segment, -inf beyond a or b included
-        if not val > v:
-            return None, evals
-        # inner edges fall back: without it numeric AVaR took 2-7 % more calls
-        if (t != a or a == lo) and (t != b or b == hi):
-            return (t, val), evals
-    t, val, ev = brent_max(h, lo, hi, width, (t0, v))
-    return ((t, val) if val > v else None), evals + ev
+    t, val, evals = brent_max(h, lo, hi, (hi - lo) * INV_PHI ** LINE_STEPS,
+                              (t0, v))
+    return ((t, val) if val > v else None), evals
 
 
 @dataclass(frozen=True)
@@ -175,63 +159,54 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     Move set per sweep, three kinds: single-coordinate line searches
     (projected to g >= 0 when ``nonneg``), pairwise transfers g_i += s/w_i,
     g_j -= s/w_j over all pairs i < j, which keep the weighted mass fixed,
-    and the pattern move below. An objective that carries a ``pair_line``
-    (a ``_DualObjective`` of a ``SeparableConjugate``) gives each pair line
-    from a point of finite value in O(1), from the two atoms it moves; any
-    other objective, or a point of value -inf, is read whole at every
-    probe. One that also carries a ``pair_step`` gives the line's maximizer
-    on its segment in closed form: from a point of finite value the pair
-    move reads the line once, at the step, one counted evaluation, and
-    takes it on strict improvement, with no line search. A step that reads
-    -inf, a box-only conjugate's segment end past its box (the sign-free
-    segments, and the expectation's box under ``nonneg``), has its line
-    searched as without a step. Under ``nonneg`` a pair segment ends where
-    g_i or g_j reaches 0 and, when the objective carries a finite
-    ``upper``, where either reaches ``upper``; a density that a transfer
-    leaves within 1e-13 below 0 or below ``upper`` is set to that end
-    exactly. With a ``pair_line``, a value that came from a pair line's sums
-    or from before such a snap is read once more from the whole objective,
-    one counted evaluation, before the restart's result is compared or
-    returned, so ``AscentResult.value == objective(g)`` holds bit for bit.
-    Only the coordinate lines are guarded: each first probes its shoulders
-    and is skipped when both are -inf. If the guard skips every one of them
-    in restart 0's first sweep, the objective is read as -inf off the
-    hyperplane of the starting mass, as the dual
-    objective of a cash-additive functional is (its conjugate is +inf off
-    E[g] = 1), and the rest of the call runs the pair transfers and the
-    pattern move only. A wrong reading can only make the ascent weaker,
-    never its answer infeasible.
+    and the pattern move below. Every line takes its declared step or one
+    search of its whole segment, never both. An objective that carries a
+    ``pair_step`` and a ``pair_line`` (a ``_DualObjective`` of a
+    ``SeparableConjugate``) gives each pair line's maximizer on its segment
+    in closed form, and the line itself from the two atoms it moves: from a
+    point of finite value the pair move reads the line once, at the step,
+    one counted evaluation, and takes it on strict improvement. A step that
+    reads -inf is not taken. From a point of value -inf, and on any other
+    objective, the pair line is read whole at every probe and searched.
+    The conjugate behind such an objective is +inf below its lower end,
+    which is at least -``FEAS_TOL`` for every one the package builds, so
+    its ascent runs as under ``nonneg`` whatever ``nonneg`` says. Under ``nonneg`` a pair
+    segment ends where g_i or g_j reaches 0 and, when the objective carries
+    a finite ``upper``, where either reaches ``upper``; a density that a
+    transfer leaves within 1e-13 below 0 or below ``upper`` is set to that
+    end exactly. With a ``pair_line``, a value that came from a pair line's
+    sums or from before such a snap is read once more from the whole
+    objective, one counted evaluation, before the restart's result is
+    compared or returned, so ``AscentResult.value == objective(g)`` holds
+    bit for bit. Only the coordinate lines are guarded: each first probes
+    its shoulders and is skipped when both are -inf. If the guard skips
+    every one of them in restart 0's first sweep, the objective is read as
+    -inf off the hyperplane of the starting mass, as the dual objective of
+    a cash-additive functional is (its conjugate is +inf off E[g] = 1), and
+    the rest of the call runs the pair transfers and the pattern move only.
+    A wrong reading can only make the ascent weaker, never its answer
+    infeasible.
 
     An objective that carries a ``coord_step`` (a ``_FenchelObjective`` of a
     functional that declares its ``coordinate_step``) has one move only:
     each sweep reads the step once per coordinate, one counted evaluation
     plus the values of phi the step read, and takes it on strict
-    improvement. A step that reads -inf has its line searched as below,
-    guard included; no catalog step does. Such an objective makes no guard
-    probes, pair transfers or pattern moves: a Fenchel ascent is sign-free,
-    with no mass hyperplane to keep, and exact coordinate maximization
-    converges for a smooth concave objective with a unique maximizer on each
-    coordinate line (Luo & Tseng 1992), which the entropic objective is,
-    strictly concave along each line. A box-only member's phi is positively
-    homogeneous, so its conjugate is 0, reached at restart 0's constant
-    start, or else the objective is unbounded along a coordinate or ones
-    ray, where a step takes the segment's end and the segment grows with
-    |f|.
+    improvement. A step that reads -inf is not taken; no catalog step
+    reads -inf. Such an objective makes no guard probes, line searches, pair
+    transfers or pattern moves: a Fenchel ascent is sign-free, with no mass
+    hyperplane to keep, and exact coordinate maximization converges for a
+    smooth concave objective with a unique maximizer on each coordinate line
+    (Luo & Tseng 1992), which the entropic objective is, strictly concave
+    along each line. A box-only member's phi is positively homogeneous, so
+    its conjugate is 0, reached at restart 0's constant start, or else the
+    objective is unbounded along a coordinate or ones ray, where a step
+    takes the segment's end and the segment grows with |f|.
 
     Objectives are free to return -inf off their domain; moves apply only on
     strict improvement. Each line search, on coordinate, pattern and
-    searched pair lines alike, stops once its bracket is as narrow
-    as ``INV_PHI**LINE_STEPS`` times its segment, or on a plateau that three
-    of its probes certify (the lines are concave). A coordinate or pair that
-    moved by s in the previous sweep of its restart first searches the
-    window [-4|s|, 4|s|] of its line around the current point, at that same
-    absolute width; the guard probes stay on the whole segment. The line is
-    concave and the window's search reads both its ends, so a window whose
-    best point gains nothing ends the line with no move (no point of the
-    segment beats the current one), and a best point inside the window is
-    the line's maximum. Only a best point on an inner edge of the window
-    falls back to the whole segment, as does every line in a restart's
-    first sweep.
+    searched pair lines alike, runs on its whole segment and stops once its
+    bracket is as narrow as ``INV_PHI**LINE_STEPS`` times the segment, or on
+    a plateau that three of its probes certify (the lines are concave).
 
     From a restart's second sweep on, the sweep's last move is a pattern
     move along its net move d = g - (g at the sweep's start): a line search
@@ -280,6 +255,9 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     pair_line = getattr(objective, "pair_line", None)
     pair_step = getattr(objective, "pair_step", None)
     upper = getattr(objective, "upper", math.inf)
+    # such a conjugate is +inf below its lower end, -FEAS_TOL or above, so
+    # its segments end at 0 whatever nonneg says
+    nonneg = nonneg or pair_step is not None
     best: AscentResult | None = None
     evals = 0
     # v came from pair_line's sums, or from before a snap to a segment end,
@@ -315,10 +293,6 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
         sweeps = 0
         if v >= stop_at:
             return at_ceiling()
-        # per coordinate and per pair, the warm window's half-width:
-        # 4 |last sweep's step|
-        coord_reach = [0.0] * n
-        reach = [0.0] * len(pairs)
         for _ in range(SWEEP_CAP):
             sweeps += 1
             v_before = v
@@ -342,12 +316,11 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         t, reads = coord_step(g, i, lo, hi)
                         val = h(t)
                         evals += 1 + reads
-                        if val > -math.inf:
-                            if val > v:
-                                g[i], v = t, val
-                                if v >= stop_at:
-                                    return at_ceiling()
-                            continue
+                        if val > v:
+                            g[i], v = t, val
+                            if v >= stop_at:
+                                return at_ceiling()
+                        continue
                     # the guard: both shoulders -inf (the second probed only
                     # when the first is) put all of the line bar the current
                     # point outside the objective's domain, as under an
@@ -358,11 +331,9 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         evals += 1
                         if h(lo + 0.75 * (hi - lo)) == -math.inf:
                             skipped += 1
-                            coord_reach[i] = 0.0
                             continue
-                    step, ev = _line_search(h, lo, hi, t0, v, coord_reach[i])
+                    step, ev = _line_search(h, lo, hi, t0, v)
                     evals += ev
-                    coord_reach[i] = 4.0 * abs(step[0] - t0) if step else 0.0
                     if step:
                         g[i], v = step
                         stale = False
@@ -370,7 +341,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                             return at_ceiling()
                 transfers_only = coord_step is None and skipped == tried
 
-            for k, (i, j) in enumerate(pairs):
+            for i, j in pairs:
                 wi, wj = float(w[i]), float(w[j])
                 gi, gj = float(g[i]), float(g[j])
                 if nonneg:
@@ -381,21 +352,13 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     s_span = 1.0 + float(np.dot(w, np.abs(g)))
                     lo, hi = -s_span, s_span
                 if hi - lo <= 1e-300:
-                    reach[k] = 0.0
                     continue
 
-                search = True
-                if pair_line is not None and v > -math.inf:
-                    h = pair_line(g, i, j, v)
-                    if pair_step is not None:
-                        s = pair_step(g, i, j, lo, hi)
-                        val = h(s)
-                        evals += 1
-                        step = (s, val) if val > v else None
-                        # only a box-only step reads -inf: a segment end
-                        # past the box, whose feasible part the line search
-                        # finds
-                        search = val == -math.inf
+                if pair_step is not None and v > -math.inf:
+                    s = pair_step(g, i, j, lo, hi)
+                    val = pair_line(g, i, j, v)(s)
+                    evals += 1
+                    step = (s, val) if val > v else None
                 else:
                     def h(s, i=i, j=j, wi=wi, wj=wj, gi=gi, gj=gj):
                         g[i] = gi + s / wi
@@ -404,10 +367,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         g[i], g[j] = gi, gj
                         return val
 
-                if search:
-                    step, ev = _line_search(h, lo, hi, 0.0, v, reach[k])
+                    step, ev = _line_search(h, lo, hi, 0.0, v)
                     evals += ev
-                reach[k] = 4.0 * abs(step[0]) if step else 0.0
                 if step:
                     s, v = step
                     stale = pair_line is not None
@@ -430,7 +391,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                 lo, hi = _pattern_segment(g, d)
                 if hi - lo > 1e-300:
                     step, ev = _line_search(lambda t: objective(g + t * d),
-                                            lo, hi, 0.0, v, 0.0)
+                                            lo, hi, 0.0, v)
                     evals += ev
                     if step:
                         t, v = step
@@ -707,11 +668,14 @@ class _DualObjective:
     (``SeparableConjugate.pair_line``), ``pair_step(g, i, j, lo, hi)`` is
     the transfer in ``[lo, hi]`` that maximizes it
     (``SeparableConjugate.pair_step``), and ``upper`` is the density cap a
-    nonnegative pair segment ends at. The expectation's box is ``FEAS_TOL``
-    of slack around g = 1, which no line should search into, so only a
-    unit-mass conjugate passes its ``upper`` on. Any other conjugate leaves
-    ``pair_line`` and ``pair_step`` None and ``upper`` +inf, and the ascent
-    reads it whole and searches its lines.
+    pair segment ends at. ``maximize_dual`` ends such a segment at 0 too,
+    whatever its ``nonneg``, since the conjugate is +inf below its lower
+    end. The expectation's box is ``FEAS_TOL`` of slack around g = 1, which
+    no step should move into, so only a unit-mass conjugate passes its
+    ``upper`` on; the expectation's steps, which take a density to 0, past
+    its box, are not taken. Any other conjugate leaves ``pair_line`` and ``pair_step``
+    None and ``upper`` +inf, and the ascent reads it whole and searches its
+    lines.
     """
 
     __slots__ = ("_conj", "_space", "_wf", "pair_line", "pair_step", "upper")

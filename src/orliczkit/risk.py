@@ -146,7 +146,10 @@ class SeparableConjugate:
         larger side, so no ``df`` overflows it. With ``beta = inf``, ``h``
         is linear and its maximum is the end ``df`` points to, or 0 when
         ``df = 0``. The step does not check the box: an end outside it
-        reads -inf from ``h``.
+        reads -inf from ``h``, and the dual ascent does not take it. The
+        ascent's segments end where a density reaches 0 and, for a unit-mass
+        conjugate, its cap, so only the expectation's steps, whose box is
+        1 +- ``FEAS_TOL``, read -inf there.
         """
         if self.beta == math.inf:
             return hi if df > 0.0 else lo if df < 0.0 else 0.0
