@@ -13,9 +13,9 @@ set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-STEPS=(install tests mutants selftest verify_all verify_seeds verify_bytes
-       verify_4096 script_matches_module script_exit_codes bench_workloads
-       bench_traced)
+STEPS=(install tests mutants work selftest verify_all verify_seeds
+       verify_bytes verify_4096 script_matches_module script_exit_codes
+       bench_workloads bench_traced)
 
 if [ -z "${RUNNER_TEMP:-}" ]; then
   RUNNER_TEMP=$(mktemp -d)
@@ -36,6 +36,16 @@ tests() {
 # The tests catch the recorded source mutations (ci/mutants.py)
 mutants() {
   python ci/mutants.py
+}
+
+# The work ledger: ci/work.py prints the counts in ci/work.json, the same
+# bytes under two hash seeds; any difference fails and is printed
+work() {
+  local hs
+  for hs in 1 2; do
+    PYTHONHASHSEED=$hs PYTHONPATH=src python ci/work.py > "$RUNNER_TEMP/work-$hs.json"
+    diff -u ci/work.json "$RUNNER_TEMP/work-$hs.json"
+  done
 }
 
 # Benchmark self-test

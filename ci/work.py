@@ -1,0 +1,141 @@
+"""Print the work ledger: deterministic work counts of fixed seeded cases.
+
+    PYTHONPATH=src python ci/work.py > counts.json
+    diff ci/work.json counts.json
+
+Each count is a sum of the results' own ``evaluations`` or ``iterations``
+over one group of cases, so it does not depend on the machine. A change
+that moves work on purpose updates ``ci/work.json`` and names each moved
+count. The cases:
+
+* criterion 4's 50 numeric entropic certificates
+  (``tests/test_acceptance.py``);
+* ``verify-all --seed 41``'s numeric certificates, its 64 numeric Fenchel
+  conjugates and its biconjugate check of 12 probes, drawn as
+  ``cli.run_battery`` draws them;
+* numeric entropic and AVaR certificates at n = 16, 64 and 128, three draws
+  of f ~ N(0, 1.5^2) each, with 2 restarts and 10 validation trials;
+* Luxemburg and Amemiya norms of t^2 and of exp_young at N = 1024 and 4096.
+
+Standard library and numpy only, besides the package itself.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+import numpy as np
+
+from orliczkit import (OrliczFunction, Rv, amemiya_norm, average_value_at_risk,
+                       biconjugate_check, conjugate, entropic,
+                       fenchel_conjugate_value, increasing_catalog,
+                       luxemburg_norm, reconstruct, uniform_probability)
+
+PSI2 = conjugate(OrliczFunction.power(2.0))
+
+
+def criterion_4() -> dict[str, int]:
+    rng = np.random.default_rng(1004)
+    total = 0
+    for case in range(50):
+        beta = (0.5, 1.0, 2.0)[case % 3]
+        n = int(rng.integers(3, 9))
+        sp = uniform_probability(n)
+        f = Rv(sp, rng.normal(0.0, 1.5, n))
+        _, cert = reconstruct(entropic(beta, sp), f, PSI2, seed=case,
+                              restarts=2, force_numeric=True,
+                              validation_trials=40)
+        total += cert.evaluations
+    return {"criterion_4.certificates.evaluations": total}
+
+
+def verify_all(seed: int = 41) -> dict[str, int]:
+    sp3, sp4 = uniform_probability(3), uniform_probability(4)
+    catalog = increasing_catalog(sp4, beta=1.0, alpha=0.5)
+    ent3 = entropic(1.0, sp3)
+    counts = {}
+
+    # the certificate rows share one generator; only ent3's are numeric
+    rng = np.random.default_rng([seed, 3])
+    total = 0
+    for phi, draws, scale, numeric in (
+            (entropic(1.0, uniform_probability(6)), 8, 1.5, False),
+            (ent3, 4, 1.5, True), (catalog[3], 1, 1.0, False),
+            (catalog[1], 6, 2.0, False)):
+        for _ in range(draws):
+            f = Rv(phi.space, rng.normal(0.0, scale, phi.space.n_atoms))
+            _, cert = reconstruct(phi, f, PSI2, seed=seed, restarts=2,
+                                  force_numeric=numeric, validation_trials=40)
+            total += cert.evaluations
+    counts["verify_all_41.certificates.evaluations"] = total
+
+    # each member's own maximizers, and each with a negative dip
+    rng = np.random.default_rng([seed, 4])
+    total = 0
+    for phi in catalog:
+        for _ in range(8):
+            g = phi.closed_form_maximizer(Rv(sp4, rng.normal(0.0, 1.5, 4)))
+            dipped = g.values.copy()
+            dipped[int(rng.integers(0, 4))] = -0.5
+            for dual in (Rv(sp4, dipped), g):
+                total += fenchel_conjugate_value(
+                    phi, dual, seed=seed, restarts=2,
+                    force_numeric=True).evaluations
+    counts["verify_all_41.fenchel_conjugates.evaluations"] = total
+
+    rng = np.random.default_rng([seed, 6])
+    probes = [Rv(sp3, rng.normal(0.0, 1.5, 3)) for _ in range(12)]
+    counts["verify_all_41.biconjugate.evaluations"] = biconjugate_check(
+        ent3, probes, seed=seed, restarts=2).evaluations
+
+    # the closing determinism row certifies one more draw twice
+    f = Rv(sp3, rng.normal(0.0, 1.0, 3))
+    counts["verify_all_41.determinism.evaluations"] = sum(
+        reconstruct(ent3, f, PSI2, seed=seed, restarts=2, force_numeric=True,
+                    validation_trials=40)[1].evaluations for _ in range(2))
+    return counts
+
+
+def scale() -> dict[str, int]:
+    counts = {}
+    for name, make in (("entropic", lambda sp: entropic(1.0, sp)),
+                       ("avar", lambda sp: average_value_at_risk(0.5, sp))):
+        for n in (16, 64, 128):
+            sp = uniform_probability(n)
+            phi = make(sp)
+            rng = np.random.default_rng([n, 28])
+            total = 0
+            for draw in range(3):
+                f = Rv(sp, rng.normal(0.0, 1.5, n))
+                _, cert = reconstruct(phi, f, PSI2, seed=draw, restarts=2,
+                                      force_numeric=True,
+                                      validation_trials=10)
+                total += cert.evaluations
+            counts[f"scale.{name}.n{n}.evaluations"] = total
+    return counts
+
+
+def norms() -> dict[str, int]:
+    counts = {}
+    for N in (1024, 4096):
+        sp = uniform_probability(N, truncated=True)
+        f = Rv(sp, np.random.default_rng([N, 28]).normal(0.0, 1.0, N))
+        for label, phi in (("power2", OrliczFunction.power(2.0)),
+                           ("exp_young", OrliczFunction.exp_young())):
+            counts[f"norms.luxemburg.{label}.N{N}.iterations"] = \
+                luxemburg_norm(f, phi).iterations
+            counts[f"norms.amemiya.{label}.N{N}.iterations"] = \
+                amemiya_norm(f, phi).iterations
+    return counts
+
+
+def main() -> int:
+    counts = {**criterion_4(), **verify_all(), **scale(), **norms()}
+    json.dump(counts, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

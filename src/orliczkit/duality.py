@@ -781,10 +781,13 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
 
 @dataclass(frozen=True)
 class BiconjugateReport:
+    """``evaluations`` counts the dual ascents' objective calls and
+    pair-line probes over every probe, as ``DualCertificate`` does."""
     max_deviation: float
     max_split: float
     deviations: tuple[float, ...]
     splits: tuple[float, ...]
+    evaluations: int
 
 
 def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
@@ -806,6 +809,7 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
     conj = _conjugate_fn(phi, seed, max(2, restarts // 2))
     deviations = []
     splits = []
+    evaluations = 0
     for f in probes:
         if not space.same_space(f.space):
             raise SpaceMismatchError("probe lives on a different space")
@@ -817,9 +821,11 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
                              nonneg=True, ceiling=primal)
         deviations.append(abs(free.value - primal))
         splits.append(abs(free.value - cone.value))
+        evaluations += free.evaluations + cone.evaluations
     return BiconjugateReport(
         max_deviation=max(deviations),
         max_split=max(splits),
         deviations=tuple(deviations),
         splits=tuple(splits),
+        evaluations=evaluations,
     )
