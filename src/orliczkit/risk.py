@@ -429,8 +429,12 @@ def validate(phi: RiskFunctional, trials: int = 200, seed: int = 0) -> Validatio
     are drawn as whole matrices and scored in one ``evaluate_rows`` call
     (row by row through ``evaluate`` when the functional has no row kernel).
     Violations are recorded with witnesses from the first violating trial,
-    never raised.
+    never raised. ``trials`` below 1 raise ValueError before any draw: no
+    trial would pass any functional.
     """
+    if trials < 1:
+        raise ValueError(f"validate needs at least one trial, "
+                         f"got trials={trials!r}")
     rng = np.random.default_rng(seed)
     space = phi.space
     n = space.n_atoms

@@ -1381,6 +1381,15 @@ def test_reconstruct_refuses_invalid_functional():
         reconstruct(ctrl, zeros(sp), PSI2)
 
 
+def test_reconstruct_needs_a_validation_trial():
+    # with zero trials the control passed validation, and reconstruct
+    # certified it with gap 1.33 at this f
+    sp = uniform_probability(3)
+    f = Rv(sp, [1.0, -2.0, 0.5])
+    with pytest.raises(ValueError, match="at least one trial"):
+        reconstruct(non_monotone_control(sp), f, PSI2, validation_trials=0)
+
+
 def test_refusals_share_one_type():
     # the CLI maps exactly these to exit 4; the validation failure stays a
     # ValueError as well

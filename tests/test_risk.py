@@ -277,6 +277,15 @@ def test_validate_catches_non_monotone():
     assert report.convex_ok
 
 
+def test_validate_needs_a_trial():
+    # zero trials reported all_ok for the non-increasing control, and -1
+    # failed inside numpy with "negative dimensions"
+    ctrl = non_monotone_control(uniform_probability(3))
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="at least one trial"):
+            validate(ctrl, trials=trials)
+
+
 def test_catalog_members_are_labeled_increasing():
     sp = uniform_probability(3)
     cat = increasing_catalog(sp, beta=2.0, alpha=0.25)
