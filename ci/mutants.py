@@ -34,8 +34,9 @@ BISECTION_PROPERTY = ("tests/test_norms.py::"
                       "test_luxemburg_equals_the_bisection_bit_for_bit")
 SPIKE_PROPERTY = ("tests/test_convergence_matrix.py::"
                   "test_spike_layout_readers_match_a_dense_copy_bit_for_bit")
-PAIR_PROPERTY = ("tests/test_duality.py::"
-                 "test_pair_lines_read_from_two_atoms_match_the_whole_objective")
+SEARCH = "src/orliczkit/_search.py"
+PAIR_ASCENT = ("tests/test_duality.py::"
+               "test_pair_ascent_stops_within_its_bound_of_phi")
 STEP_PROPERTY = ("tests/test_duality.py::"
                  "test_pair_steps_reach_the_line_search_maximum")
 BOX_ONLY_BICONJUGATE = ("tests/test_duality.py::"
@@ -122,23 +123,10 @@ MUTANTS = [
      "                                                 upper=cap + FEAS_TOL),\n",
      ["tests/test_risk.py::test_avar_conjugate_box_rules",
       "tests/test_duality.py::test_avar_ascent_stays_inside_the_cap"]),
-    ("pair lines skip the conjugate's box check",
-     RISK,
-     "            if not (lower <= xi <= upper and lower <= xj <= upper):\n"
-     "                return -math.inf\n",
-     "",
-     [f"{PAIR_PROPERTY}[0]"]),
-    ("pair lines drop the current atoms' terms",
-     RISK,
-     "            di = (xi * log(xi) if xi > 0.0 else 0.0) - ti\n"
-     "            dj = (xj * log(xj) if xj > 0.0 else 0.0) - tj\n",
-     "            di = xi * log(xi) if xi > 0.0 else 0.0\n"
-     "            dj = xj * log(xj) if xj > 0.0 else 0.0\n",
-     [f"{PAIR_PROPERTY}[0]"]),
     ("pair steps are not cut to their segment",
      RISK,
-     "        return min(max(wi * (xi - gi), lo), hi)\n",
-     "        return wi * (xi - gi)\n",
+     "        return min(max(s, lo), hi)\n",
+     "        return s\n",
      [f"{STEP_PROPERTY}[0]"]),
     ("entropic pair steps flip the sign of beta df",
      RISK,
@@ -147,10 +135,12 @@ MUTANTS = [
      [f"{STEP_PROPERTY}[0]",
       "tests/test_duality.py::"
       "test_numeric_entropic_reconstruct_resolves_a_tiny_gibbs_mass"]),
-    ("sign-free separable pair segments run past the box",
+    ("a separable biconjugate takes the generic ascent, whose sign-free "
+     "pair segments run past the box",
      DUALITY,
-     "    nonneg = nonneg or pair_step is not None\n",
-     "",
+     "    if isinstance(conj, SeparableConjugate) and conj.unit_mass:\n",
+     "    if (isinstance(conj, SeparableConjugate) and conj.unit_mass\n"
+     "            and all(signs)):\n",
      [f"{BOX_ONLY_BICONJUGATE}[3-avar]",
       f"{BOX_ONLY_BICONJUGATE}[3-worst_case]",
       f"{BOX_ONLY_BICONJUGATE}[5-avar]",
@@ -159,9 +149,7 @@ MUTANTS = [
      DUALITY,
      "CEILING_TOL = 1e-12\n",
      "CEILING_TOL = 1e-6\n",
-     ["tests/test_duality.py::test_criterion_4_numeric_path_call_budget",
-      "tests/test_duality.py::"
-      "test_numeric_entropic_reconstruct_matches_gibbs_seeded[0]"]),
+     [f"{PAIR_ASCENT}[0]"]),
     ("one restart under a finite ceiling",
      DUALITY,
      "    for r in range(restarts):\n",
@@ -179,14 +167,55 @@ MUTANTS = [
      "    if restarts < 1:\n",
      "    if False:\n",
      ["tests/test_duality.py::test_ascents_need_a_restart"]),
-    ("nonnegative pair segments run past the cap",
+    ("the pair ascent's segments run past the cap",
      DUALITY,
-     "                    if upper < math.inf:\n"
-     "                        lo, hi = _capped_segment(lo, hi, gi, gj, wi, wj,"
-     " upper)\n",
-     "",
+     "            room, held = (upper - gi) * wi, gj * wj\n",
+     "            room, held = math.inf, gj * wj\n",
      ["tests/test_duality.py::"
       "test_numeric_avar_certificates_reach_the_cap[0.5]"]),
+    ("the pair ascent lets an atom at the cap take mass",
+     DUALITY,
+     "                take[k] = uk if g[k] < upper else -math.inf\n",
+     "                take[k] = uk if g[k] <= upper else -math.inf\n",
+     ["tests/test_duality.py::"
+      "test_numeric_avar_certificates_reach_the_cap[0.5]"]),
+    ("the pair ascent stops at a KKT gap 10^6 times wider",
+     DUALITY,
+     "    stop_gap = CEILING_TOL * (1.0 + abs(ceiling))\n",
+     "    stop_gap = 1e6 * CEILING_TOL * (1.0 + abs(ceiling))\n",
+     [f"{PAIR_ASCENT}[0]"]),
+    ("the value of mass drops the entropy term",
+     RISK,
+     "        if self.beta == math.inf:\n"
+     "            return fk\n",
+     "        if True:\n"
+     "            return fk\n",
+     [f"{PAIR_ASCENT}[0]",
+      "tests/test_duality.py::"
+      "test_numeric_entropic_reconstruct_matches_gibbs_seeded[0]"]),
+    ("brent_max cuts a bracket on the wrong side of a probe that does not "
+     "improve",
+     SEARCH,
+     "            if u < x:\n"
+     "                a = u\n",
+     "            if u > x:\n"
+     "                a = u\n",
+     ["tests/test_duality.py::test_line_max_keeps_feasible_band_around_anchor",
+      "tests/test_duality.py::"
+      "test_line_max_endpoints_exact_and_never_below_anchor"]),
+    ("brent_max moves its best point on a tie",
+     SEARCH,
+     "        if fu > fx:\n",
+     "        if fu >= fx:\n",
+     ["tests/test_duality.py::"
+      "test_line_max_keeps_feasible_band_around_anchor"]),
+    ("brent_max stops at a bracket 100 times wider",
+     SEARCH,
+     "    tol = 0.25 * max(width, 1e-15 * (1.0 + abs(lo) + abs(hi)))\n",
+     "    tol = 25.0 * max(width, 1e-15 * (1.0 + abs(lo) + abs(hi)))\n",
+     ["tests/test_duality.py::test_line_max_stops_on_a_certified_plateau",
+      "tests/test_duality.py::"
+      "test_stepped_conjugates_agree_with_the_line_search_path[0]"]),
     ("the entropic coordinate step's A_i keeps atom i's own term",
      RISK,
      "        z[i] = -math.inf\n",

@@ -1,25 +1,22 @@
 """Fenchel conjugation and certified dual representations.
 
-Everything here is derivative-free: conjugates and dual suprema are computed
-by line-search ascent with deterministic multi-starts. Each sweep has three
-kinds of move: single-coordinate lines, mass-preserving pairwise transfers,
-which move along density simplices that single-coordinate steps cannot
-leave, and, from a restart's second sweep on, a pattern move (Hooke &
-Jeeves, 1961): one more line search along the sweep's net move, which
-shortens the slow linear tail of coordinate-wise ascent. When the ascent's
-first sweep finds every coordinate line outside the objective's domain, as
-on the dual of a cash-additive functional, it runs the transfers and the
-pattern move alone. A dual ascent whose primal value phi(f) is known stops
-as soon as it reaches it, since by weak duality no dual value exceeds it.
-When the dual is built on a ``SeparableConjugate``, as every catalog
-member's is, a pair transfer changes two terms of the conjugate's sum, so a
-pair line reads those two atoms in scalar math instead of the whole n-atom
-objective, and its maximum is known in closed form (the analytic
-two-variable step of SMO, Platt 1998): each pair move is one step, read
-once and taken only if it gains, with no line search. Such a conjugate is
-+inf below zero, up to ``FEAS_TOL``, so its pair segments end where a
-density reaches 0 or the conjugate's cap, whatever sign the caller
-allows: the step lands on AVaR's wall g = 1/alpha, or on zero, exactly.
+Conjugates, and the duals of functionals built by hand, are computed
+derivative-free, by line-search ascent with deterministic multi-starts.
+Each sweep has three kinds of move: single-coordinate lines, mass-preserving
+pairwise transfers, which move along density simplices that
+single-coordinate steps cannot leave, and, from a restart's second sweep
+on, a pattern move (Hooke & Jeeves, 1961): one more line search along the
+sweep's net move, which shortens the slow linear tail of coordinate-wise
+ascent. When the ascent's first sweep finds every coordinate line outside
+the objective's domain, as on the dual of a cash-additive functional, it
+runs the transfers and the pattern move alone. A dual ascent whose primal
+value phi(f) is known stops as soon as it reaches it, since by weak duality
+no dual value exceeds it. The dual of a unit-mass ``SeparableConjugate``,
+which every catalog member but the expectation has, takes a pair ascent
+instead: each step moves mass to the atom where it is worth most from one
+where it is worth less (SMO's maximal violating pair; Keerthi, Shevade,
+Bhattacharyya & Murthy 2001) by the analytic two-variable step (Platt
+1998), until those worths agree to ``CEILING_TOL``.
 Divergence of a conjugate (the +inf case) is detected by ray probes before
 any ascent runs, all of them in one ``evaluate_rows`` call when the
 functional has a row kernel. A numeric Fenchel conjugate of a functional
@@ -88,29 +85,6 @@ def _pattern_segment(g: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
-def _capped_segment(lo: float, hi: float, gi: float, gj: float, wi: float,
-                    wj: float, upper: float) -> tuple[float, float]:
-    """The pair segment ``[lo, hi]`` cut to where ``g_i + s / w_i`` and
-    ``g_j - s / w_j`` stay at most ``upper``.
-
-    A cut end is the largest transfer whose computed density does not pass
-    ``upper``, so the wall is a point a pair step lands on, or a probe a
-    line search reads, not one it closes in on. The segment always holds
-    s = 0.
-    """
-    top = (upper - gi) * wi
-    if top < hi:
-        hi = max(top, 0.0)
-        while hi > 0.0 and gi + hi / wi > upper:
-            hi = math.nextafter(hi, 0.0)
-    bottom = (gj - upper) * wj
-    if bottom > lo:
-        lo = min(bottom, 0.0)
-        while lo < 0.0 and gj - lo / wj > upper:
-            lo = math.nextafter(lo, 0.0)
-    return lo, hi
-
-
 def _line_search(h: Callable[[float], float], lo: float, hi: float, t0: float,
                  v: float) -> tuple[tuple[float, float] | None, int]:
     """Brent along a concave ``h`` on ``[lo, hi]`` from ``(t0, v = h(t0))``.
@@ -130,9 +104,9 @@ class AscentResult:
     """Best point over all restarts.
 
     ``sweeps`` belongs to the winning restart (``start_index``);
-    ``evaluations`` counts every objective call and every probe of a pair
-    line read from two atoms, over all restarts; a closed-form pair step is
-    one such probe. A coordinate step adds the values of phi it read.
+    ``evaluations`` counts every objective call over all restarts, and a
+    coordinate step adds the values of phi it read. The pair ascent of a
+    separable dual fills the fields as ``reconstruct`` describes.
     ``stop_reason`` says why the winning restart ended: ``"ceiling"`` (it
     came within ``CEILING_TOL`` of the caller's upper bound, and the call
     skipped every later sweep and restart), ``"flat"`` (a sweep gained at
@@ -147,6 +121,12 @@ class AscentResult:
     stop_reason: str
 
 
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ValueError(f"a dual ascent needs at least one restart, "
+                         f"got restarts={restarts!r}")
+
+
 def maximize_dual(objective: Callable[[np.ndarray], float],
                   space: MeasureSpace,
                   *,
@@ -156,36 +136,23 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                   ceiling: float = math.inf) -> AscentResult:
     """Maximize a concave ``objective`` over coordinate vectors ``g``.
 
-    Move set per sweep, three kinds: single-coordinate line searches
-    (projected to g >= 0 when ``nonneg``), pairwise transfers g_i += s/w_i,
-    g_j -= s/w_j over all pairs i < j, which keep the weighted mass fixed,
-    and the pattern move below. Every line takes its declared step or one
-    search of its whole segment, never both. An objective that carries a
-    ``pair_step`` and a ``pair_line`` (a ``_DualObjective`` of a
-    ``SeparableConjugate``) gives each pair line's maximizer on its segment
-    in closed form, and the line itself from the two atoms it moves: from a
-    point of finite value the pair move reads the line once, at the step,
-    one counted evaluation, and takes it on strict improvement. A step that
-    reads -inf is not taken. From a point of value -inf, and on any other
-    objective, the pair line is read whole at every probe and searched.
-    The conjugate behind such an objective is +inf below its lower end,
-    which is at least -``FEAS_TOL`` for every one the package builds, so
-    its ascent runs as under ``nonneg`` whatever ``nonneg`` says. Under ``nonneg`` a pair
-    segment ends where g_i or g_j reaches 0 and, when the objective carries
-    a finite ``upper``, where either reaches ``upper``; a density that a
-    transfer leaves within 1e-13 below 0 or below ``upper`` is set to that
-    end exactly. With a ``pair_line``, a value that came from a pair line's
-    sums or from before such a snap is read once more from the whole
-    objective, one counted evaluation, before the restart's result is
-    compared or returned, so ``AscentResult.value == objective(g)`` holds
-    bit for bit. Only the coordinate lines are guarded: each first probes
-    its shoulders and is skipped when both are -inf. If the guard skips
-    every one of them in restart 0's first sweep, the objective is read as
-    -inf off the hyperplane of the starting mass, as the dual objective of
-    a cash-additive functional is (its conjugate is +inf off E[g] = 1), and
-    the rest of the call runs the pair transfers and the pattern move only.
-    A wrong reading can only make the ascent weaker, never its answer
-    infeasible.
+    ``reconstruct`` and ``biconjugate_check`` hand it every dual but that of
+    a unit-mass ``SeparableConjugate``: the expectation's, and those of
+    functionals without a closed-form conjugate. Move set per sweep, three
+    kinds: single-coordinate line searches (projected to g >= 0 when
+    ``nonneg``), pairwise transfers g_i += s/w_i, g_j -= s/w_j over all
+    pairs i < j, which keep the weighted mass fixed, and the pattern move
+    below. Every line takes its declared step or one
+    search of its whole segment, never both. Under ``nonneg`` a pair
+    segment ends where g_i or g_j reaches 0, and a density that a transfer
+    leaves within 1e-13 below 0 is set to 0 exactly. Only the coordinate
+    lines are guarded: each first probes its shoulders and is skipped when
+    both are -inf. If the guard skips every one of them in restart 0's
+    first sweep, the objective is read as -inf off the hyperplane of the
+    starting mass, as the dual objective of a cash-additive functional is
+    (its conjugate is +inf off E[g] = 1), and the rest of the call runs the
+    pair transfers and the pattern move only. A wrong reading can only make
+    the ascent weaker, never its answer infeasible.
 
     An objective that carries a ``coord_step`` (a ``_FenchelObjective`` of a
     functional that declares its ``coordinate_step``) has one move only:
@@ -203,8 +170,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     takes the segment's end and the segment grows with |f|.
 
     Objectives are free to return -inf off their domain; moves apply only on
-    strict improvement. Each line search, on coordinate, pattern and
-    searched pair lines alike, runs on its whole segment and stops once its
+    strict improvement. Each line search, on coordinate, pair and pattern
+    lines alike, runs on its whole segment and stops once its
     bracket is as narrow as ``INV_PHI**LINE_STEPS`` times the segment, or on
     a plateau that three of its probes certify (the lines are concave).
 
@@ -236,9 +203,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     expectation's dual is finite at g = 1 only. ``restarts`` below 1 raise
     ValueError before the first objective call.
     """
-    if restarts < 1:
-        raise ValueError(f"maximize_dual needs at least one restart, "
-                         f"got restarts={restarts!r}")
+    _check_restarts(restarts)
     # nan compares false with every value, so a non-finite ceiling never fires
     stop_at = (ceiling - CEILING_TOL * (1.0 + abs(ceiling))
                if math.isfinite(ceiling) else math.nan)
@@ -250,19 +215,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     coord_step = getattr(objective, "coord_step", None)
     pairs = ([] if coord_step is not None else
              [(i, j) for i in range(n) for j in range(i + 1, n)])
-    # a _DualObjective of a SeparableConjugate reads its pair lines from two
-    # atoms and steps to their maxima; any other objective is read whole
-    pair_line = getattr(objective, "pair_line", None)
-    pair_step = getattr(objective, "pair_step", None)
-    upper = getattr(objective, "upper", math.inf)
-    # such a conjugate is +inf below its lower end, -FEAS_TOL or above, so
-    # its segments end at 0 whatever nonneg says
-    nonneg = nonneg or pair_step is not None
     best: AscentResult | None = None
     evals = 0
-    # v came from pair_line's sums, or from before a snap to a segment end,
-    # and is re-read before a result holds it
-    stale = False
     # coordinate lines tried and skipped by the guard; once the guard lets
     # one line through the two never agree again, so only restart 0's first
     # sweep can switch the ascent to transfers only
@@ -270,9 +224,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     transfers_only = False
 
     def at_ceiling():
-        value, extra = (objective(g), 1) if stale else (v, 0)
-        return AscentResult(g=g.copy(), value=value, start_index=r,
-                            sweeps=sweeps, evaluations=evals + extra,
+        return AscentResult(g=g.copy(), value=v, start_index=r,
+                            sweeps=sweeps, evaluations=evals,
                             stop_reason="ceiling")
 
     for r in range(restarts):
@@ -336,7 +289,6 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     evals += ev
                     if step:
                         g[i], v = step
-                        stale = False
                         if v >= stop_at:
                             return at_ceiling()
                 transfers_only = coord_step is None and skipped == tried
@@ -346,43 +298,31 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                 gi, gj = float(g[i]), float(g[j])
                 if nonneg:
                     lo, hi = -gi * wi, gj * wj
-                    if upper < math.inf:
-                        lo, hi = _capped_segment(lo, hi, gi, gj, wi, wj, upper)
                 else:
                     s_span = 1.0 + float(np.dot(w, np.abs(g)))
                     lo, hi = -s_span, s_span
                 if hi - lo <= 1e-300:
                     continue
 
-                if pair_step is not None and v > -math.inf:
-                    s = pair_step(g, i, j, lo, hi)
-                    val = pair_line(g, i, j, v)(s)
-                    evals += 1
-                    step = (s, val) if val > v else None
-                else:
-                    def h(s, i=i, j=j, wi=wi, wj=wj, gi=gi, gj=gj):
-                        g[i] = gi + s / wi
-                        g[j] = gj - s / wj
-                        val = objective(g)
-                        g[i], g[j] = gi, gj
-                        return val
+                def h(s, i=i, j=j, wi=wi, wj=wj, gi=gi, gj=gj):
+                    g[i] = gi + s / wi
+                    g[j] = gj - s / wj
+                    val = objective(g)
+                    g[i], g[j] = gi, gj
+                    return val
 
-                    step, ev = _line_search(h, lo, hi, 0.0, v)
-                    evals += ev
+                step, ev = _line_search(h, lo, hi, 0.0, v)
+                evals += ev
                 if step:
                     s, v = step
-                    stale = pair_line is not None
                     g[i] = gi + s / wi
                     g[j] = gj - s / wj
                     if nonneg:
-                        # transfers that land on a segment end should sit on
-                        # it exactly: on zero, not a rounding error below it,
-                        # and on the cap
+                        # transfers that land on zero should sit on it
+                        # exactly, not a rounding error below it
                         for a in (i, j):
                             if -1e-13 < g[a] < 0.0:
                                 g[a] = 0.0
-                            elif upper - 1e-13 < g[a] < upper:
-                                g[a] = upper
                     if v >= stop_at:
                         return at_ceiling()
 
@@ -395,7 +335,6 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                     evals += ev
                     if step:
                         t, v = step
-                        stale = pair_line is not None
                         kept = g >= 0.0
                         g += t * d
                         # the segment ends where a coordinate reaches zero;
@@ -410,10 +349,6 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                 break
         else:
             reason = "sweep_cap"
-        if stale:
-            v = objective(g)
-            evals += 1
-            stale = False
         if best is None or v > best.value:
             best = AscentResult(g=g.copy(), value=v, start_index=r,
                                 sweeps=sweeps, evaluations=0,
@@ -627,12 +562,11 @@ class _ValidationRefusal(Refusal, ValueError):
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """``evaluations`` counts the dual ascent's objective calls and
-    pair-line probes, 0 with a closed-form maximizer; each call costs one
-    conjugate value, each probe two atoms' terms of it, and a pair step is
-    one probe.
-    ``stop_reason`` is the ascent's ``AscentResult.stop_reason``, or
-    ``"closed_form"`` with a closed-form maximizer."""
+    """``start_index``, ``sweeps``, ``evaluations`` and ``stop_reason``
+    are the dual ascent's (``AscentResult``; ``reconstruct`` says what they
+    mean on the pair ascent), or None, 0, 0 and ``"closed_form"`` with a
+    closed-form maximizer. ``evaluations`` counts objective calls, each one
+    conjugate value, and pair steps, each two atoms' scalar math."""
     g: Rv
     conjugate_value: float
     achieved: float
@@ -660,41 +594,15 @@ def _conjugate_fn(phi: RiskFunctional, seed: int,
 
 class _DualObjective:
     """``garr -> <f, garr> - conj(garr)`` for f with values ``fv``; -inf
-    where ``conj`` is +inf.
+    where ``conj`` is +inf."""
 
-    With a ``SeparableConjugate``, ``pair_line(g, i, j, v)`` is the
-    objective along the transfer ``g_i += s / w_i``, ``g_j -= s / w_j`` from
-    a point g of finite value v, read from those two atoms
-    (``SeparableConjugate.pair_line``), ``pair_step(g, i, j, lo, hi)`` is
-    the transfer in ``[lo, hi]`` that maximizes it
-    (``SeparableConjugate.pair_step``), and ``upper`` is the density cap a
-    pair segment ends at. ``maximize_dual`` ends such a segment at 0 too,
-    whatever its ``nonneg``, since the conjugate is +inf below its lower
-    end. The expectation's box is ``FEAS_TOL`` of slack around g = 1, which
-    no step should move into, so only a unit-mass conjugate passes its
-    ``upper`` on; the expectation's steps, which take a density to 0, past
-    its box, are not taken. Any other conjugate leaves ``pair_line`` and ``pair_step``
-    None and ``upper`` +inf, and the ascent reads it whole and searches its
-    lines.
-    """
-
-    __slots__ = ("_conj", "_space", "_wf", "pair_line", "pair_step", "upper")
+    __slots__ = ("_conj", "_space", "_wf")
 
     def __init__(self, conj: Callable[[Rv], float], space: MeasureSpace,
                  fv: np.ndarray):
         self._conj = conj
         self._space = space
         self._wf = space.weights * fv
-        self.pair_line = self.pair_step = None
-        self.upper = math.inf
-        if isinstance(conj, SeparableConjugate):
-            f = np.asarray(fv, dtype=float).tolist()
-            self.pair_line = (lambda g, i, j, v:
-                              conj.pair_line(g, i, j, f[i] - f[j], v))
-            self.pair_step = (lambda g, i, j, lo, hi:
-                              conj.pair_step(g, i, j, f[i] - f[j], lo, hi))
-            if conj.unit_mass:
-                self.upper = conj.upper
 
     def __call__(self, garr: np.ndarray) -> float:
         cv = self._conj(Rv._wrap(self._space, garr))
@@ -703,8 +611,93 @@ class _DualObjective:
         return float(np.dot(self._wf, garr)) - cv
 
 
-# reconstruct, biconjugate_check and the tests build objectives by this name
-_dual_objective = _DualObjective
+def _pair_ascent(conj: SeparableConjugate, space: MeasureSpace,
+                 fv: np.ndarray, ceiling: float) -> AscentResult:
+    """Maximize ``<f, g> - conj(g)`` for a unit-mass ``conj``, whose
+    supremum ``ceiling`` = phi(f) bounds, by maximal-violating-pair steps.
+
+    From g = 1 / total mass, each step takes i, the atom below the cap
+    where mass is worth most (u, ``conj.marginal``), and a giver j above 0
+    where it is worth less, and moves the best transfer
+    (``conj.pair_step``) from j to i while both stay in [0, cap]. With
+    ``beta = inf`` j is where mass is worth least, the maximal violating
+    pair (Keerthi, Shevade, Bhattacharyya & Murthy 2001); with an entropy
+    term it is the giver whose Newton step on the pair gains most (Fan,
+    Chen & Lin 2005). A taker whose step moves nothing takes no more until
+    it moves. The ascent stops once mass is worth at most ``CEILING_TOL *
+    (1 + |ceiling|)`` more at i than at any atom above 0, which bounds the
+    supremum less the value at g (concavity, unit mass), or after
+    ``SWEEP_CAP`` times n steps, and reads its value once.
+    """
+    n = space.n_atoms
+    w = space.weights
+    upper = conj.upper
+    stop_gap = CEILING_TOL * (1.0 + abs(ceiling))
+    g = np.full(n, 1.0 / float(space.total_mass))
+    f = fv.tolist()
+    # u where an atom can give mass (above 0, as all do at the start) and
+    # where it can take it (below the cap)
+    give = np.array([conj.marginal(fk, gk) for fk, gk in zip(f, g.tolist())])
+    take = np.where(g < upper, give, -math.inf)
+    steps = 0
+    reason = "flat"
+    # a giver's gain below is inf * 0 = nan where g = 0, and never picked
+    with np.errstate(invalid="ignore"):
+        while True:
+            i, j = int(take.argmax()), int(give.argmin())
+            ui = float(take[i])
+            if not ui - give[j] > stop_gap:
+                break
+            if steps == SWEEP_CAP * n:
+                reason = "sweep_cap"
+                break
+            if conj.beta < math.inf and g[i] > 0.0:
+                # by u alone, an atom of little mass can be picked again and
+                # again, its transfers below a heavy atom's last digit; its
+                # Newton gain, (u_i - u_k)^2 / (1 / m_i + 1 / m_k) for the
+                # masses m = w g, is small
+                m = w * g
+                j = int(np.where(give < ui - stop_gap,
+                                 (ui - give) ** 2 * m / (m[i] + m),
+                                 -1.0).argmax())
+            wi, wj = float(w[i]), float(w[j])
+            gi, gj = float(g[i]), float(g[j])
+            # u_i > u_j: mass moves from j to i, until g_i reaches the cap
+            # or g_j reaches 0, and a step to either end lands on it
+            room, held = (upper - gi) * wi, gj * wj
+            s = conj.pair_step(g, i, j, f[i] - f[j], 0.0, min(room, held))
+            steps += 1
+            g[i] = upper if s == room else gi + s / wi
+            g[j] = max(gj - s / wj, 0.0) if s < held else 0.0
+            if g[i] == gi and g[j] == gj:
+                # below both densities' last digits, as where i's share
+                # underflows
+                take[i] = -math.inf
+                continue
+            for k in (i, j):
+                uk = conj.marginal(f[k], float(g[k]))
+                take[k] = uk if g[k] < upper else -math.inf
+                give[k] = uk if g[k] > 0.0 else math.inf
+    value = _DualObjective(conj, space, fv)(g)
+    return AscentResult(g=g, value=value, start_index=0,
+                        sweeps=-(-steps // n), evaluations=steps + 1,
+                        stop_reason=("ceiling" if value >= ceiling - stop_gap
+                                     else reason))
+
+
+def _dual_ascents(conj: Callable[[Rv], float], space: MeasureSpace,
+                  fv: np.ndarray, ceiling: float, seed: int, restarts: int,
+                  signs: Sequence[bool]) -> list[AscentResult]:
+    """The suprema of ``<f, g> - conj(g)`` below ``ceiling``: one
+    ``maximize_dual`` ascent per ``nonneg`` in ``signs``, or, for a
+    unit-mass ``SeparableConjugate``, which is +inf below zero, one pair
+    ascent for all of them. ``restarts`` below 1 raise ValueError."""
+    _check_restarts(restarts)
+    if isinstance(conj, SeparableConjugate) and conj.unit_mass:
+        return [_pair_ascent(conj, space, fv, ceiling)]
+    obj = _DualObjective(conj, space, fv)
+    return [maximize_dual(obj, space, seed=seed, restarts=restarts,
+                          nonneg=nonneg, ceiling=ceiling) for nonneg in signs]
 
 
 def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
@@ -716,12 +709,20 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     must inhabit; it must be finite everywhere (equivalently, the primal
     Young function grows superlinearly), else the representation hypothesis
     fails and a SlopeConditionError is raised. The functional must pass
-    ``validate`` (convex, increasing, proper). With a declared closed-form
-    maximizer the certificate is exact; otherwise ``maximize_dual`` searches
-    over g >= 0 from deterministic multi-starts, with phi(f) as its
-    ``ceiling``: phi(f) bounds every dual value (weak duality), so the
-    search stops as soon as it comes within ``CEILING_TOL * (1 + |phi(f)|)``
-    of it. ``maximize_dual`` describes the moves and the stop rules.
+    ``validate`` (convex, increasing, proper) in ``validation_trials``
+    trials, at least one. With a declared closed-form maximizer the
+    certificate is exact. Otherwise phi(f), which bounds every dual value
+    (weak duality), is the ascent's ``ceiling``; ``restarts`` below 1 raise
+    ValueError. The dual of a unit-mass ``SeparableConjugate`` (entropic,
+    AVaR, worst case) takes the pair ascent (``_pair_ascent``): from the
+    constant density 1 / total mass, pair steps until no two values of
+    mass differ by more than ``CEILING_TOL * (1 + |phi(f)|)``. It reads no
+    ``seed`` and runs no restart; its certificate reports ``start_index``
+    0, ``sweeps`` as its pair steps over n rounded up, ``evaluations`` as
+    its pair steps plus the one objective call that reads its value, and
+    ``stop_reason`` ``"ceiling"`` when that value is that close to phi(f).
+    Any other dual goes to ``maximize_dual``, over g >= 0 from
+    deterministic multi-starts, which stops as soon as it comes that close.
     Returns (dual value, certificate); certificate.gap = phi(f) - dual value.
     """
     space = phi.space
@@ -749,9 +750,8 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
         start_index, sweeps, evaluations = None, 0, 0
         stop_reason = "closed_form"
     else:
-        res = maximize_dual(_dual_objective(conj, space, f.values), space,
-                            seed=seed, restarts=restarts, nonneg=True,
-                            ceiling=primal)
+        res, = _dual_ascents(conj, space, f.values, primal, seed, restarts,
+                             (True,))
         g = Rv(space, res.g)
         start_index, sweeps = res.start_index, res.sweeps
         evaluations, stop_reason = res.evaluations, res.stop_reason
@@ -781,8 +781,8 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
 
 @dataclass(frozen=True)
 class BiconjugateReport:
-    """``evaluations`` counts the dual ascents' objective calls and
-    pair-line probes over every probe, as ``DualCertificate`` does."""
+    """``evaluations`` counts the dual ascents' objective calls and pair
+    steps over every probe, as ``DualCertificate`` does."""
     max_deviation: float
     max_split: float
     deviations: tuple[float, ...]
@@ -800,7 +800,11 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
     optimal dual variable is nonnegative. ``max_deviation`` compares the
     sign-free supremum against phi itself. phi** <= phi bounds both suprema,
     so phi(f), computed once per probe, is the ``ceiling`` of both ascents.
-    An empty probe list raises ValueError.
+    A unit-mass ``SeparableConjugate`` is +inf below zero, so its two
+    suprema are one problem: the pair ascent (``reconstruct``) runs once per
+    probe, and its split is 0. Any other conjugate takes two
+    ``maximize_dual`` ascents. An empty probe list, or ``restarts`` below 1,
+    raises ValueError.
     """
     if not probes:
         raise ValueError("empty probe list: biconjugate_check needs at least "
@@ -813,15 +817,13 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
     for f in probes:
         if not space.same_space(f.space):
             raise SpaceMismatchError("probe lives on a different space")
-        obj = _dual_objective(conj, space, f.values)
         primal = phi.evaluate(f)
-        free = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                             nonneg=False, ceiling=primal)
-        cone = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                             nonneg=True, ceiling=primal)
+        runs = _dual_ascents(conj, space, f.values, primal, seed, restarts,
+                             (False, True))
+        free, cone = runs[0], runs[-1]
+        evaluations += sum(run.evaluations for run in runs)
         deviations.append(abs(free.value - primal))
         splits.append(abs(free.value - cone.value))
-        evaluations += free.evaluations + cone.evaluations
     return BiconjugateReport(
         max_deviation=max(deviations),
         max_split=max(splits),

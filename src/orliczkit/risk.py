@@ -8,9 +8,10 @@ Every catalog conjugate is one ``SeparableConjugate``: a sum over atoms,
 ``E[g log g] / beta`` or zero, on a box of densities, under a unit mass for
 the cash-additive members. It takes a candidate density ``g`` and returns
 the conjugate value, ``+inf`` off the effective domain, and it gives the
-dual objective along a mass-preserving pair transfer from two atoms' terms
-(``pair_line``) and that line's maximizer in closed form (``pair_step``),
-which the dual ascent uses for its pair moves.
+dual objective's value of mass at an atom (``marginal``) and the best
+mass-preserving transfer between two atoms in closed form (``pair_step``):
+the dual ascent of a unit-mass conjugate picks each pair by the first and
+moves mass by the second.
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ class SeparableConjugate:
     upper]`` and, if ``unit_mass``, ``E[g] = 1`` within ``FEAS_TOL``;
     ``+inf`` elsewhere. ``0 log 0 = 0``, and entries of ``g`` at or below
     zero add nothing; ``beta = inf`` drops the sum, which leaves the
-    indicator of the box. A call takes a candidate density ``Rv``;
-    ``pair_line`` and ``pair_step`` give the dual objective along a pair
-    transfer and its maximizer there, which the dual ascent takes in place
-    of a line search.
+    indicator of the box. A call takes a candidate density ``Rv``. For the
+    dual objective ``<f, g> - phi*(g)``, ``marginal`` gives the value of
+    mass at an atom and ``pair_step`` the best transfer of mass between
+    two atoms; the dual ascent of a unit-mass conjugate moves mass to the
+    atom where it is worth most (``duality``).
     """
 
     __slots__ = ("weights", "beta", "lower", "upper", "unit_mass", "_w")
@@ -102,64 +104,47 @@ class SeparableConjugate:
         pos = gv > 0.0
         return float(np.dot(w[pos], gv[pos] * np.log(gv[pos]))) / self.beta
 
-    def pair_line(self, g: np.ndarray, i: int, j: int, df: float,
-                  v: float) -> Callable[[float], float]:
-        """The dual objective ``<f, g> - phi*(g)`` along the transfer
-        ``x_i = g_i + s / w_i``, ``x_j = g_j - s / w_j``, from its finite
-        value ``v`` at ``g``, where ``df = f_i - f_j``.
-
-        ``h(s) = v + s df - (w_i (x_i log x_i - g_i log g_i) + w_j (x_j log
-        x_j - g_j log g_j)) / beta``, and ``-inf`` where ``x_i`` or ``x_j``
-        leaves the box. The transfer keeps ``E[g]``, and the other atoms'
-        terms do not change, so ``h`` reads two atoms in scalar math; it
-        agrees with the whole objective up to rounding, and ``h(0) == v``.
+    def marginal(self, fk: float, gk: float) -> float:
+        """The value of mass at an atom of outcome ``fk`` and density
+        ``gk`` for the dual objective ``<f, g> - phi*(g)`` on the box: ``u =
+        fk - (log gk + 1) / beta``, its derivative in ``gk`` over the atom's
+        weight, or ``fk`` when ``beta = inf``; ``+inf`` where ``gk = 0`` and
+        ``beta`` is finite.
         """
-        wi, wj = self._w[i], self._w[j]
-        gi, gj = float(g[i]), float(g[j])
-        lower, upper, beta = self.lower, self.upper, self.beta
-        entropy = beta < math.inf
-        log = math.log
-        ti = gi * log(gi) if entropy and gi > 0.0 else 0.0
-        tj = gj * log(gj) if entropy and gj > 0.0 else 0.0
-
-        def h(s: float) -> float:
-            xi = gi + s / wi
-            xj = gj - s / wj
-            if not (lower <= xi <= upper and lower <= xj <= upper):
-                return -math.inf
-            if not entropy:
-                return v + s * df
-            di = (xi * log(xi) if xi > 0.0 else 0.0) - ti
-            dj = (xj * log(xj) if xj > 0.0 else 0.0) - tj
-            return v + s * df - (wi * di + wj * dj) / beta
-        return h
+        if self.beta == math.inf:
+            return fk
+        return fk - (math.log(gk) + 1.0) / self.beta if gk > 0.0 else math.inf
 
     def pair_step(self, g: np.ndarray, i: int, j: int, df: float, lo: float,
                   hi: float) -> float:
-        """The transfer ``s`` that maximizes ``pair_line``'s ``h``, cut to
-        ``[lo, hi]``, where ``df = f_i - f_j``.
+        """The transfer ``s`` in ``[lo, hi]`` that maximizes the dual
+        objective ``h(s)`` along ``x_i = g_i + s / w_i``, ``x_j = g_j - s /
+        w_j``, where ``df = f_i - f_j``. The transfer keeps ``E[g]``.
 
         With ``beta`` finite, ``h`` is concave, and its maximum solves
         ``x_i / x_j = exp(beta df)`` at the fixed mass ``m = w_i g_i + w_j
         g_j``: ``x_i = m e^{beta f_i} / (w_i e^{beta f_i} + w_j e^{beta
-        f_j})`` and ``s = w_i (x_i - g_i)``. The exponent is shifted by its
-        larger side, so no ``df`` overflows it. With ``beta = inf``, ``h``
-        is linear and its maximum is the end ``df`` points to, or 0 when
-        ``df = 0``. The step does not check the box: an end outside it
-        reads -inf from ``h``, and the dual ascent does not take it. The
-        ascent's segments end where a density reaches 0 and, for a unit-mass
-        conjugate, its cap, so only the expectation's steps, whose box is
-        1 +- ``FEAS_TOL``, read -inf there.
+        f_j})``, likewise ``x_j``, and ``s = w_i (x_i - g_i) = w_j (g_j -
+        x_j)``, read on the side that ends with less mass. The exponent is
+        shifted by its larger side, so no ``df`` overflows it. With ``beta =
+        inf``, ``h`` is linear and its maximum is the end ``df`` points to,
+        or 0 when ``df = 0``. The step does not check the box; the dual
+        ascent's segments end where a density reaches 0 or the cap.
         """
         if self.beta == math.inf:
             return hi if df > 0.0 else lo if df < 0.0 else 0.0
         wi, wj = self._w[i], self._w[j]
-        gi = float(g[i])
+        gi, gj = float(g[i]), float(g[j])
         z = self.beta * df
         e = math.exp(-abs(z))
-        m = wi * gi + wj * float(g[j])
-        xi = m / (wi + wj * e) if z >= 0.0 else m * e / (wi * e + wj)
-        return min(max(wi * (xi - gi), lo), hi)
+        # x_i = c a_i and x_j = c a_j
+        ai, aj = (1.0, e) if z >= 0.0 else (e, 1.0)
+        c = (wi * gi + wj * gj) / (wi * ai + wj * aj)
+        # read from the side that ends with less mass, whose density keeps
+        # its relative precision: a heavy side's change can fall below its
+        # last digit
+        s = wi * (c * ai - gi) if wi * ai <= wj * aj else wj * (gj - c * aj)
+        return min(max(s, lo), hi)
 
 
 def _kink_step(w: np.ndarray, rows: Callable[[np.ndarray], np.ndarray],
