@@ -15,7 +15,10 @@ count. The cases:
   ``cli.run_battery`` draws them;
 * numeric entropic and AVaR certificates at n = 16, 64 and 128, three draws
   of f ~ N(0, 1.5^2) each, with 2 restarts and 10 validation trials;
-* Luxemburg and Amemiya norms of t^2 and of exp_young at N = 1024 and 4096.
+* Luxemburg and Amemiya norms of t^2 and of exp_young at N = 1024 and 4096;
+* Luxemburg and Amemiya norms of two Young tables at N = 256 atoms of total
+  mass 1/8, with 1 <= |f| <= 1.25 as in the benchmark's session: the table
+  ``0,0 1,1 2,4`` (tail t^2) and ``0,0 1,0.5 2,1.5 4,4`` (tail t^1.415...).
 
 Standard library and numpy only, besides the package itself.
 """
@@ -23,14 +26,17 @@ Standard library and numpy only, besides the package itself.
 from __future__ import annotations
 
 import json
+import os
 import sys
+import tempfile
 
 import numpy as np
 
-from orliczkit import (OrliczFunction, Rv, amemiya_norm, average_value_at_risk,
-                       biconjugate_check, conjugate, entropic,
-                       fenchel_conjugate_value, increasing_catalog,
-                       luxemburg_norm, reconstruct, uniform_probability)
+from orliczkit import (MeasureSpace, OrliczFunction, Rv, amemiya_norm,
+                       average_value_at_risk, biconjugate_check, conjugate,
+                       entropic, fenchel_conjugate_value, increasing_catalog,
+                       load_custom_table, luxemburg_norm, reconstruct,
+                       uniform_probability)
 
 PSI2 = conjugate(OrliczFunction.power(2.0))
 
@@ -130,8 +136,32 @@ def norms() -> dict[str, int]:
     return counts
 
 
+TABLES = (("square_tail", "t,value\n0,0\n1,1\n2,4\n"),
+          ("fractional_tail", "t,value\n0,0\n1,0.5\n2,1.5\n4,4\n"))
+
+
+def tables() -> dict[str, int]:
+    N = 256
+    sp = MeasureSpace.finite(np.full(N, 0.125 / N))
+    rng = np.random.default_rng([N, 29])
+    f = Rv(sp, rng.choice([-1.0, 1.0], N) * rng.uniform(1.0, 1.25, N))
+    counts = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, text in TABLES:
+            path = os.path.join(tmp, f"{label}.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            phi = load_custom_table(path)
+            counts[f"norms.luxemburg.table_{label}.N{N}.iterations"] = \
+                luxemburg_norm(f, phi).iterations
+            counts[f"norms.amemiya.table_{label}.N{N}.iterations"] = \
+                amemiya_norm(f, phi).iterations
+    return counts
+
+
 def main() -> int:
-    counts = {**criterion_4(), **verify_all(), **scale(), **norms()}
+    counts = {**criterion_4(), **verify_all(), **scale(), **norms(),
+              **tables()}
     json.dump(counts, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
