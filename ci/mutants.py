@@ -45,6 +45,12 @@ COORD_STEP_PROPERTY = ("tests/test_duality.py::"
                        "test_coordinate_steps_reach_the_line_search_maximum")
 TABLE_PROPERTY = ("tests/test_specs_io.py::"
                   "test_convex_tables_load_convex_with_exact_conjugates")
+ORLICZ = "src/orliczkit/orlicz.py"
+TABLE_KERNEL_PROPERTY = ("tests/test_specs_io.py::"
+                         "test_table_kernels_match_scalar_calls_bit_for_bit")
+TABLE_CONJUGATE_PROPERTY = ("tests/test_specs_io.py::"
+                            "test_table_conjugate_is_the_exact_legendre_"
+                            "transform")
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -251,19 +257,34 @@ MUTANTS = [
       "tests/test_convergence_matrix.py::"
       "test_fatou_on_a_spike_layout_matches_a_dense_copy_bit_for_bit[2]"]),
     ("tables interpolate log-linearly between positive knots",
-     SPECS,
-     "        return y0 + (t - t0) / (t1 - t0) * (y1 - y0)\n",
-     "        if y0 > 0.0 and y1 > 0.0:\n"
-     "            return y0 * (y1 / y0) ** ((t - t0) / (t1 - t0))\n"
-     "        return y0 + (t - t0) / (t1 - t0) * (y1 - y0)\n",
+     ORLICZ,
+     "    out = knots.ys[i] + (inside - knots.ts[i]) / knots.dt[i] * knots.dy[i]\n",
+     "    y0, y1 = knots.ys[i], knots.ys[i + 1]\n"
+     "    frac = (inside - knots.ts[i]) / knots.dt[i]\n"
+     "    with np.errstate(all='ignore'):\n"
+     "        out = np.where((y0 > 0.0) & (y1 > 0.0), y0 * (y1 / y0) ** frac,\n"
+     "                       y0 + frac * knots.dy[i])\n",
      ["tests/test_specs_io.py::test_custom_table_knots_and_interpolation",
-      f"{TABLE_PROPERTY}[0]"]),
+      f"{TABLE_PROPERTY}[0]", f"{TABLE_KERNEL_PROPERTY}[0-plain]"]),
     ("tables whose chord slopes fall are accepted",
      SPECS,
-     "    if np.any(np.diff(slopes) < -1e-9 * np.maximum(1.0, slopes[:-1])):\n",
+     "    if np.any(np.diff(slopes)\n"
+     "           < -TABLE_SLOPE_TOL * np.maximum(1.0, slopes[:-1])):\n",
      "    if False:\n",
      ["tests/test_specs_io.py::"
       "test_custom_table_rejects[t,value\\n0,0\\n1,1\\n2,1.5\\n]"]),
+    ("the table kernel's knot index is one too high",
+     ORLICZ,
+     "    i = np.searchsorted(knots.ts, inside, side=\"right\") - 1\n",
+     "    i = np.searchsorted(knots.ts, inside, side=\"right\")\n",
+     [f"{TABLE_KERNEL_PROPERTY}[0-plain]",
+      f"{TABLE_KERNEL_PROPERTY}[0-flat]"]),
+    ("the table conjugate drops its tail branch",
+     ORLICZ,
+     "    out[tail] = at_wall\n",
+     "",
+     [f"{TABLE_CONJUGATE_PROPERTY}[0-plain]",
+      f"{TABLE_CONJUGATE_PROPERTY}[0-horizon]"]),
 ]
 
 

@@ -10,7 +10,15 @@ zero, is not identically zero and may take the value ``+inf`` (modelled by
 * ``exp_young()``        -- exp(t) - t - 1
 * ``exp_young_conjugate()`` -- (1+s) log(1+s) - s, the conjugate of exp_young
 * ``linf_step()``        -- 0 on [0, 1], +inf beyond (sup-norm geometry)
+* ``table(ts, ys, ...)`` -- convex knots joined linearly, a power-law or
+  linear tail and an optional horizon (``custom:file=`` tables load as one)
+* the ``table_conjugate`` kind -- a table's exact Young conjugate, made by
+  ``conjugate``
 * ``custom(...)``        -- user evaluator with a declared finiteness horizon
+
+A table and its conjugate share one numpy kernel each for scalars and
+arrays, and answer ``conjugate``, ``check_delta2`` and ``limit_slope`` in
+closed form; only ``custom`` Python callables are probed.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ LINEAR = "linear"
 EXP_YOUNG = "exp_young"
 EXP_YOUNG_CONJUGATE = "exp_young_conjugate"
 LINF_STEP = "linf_step"
+TABLE = "table"
+TABLE_CONJUGATE = "table_conjugate"
 CUSTOM = "custom"
 
 HOLDS = "holds"
@@ -58,14 +68,55 @@ _EXP_YOUNG_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(2, 6))
 _EXP_YOUNG_CONJUGATE_TAYLOR = tuple((-1.0) ** k / (k * (k - 1))
                                     for k in range(2, 8))
 
+#: Tables are convex to this tolerance: ``specs.load_custom_table`` refuses
+#: a chord slope that falls by more than it times max(1, slope), and
+#: ``OrliczFunction.table`` reads a tail exponent within it of 1 as 1, so
+#: that knots on a line through 0 up to rounding grow linearly.
+TABLE_SLOPE_TOL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class Knots:
+    """The shape of a table Young function Phi, shared by its conjugate.
+
+    Knots ``0 = ts[0] < ... < ts[m]`` (m >= 1) with ``ys[0] = 0``, joined
+    linearly. Beyond the last knot (t_m, y_m) the tail is
+    ``y_m (t / t_m)**gamma`` when ``gamma`` is set, else
+    ``y_m + slope (t - t_m)``; ``slope`` is the tail's slope at t_m either
+    way (``gamma y_m / t_m`` for the power law). Phi is +inf beyond
+    ``horizon``. ``dt`` and ``dy`` are the knots' differences.
+    """
+
+    ts: np.ndarray
+    ys: np.ndarray
+    dt: np.ndarray
+    dy: np.ndarray
+    gamma: float | None
+    slope: float
+    horizon: float
+
+    @property
+    def superlinear(self) -> bool:
+        """Is the tail a power t**gamma with gamma > 1?"""
+        return self.gamma is not None and self.gamma > 1.0
+
+    @property
+    def wall_slope(self) -> float:
+        """The tail's slope at the horizon, +inf for a power law without
+        one; past it the conjugate is the line ``s h - Phi(h)``."""
+        if self.superlinear:
+            stretch = self.horizon / self.ts[-1]
+            return self.slope * stretch**(self.gamma - 1.0)
+        return self.slope
+
 
 @dataclass(frozen=True, eq=False)
 class OrliczFunction:
-    """A member of the catalog above, or a custom evaluator.
+    """A member of the catalog above, a table, or a custom evaluator.
 
     ``horizon`` is the finiteness horizon: the function is finite on
     ``[0, horizon]`` (left continuity pins the value at the horizon) and
-    ``+inf`` strictly beyond it.
+    ``+inf`` strictly beyond it. The table kinds carry their ``knots``.
     """
 
     kind: str
@@ -74,6 +125,7 @@ class OrliczFunction:
     evaluator: Callable[[float], float] | None = None
     horizon: float = math.inf
     label: str = ""
+    knots: Knots | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -120,6 +172,39 @@ class OrliczFunction:
         return OrliczFunction(LINF_STEP, horizon=1.0, label="linf_step")
 
     @staticmethod
+    def table(ts, ys, horizon: float = math.inf,
+              label: str = "table") -> "OrliczFunction":
+        """The Young function through the knots ``(ts[i], ys[i])``.
+
+        The caller checks the knots (``specs.load_custom_table`` does): at
+        least two, starting at ``0, 0``, strictly increasing ``ts``, finite
+        nondecreasing ``ys`` with chord slopes that never fall, not all zero
+        unless ``horizon`` is finite, and ``horizon >= ts[-1]``. The
+        function is linear between knots. Beyond the last knot it continues
+        the trend of the last two knots as the power law
+        ``y_m (t / t_m)**gamma`` with ``gamma = log(y_m / y_{m-1}) /
+        log(t_m / t_{m-1})``, which keeps it convex; a ``gamma`` that
+        exceeds 1 by ``TABLE_SLOPE_TOL`` or less is read as 1. When
+        ``y_{m-1} = 0`` the last chord goes on as a line. It is +inf
+        strictly beyond ``horizon``.
+        """
+        ts = np.array(ts, dtype=float)
+        ys = np.array(ys, dtype=float)
+        dt, dy = np.diff(ts), np.diff(ys)
+        t_last, y_last = float(ts[-1]), float(ys[-1])
+        t_prev, y_prev = float(ts[-2]), float(ys[-2])
+        if y_prev > 0.0:  # so t_prev > 0 and y_last > 0
+            gamma = math.log(y_last / y_prev) / math.log(t_last / t_prev)
+            if gamma <= 1.0 + TABLE_SLOPE_TOL:
+                gamma = 1.0
+            slope = gamma * y_last / t_last
+        else:
+            gamma, slope = None, float(dy[-1] / dt[-1])
+        knots = Knots(ts, ys, dt, dy, gamma, slope, float(horizon))
+        return OrliczFunction(TABLE, horizon=float(horizon), label=label,
+                              knots=knots)
+
+    @staticmethod
     def custom(
         evaluator: Callable[[float], float],
         horizon: float = math.inf,
@@ -160,6 +245,9 @@ class OrliczFunction:
             return (1.0 + t) * math.log1p(t) - t
         if k == LINF_STEP:
             return 0.0 if t <= 1.0 else math.inf
+        if k in (TABLE, TABLE_CONJUGATE):
+            with np.errstate(over="ignore"):
+                return float(self._values(np.array([t], dtype=float))[0])
         return self.evaluator(t)
 
     def values(self, ts: np.ndarray) -> np.ndarray:
@@ -196,6 +284,10 @@ class OrliczFunction:
                                  _EXP_YOUNG_CONJUGATE_TAYLOR)
         if k == LINF_STEP:
             return np.where(ts <= 1.0, 0.0, math.inf)
+        if k == TABLE:
+            return _table_values(self.knots, ts)
+        if k == TABLE_CONJUGATE:
+            return _table_conjugate_values(self.knots, ts)
         out = np.empty(ts.shape, dtype=float)
         flat = ts.reshape(-1)
         dst = out.reshape(-1)
@@ -232,6 +324,61 @@ def _taylor_below(out, ts: np.ndarray, coefficients: tuple[float, ...]):
         out = np.array(out)
     out[small] = _taylor(ts[small], coefficients)
     return out
+
+
+def _table_values(knots: Knots, ts: np.ndarray) -> np.ndarray:
+    """A table's Phi on ``ts >= 0``: the one kernel of ``__call__`` and
+    ``_values``."""
+    flat = ts.reshape(-1)
+    t_last, y_last = knots.ts[-1], knots.ys[-1]
+    inside = np.minimum(flat, t_last)
+    i = np.searchsorted(knots.ts, inside, side="right") - 1
+    np.minimum(i, knots.dt.size - 1, out=i)
+    out = knots.ys[i] + (inside - knots.ts[i]) / knots.dt[i] * knots.dy[i]
+    tail = flat >= t_last
+    if tail.any():
+        x = np.minimum(flat[tail], knots.horizon)
+        if knots.gamma is not None:
+            out[tail] = y_last * np.power(x / t_last, knots.gamma)
+        else:
+            out[tail] = y_last + knots.slope * (x - t_last)
+    if knots.horizon < math.inf:
+        out[flat > knots.horizon] = math.inf
+    return out.reshape(ts.shape)
+
+
+def _table_conjugate_values(knots: Knots, ss: np.ndarray) -> np.ndarray:
+    """The exact Young conjugate Psi of a table on ``ss >= 0``.
+
+    Up to the tail's slope sigma at the last knot the supremum of
+    ``s t - Phi(t)`` sits at a knot, since Phi is linear between knots and
+    the tail's slope only grows: Psi(s) = max_k (s t_k - y_k), which is 0
+    up to the first chord slope (the knot t_0 = 0). Beyond sigma it sits on
+    the tail: at t_m (s / sigma)**(1 / (gamma - 1)) for a power law, which
+    gives ``(gamma - 1) y_m (s / sigma)**(gamma / (gamma - 1))``, unless
+    that passes a finite horizon h, where Psi(s) = s h - Phi(h); a linear
+    tail gives s h - Phi(h), or +inf without a horizon.
+    """
+    flat = ss.reshape(-1)
+    sigma, h = knots.slope, knots.horizon
+    inside = np.minimum(flat, sigma)
+    out = np.zeros(flat.shape)
+    for t, y in zip(knots.ts[1:].tolist(), knots.ys[1:].tolist()):
+        np.maximum(out, inside * t - y, out=out)
+    tail = flat > sigma
+    if not tail.any():
+        return out.reshape(ss.shape)
+    s = flat[tail]
+    if h < math.inf:
+        at_wall = s * h - _table_values(knots, np.array([h]))[0]
+    else:
+        at_wall = np.full(s.shape, math.inf)
+    if knots.superlinear:
+        g = knots.gamma
+        power = (g - 1.0) * knots.ys[-1] * np.power(s / sigma, g / (g - 1.0))
+        at_wall = np.where(s < knots.wall_slope, power, at_wall)
+    out[tail] = at_wall
+    return out.reshape(ss.shape)
 
 
 def _safe_pow(t: float, p: float) -> float:
@@ -288,7 +435,10 @@ def conjugate(phi: OrliczFunction) -> OrliczFunction:
     * ``c * t**p``  <->  ``c' * s**q`` with 1/p + 1/q = 1 (the normalized
       family t**p / p maps to s**q / q),
     * ``linear``    <->  ``linf_step`` and back,
-    * ``exp_young`` <->  ``exp_young_conjugate``, i.e. ``(1+s) log(1+s) - s``.
+    * ``exp_young`` <->  ``exp_young_conjugate``, i.e. ``(1+s) log(1+s) - s``,
+    * ``table``     <->  ``table_conjugate`` on the same knots (the exact
+      Legendre transform of ``_table_conjugate_values``); it is finite up
+      to the table's limit slope, and everywhere when that is infinite.
 
     Custom functions get a pointwise numeric conjugate built on
     :func:`conjugate_value`.
@@ -307,6 +457,15 @@ def conjugate(phi: OrliczFunction) -> OrliczFunction:
         return OrliczFunction.exp_young_conjugate()
     if k == EXP_YOUNG_CONJUGATE:
         return OrliczFunction.exp_young()
+    if k == TABLE:
+        slope = limit_slope(phi)
+        hz = math.inf if slope.is_infinite else slope.limit
+        return OrliczFunction(TABLE_CONJUGATE, horizon=hz, knots=phi.knots,
+                              label=f"conjugate({phi.label})")
+    if k == TABLE_CONJUGATE:
+        return OrliczFunction(TABLE, horizon=phi.knots.horizon,
+                              knots=phi.knots,
+                              label=f"conjugate({phi.label})")
     # custom: numeric pointwise conjugate; its finiteness horizon is the
     # limit slope of phi (the conjugate is finite exactly up to that slope),
     # and beyond the horizon it is +inf without a search.
@@ -374,8 +533,9 @@ def check_delta2(phi: OrliczFunction, regime: Regime) -> Delta2Verdict:
     """Does ``phi(2u) <= k * phi(u)`` hold near the regime's end?
 
     ``at_zero`` asks for some k on all small u, ``at_infinity`` on all large
-    u. Catalog kinds answer exactly, and so does any function with a finite
-    horizon at infinity, where it fails; custom evaluators are probed on
+    u. Catalog kinds and tables answer exactly (``_table_delta2``), and so
+    does any function with a finite horizon at infinity, where it fails;
+    custom evaluators are probed on
     geometric grids pushed successively deeper into the regime, reporting
     ``holds`` with an estimated k when the ratio stays bounded, ``fails``
     with a witness when it blows up (or hits +inf over finite values), and
@@ -408,7 +568,48 @@ def check_delta2(phi: OrliczFunction, regime: Regime) -> Delta2Verdict:
     if k == LINF_STEP:
         return Delta2Verdict(HOLDS, regime, k=1.0, exact=True,
                              note="vacuous: the function vanishes near zero")
+    if k in (TABLE, TABLE_CONJUGATE):
+        return _table_delta2(phi, regime)
     return _delta2_heuristic(phi, regime)
+
+
+def _table_delta2(fn: OrliczFunction, regime: Regime) -> Delta2Verdict:
+    """The doubling verdict of a table or of its conjugate; ``at_infinity``
+    comes here only when the function is finite everywhere (Rao & Ren,
+    *Theory of Orlicz Spaces*, ch. 2).
+
+    Near zero Phi is linear on [0, t_1], or vanishes there when y_1 = 0;
+    Psi then vanishes up to the first chord slope, or is linear. At
+    infinity Phi grows as t**gamma (k = 2**gamma) or along a line A t - B
+    with B >= 0 from t_m on, whose ratio (2 A u - B) / (A u - B) falls
+    toward 2, so its value at the line's start is k. Psi grows as s**q,
+    q = gamma / (gamma - 1) (k = 2**q), or, when Phi has a finite horizon
+    h, along the line s h - Phi(h) from Phi's slope at h on.
+    """
+    knots = fn.knots
+    if regime == "at_zero":
+        y_1 = knots.ys[1]
+        if (y_1 == 0.0) if fn.kind == TABLE else (y_1 > 0.0):
+            return Delta2Verdict(HOLDS, regime, k=1.0, exact=True,
+                                 note="vacuous: the function vanishes near "
+                                 "zero")
+        return Delta2Verdict(HOLDS, regime, k=2.0, exact=True,
+                             note="linear near zero")
+    t_last, y_last = float(knots.ts[-1]), float(knots.ys[-1])
+    h = knots.horizon
+    if knots.superlinear and math.isinf(h):
+        g = knots.gamma
+        power = g if fn.kind == TABLE else g / (g - 1.0)
+        return Delta2Verdict(HOLDS, regime, k=_safe_pow(2.0, power),
+                             exact=True, note=f"a power {power!r} at infinity")
+    if fn.kind == TABLE:  # the line slope t - (slope t_m - y_m)
+        k = 1.0 + knots.slope * t_last / y_last
+    else:  # the line s h - Phi(h), positive from twice Phi's slope at h on
+        at_h = float(_table_values(knots, np.array([h]))[0])
+        start = 2.0 * knots.wall_slope if knots.wall_slope > 0.0 else 1.0
+        k = (2.0 * start * h - at_h) / (start * h - at_h)
+    return Delta2Verdict(HOLDS, regime, k=k, exact=True,
+                         note="linear growth at infinity")
 
 
 def _delta2_heuristic(phi: OrliczFunction, regime: Regime) -> Delta2Verdict:
@@ -470,8 +671,11 @@ class SlopeClass:
 def limit_slope(phi: OrliczFunction) -> SlopeClass:
     """``lim phi(t)/t`` as t grows (the ratio is nondecreasing by convexity).
 
-    Catalog kinds are exact. Custom evaluators are probed along a doubling
-    ray; the answer carries ``estimated=True`` when it comes from the probe.
+    Catalog kinds and tables are exact: a table's Phi(t)/t tends to the
+    tail's slope for a linear tail and to +inf for a power law t**gamma,
+    gamma > 1, and its conjugate's ratio tends to the table's horizon.
+    Custom evaluators are probed along a doubling ray; the answer carries
+    ``estimated=True`` when it comes from the probe.
     """
     k = phi.kind
     if k in (POWER, SCALED_POWER, EXP_YOUNG, EXP_YOUNG_CONJUGATE):
@@ -482,6 +686,13 @@ def limit_slope(phi: OrliczFunction) -> SlopeClass:
         return SlopeClass(1.0, False)
     if math.isfinite(phi.horizon):
         return SlopeClass(math.inf, True)  # +inf beyond the horizon
+    if k == TABLE:
+        if phi.knots.superlinear:
+            return SlopeClass(math.inf, True)
+        return SlopeClass(phi.knots.slope, False)
+    if k == TABLE_CONJUGATE:
+        h = phi.knots.horizon
+        return SlopeClass(h, math.isinf(h))
     prev = last = 0.0
     t = 1.0
     while t <= SLOPE_RAY_END:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ParseError
 from .io import _columns
 from .measure import MeasureSpace
-from .orlicz import OrliczFunction
+from .orlicz import TABLE_SLOPE_TOL, OrliczFunction
 from .risk import (RiskFunctional, average_value_at_risk, entropic,
                    expectation, non_monotone_control, worst_case)
 
@@ -113,16 +113,16 @@ def load_custom_table(path: str) -> OrliczFunction:
 
     The file follows the grammar of ``io``'s readers. The finite rows must
     start at ``0, 0``, have strictly increasing t, nondecreasing values and
-    chord slopes that never fall (to ``_spot_check_custom``'s relative
-    1e-9), so the knots are convex. The table is interpolated linearly
-    between knots. Beyond the last finite knot the last trend is continued
-    as a power law in t (clamped to growth at least linear), which keeps it
+    chord slopes that never fall (to ``TABLE_SLOPE_TOL``), so the knots are
     convex. A final row with value ``inf`` declares the horizon: the
     function is finite up to that argument and +inf strictly beyond it; its
-    t may equal the last finite knot (a hard wall, as in the step function).
+    t must be positive, and may equal the last finite knot (a hard wall, as
+    in the step function). Values may all be zero only under a horizon. A
+    lone ``0, 0`` row under a horizon h is the zero function up to h.
 
-    The load checks convexity at the knots, so the loaded function skips
-    the convexity spot check.
+    The result is ``OrliczFunction.table``: linear between knots, the last
+    trend continued as a power law beyond them, and exact conjugates and
+    verdicts.
     """
     ts, ys = _columns(path, ("t", "value"), (float, float))
     if len(ts) < 2:
@@ -140,41 +140,17 @@ def load_custom_table(path: str) -> OrliczFunction:
         raise ParseError(f"{path}: values must be finite, nonnegative and "
                          "nondecreasing")
     slopes = np.diff(ys) / np.diff(ts)
-    if np.any(np.diff(slopes) < -1e-9 * np.maximum(1.0, slopes[:-1])):
+    if np.any(np.diff(slopes)
+           < -TABLE_SLOPE_TOL * np.maximum(1.0, slopes[:-1])):
         raise ParseError(f"{path}: chord slopes must never fall (the table "
                          "must be convex)")
     if not horizon >= ts[-1]:  # nan too
         raise ParseError(f"{path}: horizon row precedes the last finite knot")
-
-    t_last, y_last = float(ts[-1]), float(ys[-1])
-    # tail continuation beyond the last knot: power law from the last two
-    # positive knots when available, otherwise the last chord's slope
-    gamma = None
-    slope = 0.0
-    if len(ts) >= 2:
-        t_prev, y_prev = float(ts[-2]), float(ys[-2])
-        if y_prev > 0.0 and y_last > 0.0 and t_prev > 0.0:
-            gamma = max(1.0, math.log(y_last / y_prev) / math.log(t_last / t_prev))
-        else:
-            slope = float(slopes[-1])
-
-    def interp(t: float) -> float:
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        if i >= len(ts) - 1:
-            return y_last
-        t0, t1 = float(ts[i]), float(ts[i + 1])
-        y0, y1 = float(ys[i]), float(ys[i + 1])
-        return y0 + (t - t0) / (t1 - t0) * (y1 - y0)
-
-    def ev(t: float) -> float:
-        if t > horizon:
-            return math.inf
-        if t <= t_last:
-            return interp(t)
-        if gamma is not None:
-            return y_last * (t / t_last) ** gamma
-        return y_last + slope * (t - t_last)
-
-    label = f"table({path})"
-    return OrliczFunction.custom(ev, horizon=horizon, label=label,
-                                 spot_check=False)
+    if not horizon > 0.0:
+        raise ParseError(f"{path}: the horizon must be positive")
+    if ys[-1] == 0.0 and horizon == math.inf:
+        raise ParseError(f"{path}: values must not all be zero (a Young "
+                         "function is not identically zero)")
+    if len(ts) == 1:
+        ts, ys = np.array([0.0, horizon]), np.zeros(2)
+    return OrliczFunction.table(ts, ys, horizon, label=f"table({path})")

@@ -8,9 +8,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orliczkit import (
+    FAILS,
+    HOLDS,
+    OrliczFunction,
     ParseError,
     Rv,
-    conjugate_value,
+    check_delta2,
+    classify_space,
+    conjugate,
+    limit_slope,
     load_custom_table,
     parse_orlicz_spec,
     parse_risk_spec,
@@ -182,6 +188,8 @@ def test_custom_table_comments_and_blank_lines(tmp_path):
     "t,value\n0,0\n1,1\n2,1.5\n",   # chord slopes fall: not convex
     "t,value\n0,0\n1,1\n2,-inf\n",  # -inf is no horizon
     "t,value\n0,0\n1,1\nnan,inf\n", # nan horizon
+    "t,value\n0,0\n1,0\n2,0\n",    # identically zero
+    "t,value\n0,0\n0,inf\n",        # horizon at zero
 ])
 def test_custom_table_rejects(tmp_path, text):
     path = write_table(tmp_path, text)
@@ -220,10 +228,236 @@ def test_convex_tables_load_convex_with_exact_conjugates(tmp_path, seed):
     vals = np.array([fn(t) for t in grid])
     excess = vals[1:-1] - 0.5 * (vals[:-2] + vals[2:])
     assert np.all(excess <= 1e-12 * np.maximum(1.0, vals[2:]))
-    # below the last chord slope the supremum of s t - Phi(t) sits at a knot
+    # below the last chord slope the supremum of s t - Phi(t) sits at a knot,
+    # and the conjugate reads it off the knots
+    psi = conjugate(fn)
     for s in rng.uniform(0.0, (ys[-1] - ys[-2]) / (ts[-1] - ts[-2]), 4):
-        psi = conjugate_value(fn, s)
-        assert abs(psi - np.max(s * ts - ys)) <= 1e-9 * (1.0 + abs(psi))
+        assert psi(s) == np.max(s * ts - ys)
+
+
+def test_a_lone_knot_under_a_horizon_is_zero_up_to_it(tmp_path):
+    fn = load_custom_table(write_table(tmp_path, "t,value\n0,0\n2,inf\n"))
+    assert fn.values(np.array([0.0, 1.0, 2.0, 2.5])).tolist() == [
+        0.0, 0.0, 0.0, math.inf]
+    assert conjugate(fn)(3.0) == 6.0
+
+
+# -- table kernels ------------------------------------------------------------
+
+TABLE_SHAPES = ("plain", "horizon", "wall", "flat")
+EPS = np.finfo(float).eps
+
+
+def random_table(rng, shape):
+    """A random_convex_table's knots and a horizon, per ``shape``: none
+    (``plain``); a horizon row past the last knot (``horizon``) or on it
+    (``wall``); or every value zero but the last, so the first chord is flat
+    and the tail linear, under a horizon one time in two (``flat``). A table
+    whose values are all zero gets a horizon too."""
+    ts, ys = random_convex_table(rng)
+    horizon = math.inf
+    if shape == "flat":
+        ys = np.zeros_like(ys)
+        ys[-1] = rng.uniform(0.5, 3.0)
+    if shape == "horizon" or (shape == "flat" and rng.uniform() < 0.5):
+        horizon = float(ts[-1] * rng.uniform(1.1, 3.0))
+    elif shape == "wall" or ys[-1] == 0.0:
+        horizon = float(ts[-1])
+    return ts, ys, horizon
+
+
+def load_random_table(tmp_path, seed, shape):
+    ts, ys, horizon = random_table(np.random.default_rng([seed, 29]), shape)
+    text = "t,value\n" + "".join(f"{t!r},{y!r}\n"
+                                 for t, y in zip(ts.tolist(), ys.tolist()))
+    if horizon < math.inf:
+        text += f"{horizon!r},inf\n"
+    return ts, ys, horizon, load_custom_table(write_table(tmp_path, text))
+
+
+def reference_table(ts, ys, horizon, t):
+    """Phi(t) as the table's definition reads, one float at a time: the
+    chord through the knots around t, the tail continued from the last two
+    knots, +inf past the horizon."""
+    if t > horizon:
+        return math.inf
+    if t < ts[-1]:
+        i = int(np.searchsorted(ts, t, side="right")) - 1
+        t0, t1 = float(ts[i]), float(ts[i + 1])
+        y0, y1 = float(ys[i]), float(ys[i + 1])
+        return y0 + (t - t0) / (t1 - t0) * (y1 - y0)
+    t_last, y_last = float(ts[-1]), float(ys[-1])
+    if ys[-2] > 0.0:
+        gamma = max(1.0, math.log(y_last / ys[-2]) / math.log(t_last / ts[-2]))
+        return y_last * (t / t_last) ** gamma
+    return y_last + (ys[-1] - ys[-2]) / (ts[-1] - ts[-2]) * (t - t_last)
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES)
+@pytest.mark.parametrize("seed", range(15))
+def test_table_kernels_match_scalar_calls_bit_for_bit(tmp_path, seed, shape):
+    ts, ys, horizon, phi = load_random_table(tmp_path, seed, shape)
+    rng = np.random.default_rng(seed)
+    t_last = ts[-1]
+    x = np.concatenate((ts, 0.5 * (ts[:-1] + ts[1:]),
+                        rng.uniform(0.0, t_last, 16),
+                        t_last * (1.0 + np.geomspace(1e-9, 1e3, 16))))
+    if horizon < math.inf:
+        x = np.concatenate((x, [horizon, horizon * (1.0 + 1e-12),
+                                2.0 * horizon]))
+    values = phi.values(x)
+    assert values.tolist() == [phi(t) for t in x]
+    assert phi.values(x[:, None])[:, 0].tolist() == values.tolist()
+    # the interpolation and a linear tail are bit for bit the definition's;
+    # the power-law tail is within a rounding of its exponentiation
+    for t, v in zip(x.tolist(), values.tolist()):
+        ref = reference_table(ts, ys, horizon, t)
+        if t < t_last or ys[-2] == 0.0 or math.isinf(ref):
+            assert v == ref
+        else:
+            assert v == pytest.approx(ref, rel=4 * EPS, abs=0.0)
+    psi = conjugate(phi)
+    sigma = phi.knots.slope
+    chords = np.diff(ys) / np.diff(ts)
+    s = np.concatenate((chords, 0.5 * (chords[:-1] + chords[1:]), [0.0, sigma],
+                        rng.uniform(0.0, 2.0 * sigma + 1.0, 16),
+                        (sigma + 1.0) * (1.0 + np.geomspace(1e-9, 1e3, 16))))
+    conj = psi.values(s)
+    assert conj.tolist() == [psi(v) for v in s]
+
+
+def tail_maximizer(phi, s):
+    """Where s t - Phi(t) peaks for s past the tail's slope sigma, and the
+    exponent q that multiplies the kernel's relative rounding there: the
+    power law's maximizer t_m (s / sigma)**(1 / (gamma - 1)) with
+    q = gamma / (gamma - 1), or a finite horizon with q = 1."""
+    knots = phi.knots
+    h = knots.horizon
+    if knots.superlinear:
+        g = knots.gamma
+        t = knots.ts[-1] * (s / knots.slope) ** (1.0 / (g - 1.0))
+        if t < h:
+            return t, g / (g - 1.0)
+    return h, 1.0
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES)
+@pytest.mark.parametrize("seed", range(15))
+def test_table_conjugate_is_the_exact_legendre_transform(tmp_path, seed,
+                                                         shape):
+    ts, ys, horizon, phi = load_random_table(tmp_path, seed, shape)
+    psi = conjugate(phi)
+    sigma = phi.knots.slope
+    rng = np.random.default_rng(seed)
+    # up to the tail's slope: the knots' maximum, exactly
+    chords = np.diff(ys) / np.diff(ts)
+    below = np.concatenate((rng.uniform(0.0, sigma, 32), [0.0, sigma],
+                            chords[chords <= sigma]))
+    assert psi.values(below).tolist() == np.max(
+        below[:, None] * ts - ys, axis=1).tolist()
+    # beyond it the supremum sits at the tail's maximizer t*. Rounding
+    # bound: the kernel's s / sigma carries three roundings (two in sigma),
+    # which the power q multiplies, and q's own rounding adds
+    # q |log(s / sigma)| <= 1.4 q on s <= 4 sigma; the power and the two
+    # products add about three more. The reference s t* - Phi(t*) rounds
+    # each of its two terms, and the objective is flat at t*, so t*'s own
+    # rounding costs nothing to first order. Together, with M = s t* +
+    # Phi(t*): |Psi - (s t* - Phi(t*))| <= (4.4 q + 8) eps M.
+    for s in sigma * rng.uniform(1.0, 4.0, 8) + 1e-9:
+        value = psi(s)
+        t_star, q = tail_maximizer(phi, s)
+        if math.isinf(t_star):
+            assert value == math.inf  # a linear tail without a horizon
+            objective = [s * t - phi(t) for t in ts[-1] * 2.0 ** np.arange(8)]
+            assert np.all(np.diff(objective) > 0.0)
+            continue
+        at_star = phi(t_star)
+        bound = (4.4 * q + 8.0) * EPS * (s * t_star + at_star)
+        assert abs(value - (s * t_star - at_star)) <= bound
+        grid = np.concatenate((np.linspace(0.0, min(3.0 * t_star, horizon),
+                                           4001), [t_star]))
+        assert np.max(s * grid - phi.values(grid)) <= value + bound
+
+
+def dense_ratios(fn, us):
+    """fn(2u) / fn(u) over the grid ``us``; 1 where both vanish."""
+    a, b = fn.values(us), fn.values(2.0 * us)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where((a == 0.0) & (b == 0.0), 1.0, b / a)
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES)
+@pytest.mark.parametrize("seed", range(15))
+def test_table_verdicts_are_exact_and_match_a_dense_grid(tmp_path, seed,
+                                                         shape):
+    ts, ys, horizon, phi = load_random_table(tmp_path, seed, shape)
+    psi = conjugate(phi)
+    chords = np.diff(ys) / np.diff(ts)
+    knots = phi.knots
+    # where each side's verdict starts to hold: Phi is linear or zero on
+    # [0, t_1] and on its tail from t_m; Psi is zero or linear up to its
+    # first positive chord slope, a power from sigma, and a line from twice
+    # the tail's slope at a finite horizon
+    zero_ends = {"phi": ts[1] / 4.0,
+                 "psi": chords[chords > 0.0][0] / 4.0}
+    infinity_starts = {"phi": ts[-1],
+                       "psi": (2.0 * knots.wall_slope
+                               if horizon < math.inf and knots.wall_slope > 0
+                               else 1.0 if horizon < math.inf
+                               else knots.slope)}
+    for name, fn in (("phi", phi), ("psi", psi)):
+        for regime in ("at_zero", "at_infinity"):
+            verdict = check_delta2(fn, regime)
+            assert verdict.exact
+            if regime == "at_zero":
+                us = zero_ends[name] * np.geomspace(1e-6, 1.0, 64)
+            elif math.isfinite(fn.horizon):
+                w = verdict.witness
+                assert verdict.status == FAILS
+                assert fn(2.0 * w) == math.inf > fn(w)
+                continue
+            else:
+                us = infinity_starts[name] * np.geomspace(1.0, 1e6, 64)
+            assert verdict.status == HOLDS
+            ratios = dense_ratios(fn, us)
+            assert np.all(ratios <= verdict.k * (1.0 + 16 * EPS))
+            assert np.max(ratios) >= verdict.k * (1.0 - 16 * EPS)
+        slope = limit_slope(fn)
+        assert not slope.estimated
+        big = np.geomspace(1e3, 1e12, 10) * max(ts[-1], knots.slope, 1.0)
+        with np.errstate(over="ignore"):
+            ratios = fn.values(big) / big
+        if slope.is_infinite:
+            assert np.all(ratios[1:] >= ratios[:-1])
+            assert ratios[-1] >= 2.0 * ratios[0]
+        else:
+            assert np.all(ratios <= slope.limit * (1.0 + 4 * EPS))
+            assert ratios[-1] == pytest.approx(slope.limit, rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES)
+def test_classify_and_conjugate_of_a_table_make_no_scalar_calls(
+        tmp_path, monkeypatch, shape):
+    *_, phi = load_random_table(tmp_path, 0, shape)
+    import orliczkit.orlicz as orlicz
+    calls = []
+
+    def spy(name, original):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(orlicz, "conjugate_value",
+                        spy("conjugate_value", orlicz.conjugate_value))
+    monkeypatch.setattr(orlicz, "_delta2_heuristic",
+                        spy("_delta2_heuristic", orlicz._delta2_heuristic))
+    monkeypatch.setattr(OrliczFunction, "__call__",
+                        spy("__call__", OrliczFunction.__call__))
+    for finite_measure in (True, False):
+        classify_space(phi, finite_measure)
+    conjugate(phi).values(np.linspace(0.0, 10.0, 50))
+    assert calls == []
 
 
 # -- scenario files -----------------------------------------------------------
