@@ -318,6 +318,24 @@ def test_verify_all_csv_table(files, capsys):
     assert header.startswith("label,passed,margin,tol")
 
 
+@pytest.mark.parametrize("seed", [*range(10), 41])
+def test_young_sweep_draws_its_pairs_in_the_scalar_order(seed):
+    # verify-all's Young sweep draws each function's 400 (t, s) pairs as one
+    # (400, 2) array; its rows are the pairs that alternating scalar draws
+    # of the same generator give, across all five functions
+    rng = np.random.default_rng([seed, 2])
+    rows = [rng.uniform(0.0, 5.0, (400, 2)) for _ in range(5)]
+    rng = np.random.default_rng([seed, 2])
+    scalars = [float(rng.uniform(0.0, 5.0)) for _ in range(5 * 800)]
+    assert np.concatenate(rows).ravel().tolist() == scalars
+    args = argparse.Namespace(seed=seed, tol=None, truncation=64)
+    young = [r for r in cli.run_battery(args)
+             if r["label"] == "young_inequality"]
+    assert young == [{"label": "young_inequality", "passed": True,
+                      "margin": 0.0, "tol": 0.0, "tolerance_induced": False,
+                      "detail": "2000 (t,s) pairs across the catalog"}]
+
+
 # -- exit-code policy ---------------------------------------------------------
 
 
