@@ -337,6 +337,7 @@ def _table_values(knots: Knots, ts: np.ndarray) -> np.ndarray:
     out = knots.ys[i] + (inside - knots.ts[i]) / knots.dt[i] * knots.dy[i]
     tail = flat >= t_last
     if tail.any():
+        # clipped, so that no inf * 0 reads nan before the wall below
         x = np.minimum(flat[tail], knots.horizon)
         if knots.gamma is not None:
             out[tail] = y_last * np.power(x / t_last, knots.gamma)
@@ -362,7 +363,7 @@ def _table_conjugate_values(knots: Knots, ss: np.ndarray) -> np.ndarray:
     flat = ss.reshape(-1)
     sigma, h = knots.slope, knots.horizon
     inside = np.minimum(flat, sigma)
-    out = np.zeros(flat.shape)
+    out = np.zeros(flat.shape)  # the line of the knot t_0 = 0
     for t, y in zip(knots.ts[1:].tolist(), knots.ys[1:].tolist()):
         np.maximum(out, inside * t - y, out=out)
     tail = flat > sigma
@@ -595,7 +596,6 @@ def _table_delta2(fn: OrliczFunction, regime: Regime) -> Delta2Verdict:
                                  "zero")
         return Delta2Verdict(HOLDS, regime, k=2.0, exact=True,
                              note="linear near zero")
-    t_last, y_last = float(knots.ts[-1]), float(knots.ys[-1])
     h = knots.horizon
     if knots.superlinear and math.isinf(h):
         g = knots.gamma
@@ -603,7 +603,7 @@ def _table_delta2(fn: OrliczFunction, regime: Regime) -> Delta2Verdict:
         return Delta2Verdict(HOLDS, regime, k=_safe_pow(2.0, power),
                              exact=True, note=f"a power {power!r} at infinity")
     if fn.kind == TABLE:  # the line slope t - (slope t_m - y_m)
-        k = 1.0 + knots.slope * t_last / y_last
+        k = float(1.0 + knots.slope * knots.ts[-1] / knots.ys[-1])
     else:  # the line s h - Phi(h), positive from twice Phi's slope at h on
         at_h = float(_table_values(knots, np.array([h]))[0])
         start = 2.0 * knots.wall_slope if knots.wall_slope > 0.0 else 1.0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from orliczkit import cli
+from orliczkit import OrliczFunction, cli, conjugate
 from orliczkit.cli import main
 
 SPACE3 = "atom_id,weight,block_id\n0,1.0,0\n1,1.0,0\n2,1.0,1\n"
@@ -322,12 +322,22 @@ def test_verify_all_csv_table(files, capsys):
 def test_young_sweep_draws_its_pairs_in_the_scalar_order(seed):
     # verify-all's Young sweep draws each function's 400 (t, s) pairs as one
     # (400, 2) array; its rows are the pairs that alternating scalar draws
-    # of the same generator give, across all five functions
+    # of the same generator give, across all five functions, and the scalar
+    # loop over them counts the violations the arrays count
     rng = np.random.default_rng([seed, 2])
     rows = [rng.uniform(0.0, 5.0, (400, 2)) for _ in range(5)]
     rng = np.random.default_rng([seed, 2])
     scalars = [float(rng.uniform(0.0, 5.0)) for _ in range(5 * 800)]
     assert np.concatenate(rows).ravel().tolist() == scalars
+    young = (OrliczFunction.power(2.0), OrliczFunction.scaled_power(2.0),
+             OrliczFunction.linear(), OrliczFunction.exp_young(),
+             OrliczFunction.linf_step())
+    for phi, pairs in zip(young, rows):
+        psi = conjugate(phi)
+        t, s = pairs.T
+        assert np.count_nonzero(
+            t * s > phi.values(t) + psi.values(s) + 1e-9) == sum(
+            a * b > phi(a) + psi(b) + 1e-9 for a, b in pairs.tolist())
     args = argparse.Namespace(seed=seed, tol=None, truncation=64)
     young = [r for r in cli.run_battery(args)
              if r["label"] == "young_inequality"]

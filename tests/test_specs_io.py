@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import orliczkit.orlicz as orlicz
 from orliczkit import (
     FAILS,
     HOLDS,
@@ -439,7 +440,6 @@ def test_table_verdicts_are_exact_and_match_a_dense_grid(tmp_path, seed,
 def test_classify_and_conjugate_of_a_table_make_no_scalar_calls(
         tmp_path, monkeypatch, shape):
     *_, phi = load_random_table(tmp_path, 0, shape)
-    import orliczkit.orlicz as orlicz
     calls = []
 
     def spy(name, original):
