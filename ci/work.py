@@ -17,7 +17,7 @@ count. The cases:
   of f ~ N(0, 1.5^2) each, with 2 restarts and 10 validation trials;
 * Luxemburg and Amemiya norms of t^2 and of exp_young at N = 1024 and 4096;
 * Luxemburg and Amemiya norms of two Young tables at N = 256 atoms of total
-  mass 1/8, with 1 <= |f| <= 1.25 as in the benchmark's session: the table
+  mass 1/8, with 1 <= |f| <= 1.25 as in the cli_session workload: the table
   ``0,0 1,1 2,4`` (tail t^2) and ``0,0 1,0.5 2,1.5 4,4`` (tail t^1.415...).
 
 Standard library and numpy only, besides the package itself.
