@@ -18,7 +18,13 @@ count. The cases:
 * Luxemburg and Amemiya norms of t^2 and of exp_young at N = 1024 and 4096;
 * Luxemburg and Amemiya norms of two Young tables at N = 256 atoms of total
   mass 1/8, with 1 <= |f| <= 1.25 as in the cli_session workload: the table
-  ``0,0 1,1 2,4`` (tail t^2) and ``0,0 1,0.5 2,1.5 4,4`` (tail t^1.415...).
+  ``0,0 1,1 2,4`` (tail t^2) and ``0,0 1,0.5 2,1.5 4,4`` (tail t^1.415...);
+* ``maximize_dual``'s line-search path, which no case above reaches: the
+  numeric Fenchel conjugates of the four catalog members with their
+  ``coordinate_step`` stripped, at each member's own maximizer for n = 3, 4
+  and 6, and ``reconstruct`` of the entropic and the worst case with their
+  closed-form conjugate and maximizer stripped, at n = 2 and 3, whose dual
+  objective runs a numeric Fenchel conjugate per call.
 
 Standard library and numpy only, besides the package itself.
 """
@@ -29,6 +35,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,7 +43,7 @@ from orliczkit import (MeasureSpace, OrliczFunction, Rv, amemiya_norm,
                        average_value_at_risk, biconjugate_check, conjugate,
                        entropic, fenchel_conjugate_value, increasing_catalog,
                        load_custom_table, luxemburg_norm, reconstruct,
-                       uniform_probability)
+                       uniform_probability, worst_case)
 
 PSI2 = conjugate(OrliczFunction.power(2.0))
 
@@ -159,9 +166,39 @@ def tables() -> dict[str, int]:
     return counts
 
 
+CATALOG = ("entropic", "avar", "worst_case", "expectation")
+
+
+def line_search() -> dict[str, int]:
+    counts = {}
+    for n in (3, 4, 6):
+        sp = uniform_probability(n)
+        rng = np.random.default_rng([n, 30])
+        for name, phi in zip(CATALOG, increasing_catalog(sp, beta=1.0,
+                                                         alpha=0.5)):
+            g = phi.closed_form_maximizer(Rv(sp, rng.normal(0.0, 1.5, n)))
+            bare = replace(phi, coordinate_step=None)
+            counts[f"line_search.fenchel.{name}.n{n}.evaluations"] = \
+                fenchel_conjugate_value(bare, g, seed=n, restarts=2,
+                                        force_numeric=True).evaluations
+    for n in (2, 3):
+        sp = uniform_probability(n)
+        rng = np.random.default_rng([n, 31])
+        for name, phi in (("entropic", entropic(1.0, sp)),
+                          ("worst_case", worst_case(sp))):
+            bare = replace(phi, closed_form_conjugate=None,
+                           closed_form_maximizer=None)
+            f = Rv(sp, rng.normal(0.0, 1.5, n))
+            _, cert = reconstruct(bare, f, PSI2, seed=n, restarts=2,
+                                  validation_trials=10)
+            counts[f"line_search.reconstruct.{name}.n{n}.evaluations"] = \
+                cert.evaluations
+    return counts
+
+
 def main() -> int:
     counts = {**criterion_4(), **verify_all(), **scale(), **norms(),
-              **tables()}
+              **tables(), **line_search()}
     json.dump(counts, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
