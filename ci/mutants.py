@@ -51,6 +51,8 @@ TABLE_KERNEL_PROPERTY = ("tests/test_specs_io.py::"
 TABLE_CONJUGATE_PROPERTY = ("tests/test_specs_io.py::"
                             "test_table_conjugate_is_the_exact_legendre_"
                             "transform")
+ONE_KERNEL_PROPERTY = ("tests/test_orlicz.py::"
+                       "test_scalar_calls_run_the_array_kernel_bit_for_bit")
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -285,6 +287,12 @@ MUTANTS = [
      "",
      [f"{TABLE_CONJUGATE_PROPERTY}[0-plain]",
       f"{TABLE_CONJUGATE_PROPERTY}[0-horizon]"]),
+    ("a scalar call lets the kernel warn on overflow",
+     ORLICZ,
+     "        with np.errstate(over=\"ignore\"):\n"
+     "            return float(self._values(np.array([t], dtype=float))[0])\n",
+     "        return float(self._values(np.array([t], dtype=float))[0])\n",
+     [f"{ONE_KERNEL_PROPERTY}[exp_young]", f"{ONE_KERNEL_PROPERTY}[power_2]"]),
 ]
 
 

@@ -382,35 +382,46 @@ def _strictly_increasing(trace: Sequence[float]) -> bool:
     return all(b > a for a, b in zip(trace, trace[1:]))
 
 
-class _FenchelObjective:
+class _DualObjective:
+    """``garr -> <f, garr> - conj(garr)`` for f with values ``fv``; -inf
+    where ``conj`` is +inf."""
+
+    __slots__ = ("_conj", "_space", "_wf")
+
+    def __init__(self, conj: Callable[[Rv], float], space: MeasureSpace,
+                 fv: np.ndarray):
+        self._conj = conj
+        self._space = space
+        self._wf = space.weights * fv
+
+    def __call__(self, garr: np.ndarray) -> float:
+        cv = self._conj(Rv._wrap(self._space, garr))
+        if cv == math.inf:
+            return -math.inf
+        return float(np.dot(self._wf, garr)) - cv
+
+
+class _FenchelObjective(_DualObjective):
     """``fv -> <fv, g> - phi(fv)``, the objective of ``phi*(g)``; -inf where
-    phi is +inf.
+    phi is +inf. It is ``_DualObjective`` with phi in the conjugate's place
+    and g in f's.
 
     When phi declares a ``coordinate_step``, ``coord_step(f, i, lo, hi)``
     is that step at this g: ``(t, reads)``, the maximizer of the objective
     along ``f_i`` on ``[lo, hi]`` and the values of phi it read. Otherwise
-    it is None, and the ascent searches its lines. The twin of
-    ``_DualObjective``.
+    it is None, and the ascent searches its lines.
     """
 
-    __slots__ = ("_evaluate", "_space", "_wg", "coord_step")
+    __slots__ = ("coord_step",)
 
     def __init__(self, phi: RiskFunctional, g: Rv):
-        self._evaluate = phi.evaluate
-        self._space = phi.space
-        self._wg = phi.space.weights * g.values
+        super().__init__(phi.evaluate, phi.space, g.values)
         self.coord_step = None
         step = phi.coordinate_step
         if step is not None:
             gv = g.values
             self.coord_step = (lambda f, i, lo, hi:
                                step(f, i, gv, float(lo), float(hi)))
-
-    def __call__(self, fv: np.ndarray) -> float:
-        val = self._evaluate(Rv._wrap(self._space, fv))
-        if val == math.inf:
-            return -math.inf
-        return float(np.dot(self._wg, fv)) - val
 
 
 def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
@@ -590,25 +601,6 @@ def _conjugate_fn(phi: RiskFunctional, seed: int,
                                        restarts=restarts).value
 
     return numeric
-
-
-class _DualObjective:
-    """``garr -> <f, garr> - conj(garr)`` for f with values ``fv``; -inf
-    where ``conj`` is +inf."""
-
-    __slots__ = ("_conj", "_space", "_wf")
-
-    def __init__(self, conj: Callable[[Rv], float], space: MeasureSpace,
-                 fv: np.ndarray):
-        self._conj = conj
-        self._space = space
-        self._wf = space.weights * fv
-
-    def __call__(self, garr: np.ndarray) -> float:
-        cv = self._conj(Rv._wrap(self._space, garr))
-        if cv == math.inf:
-            return -math.inf
-        return float(np.dot(self._wf, garr)) - cv
 
 
 def _pair_ascent(conj: SeparableConjugate, space: MeasureSpace,

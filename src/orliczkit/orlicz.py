@@ -6,25 +6,28 @@ zero, is not identically zero and may take the value ``+inf`` (modelled by
 
 * ``power(p)``           -- t**p, p > 1
 * ``scaled_power(p, c)`` -- c * t**p; default c = 1/p (the normalized family)
-* ``linear()``           -- t (the boundary case with limit slope 1)
 * ``exp_young()``        -- exp(t) - t - 1
 * ``exp_young_conjugate()`` -- (1+s) log(1+s) - s, the conjugate of exp_young
-* ``linf_step()``        -- 0 on [0, 1], +inf beyond (sup-norm geometry)
 * ``table(ts, ys, ...)`` -- convex knots joined linearly, a power-law or
   linear tail and an optional horizon (``custom:file=`` tables load as one)
 * the ``table_conjugate`` kind -- a table's exact Young conjugate, made by
   ``conjugate``
+* ``linear()``           -- t (the boundary case with limit slope 1): the
+  table through (0, 0) and (1, 1)
+* ``linf_step()``        -- 0 on [0, 1], +inf beyond (sup-norm geometry):
+  the conjugate of that table
 * ``custom(...)``        -- user evaluator with a declared finiteness horizon
 
-A table and its conjugate share one numpy kernel each for scalars and
-arrays, and answer ``conjugate``, ``check_delta2`` and ``limit_slope`` in
-closed form; only ``custom`` Python callables are probed.
+Every kind but ``custom`` has one numpy kernel, which serves scalar calls
+and arrays alike, so both give the same bits. Every kind but ``custom``
+answers ``conjugate``, ``check_delta2`` and ``limit_slope`` in closed form;
+only ``custom`` Python callables are probed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -33,10 +36,8 @@ from ._search import brent_max, expand_max_bracket
 
 POWER = "power"
 SCALED_POWER = "scaled_power"
-LINEAR = "linear"
 EXP_YOUNG = "exp_young"
 EXP_YOUNG_CONJUGATE = "exp_young_conjugate"
-LINF_STEP = "linf_step"
 TABLE = "table"
 TABLE_CONJUGATE = "table_conjugate"
 CUSTOM = "custom"
@@ -131,24 +132,21 @@ class OrliczFunction:
 
     @staticmethod
     def power(p: float) -> "OrliczFunction":
-        if not p > 1.0:
-            raise ValueError(f"power exponent must exceed 1, got {p}")
+        _check_power(p, 1.0)
         return OrliczFunction(POWER, p=float(p), label=f"power(p={p})")
 
     @staticmethod
     def scaled_power(p: float, c: float | None = None) -> "OrliczFunction":
-        if not p > 1.0:
-            raise ValueError(f"power exponent must exceed 1, got {p}")
-        c = 1.0 / p if c is None else float(c)
-        if not c > 0.0:
-            raise ValueError(f"scale must be positive, got {c}")
+        c = _check_power(p, c)
         return OrliczFunction(
             SCALED_POWER, p=float(p), scale=c, label=f"scaled_power(p={p}, c={c})"
         )
 
     @staticmethod
     def linear() -> "OrliczFunction":
-        return OrliczFunction(LINEAR, label="linear")
+        """Phi(t) = t, the table through (0, 0) and (1, 1) with its linear
+        tail."""
+        return OrliczFunction.table([0.0, 1.0], [0.0, 1.0], label="linear")
 
     @staticmethod
     def exp_young() -> "OrliczFunction":
@@ -169,7 +167,8 @@ class OrliczFunction:
 
     @staticmethod
     def linf_step() -> "OrliczFunction":
-        return OrliczFunction(LINF_STEP, horizon=1.0, label="linf_step")
+        """0 on [0, 1] and +inf beyond: the conjugate of ``linear()``."""
+        return replace(conjugate(OrliczFunction.linear()), label="linf_step")
 
     @staticmethod
     def table(ts, ys, horizon: float = math.inf,
@@ -211,7 +210,7 @@ class OrliczFunction:
         label: str = "custom",
         spot_check: bool = True,
     ) -> "OrliczFunction":
-        if horizon <= 0.0:
+        if not horizon > 0.0:  # nan too
             raise ValueError("finiteness horizon must be positive")
         fn = OrliczFunction(
             CUSTOM, evaluator=evaluator, horizon=float(horizon), label=label
@@ -223,32 +222,15 @@ class OrliczFunction:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, t: float) -> float:
+        """Phi(t) for ``t >= 0``: the evaluator of a ``custom`` function,
+        else the kind's array kernel on the one-element array ``[t]``, so a
+        scalar call gives the bits of ``values``."""
         if t < 0.0:
             raise ValueError(f"Orlicz functions are defined on t >= 0, got {t}")
-        k = self.kind
-        if k == POWER:
-            return _safe_pow(t, self.p)
-        if k == SCALED_POWER:
-            return self.scale * _safe_pow(t, self.p)
-        if k == LINEAR:
-            return t
-        if k == EXP_YOUNG:
-            if t < TAYLOR_BELOW:
-                return _taylor(t, _EXP_YOUNG_TAYLOR)
-            try:
-                return math.expm1(t) - t
-            except OverflowError:
-                return math.inf
-        if k == EXP_YOUNG_CONJUGATE:
-            if t < TAYLOR_BELOW:
-                return _taylor(t, _EXP_YOUNG_CONJUGATE_TAYLOR)
-            return (1.0 + t) * math.log1p(t) - t
-        if k == LINF_STEP:
-            return 0.0 if t <= 1.0 else math.inf
-        if k in (TABLE, TABLE_CONJUGATE):
-            with np.errstate(over="ignore"):
-                return float(self._values(np.array([t], dtype=float))[0])
-        return self.evaluator(t)
+        if self.kind == CUSTOM:
+            return self.evaluator(t)
+        with np.errstate(over="ignore"):
+            return float(self._values(np.array([t], dtype=float))[0])
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an array of ``t >= 0``.
@@ -275,15 +257,11 @@ class OrliczFunction:
             return np.power(ts, self.p)
         if k == SCALED_POWER:
             return self.scale * np.power(ts, self.p)
-        if k == LINEAR:
-            return ts.copy()
         if k == EXP_YOUNG:
             return _taylor_below(np.expm1(ts) - ts, ts, _EXP_YOUNG_TAYLOR)
         if k == EXP_YOUNG_CONJUGATE:
             return _taylor_below((1.0 + ts) * np.log1p(ts) - ts, ts,
                                  _EXP_YOUNG_CONJUGATE_TAYLOR)
-        if k == LINF_STEP:
-            return np.where(ts <= 1.0, 0.0, math.inf)
         if k == TABLE:
             return _table_values(self.knots, ts)
         if k == TABLE_CONJUGATE:
@@ -303,9 +281,9 @@ class OrliczFunction:
         return f"OrliczFunction<{self.label or self.kind}>"
 
 
-def _taylor(t, coefficients: tuple[float, ...]):
-    """``t^2 (c_0 + c_1 t + c_2 t^2 + ...)`` by Horner's rule, in place for
-    an array; a float takes the same operations, so the same bits."""
+def _taylor(t: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
+    """``t^2 (c_0 + c_1 t + c_2 t^2 + ...)`` on an array, by Horner's rule
+    in place."""
     acc = t * coefficients[-1]
     for c in coefficients[-2:0:-1]:
         acc += c
@@ -382,6 +360,29 @@ def _table_conjugate_values(knots: Knots, ss: np.ndarray) -> np.ndarray:
     return out.reshape(ss.shape)
 
 
+def _power_conjugate(p: float, c: float) -> tuple[float, float]:
+    """``(q, c')`` with ``c' s**q`` the Young conjugate of ``c t**p``:
+    1/p + 1/q = 1 and c' = c (p - 1) (c p)**(-q), +inf on overflow."""
+    q = p / (p - 1.0)
+    return q, c * (p - 1.0) * _safe_pow(c * p, -q)
+
+
+def _check_power(p: float, c: float | None) -> float:
+    """The scale c of ``c t**p``, 1/p when None. ValueError unless p > 1,
+    c > 0 and the conjugate ``c' s**q`` is a power of the same kind: finite
+    q > 1 and c' in (0, inf)."""
+    if not p > 1.0:
+        raise ValueError(f"power exponent must exceed 1, got {p}")
+    c = 1.0 / p if c is None else float(c)
+    if not c > 0.0:
+        raise ValueError(f"scale must be positive, got {c}")
+    q, c_dual = _power_conjugate(p, c)
+    if not (1.0 < q < math.inf and 0.0 < c_dual < math.inf):
+        raise ValueError(f"the conjugate of {c} t**{p} is {c_dual} s**{q}, "
+                         "not a power with finite q > 1 and c' in (0, inf)")
+    return c
+
+
 def _safe_pow(t: float, p: float) -> float:
     try:
         return t**p
@@ -435,25 +436,20 @@ def conjugate(phi: OrliczFunction) -> OrliczFunction:
 
     * ``c * t**p``  <->  ``c' * s**q`` with 1/p + 1/q = 1 (the normalized
       family t**p / p maps to s**q / q),
-    * ``linear``    <->  ``linf_step`` and back,
     * ``exp_young`` <->  ``exp_young_conjugate``, i.e. ``(1+s) log(1+s) - s``,
     * ``table``     <->  ``table_conjugate`` on the same knots (the exact
       Legendre transform of ``_table_conjugate_values``); it is finite up
       to the table's limit slope, and everywhere when that is infinite.
+      ``linear`` and ``linf_step`` are such a pair.
 
     Custom functions get a pointwise numeric conjugate built on
     :func:`conjugate_value`.
     """
     k = phi.kind
     if k in (POWER, SCALED_POWER):
-        p, c = phi.p, phi.scale if k == SCALED_POWER else 1.0
-        q = p / (p - 1.0)
-        c_dual = c * (p - 1.0) * (c * p) ** (-q)
+        q, c_dual = _power_conjugate(
+            phi.p, phi.scale if k == SCALED_POWER else 1.0)
         return OrliczFunction.scaled_power(q, c_dual)
-    if k == LINEAR:
-        return OrliczFunction.linf_step()
-    if k == LINF_STEP:
-        return OrliczFunction.linear()
     if k == EXP_YOUNG:
         return OrliczFunction.exp_young_conjugate()
     if k == EXP_YOUNG_CONJUGATE:
@@ -547,9 +543,8 @@ def check_delta2(phi: OrliczFunction, regime: Regime) -> Delta2Verdict:
         raise ValueError(f"regime must be one of {_REGIMES}, got {regime!r}")
     k = phi.kind
     if k in (POWER, SCALED_POWER):
-        return Delta2Verdict(HOLDS, regime, k=2.0**phi.p, exact=True)
-    if k == LINEAR:
-        return Delta2Verdict(HOLDS, regime, k=2.0, exact=True)
+        return Delta2Verdict(HOLDS, regime, k=_safe_pow(2.0, phi.p),
+                             exact=True)
     if k == EXP_YOUNG:
         if regime == "at_zero":
             # ratio tends to 4 at 0 and is increasing; k below is valid on u <= 1
@@ -566,9 +561,6 @@ def check_delta2(phi: OrliczFunction, regime: Regime) -> Delta2Verdict:
         return Delta2Verdict(FAILS, regime, witness=0.75 * phi.horizon,
                              exact=True, note="phi(2u) = +inf while phi(u) "
                              "is finite for u in (horizon/2, horizon]")
-    if k == LINF_STEP:
-        return Delta2Verdict(HOLDS, regime, k=1.0, exact=True,
-                             note="vacuous: the function vanishes near zero")
     if k in (TABLE, TABLE_CONJUGATE):
         return _table_delta2(phi, regime)
     return _delta2_heuristic(phi, regime)
@@ -678,14 +670,9 @@ def limit_slope(phi: OrliczFunction) -> SlopeClass:
     ``estimated=True`` when it comes from the probe.
     """
     k = phi.kind
-    if k in (POWER, SCALED_POWER, EXP_YOUNG, EXP_YOUNG_CONJUGATE):
+    if (k in (POWER, SCALED_POWER, EXP_YOUNG, EXP_YOUNG_CONJUGATE)
+            or math.isfinite(phi.horizon)):  # +inf beyond a horizon
         return SlopeClass(math.inf, True)
-    if k == LINF_STEP:
-        return SlopeClass(math.inf, True)
-    if k == LINEAR:
-        return SlopeClass(1.0, False)
-    if math.isfinite(phi.horizon):
-        return SlopeClass(math.inf, True)  # +inf beyond the horizon
     if k == TABLE:
         if phi.knots.superlinear:
             return SlopeClass(math.inf, True)

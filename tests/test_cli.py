@@ -360,6 +360,24 @@ def test_usage_errors_exit_2(files, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("spec", [
+    "power:p=inf", "power:p=1e300", "scaled_power:p=2,c=inf",
+    "scaled_power:p=2,c=1e300", "scaled_power:p=2,c=1e-320",
+    "power:p=1.0000001", "scaled_power:p=1.0000001"])
+def test_extreme_power_parameters_exit_2_or_classify(capsys, spec):
+    # a power whose conjugate is no power of finite q > 1 and positive finite
+    # scale is a usage error; a power barely above 1 classifies, its
+    # conjugate's doubling constant 2**q overflowing to +inf
+    code, out, err = run_cli(capsys, "classify", "--orlicz", spec)
+    assert "Traceback" not in err
+    if "1.0000001" in spec:
+        assert code == 0
+        assert json.loads(out)["orlicz"] == spec
+    else:
+        assert (code, out) == (2, "")
+        assert "error:" in err and "conjugate" in err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("fatou-test", "--count"),
     ("fatou-test", "--length"),

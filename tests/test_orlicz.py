@@ -70,6 +70,33 @@ def test_constructor_validation():
         OrliczFunction.custom(lambda t: t * t, horizon=0.0)
 
 
+def test_a_nan_horizon_is_refused():
+    # nan <= 0 is false; the horizon would read as finite nowhere
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        OrliczFunction.custom(lambda t: t * t, horizon=math.nan)
+
+
+@pytest.mark.parametrize("p, c", [
+    (math.inf, None), (1e300, None), (2.0, math.inf), (2.0, 1e300),
+    (2.0, 1e-320), (math.nan, None), (2.0, math.nan), (0.0, None)])
+def test_powers_without_a_power_conjugate_are_refused(p, c):
+    # the conjugate c' s**q needs a finite q > 1 and c' in (0, inf)
+    with pytest.raises(ValueError):
+        OrliczFunction.scaled_power(p, c)
+    if c is None:
+        with pytest.raises(ValueError):
+            OrliczFunction.power(p)
+
+
+def test_a_power_barely_above_one_has_an_unbounded_doubling_constant():
+    for phi in (OrliczFunction.power(1.0000001),
+                OrliczFunction.scaled_power(1.0000001)):
+        psi = conjugate(phi)
+        assert psi.p == pytest.approx(1.0000001e7)
+        verdict = check_delta2(psi, "at_infinity")
+        assert (verdict.status, verdict.k) == (HOLDS, math.inf)
+
+
 def test_vectorized_matches_scalar():
     ts = np.array([0.0, 0.3, 1.0, 2.5, 10.0])
     for phi in (OrliczFunction.power(2.5), OrliczFunction.exp_young(),
@@ -77,6 +104,38 @@ def test_vectorized_matches_scalar():
         expected = [phi(float(t)) for t in ts]
         got = phi.values(ts).tolist()
         assert got == pytest.approx(expected, rel=1e-15)
+
+
+CATALOG_KINDS = [
+    ("power_2", OrliczFunction.power(2.0)),
+    ("conjugate_of_power_2", conjugate(OrliczFunction.power(2.0))),
+    ("scaled_power_2.5_c4", OrliczFunction.scaled_power(2.5, 4.0)),
+    ("conjugate_of_scaled_power_2.5_c4",
+     conjugate(OrliczFunction.scaled_power(2.5, 4.0))),
+    ("exp_young", OrliczFunction.exp_young()),
+    ("exp_young_conjugate", OrliczFunction.exp_young_conjugate()),
+    ("linear", OrliczFunction.linear()),
+    ("linf_step", OrliczFunction.linf_step()),
+]
+
+
+@pytest.mark.parametrize("phi", [phi for _, phi in CATALOG_KINDS],
+                         ids=[name for name, _ in CATALOG_KINDS])
+def test_scalar_calls_run_the_array_kernel_bit_for_bit(phi):
+    # one kernel per kind: a scalar call gives the bits that values gives,
+    # on uniform draws and at the kernels' edges: the Taylor threshold of the
+    # exp pair, the step's wall at 1, the overflow of exp near 709.78 and
+    # the end of the float range
+    rng = np.random.default_rng(30)
+    edges = [0.0, 5e-324, TAYLOR_BELOW, 1.0, 709.782712893384, 1e308]
+    edges += [np.nextafter(x, d) for x in edges[2:5] for d in (0.0, 2e308)]
+    ts = np.concatenate((rng.uniform(0.0, 5.0, 100_000), edges,
+                         np.linspace(700.0, 720.0, 81)))
+    array = phi.values(ts)
+    scalar = np.array([phi(t) for t in ts.tolist()])
+    mismatch = np.flatnonzero(scalar.view(np.int64) != array.view(np.int64))
+    assert mismatch.size == 0, (ts[mismatch[:5]], scalar[mismatch[:5]],
+                                array[mismatch[:5]])
 
 
 # -- conjugation -------------------------------------------------------------
@@ -133,10 +192,8 @@ def test_exp_young_conjugate_is_a_vectorized_catalog_kind():
     # subtraction cancels near 0, so the bound scales with the two terms
     terms = (1.0 + s) * np.log1p(s) + s
     assert np.all(np.abs(vec - scalar) <= 8.0 * np.finfo(float).eps * terms)
-    # below TAYLOR_BELOW the scalar and the vector kernel both take the
-    # Taylor polynomial, in the same operations
-    assert all(psi(float(x)) == (y if x >= TAYLOR_BELOW else v)
-               for x, y, v in zip(s[::97], scalar[::97], vec[::97]))
+    # a scalar call runs the vector kernel
+    assert all(psi(x) == v for x, v in zip(s.tolist(), vec.tolist()))
 
 
 def exact_young(kind, t):
@@ -186,10 +243,23 @@ def test_exp_young_conjugate_exact_verdicts():
 
 
 def test_conjugate_linear_step_pair():
-    psi = conjugate(OrliczFunction.linear())
-    assert psi.kind == "linf_step"
-    back = conjugate(psi)
-    assert back.kind == "linear"
+    # linear is a table and linf_step its conjugate, so conjugating either
+    # gives the other's values and horizon, and each is what it names
+    ts = np.concatenate((np.linspace(0.0, 3.0, 301),
+                         [np.nextafter(1.0, 2.0), 1e300, math.inf]))
+    step = np.where(ts <= 1.0, 0.0, math.inf)
+    for made, named, expected in (
+            (conjugate(OrliczFunction.linear()), OrliczFunction.linf_step(),
+             step),
+            (conjugate(OrliczFunction.linf_step()), OrliczFunction.linear(),
+             ts)):
+        assert made.horizon == named.horizon
+        assert np.array_equal(made.values(ts), expected)
+        assert np.array_equal(named.values(ts), expected)
+        assert [made(t) for t in ts.tolist()] == expected.tolist()
+        assert [named(t) for t in ts.tolist()] == expected.tolist()
+    assert OrliczFunction.linf_step().horizon == 1.0
+    assert OrliczFunction.linear().is_finite_everywhere
     # sup_t (s*t - t): zero up to slope 1, then unbounded
     assert conjugate_value(OrliczFunction.linear(), 0.5) == 0.0
     assert conjugate_value(OrliczFunction.linear(), 1.0) == 0.0
