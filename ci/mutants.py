@@ -35,10 +35,10 @@ BISECTION_PROPERTY = ("tests/test_norms.py::"
 SPIKE_PROPERTY = ("tests/test_convergence_matrix.py::"
                   "test_spike_layout_readers_match_a_dense_copy_bit_for_bit")
 SEARCH = "src/orliczkit/_search.py"
-PAIR_ASCENT = ("tests/test_duality.py::"
-               "test_pair_ascent_stops_within_its_bound_of_phi")
-STEP_PROPERTY = ("tests/test_duality.py::"
-                 "test_pair_steps_reach_the_line_search_maximum")
+SOLVE_PROPERTY = ("tests/test_duality.py::"
+                  "test_pair_ascent_stops_within_its_bound_of_phi")
+SHORT_OF_CEILING = ("tests/test_duality.py::"
+                    "test_a_solve_short_of_its_ceiling_stops_flat")
 BOX_ONLY_BICONJUGATE = ("tests/test_duality.py::"
                         "test_biconjugate_recovers_box_only_members")
 COORD_STEP_PROPERTY = ("tests/test_duality.py::"
@@ -131,18 +131,23 @@ MUTANTS = [
      "                                                 upper=cap + FEAS_TOL),\n",
      ["tests/test_risk.py::test_avar_conjugate_box_rules",
       "tests/test_duality.py::test_avar_ascent_stays_inside_the_cap"]),
-    ("pair steps are not cut to their segment",
-     RISK,
-     "        return min(max(s, lo), hi)\n",
-     "        return s\n",
-     [f"{STEP_PROPERTY}[0]"]),
-    ("entropic pair steps flip the sign of beta df",
-     RISK,
-     "        z = self.beta * df\n",
-     "        z = -self.beta * df\n",
-     [f"{STEP_PROPERTY}[0]",
+    ("the solve's Gibbs exponent flips the sign of beta f",
+     DUALITY,
+     "        z = conj.beta * fv\n",
+     "        z = -conj.beta * fv\n",
+     [f"{SOLVE_PROPERTY}[0]",
       "tests/test_duality.py::"
       "test_numeric_entropic_reconstruct_resolves_a_tiny_gibbs_mass"]),
+    ("the solve's Gibbs exponent is not shifted",
+     DUALITY,
+     "        e = np.exp(z - np.maximum.reduce(z))\n",
+     "        e = np.exp(z)\n",
+     [f"{SOLVE_PROPERTY}[0]"]),
+    ("the capped solve's exponents are not shifted",
+     DUALITY,
+     "            e = np.exp(zs[p:] - zs[p])\n",
+     "            e = np.exp(zs[p:])\n",
+     [f"{SOLVE_PROPERTY}[0]"]),
     ("a separable biconjugate takes the generic ascent, whose sign-free "
      "pair segments run past the box",
      DUALITY,
@@ -157,7 +162,7 @@ MUTANTS = [
      DUALITY,
      "CEILING_TOL = 1e-12\n",
      "CEILING_TOL = 1e-6\n",
-     [f"{PAIR_ASCENT}[0]"]),
+     [SHORT_OF_CEILING]),
     ("one restart under a finite ceiling",
      DUALITY,
      "    for r in range(restarts):\n",
@@ -175,32 +180,30 @@ MUTANTS = [
      "    if restarts < 1:\n",
      "    if False:\n",
      ["tests/test_duality.py::test_ascents_need_a_restart"]),
-    ("the pair ascent's segments run past the cap",
+    ("the greedy fill ignores the cap",
      DUALITY,
-     "            room, held = (upper - gi) * wi, gj * wj\n",
-     "            room, held = math.inf, gj * wj\n",
+     "            mass = np.minimum(np.maximum(left, 0.0), full)\n",
+     "            mass = np.maximum(left, 0.0)\n",
      ["tests/test_duality.py::"
-      "test_numeric_avar_certificates_reach_the_cap[0.5]"]),
-    ("the pair ascent lets an atom at the cap take mass",
+      "test_numeric_avar_certificates_reach_the_cap[0.5]",
+      f"{SOLVE_PROPERTY}[0]"]),
+    ("the breakpoint reads each share as if no mass were capped",
      DUALITY,
-     "                take[k] = uk if g[k] < upper else -math.inf\n",
-     "                take[k] = uk if g[k] <= upper else -math.inf\n",
-     ["tests/test_duality.py::"
-      "test_numeric_avar_certificates_reach_the_cap[0.5]"]),
-    ("the pair ascent stops at a KKT gap 10^6 times wider",
+     "            p = int(np.argmax(left * np.exp(zs - tail) <= cap))\n",
+     "            p = int(np.argmax(np.exp(zs - tail) <= cap))\n",
+     [f"{SOLVE_PROPERTY}[0]"]),
+    ("the solve's ceiling stop is 10^6 times wider",
      DUALITY,
-     "    stop_gap = CEILING_TOL * (1.0 + abs(ceiling))\n",
-     "    stop_gap = 1e6 * CEILING_TOL * (1.0 + abs(ceiling))\n",
-     [f"{PAIR_ASCENT}[0]"]),
-    ("the value of mass drops the entropy term",
-     RISK,
-     "        if self.beta == math.inf:\n"
-     "            return fk\n",
+     "    reached = value >= ceiling - CEILING_TOL * (1.0 + abs(ceiling))\n",
+     "    reached = value >= ceiling - 1e6 * CEILING_TOL * (1.0 + abs(ceiling))\n",
+     [SHORT_OF_CEILING]),
+    ("a capped entropy takes the greedy vertex",
+     DUALITY,
+     "        if conj.beta == math.inf:\n"
+     "            mass = ",
      "        if True:\n"
-     "            return fk\n",
-     [f"{PAIR_ASCENT}[0]",
-      "tests/test_duality.py::"
-      "test_numeric_entropic_reconstruct_matches_gibbs_seeded[0]"]),
+     "            mass = ",
+     [f"{SOLVE_PROPERTY}[0]"]),
     ("brent_max cuts a bracket on the wrong side of a probe that does not "
      "improve",
      SEARCH,

@@ -12,11 +12,10 @@ the objective's domain, as on the dual of a cash-additive functional, it
 runs the transfers and the pattern move alone. A dual ascent whose primal
 value phi(f) is known stops as soon as it reaches it, since by weak duality
 no dual value exceeds it. The dual of a unit-mass ``SeparableConjugate``,
-which every catalog member but the expectation has, takes a pair ascent
-instead: each step moves mass to the atom where it is worth most from one
-where it is worth less (SMO's maximal violating pair; Keerthi, Shevade,
-Bhattacharyya & Murthy 2001) by the analytic two-variable step (Platt
-1998), until those worths agree to ``CEILING_TOL``.
+which every catalog member but the expectation has, is solved instead: it
+is a separable concave program on a box with one linear constraint, whose
+maximizer one scalar fixes, the multiplier of the mass (the breakpoint or
+water-filling method; Patriksson 2008, Boyd & Vandenberghe 2004).
 Divergence of a conjugate (the +inf case) is detected by ray probes before
 any ascent runs, all of them in one ``evaluate_rows`` call when the
 functional has a row kernel. A numeric Fenchel conjugate of a functional
@@ -105,12 +104,14 @@ class AscentResult:
 
     ``sweeps`` belongs to the winning restart (``start_index``);
     ``evaluations`` counts every objective call over all restarts, and a
-    coordinate step adds the values of phi it read. The pair ascent of a
-    separable dual fills the fields as ``reconstruct`` describes.
+    coordinate step adds the values of phi it read. The mass-multiplier
+    solve of a separable dual runs no sweep and no restart: ``start_index``
+    0, ``sweeps`` 0 and ``evaluations`` 1, the call that reads its value.
     ``stop_reason`` says why the winning restart ended: ``"ceiling"`` (it
     came within ``CEILING_TOL`` of the caller's upper bound, and the call
     skipped every later sweep and restart), ``"flat"`` (a sweep gained at
-    most 1e-11 relative), ``"sweep_cap"`` (``SWEEP_CAP`` sweeps ran), or
+    most 1e-11 relative; for the solve, its exact maximum lies further
+    below the ceiling), ``"sweep_cap"`` (``SWEEP_CAP`` sweeps ran), or
     ``"stuck_at_-inf"`` (no restart found a finite value).
     """
     g: np.ndarray
@@ -575,9 +576,9 @@ class _ValidationRefusal(Refusal, ValueError):
 class DualCertificate:
     """``start_index``, ``sweeps``, ``evaluations`` and ``stop_reason``
     are the dual ascent's (``AscentResult``; ``reconstruct`` says what they
-    mean on the pair ascent), or None, 0, 0 and ``"closed_form"`` with a
-    closed-form maximizer. ``evaluations`` counts objective calls, each one
-    conjugate value, and pair steps, each two atoms' scalar math."""
+    mean for the mass-multiplier solve), or None, 0, 0 and
+    ``"closed_form"`` with a closed-form maximizer. ``evaluations`` counts
+    objective calls, each one conjugate value."""
     g: Rv
     conjugate_value: float
     achieved: float
@@ -603,78 +604,60 @@ def _conjugate_fn(phi: RiskFunctional, seed: int,
     return numeric
 
 
-def _pair_ascent(conj: SeparableConjugate, space: MeasureSpace,
-                 fv: np.ndarray, ceiling: float) -> AscentResult:
+def _mass_multiplier_solve(conj: SeparableConjugate, space: MeasureSpace,
+                           fv: np.ndarray, ceiling: float) -> AscentResult:
     """Maximize ``<f, g> - conj(g)`` for a unit-mass ``conj``, whose
-    supremum ``ceiling`` = phi(f) bounds, by maximal-violating-pair steps.
+    supremum ``ceiling`` = phi(f) bounds, by solving its KKT system.
 
-    From g = 1 / total mass, each step takes i, the atom below the cap
-    where mass is worth most (u, ``conj.marginal``), and a giver j above 0
-    where it is worth less, and moves the best transfer
-    (``conj.pair_step``) from j to i while both stay in [0, cap]. With
-    ``beta = inf`` j is where mass is worth least, the maximal violating
-    pair (Keerthi, Shevade, Bhattacharyya & Murthy 2001); with an entropy
-    term it is the giver whose Newton step on the pair gains most (Fan,
-    Chen & Lin 2005). A taker whose step moves nothing takes no more until
-    it moves. The ascent stops once mass is worth at most ``CEILING_TOL *
-    (1 + |ceiling|)`` more at i than at any atom above 0, which bounds the
-    supremum less the value at g (concavity, unit mass), or after
-    ``SWEEP_CAP`` times n steps, and reads its value once.
+    The dual is separable and concave on the box [0, cap], with one linear
+    constraint, E[g] = 1, so one scalar, the multiplier lambda of the mass,
+    fixes its maximizer (the breakpoint or water-filling method: Patriksson
+    2008; Boyd & Vandenberghe 2004, Ex. 5.2). It reads only what ``conj``
+    declares: ``beta``, the cap ``upper`` and the unit mass, never phi's
+    closed-form maximizer. The atoms are ordered by f, descending and
+    stable, so that ties go to the lower index. With ``beta = inf`` the
+    dual is linear and its maximizer the greedy vertex: the atoms filled
+    to the cap in that order, what is left of the mass on the next one.
+    Otherwise g_k = min(cap, e^{beta (f_k - lambda) - 1}); the capped
+    atoms are the first prefix whose next atom's uncapped share is at most
+    the cap, and the exponents are shifted by the largest exponent of the
+    uncapped suffix, so a share that underflows reads 0. Without a cap
+    that is one log-sum-exp, in the atoms' own order. The value is read
+    once; ``stop_reason`` is ``"ceiling"`` when it is within ``CEILING_TOL
+    * (1 + |ceiling|)`` of ``ceiling``, else ``"flat"``.
     """
-    n = space.n_atoms
     w = space.weights
-    upper = conj.upper
-    stop_gap = CEILING_TOL * (1.0 + abs(ceiling))
-    g = np.full(n, 1.0 / float(space.total_mass))
-    f = fv.tolist()
-    # u where an atom can give mass (above 0, as all do at the start) and
-    # where it can take it (below the cap)
-    give = np.array([conj.marginal(fk, gk) for fk, gk in zip(f, g.tolist())])
-    take = np.where(g < upper, give, -math.inf)
-    steps = 0
-    reason = "flat"
-    # a giver's gain below is inf * 0 = nan where g = 0, and never picked
-    with np.errstate(invalid="ignore"):
-        while True:
-            i, j = int(take.argmax()), int(give.argmin())
-            ui = float(take[i])
-            if not ui - give[j] > stop_gap:
-                break
-            if steps == SWEEP_CAP * n:
-                reason = "sweep_cap"
-                break
-            if conj.beta < math.inf and g[i] > 0.0:
-                # by u alone, an atom of little mass can be picked again and
-                # again, its transfers below a heavy atom's last digit; its
-                # Newton gain, (u_i - u_k)^2 / (1 / m_i + 1 / m_k) for the
-                # masses m = w g, is small
-                m = w * g
-                j = int(np.where(give < ui - stop_gap,
-                                 (ui - give) ** 2 * m / (m[i] + m),
-                                 -1.0).argmax())
-            wi, wj = float(w[i]), float(w[j])
-            gi, gj = float(g[i]), float(g[j])
-            # u_i > u_j: mass moves from j to i, until g_i reaches the cap
-            # or g_j reaches 0, and a step to either end lands on it
-            room, held = (upper - gi) * wi, gj * wj
-            s = conj.pair_step(g, i, j, f[i] - f[j], 0.0, min(room, held))
-            steps += 1
-            g[i] = upper if s == room else gi + s / wi
-            g[j] = max(gj - s / wj, 0.0) if s < held else 0.0
-            if g[i] == gi and g[j] == gj:
-                # below both densities' last digits, as where i's share
-                # underflows
-                take[i] = -math.inf
-                continue
-            for k in (i, j):
-                uk = conj.marginal(f[k], float(g[k]))
-                take[k] = uk if g[k] < upper else -math.inf
-                give[k] = uk if g[k] > 0.0 else math.inf
+    cap = conj.upper
+    if conj.beta < math.inf and cap == math.inf:
+        z = conj.beta * fv
+        e = np.exp(z - np.maximum.reduce(z))
+        g = e / float(np.dot(w, e))
+    else:
+        order = np.argsort(-fv, kind="stable")
+        ws = w[order]
+        full = cap * ws
+        # the mass left after filling the atoms before each one to the cap
+        left = 1.0 - np.concatenate(([0.0], np.cumsum(full[:-1])))
+        if conj.beta == math.inf:
+            mass = np.minimum(np.maximum(left, 0.0), full)
+            gs = np.where(mass == full, cap, mass / ws)
+        else:
+            zs = conj.beta * fv[order]
+            # log sum_{j >= p} w_j e^{z_j}, and so atom p's share when the
+            # atoms from p on are uncapped
+            tail = np.logaddexp.accumulate((np.log(ws) + zs)[::-1])[::-1]
+            p = int(np.argmax(left * np.exp(zs - tail) <= cap))
+            e = np.exp(zs[p:] - zs[p])
+            gs = np.empty(len(ws))
+            gs[:p] = cap
+            gs[p:] = max(left[p], 0.0) * e / float(np.dot(ws[p:], e))
+        g = np.empty(len(ws))
+        g[order] = gs
     value = _DualObjective(conj, space, fv)(g)
-    return AscentResult(g=g, value=value, start_index=0,
-                        sweeps=-(-steps // n), evaluations=steps + 1,
-                        stop_reason=("ceiling" if value >= ceiling - stop_gap
-                                     else reason))
+    reached = value >= ceiling - CEILING_TOL * (1.0 + abs(ceiling))
+    return AscentResult(g=g, value=value, start_index=0, sweeps=0,
+                        evaluations=1,
+                        stop_reason="ceiling" if reached else "flat")
 
 
 def _dual_ascents(conj: Callable[[Rv], float], space: MeasureSpace,
@@ -682,11 +665,12 @@ def _dual_ascents(conj: Callable[[Rv], float], space: MeasureSpace,
                   signs: Sequence[bool]) -> list[AscentResult]:
     """The suprema of ``<f, g> - conj(g)`` below ``ceiling``: one
     ``maximize_dual`` ascent per ``nonneg`` in ``signs``, or, for a
-    unit-mass ``SeparableConjugate``, which is +inf below zero, one pair
-    ascent for all of them. ``restarts`` below 1 raise ValueError."""
+    unit-mass ``SeparableConjugate``, which is +inf below zero, one
+    mass-multiplier solve for all of them. ``restarts`` below 1 raise
+    ValueError."""
     _check_restarts(restarts)
     if isinstance(conj, SeparableConjugate) and conj.unit_mass:
-        return [_pair_ascent(conj, space, fv, ceiling)]
+        return [_mass_multiplier_solve(conj, space, fv, ceiling)]
     obj = _DualObjective(conj, space, fv)
     return [maximize_dual(obj, space, seed=seed, restarts=restarts,
                           nonneg=nonneg, ceiling=ceiling) for nonneg in signs]
@@ -706,13 +690,13 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     certificate is exact. Otherwise phi(f), which bounds every dual value
     (weak duality), is the ascent's ``ceiling``; ``restarts`` below 1 raise
     ValueError. The dual of a unit-mass ``SeparableConjugate`` (entropic,
-    AVaR, worst case) takes the pair ascent (``_pair_ascent``): from the
-    constant density 1 / total mass, pair steps until no two values of
-    mass differ by more than ``CEILING_TOL * (1 + |phi(f)|)``. It reads no
+    AVaR, worst case) is solved exactly from what the conjugate declares
+    (``_mass_multiplier_solve``), never from phi's closed-form maximizer,
+    so ``force_numeric`` still checks one against the other. It reads no
     ``seed`` and runs no restart; its certificate reports ``start_index``
-    0, ``sweeps`` as its pair steps over n rounded up, ``evaluations`` as
-    its pair steps plus the one objective call that reads its value, and
-    ``stop_reason`` ``"ceiling"`` when that value is that close to phi(f).
+    0, ``sweeps`` 0, ``evaluations`` 1, the objective call that reads its
+    value, and ``stop_reason`` ``"ceiling"`` when that value is within
+    ``CEILING_TOL * (1 + |phi(f)|)`` of phi(f).
     Any other dual goes to ``maximize_dual``, over g >= 0 from
     deterministic multi-starts, which stops as soon as it comes that close.
     Returns (dual value, certificate); certificate.gap = phi(f) - dual value.
@@ -773,8 +757,8 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
 
 @dataclass(frozen=True)
 class BiconjugateReport:
-    """``evaluations`` counts the dual ascents' objective calls and pair
-    steps over every probe, as ``DualCertificate`` does."""
+    """``evaluations`` counts the dual ascents' objective calls over every
+    probe, as ``DualCertificate`` does."""
     max_deviation: float
     max_split: float
     deviations: tuple[float, ...]
@@ -793,8 +777,8 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
     sign-free supremum against phi itself. phi** <= phi bounds both suprema,
     so phi(f), computed once per probe, is the ``ceiling`` of both ascents.
     A unit-mass ``SeparableConjugate`` is +inf below zero, so its two
-    suprema are one problem: the pair ascent (``reconstruct``) runs once per
-    probe, and its split is 0. Any other conjugate takes two
+    suprema are one problem: the mass-multiplier solve (``reconstruct``)
+    runs once per probe, and its split is 0. Any other conjugate takes two
     ``maximize_dual`` ascents. An empty probe list, or ``restarts`` below 1,
     raises ValueError.
     """

@@ -7,11 +7,9 @@ increasing and convex is for ``validate`` to decide, not declared.
 Every catalog conjugate is one ``SeparableConjugate``: a sum over atoms,
 ``E[g log g] / beta`` or zero, on a box of densities, under a unit mass for
 the cash-additive members. It takes a candidate density ``g`` and returns
-the conjugate value, ``+inf`` off the effective domain, and it gives the
-dual objective's value of mass at an atom (``marginal``) and the best
-mass-preserving transfer between two atoms in closed form (``pair_step``):
-the dual ascent of a unit-mass conjugate picks each pair by the first and
-moves mass by the second.
+the conjugate value, ``+inf`` off the effective domain; what it declares,
+``beta``, the box and the unit mass, is all the dual solve of a unit-mass
+conjugate reads.
 """
 
 from __future__ import annotations
@@ -66,20 +64,18 @@ class SeparableConjugate:
     upper]`` and, if ``unit_mass``, ``E[g] = 1`` within ``FEAS_TOL``;
     ``+inf`` elsewhere. ``0 log 0 = 0``, and entries of ``g`` at or below
     zero add nothing; ``beta = inf`` drops the sum, which leaves the
-    indicator of the box. A call takes a candidate density ``Rv``. For the
-    dual objective ``<f, g> - phi*(g)``, ``marginal`` gives the value of
-    mass at an atom and ``pair_step`` the best transfer of mass between
-    two atoms; the dual ascent of a unit-mass conjugate moves mass to the
-    atom where it is worth most (``duality``).
+    indicator of the box. A call takes a candidate density ``Rv``. The
+    dual of a unit-mass conjugate is solved from ``beta``, ``upper`` and
+    the unit mass alone, by a search on the mass's multiplier
+    (``duality``).
     """
 
-    __slots__ = ("weights", "beta", "lower", "upper", "unit_mass", "_w")
+    __slots__ = ("weights", "beta", "lower", "upper", "unit_mass")
 
     def __init__(self, space: MeasureSpace, *, beta: float = math.inf,
                  lower: float = -FEAS_TOL, upper: float = math.inf,
                  unit_mass: bool = True):
         self.weights = space.weights
-        self._w = space.weights.tolist()
         self.beta = beta
         self.lower = lower
         self.upper = upper
@@ -103,48 +99,6 @@ class SeparableConjugate:
             return float(np.dot(w, gv * np.log(gv))) / self.beta
         pos = gv > 0.0
         return float(np.dot(w[pos], gv[pos] * np.log(gv[pos]))) / self.beta
-
-    def marginal(self, fk: float, gk: float) -> float:
-        """The value of mass at an atom of outcome ``fk`` and density
-        ``gk`` for the dual objective ``<f, g> - phi*(g)`` on the box: ``u =
-        fk - (log gk + 1) / beta``, its derivative in ``gk`` over the atom's
-        weight, or ``fk`` when ``beta = inf``; ``+inf`` where ``gk = 0`` and
-        ``beta`` is finite.
-        """
-        if self.beta == math.inf:
-            return fk
-        return fk - (math.log(gk) + 1.0) / self.beta if gk > 0.0 else math.inf
-
-    def pair_step(self, g: np.ndarray, i: int, j: int, df: float, lo: float,
-                  hi: float) -> float:
-        """The transfer ``s`` in ``[lo, hi]`` that maximizes the dual
-        objective ``h(s)`` along ``x_i = g_i + s / w_i``, ``x_j = g_j - s /
-        w_j``, where ``df = f_i - f_j``. The transfer keeps ``E[g]``.
-
-        With ``beta`` finite, ``h`` is concave, and its maximum solves
-        ``x_i / x_j = exp(beta df)`` at the fixed mass ``m = w_i g_i + w_j
-        g_j``: ``x_i = m e^{beta f_i} / (w_i e^{beta f_i} + w_j e^{beta
-        f_j})``, likewise ``x_j``, and ``s = w_i (x_i - g_i) = w_j (g_j -
-        x_j)``, read on the side that ends with less mass. The exponent is
-        shifted by its larger side, so no ``df`` overflows it. With ``beta =
-        inf``, ``h`` is linear and its maximum is the end ``df`` points to,
-        or 0 when ``df = 0``. The step does not check the box; the dual
-        ascent's segments end where a density reaches 0 or the cap.
-        """
-        if self.beta == math.inf:
-            return hi if df > 0.0 else lo if df < 0.0 else 0.0
-        wi, wj = self._w[i], self._w[j]
-        gi, gj = float(g[i]), float(g[j])
-        z = self.beta * df
-        e = math.exp(-abs(z))
-        # x_i = c a_i and x_j = c a_j
-        ai, aj = (1.0, e) if z >= 0.0 else (e, 1.0)
-        c = (wi * gi + wj * gj) / (wi * ai + wj * aj)
-        # read from the side that ends with less mass, whose density keeps
-        # its relative precision: a heavy side's change can fall below its
-        # last digit
-        s = wi * (c * ai - gi) if wi * ai <= wj * aj else wj * (gj - c * aj)
-        return min(max(s, lo), hi)
 
 
 def _kink_step(w: np.ndarray, rows: Callable[[np.ndarray], np.ndarray],

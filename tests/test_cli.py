@@ -44,6 +44,27 @@ def test_norm_power2_unit_weights(files, capsys):
     assert doc["sandwich_ok"] is True
 
 
+SPACE8 = "atom_id,weight,block_id\n" + "".join(
+    f"{i},0.125,0\n" for i in range(8))
+F8 = (0.3, -1.2, 2.5, 0.7, -0.4, 1.9, -2.2, 0.15)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+@pytest.mark.parametrize("spec", ["linear", "power:p=2", "exp_young",
+                                  "linf_step"])
+def test_norm_sandwich_holds_at_every_scale(files, capsys, spec, scale):
+    # both norms are resolved to about 1e-10 relative: an absolute slack of
+    # 1e-9 read linear's equal norms at 1e200, 3.7e-11 relative apart, as
+    # a broken sandwich
+    space = files("space.csv", SPACE8)
+    rv = files("f.csv", "atom_id,value\n" + "".join(
+        f"{i},{v * scale!r}\n" for i, v in enumerate(F8)))
+    code, out, _ = run_cli(capsys, "norm", "--space", space, "--rv", rv,
+                           "--orlicz", spec)
+    assert code == 0
+    assert json.loads(out)["sandwich_ok"] is True
+
+
 def test_norm_step_function_is_sup_norm(files, capsys):
     space = files("space.csv", SPACE3)
     rv = files("f.csv", "atom_id,value\n0,3\n1,-1\n2,0\n")

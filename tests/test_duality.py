@@ -1,6 +1,7 @@
 """Fenchel conjugates, divergence evidence, certificates, biconjugation."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -40,21 +41,17 @@ PSI2 = conjugate(OrliczFunction.power(2.0))
 @pytest.fixture
 def dual_calls(monkeypatch):
     """A one-item list counting, while the test runs, the dual objective's
-    calls (``duality._DualObjective``) and the pair steps of separable
-    conjugates (``SeparableConjugate.pair_step``): the work a certificate's
-    ``evaluations`` reports. The counted methods return what they would,
-    so the ascents take the same path as without the count."""
+    calls (``duality._DualObjective``): the work a certificate's
+    ``evaluations`` reports. The counted call returns what it would, so the
+    ascents take the same path as without the count."""
     calls = [0]
+    method = duality._DualObjective.__call__
 
-    def counting(method):
-        def counted(*args):
-            calls[0] += 1
-            return method(*args)
-        return counted
+    def counted(*args):
+        calls[0] += 1
+        return method(*args)
 
-    for cls, name in ((duality._DualObjective, "__call__"),
-                      (SeparableConjugate, "pair_step")):
-        monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    monkeypatch.setattr(duality._DualObjective, "__call__", counted)
     return calls
 
 
@@ -638,90 +635,6 @@ def _feasible_dual(rng, member, phi, sp):
     return raw / float(sp.weights @ raw)
 
 
-def _box_segment(conj, g, i, j, w):
-    """The transfers ``[lo, hi]`` that keep g_i + s / w_i and g_j - s / w_j
-    in [0, cap], each end pulled in until the computed density stays at
-    most the cap; the pair ascent steps on ``[0, hi]``."""
-    cap = conj.upper
-    lo = max(-g[i] * w[i], (g[j] - cap) * w[j])
-    hi = min(g[j] * w[j], (cap - g[i]) * w[i])
-    while g[j] - lo / w[j] > cap:
-        lo = math.nextafter(lo, 0.0)
-    while g[i] + hi / w[i] > cap:
-        hi = math.nextafter(hi, 0.0)
-    return lo, hi
-
-
-def _pair_line(obj, g, i, j, w):
-    """The whole objective along the transfer g_i += s / w_i,
-    g_j -= s / w_j."""
-    def h(s):
-        moved = g.copy()
-        moved[i] = g[i] + s / w[i]
-        moved[j] = g[j] - s / w[j]
-        return obj(moved)
-    return h
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_pair_steps_reach_the_line_search_maximum(seed):
-    # numpy-seeded rather than Hypothesis, whose derandomized draws move
-    # with the literal constants of every loaded module; a line search of
-    # the whole objective along each pair is the reference each step is
-    # held to, on the pair's segment in the box and on a narrower one that
-    # cuts the step
-    rng = np.random.default_rng([25, seed])
-    for n in range(2, 13):
-        for uniform in (True, False):
-            sp, catalog = _catalog_draw(rng, n, uniform)
-            w = sp.weights
-            for member, phi in enumerate(catalog):
-                conj = phi.closed_form_conjugate
-                fv = rng.uniform(-2.0, 2.0, n)
-                obj = duality._DualObjective(conj, sp, fv)
-                g = _feasible_dual(rng, member, phi, sp)
-                v = obj(g)
-                tol = 1e-12 * (1.0 + abs(v))
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        lo, hi = _box_segment(conj, g, i, j, w)
-                        if hi - lo <= 1e-300:
-                            continue
-                        h = _pair_line(obj, g, i, j, w)
-                        df = fv[i] - fv[j]
-                        inner = (lo * rng.uniform(), hi * rng.uniform())
-                        for a, b in ((lo, hi), inner):
-                            s = conj.pair_step(g, i, j, df, a, b)
-                            assert a <= s <= b
-                            got = h(s)
-                            if got == -math.inf:
-                                # the expectation's box is not a segment
-                                # end, and no ascent steps on its pairs
-                                assert not conj.unit_mass
-                                continue
-                            step, _ = duality._line_search(h, a, b, 0.0, v)
-                            assert got >= (step[1] if step else v) - tol
-                        s = conj.pair_step(g, i, j, df, lo, hi)
-                        # two zero densities have no mass to share
-                        mass = g[i] * w[i] + g[j] * w[j]
-                        if conj.beta < math.inf and lo < s < hi and mass:
-                            xi = g[i] + s / w[i]
-                            xj = g[j] - s / w[j]
-                            z = conj.beta * df
-                            assert (abs(math.log(xi / xj) - z)
-                                    <= 1e-12 * max(1.0, abs(z)))
-                if member == 0:
-                    # |beta df| = 800 overflows exp(beta f_i) unshifted
-                    for sign in (1.0, -1.0):
-                        far = fv.copy()
-                        far[1] = far[0] - sign * 800.0 / conj.beta
-                        obj = duality._DualObjective(conj, sp, far)
-                        lo, hi = _box_segment(conj, g, 0, 1, w)
-                        s = conj.pair_step(g, 0, 1, far[0] - far[1], lo, hi)
-                        assert math.isfinite(s) and lo <= s <= hi
-                        assert _pair_line(obj, g, 0, 1, w)(s) >= obj(g) - tol
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_coordinate_steps_reach_the_line_search_maximum(seed):
     # numpy-seeded, as the pair-step property above: every catalog member's
@@ -804,18 +717,18 @@ def test_stepped_conjugates_agree_with_the_line_search_path(seed):
 
 @pytest.mark.parametrize("nonneg", [True, False])
 def test_ascent_values_are_the_objective_at_their_point(monkeypatch, nonneg):
-    # the pair ascent reads its value once, from the whole objective, for
-    # the ascent over g >= 0 of a certificate (nonneg) and the sign-free
-    # one of a biconjugate alike
+    # the mass-multiplier solve reads its value once, from the whole
+    # objective, for the ascent over g >= 0 of a certificate (nonneg) and
+    # the sign-free one of a biconjugate alike
     ascents = []
-    pair_ascent = duality._pair_ascent
+    solve = duality._mass_multiplier_solve
 
     def spied(conj, space, fv, ceiling):
-        res = pair_ascent(conj, space, fv, ceiling)
+        res = solve(conj, space, fv, ceiling)
         ascents.append((duality._DualObjective(conj, space, fv), res))
         return res
 
-    monkeypatch.setattr(duality, "_pair_ascent", spied)
+    monkeypatch.setattr(duality, "_mass_multiplier_solve", spied)
     rng = np.random.default_rng(2024)
     for n in (2, 3, 5, 8):
         for uniform in (True, False):
@@ -836,10 +749,11 @@ def test_ascent_values_are_the_objective_at_their_point(monkeypatch, nonneg):
 
 @pytest.mark.parametrize("alpha", [0.25, 0.3, 0.5])
 def test_numeric_avar_certificates_reach_the_cap(alpha):
-    # AVaR's dual is linear up to the cap g = 1/alpha; pair steps end
-    # there, so the numeric certificate is the closed form's and stops at
-    # its ceiling. Searched for inside the segment, the cap was found to
-    # about 2e-7 of it: misses up to 1.2e-7, and 94 of 210 ceiling stops
+    # AVaR's dual is linear up to the cap g = 1/alpha; its greedy vertex
+    # fills atoms to the cap, so the numeric certificate is the closed
+    # form's and stops at its ceiling. Searched for inside the segment, the
+    # cap was found to about 2e-7 of it: misses up to 1.2e-7, and 94 of 210
+    # ceiling stops
     rng = np.random.default_rng([7, int(100 * alpha)])
     for n in range(2, 9):
         sp = uniform_probability(n)
@@ -853,55 +767,119 @@ def test_numeric_avar_certificates_reach_the_cap(alpha):
             assert cert.stop_reason == "ceiling"
             assert abs(got - exact) <= 1e-12
             assert cert.g.values.max() <= 1.0 / alpha
-            # each pair step fills its taker to the cap or empties its
-            # giver, and neither moves again: at most n steps, and the read
-            assert cert.evaluations <= n + 1
+            # the solve reads its value once
+            assert cert.evaluations == 1
+
+
+def _kkt_ok(conj, f, g):
+    """Whether ``g`` meets the KKT conditions of the dual of a unit-mass
+    ``conj`` at ``f`` within rounding: with ``beta = inf``, no outcome below
+    the cap beats one above 0; otherwise one value of mass,
+    u_k = f_k - (log g_k + 1) / beta, on the atoms strictly inside the box,
+    no less at the cap, and an exact share below about the smallest normal
+    double where g is below it, since subnormal shares keep few digits."""
+    cap = conj.upper
+    if conj.beta == math.inf:
+        return f[g < cap].max(initial=-math.inf) <= f[g > 0.0].min()
+    tiny = np.finfo(float).tiny
+    normal = g >= tiny
+    u = f[normal] - (np.log(g[normal]) + 1.0) / conj.beta
+    tol = 64 * np.finfo(float).eps * (
+        1.0 + np.max(np.abs(f)) + np.max(np.abs(u)))
+    lam = u[g[normal] < cap].max(initial=u.min())
+    return (u.min() >= lam - tol
+            and np.all(conj.beta * (f[~normal] - lam) - 1.0
+                       <= math.log(1.01 * tiny)))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_pair_ascent_stops_within_its_bound_of_phi(seed):
-    # numpy-seeded, on the duals the pair ascent serves: entropic, AVaR and
-    # the worst case on random probability spaces of 1 to 12 atoms. Its
-    # value sums n terms whose magnitudes add up to about max|f|, each
-    # within n eps max|f| of its exact value when summed in floating point
-    # (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, sec.
-    # 4.2), so it may pass phi(f) by that much, and its stop, at
-    # CEILING_TOL = 1e-12 times 1 + |phi(f)|, leaves it at most that far
-    # below. The stop itself is read back from the densities at twice its
-    # width: a density's u, recomputed, may differ from the ascent's in its
-    # last digits. A biconjugate runs the same ascent once for both of its
-    # suprema
+    # numpy-seeded (ROADMAP J) on the duals the mass-multiplier solve
+    # serves: entropic at beta 0.5 and 2, AVaR, the worst case, and hand-
+    # built entropies under a cap, which no catalog member has, on spaces of
+    # 1 to 4,096 atoms with uniform or random weights, f at scales 1e-300 to
+    # 1e6, with and without ties. Its value sums n terms whose magnitudes
+    # add up to about max|f|, each within n eps max|f| of its exact value
+    # when summed in floating point (Higham, *Accuracy and Stability of
+    # Numerical Algorithms*, 2002, sec. 4.2), and its mass is 1 within
+    # (n + 1) eps, which moves an entropic value by that times |phi(f)| +
+    # 1 / beta; so it may pass phi(f) by 2 (n + 1) eps (1 + max|f| +
+    # 1 / beta) and no more, and it stops no further below than CEILING_TOL
+    # = 1e-12 times 1 + |phi(f)|. Its densities are closed_form_maximizer's
+    # within 2 n eps of mass per atom where that maximizer is unique, and
+    # the capped entropies meet their KKT conditions. A biconjugate runs the
+    # same solve once for both of its suprema
     rng = np.random.default_rng([28, seed])
     eps = np.finfo(float).eps
-    for n in range(1, 13):
-        raw = rng.uniform(0.05, 1.0, n)
+    for n in (*range(1, 13), 100, 1024, 4096):
+        raw = rng.uniform(0.05, 1.0, n) if rng.uniform() < 0.5 else np.ones(n)
         sp = MeasureSpace.finite(raw / raw.sum())
-        members = ([entropic(beta, sp) for beta in (0.5, 1.0, 2.0)]
-                   + [average_value_at_risk(alpha, sp)
-                      for alpha in (0.25, 0.5)]
-                   + [worst_case(sp)])
-        for phi in members:
-            conj = phi.closed_form_conjugate
-            for scale in (1.5, 4.0):
-                f = rng.normal(0.0, scale, n)
-                primal = phi.evaluate(Rv(sp, f))
-                stop = 1e-12 * (1.0 + abs(primal))
-                slack = 2 * n * eps * (1.0 + np.max(np.abs(f)))
-                res = duality._pair_ascent(conj, sp, f, primal)
-                assert primal - stop - slack <= res.value <= primal + slack
-                assert res.g.min() >= 0.0 and res.g.max() <= conj.upper
-                u = np.array([conj.marginal(fk, gk)
-                              for fk, gk in zip(f, res.g)])
-                assert (u[res.g < conj.upper].max() - u[res.g > 0.0].min()
-                        <= 2.0 * stop)
-                rep = biconjugate_check(phi, [Rv(sp, f)])
-                assert rep.max_split == 0.0
-                assert rep.evaluations == res.evaluations
+        alpha = float(rng.choice([0.1, 0.25, 0.5, 1.0]))
+        members = ([entropic(beta, sp) for beta in (0.5, 2.0)]
+                   + [average_value_at_risk(alpha, sp), worst_case(sp)])
+        capped = [SeparableConjugate(sp, beta=beta,
+                                     upper=float(rng.uniform(1.01, 4.0)))
+                  for beta in (0.5, 2.0)]
+        for scale in (1e-300, 1e-8, 1.0, 1e3, 1e6):
+            f = rng.normal(0.0, scale, n)
+            if rng.uniform() < 0.5:
+                f[rng.uniform(size=n) < 0.3] = f[-1]
+            distinct = len(np.unique(f)) == n
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                for conj in [phi.closed_form_conjugate for phi in members
+                             ] + capped:
+                    res = duality._mass_multiplier_solve(conj, sp, f,
+                                                         math.inf)
+                    g = res.g
+                    assert (res.evaluations, res.sweeps) == (1, 0)
+                    assert g.min() >= 0.0 and g.max() <= conj.upper
+                    assert abs(float(sp.weights @ g) - 1.0) <= FEAS_TOL
+                    assert _kkt_ok(conj, f, g)
+                for phi in members:
+                    conj = phi.closed_form_conjugate
+                    fr = Rv(sp, f)
+                    primal = phi.evaluate(fr)
+                    stop = duality.CEILING_TOL * (1.0 + abs(primal))
+                    slack = 2 * (n + 1) * eps * (1.0 + np.max(np.abs(f))
+                                                 + 1.0 / conj.beta)
+                    res = duality._mass_multiplier_solve(conj, sp, f, primal)
+                    assert primal - stop <= res.value <= primal + slack
+                    assert res.stop_reason == "ceiling"
+                    if conj.beta < math.inf or distinct:
+                        exact = phi.closed_form_maximizer(fr).values
+                        assert (np.max(sp.weights * np.abs(res.g - exact))
+                                <= 2 * n * eps)
+                    if n <= 12:
+                        rep = biconjugate_check(phi, [fr])
+                        assert rep.max_split == 0.0
+                        assert rep.evaluations == res.evaluations
+
+
+def test_a_solve_short_of_its_ceiling_stops_flat():
+    # the solve is exact, so its stop reason says whether its value is
+    # within CEILING_TOL of phi(f): a functional 1e-9 above the entropic,
+    # with the entropic's conjugate, is not that conjugate's primal, and its
+    # certificate stops flat, 1e-9 short
+    sp = uniform_probability(4)
+    ent = entropic(1.0, sp)
+    raised = RiskFunctional(name="raised entropic", space=sp,
+                            evaluate=lambda f: ent.evaluate(f) + 1e-9,
+                            proper_witness=zeros(sp),
+                            closed_form_conjugate=ent.closed_form_conjugate)
+    f = Rv(sp, [0.3, -0.2, 0.5, 1.1])
+    _, cert = reconstruct(raised, f, PSI2, validation_trials=40)
+    assert cert.stop_reason == "flat"
+    assert cert.gap == pytest.approx(1e-9, rel=1e-6)
+    _, exact = reconstruct(ent, f, PSI2, force_numeric=True,
+                           validation_trials=40)
+    assert exact.stop_reason == "ceiling"
 
 
 def test_numeric_entropic_certificate_at_128_atoms():
     # sweeps of a closed-form step on every pair made about 99,000 calls at
-    # this size; one step per violating pair makes about ten per atom
+    # this size, and one step per violating pair about ten per atom; the
+    # mass-multiplier solve reads one
     sp = uniform_probability(128)
     phi = entropic(1.0, sp)
     f = Rv(sp, np.random.default_rng(128).normal(0.0, 1.5, 128))
@@ -909,7 +887,7 @@ def test_numeric_entropic_certificate_at_128_atoms():
                           validation_trials=10)
     assert cert.stop_reason == "ceiling"
     assert cert.gap <= duality.CEILING_TOL * (1.0 + abs(phi.evaluate(f)))
-    assert cert.evaluations <= 5_000
+    assert cert.evaluations == 1
 
 
 def test_hand_built_entropic_gets_the_catalog_ascent(dual_calls):
@@ -995,9 +973,16 @@ def test_reconstruct_numeric_cold_start():
     f = Rv(sp, [0.4, -0.8, 1.1])
     achieved, cert = reconstruct(ent, f, PSI2, force_numeric=True, seed=0,
                                  restarts=3)
-    assert cert.start_index is not None
-    assert cert.sweeps > 0
-    assert 0.0 <= cert.gap <= 1e-6
+    # the mass-multiplier solve: no sweeps, one read, at its ceiling. Its
+    # value may pass phi(f) by the rounding bound of
+    # test_pair_ascent_stops_within_its_bound_of_phi, 2 (n + 1) eps
+    # (1 + max|f| + 1 / beta)
+    assert cert.start_index == 0
+    assert (cert.sweeps, cert.evaluations) == (0, 1)
+    assert cert.stop_reason == "ceiling"
+    eps = np.finfo(float).eps
+    assert (-8 * eps * 3.1 <= cert.gap
+            <= duality.CEILING_TOL * (1.0 + abs(ent.evaluate(f))))
     assert cert.nonnegative_ok
 
 
@@ -1023,7 +1008,8 @@ def test_numeric_entropic_reconstruct_matches_gibbs_seeded(seed):
     # the numpy-seeded twin of the Hypothesis property above, over wider
     # outcomes: Gibbs masses far below a line search's resolution, about
     # 2e-7 of its segment, missed phi(f) by up to 2.2e-9 when each pair
-    # line was searched; a pair step solves for them
+    # line was searched; the mass-multiplier solve reads them off its
+    # log-sum-exp
     rng = np.random.default_rng([25, seed])
     for _ in range(30):
         n = int(rng.integers(2, 13))
@@ -1057,8 +1043,9 @@ def test_numeric_entropic_reconstruct_resolves_a_tiny_gibbs_mass():
 def test_numeric_catalog_certificates_stop_only_when_certified(member, n,
                                                                seed, data):
     # reconstruct passes phi(f) as the ascent's ceiling: a certificate that
-    # stops there is within CEILING_TOL of phi(f). The pair ascent of a
-    # unit-mass conjugate, members 0 to 4, always does; the expectation's
+    # stops there is within CEILING_TOL of phi(f). The mass-multiplier
+    # solve of a unit-mass conjugate, members 0 to 4, always does; the
+    # expectation's
     # generic ascent, where it does not, is the ceiling-free ascent's, bit
     # for bit
     sp = uniform_probability(n)
@@ -1080,18 +1067,17 @@ def test_numeric_catalog_certificates_stop_only_when_certified(member, n,
             duality._DualObjective(phi.closed_form_conjugate, sp, f.values),
             sp, seed=seed, restarts=2)
         assert cert.g.values.tobytes() == free.g.tobytes()
-    # AVaR included: its pair segments end at the cap g = 1/alpha, where
-    # its pair steps land
+    # AVaR included: its greedy vertex fills atoms to the cap g = 1/alpha
     assert abs(got - exact) <= 1e-10
 
 
 def test_criterion_4_numeric_path_call_budget(dual_calls):
-    # criterion 4's 50 numeric certificates, counted at the dual objective
-    # and the pair steps: 2,847 with one pair ascent step per violating
-    # pair and a KKT stop; 5,154 with sweeps of a closed-form step on every
-    # pair, coordinate guards and pattern lines; 28,772 with a line search
-    # on every line; 153,500 without a ceiling, the pattern line and two
-    # flat sweeps per restart
+    # criterion 4's 50 numeric certificates, counted at the dual objective:
+    # 50, one read per mass-multiplier solve; 2,847 (with the pair steps)
+    # with one pair ascent step per violating pair and a KKT stop; 5,154
+    # with sweeps of a closed-form step on every pair, coordinate guards and
+    # pattern lines; 28,772 with a line search on every line; 153,500
+    # without a ceiling, the pattern line and two flat sweeps per restart
     rng = np.random.default_rng(1004)
     reported = 0
     for case in range(50):
@@ -1104,9 +1090,9 @@ def test_criterion_4_numeric_path_call_budget(dual_calls):
                               validation_trials=40)
         assert abs(cert.gap) <= 1e-11
         reported += cert.evaluations
-    # the certificates report every call and every pair step
+    # the certificates report every call
     assert dual_calls[0] == reported
-    assert dual_calls[0] <= 2_847
+    assert dual_calls[0] <= 50
 
 
 def test_feasible_dual_conjugates_stop_on_their_plateau():
@@ -1193,8 +1179,8 @@ def test_a_coordinate_step_that_reads_minus_inf_is_not_taken():
 def test_lines_with_a_step_are_never_searched(monkeypatch, seed):
     # numpy-seeded, every catalog member: a numeric Fenchel conjugate
     # searches no line, and neither do a numeric certificate or a
-    # biconjugate: the pair ascent steps, and the expectation's generic
-    # ascent starts at its ceiling
+    # biconjugate: the mass-multiplier solve has no lines, and the
+    # expectation's generic ascent starts at its ceiling
     events = []
     search, segment = duality._line_search, duality._pattern_segment
 
@@ -1325,8 +1311,8 @@ def test_results_report_their_evaluations():
     assert (closed.evaluations, closed.sweeps) == (0, 0)
     _, numeric = reconstruct(ent, f, PSI2, restarts=2, force_numeric=True,
                              validation_trials=40)
-    # the numeric certificate's ascent is the pair ascent
-    res = duality._pair_ascent(ent.closed_form_conjugate, sp, f.values,
+    # the numeric certificate's ascent is the mass-multiplier solve
+    res = duality._mass_multiplier_solve(ent.closed_form_conjugate, sp, f.values,
                                ent.evaluate(f))
     assert numeric.evaluations == res.evaluations > 0
 
@@ -1464,9 +1450,9 @@ def test_biconjugate_recovers_entropic():
                                   worst_case], ids=["avar", "worst_case"])
 @pytest.mark.parametrize("n", [3, 5])
 def test_biconjugate_recovers_box_only_members(make, n):
-    # a separable dual's pair segments end at 0 and at the cap whatever
-    # nonneg says, so the sign-free ascent is the nonnegative one and its
-    # steps land on the box's vertices. phi(f) and the dual value <f, g>
+    # a unit-mass separable dual is +inf below 0, so the sign-free
+    # supremum is the nonnegative one, and the mass-multiplier solve lands
+    # on the box's greedy vertex. phi(f) and the dual value <f, g>
     # there are then sums of n terms whose magnitudes add up to at most
     # max|f| (the weighted densities sum to 1), each within n eps max|f| of
     # its exact value when summed in floating point (Higham, *Accuracy and
