@@ -795,28 +795,27 @@ def _kkt_ok(conj, f, g):
 @pytest.mark.parametrize("seed", range(3))
 def test_pair_ascent_stops_within_its_bound_of_phi(seed):
     # numpy-seeded (ROADMAP J) on the duals the mass-multiplier solve
-    # serves: entropic at beta 0.5 and 2, AVaR, the worst case, and hand-
-    # built entropies under a cap, which no catalog member has, on spaces of
-    # 1 to 4,096 atoms with uniform or random weights, f at scales 1e-300 to
-    # 1e6, with and without ties. Its value sums n terms whose magnitudes
-    # add up to about max|f|, each within n eps max|f| of its exact value
-    # when summed in floating point (Higham, *Accuracy and Stability of
-    # Numerical Algorithms*, 2002, sec. 4.2), and its mass is 1 within
-    # (n + 1) eps, which moves an entropic value by that times |phi(f)| +
-    # 1 / beta; so it may pass phi(f) by 2 (n + 1) eps (1 + max|f| +
-    # 1 / beta) and no more, and it stops no further below than CEILING_TOL
-    # = 1e-12 times 1 + |phi(f)|. Its densities are closed_form_maximizer's
+    # serves: entropic at beta 0.5, 1 and 2, AVaR at four levels, the worst
+    # case, and hand-built entropies under a cap, which no catalog member
+    # has, on spaces of 1 to 4,096 atoms with uniform or random weights, f
+    # at scales 1e-300 to 1e6, with and without ties. Its value sums n terms
+    # whose magnitudes add up to about max|f|, each within n eps max|f| of
+    # its exact value when summed in floating point (Higham, *Accuracy and
+    # Stability of Numerical Algorithms*, 2002, sec. 4.2), so it may pass
+    # phi(f) by that much, and it stops no further below than CEILING_TOL =
+    # 1e-12 times 1 + |phi(f)|. Its densities are closed_form_maximizer's
     # within 2 n eps of mass per atom where that maximizer is unique, and
-    # the capped entropies meet their KKT conditions. A biconjugate runs the
-    # same solve once for both of its suprema
+    # every solve meets its KKT conditions. A biconjugate runs the same
+    # solve once for both of its suprema
     rng = np.random.default_rng([28, seed])
     eps = np.finfo(float).eps
     for n in (*range(1, 13), 100, 1024, 4096):
         raw = rng.uniform(0.05, 1.0, n) if rng.uniform() < 0.5 else np.ones(n)
         sp = MeasureSpace.finite(raw / raw.sum())
-        alpha = float(rng.choice([0.1, 0.25, 0.5, 1.0]))
-        members = ([entropic(beta, sp) for beta in (0.5, 2.0)]
-                   + [average_value_at_risk(alpha, sp), worst_case(sp)])
+        members = ([entropic(beta, sp) for beta in (0.5, 1.0, 2.0)]
+                   + [average_value_at_risk(alpha, sp)
+                      for alpha in (0.1, 0.25, 0.5, 1.0)]
+                   + [worst_case(sp)])
         capped = [SeparableConjugate(sp, beta=beta,
                                      upper=float(rng.uniform(1.01, 4.0)))
                   for beta in (0.5, 2.0)]
@@ -841,8 +840,7 @@ def test_pair_ascent_stops_within_its_bound_of_phi(seed):
                     fr = Rv(sp, f)
                     primal = phi.evaluate(fr)
                     stop = duality.CEILING_TOL * (1.0 + abs(primal))
-                    slack = 2 * (n + 1) * eps * (1.0 + np.max(np.abs(f))
-                                                 + 1.0 / conj.beta)
+                    slack = 2 * n * eps * (1.0 + np.max(np.abs(f)))
                     res = duality._mass_multiplier_solve(conj, sp, f, primal)
                     assert primal - stop <= res.value <= primal + slack
                     assert res.stop_reason == "ceiling"
@@ -975,13 +973,12 @@ def test_reconstruct_numeric_cold_start():
                                  restarts=3)
     # the mass-multiplier solve: no sweeps, one read, at its ceiling. Its
     # value may pass phi(f) by the rounding bound of
-    # test_pair_ascent_stops_within_its_bound_of_phi, 2 (n + 1) eps
-    # (1 + max|f| + 1 / beta)
+    # test_pair_ascent_stops_within_its_bound_of_phi, 2 n eps (1 + max|f|)
     assert cert.start_index == 0
     assert (cert.sweeps, cert.evaluations) == (0, 1)
     assert cert.stop_reason == "ceiling"
     eps = np.finfo(float).eps
-    assert (-8 * eps * 3.1 <= cert.gap
+    assert (-2 * 3 * eps * (1.0 + 1.1) <= cert.gap
             <= duality.CEILING_TOL * (1.0 + abs(ent.evaluate(f))))
     assert cert.nonnegative_ok
 
