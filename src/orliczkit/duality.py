@@ -11,11 +11,12 @@ ascent. When the ascent's first sweep finds every coordinate line outside
 the objective's domain, as on the dual of a cash-additive functional, it
 runs the transfers and the pattern move alone. A dual ascent whose primal
 value phi(f) is known stops as soon as it reaches it, since by weak duality
-no dual value exceeds it. The dual of a unit-mass ``SeparableConjugate``,
-which every catalog member but the expectation has, is solved instead: it
-is a separable concave program on a box with one linear constraint, whose
-maximizer one scalar fixes, the multiplier of the mass (the breakpoint or
-water-filling method; Patriksson 2008, Boyd & Vandenberghe 2004).
+no dual value exceeds it. The dual of a ``SeparableConjugate``, the
+conjugate of every catalog member but the expectation, is solved instead:
+it is a separable concave program on a box with one linear constraint,
+whose maximizer one scalar fixes, the multiplier of the mass (the
+breakpoint or water-filling method; Patriksson 2008, Boyd & Vandenberghe
+2004).
 Divergence of a conjugate (the +inf case) is detected by ray probes before
 any ascent runs, all of them in one ``evaluate_rows`` call when the
 functional has a row kernel. A numeric Fenchel conjugate of a functional
@@ -134,13 +135,16 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                   seed: int = 0,
                   restarts: int = 8,
                   nonneg: bool = True,
-                  ceiling: float = math.inf) -> AscentResult:
+                  ceiling: float = math.inf,
+                  coord_step: Callable[[np.ndarray, int, float, float],
+                                       tuple[float, int]] | None = None
+                  ) -> AscentResult:
     """Maximize a concave ``objective`` over coordinate vectors ``g``.
 
     ``reconstruct`` and ``biconjugate_check`` hand it every dual but that of
-    a unit-mass ``SeparableConjugate``: the expectation's, and those of
-    functionals without a closed-form conjugate. Move set per sweep, three
-    kinds: single-coordinate line searches (projected to g >= 0 when
+    a ``SeparableConjugate``: the expectation's, and those of functionals
+    without a closed-form conjugate. Move set per sweep, three kinds:
+    single-coordinate line searches (projected to g >= 0 when
     ``nonneg``), pairwise transfers g_i += s/w_i, g_j -= s/w_j over all
     pairs i < j, which keep the weighted mass fixed, and the pattern move
     below. Every line takes its declared step or one
@@ -155,20 +159,23 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     pair transfers and the pattern move only. A wrong reading can only make
     the ascent weaker, never its answer infeasible.
 
-    An objective that carries a ``coord_step`` (a ``_FenchelObjective`` of a
-    functional that declares its ``coordinate_step``) has one move only:
-    each sweep reads the step once per coordinate, one counted evaluation
-    plus the values of phi the step read, and takes it on strict
-    improvement. A step that reads -inf is not taken; no catalog step
-    reads -inf. Such an objective makes no guard probes, line searches, pair
-    transfers or pattern moves: a Fenchel ascent is sign-free, with no mass
-    hyperplane to keep, and exact coordinate maximization converges for a
-    smooth concave objective with a unique maximizer on each coordinate line
-    (Luo & Tseng 1992), which the entropic objective is, strictly concave
-    along each line. A box-only member's phi is positively homogeneous, so
-    its conjugate is 0, reached at restart 0's constant start, or else the
-    objective is unbounded along a coordinate or ones ray, where a step
-    takes the segment's end and the segment grows with |f|.
+    ``coord_step``, when given, is ``(g, i, lo, hi) -> (t, reads)``: the
+    maximizer of the objective along ``g_i`` on ``[lo, hi]`` and the values
+    of phi it read to find it. ``fenchel_conjugate_value`` passes the
+    ``coordinate_step`` of a functional that declares one. With it the
+    ascent has one move only: each sweep reads the step once per
+    coordinate, one counted evaluation plus the reads, and takes it on
+    strict improvement. A step that reads -inf is not taken; no catalog
+    step reads -inf. Such an ascent makes no guard probes, line searches,
+    pair transfers or pattern moves: a Fenchel ascent is sign-free, with no
+    mass hyperplane to keep, and exact coordinate maximization converges for
+    a smooth concave objective with a unique maximizer on each coordinate
+    line (Luo & Tseng 1992), which the entropic objective is, strictly
+    concave along each line. A box-only member's phi is positively
+    homogeneous, so its conjugate is 0, reached at restart 0's constant
+    start, or else the objective is unbounded along a coordinate or ones
+    ray, where a step takes the segment's end and the segment grows with
+    |f|.
 
     Objectives are free to return -inf off their domain; moves apply only on
     strict improvement. Each line search, on coordinate, pair and pattern
@@ -211,9 +218,6 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     w = space.weights
     n = space.n_atoms
     total = float(space.total_mass)
-    # a _FenchelObjective of a functional that declares its coordinate step
-    # takes that step on each coordinate line, and makes no other move
-    coord_step = getattr(objective, "coord_step", None)
     pairs = ([] if coord_step is not None else
              [(i, j) for i in range(n) for j in range(i + 1, n)])
     best: AscentResult | None = None
@@ -402,29 +406,6 @@ class _DualObjective:
         return float(np.dot(self._wf, garr)) - cv
 
 
-class _FenchelObjective(_DualObjective):
-    """``fv -> <fv, g> - phi(fv)``, the objective of ``phi*(g)``; -inf where
-    phi is +inf. It is ``_DualObjective`` with phi in the conjugate's place
-    and g in f's.
-
-    When phi declares a ``coordinate_step``, ``coord_step(f, i, lo, hi)``
-    is that step at this g: ``(t, reads)``, the maximizer of the objective
-    along ``f_i`` on ``[lo, hi]`` and the values of phi it read. Otherwise
-    it is None, and the ascent searches its lines.
-    """
-
-    __slots__ = ("coord_step",)
-
-    def __init__(self, phi: RiskFunctional, g: Rv):
-        super().__init__(phi.evaluate, phi.space, g.values)
-        self.coord_step = None
-        step = phi.coordinate_step
-        if step is not None:
-            gv = g.values
-            self.coord_step = (lambda f, i, lo, hi:
-                               step(f, i, gv, float(lo), float(hi)))
-
-
 def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
                             restarts: int = 8,
                             force_numeric: bool = False) -> ConjugateEstimate:
@@ -440,12 +421,14 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     ``check_rows`` cross-checks with two ``phi.evaluate`` calls (ValueError
     when they disagree); without one they are ``phi.evaluate`` calls, and
     the rays after a diverging one are never probed. Otherwise a multi-start
-    sign-free ascent over f (``maximize_dual``) estimates the supremum: by
-    one ``phi.coordinate_step`` per coordinate line when phi declares one,
-    by line searches, pair transfers and pattern moves otherwise. An ascent
-    whose value passes ``DIVERGENCE_ASCENT`` = 1e12 is reported as +inf
-    along the direction of its best point; since its value never falls, it
-    stops at twice that value. ``evaluations`` reports the rows and
+    sign-free ascent over f (``maximize_dual`` on the ``_DualObjective`` of
+    phi in the conjugate's place) estimates the supremum: by one
+    ``phi.coordinate_step`` per coordinate line when phi declares one,
+    passed as the ascent's ``coord_step``, by line searches, pair transfers
+    and pattern moves otherwise. An ascent whose value passes
+    ``DIVERGENCE_ASCENT`` = 1e12 is reported as +inf along the direction of
+    its best point; since its value never falls, it stops at twice that
+    value. ``evaluations`` reports the rows and
     ``phi.evaluate`` calls this evaluated, a step's rows included, and
     ``stop_reason`` says how the value was found (``ConjugateEstimate``).
     """
@@ -456,8 +439,10 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
         return ConjugateEstimate(float(phi.closed_form_conjugate(g)),
                                  numeric=False)
     n = space.n_atoms
-    wg = space.weights * g.values
-    obj = _FenchelObjective(phi, g)
+    obj = _DualObjective(phi.evaluate, space, g.values)
+    step = phi.coordinate_step
+    coord_step = (None if step is None else lambda f, i, lo, hi:
+                  step(f, i, g.values, float(lo), float(hi)))
 
     # -e_i and +e_i for each atom i in turn, then -1 and +1
     rays = np.zeros((2 * n + 2, n))
@@ -478,7 +463,7 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
         rows = (rays[:, None, :] * scales[:, None]).reshape(-1, n)
         vals = np.asarray(phi.evaluate_rows(rows), dtype=float)
         check_rows(phi, rows[[0, -1]], vals[[0, -1]])
-        traces = np.where(vals == math.inf, -math.inf, rows @ wg - vals)
+        traces = np.where(vals == math.inf, -math.inf, rows @ obj._wf - vals)
         traces = traces.reshape(len(rays), len(scales)).tolist()
         probes = len(rows) + 2
     for ray, trace in zip(rays, traces):
@@ -495,7 +480,8 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     # answer is +inf whatever the rest of the search finds; the ceiling's
     # stop point, 2e12 less its tolerance, lies past it
     res = maximize_dual(obj, space, seed=seed, restarts=restarts,
-                        nonneg=False, ceiling=2.0 * DIVERGENCE_ASCENT)
+                        nonneg=False, ceiling=2.0 * DIVERGENCE_ASCENT,
+                        coord_step=coord_step)
     evals = probes + res.evaluations
     if res.value > DIVERGENCE_ASCENT:
         scale = max(1.0, float(np.max(np.abs(res.g))))
@@ -606,18 +592,18 @@ def _conjugate_fn(phi: RiskFunctional, seed: int,
 
 def _mass_multiplier_solve(conj: SeparableConjugate, space: MeasureSpace,
                            fv: np.ndarray, ceiling: float) -> AscentResult:
-    """Maximize ``<f, g> - conj(g)`` for a unit-mass ``conj``, whose
-    supremum ``ceiling`` = phi(f) bounds, by solving its KKT system.
+    """Maximize ``<f, g> - conj(g)``, whose supremum ``ceiling`` = phi(f)
+    bounds, by solving its KKT system.
 
     The dual is separable and concave on the box [0, cap], with one linear
     constraint, E[g] = 1, so one scalar, the multiplier lambda of the mass,
     fixes its maximizer (the breakpoint or water-filling method: Patriksson
     2008; Boyd & Vandenberghe 2004, Ex. 5.2). It reads only what ``conj``
-    declares: ``beta``, the cap ``upper`` and the unit mass, never phi's
-    closed-form maximizer. The atoms are ordered by f, descending and
-    stable, so that ties go to the lower index. With ``beta = inf`` the
-    dual is linear and its maximizer the greedy vertex: the atoms filled
-    to the cap in that order, what is left of the mass on the next one.
+    declares, ``beta`` and the cap ``upper``, never phi's closed-form
+    maximizer. The atoms are ordered by f, descending and stable, so that
+    ties go to the lower index. With ``beta = inf`` the dual is linear and
+    its maximizer the greedy vertex: the atoms filled to the cap in that
+    order, what is left of the mass on the next one.
     Otherwise g_k = min(cap, e^{beta (f_k - lambda) - 1}); the capped
     atoms are the first prefix whose next atom's uncapped share is at most
     the cap, and the exponents are shifted by the largest exponent of the
@@ -663,13 +649,13 @@ def _mass_multiplier_solve(conj: SeparableConjugate, space: MeasureSpace,
 def _dual_ascents(conj: Callable[[Rv], float], space: MeasureSpace,
                   fv: np.ndarray, ceiling: float, seed: int, restarts: int,
                   signs: Sequence[bool]) -> list[AscentResult]:
-    """The suprema of ``<f, g> - conj(g)`` below ``ceiling``: one
-    ``maximize_dual`` ascent per ``nonneg`` in ``signs``, or, for a
-    unit-mass ``SeparableConjugate``, which is +inf below zero, one
-    mass-multiplier solve for all of them. ``restarts`` below 1 raise
-    ValueError."""
+    """The suprema of ``<f, g> - conj(g)`` below ``ceiling``: for a
+    ``SeparableConjugate``, which is +inf below zero, one mass-multiplier
+    solve for all of them, chosen by that type alone; for any other
+    ``conj``, one ``maximize_dual`` ascent per ``nonneg`` in ``signs``.
+    ``restarts`` below 1 raise ValueError."""
     _check_restarts(restarts)
-    if isinstance(conj, SeparableConjugate) and conj.unit_mass:
+    if isinstance(conj, SeparableConjugate):
         return [_mass_multiplier_solve(conj, space, fv, ceiling)]
     obj = _DualObjective(conj, space, fv)
     return [maximize_dual(obj, space, seed=seed, restarts=restarts,
@@ -689,16 +675,17 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     trials, at least one. With a declared closed-form maximizer the
     certificate is exact. Otherwise phi(f), which bounds every dual value
     (weak duality), is the ascent's ``ceiling``; ``restarts`` below 1 raise
-    ValueError. The dual of a unit-mass ``SeparableConjugate`` (entropic,
-    AVaR, worst case) is solved exactly from what the conjugate declares
+    ValueError. The dual of a ``SeparableConjugate`` (entropic, AVaR, worst
+    case) is solved exactly from what the conjugate declares
     (``_mass_multiplier_solve``), never from phi's closed-form maximizer,
     so ``force_numeric`` still checks one against the other. It reads no
     ``seed`` and runs no restart; its certificate reports ``start_index``
     0, ``sweeps`` 0, ``evaluations`` 1, the objective call that reads its
     value, and ``stop_reason`` ``"ceiling"`` when that value is within
     ``CEILING_TOL * (1 + |phi(f)|)`` of phi(f).
-    Any other dual goes to ``maximize_dual``, over g >= 0 from
-    deterministic multi-starts, which stops as soon as it comes that close.
+    Any other dual, the expectation's included, goes to ``maximize_dual``,
+    over g >= 0 from deterministic multi-starts, which stops as soon as it
+    comes that close; the expectation's starts at g = 1, its ceiling.
     Returns (dual value, certificate); certificate.gap = phi(f) - dual value.
     """
     space = phi.space
@@ -776,11 +763,11 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
     optimal dual variable is nonnegative. ``max_deviation`` compares the
     sign-free supremum against phi itself. phi** <= phi bounds both suprema,
     so phi(f), computed once per probe, is the ``ceiling`` of both ascents.
-    A unit-mass ``SeparableConjugate`` is +inf below zero, so its two
-    suprema are one problem: the mass-multiplier solve (``reconstruct``)
-    runs once per probe, and its split is 0. Any other conjugate takes two
-    ``maximize_dual`` ascents. An empty probe list, or ``restarts`` below 1,
-    raises ValueError.
+    A ``SeparableConjugate`` is +inf below zero, so its two suprema are one
+    problem: the mass-multiplier solve (``reconstruct``) runs once per
+    probe, and its split is 0. Any other conjugate, the expectation's
+    included, takes two ``maximize_dual`` ascents. An empty probe list, or
+    ``restarts`` below 1, raises ValueError.
     """
     if not probes:
         raise ValueError("empty probe list: biconjugate_check needs at least "

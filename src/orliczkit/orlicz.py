@@ -51,6 +51,8 @@ Regime = Literal["at_zero", "at_infinity"]
 _REGIMES = ("at_zero", "at_infinity")
 # grid points per span of the doubling heuristic for custom functions
 _DELTA2_SAMPLES = 64
+# the smallest normal double
+_TINY = float(np.finfo(float).tiny)
 
 #: ``limit_slope`` probes custom functions at t = 1, 2, 4, ..., SLOPE_RAY_END
 SLOPE_RAY_END = 2.0**50
@@ -362,24 +364,37 @@ def _table_conjugate_values(knots: Knots, ss: np.ndarray) -> np.ndarray:
 
 def _power_conjugate(p: float, c: float) -> tuple[float, float]:
     """``(q, c')`` with ``c' s**q`` the Young conjugate of ``c t**p``:
-    1/p + 1/q = 1 and c' = c (p - 1) (c p)**(-q), +inf on overflow."""
+    1/p + 1/q = 1 and c' = c (p - 1) (c p)**(-q), +inf on overflow. Where a
+    factor of that product, or c' itself, is not a normal double, c' is
+    exp((1 - q) log(c p) - log(1 + 1/(p - 1))) instead, which neither
+    overflows nor underflows before c' does."""
     q = p / (p - 1.0)
-    return q, c * (p - 1.0) * _safe_pow(c * p, -q)
+    factors = (c * p, c * (p - 1.0), _safe_pow(c * p, -q))
+    c_dual = factors[1] * factors[2]
+    if all(_TINY <= x < math.inf for x in (*factors, c_dual)):
+        return q, c_dual
+    with np.errstate(over="ignore"):
+        return q, float(np.exp((1.0 - q) * (math.log(c) + math.log(p))
+                               - math.log1p(1.0 / (p - 1.0))))
 
 
 def _check_power(p: float, c: float | None) -> float:
     """The scale c of ``c t**p``, 1/p when None. ValueError unless p > 1,
     c > 0 and the conjugate ``c' s**q`` is a power of the same kind: finite
-    q > 1 and c' in (0, inf)."""
+    q > 1, c' in (0, inf), and (c p)**(-q) and its reciprocal, which is
+    (c' q)**(-p), both round to nonzero doubles, so that the conjugate of
+    an accepted power is accepted too."""
     if not p > 1.0:
         raise ValueError(f"power exponent must exceed 1, got {p}")
     c = 1.0 / p if c is None else float(c)
     if not c > 0.0:
         raise ValueError(f"scale must be positive, got {c}")
     q, c_dual = _power_conjugate(p, c)
-    if not (1.0 < q < math.inf and 0.0 < c_dual < math.inf):
+    if not (1.0 < q < math.inf and 0.0 < c_dual < math.inf
+            and q * abs(math.log(c) + math.log(p)) <= 1075 * math.log(2.0)):
         raise ValueError(f"the conjugate of {c} t**{p} is {c_dual} s**{q}, "
-                         "not a power with finite q > 1 and c' in (0, inf)")
+                         "not a power with finite q > 1, c' in (0, inf) and "
+                         "(c p)**q in [2**-1075, 2**1075]")
     return c
 
 
@@ -447,8 +462,8 @@ def conjugate(phi: OrliczFunction) -> OrliczFunction:
     """
     k = phi.kind
     if k in (POWER, SCALED_POWER):
-        q, c_dual = _power_conjugate(
-            phi.p, phi.scale if k == SCALED_POWER else 1.0)
+        # the power kind keeps scale 1
+        q, c_dual = _power_conjugate(phi.p, phi.scale)
         return OrliczFunction.scaled_power(q, c_dual)
     if k == EXP_YOUNG:
         return OrliczFunction.exp_young_conjugate()

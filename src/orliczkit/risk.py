@@ -4,12 +4,12 @@ Each functional carries a properness witness and -- where known -- a
 closed-form Fenchel conjugate and maximizing density, so the duality engine
 can certify representations without numeric search. Whether a functional is
 increasing and convex is for ``validate`` to decide, not declared.
-Every catalog conjugate is one ``SeparableConjugate``: a sum over atoms,
-``E[g log g] / beta`` or zero, on a box of densities, under a unit mass for
-the cash-additive members. It takes a candidate density ``g`` and returns
-the conjugate value, ``+inf`` off the effective domain; what it declares,
-``beta``, the box and the unit mass, is all the dual solve of a unit-mass
-conjugate reads.
+The entropic, AVaR and worst-case conjugates are each one
+``SeparableConjugate``: a sum over atoms, ``E[g log g] / beta`` or zero,
+on a box of densities of unit mass. It takes a candidate density ``g`` and
+returns the conjugate value, ``+inf`` off the effective domain; what it
+declares, ``beta`` and the box's cap, is all the dual solve reads. The
+expectation's conjugate is a plain function, the indicator of the density 1.
 """
 
 from __future__ import annotations
@@ -60,26 +60,22 @@ class RiskFunctional:
 
 
 class SeparableConjugate:
-    """``phi*(g) = E[g log g] / beta`` when every ``g_k`` lies in ``[lower,
-    upper]`` and, if ``unit_mass``, ``E[g] = 1`` within ``FEAS_TOL``;
-    ``+inf`` elsewhere. ``0 log 0 = 0``, and entries of ``g`` at or below
-    zero add nothing; ``beta = inf`` drops the sum, which leaves the
-    indicator of the box. A call takes a candidate density ``Rv``. The
-    dual of a unit-mass conjugate is solved from ``beta``, ``upper`` and
-    the unit mass alone, by a search on the mass's multiplier
-    (``duality``).
+    """``phi*(g) = E[g log g] / beta`` when every ``g_k`` lies in
+    ``[-FEAS_TOL, upper]`` and ``|E[g] - 1| <= FEAS_TOL``; ``+inf``
+    elsewhere. ``0 log 0 = 0``, and entries of ``g`` at or below zero add
+    nothing; ``beta = inf`` drops the sum, which leaves the indicator of
+    the box's densities. A call takes a candidate density ``Rv``. Its dual
+    is solved from ``beta`` and ``upper`` alone, by a search on the
+    multiplier of the unit mass (``duality``).
     """
 
-    __slots__ = ("weights", "beta", "lower", "upper", "unit_mass")
+    __slots__ = ("weights", "beta", "upper")
 
     def __init__(self, space: MeasureSpace, *, beta: float = math.inf,
-                 lower: float = -FEAS_TOL, upper: float = math.inf,
-                 unit_mass: bool = True):
+                 upper: float = math.inf):
         self.weights = space.weights
         self.beta = beta
-        self.lower = lower
         self.upper = upper
-        self.unit_mass = unit_mass
 
     def __call__(self, g: Rv) -> float:
         gv = g.values
@@ -87,11 +83,8 @@ class SeparableConjugate:
         # the ufuncs' reduce skips ndarray.min's Python wrapper; nan fails
         # every comparison, so it reads +inf
         lowest = np.minimum.reduce(gv)
-        if not lowest >= self.lower:
-            return math.inf
-        if self.upper < math.inf and not np.maximum.reduce(gv) <= self.upper:
-            return math.inf
-        if self.unit_mass and not abs(float(np.dot(w, gv)) - 1.0) <= FEAS_TOL:
+        if not (lowest >= -FEAS_TOL and np.maximum.reduce(gv) <= self.upper
+                and abs(float(np.dot(w, gv)) - 1.0) <= FEAS_TOL):
             return math.inf
         if self.beta == math.inf:
             return 0.0
@@ -280,7 +273,9 @@ def worst_case(space: MeasureSpace) -> RiskFunctional:
 
 
 def expectation(space: MeasureSpace) -> RiskFunctional:
-    """``E[f]``; conjugate is the indicator of the single density 1."""
+    """``E[f]``; conjugate is the indicator of the single density 1, 0
+    where every ``|g_k - 1| <= FEAS_TOL`` and ``+inf`` elsewhere, on a
+    space of any total mass."""
     w = space.weights
 
     def ev(f: Rv) -> float:
@@ -288,6 +283,11 @@ def expectation(space: MeasureSpace) -> RiskFunctional:
 
     def rows(F: np.ndarray) -> np.ndarray:
         return F @ w
+
+    def conj(g: Rv) -> float:
+        # a nan entry makes the maximum nan, which fails the comparison
+        far = np.maximum.reduce(np.abs(g.values - 1.0))
+        return 0.0 if far <= FEAS_TOL else math.inf
 
     def maximizer(f: Rv) -> Rv:
         return Rv(space, np.ones_like(f.values))
@@ -297,11 +297,7 @@ def expectation(space: MeasureSpace) -> RiskFunctional:
         space=space,
         evaluate=ev,
         proper_witness=zeros(space),
-        # the doubles x with |x - 1| <= FEAS_TOL: 1 + FEAS_TOL rounds up,
-        # one double past them
-        closed_form_conjugate=SeparableConjugate(
-            space, lower=1.0 - FEAS_TOL,
-            upper=math.nextafter(1.0 + FEAS_TOL, 0.0), unit_mass=False),
+        closed_form_conjugate=conj,
         closed_form_maximizer=maximizer,
         evaluate_rows=rows,
         # a linear line: its maximum is an end

@@ -90,6 +90,29 @@ def test_conjugate_table_csv(files, capsys):
     assert float(val) == pytest.approx(2.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("command", ["conjugate", "classify"])
+def test_a_power_whose_conjugate_scale_needs_logs_exits_0(capsys, command):
+    # for 1.975e190 t**2.596 the factor (c p)**(-q) of the conjugate's
+    # scale is subnormal, and the same factor of the conjugate's own
+    # conjugate, its reciprocal, overflows; the scales are taken in logs,
+    # where c' = (p - 1) / p * (c p)**(1 - q)
+    spec = "scaled_power:p=2.596,c=1.975e190"
+    code, out, err = run_cli(capsys, command, "--orlicz", spec)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    if command == "classify":
+        assert doc["orlicz"] == spec
+        assert doc["conjugate_delta2_at_infinity"] == "holds"
+    else:
+        p, c = 2.596, 1.975e190
+        q = p / (p - 1.0)
+        scale = math.exp(math.log((p - 1.0) / p)
+                         + (1.0 - q) * math.log(c * p))
+        assert doc["s"][-1] == 10.0
+        assert doc["conjugate"][-1] == pytest.approx(scale * 10.0 ** q,
+                                                     rel=1e-12)
+
+
 def test_classify_reports_verdicts(files, capsys):
     code, out, _ = run_cli(capsys, "classify", "--orlicz", "power:p=2")
     assert code == 0

@@ -531,6 +531,30 @@ def test_catalog_ascent_leaves_the_unit_mass_only_to_measure(member, n,
     assert res.value <= phi.evaluate(Rv(sp, fv)) + 1e-12
 
 
+def test_catalog_ascent_leaves_the_unit_mass_only_to_measure_seeded():
+    # numpy-seeded twin of the property above (ROADMAP J): its draws do not
+    # move when a source constant does. Every member at n = 2 to 10, with
+    # either sign constraint; member 3, the expectation, takes the ascent
+    # with its plain indicator conjugate
+    rng = np.random.default_rng([32, 10])
+    for n in range(2, 11):
+        sp = uniform_probability(n)
+        for phi in increasing_catalog(sp):
+            fv = rng.uniform(-3.0, 3.0, n)
+            obj = duality._DualObjective(phi.closed_form_conjugate, sp, fv)
+            off = 0
+
+            def counted(g):
+                nonlocal off
+                off += abs(float(sp.weights @ g) - 1.0) > FEAS_TOL
+                return obj(g)
+
+            res = maximize_dual(counted, sp, seed=int(rng.integers(2 ** 16)),
+                                restarts=2, nonneg=bool(rng.integers(2)))
+            assert off <= 2 * n
+            assert res.value <= phi.evaluate(Rv(sp, fv)) + 1e-12
+
+
 def test_entropic_ascent_probes_off_the_unit_mass_twice_per_atom():
     # one input of the property above, pinned, on the generic path: its
     # off-mass calls are the 2 n guard probes exactly; an ascent that never
@@ -651,7 +675,7 @@ def test_coordinate_steps_reach_the_line_search_maximum(seed):
                 span = 2.0 * (1.0 + float(np.max(np.abs(fv))))
                 for gv in (_feasible_dual(rng, member, phi, sp),
                            rng.normal(0.0, 2.0, n)):
-                    obj = duality._FenchelObjective(phi, Rv(sp, gv))
+                    obj = duality._DualObjective(phi.evaluate, sp, gv)
                     v = obj(fv)
                     tol = 1e-12 * (1.0 + abs(v))
                     for i in range(n):
@@ -665,7 +689,8 @@ def test_coordinate_steps_reach_the_line_search_maximum(seed):
                         narrow = (t0 - span * rng.uniform(),
                                   t0 + span * rng.uniform())
                         for a, b in ((t0 - span, t0 + span), narrow):
-                            t, reads = obj.coord_step(fv, i, a, b)
+                            t, reads = phi.coordinate_step(
+                                fv, i, gv, float(a), float(b))
                             assert a <= t <= b
                             assert (reads == 0) == (member == 0)
                             step, _ = duality._line_search(h, a, b, t0, v)
@@ -676,15 +701,18 @@ def _fenchel_duals(rng, member, phi, sp):
     """Densities for a numeric conjugate of catalog ``member``: one of its
     own, where the conjugate is finite (g = 1 exactly for the expectation),
     then ones where it is +inf: a dip to -0.5, masses 0.8 and 1.2 and, for
-    AVaR and the expectation, one atom at 1.5 times the box's top."""
+    AVaR and the expectation, one atom at 1.5 times the box's top: the cap
+    for AVaR, the largest double within FEAS_TOL of 1 for the expectation."""
     n = sp.n_atoms
     g = np.ones(n) if member == 3 else _feasible_dual(rng, member, phi, sp)
     dipped = g.copy()
     dipped[rng.integers(n)] = -0.5
     duals = [g, dipped, 0.8 * g, 1.2 * g]
     if member in (1, 3):
+        top = (math.nextafter(1.0 + FEAS_TOL, 0.0) if member == 3
+               else phi.closed_form_conjugate.upper)
         over = g.copy()
-        over[int(np.argmax(g))] = 1.5 * phi.closed_form_conjugate.upper
+        over[int(np.argmax(g))] = 1.5 * top
         duals.append(over)
     return duals
 
@@ -1147,9 +1175,12 @@ def test_stepped_ascents_read_each_coordinate_once_per_sweep():
     # its start, then one point per coordinate and sweep, and an entropic
     # step reads nothing itself
     sp = uniform_probability(5)
-    obj = duality._FenchelObjective(entropic(1.0, sp),
-                                    Rv(sp, [0.4, 1.3, 0.9, 1.6, 0.8]))
-    res = maximize_dual(obj, sp, restarts=1, nonneg=False)
+    phi = entropic(1.0, sp)
+    gv = np.array([0.4, 1.3, 0.9, 1.6, 0.8])
+    obj = duality._DualObjective(phi.evaluate, sp, gv)
+    res = maximize_dual(obj, sp, restarts=1, nonneg=False,
+                        coord_step=lambda f, i, lo, hi:
+                        phi.coordinate_step(f, i, gv, float(lo), float(hi)))
     assert res.stop_reason == "flat"
     assert res.evaluations == 1 + 5 * res.sweeps
 
@@ -1159,14 +1190,11 @@ def test_a_coordinate_step_that_reads_minus_inf_is_not_taken():
     # not take it, and searches no line in its place
     sp = uniform_probability(3)
 
-    class Stepped:
-        def __call__(self, f):
-            return -float(f @ f) if np.all(f < 2.0) else -math.inf
+    def objective(f):
+        return -float(f @ f) if np.all(f < 2.0) else -math.inf
 
-        def coord_step(self, f, i, lo, hi):
-            return hi, 0
-
-    res = maximize_dual(Stepped(), sp, restarts=1, nonneg=False)
+    res = maximize_dual(objective, sp, restarts=1, nonneg=False,
+                        coord_step=lambda f, i, lo, hi: (hi, 0))
     assert res.stop_reason == "flat" and res.sweeps == 1
     assert res.evaluations == 1 + 3
     assert res.g.tolist() == [1.0, 1.0, 1.0]

@@ -255,6 +255,35 @@ def test_worst_case_and_expectation():
     assert ex.closed_form_conjugate(Rv(sp, [1.0, 1.1, 1.0])) == math.inf
 
 
+@pytest.mark.parametrize("mass", [2.0, 1e8, 1e-8])
+def test_expectation_conjugate_reads_no_mass(mass):
+    # the indicator of the density 1 on spaces that are not probability
+    # spaces: an entry counts as 1 within FEAS_TOL, whatever the total mass,
+    # and the doubles just past either end of that band do not; 1 - FEAS_TOL
+    # rounds into the band and 1 + FEAS_TOL rounds out of it. A nan entry
+    # and an atom at 1.5 read +inf
+    tol = orliczkit.FEAS_TOL
+    low = 1.0 - tol
+    high = math.nextafter(1.0 + tol, 0.0)
+    inside = [low, math.nextafter(low, 2.0), math.nextafter(high, 0.0), high]
+    outside = [math.nextafter(low, 0.0), math.nextafter(high, 2.0),
+               1.0 + tol, math.nan, 1.5]
+    assert abs(low - 1.0) <= tol and abs(high - 1.0) <= tol
+    for n in (1, 3, 4):
+        raw = np.arange(1.0, n + 1.0)
+        sp = MeasureSpace.finite(mass * raw / raw.sum())
+        conj = expectation(sp).closed_form_conjugate
+        assert conj(Rv(sp, np.ones(n))) == 0.0
+        for k in range(n):
+            for x, want in [(x, 0.0) for x in inside] + [
+                    (x, math.inf) for x in outside]:
+                g = np.ones(n)
+                g[k] = x
+                assert conj(Rv._wrap(sp, g)) == want, (n, k, x)
+        assert conj(Rv(sp, np.full(n, low))) == 0.0
+        assert conj(Rv(sp, np.full(n, high))) == 0.0
+
+
 def test_validate_accepts_catalog():
     sp = uniform_probability(5)
     for fn in increasing_catalog(sp, beta=1.0, alpha=0.5):
