@@ -56,6 +56,8 @@ ONE_KERNEL_PROPERTY = ("tests/test_orlicz.py::"
 UNIT_DENSITY = "tests/test_risk.py::test_expectation_conjugate_reads_no_mass"
 POWER_ROUND_TRIP = ("tests/test_orlicz.py::"
                     "test_accepted_powers_conjugate_twice_within_rounding")
+NUMPY_POWER = ("tests/test_orlicz.py::"
+               "test_a_numpy_scalar_power_is_refused_without_a_warning")
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -319,6 +321,33 @@ MUTANTS = [
      "            return float(self._values(np.array([t], dtype=float))[0])\n",
      "        return float(self._values(np.array([t], dtype=float))[0])\n",
      [f"{ONE_KERNEL_PROPERTY}[exp_young]", f"{ONE_KERNEL_PROPERTY}[power_2]"]),
+    ("the power check reads a numpy exponent in numpy arithmetic",
+     ORLICZ,
+     "    p = float(p)\n",
+     "",
+     [f"{NUMPY_POWER}[float64]", f"{NUMPY_POWER}[float]"]),
+    ("the validation memo's key drops the seed",
+     DUALITY,
+     "    key = (validation_trials, seed + 101)\n",
+     "    key = (validation_trials,)\n",
+     ["tests/test_duality.py::"
+      "test_new_trials_seeds_and_copies_validate_again"]),
+    ("a failed validation verdict is remembered as passed",
+     DUALITY,
+     "        verdicts[key] = broken\n",
+     "        verdicts[key] = ()\n",
+     ["tests/test_duality.py::"
+      "test_a_failed_verdict_is_refused_the_same_way_each_time"]),
+    ("the validation memo is never read",
+     DUALITY,
+     "    broken = verdicts.get(key)\n",
+     "    broken = None\n",
+     ["tests/test_duality.py::"
+      "test_a_repeat_reconstruct_does_not_validate_again",
+      "tests/test_acceptance.py::"
+      "test_criterion_04_validates_each_functional_once",
+      "tests/test_cli.py::"
+      "test_verify_all_validates_each_certified_functional_once"]),
 ]
 
 

@@ -29,6 +29,7 @@ or segment end of a piecewise-linear line for the others.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -558,6 +559,11 @@ class _ValidationRefusal(Refusal, ValueError):
     """The functional handed to ``reconstruct`` failed ``validate``."""
 
 
+#: ``reconstruct``'s validation verdicts: for each functional object, the
+#: names of the properties it failed, by ``validate``'s (trials, seed)
+_VERDICTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 @dataclass(frozen=True)
 class DualCertificate:
     """``start_index``, ``sweeps``, ``evaluations`` and ``stop_reason``
@@ -672,17 +678,23 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     Young function grows superlinearly), else the representation hypothesis
     fails and a SlopeConditionError is raised. The functional must pass
     ``validate`` (convex, increasing, proper) in ``validation_trials``
-    trials, at least one. With a declared closed-form maximizer the
-    certificate is exact. Otherwise phi(f), which bounds every dual value
-    (weak duality), is the ascent's ``ceiling``; ``restarts`` below 1 raise
-    ValueError. The dual of a ``SeparableConjugate`` (entropic, AVaR, worst
-    case) is solved exactly from what the conjugate declares
-    (``_mass_multiplier_solve``), never from phi's closed-form maximizer,
-    so ``force_numeric`` still checks one against the other. It reads no
-    ``seed`` and runs no restart; its certificate reports ``start_index``
-    0, ``sweeps`` 0, ``evaluations`` 1, the objective call that reads its
-    value, and ``stop_reason`` ``"ceiling"`` when that value is within
-    ``CEILING_TOL * (1 + |phi(f)|)`` of phi(f).
+    trials, at least one, drawn from seed ``seed + 101``. The verdict is
+    remembered for the functional object and that (trials, seed) while the
+    object lives, so a repeat call does not validate again and a failed
+    functional is refused the same way each time; a ``dataclasses.replace``
+    copy is a new object and is validated afresh. The memo assumes the
+    functional's callables are pure, as every catalog member's are. With a
+    declared closed-form maximizer the certificate is exact. Otherwise
+    phi(f), which bounds every dual value (weak duality), is the ascent's
+    ``ceiling``; ``restarts`` below 1 raise ValueError. The dual of a
+    ``SeparableConjugate`` (entropic, AVaR, worst case) is solved exactly
+    from what the conjugate declares (``_mass_multiplier_solve``), never
+    from phi's closed-form maximizer, so ``force_numeric`` still checks one
+    against the other. It reads no ``seed`` and runs no restart; its
+    certificate reports ``start_index`` 0, ``sweeps`` 0, ``evaluations`` 1,
+    the objective call that reads its value, and ``stop_reason``
+    ``"ceiling"`` when that value is within ``CEILING_TOL * (1 + |phi(f)|)``
+    of phi(f).
     Any other dual, the expectation's included, goes to ``maximize_dual``,
     over g >= 0 from deterministic multi-starts, which stops as soon as it
     comes that close; the expectation's starts at g = 1, its ceiling.
@@ -697,11 +709,16 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
             "value +inf, so the Young function grows at most linearly (finite "
             "limit slope); the dual representation requires superlinear "
             "growth")
-    report = validate(phi, trials=validation_trials, seed=seed + 101)
-    if not report.all_ok:
-        broken = [name for name, ok in (("monotone", report.monotone_ok),
-                                        ("convex", report.convex_ok),
-                                        ("proper", report.proper_ok)) if not ok]
+    verdicts = _VERDICTS.setdefault(phi, {})
+    key = (validation_trials, seed + 101)
+    broken = verdicts.get(key)
+    if broken is None:
+        report = validate(phi, trials=validation_trials, seed=seed + 101)
+        broken = tuple(name for name, ok in (
+            ("monotone", report.monotone_ok), ("convex", report.convex_ok),
+            ("proper", report.proper_ok)) if not ok)
+        verdicts[key] = broken
+    if broken:
         raise _ValidationRefusal(
             f"{phi.name} failed validation ({', '.join(broken)}); a dual "
             "representation over nonnegative densities is not available")

@@ -383,9 +383,12 @@ def _check_power(p: float, c: float | None) -> float:
     c > 0 and the conjugate ``c' s**q`` is a power of the same kind: finite
     q > 1, c' in (0, inf), and (c p)**(-q) and its reciprocal, which is
     (c' q)**(-p), both round to nonzero doubles, so that the conjugate of
-    an accepted power is accepted too."""
+    an accepted power is accepted too. A numpy scalar p is read as a float,
+    so the checks below run in Python arithmetic, which raises or reads
+    inf where numpy warns."""
     if not p > 1.0:
         raise ValueError(f"power exponent must exceed 1, got {p}")
+    p = float(p)
     c = 1.0 / p if c is None else float(c)
     if not c > 0.0:
         raise ValueError(f"scale must be positive, got {c}")

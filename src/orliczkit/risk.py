@@ -47,6 +47,11 @@ class RiskFunctional:
     ``validate`` and the numeric ``fenchel_conjugate_value`` refuse a row
     kernel that disagrees with ``evaluate`` (``check_rows``), but nothing
     checks a step.
+
+    A functional compares and hashes by identity. ``duality.reconstruct``
+    remembers its ``validate`` verdict per object and (trials, seed), so
+    its callables must be pure, as every catalog member's are; a
+    ``dataclasses.replace`` copy is validated afresh.
     """
     name: str
     space: MeasureSpace

@@ -1,7 +1,8 @@
 """Acceptance battery: eleven end-to-end criteria, one pass/fail line each.
 
-Each test prints exactly one line naming the criterion and its verdict, then
-asserts it. Tolerances and workload sizes are part of the contract and are
+Each criterion's test prints exactly one line naming the criterion and its
+verdict, then asserts it; criterion 4 has a second test, which counts its
+validations. Tolerances and workload sizes are part of the contract and are
 not adjustable here.
 """
 
@@ -103,7 +104,9 @@ def test_criterion_03_young_inequality_sweep():
                    f"{violations} violations in 5 x 10^4 pairs")
 
 
-def test_criterion_04_entropic_representation():
+def _entropic_representations() -> tuple[float, float, float]:
+    """Criterion 4's certificates: the worst closed-form and numeric gaps,
+    and the seconds its 50 cases took."""
     rng = np.random.default_rng(1004)
     betas = (0.5, 1.0, 2.0)
     worst_closed = 0.0
@@ -129,10 +132,23 @@ def test_criterion_04_entropic_representation():
         _, cert = reconstruct(entropic(beta, space), f, PSI2, seed=1,
                               validation_trials=40)
         worst_closed = max(worst_closed, abs(cert.gap))
+    return worst_closed, worst_numeric, elapsed
+
+
+def test_criterion_04_entropic_representation():
+    worst_closed, worst_numeric, elapsed = _entropic_representations()
     ok = worst_closed <= 1e-6 and worst_numeric <= 1e-4 and elapsed < 5.0
     assert _report(4, "entropic representation", ok,
                    f"closed gap {worst_closed:.2e}, numeric gap "
                    f"{worst_numeric:.2e}, {elapsed:.2f}s / 50 cases")
+
+
+def test_criterion_04_validates_each_functional_once(validations):
+    # each of the 50 cases certifies one functional twice, closed and
+    # numeric, with one seed and 40 trials, and the 3 large cases once
+    # each: one validation per functional object, 53 in all
+    _entropic_representations()
+    assert len(validations) == len(set(map(id, validations))) == 53
 
 
 def _avar_vertex_oracle(f: np.ndarray, w: np.ndarray, alpha: float) -> float:

@@ -345,6 +345,16 @@ def test_verify_all_passes_and_is_deterministic(files, capsys):
     assert len(doc["rows"]) >= 15
 
 
+def test_verify_all_validates_each_certified_functional_once(capsys,
+                                                             validations):
+    # its 21 certificates come from four functional objects, each certified
+    # with one seed and 40 trials: one validation each; the
+    # validate_catalog row calls risk.validate itself, uncounted
+    code, _, _ = run_cli(capsys, "verify-all", "--seed", "41")
+    assert code == 0
+    assert len(validations) == len(set(map(id, validations))) == 4
+
+
 def test_verify_all_zero_tolerance_diagnostic(files, capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--seed", "7", "--tol", "0")
     assert code == 5

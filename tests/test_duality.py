@@ -1,7 +1,9 @@
 """Fenchel conjugates, divergence evidence, certificates, biconjugation."""
 
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -1426,6 +1428,90 @@ def test_reconstruct_needs_a_validation_trial():
     f = Rv(sp, [1.0, -2.0, 0.5])
     with pytest.raises(ValueError, match="at least one trial"):
         reconstruct(non_monotone_control(sp), f, PSI2, validation_trials=0)
+
+
+def test_a_repeat_reconstruct_does_not_validate_again(validations):
+    sp = uniform_probability(4)
+    phi = entropic(1.0, sp)
+    f = Rv(sp, [0.3, -1.0, 2.0, 0.5])
+    reconstruct(phi, f, PSI2, seed=3, validation_trials=20)
+    assert validations == [phi]
+    # another f, path or restart count keeps the key (trials, seed + 101)
+    reconstruct(phi, -f, PSI2, seed=3, restarts=2, force_numeric=True,
+                validation_trials=20)
+    reconstruct(phi, f, PSI2, seed=3, validation_trials=20)
+    assert validations == [phi]
+
+
+def test_new_trials_seeds_and_copies_validate_again(validations):
+    sp = uniform_probability(4)
+    phi = entropic(1.0, sp)
+    copy = replace(phi)
+    f = Rv(sp, [0.3, -1.0, 2.0, 0.5])
+    for p, seed, trials in ((phi, 3, 20), (phi, 4, 20), (phi, 3, 21),
+                            (copy, 3, 20), (phi, 4, 20), (copy, 3, 20)):
+        reconstruct(p, f, PSI2, seed=seed, validation_trials=trials)
+    assert validations == [phi, phi, phi, copy]
+
+
+@pytest.mark.parametrize("force_numeric", [False, True])
+@pytest.mark.parametrize("member", range(4))
+def test_remembered_verdicts_change_no_certificate_bit(member, force_numeric,
+                                                       validations):
+    sp = uniform_probability(5)
+    phi = increasing_catalog(sp)[member]
+    f = Rv(sp, np.random.default_rng([33, member]).normal(0.0, 1.5, 5))
+
+    def bits(p):
+        achieved, cert = reconstruct(p, f, PSI2, seed=2, restarts=2,
+                                     force_numeric=force_numeric,
+                                     validation_trials=30)
+        return (achieved.hex(), cert.g.values.tobytes(),
+                cert.conjugate_value.hex(), cert.gap.hex(),
+                cert.nonnegative_ok, cert.heart_ok, cert.heart_vacuous,
+                cert.start_index, cert.sweeps, cert.evaluations,
+                cert.stop_reason)
+
+    first = bits(phi)
+    assert bits(phi) == first
+    copy = replace(phi)
+    assert bits(copy) == first
+    assert validations == [phi, copy]
+
+
+def test_a_failed_verdict_is_refused_the_same_way_each_time(validations):
+    sp = uniform_probability(3)
+    ctrl = non_monotone_control(sp)
+    messages = []
+    for _ in range(3):
+        with pytest.raises(duality._ValidationRefusal,
+                           match="monotone") as err:
+            reconstruct(ctrl, zeros(sp), PSI2)
+        messages.append(str(err.value))
+    assert messages == messages[:1] * 3
+    assert validations == [ctrl]
+
+
+def test_zero_trials_raise_on_every_call(validations):
+    sp = uniform_probability(3)
+    phi = entropic(1.0, sp)
+    reconstruct(phi, zeros(sp), PSI2, validation_trials=40)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="at least one trial"):
+            reconstruct(phi, zeros(sp), PSI2, validation_trials=0)
+    assert validations == [phi] * 4
+    assert list(duality._VERDICTS[phi]) == [(40, 101)]
+
+
+def test_the_validation_memo_holds_no_functional_alive():
+    sp = uniform_probability(3)
+    phi = entropic(1.0, sp)
+    reconstruct(phi, zeros(sp), PSI2, validation_trials=10)
+    assert phi in duality._VERDICTS
+    ref = weakref.ref(phi)
+    del phi
+    gc.collect()
+    assert ref() is None
 
 
 def test_refusals_share_one_type():

@@ -88,6 +88,17 @@ def test_powers_without_a_power_conjugate_are_refused(p, c):
             OrliczFunction.power(p)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scalar", [np.float64, float])
+def test_a_numpy_scalar_power_is_refused_without_a_warning(scalar):
+    # (c p)**(-q) overflows: in numpy arithmetic it warned and read inf
+    with pytest.raises(ValueError, match="not a power"):
+        OrliczFunction.scaled_power(np.float64(2.0), scalar(1e-300))
+    accepted = OrliczFunction.scaled_power(np.float64(2.5), scalar(3.0))
+    assert (accepted.p, accepted.scale) == (2.5, 3.0)
+    assert type(OrliczFunction.scaled_power(np.float64(2.5)).scale) is float
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_accepted_powers_conjugate_twice_within_rounding(seed):
     # numpy-seeded: p - 1 log-uniform on [1e-17, 1e17], c log-uniform on
