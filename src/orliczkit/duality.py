@@ -2,14 +2,16 @@
 
 Conjugates, and the duals of functionals built by hand, are computed
 derivative-free, by line-search ascent with deterministic multi-starts.
-Each sweep has three kinds of move: single-coordinate lines, mass-preserving
-pairwise transfers, which move along density simplices that
-single-coordinate steps cannot leave, and, from a restart's second sweep
-on, a pattern move (Hooke & Jeeves, 1961): one more line search along the
-sweep's net move, which shortens the slow linear tail of coordinate-wise
-ascent. When the ascent's first sweep finds every coordinate line outside
-the objective's domain, as on the dual of a cash-additive functional, it
-runs the transfers and the pattern move alone. A dual ascent whose primal
+The ascent runs one of two move sets, which its first sweep picks from the
+objective. In coordinate mode each sweep moves along single-coordinate
+lines: a declared coordinate step where the caller gives one, otherwise a
+guarded line search. When that first sweep finds every coordinate line
+outside the objective's domain, as on the dual of a cash-additive
+functional, the ascent switches to transfer mode: mass-preserving pairwise
+transfers, which move along density simplices that single-coordinate steps
+cannot leave, and, from a restart's second sweep on, a pattern move (Hooke
+& Jeeves, 1961): one more line search along the sweep's net move, which
+shortens the slow linear tail of the transfers. A dual ascent whose primal
 value phi(f) is known stops as soon as it reaches it, since by weak duality
 no dual value exceeds it. The dual of a ``SeparableConjugate``, the
 conjugate of every catalog member but the expectation, is solved instead:
@@ -21,13 +23,14 @@ Divergence of a conjugate (the +inf case) is detected by ray probes before
 any ascent runs, all of them in one ``evaluate_rows`` call when the
 functional has a row kernel. A numeric Fenchel conjugate of a functional
 that declares its ``coordinate_step``, as every catalog member does, takes
-that step on each coordinate line and makes no other move: one step of
-iterative scaling for the entropic (Darroch & Ratcliff 1972), the best kink
-or segment end of a piecewise-linear line for the others.
+that step on each coordinate line: one step of iterative scaling for the
+entropic (Darroch & Ratcliff 1972), the best kink or segment end of a
+piecewise-linear line for the others.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, replace
@@ -124,10 +127,11 @@ class AscentResult:
     stop_reason: str
 
 
-def _check_restarts(restarts: int) -> None:
-    if restarts < 1:
-        raise ValueError(f"a dual ascent needs at least one restart, "
-                         f"got restarts={restarts!r}")
+def _check_restarts(restarts: int, seed: int = 0) -> None:
+    if restarts < 1 or seed < 0:
+        raise ValueError(f"a dual ascent needs at least one restart and a "
+                         f"nonnegative seed, got restarts={restarts!r}, "
+                         f"seed={seed!r}")
 
 
 def maximize_dual(objective: Callable[[np.ndarray], float],
@@ -144,90 +148,78 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
 
     ``reconstruct`` and ``biconjugate_check`` hand it every dual but that of
     a ``SeparableConjugate``: the expectation's, and those of functionals
-    without a closed-form conjugate. Move set per sweep, three kinds:
-    single-coordinate line searches (projected to g >= 0 when
-    ``nonneg``), pairwise transfers g_i += s/w_i, g_j -= s/w_j over all
-    pairs i < j, which keep the weighted mass fixed, and the pattern move
-    below. Every line takes its declared step or one
-    search of its whole segment, never both. Under ``nonneg`` a pair
-    segment ends where g_i or g_j reaches 0, and a density that a transfer
-    leaves within 1e-13 below 0 is set to 0 exactly. Only the coordinate
-    lines are guarded: each first probes its shoulders and is skipped when
-    both are -inf. If the guard skips every one of them in restart 0's
+    without a closed-form conjugate; ``fenchel_conjugate_value`` hands it
+    every numeric conjugate. Objectives are free to return -inf off their
+    domain, and a move applies only on strict improvement. Each call runs
+    one of two move sets, which restart 0's first sweep picks:
+
+    Coordinate mode, the default. Each sweep moves along each coordinate
+    line in turn, on the segment ``g_i +- 2 (1 + max |g|)``, cut at 0 when
+    ``nonneg``. ``coord_step``, when given, is ``(g, i, lo, hi) -> (t,
+    reads)``: the line's maximizer and the values of phi it read to find
+    it, as ``fenchel_conjugate_value`` passes a functional's declared
+    ``coordinate_step``. The ascent reads the objective at t once, one
+    counted evaluation plus the reads; a step that reads -inf is not taken,
+    and no catalog step does. Without ``coord_step`` each line is guarded:
+    it first probes its shoulders, at a quarter and three quarters of the
+    segment, and is skipped when both are -inf; otherwise one line search
+    runs on the whole segment. Exact coordinate maximization converges for
+    a smooth concave objective with a unique maximizer on each coordinate
+    line (Luo & Tseng 1992), which the entropic Fenchel objective is. A
+    box-only member's phi is positively homogeneous, so its conjugate is 0,
+    reached at restart 0's constant start, or else the objective is
+    unbounded along a coordinate or ones ray, where a step takes the
+    segment's end and the segment grows with |f|.
+
+    Transfer mode. If the guard skips every coordinate line of restart 0's
     first sweep, the objective is read as -inf off the hyperplane of the
     starting mass, as the dual objective of a cash-additive functional is
-    (its conjugate is +inf off E[g] = 1), and the rest of the call runs the
-    pair transfers and the pattern move only. A wrong reading can only make
-    the ascent weaker, never its answer infeasible.
+    (its conjugate is +inf off E[g] = 1). That sweep and every later one
+    run the pairwise transfers g_i += s/w_i, g_j -= s/w_j over all pairs
+    i < j, which keep the weighted mass fixed, and then, from a restart's
+    second sweep on, a pattern move along the sweep's net move d = g - (g
+    at the sweep's start): a line search over g + t d from t = 0 for t in
+    ``PATTERN_RANGE`` = [-1, 8], cut where no coordinate that is
+    nonnegative at t = 0 turns negative, so it never enters the slack a
+    closed-form conjugate allows below zero. d is a sum of transfers, so
+    the line stays on the starting mass's hyperplane. Under ``nonneg`` a
+    pair segment ends where g_i or g_j reaches 0. A coordinate that a
+    transfer under ``nonneg``, or the pattern move from a nonnegative
+    value, leaves within 1e-13 below 0 is set to 0 exactly. A wrong reading can only make the ascent weaker, never its
+    answer infeasible.
 
-    ``coord_step``, when given, is ``(g, i, lo, hi) -> (t, reads)``: the
-    maximizer of the objective along ``g_i`` on ``[lo, hi]`` and the values
-    of phi it read to find it. ``fenchel_conjugate_value`` passes the
-    ``coordinate_step`` of a functional that declares one. With it the
-    ascent has one move only: each sweep reads the step once per
-    coordinate, one counted evaluation plus the reads, and takes it on
-    strict improvement. A step that reads -inf is not taken; no catalog
-    step reads -inf. Such an ascent makes no guard probes, line searches,
-    pair transfers or pattern moves: a Fenchel ascent is sign-free, with no
-    mass hyperplane to keep, and exact coordinate maximization converges for
-    a smooth concave objective with a unique maximizer on each coordinate
-    line (Luo & Tseng 1992), which the entropic objective is, strictly
-    concave along each line. A box-only member's phi is positively
-    homogeneous, so its conjugate is 0, reached at restart 0's constant
-    start, or else the objective is unbounded along a coordinate or ones
-    ray, where a step takes the segment's end and the segment grows with
-    |f|.
-
-    Objectives are free to return -inf off their domain; moves apply only on
-    strict improvement. Each line search, on coordinate, pair and pattern
-    lines alike, runs on its whole segment and stops once its
-    bracket is as narrow as ``INV_PHI**LINE_STEPS`` times the segment, or on
-    a plateau that three of its probes certify (the lines are concave).
-
-    From a restart's second sweep on, the sweep's last move is a pattern
-    move along its net move d = g - (g at the sweep's start): a line search
-    over g + t d from t = 0 for t in ``PATTERN_RANGE`` = [-1, 8], cut to
-    where no coordinate that is nonnegative at t = 0 turns negative, so it
-    never enters the slack a closed-form conjugate allows below zero. d is a
-    sum of the sweep's moves, so under transfers only it keeps the mass and
-    the line stays on the starting mass's hyperplane. A restart ends after
-    its first sweep, pattern move included, that gains at most 1e-11
-    relative.
+    Each line search, on coordinate, pair and pattern lines alike, stops
+    once its bracket is as narrow as ``INV_PHI**LINE_STEPS`` times its
+    segment, or on a plateau that three of its probes certify (the lines
+    are concave). A restart ends after its first sweep that gains at most
+    1e-11 relative.
 
     ``ceiling`` is a known upper bound on the objective, such as phi(f) for
     the dual of phi at f (weak duality), or a value past which the caller's
     answer no longer depends on the point, as for a Fenchel conjugate's
-    divergence threshold. The call returns as soon as a
-    restart's start point or an accepted move of any kind reaches
-    ``ceiling - CEILING_TOL * (1 + |ceiling|)``, skipping the remaining
-    sweeps and restarts; below an upper bound, a point it stops at is within
-    that distance of the supremum, whatever the rest of the search would
-    have found. A ceiling
-    the ascent never reaches, a non-finite one included, leaves every step
-    as without one. The result is deterministic in ``seed``: restart 0
-    starts at the constant density 1 / total mass, restart r > 0 draws from
+    divergence threshold. The call returns as soon as a restart's start
+    point or an accepted move reaches ``ceiling - CEILING_TOL * (1 +
+    |ceiling|)``, skipping the remaining sweeps and restarts; below an upper
+    bound, a point it stops at is within that distance of the supremum. A
+    ceiling the ascent never reaches, a non-finite one included, changes
+    nothing. The result is deterministic in ``seed``: restart 0 starts at
+    the constant density 1 / total mass, restart r > 0 draws from
     default_rng([seed, r]), and ties prefer the lowest start index. When
     restart 0's start reads -inf, it moves to g = 1 if that reads higher,
     before its first sweep: on a space of mass other than 1, the
-    expectation's dual is finite at g = 1 only. ``restarts`` below 1 raise
-    ValueError before the first objective call.
+    expectation's dual is finite at g = 1 only. ``restarts`` below 1 and
+    ``seed`` below 0 raise ValueError before the first objective call.
     """
-    _check_restarts(restarts)
+    _check_restarts(restarts, seed)
     # nan compares false with every value, so a non-finite ceiling never fires
     stop_at = (ceiling - CEILING_TOL * (1.0 + abs(ceiling))
                if math.isfinite(ceiling) else math.nan)
     w = space.weights
     n = space.n_atoms
     total = float(space.total_mass)
-    pairs = ([] if coord_step is not None else
-             [(i, j) for i in range(n) for j in range(i + 1, n)])
     best: AscentResult | None = None
     evals = 0
-    # coordinate lines tried and skipped by the guard; once the guard lets
-    # one line through the two never agree again, so only restart 0's first
-    # sweep can switch the ascent to transfers only
-    tried = skipped = 0
-    transfers_only = False
+    transfer_mode = False
 
     def at_ceiling():
         return AscentResult(g=g.copy(), value=v, start_index=r,
@@ -255,9 +247,9 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
         for _ in range(SWEEP_CAP):
             sweeps += 1
             v_before = v
-            g_start = g.copy()
 
-            if not transfers_only:
+            if not transfer_mode:
+                skipped = 0
                 span = 2.0 * (1.0 + float(np.max(np.abs(g))))
                 for i in range(n):
                     t0 = g[i]
@@ -273,66 +265,65 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
 
                     if coord_step is not None:
                         t, reads = coord_step(g, i, lo, hi)
-                        val = h(t)
+                        step = (t, h(t))
                         evals += 1 + reads
-                        if val > v:
-                            g[i], v = t, val
-                            if v >= stop_at:
-                                return at_ceiling()
-                        continue
-                    # the guard: both shoulders -inf (the second probed only
-                    # when the first is) put all of the line bar the current
-                    # point outside the objective's domain, as under an
-                    # equality constraint on the mass
-                    tried += 1
-                    evals += 1
-                    if h(lo + 0.25 * (hi - lo)) == -math.inf:
+                    else:
+                        # the guard: both shoulders -inf (the second probed
+                        # only when the first is) put all of the line bar
+                        # the current point outside the objective's domain,
+                        # as under an equality constraint on the mass
                         evals += 1
-                        if h(lo + 0.75 * (hi - lo)) == -math.inf:
-                            skipped += 1
-                            continue
-                    step, ev = _line_search(h, lo, hi, t0, v)
-                    evals += ev
-                    if step:
+                        if h(lo + 0.25 * (hi - lo)) == -math.inf:
+                            evals += 1
+                            if h(lo + 0.75 * (hi - lo)) == -math.inf:
+                                skipped += 1
+                                continue
+                        step, ev = _line_search(h, lo, hi, t0, v)
+                        evals += ev
+                    if step and step[1] > v:
                         g[i], v = step
                         if v >= stop_at:
                             return at_ceiling()
-                transfers_only = coord_step is None and skipped == tried
+                # the guard's reading of restart 0's first sweep picks the
+                # move set for the whole call
+                transfer_mode = r == 0 and sweeps == 1 and skipped == n
 
-            for i, j in pairs:
-                wi, wj = float(w[i]), float(w[j])
-                gi, gj = float(g[i]), float(g[j])
-                if nonneg:
-                    lo, hi = -gi * wi, gj * wj
-                else:
-                    s_span = 1.0 + float(np.dot(w, np.abs(g)))
-                    lo, hi = -s_span, s_span
-                if hi - lo <= 1e-300:
-                    continue
-
-                def h(s, i=i, j=j, wi=wi, wj=wj, gi=gi, gj=gj):
-                    g[i] = gi + s / wi
-                    g[j] = gj - s / wj
-                    val = objective(g)
-                    g[i], g[j] = gi, gj
-                    return val
-
-                step, ev = _line_search(h, lo, hi, 0.0, v)
-                evals += ev
-                if step:
-                    s, v = step
-                    g[i] = gi + s / wi
-                    g[j] = gj - s / wj
+            if transfer_mode:
+                g_start = g.copy()
+                for i, j in itertools.combinations(range(n), 2):
+                    wi, wj = float(w[i]), float(w[j])
+                    gi, gj = float(g[i]), float(g[j])
                     if nonneg:
-                        # transfers that land on zero should sit on it
-                        # exactly, not a rounding error below it
-                        for a in (i, j):
-                            if -1e-13 < g[a] < 0.0:
-                                g[a] = 0.0
-                    if v >= stop_at:
-                        return at_ceiling()
+                        lo, hi = -gi * wi, gj * wj
+                    else:
+                        s_span = 1.0 + float(np.dot(w, np.abs(g)))
+                        lo, hi = -s_span, s_span
+                    if hi - lo <= 1e-300:
+                        continue
 
-            if sweeps > 1 and coord_step is None:
+                    def h(s, i=i, j=j, wi=wi, wj=wj, gi=gi, gj=gj):
+                        g[i] = gi + s / wi
+                        g[j] = gj - s / wj
+                        val = objective(g)
+                        g[i], g[j] = gi, gj
+                        return val
+
+                    step, ev = _line_search(h, lo, hi, 0.0, v)
+                    evals += ev
+                    if step:
+                        s, v = step
+                        g[i] = gi + s / wi
+                        g[j] = gj - s / wj
+                        if nonneg:
+                            # transfers that land on zero should sit on it
+                            # exactly, not a rounding error below it
+                            for a in (i, j):
+                                if -1e-13 < g[a] < 0.0:
+                                    g[a] = 0.0
+                        if v >= stop_at:
+                            return at_ceiling()
+
+            if transfer_mode and sweeps > 1:
                 d = g - g_start
                 lo, hi = _pattern_segment(g, d)
                 if hi - lo > 1e-300:
@@ -425,12 +416,13 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     sign-free ascent over f (``maximize_dual`` on the ``_DualObjective`` of
     phi in the conjugate's place) estimates the supremum: by one
     ``phi.coordinate_step`` per coordinate line when phi declares one,
-    passed as the ascent's ``coord_step``, by line searches, pair transfers
-    and pattern moves otherwise. An ascent whose value passes
-    ``DIVERGENCE_ASCENT`` = 1e12 is reported as +inf along the direction of
-    its best point; since its value never falls, it stops at twice that
-    value. ``evaluations`` reports the rows and
-    ``phi.evaluate`` calls this evaluated, a step's rows included, and
+    passed as the ascent's ``coord_step``, by guarded coordinate line
+    searches otherwise. An ascent whose value passes ``DIVERGENCE_ASCENT`` =
+    1e12 is reported as +inf along the direction of its best point; since
+    its value never falls, it stops at twice that value. ``restarts`` below
+    1 and ``seed`` below 0 raise ValueError before the first probe, on the
+    numeric path only. ``evaluations`` reports the rows and ``phi.evaluate``
+    calls this evaluated, a step's rows included, and
     ``stop_reason`` says how the value was found (``ConjugateEstimate``).
     """
     space = phi.space
@@ -439,6 +431,7 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     if phi.closed_form_conjugate is not None and not force_numeric:
         return ConjugateEstimate(float(phi.closed_form_conjugate(g)),
                                  numeric=False)
+    _check_restarts(restarts, seed)
     n = space.n_atoms
     obj = _DualObjective(phi.evaluate, space, g.values)
     step = phi.coordinate_step

@@ -461,6 +461,71 @@ def test_ascents_need_a_restart(dual_calls):
     assert dual_calls[0] == 0
 
 
+def test_ascents_refuse_a_negative_seed_before_any_call():
+    # numpy's default_rng refused it at restart 1, after restart 0 had run:
+    # 72 objective calls here
+    sp = uniform_probability(3)
+    target = np.array([0.7, -0.4, 1.3])
+    calls = 0
+
+    def obj(g):
+        nonlocal calls
+        calls += 1
+        d = g - target
+        return -float(d @ d)
+
+    with pytest.raises(ValueError, match="seed"):
+        maximize_dual(obj, sp, seed=-1, restarts=2, nonneg=False)
+    assert calls == 0
+
+
+def _counted(phi):
+    """A copy of ``phi`` and a one-item list counting the values of phi it
+    reads, ``evaluate`` calls and ``evaluate_rows`` rows alike."""
+    reads = [0]
+
+    def evaluate(f):
+        reads[0] += 1
+        return phi.evaluate(f)
+
+    def evaluate_rows(rows):
+        reads[0] += len(rows)
+        return phi.evaluate_rows(rows)
+
+    return replace(phi, evaluate=evaluate,
+                   evaluate_rows=evaluate_rows), reads
+
+
+@pytest.mark.parametrize("seed, restarts", [(0, 0), (-1, 2)])
+def test_numeric_conjugates_refuse_bad_starts_before_any_probe(seed,
+                                                               restarts):
+    # with restarts=0 a feasible g raised after its 62 ray-probe reads, and
+    # a g with a negative dip returned +inf; the closed form reads neither
+    sp = uniform_probability(3)
+    base = entropic(1.0, sp)
+    for gv in ([0.5, 1.0, 1.5], [-0.5, 1.0, 2.5]):
+        g = Rv(sp, gv)
+        phi, reads = _counted(base)
+        with pytest.raises(ValueError, match="restart"):
+            fenchel_conjugate_value(phi, g, seed=seed, restarts=restarts,
+                                    force_numeric=True)
+        assert reads[0] == 0
+        closed = fenchel_conjugate_value(phi, g, seed=seed,
+                                         restarts=restarts)
+        assert closed.value == base.closed_form_conjugate(g)
+
+
+def test_the_solve_reads_no_seed(dual_calls):
+    # the mass-multiplier solve draws no start, so a negative seed is
+    # accepted there, as the closed forms accept it
+    sp = uniform_probability(3)
+    phi, f = entropic(1.0, sp), Rv(sp, [0.3, -0.2, 0.5])
+    got, cert = reconstruct(phi, f, PSI2, seed=-1, force_numeric=True,
+                            validation_trials=40)
+    assert cert.evaluations == dual_calls[0] == 1
+    assert abs(got - phi.evaluate(f)) <= 1e-12
+
+
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(n=st.integers(2, 8), beta=st.sampled_from([0.5, 1.0, 2.0]),
        nonneg=st.booleans(), seed=st.integers(0, 2 ** 16), data=st.data())
@@ -721,8 +786,8 @@ def _fenchel_duals(rng, member, phi, sp):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_stepped_conjugates_agree_with_the_line_search_path(seed):
-    # the line searches, pair transfers and pattern moves that a functional
-    # without a coordinate step gets are the reference; mass errors whose
+    # the guarded coordinate line searches that a functional without a
+    # coordinate step gets are the reference; mass errors whose
     # slope is below the ray probes' reach are left out, since there both
     # paths stop short of +inf (CHANGES.md)
     rng = np.random.default_rng([26, 20 + seed])
@@ -1173,9 +1238,9 @@ def test_numeric_entropic_conjugates_at_16_atoms():
 
 
 def test_stepped_ascents_read_each_coordinate_once_per_sweep():
-    # no guard probes, pair transfers or pattern moves: one restart reads
-    # its start, then one point per coordinate and sweep, and an entropic
-    # step reads nothing itself
+    # no guard probes or line searches: one restart reads its start, then
+    # one point per coordinate and sweep, and an entropic step reads
+    # nothing itself
     sp = uniform_probability(5)
     phi = entropic(1.0, sp)
     gv = np.array([0.4, 1.3, 0.9, 1.6, 0.8])
@@ -1234,6 +1299,50 @@ def test_lines_with_a_step_are_never_searched(monkeypatch, seed):
                         force_numeric=True, validation_trials=40)
             biconjugate_check(phi, [f], seed=seed, restarts=3)
             assert events == []
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_stripped_conjugates_search_coordinate_lines_only(monkeypatch, seed):
+    # numpy-seeded, every catalog member with its coordinate step stripped:
+    # the guard lets a numeric Fenchel conjugate's coordinate lines through,
+    # so the ascent stays in coordinate mode. It searches no pattern line,
+    # and no pair line: every point one search reads differs from the
+    # others in one coordinate at most
+    searched, inside, patterns = [], [], []
+    search, segment = duality._line_search, duality._pattern_segment
+    method = duality._DualObjective.__call__
+
+    def logged_search(h, lo, hi, t0, v):
+        inside.append([])
+        try:
+            return search(h, lo, hi, t0, v)
+        finally:
+            searched.append(np.array(inside.pop()))
+
+    def logged_segment(g, d):
+        patterns.append(d)
+        return segment(g, d)
+
+    def read(obj, garr):
+        if inside:
+            inside[-1].append(garr.copy())
+        return method(obj, garr)
+
+    monkeypatch.setattr(duality, "_line_search", logged_search)
+    monkeypatch.setattr(duality, "_pattern_segment", logged_segment)
+    monkeypatch.setattr(duality._DualObjective, "__call__", read)
+    rng = np.random.default_rng([34, seed])
+    for n in range(2, 9):
+        sp, catalog = _catalog_draw(rng, n, bool(n % 2))
+        for member, phi in enumerate(catalog):
+            bare = replace(phi, coordinate_step=None)
+            for gv in _fenchel_duals(rng, member, phi, sp):
+                fenchel_conjugate_value(bare, Rv(sp, gv), seed=seed,
+                                        restarts=2, force_numeric=True)
+    assert patterns == []
+    assert len(searched) > 100
+    for points in searched:
+        assert np.count_nonzero((points != points[0]).any(axis=0)) <= 1
 
 
 def test_conjugate_estimates_say_why_they_stopped():
