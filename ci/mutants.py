@@ -3,9 +3,7 @@
     python ci/mutants.py
 
 Each entry of MUTANTS names a file, an exact text in it, the text that
-replaces it, and the test ids that must fail once it does; a mutant that
-edits more than one place gives tuples of old and new texts, applied in
-turn. The script
+replaces it, and the test ids that must fail once it does. The script
 copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary directory,
 runs every named id there once unmutated (they must all pass, or a failure
 under a mutant would prove nothing), then applies each mutant alone and
@@ -43,8 +41,12 @@ SHORT_OF_CEILING = ("tests/test_duality.py::"
                     "test_a_solve_short_of_its_ceiling_stops_flat")
 BOX_ONLY_BICONJUGATE = ("tests/test_duality.py::"
                         "test_biconjugate_recovers_box_only_members")
-COORDINATE_MODE = ("tests/test_duality.py::"
-                   "test_stripped_conjugates_search_coordinate_lines_only")
+STEPLESS_LINES = ("tests/test_duality.py::"
+                  "test_stripped_conjugates_search_all_three_kinds_of_line")
+KINK = ("tests/test_duality.py::"
+        "test_a_pair_transfer_leaves_a_kink_that_stalls_coordinate_lines")
+STEPPED_LINES = ("tests/test_duality.py::"
+                 "test_lines_with_a_step_are_never_searched")
 BAD_STARTS = ("tests/test_duality.py::"
               "test_numeric_conjugates_refuse_bad_starts_before_any_probe")
 COORD_STEP_PROPERTY = ("tests/test_duality.py::"
@@ -80,10 +82,10 @@ MUTANTS = [
      "        if r == 0 and v == -math.inf:\n",
      "        if False:\n",
      ["tests/test_duality.py::test_numeric_expectation_on_a_space_of_mass_two"]),
-    ("the ascent never switches to transfer mode",
+    ("the ascent never switches to transfers only",
      DUALITY,
-     "                transfer_mode = r == 0 and sweeps == 1 and skipped == n\n",
-     "                transfer_mode = False\n",
+     "                transfers_only = r == 0 and sweeps == 1 and skipped == n\n",
+     "                transfers_only = False\n",
      ["tests/test_duality.py::"
       "test_entropic_ascent_probes_off_the_unit_mass_twice_per_atom"]),
     ("a restart's start point is never compared with the ceiling",
@@ -175,27 +177,35 @@ MUTANTS = [
       f"{BOX_ONLY_BICONJUGATE}[5-worst_case]"]),
     ("maximize_dual ignores its coord_step argument",
      DUALITY,
-     "                    if coord_step is not None:\n",
-     "                    if False:\n",
+     "    transfers_only = False\n",
+     "    transfers_only = False\n"
+     "    coord_step = None\n",
      ["tests/test_duality.py::"
       "test_stepped_ascents_read_each_coordinate_once_per_sweep",
       "tests/test_duality.py::"
       "test_a_coordinate_step_that_reads_minus_inf_is_not_taken"]),
-    ("coordinate mode also runs the pair transfers",
+    ("a stepped ascent also runs the pair transfers",
      DUALITY,
-     "            if transfer_mode:\n"
-     "                g_start = g.copy()\n",
-     "            if True:\n"
-     "                g_start = g.copy()\n",
-     [f"{COORDINATE_MODE}[0]"]),
-    ("coordinate mode also runs the pattern move",
+     "            if coord_step is None:\n",
+     "            if True:\n",
+     [f"{STEPPED_LINES}[0]",
+      "tests/test_duality.py::"
+      "test_stepped_ascents_read_each_coordinate_once_per_sweep"]),
+    ("a stepped ascent also runs the pattern move",
      DUALITY,
-     ("            v_before = v\n",
-      "            if transfer_mode and sweeps > 1:\n"),
-     ("            v_before = v\n"
-      "            g_start = g.copy()\n",
-      "            if sweeps > 1:\n"),
-     [f"{COORDINATE_MODE}[0]"]),
+     "            if sweeps > 1 and coord_step is None:\n",
+     "            if sweeps > 1:\n",
+     [f"{STEPPED_LINES}[0]"]),
+    ("a stepless ascent runs the pair transfers only when transfers only",
+     DUALITY,
+     "            if coord_step is None:\n",
+     "            if transfers_only:\n",
+     [f"{STEPLESS_LINES}[0]", KINK]),
+    ("a stepless ascent runs the pattern move only when transfers only",
+     DUALITY,
+     "            if sweeps > 1 and coord_step is None:\n",
+     "            if sweeps > 1 and transfers_only:\n",
+     [f"{STEPLESS_LINES}[0]"]),
     ("a 1e-6 ceiling tolerance",
      DUALITY,
      "CEILING_TOL = 1e-12\n",
@@ -231,6 +241,12 @@ MUTANTS = [
      "    n = space.n_atoms\n",
      "    n = space.n_atoms\n",
      [f"{BAD_STARTS}[0-0]", f"{BAD_STARTS}[-1-2]"]),
+    ("the solve does not check its starts",
+     DUALITY,
+     "    _check_restarts(restarts, seed)\n"
+     "    if isinstance(conj, SeparableConjugate):\n",
+     "    if isinstance(conj, SeparableConjugate):\n",
+     ["tests/test_duality.py::test_the_solve_refuses_a_negative_seed_too"]),
     ("the greedy fill ignores the cap",
      DUALITY,
      "            mass = np.minimum(np.maximum(left, 0.0), full)\n",
@@ -419,19 +435,14 @@ def main() -> int:
         for name, rel, old, new, ids in MUTANTS:
             path = copy / rel
             text = path.read_text()
-            edits = (list(zip(old, new)) if isinstance(old, tuple)
-                     else [(old, new)])
-            found = [text.count(o) for o, _ in edits]
-            if found != [1] * len(edits):
-                print(f"FAIL {name}: its old texts occur {found} times in "
-                      f"{rel}, not once each")
+            found = text.count(old)
+            if found != 1:
+                print(f"FAIL {name}: its old text occurs {found} times in "
+                      f"{rel}, not once")
                 failures += 1
                 continue
             start = time.perf_counter()
-            mutated = text
-            for o, n in edits:
-                mutated = mutated.replace(o, n)
-            path.write_text(mutated)
+            path.write_text(text.replace(old, new))
             try:
                 code, failed = run_tests(copy, ids)
             finally:

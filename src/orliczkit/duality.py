@@ -2,16 +2,15 @@
 
 Conjugates, and the duals of functionals built by hand, are computed
 derivative-free, by line-search ascent with deterministic multi-starts.
-The ascent runs one of two move sets, which its first sweep picks from the
-objective. In coordinate mode each sweep moves along single-coordinate
-lines: a declared coordinate step where the caller gives one, otherwise a
-guarded line search. When that first sweep finds every coordinate line
-outside the objective's domain, as on the dual of a cash-additive
-functional, the ascent switches to transfer mode: mass-preserving pairwise
-transfers, which move along density simplices that single-coordinate steps
-cannot leave, and, from a restart's second sweep on, a pattern move (Hooke
-& Jeeves, 1961): one more line search along the sweep's net move, which
-shortens the slow linear tail of the transfers. A dual ascent whose primal
+Each sweep has three kinds of move: single-coordinate lines,
+mass-preserving pairwise transfers, which move along density simplices
+that single-coordinate steps cannot leave and off the kinks where every
+coordinate line falls, and, from a restart's second sweep on, a pattern
+move (Hooke & Jeeves, 1961): one more line search along the sweep's net
+move, which shortens the slow linear tail of coordinate-wise ascent. When
+the ascent's first sweep finds every coordinate line outside the
+objective's domain, as on the dual of a cash-additive functional, it runs
+the transfers and the pattern move alone. A dual ascent whose primal
 value phi(f) is known stops as soon as it reaches it, since by weak duality
 no dual value exceeds it. The dual of a ``SeparableConjugate``, the
 conjugate of every catalog member but the expectation, is solved instead:
@@ -23,9 +22,9 @@ Divergence of a conjugate (the +inf case) is detected by ray probes before
 any ascent runs, all of them in one ``evaluate_rows`` call when the
 functional has a row kernel. A numeric Fenchel conjugate of a functional
 that declares its ``coordinate_step``, as every catalog member does, takes
-that step on each coordinate line: one step of iterative scaling for the
-entropic (Darroch & Ratcliff 1972), the best kink or segment end of a
-piecewise-linear line for the others.
+that step on each coordinate line and makes no other move: one step of
+iterative scaling for the entropic (Darroch & Ratcliff 1972), the best kink
+or segment end of a piecewise-linear line for the others.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ class AscentResult:
     stop_reason: str
 
 
-def _check_restarts(restarts: int, seed: int = 0) -> None:
+def _check_restarts(restarts: int, seed: int) -> None:
     if restarts < 1 or seed < 0:
         raise ValueError(f"a dual ascent needs at least one restart and a "
                          f"nonnegative seed, got restarts={restarts!r}, "
@@ -150,43 +149,46 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     a ``SeparableConjugate``: the expectation's, and those of functionals
     without a closed-form conjugate; ``fenchel_conjugate_value`` hands it
     every numeric conjugate. Objectives are free to return -inf off their
-    domain, and a move applies only on strict improvement. Each call runs
-    one of two move sets, which restart 0's first sweep picks:
+    domain, and a move applies only on strict improvement. A sweep moves
+    along each coordinate line in turn, on the segment ``g_i +- 2 (1 + max
+    |g|)``, cut at 0 when ``nonneg``. Without ``coord_step`` each line is
+    guarded: it first probes its shoulders, at a quarter and three quarters
+    of the segment, and is skipped when both are -inf; otherwise one line
+    search runs on the whole segment. The sweep then runs the pairwise transfers g_i += s/w_i, g_j
+    -= s/w_j over all pairs i < j, which keep the weighted mass fixed; under
+    ``nonneg`` a pair segment ends where g_i or g_j reaches 0. A transfer
+    steps off a kink where every coordinate line falls: on the uniform
+    3-atom space, the Fenchel objective of max(f_1, (f_2 + f_3) / 2) at g =
+    (1, 1.2, 0.8) grows without bound along f_2 - f_3 only. From a
+    restart's second sweep on, the sweep ends with a pattern move along its
+    net move d = g - (g at the sweep's start): a line search over g + t d
+    from t = 0 for t in ``PATTERN_RANGE`` = [-1, 8], cut where no
+    coordinate that is nonnegative at t = 0 turns negative, so it never
+    enters the slack a closed-form conjugate allows below zero. A
+    coordinate that a transfer under ``nonneg``, or the pattern move from a
+    nonnegative value, leaves within 1e-13 below 0 is set to 0 exactly.
 
-    Coordinate mode, the default. Each sweep moves along each coordinate
-    line in turn, on the segment ``g_i +- 2 (1 + max |g|)``, cut at 0 when
-    ``nonneg``. ``coord_step``, when given, is ``(g, i, lo, hi) -> (t,
-    reads)``: the line's maximizer and the values of phi it read to find
-    it, as ``fenchel_conjugate_value`` passes a functional's declared
-    ``coordinate_step``. The ascent reads the objective at t once, one
-    counted evaluation plus the reads; a step that reads -inf is not taken,
-    and no catalog step does. Without ``coord_step`` each line is guarded:
-    it first probes its shoulders, at a quarter and three quarters of the
-    segment, and is skipped when both are -inf; otherwise one line search
-    runs on the whole segment. Exact coordinate maximization converges for
-    a smooth concave objective with a unique maximizer on each coordinate
-    line (Luo & Tseng 1992), which the entropic Fenchel objective is. A
-    box-only member's phi is positively homogeneous, so its conjugate is 0,
-    reached at restart 0's constant start, or else the objective is
+    If the guard skips every coordinate line of restart 0's first sweep,
+    the objective is read as -inf off the hyperplane of the starting mass,
+    as the dual objective of a cash-additive functional is (its conjugate
+    is +inf off E[g] = 1), and the rest of the call runs the transfers and
+    the pattern move only. d is then a sum of transfers, so the pattern
+    line stays on that hyperplane. A wrong reading of the guard can only
+    make this ascent weaker, never its answer infeasible.
+
+    ``coord_step``, when given, is ``(g, i, lo, hi) -> (t, reads)``: the
+    maximizer of the objective along ``g_i`` on ``[lo, hi]`` and the values
+    of phi it read to find it, as ``fenchel_conjugate_value`` passes a
+    functional's declared ``coordinate_step``. The ascent then reads the
+    objective at t once per coordinate and sweep, one counted evaluation
+    plus the reads, and makes no other move; a step that reads -inf is not
+    taken, and no catalog step does. Exact coordinate maximization
+    converges for a smooth concave objective with a unique maximizer on
+    each coordinate line (Luo & Tseng 1992), which the entropic objective
+    is. A box-only member's phi is positively homogeneous, so its conjugate
+    is 0, reached at restart 0's constant start, or else the objective is
     unbounded along a coordinate or ones ray, where a step takes the
     segment's end and the segment grows with |f|.
-
-    Transfer mode. If the guard skips every coordinate line of restart 0's
-    first sweep, the objective is read as -inf off the hyperplane of the
-    starting mass, as the dual objective of a cash-additive functional is
-    (its conjugate is +inf off E[g] = 1). That sweep and every later one
-    run the pairwise transfers g_i += s/w_i, g_j -= s/w_j over all pairs
-    i < j, which keep the weighted mass fixed, and then, from a restart's
-    second sweep on, a pattern move along the sweep's net move d = g - (g
-    at the sweep's start): a line search over g + t d from t = 0 for t in
-    ``PATTERN_RANGE`` = [-1, 8], cut where no coordinate that is
-    nonnegative at t = 0 turns negative, so it never enters the slack a
-    closed-form conjugate allows below zero. d is a sum of transfers, so
-    the line stays on the starting mass's hyperplane. Under ``nonneg`` a
-    pair segment ends where g_i or g_j reaches 0. A coordinate that a
-    transfer under ``nonneg``, or the pattern move from a nonnegative
-    value, leaves within 1e-13 below 0 is set to 0 exactly. A wrong reading can only make the ascent weaker, never its
-    answer infeasible.
 
     Each line search, on coordinate, pair and pattern lines alike, stops
     once its bracket is as narrow as ``INV_PHI**LINE_STEPS`` times its
@@ -219,7 +221,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     total = float(space.total_mass)
     best: AscentResult | None = None
     evals = 0
-    transfer_mode = False
+    transfers_only = False
 
     def at_ceiling():
         return AscentResult(g=g.copy(), value=v, start_index=r,
@@ -247,8 +249,9 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
         for _ in range(SWEEP_CAP):
             sweeps += 1
             v_before = v
+            g_start = g.copy()
 
-            if not transfer_mode:
+            if not transfers_only:
                 skipped = 0
                 span = 2.0 * (1.0 + float(np.max(np.abs(g))))
                 for i in range(n):
@@ -284,12 +287,12 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         g[i], v = step
                         if v >= stop_at:
                             return at_ceiling()
-                # the guard's reading of restart 0's first sweep picks the
-                # move set for the whole call
-                transfer_mode = r == 0 and sweeps == 1 and skipped == n
+                # once the guard lets one line through, later sweeps keep
+                # their coordinate lines, so only restart 0's first sweep
+                # can switch the ascent to transfers only
+                transfers_only = r == 0 and sweeps == 1 and skipped == n
 
-            if transfer_mode:
-                g_start = g.copy()
+            if coord_step is None:
                 for i, j in itertools.combinations(range(n), 2):
                     wi, wj = float(w[i]), float(w[j])
                     gi, gj = float(g[i]), float(g[j])
@@ -323,7 +326,7 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         if v >= stop_at:
                             return at_ceiling()
 
-            if transfer_mode and sweeps > 1:
+            if sweeps > 1 and coord_step is None:
                 d = g - g_start
                 lo, hi = _pattern_segment(g, d)
                 if hi - lo > 1e-300:
@@ -416,14 +419,14 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     sign-free ascent over f (``maximize_dual`` on the ``_DualObjective`` of
     phi in the conjugate's place) estimates the supremum: by one
     ``phi.coordinate_step`` per coordinate line when phi declares one,
-    passed as the ascent's ``coord_step``, by guarded coordinate line
-    searches otherwise. An ascent whose value passes ``DIVERGENCE_ASCENT`` =
-    1e12 is reported as +inf along the direction of its best point; since
-    its value never falls, it stops at twice that value. ``restarts`` below
-    1 and ``seed`` below 0 raise ValueError before the first probe, on the
-    numeric path only. ``evaluations`` reports the rows and ``phi.evaluate``
-    calls this evaluated, a step's rows included, and
-    ``stop_reason`` says how the value was found (``ConjugateEstimate``).
+    passed as the ascent's ``coord_step``, by line searches, pair transfers
+    and pattern moves otherwise. An ascent whose value passes
+    ``DIVERGENCE_ASCENT`` = 1e12 is reported as +inf along the direction of
+    its best point; since its value never falls, it stops at twice that
+    value. ``restarts`` below 1 and ``seed`` below 0 raise ValueError before
+    the first probe, on the numeric path only. ``evaluations`` reports the
+    rows and ``phi.evaluate`` calls this evaluated, a step's rows included,
+    and ``stop_reason`` says how the value was found (``ConjugateEstimate``).
     """
     space = phi.space
     if not space.same_space(g.space):
@@ -652,8 +655,9 @@ def _dual_ascents(conj: Callable[[Rv], float], space: MeasureSpace,
     ``SeparableConjugate``, which is +inf below zero, one mass-multiplier
     solve for all of them, chosen by that type alone; for any other
     ``conj``, one ``maximize_dual`` ascent per ``nonneg`` in ``signs``.
-    ``restarts`` below 1 raise ValueError."""
-    _check_restarts(restarts)
+    ``restarts`` below 1 and ``seed`` below 0 raise ValueError, on either
+    path."""
+    _check_restarts(restarts, seed)
     if isinstance(conj, SeparableConjugate):
         return [_mass_multiplier_solve(conj, space, fv, ceiling)]
     obj = _DualObjective(conj, space, fv)
@@ -679,11 +683,12 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     functional's callables are pure, as every catalog member's are. With a
     declared closed-form maximizer the certificate is exact. Otherwise
     phi(f), which bounds every dual value (weak duality), is the ascent's
-    ``ceiling``; ``restarts`` below 1 raise ValueError. The dual of a
+    ``ceiling``; ``restarts`` below 1 and ``seed`` below 0 raise ValueError
+    on every path. The dual of a
     ``SeparableConjugate`` (entropic, AVaR, worst case) is solved exactly
     from what the conjugate declares (``_mass_multiplier_solve``), never
     from phi's closed-form maximizer, so ``force_numeric`` still checks one
-    against the other. It reads no ``seed`` and runs no restart; its
+    against the other. It draws no start and runs no restart; its
     certificate reports ``start_index`` 0, ``sweeps`` 0, ``evaluations`` 1,
     the objective call that reads its value, and ``stop_reason``
     ``"ceiling"`` when that value is within ``CEILING_TOL * (1 + |phi(f)|)``
@@ -776,8 +781,8 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
     A ``SeparableConjugate`` is +inf below zero, so its two suprema are one
     problem: the mass-multiplier solve (``reconstruct``) runs once per
     probe, and its split is 0. Any other conjugate, the expectation's
-    included, takes two ``maximize_dual`` ascents. An empty probe list, or
-    ``restarts`` below 1, raises ValueError.
+    included, takes two ``maximize_dual`` ascents. An empty probe list,
+    ``restarts`` below 1 or ``seed`` below 0 raises ValueError.
     """
     if not probes:
         raise ValueError("empty probe list: biconjugate_check needs at least "

@@ -515,15 +515,17 @@ def test_numeric_conjugates_refuse_bad_starts_before_any_probe(seed,
         assert closed.value == base.closed_form_conjugate(g)
 
 
-def test_the_solve_reads_no_seed(dual_calls):
-    # the mass-multiplier solve draws no start, so a negative seed is
-    # accepted there, as the closed forms accept it
+def test_the_solve_refuses_a_negative_seed_too(dual_calls):
+    # the mass-multiplier solve draws no start, yet refuses the seed the
+    # ascents refuse, so a seed's validity does not hang on the conjugate
     sp = uniform_probability(3)
     phi, f = entropic(1.0, sp), Rv(sp, [0.3, -0.2, 0.5])
-    got, cert = reconstruct(phi, f, PSI2, seed=-1, force_numeric=True,
-                            validation_trials=40)
-    assert cert.evaluations == dual_calls[0] == 1
-    assert abs(got - phi.evaluate(f)) <= 1e-12
+    with pytest.raises(ValueError, match="seed"):
+        reconstruct(phi, f, PSI2, seed=-1, force_numeric=True,
+                    validation_trials=40)
+    with pytest.raises(ValueError, match="seed"):
+        biconjugate_check(phi, [f], seed=-1)
+    assert dual_calls[0] == 0
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -786,8 +788,8 @@ def _fenchel_duals(rng, member, phi, sp):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_stepped_conjugates_agree_with_the_line_search_path(seed):
-    # the guarded coordinate line searches that a functional without a
-    # coordinate step gets are the reference; mass errors whose
+    # the line searches, pair transfers and pattern moves that a functional
+    # without a coordinate step gets are the reference; mass errors whose
     # slope is below the ray probes' reach are left out, since there both
     # paths stop short of +inf (CHANGES.md)
     rng = np.random.default_rng([26, 20 + seed])
@@ -1238,9 +1240,9 @@ def test_numeric_entropic_conjugates_at_16_atoms():
 
 
 def test_stepped_ascents_read_each_coordinate_once_per_sweep():
-    # no guard probes or line searches: one restart reads its start, then
-    # one point per coordinate and sweep, and an entropic step reads
-    # nothing itself
+    # no guard probes, pair transfers or pattern moves: one restart reads
+    # its start, then one point per coordinate and sweep, and an entropic
+    # step reads nothing itself
     sp = uniform_probability(5)
     phi = entropic(1.0, sp)
     gv = np.array([0.4, 1.3, 0.9, 1.6, 0.8])
@@ -1302,12 +1304,13 @@ def test_lines_with_a_step_are_never_searched(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_stripped_conjugates_search_coordinate_lines_only(monkeypatch, seed):
+def test_stripped_conjugates_search_all_three_kinds_of_line(monkeypatch,
+                                                            seed):
     # numpy-seeded, every catalog member with its coordinate step stripped:
     # the guard lets a numeric Fenchel conjugate's coordinate lines through,
-    # so the ascent stays in coordinate mode. It searches no pattern line,
-    # and no pair line: every point one search reads differs from the
-    # others in one coordinate at most
+    # and the ascent searches pair lines and pattern lines besides. Every
+    # point one coordinate or pair search reads differs from the others in
+    # one or two coordinates
     searched, inside, patterns = [], [], []
     search, segment = duality._line_search, duality._pattern_segment
     method = duality._DualObjective.__call__
@@ -1339,10 +1342,35 @@ def test_stripped_conjugates_search_coordinate_lines_only(monkeypatch, seed):
             for gv in _fenchel_duals(rng, member, phi, sp):
                 fenchel_conjugate_value(bare, Rv(sp, gv), seed=seed,
                                         restarts=2, force_numeric=True)
-    assert patterns == []
-    assert len(searched) > 100
-    for points in searched:
-        assert np.count_nonzero((points != points[0]).any(axis=0)) <= 1
+    moved = [int(np.count_nonzero((points != points[0]).any(axis=0)))
+             for points in searched if len(points)]
+    assert moved.count(1) > 100 and moved.count(2) > 100
+    assert len(patterns) > 10
+
+
+def _kinked(sp):
+    """max(f_1, (f_2 + f_3) / 2) on three atoms: convex, increasing and
+    cash-additive, with no closed form, row kernel or coordinate step."""
+    return RiskFunctional(
+        name="kinked", space=sp,
+        evaluate=lambda f: max(f.values[0], (f.values[1] + f.values[2]) / 2),
+        proper_witness=Rv(sp, [0.0, 0.0, 0.0]))
+
+
+def test_a_pair_transfer_leaves_a_kink_that_stalls_coordinate_lines():
+    # at g = (1, 1.2, 0.8) the objective <f, g> - phi(f) falls along every
+    # coordinate line from a constant f and from each kink, and no axis or
+    # ones ray diverges; f_2 - f_3, a pair line, gains 0.4 / 3 per unit
+    # forever
+    sp = uniform_probability(3)
+    phi = _kinked(sp)
+    est = fenchel_conjugate_value(phi, Rv(sp, [1.0, 1.2, 0.8]),
+                                  force_numeric=True)
+    assert est.value == math.inf and est.stop_reason == "unbounded"
+    # in the scenarios' hull the conjugate is 0, reached at the start
+    for gv in ([1.0, 1.0, 1.0], [1.5, 0.75, 0.75], [3.0, 0.0, 0.0]):
+        est = fenchel_conjugate_value(phi, Rv(sp, gv), force_numeric=True)
+        assert abs(est.value) <= 1e-9
 
 
 def test_conjugate_estimates_say_why_they_stopped():
