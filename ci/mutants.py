@@ -66,6 +66,11 @@ POWER_ROUND_TRIP = ("tests/test_orlicz.py::"
                     "test_accepted_powers_conjugate_twice_within_rounding")
 NUMPY_POWER = ("tests/test_orlicz.py::"
                "test_a_numpy_scalar_power_is_refused_without_a_warning")
+MEASURE = "src/orliczkit/measure.py"
+FOREIGN_SPACE = ("tests/test_spaces.py::"
+                 "test_a_foreign_space_is_refused_before_any_evaluation")
+BAD_STARTS_EVERYWHERE = ("tests/test_duality.py::"
+                         "test_bad_starts_are_refused_on_every_path")
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -161,11 +166,6 @@ MUTANTS = [
      "        e = np.exp(z - np.maximum.reduce(z))\n",
      "        e = np.exp(z)\n",
      [f"{SOLVE_PROPERTY}[0]"]),
-    ("the capped solve's exponents are not shifted",
-     DUALITY,
-     "            e = np.exp(zs[p:] - zs[p])\n",
-     "            e = np.exp(zs[p:])\n",
-     [f"{SOLVE_PROPERTY}[0]"]),
     ("a separable biconjugate takes the generic ascent, whose sign-free "
      "pair segments run past the box",
      DUALITY,
@@ -241,36 +241,58 @@ MUTANTS = [
      "    n = space.n_atoms\n",
      "    n = space.n_atoms\n",
      [f"{BAD_STARTS}[0-0]", f"{BAD_STARTS}[-1-2]"]),
-    ("the solve does not check its starts",
+    ("the biconjugate check does not check its starts",
+     DUALITY,
+     "    space.require_same(*(f.space for f in probes))\n"
+     "    _check_restarts(restarts, seed)\n",
+     "    space.require_same(*(f.space for f in probes))\n",
+     ["tests/test_duality.py::test_the_solve_refuses_a_negative_seed_too",
+      f"{BAD_STARTS_EVERYWHERE}[0-0-closed]"]),
+    ("reconstruct checks its starts only on the numeric path",
      DUALITY,
      "    _check_restarts(restarts, seed)\n"
-     "    if isinstance(conj, SeparableConjugate):\n",
-     "    if isinstance(conj, SeparableConjugate):\n",
-     ["tests/test_duality.py::test_the_solve_refuses_a_negative_seed_too"]),
+     "    if not psi.is_finite_everywhere:\n",
+     "    if force_numeric or phi.closed_form_maximizer is None:\n"
+     "        _check_restarts(restarts, seed)\n"
+     "    if not psi.is_finite_everywhere:\n",
+     [f"{BAD_STARTS_EVERYWHERE}[-1-8-closed]",
+      f"{BAD_STARTS_EVERYWHERE}[-102-8-closed]",
+      f"{BAD_STARTS_EVERYWHERE}[0-0-closed]"]),
+    ("validate accepts a negative seed",
+     RISK,
+     "    if trials < 1 or seed < 0:\n",
+     "    if trials < 1:\n",
+     ["tests/test_risk.py::"
+      "test_validate_refuses_a_negative_seed_before_any_call"]),
+    ("the w*-check skips the family's space",
+     CONVERGENCE,
+     "    space.require_same(family.limit.space, f0.space,",
+     "    space.require_same(f0.space,",
+     [f"{FOREIGN_SPACE}[wstar-family]"]),
+    ("the Fatou check skips the families' space",
+     CONVERGENCE,
+     "    phi.space.require_same(*(fam.limit.space for fam in families))\n",
+     "",
+     [f"{FOREIGN_SPACE}[fatou]"]),
+    ("the rule checks only its first space",
+     MEASURE,
+     "        for other in spaces:\n",
+     "        for other in spaces[:1]:\n",
+     ["tests/test_spaces.py::test_require_same_reads_every_space",
+      f"{FOREIGN_SPACE}[ae_converges]", f"{FOREIGN_SPACE}[extract-f0]",
+      f"{FOREIGN_SPACE}[wstar-test]", f"{FOREIGN_SPACE}[biconjugate]"]),
     ("the greedy fill ignores the cap",
      DUALITY,
-     "            mass = np.minimum(np.maximum(left, 0.0), full)\n",
-     "            mass = np.maximum(left, 0.0)\n",
+     "        mass = np.minimum(np.maximum(left, 0.0), full)\n",
+     "        mass = np.maximum(left, 0.0)\n",
      ["tests/test_duality.py::"
       "test_numeric_avar_certificates_reach_the_cap[0.5]",
       f"{SOLVE_PROPERTY}[0]"]),
-    ("the breakpoint reads each share as if no mass were capped",
-     DUALITY,
-     "            p = int(np.argmax(left * np.exp(zs - tail) <= cap))\n",
-     "            p = int(np.argmax(np.exp(zs - tail) <= cap))\n",
-     [f"{SOLVE_PROPERTY}[0]"]),
     ("the solve's ceiling stop is 10^6 times wider",
      DUALITY,
      "    reached = value >= ceiling - CEILING_TOL * (1.0 + abs(ceiling))\n",
      "    reached = value >= ceiling - 1e6 * CEILING_TOL * (1.0 + abs(ceiling))\n",
      [SHORT_OF_CEILING]),
-    ("a capped entropy takes the greedy vertex",
-     DUALITY,
-     "        if conj.beta == math.inf:\n"
-     "            mass = ",
-     "        if True:\n"
-     "            mass = ",
-     [f"{SOLVE_PROPERTY}[0]"]),
     ("brent_max cuts a bracket on the wrong side of a probe that does not "
      "improve",
      SEARCH,

@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from .convergence import (SequenceFamily, closure_demo,
+from .convergence import (AE_ONLY_SPIKE, NORM_CONVERGENT, ORDER_CONVERGENT,
+                          SequenceFamily, closure_demo,
                           extract_ae_subsequence, fatou_check,
                           generate_sequence, non_lsc_control)
 from .duality import (biconjugate_check, fenchel_conjugate_value,
@@ -31,8 +32,7 @@ from .orlicz import (FAILS, HOLDS, OrliczFunction, classify_space, conjugate,
 from .risk import entropic, increasing_catalog, validate
 from .specs import parse_orlicz_spec, parse_risk_spec
 
-_GENERATOR_MODES = ("norm_convergent", "ae_only_traveling_spike",
-                    "order_convergent")
+_GENERATOR_MODES = (NORM_CONVERGENT, AE_ONLY_SPIKE, ORDER_CONVERGENT)
 
 
 def _tol(args, default: float) -> float:

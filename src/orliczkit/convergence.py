@@ -4,7 +4,10 @@ Fatou-style lower-semicontinuity verdicts, and hull-closure demos.
 All verdicts are scoped to the finite truncation the inputs live on: the
 checks are honest finite-window readings of asymptotic statements, and the
 preconditions (declared norm bounds, residual decay toward the declared
-limit) are enforced rather than assumed.
+limit) are enforced rather than assumed. Every family, limit, test
+function and functional a check is handed must live on one measure space,
+the paper's one L_Phi(mu); a mismatch raises SpaceMismatchError
+(``MeasureSpace.require_same``) before any of them is read.
 """
 
 from __future__ import annotations
@@ -72,9 +75,7 @@ class SequenceFamily:
                  limit: Rv):
         if not terms:
             raise ValueError("a sequence family needs at least one term")
-        for t in terms:
-            if not limit.space.same_space(t.space):
-                raise ValueError("family terms live on mismatched spaces")
+        limit.space.require_same(*(t.space for t in terms))
         # the internal constructor does the storing; take its fields
         vars(self).update(vars(self._stored(
             np.stack([t.values for t in terms]), norm_bound, mode, limit)))
@@ -194,8 +195,7 @@ def generate_sequence(space: MeasureSpace, phi: OrliczFunction, f: Rv,
     """
     if length < 1:
         raise ValueError("length must be at least 1")
-    if not space.same_space(f.space):
-        raise ValueError("f lives on a different space")
+    space.require_same(f.space)
     rng = np.random.default_rng(seed)
     n = space.n_atoms
     base_norm = luxemburg_norm(f, phi).value
@@ -270,10 +270,7 @@ def extract_ae_subsequence(family: SequenceFamily, f: Rv, g0: Rv, f0: Rv, *,
         raise ValueError("family is declared norm-unbounded; extraction "
                          "requires a norm-bounded sequence")
     space = f.space
-    if not (space.same_space(g0.space) and space.same_space(f0.space)
-            and space.same_space(family.limit.space)):
-        raise ValueError("the family, f, g0 and f0 must share one measure "
-                         "space")
+    space.require_same(g0.space, f0.space, family.limit.space)
     if g0.values.min() <= 0.0 or f0.values.min() <= 0.0:
         raise ValueError("g0 and f0 must be strictly positive")
     wg = space.weights * g0.values
@@ -404,15 +401,14 @@ def wstar_limit_check(family: SequenceFamily, f: Rv, tests: Sequence[Rv],
     if not tests:
         raise ValueError("need at least one test function")
     space = f.space
+    if f0 is None:
+        f0 = Rv(space, np.ones(space.n_atoms))
+    space.require_same(family.limit.space, f0.space, *(g.space for g in tests))
     for g in tests:
-        if not space.same_space(g.space):
-            raise ValueError("test functions must share the sequence's space")
         if not heart_member(g, psi):
             raise ValueError("test function outside the heart of the "
                              "conjugate Young function")
-    if f0 is None:
-        f0 = Rv(space, np.ones(space.n_atoms))
-    elif f0.values.min() <= 0.0:
+    if f0.values.min() <= 0.0:
         raise ValueError("f0 must be strictly positive")
     fv, f0v = f.values, f0.values
     gs = np.stack([g.values for g in tests], axis=1)  # (n, tests)
@@ -516,11 +512,12 @@ def fatou_check(phi: RiskFunctional, families: Sequence[SequenceFamily],
     terms are read through ``SequenceFamily.rows`` one block at a time and
     evaluated one row at a time, so a spike family's whole array is never
     built. Families must be norm bounded and settle toward their declared
-    limits (preconditions, raised); Fatou violations themselves are
-    reported with witnesses, never raised.
+    limits (preconditions, raised), and live on phi's space; Fatou
+    violations themselves are reported with witnesses, never raised.
     """
     if not families:
         raise ValueError("no families to check")
+    phi.space.require_same(*(fam.limit.space for fam in families))
     rows = []
     for idx, fam in enumerate(families):
         if not math.isfinite(fam.norm_bound):
@@ -556,8 +553,7 @@ def non_lsc_control(base: RiskFunctional, at: Rv) -> RiskFunctional:
     ``at`` but converge to it exposes the bump as a Fatou violation with
     margin close to 1."""
     space = base.space
-    if not space.same_space(at.space):
-        raise ValueError("bump point lives on a different space")
+    space.require_same(at.space)
     target = at.values.copy()
 
     def ev(f: Rv) -> float:
@@ -611,9 +607,7 @@ def closure_demo(vertices: Sequence[Rv], f: Rv, phi: OrliczFunction, *,
     if not vertices:
         raise ValueError("need at least one vertex")
     space = f.space
-    for v in vertices:
-        if not space.same_space(v.space):
-            raise ValueError("vertices must share f's measure space")
+    space.require_same(*(v.space for v in vertices))
 
     for v in vertices:
         if np.array_equal(v.values, f.values):

@@ -15,9 +15,8 @@ value phi(f) is known stops as soon as it reaches it, since by weak duality
 no dual value exceeds it. The dual of a ``SeparableConjugate``, the
 conjugate of every catalog member but the expectation, is solved instead:
 it is a separable concave program on a box with one linear constraint,
-whose maximizer one scalar fixes, the multiplier of the mass (the
-breakpoint or water-filling method; Patriksson 2008, Boyd & Vandenberghe
-2004).
+whose maximizer one scalar fixes in closed form, the multiplier of the
+mass (Patriksson 2008, Boyd & Vandenberghe 2004).
 Divergence of a conjugate (the +inf case) is detected by ray probes before
 any ascent runs, all of them in one ``evaluate_rows`` call when the
 functional has a row kernel. A numeric Fenchel conjugate of a functional
@@ -38,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._search import INV_PHI, brent_max
-from .errors import Refusal, SlopeConditionError, SpaceMismatchError
+from .errors import Refusal, SlopeConditionError
 from .measure import MeasureSpace, Rv
 from .norms import dual_pairing, heart_member
 from .orlicz import OrliczFunction
@@ -423,14 +422,15 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     and pattern moves otherwise. An ascent whose value passes
     ``DIVERGENCE_ASCENT`` = 1e12 is reported as +inf along the direction of
     its best point; since its value never falls, it stops at twice that
-    value. ``restarts`` below 1 and ``seed`` below 0 raise ValueError before
-    the first probe, on the numeric path only. ``evaluations`` reports the
-    rows and ``phi.evaluate`` calls this evaluated, a step's rows included,
-    and ``stop_reason`` says how the value was found (``ConjugateEstimate``).
+    value. A ``g`` on another space than phi's raises SpaceMismatchError on
+    either path; ``restarts`` below 1 and ``seed`` below 0 raise ValueError
+    before the first probe, on the numeric path only. ``evaluations``
+    reports the rows and ``phi.evaluate`` calls this evaluated, a step's
+    rows included, and ``stop_reason`` says how the value was found
+    (``ConjugateEstimate``).
     """
     space = phi.space
-    if not space.same_space(g.space):
-        raise SpaceMismatchError("dual candidate lives on a different space")
+    space.require_same(g.space)
     if phi.closed_form_conjugate is not None and not force_numeric:
         return ConjugateEstimate(float(phi.closed_form_conjugate(g)),
                                  numeric=False)
@@ -519,8 +519,7 @@ class PositivityEvidence:
 
 def positivity_evidence(phi: RiskFunctional, g: Rv) -> PositivityEvidence:
     space = phi.space
-    if not space.same_space(g.space):
-        raise SpaceMismatchError("dual candidate lives on a different space")
+    space.require_same(g.space)
     idx = int(np.argmin(g.values))
     if g.values[idx] >= 0.0:
         raise ValueError("g is nonnegative; there is no negative coordinate "
@@ -599,48 +598,34 @@ def _mass_multiplier_solve(conj: SeparableConjugate, space: MeasureSpace,
 
     The dual is separable and concave on the box [0, cap], with one linear
     constraint, E[g] = 1, so one scalar, the multiplier lambda of the mass,
-    fixes its maximizer (the breakpoint or water-filling method: Patriksson
-    2008; Boyd & Vandenberghe 2004, Ex. 5.2). It reads only what ``conj``
-    declares, ``beta`` and the cap ``upper``, never phi's closed-form
-    maximizer. The atoms are ordered by f, descending and stable, so that
-    ties go to the lower index. With ``beta = inf`` the dual is linear and
-    its maximizer the greedy vertex: the atoms filled to the cap in that
-    order, what is left of the mass on the next one.
-    Otherwise g_k = min(cap, e^{beta (f_k - lambda) - 1}); the capped
-    atoms are the first prefix whose next atom's uncapped share is at most
-    the cap, and the exponents are shifted by the largest exponent of the
-    uncapped suffix, so a share that underflows reads 0. Without a cap
-    that is one log-sum-exp, in the atoms' own order. The value is read
+    fixes its maximizer (Patriksson 2008; Boyd & Vandenberghe 2004, Ex.
+    5.2). It reads only what ``conj`` declares, ``beta`` and the cap
+    ``upper``, never phi's closed-form maximizer, and serves the two shapes
+    a ``SeparableConjugate`` takes. With a finite ``beta`` there is no cap,
+    and g_k = e^{beta (f_k - lambda) - 1} is one log-sum-exp, in the
+    atoms' own order, shifted by the largest exponent so a share that
+    underflows reads 0. With ``beta = inf`` the dual is linear and its
+    maximizer the greedy vertex: the atoms, ordered by f, descending and
+    stable so that ties go to the lower index, filled to the cap in that
+    order, what is left of the mass on the next one. The value is read
     once; ``stop_reason`` is ``"ceiling"`` when it is within ``CEILING_TOL
     * (1 + |ceiling|)`` of ``ceiling``, else ``"flat"``.
     """
     w = space.weights
-    cap = conj.upper
-    if conj.beta < math.inf and cap == math.inf:
+    if conj.beta < math.inf:
         z = conj.beta * fv
         e = np.exp(z - np.maximum.reduce(z))
         g = e / float(np.dot(w, e))
     else:
+        cap = conj.upper
         order = np.argsort(-fv, kind="stable")
         ws = w[order]
         full = cap * ws
         # the mass left after filling the atoms before each one to the cap
         left = 1.0 - np.concatenate(([0.0], np.cumsum(full[:-1])))
-        if conj.beta == math.inf:
-            mass = np.minimum(np.maximum(left, 0.0), full)
-            gs = np.where(mass == full, cap, mass / ws)
-        else:
-            zs = conj.beta * fv[order]
-            # log sum_{j >= p} w_j e^{z_j}, and so atom p's share when the
-            # atoms from p on are uncapped
-            tail = np.logaddexp.accumulate((np.log(ws) + zs)[::-1])[::-1]
-            p = int(np.argmax(left * np.exp(zs - tail) <= cap))
-            e = np.exp(zs[p:] - zs[p])
-            gs = np.empty(len(ws))
-            gs[:p] = cap
-            gs[p:] = max(left[p], 0.0) * e / float(np.dot(ws[p:], e))
+        mass = np.minimum(np.maximum(left, 0.0), full)
         g = np.empty(len(ws))
-        g[order] = gs
+        g[order] = np.where(mass == full, cap, mass / ws)
     value = _DualObjective(conj, space, fv)(g)
     reached = value >= ceiling - CEILING_TOL * (1.0 + abs(ceiling))
     return AscentResult(g=g, value=value, start_index=0, sweeps=0,
@@ -655,9 +640,7 @@ def _dual_ascents(conj: Callable[[Rv], float], space: MeasureSpace,
     ``SeparableConjugate``, which is +inf below zero, one mass-multiplier
     solve for all of them, chosen by that type alone; for any other
     ``conj``, one ``maximize_dual`` ascent per ``nonneg`` in ``signs``.
-    ``restarts`` below 1 and ``seed`` below 0 raise ValueError, on either
-    path."""
-    _check_restarts(restarts, seed)
+    Its callers refuse a bad ``restarts`` or ``seed`` at their entry."""
     if isinstance(conj, SeparableConjugate):
         return [_mass_multiplier_solve(conj, space, fv, ceiling)]
     obj = _DualObjective(conj, space, fv)
@@ -680,11 +663,13 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     object lives, so a repeat call does not validate again and a failed
     functional is refused the same way each time; a ``dataclasses.replace``
     copy is a new object and is validated afresh. The memo assumes the
-    functional's callables are pure, as every catalog member's are. With a
+    functional's callables are pure, as every catalog member's are. An
+    ``f`` on another space than phi's raises SpaceMismatchError, and
+    ``restarts`` below 1 or ``seed`` below 0 raise ValueError, before any
+    validation and on every path, the closed form's included. With a
     declared closed-form maximizer the certificate is exact. Otherwise
     phi(f), which bounds every dual value (weak duality), is the ascent's
-    ``ceiling``; ``restarts`` below 1 and ``seed`` below 0 raise ValueError
-    on every path. The dual of a
+    ``ceiling``. The dual of a
     ``SeparableConjugate`` (entropic, AVaR, worst case) is solved exactly
     from what the conjugate declares (``_mass_multiplier_solve``), never
     from phi's closed-form maximizer, so ``force_numeric`` still checks one
@@ -699,8 +684,8 @@ def reconstruct(phi: RiskFunctional, f: Rv, psi: OrliczFunction, *,
     Returns (dual value, certificate); certificate.gap = phi(f) - dual value.
     """
     space = phi.space
-    if not space.same_space(f.space):
-        raise SpaceMismatchError("f lives on a different space")
+    space.require_same(f.space)
+    _check_restarts(restarts, seed)
     if not psi.is_finite_everywhere:
         raise SlopeConditionError(
             "slope condition fails: the conjugate Young function takes the "
@@ -781,20 +766,22 @@ def biconjugate_check(phi: RiskFunctional, probes: Sequence[Rv], *,
     A ``SeparableConjugate`` is +inf below zero, so its two suprema are one
     problem: the mass-multiplier solve (``reconstruct``) runs once per
     probe, and its split is 0. Any other conjugate, the expectation's
-    included, takes two ``maximize_dual`` ascents. An empty probe list,
-    ``restarts`` below 1 or ``seed`` below 0 raises ValueError.
+    included, takes two ``maximize_dual`` ascents. A probe on another space
+    than phi's raises SpaceMismatchError, and an empty probe list,
+    ``restarts`` below 1 or ``seed`` below 0 ValueError, before any
+    evaluation.
     """
     if not probes:
         raise ValueError("empty probe list: biconjugate_check needs at least "
                          "one probe")
     space = phi.space
+    space.require_same(*(f.space for f in probes))
+    _check_restarts(restarts, seed)
     conj = _conjugate_fn(phi, seed, max(2, restarts // 2))
     deviations = []
     splits = []
     evaluations = 0
     for f in probes:
-        if not space.same_space(f.space):
-            raise SpaceMismatchError("probe lives on a different space")
         primal = phi.evaluate(f)
         runs = _dual_ascents(conj, space, f.values, primal, seed, restarts,
                              (False, True))

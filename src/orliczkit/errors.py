@@ -6,7 +6,8 @@ class ParseError(ValueError):
 
 
 class SpaceMismatchError(ValueError):
-    """Two vectors living on different measure spaces were combined."""
+    """Operands on different measure spaces were handed to one function;
+    ``MeasureSpace.require_same`` raises it, and nothing else does."""
 
 
 class Refusal(Exception):

@@ -4,6 +4,10 @@ A space is a finite list of atoms (id, weight > 0) partitioned into
 finite-mass blocks. Countable spaces are represented by a truncation with a
 tail note recording what was cut off; every statement "almost everywhere"
 then means "at every atom", since zero-mass atoms are rejected outright.
+
+Every public function that takes two or more operands on a measure space
+checks them once with ``MeasureSpace.require_same``, before any
+evaluation; a mismatch raises SpaceMismatchError.
 """
 
 from __future__ import annotations
@@ -89,6 +93,14 @@ class MeasureSpace:
                 and np.array_equal(self.weights, other.weights)
                 and np.array_equal(self.block_ids, other.block_ids))
 
+    def require_same(self, *spaces: "MeasureSpace") -> None:
+        """Raise SpaceMismatchError unless every one of ``spaces`` is this
+        space (``same_space``)."""
+        for other in spaces:
+            if not self.same_space(other):
+                raise SpaceMismatchError(
+                    "operands live on different measure spaces")
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -167,13 +179,9 @@ class Rv:
 
     # -- arithmetic (same-space checked) ------------------------------------
 
-    def _peer(self, other: "Rv") -> None:
-        if not self.space.same_space(other.space):
-            raise SpaceMismatchError("operands live on different measure spaces")
-
     def __add__(self, other):
         if isinstance(other, Rv):
-            self._peer(other)
+            self.space.require_same(other.space)
             return Rv(self.space, self.values + other.values)
         return Rv(self.space, self.values + float(other))
 
@@ -181,7 +189,7 @@ class Rv:
 
     def __sub__(self, other):
         if isinstance(other, Rv):
-            self._peer(other)
+            self.space.require_same(other.space)
             return Rv(self.space, self.values - other.values)
         return Rv(self.space, self.values - float(other))
 
@@ -265,9 +273,9 @@ def ae_converges(seq: Sequence[Rv], f: Rv, tol: float) -> AeVerdict:
     """
     if len(seq) == 0:
         raise ValueError("cannot judge convergence of an empty sequence")
+    f.space.require_same(*(term.space for term in seq))
     resid = np.empty((len(seq), f.space.n_atoms))
     for row, term in zip(resid, seq):
-        term._peer(f)
         np.subtract(term.values, f.values, out=row)
         np.abs(row, out=row)
     return _ae_verdict(resid, f.space, tol)

@@ -242,7 +242,7 @@ def heart_member(f: Rv, phi: OrliczFunction) -> bool:
 
 def dual_pairing(f: Rv, g: Rv) -> float:
     """``sum_i w_i * f_i * g_i``."""
-    f._peer(g)
+    f.space.require_same(g.space)
     return float(np.dot(f.space.weights, f.values * g.values))
 
 

@@ -5,8 +5,8 @@ closed-form Fenchel conjugate and maximizing density, so the duality engine
 can certify representations without numeric search. Whether a functional is
 increasing and convex is for ``validate`` to decide, not declared.
 The entropic, AVaR and worst-case conjugates are each one
-``SeparableConjugate``: a sum over atoms, ``E[g log g] / beta`` or zero,
-on a box of densities of unit mass. It takes a candidate density ``g`` and
+``SeparableConjugate``: ``E[g log g] / beta`` on the densities of unit
+mass, or zero on a box of them. It takes a candidate density ``g`` and
 returns the conjugate value, ``+inf`` off the effective domain; what it
 declares, ``beta`` and the box's cap, is all the dual solve reads. The
 expectation's conjugate is a plain function, the indicator of the density 1.
@@ -70,14 +70,20 @@ class SeparableConjugate:
     elsewhere. ``0 log 0 = 0``, and entries of ``g`` at or below zero add
     nothing; ``beta = inf`` drops the sum, which leaves the indicator of
     the box's densities. A call takes a candidate density ``Rv``. Its dual
-    is solved from ``beta`` and ``upper`` alone, by a search on the
-    multiplier of the unit mass (``duality``).
+    is solved from ``beta`` and ``upper`` alone, in closed form on the
+    multiplier of the unit mass (``duality``), for its two shapes: an
+    entropy (no cap) or a box indicator (``beta = inf``). A finite ``beta``
+    with a finite ``upper``, a capped entropy, raises ValueError; as a plain
+    function it is still a conjugate, whose dual takes the generic ascent.
     """
 
     __slots__ = ("weights", "beta", "upper")
 
     def __init__(self, space: MeasureSpace, *, beta: float = math.inf,
                  upper: float = math.inf):
+        if beta < math.inf and upper < math.inf:
+            raise ValueError("a separable conjugate is an entropy or a box "
+                             "indicator, not a capped entropy")
         self.weights = space.weights
         self.beta = beta
         self.upper = upper
@@ -369,12 +375,13 @@ def validate(phi: RiskFunctional, trials: int = 200, seed: int = 0) -> Validatio
     are drawn as whole matrices and scored in one ``evaluate_rows`` call
     (row by row through ``evaluate`` when the functional has no row kernel).
     Violations are recorded with witnesses from the first violating trial,
-    never raised. ``trials`` below 1 raise ValueError before any draw: no
-    trial would pass any functional.
+    never raised. ``trials`` below 1, under which any functional would pass,
+    and ``seed`` below 0 raise ValueError before any draw.
     """
-    if trials < 1:
-        raise ValueError(f"validate needs at least one trial, "
-                         f"got trials={trials!r}")
+    if trials < 1 or seed < 0:
+        raise ValueError(f"validate needs at least one trial and a "
+                         f"nonnegative seed, got trials={trials!r}, "
+                         f"seed={seed!r}")
     rng = np.random.default_rng(seed)
     space = phi.space
     n = space.n_atoms

@@ -495,3 +495,31 @@ def test_closure_family_converges_to_its_projection():
             failed.append(seed)
     assert failed == []
     assert np.array_equal(rep.family.values[-1], rep.projection.values)
+
+
+@pytest.mark.parametrize("case", ["family_no_terms", "family_unknown_mode",
+                                  "wstar_no_tests", "fatou_no_families",
+                                  "fatou_unbounded", "closure_no_vertices"])
+def test_empty_and_unbounded_inputs_are_refused(case):
+    sp = uniform_probability(3)
+    f = Rv(sp, [0.5, -1.0, 2.0])
+    bounded = SequenceFamily((f,), 1.0, "custom", f)
+    unbounded = SequenceFamily((f,), math.inf, "custom", f)
+    calls = {
+        "family_no_terms": (lambda: SequenceFamily((), 1.0, "custom", f),
+                            "at least one term"),
+        "family_unknown_mode": (lambda: SequenceFamily((f,), 1.0, "bogus", f),
+                                "unknown family mode"),
+        "wstar_no_tests": (lambda: wstar_limit_check(bounded, f, [], PSI2),
+                           "at least one test"),
+        "fatou_no_families": (lambda: fatou_check(expectation(sp), []),
+                              "no families"),
+        "fatou_unbounded": (lambda: fatou_check(expectation(sp),
+                                                [bounded, unbounded]),
+                            "family 1 is declared norm-unbounded"),
+        "closure_no_vertices": (lambda: closure_demo([], f, POWER2),
+                                "at least one vertex"),
+    }
+    call, message = calls[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -14,6 +14,7 @@ from orliczkit import (
     ClosureRefusal,
     MeasureSpace,
     OrliczFunction,
+    NumericFailure,
     Refusal,
     RiskFunctional,
     Rv,
@@ -186,6 +187,14 @@ def test_line_max_keeps_feasible_band_around_anchor():
     t, v, _ = brent_max(lambda s: -math.inf, -1.0, 1.0, 2.0 * INV_PHI ** 32,
                         (0.5, -math.inf))
     assert (t, v) == (0.5, -math.inf)
+
+
+def test_line_max_refuses_an_empty_bracket():
+    calls = []
+    for lo, hi in ((1.0, 0.0), (0.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(NumericFailure, match="empty bracket"):
+            brent_max(calls.append, lo, hi, 1e-3)
+    assert calls == []
 
 
 def test_line_max_endpoints_exact_and_never_below_anchor():
@@ -526,6 +535,25 @@ def test_the_solve_refuses_a_negative_seed_too(dual_calls):
     with pytest.raises(ValueError, match="seed"):
         biconjugate_check(phi, [f], seed=-1)
     assert dual_calls[0] == 0
+
+
+@pytest.mark.parametrize("force_numeric", [False, True],
+                         ids=["closed", "numeric"])
+@pytest.mark.parametrize("seed, restarts", [(-1, 8), (-102, 8), (0, 0)])
+def test_bad_starts_are_refused_on_every_path(validations, force_numeric,
+                                              seed, restarts):
+    # the closed form accepted seeds -1 to -101 and restarts=0, and a seed
+    # below -101 failed inside numpy, in validate's draw from seed + 101
+    sp = uniform_probability(3)
+    phi, reads = _counted(entropic(1.0, sp))
+    f = Rv(sp, [0.3, -0.2, 0.5])
+    with pytest.raises(ValueError, match="restart"):
+        reconstruct(phi, f, PSI2, seed=seed, restarts=restarts,
+                    force_numeric=force_numeric, validation_trials=40)
+    with pytest.raises(ValueError, match="restart"):
+        biconjugate_check(phi, [f], seed=seed, restarts=restarts)
+    assert reads[0] == 0
+    assert validations == []
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -891,19 +919,18 @@ def _kkt_ok(conj, f, g):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_pair_ascent_stops_within_its_bound_of_phi(seed):
-    # numpy-seeded (ROADMAP J) on the duals the mass-multiplier solve
-    # serves: entropic at beta 0.5, 1 and 2, AVaR at four levels, the worst
-    # case, and hand-built entropies under a cap, which no catalog member
-    # has, on spaces of 1 to 4,096 atoms with uniform or random weights, f
-    # at scales 1e-300 to 1e6, with and without ties. Its value sums n terms
-    # whose magnitudes add up to about max|f|, each within n eps max|f| of
-    # its exact value when summed in floating point (Higham, *Accuracy and
-    # Stability of Numerical Algorithms*, 2002, sec. 4.2), so it may pass
-    # phi(f) by that much, and it stops no further below than CEILING_TOL =
-    # 1e-12 times 1 + |phi(f)|. Its densities are closed_form_maximizer's
-    # within 2 n eps of mass per atom where that maximizer is unique, and
-    # every solve meets its KKT conditions. A biconjugate runs the same
-    # solve once for both of its suprema
+    # numpy-seeded (ROADMAP J) on the duals the mass-multiplier solve serves:
+    # entropic at beta 0.5, 1 and 2, AVaR at four levels and the worst case, on
+    # spaces of 1 to 4,096 atoms with uniform or random weights, f at scales
+    # 1e-300 to 1e6, with and without ties. Its value sums n terms whose
+    # magnitudes add up to about max|f|, each within n eps max|f| of its exact
+    # value when summed in floating point (Higham, *Accuracy and Stability of
+    # Numerical Algorithms*, 2002, sec. 4.2), so it may pass phi(f) by that
+    # much, and it stops no further below than CEILING_TOL = 1e-12 times 1 +
+    # |phi(f)|. Its densities are closed_form_maximizer's within 2 n eps of
+    # mass per atom where that maximizer is unique, and every solve meets its
+    # KKT conditions. A biconjugate runs the same solve once for both of its
+    # suprema
     rng = np.random.default_rng([28, seed])
     eps = np.finfo(float).eps
     for n in (*range(1, 13), 100, 1024, 4096):
@@ -913,9 +940,10 @@ def test_pair_ascent_stops_within_its_bound_of_phi(seed):
                    + [average_value_at_risk(alpha, sp)
                       for alpha in (0.1, 0.25, 0.5, 1.0)]
                    + [worst_case(sp)])
-        capped = [SeparableConjugate(sp, beta=beta,
-                                     upper=float(rng.uniform(1.01, 4.0)))
-                  for beta in (0.5, 2.0)]
+        # two draws no case reads: the caps this seed once drew for capped
+        # entropies, a shape SeparableConjugate refuses; drawing them keeps
+        # the seed's later examples
+        rng.uniform(1.01, 4.0, 2)
         for scale in (1e-300, 1e-8, 1.0, 1e3, 1e6):
             f = rng.normal(0.0, scale, n)
             if rng.uniform() < 0.5:
@@ -923,8 +951,7 @@ def test_pair_ascent_stops_within_its_bound_of_phi(seed):
             distinct = len(np.unique(f)) == n
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                for conj in [phi.closed_form_conjugate for phi in members
-                             ] + capped:
+                for conj in [phi.closed_form_conjugate for phi in members]:
                     res = duality._mass_multiplier_solve(conj, sp, f,
                                                          math.inf)
                     g = res.g

@@ -21,7 +21,7 @@ from orliczkit import (
     uniform_probability,
 )
 from orliczkit.norms import _indicator_norms
-from orliczkit.specs import parse_orlicz_spec
+from orliczkit.specs import load_custom_table, parse_orlicz_spec
 
 POWER2 = OrliczFunction.power(2.0)
 STEP = OrliczFunction.linf_step()
@@ -503,3 +503,23 @@ def test_luxemburg_counts_the_float_exhaustion_step(monkeypatch):
     assert 0.5 * (lo + hi) in (lo, hi)
     assert rep.modular_at_value <= 1.0
     assert len(calls) == rep.iterations + 1
+
+
+def test_amemiya_walks_out_of_an_infinite_start(tmp_path):
+    # the objective is +inf at the bracket's start s = 1, where |f| / sup|f|
+    # reaches 1, past the table's horizon 0.5, so bracket_min walks right
+    # before it brackets; the norm lies between the Luxemburg norm and twice
+    # it, and at a dense grid's minimum
+    path = tmp_path / "young.csv"
+    path.write_text("t,value\n0,0\n0.25,0.0625\n0.5,0.25\n0.5,inf\n")
+    phi = load_custom_table(str(path))
+    f = Rv(uniform_probability(4), [1.0, -0.5, 0.25, 0.8])
+    assert modular(f, f.sup_norm(), phi) == math.inf
+    amemiya = amemiya_norm(f, phi).value
+    lux = luxemburg_norm(f, phi).value
+    assert lux == pytest.approx(2.0, rel=1e-9)
+    assert amemiya == pytest.approx(2.259375, rel=1e-9)
+    assert lux <= amemiya <= 2.0 * lux
+    grid = min(u * (1.0 + modular(f, u, phi))
+               for u in np.linspace(1.0, 8.0, 70001))
+    assert grid - 1e-4 <= amemiya <= grid * (1.0 + 1e-9)

@@ -27,6 +27,7 @@ from orliczkit import (
     validate,
     worst_case,
 )
+from orliczkit.risk import SeparableConjugate
 
 EPS = np.finfo(float).eps
 
@@ -313,6 +314,34 @@ def test_validate_needs_a_trial():
     for trials in (0, -1):
         with pytest.raises(ValueError, match="at least one trial"):
             validate(ctrl, trials=trials)
+
+
+def test_validate_refuses_a_negative_seed_before_any_call():
+    # numpy's default_rng raised "expected non-negative integer" instead
+    phi = expectation(uniform_probability(3))
+    reads = [0]
+
+    def evaluate(f):
+        reads[0] += 1
+        return phi.evaluate(f)
+
+    counted = replace(phi, evaluate=evaluate, evaluate_rows=None)
+    for seed in (-1, -102):
+        with pytest.raises(ValueError, match="nonnegative seed"):
+            validate(counted, trials=5, seed=seed)
+    assert reads[0] == 0
+    assert validate(counted, trials=5, seed=0).all_ok
+
+
+def test_a_separable_conjugate_is_an_entropy_or_a_box_indicator():
+    sp = uniform_probability(3)
+    g = Rv(sp, [0.5, 1.0, 1.5])
+    assert SeparableConjugate(sp, beta=2.0)(g) == pytest.approx(
+        float(sp.weights @ (g.values * np.log(g.values))) / 2.0)
+    assert SeparableConjugate(sp, upper=2.0)(g) == 0.0
+    assert SeparableConjugate(sp, upper=1.2)(g) == math.inf
+    with pytest.raises(ValueError, match="capped entropy"):
+        SeparableConjugate(sp, beta=2.0, upper=4.0)
 
 
 def test_catalog_members_are_labeled_increasing():
