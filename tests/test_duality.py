@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from orliczkit import (
     ClosureRefusal,
     MeasureSpace,
-    OrliczFunction,
     NumericFailure,
+    OrliczFunction,
     Refusal,
     RiskFunctional,
     Rv,
@@ -36,7 +36,7 @@ from orliczkit import (
 )
 from orliczkit import duality
 from orliczkit._search import INV_PHI, brent_max
-from orliczkit.risk import FEAS_TOL, SeparableConjugate
+from orliczkit.risk import FEAS_TOL
 
 PSI2 = conjugate(OrliczFunction.power(2.0))
 
