@@ -7,7 +7,8 @@ then means "at every atom", since zero-mass atoms are rejected outright.
 
 Every public function that takes two or more operands on a measure space
 checks them once with ``MeasureSpace.require_same``, before any
-evaluation; a mismatch raises SpaceMismatchError.
+evaluation; a mismatch raises SpaceMismatchError. A functional's own
+callables, ``evaluate`` and its closed forms, do not check.
 """
 
 from __future__ import annotations
