@@ -71,14 +71,23 @@ FOREIGN_SPACE = ("tests/test_spaces.py::"
                  "test_a_foreign_space_is_refused_before_any_evaluation")
 BAD_STARTS_EVERYWHERE = ("tests/test_duality.py::"
                          "test_bad_starts_are_refused_on_every_path")
+BLOCKED_PROBES = ("tests/test_duality.py::"
+                  "test_blocked_probes_match_the_scalar_path")
+PROBES_AT_1024 = ("tests/test_duality.py::"
+                  "test_probes_at_1024_atoms_stay_within_their_blocks")
+BAD_BETA = ("tests/test_risk.py::"
+            "test_a_separable_conjugate_refuses_a_beta_that_is_not_positive")
+NEGATIVE_SEED = ("tests/test_convergence.py::"
+                 "test_generator_refuses_a_negative_seed_before_any_work")
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
     ("row probes report the last diverging ray, not the first",
      DUALITY,
-     "        probes = len(rows) + 2\n",
-     "        probes = len(rows) + 2\n"
-     "        rays, traces = rays[::-1], traces[::-1]\n",
+     "        for ray, trace in zip(rays, traces.reshape(len(rays), -1)"
+     ".tolist()):\n",
+     "        for ray, trace in reversed(list(zip(\n"
+     "                rays, traces.reshape(len(rays), -1).tolist()))):\n",
      ["tests/test_duality.py::"
       "test_fenchel_negative_coordinate_diverges_via_indicator_ray",
       "tests/test_duality.py::test_row_probes_match_the_scalar_path"]),
@@ -105,7 +114,7 @@ MUTANTS = [
       "test_a_start_at_the_ceiling_stops_there[uniform_five]"]),
     ("the numeric conjugate trusts the row kernel unchecked",
      DUALITY,
-     "        check_rows(phi, rows[[0, -1]], vals[[0, -1]])\n",
+     "                check_rows(phi, rows[[0, -1]], vals[[0, -1]])\n",
      "",
      ["tests/test_duality.py::"
       "test_fenchel_conjugate_refuses_a_stale_row_kernel",
@@ -238,8 +247,8 @@ MUTANTS = [
     ("the numeric conjugate probes before it checks its starts",
      DUALITY,
      "    _check_restarts(restarts, seed)\n"
-     "    n = space.n_atoms\n",
-     "    n = space.n_atoms\n",
+     "    obj = _DualObjective(phi.evaluate, space, g.values)\n",
+     "    obj = _DualObjective(phi.evaluate, space, g.values)\n",
      [f"{BAD_STARTS}[0-0]", f"{BAD_STARTS}[-1-2]"]),
     ("the biconjugate check does not check its starts",
      DUALITY,
@@ -419,6 +428,27 @@ MUTANTS = [
       "test_criterion_04_validates_each_functional_once",
       "tests/test_cli.py::"
       "test_verify_all_validates_each_certified_functional_once"]),
+    ("the ray reader skips the last partial block",
+     DUALITY,
+     "    for start in range(0, n_rays, per_block):\n",
+     "    for start in range(0, n_rays - n_rays % per_block, per_block):\n",
+     [f"{BLOCKED_PROBES}[74]", f"{BLOCKED_PROBES}[300]"]),
+    ("the ray blocks ignore n",
+     DUALITY,
+     "                 else max(1, _block_rows(n) // len(scales)))\n",
+     "                 else max(1, _block_rows(1) // len(scales)))\n",
+     [f"{BLOCKED_PROBES}[74]", f"{BLOCKED_PROBES}[300]", PROBES_AT_1024]),
+    ("a separable conjugate accepts a beta that is not positive",
+     RISK,
+     "        if not beta > 0.0:\n",
+     "        if False:\n",
+     [f"{BAD_BETA}[0.0]", f"{BAD_BETA}[-1.0]", f"{BAD_BETA}[nan]"]),
+    ("generate_sequence accepts a negative seed",
+     CONVERGENCE,
+     "    if seed < 0:\n",
+     "    if False:\n",
+     [f"{NEGATIVE_SEED}[norm_convergent]",
+      f"{NEGATIVE_SEED}[ae_only_traveling_spike]"]),
 ]
 
 

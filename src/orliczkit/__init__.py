@@ -17,9 +17,8 @@ from .risk import (FEAS_TOL, RiskFunctional, ValidationReport,
                    increasing_catalog, non_monotone_control, validate,
                    worst_case)
 from .duality import (AscentResult, BiconjugateReport, ConjugateEstimate,
-                      DualCertificate, PositivityEvidence, biconjugate_check,
-                      fenchel_conjugate_value, maximize_dual,
-                      positivity_evidence, reconstruct)
+                      DualCertificate, biconjugate_check,
+                      fenchel_conjugate_value, maximize_dual, reconstruct)
 from .convergence import (AE_ONLY_SPIKE, NORM_CONVERGENT, ORDER_CONVERGENT,
                           ClosureReport, ExtractionResult, FatouReport,
                           FatouRow, SequenceFamily, WstarReport, closure_demo,

@@ -191,10 +191,14 @@ def generate_sequence(space: MeasureSpace, phi: OrliczFunction, f: Rv,
     the spike it takes one indicator norm, at the largest visited weight: an
     indicator's norm grows with its mass. The spike family is stored as its
     layout (see ``SequenceFamily``); the other two write their terms
-    straight into the family's one array.
+    straight into the family's one array. ``length`` below 1 and ``seed``
+    below 0 raise ValueError before any work.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
+    if seed < 0:
+        raise ValueError(f"generate_sequence needs a nonnegative seed, got "
+                         f"seed={seed!r}")
     space.require_same(f.space)
     rng = np.random.default_rng(seed)
     n = space.n_atoms

@@ -18,12 +18,13 @@ it is a separable concave program on a box with one linear constraint,
 whose maximizer one scalar fixes in closed form, the multiplier of the
 mass (Patriksson 2008, Boyd & Vandenberghe 2004).
 Divergence of a conjugate (the +inf case) is detected by ray probes before
-any ascent runs, all of them in one ``evaluate_rows`` call when the
-functional has a row kernel. A numeric Fenchel conjugate of a functional
-that declares its ``coordinate_step``, as every catalog member does, takes
-that step on each coordinate line and makes no other move: one step of
-iterative scaling for the entropic (Darroch & Ratcliff 1972), the best kink
-or segment end of a piecewise-linear line for the others.
+any ascent runs, up to the first diverging ray, in blocks of rays whose
+rows fit ``convergence.BLOCK_BYTES``, one ``evaluate_rows`` call per block
+when the functional has a row kernel. A numeric Fenchel conjugate of a
+functional that declares its ``coordinate_step``, as every catalog member
+does, takes that step on each coordinate line and makes no other move: one
+step of iterative scaling for the entropic (Darroch & Ratcliff 1972), the
+best kink or segment end of a piecewise-linear line for the others.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._search import INV_PHI, brent_max
+from .convergence import _block_rows
 from .errors import Refusal, SlopeConditionError
 from .measure import MeasureSpace, Rv
 from .norms import dual_pairing, heart_member
@@ -377,10 +379,6 @@ class ConjugateEstimate:
     stop_reason: str = "closed_form"
 
 
-def _strictly_increasing(trace: Sequence[float]) -> bool:
-    return all(b > a for a, b in zip(trace, trace[1:]))
-
-
 class _DualObjective:
     """``garr -> <f, garr> - conj(garr)`` for f with values ``fv``; -inf
     where ``conj`` is +inf."""
@@ -400,21 +398,75 @@ class _DualObjective:
         return float(np.dot(self._wf, garr)) - cv
 
 
+def _first_diverging_ray(phi: RiskFunctional, wf: np.ndarray
+                         ) -> tuple[np.ndarray | None, int]:
+    """The first ray along which ``<f, g> - phi(f)`` diverges, and the
+    values of phi read to find it; ``wf`` holds the weights times g.
+
+    The rays are -e_1, +e_1, ..., -e_n, +e_n, -1, +1, in that order, each
+    probed at f = 10^k ray for k in ``PROBE_EXPONENTS``. A ray diverges when
+    one probe passes ``DIVERGENCE_HARD``, or when its trace is strictly
+    increasing and ends above ``DIVERGENCE_SOFT``. With a row kernel the rays
+    are read in blocks of ``_block_rows(n) // 6`` rays, at least one, one
+    ``phi.evaluate_rows`` call each, so a block's rows fit
+    ``convergence.BLOCK_BYTES`` whatever n is; ``check_rows`` cross-checks
+    the first block's first and last rows with two ``phi.evaluate`` calls,
+    which the reads count. Without one a block is one ray, read by six
+    ``phi.evaluate`` calls. No block after the first diverging ray's is
+    read.
+    """
+    space = phi.space
+    n = space.n_atoms
+    scales = 10.0 ** np.array(PROBE_EXPONENTS, dtype=float)
+    n_rays = 2 * n + 2
+    per_block = (1 if phi.evaluate_rows is None
+                 else max(1, _block_rows(n) // len(scales)))
+    reads = 0
+    for start in range(0, n_rays, per_block):
+        stop = min(start + per_block, n_rays)
+        rays = np.zeros((stop - start, n))
+        # ray k is -e_{k//2} for even k and +e_{k//2} for odd k below 2n;
+        # rays 2n and 2n + 1 are -1 and +1
+        for k in range(start, min(stop, 2 * n)):
+            rays[k - start, k // 2] = 1.0 if k % 2 else -1.0
+        for k in range(max(start, 2 * n), stop):
+            rays[k - start] = 1.0 if k % 2 else -1.0
+        rows = (rays[:, None, :] * scales[:, None]).reshape(-1, n)
+        if phi.evaluate_rows is None:
+            vals = np.array([phi.evaluate(Rv._wrap(space, row))
+                             for row in rows])
+        else:
+            vals = np.asarray(phi.evaluate_rows(rows), dtype=float)
+            if start == 0:
+                # on -10 e_1 and on the block's last row: a kernel stale
+                # only where f_1 >= 0 agrees on the first
+                check_rows(phi, rows[[0, -1]], vals[[0, -1]])
+                reads += 2
+        reads += len(rows)
+        traces = np.where(vals == math.inf, -math.inf, rows @ wf - vals)
+        for ray, trace in zip(rays, traces.reshape(len(rays), -1).tolist()):
+            if (max(trace) > DIVERGENCE_HARD
+                    or (all(b > a for a, b in zip(trace, trace[1:]))
+                        and trace[-1] > DIVERGENCE_SOFT)):
+                return ray, reads
+    return None, reads
+
+
 def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
                             restarts: int = 8,
                             force_numeric: bool = False) -> ConjugateEstimate:
     """``phi*(g) = sup_f (<f, g> - phi(f))``, extended-real valued.
 
     Uses the declared closed form when available (unless ``force_numeric``).
-    The numeric path first fires divergence probes along +-10^k rays through
-    every coordinate axis and through the constant vector, k = 1..6: a probe
-    value beyond 1e10, or a strictly increasing trace ending above 1e4, is
-    reported as +inf together with the first offending ray, in the order
-    -e_1, +e_1, ..., -e_n, +e_n, -1, +1. With a row kernel
-    (``phi.evaluate_rows``) all (2n + 2) x 6 probes are one call, which
-    ``check_rows`` cross-checks with two ``phi.evaluate`` calls (ValueError
-    when they disagree); without one they are ``phi.evaluate`` calls, and
-    the rays after a diverging one are never probed. Otherwise a multi-start
+    The numeric path first probes rays along +-10^k through every
+    coordinate axis and through the constant vector, k = 1..6, in the order
+    -e_1, +e_1, ..., -e_n, +e_n, -1, +1: a probe value beyond 1e10, or a
+    strictly increasing trace ending above 1e4, is reported as +inf together
+    with the first such ray. The probes are read in blocks of rays, one
+    ``phi.evaluate_rows`` call per block, so memory stays bounded as n
+    grows, or one ``phi.evaluate`` call per probe without a row kernel; a
+    row kernel that disagrees with ``phi.evaluate`` on the first block
+    raises ValueError (``_first_diverging_ray``). Otherwise a multi-start
     sign-free ascent over f (``maximize_dual`` on the ``_DualObjective`` of
     phi in the conjugate's place) estimates the supremum: by one
     ``phi.coordinate_step`` per coordinate line when phi declares one,
@@ -435,44 +487,16 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
         return ConjugateEstimate(float(phi.closed_form_conjugate(g)),
                                  numeric=False)
     _check_restarts(restarts, seed)
-    n = space.n_atoms
     obj = _DualObjective(phi.evaluate, space, g.values)
+    ray, probes = _first_diverging_ray(phi, obj._wf)
+    if ray is not None:
+        return ConjugateEstimate(math.inf, numeric=True,
+                                 diverged_ray=Rv(space, ray),
+                                 evaluations=probes, stop_reason="ray")
+
     step = phi.coordinate_step
     coord_step = (None if step is None else lambda f, i, lo, hi:
                   step(f, i, g.values, float(lo), float(hi)))
-
-    # -e_i and +e_i for each atom i in turn, then -1 and +1
-    rays = np.zeros((2 * n + 2, n))
-    for i in range(n):
-        rays[2 * i:2 * i + 2, i] = -1.0, 1.0
-    rays[-2], rays[-1] = -1.0, 1.0
-    scales = 10.0 ** np.array(PROBE_EXPONENTS, dtype=float)
-    if phi.evaluate_rows is None:
-        # lazily, so the rays after a diverging one are never probed
-        traces = ([obj(c * ray) for c in scales] for ray in rays)
-        probes = 0
-    else:
-        # every probe in one row call, which costs about what one evaluate
-        # call does; all its rows count, whichever ray diverges, and so do
-        # the two evaluate calls that cross-check the kernel, on -10 e_1 and
-        # on 10^6 (1, ..., 1): a kernel stale only where f_1 >= 0 agrees on
-        # the first
-        rows = (rays[:, None, :] * scales[:, None]).reshape(-1, n)
-        vals = np.asarray(phi.evaluate_rows(rows), dtype=float)
-        check_rows(phi, rows[[0, -1]], vals[[0, -1]])
-        traces = np.where(vals == math.inf, -math.inf, rows @ obj._wf - vals)
-        traces = traces.reshape(len(rays), len(scales)).tolist()
-        probes = len(rows) + 2
-    for ray, trace in zip(rays, traces):
-        if phi.evaluate_rows is None:
-            probes += len(trace)
-        if (max(trace) > DIVERGENCE_HARD
-                or (_strictly_increasing(trace)
-                    and trace[-1] > DIVERGENCE_SOFT)):
-            return ConjugateEstimate(math.inf, numeric=True,
-                                     diverged_ray=Rv(space, ray),
-                                     evaluations=probes, stop_reason="ray")
-
     # an ascent's value never falls, so once it passes DIVERGENCE_ASCENT the
     # answer is +inf whatever the rest of the search finds; the ceiling's
     # stop point, 2e12 less its tolerance, lies past it
@@ -488,61 +512,6 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     return ConjugateEstimate(res.value, numeric=True,
                              best_f=Rv(space, res.g), evaluations=evals,
                              stop_reason=res.stop_reason)
-
-
-# ---------------------------------------------------------------------------
-# positivity of finite-conjugate dual variables
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PositivityEvidence:
-    """Divergence trace along the ray that punishes a negative coordinate.
-
-    With f the indicator of the offending atom and f_tilde the functional's
-    properness witness, records v_k = lambda_k <f,g> + <f_tilde,g>
-    - phi(lambda_k f + f_tilde) at lambda_k = -10^k. For the catalog the
-    trace is strictly increasing and clears 1e4 by k = 6, which certifies
-    phi*(g) = +inf.
-    """
-    atom_id: int
-    atom_index: int
-    lambdas: tuple[float, ...]
-    trace: tuple[float, ...]
-    strictly_increasing: bool
-    exceeds_threshold: bool
-
-    @property
-    def divergent(self) -> bool:
-        return self.strictly_increasing and self.exceeds_threshold
-
-
-def positivity_evidence(phi: RiskFunctional, g: Rv) -> PositivityEvidence:
-    space = phi.space
-    space.require_same(g.space)
-    idx = int(np.argmin(g.values))
-    if g.values[idx] >= 0.0:
-        raise ValueError("g is nonnegative; there is no negative coordinate "
-                         "to build divergence evidence from")
-    f = np.zeros(space.n_atoms)
-    f[idx] = 1.0
-    ft = phi.proper_witness.values
-    pair_f = float(np.dot(space.weights, f * g.values))
-    pair_ft = float(np.dot(space.weights, ft * g.values))
-    lambdas = tuple(-(10.0 ** k) for k in PROBE_EXPONENTS)
-    trace = []
-    for lam in lambdas:
-        val = phi.evaluate(Rv(space, lam * f + ft))
-        trace.append(lam * pair_f + pair_ft - val)
-    trace = tuple(trace)
-    return PositivityEvidence(
-        atom_id=int(space.atom_ids[idx]),
-        atom_index=idx,
-        lambdas=lambdas,
-        trace=trace,
-        strictly_increasing=_strictly_increasing(trace),
-        exceeds_threshold=trace[-1] > DIVERGENCE_SOFT,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -75,12 +75,16 @@ class SeparableConjugate:
     entropy (no cap) or a box indicator (``beta = inf``). A finite ``beta``
     with a finite ``upper``, a capped entropy, raises ValueError; as a plain
     function it is still a conjugate, whose dual takes the generic ascent.
+    A ``beta`` that is not positive, nan included, raises ValueError.
     """
 
     __slots__ = ("weights", "beta", "upper")
 
     def __init__(self, space: MeasureSpace, *, beta: float = math.inf,
                  upper: float = math.inf):
+        if not beta > 0.0:
+            raise ValueError(f"a separable conjugate needs beta > 0, got "
+                             f"beta={beta!r}")
         if beta < math.inf and upper < math.inf:
             raise ValueError("a separable conjugate is an entropy or a box "
                              "indicator, not a capped entropy")

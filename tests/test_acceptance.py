@@ -32,7 +32,6 @@ from orliczkit import (
     increasing_catalog,
     luxemburg_norm,
     non_lsc_control,
-    positivity_evidence,
     reconstruct,
     strictly_positive_witness,
     uniform_probability,
@@ -210,9 +209,14 @@ def test_criterion_06_dual_positivity():
             dip = int(rng.integers(0, 6))
             g_neg = g.copy()
             g_neg[dip] = -float(rng.uniform(0.1, 1.0))
+            # the closed form reads +inf, and the numeric conjugate's ray
+            # probes stop on -e_dip
             est = fenchel_conjugate_value(functional, Rv(space, g_neg))
-            evidence = positivity_evidence(functional, Rv(space, g_neg))
-            if est.value != math.inf or not evidence.divergent:
+            ray = fenchel_conjugate_value(functional, Rv(space, g_neg),
+                                          restarts=2, force_numeric=True)
+            if (est.value != math.inf or ray.stop_reason != "ray"
+                    or not np.array_equal(ray.diverged_ray.values,
+                                          -np.eye(6)[dip])):
                 misclassified += 1
             est = fenchel_conjugate_value(functional, Rv(space, g))
             if not math.isfinite(est.value):

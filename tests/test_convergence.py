@@ -124,6 +124,23 @@ def test_generator_rejects_unknown_mode():
                           seed=0)
 
 
+@pytest.mark.parametrize("mode", ["norm_convergent",
+                                  "ae_only_traveling_spike",
+                                  "order_convergent"])
+def test_generator_refuses_a_negative_seed_before_any_work(mode, monkeypatch):
+    # numpy's default_rng leaked "expected non-negative integer" here, the
+    # spike mode included, after the base norm was taken
+    norms = []
+    for name in ("luxemburg_norm", "indicator_norm"):
+        monkeypatch.setattr(convergence, name,
+                            lambda *args, name=name: norms.append(name))
+    sp = uniform_probability(3)
+    with pytest.raises(ValueError,
+                       match="generate_sequence needs a nonnegative seed"):
+        generate_sequence(sp, POWER2, zeros(sp), mode, length=4, seed=-1)
+    assert norms == []
+
+
 def test_family_bound_declaration():
     sp = uniform_probability(3)
     f = Rv(sp, [1.0, 2.0, 3.0])

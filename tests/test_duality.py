@@ -1,7 +1,8 @@
-"""Fenchel conjugates, divergence evidence, certificates, biconjugation."""
+"""Fenchel conjugates, divergence rays, certificates, biconjugation."""
 
 import gc
 import math
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -28,7 +29,6 @@ from orliczkit import (
     increasing_catalog,
     maximize_dual,
     non_monotone_control,
-    positivity_evidence,
     reconstruct,
     uniform_probability,
     worst_case,
@@ -36,6 +36,7 @@ from orliczkit import (
 )
 from orliczkit import duality
 from orliczkit._search import INV_PHI, brent_max
+from orliczkit.convergence import _block_rows
 from orliczkit.risk import FEAS_TOL
 
 PSI2 = conjugate(OrliczFunction.power(2.0))
@@ -58,47 +59,38 @@ def dual_calls(monkeypatch):
     return calls
 
 
-# -- positivity evidence ------------------------------------------------------
+# -- positivity: a negative atom diverges along its own -e_k ------------------
 
 
-def test_expectation_trace_is_exactly_powers_of_ten():
-    # phi = mean, witness = 0, offending atom has weight 1/2 and g = -1:
-    # v_k = (-10^k)(1/2)(-1) - mean(-10^k * chi) = 10^k exactly
-    sp = uniform_probability(2)
-    ev = positivity_evidence(expectation(sp), Rv(sp, [-1.0, 2.0]))
-    assert ev.atom_index == 0
-    assert ev.atom_id == int(sp.atom_ids[0])
-    assert list(ev.trace) == [10.0 ** k for k in range(1, 7)]
-    assert ev.strictly_increasing
-    assert ev.exceeds_threshold
-    assert ev.divergent
-
-
-def test_entropic_trace_grows_like_quarter_lambda():
-    # v_k = 0.25 * 10^k - log(0.5 (1 + e^{-10^k})) -> 0.25*10^k + log 2
-    sp = uniform_probability(2)
-    ev = positivity_evidence(entropic(1.0, sp), Rv(sp, [-0.5, 1.5]))
-    for k, v in zip(range(1, 7), ev.trace):
-        assert v == pytest.approx(0.25 * 10.0 ** k + math.log(2.0), abs=1e-4)
-    assert ev.divergent
-
-
-def test_positivity_requires_a_negative_coordinate():
-    sp = uniform_probability(2)
-    with pytest.raises(ValueError):
-        positivity_evidence(expectation(sp), Rv(sp, [0.0, 1.0]))
+def _feasible_density(phi, rng, peak=1.8):
+    """A g where phi's conjugate is finite: 1 for the expectation, else a
+    draw of |N(0, 1)| + 0.05 at unit mass pulled toward 1 until no atom
+    passes ``peak``, under the cap of every catalog member."""
+    space = phi.space
+    if phi.name.startswith("expectation"):
+        return np.ones(space.n_atoms)
+    raw = np.abs(rng.normal(0.0, 1.0, space.n_atoms)) + 0.05
+    g = raw / float(np.dot(space.weights, raw))
+    top = float(np.max(g))
+    if top > peak:
+        t = (peak - 1.0) / (top - 1.0)
+        g = t * g + (1.0 - t)
+    return g
 
 
 def test_all_catalog_members_diverge_on_dipped_duals():
+    # the w*-representation runs over nonnegative densities: at a negative
+    # g_k the numeric conjugate's probes stop on the ray -e_k
     sp = uniform_probability(4)
     rng = np.random.default_rng(5)
     for fn in increasing_catalog(sp):
         for _ in range(5):
-            raw = np.abs(rng.normal(0.0, 1.0, 4)) + 0.1
-            g = raw / float(np.dot(sp.weights, raw))
-            g[int(rng.integers(0, 4))] = -0.4
-            ev = positivity_evidence(fn, Rv(sp, g))
-            assert ev.divergent, fn.name
+            g = _feasible_density(fn, rng)
+            dip = int(rng.integers(0, 4))
+            g[dip] = -0.4
+            est = fenchel_conjugate_value(fn, Rv(sp, g), force_numeric=True)
+            assert est.stop_reason == "ray", fn.name
+            assert np.array_equal(est.diverged_ray.values, -np.eye(4)[dip])
 
 
 # -- Fenchel conjugate values -------------------------------------------------
@@ -1460,6 +1452,81 @@ def test_row_probes_match_the_scalar_path(member, n, dip, data):
     else:
         assert rows.diverged_ray.values.tobytes() == \
             scalar.diverged_ray.values.tobytes()
+
+
+@pytest.mark.parametrize("n", [74, 128, 300])
+def test_blocked_probes_match_the_scalar_path(n):
+    # from n = 74 on the 2n + 2 rays take several evaluate_rows blocks, the
+    # last one partial; a block counts all its rows and the first block two
+    # cross-check calls, while without a row kernel each ray read counts
+    # its six evaluate calls. A dip is deep enough (w_k |g_k| >= 1/2) for
+    # its trace to pass 1e4 by 10^6; a mass error of 10 % diverges along +1
+    # alone, the last ray. AVaR's feasible ascent, about 52,000 reads at
+    # n = 300, is left out for time
+    sp = uniform_probability(n)
+    rng = np.random.default_rng(n)
+    n_rays = 2 * n + 2
+    per_block = max(1, _block_rows(n) // 6)
+    assert per_block < n_rays and n_rays % per_block
+    cases = []
+    for phi in increasing_catalog(sp):
+        g = _feasible_density(phi, rng)
+        if not phi.name.startswith("average_value_at_risk"):
+            cases.append((phi, g, None))
+        cases.append((phi, 1.1 * g, n_rays - 1))
+        for dip in (0, int(rng.integers(0, n))):
+            dipped = g.copy()
+            dipped[dip] = -float(rng.uniform(0.5, 1.0)) * n
+            cases.append((phi, dipped, 2 * dip))
+    for phi, gv, first in cases:
+        g = Rv(sp, gv)
+        counted, reads = _counted(phi)
+        rows = fenchel_conjugate_value(counted, g, seed=3, restarts=2,
+                                       force_numeric=True)
+        row_reads, reads[0] = reads[0], 0
+        scalar = fenchel_conjugate_value(replace(counted, evaluate_rows=None),
+                                         g, seed=3, restarts=2,
+                                         force_numeric=True)
+        assert rows.value == scalar.value
+        assert rows.stop_reason == scalar.stop_reason
+        if first is None:
+            assert math.isfinite(rows.value)
+            assert rows.diverged_ray is scalar.diverged_ray is None
+            # the ascents are one and the same, and count the values of phi
+            # their steps read besides the calls seen here
+            assert rows.evaluations == scalar.evaluations + 2
+            continue
+        assert (rows.evaluations, scalar.evaluations) == (row_reads, reads[0])
+        assert rows.stop_reason == "ray"
+        assert rows.diverged_ray.values.tobytes() == \
+            scalar.diverged_ray.values.tobytes()
+        ray = np.ones(n) if first == n_rays - 1 else -np.eye(n)[first // 2]
+        assert np.array_equal(rows.diverged_ray.values, ray)
+        blocks = first // per_block + 1
+        assert rows.evaluations == 6 * min(blocks * per_block, n_rays) + 2
+        assert scalar.evaluations == 6 * (first + 1)
+
+
+def test_probes_at_1024_atoms_stay_within_their_blocks():
+    # every one of the 2,050 rays is read before +1 diverges; the 12,300
+    # probe rows in one row call took a 420 MB tracemalloc peak, blocks of
+    # 10 rays about 2 MB
+    n = 1024
+    sp = uniform_probability(n)
+    rng = np.random.default_rng(41)
+    raw = np.abs(rng.normal(0.0, 1.0, n)) + 0.05
+    g = Rv(sp, 1.1 * raw / float(np.dot(sp.weights, raw)))
+    tracemalloc.start()
+    try:
+        est = fenchel_conjugate_value(entropic(1.0, sp), g, seed=41,
+                                      restarts=2, force_numeric=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.stop_reason == "ray"
+    assert np.array_equal(est.diverged_ray.values, np.ones(n))
+    assert est.evaluations == 6 * (2 * n + 2) + 2
+    assert peak < 16 * 2 ** 20
 
 
 def test_results_report_their_evaluations():

@@ -344,6 +344,14 @@ def test_a_separable_conjugate_is_an_entropy_or_a_box_indicator():
         SeparableConjugate(sp, beta=2.0, upper=4.0)
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, -math.inf])
+def test_a_separable_conjugate_refuses_a_beta_that_is_not_positive(beta):
+    # at beta = nan the solve returned the greedy vertex with value nan, and
+    # at beta = -1 a reversed Gibbs density
+    with pytest.raises(ValueError, match="beta > 0"):
+        SeparableConjugate(uniform_probability(3), beta=beta)
+
+
 def test_catalog_members_are_labeled_increasing():
     sp = uniform_probability(3)
     cat = increasing_catalog(sp, beta=2.0, alpha=0.25)

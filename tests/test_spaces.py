@@ -23,7 +23,6 @@ from orliczkit import (
     fenchel_conjugate_value,
     generate_sequence,
     non_lsc_control,
-    positivity_evidence,
     reconstruct,
     uniform_probability,
     wstar_limit_check,
@@ -103,8 +102,6 @@ CALLS = {
         phi, _positive(FOREIGN)),
     "fenchel-numeric": lambda phi: fenchel_conjugate_value(
         phi, _positive(FOREIGN), force_numeric=True),
-    "positivity_evidence": lambda phi: positivity_evidence(
-        phi, _rv(FOREIGN)),
     "reconstruct": lambda phi: reconstruct(phi, _rv(FOREIGN), PSI2),
     "biconjugate": lambda phi: biconjugate_check(
         phi, [_rv(HOME), _rv(FOREIGN)]),
