@@ -79,6 +79,14 @@ BAD_BETA = ("tests/test_risk.py::"
             "test_a_separable_conjugate_refuses_a_beta_that_is_not_positive")
 NEGATIVE_SEED = ("tests/test_convergence.py::"
                  "test_generator_refuses_a_negative_seed_before_any_work")
+ROOT_PROPERTY = ("tests/test_norms.py::"
+                 "test_amemiya_root_matches_brent_on_a_custom_twin")
+HEAVY_ROOTS = ("tests/test_norms.py::"
+               "test_amemiya_roots_of_heavy_indicators_hold_their_width")
+FAR_MINIMIZERS = ("tests/test_norms.py::"
+                  "test_amemiya_finds_minimizers_far_from_the_start")
+AMEMIYA_CALLS = ("tests/test_norms.py::test_amemiya_evaluates_its_kernels_"
+                 "iterations_plus_one_times")
 
 # (name, file, old text, new text, test ids that must fail)
 MUTANTS = [
@@ -133,8 +141,8 @@ MUTANTS = [
      [f"{BISECTION_PROPERTY}[0]", f"{BISECTION_PROPERTY}[2]"]),
     ("the Luxemburg norm is the infeasible end of the terminal cell",
      NORMS,
-     "    return NormReport(hi, expand + calls, (lo, hi), hi_mod)\n",
-     "    return NormReport(lo, expand + calls, (lo, hi), hi_mod)\n",
+     "    return NormReport(hi, steps, (lo, hi), hi_mod)\n",
+     "    return NormReport(lo, steps, (lo, hi), hi_mod)\n",
      [f"{BISECTION_PROPERTY}[1]"]),
     ("the lockstep norms are the infeasible ends of their grid cells",
      NORMS,
@@ -143,6 +151,52 @@ MUTANTS = [
      "                    hi33 - 2.0 * s)\n",
      ["tests/test_norms.py::"
       "test_lockstep_indicator_norms_equal_the_scalar_reference_seeded[0]"]),
+    ("the Amemiya root answers at the infeasible end of the terminal cell",
+     NORMS,
+     "        at_value = _modular(weights, absf, hi, phi._values)\n"
+     "    return NormReport(hi * (1.0 + at_value), steps + 1, (lo, hi), "
+     "at_value)\n",
+     "        at_value = _modular(weights, absf, lo, phi._values)\n"
+     "    return NormReport(lo * (1.0 + at_value), steps + 1, (lo, hi), "
+     "at_value)\n",
+     [f"{ROOT_PROPERTY}[linf_step-0]", f"{ROOT_PROPERTY}[kinked_horizon-0]"]),
+    ("the exp_young companion drops its Taylor branch",
+     ORLICZ,
+     "            return _taylor_below((ts - 1.0) * np.expm1(ts) + ts, ts,\n"
+     "                                 _EXP_YOUNG_COMPANION_TAYLOR)\n",
+     "            return (ts - 1.0) * np.expm1(ts) + ts\n",
+     [f"{HEAVY_ROOTS}[exp_young]"]),
+    ("the exp_young_conjugate companion drops its Taylor branch",
+     ORLICZ,
+     "            return _taylor_below(ts - np.log1p(ts), ts,\n"
+     "                                 _EXP_YOUNG_CONJUGATE_COMPANION_"
+     "TAYLOR)\n",
+     "            return ts - np.log1p(ts)\n",
+     [f"{HEAVY_ROOTS}[exp_young_conjugate]"]),
+    ("the finite-slope limit reads slope 1",
+     NORMS,
+     "                return NormReport(slope.limit * float(np.dot("
+     "weights, absf)),\n",
+     "                return NormReport(1.0 * float(np.dot(weights, absf)),\n",
+     ["tests/test_norms.py::"
+      "test_linear_tails_without_a_switch_take_the_limit",
+      f"{ROOT_PROPERTY}[twice_linear-0]"]),
+    ("a custom kind takes the root",
+     NORMS,
+     "    if phi.kind == CUSTOM:\n",
+     "    if False:\n",
+     [f"{FAR_MINIMIZERS}[mass_1e250-custom]",
+      f"{AMEMIYA_CALLS}[custom_square]"]),
+    ("bracket_min's upper end stays at the walk's start",
+     SEARCH,
+     "    lo, hi = xl / factor, xl * factor\n",
+     "    lo, hi = xl / factor, max(xr * factor, xl * factor)\n",
+     [f"{FAR_MINIMIZERS}[dominated_atom-custom]"]),
+    ("bracket_min stops after 400 steps",
+     SEARCH,
+     "    factor, max_steps = 2.0, 4000\n",
+     "    factor, max_steps = 2.0, 400\n",
+     [f"{FAR_MINIMIZERS}[mass_1e300-custom]"]),
     ("the pattern line's segment is PATTERN_RANGE uncut",
      DUALITY,
      "    lo, hi = PATTERN_RANGE\n",

@@ -15,7 +15,11 @@ count. The cases:
   ``cli.run_battery`` draws them;
 * numeric entropic and AVaR certificates at n = 16, 64 and 128, three draws
   of f ~ N(0, 1.5^2) each, with 2 restarts and 10 validation trials;
-* Luxemburg and Amemiya norms of t^2 and of exp_young at N = 1024 and 4096;
+* Luxemburg and Amemiya norms of t^2 and of exp_young at N = 1024 and 4096,
+  and at N = 1024 the Amemiya norms of paths no workload reaches:
+  exp_young_conjugate, linear (the limit of a finite slope), linf_step (a
+  wall at 1) and the table ``0,0 0.25,0.0625 0.5,0.25`` with horizon 0.5
+  (a kink and a wall);
 * Luxemburg and Amemiya norms of two Young tables at N = 256 atoms of total
   mass 1/8, with 1 <= |f| <= 1.25 as in the cli_session workload: the table
   ``0,0 1,1 2,4`` (tail t^2) and ``0,0 1,0.5 2,1.5 4,4`` (tail t^1.415...);
@@ -140,7 +144,19 @@ def norms() -> dict[str, int]:
                 luxemburg_norm(f, phi).iterations
             counts[f"norms.amemiya.{label}.N{N}.iterations"] = \
                 amemiya_norm(f, phi).iterations
+        if N == 1024:
+            for label, phi in AMEMIYA_ONLY:
+                counts[f"norms.amemiya.{label}.N{N}.iterations"] = \
+                    amemiya_norm(f, phi).iterations
     return counts
+
+
+AMEMIYA_ONLY = (
+    ("exp_young_conjugate", OrliczFunction.exp_young_conjugate()),
+    ("linear", OrliczFunction.linear()),
+    ("linf_step", OrliczFunction.linf_step()),
+    ("table_kinked_horizon", OrliczFunction.table(
+        [0.0, 0.25, 0.5], [0.0, 0.0625, 0.25], horizon=0.5)))
 
 
 TABLES = (("square_tail", "t,value\n0,0\n1,1\n2,4\n"),

@@ -3,8 +3,8 @@
 Bracket expansion and Brent line maximization. All kernels are
 deterministic and tolerate objectives that return ``+-inf`` on part of their
 domain: ``brent_max`` wherever the infinite region sits, ``bracket_min`` when
-it sits near 0, which is the shape its caller produces. The Luxemburg norm's
-root search lives in ``norms``.
+it sits near 0, which is the shape its caller, the Amemiya norm of a custom
+callable, produces. The norms' root search lives in ``norms``.
 ``brent_max`` is the package's one line search; minimizers pass ``-fn``.
 Every line it searches is concave -- a dual objective along a move, a
 conjugate's ``s*t - phi(t)``, a negated convex norm objective -- and it
@@ -168,11 +168,15 @@ def bracket_min(fn: Callable[[float], float],
                 x0: float) -> tuple[float, float, int]:
     """Bracket a minimizer of a convex ``fn`` on ``(0, inf)``.
 
-    Walks from ``x0`` by factors of 2, at most 400 steps in all. ``fn`` may
-    be ``+inf`` near 0 (the only infinite region our callers produce).
-    Returns ``(lo, hi, evals)`` with a minimizer inside.
+    Walks from ``x0`` by factors of 2, at most 4000 steps in all, which
+    covers the float range from any start: a walk stops where ``fn`` stops
+    decreasing, as it does at the range's ends, 0 and +inf, where the
+    caller's objective is +inf or nan. ``fn`` may be ``+inf`` near 0 (the
+    only infinite region our callers produce). Returns ``(lo, hi, evals)``
+    with a minimizer inside. Raises ``NumericFailure`` if the cap stops a
+    walk that is still descending, whose bracket would not hold one.
     """
-    factor, max_steps = 2.0, 400
+    factor, max_steps = 2.0, 4000
     x = x0
     v = fn(x)
     evals = 1
@@ -208,6 +212,9 @@ def bracket_min(fn: Callable[[float], float],
             xl, vl = nxt, vn
         else:
             break
-    lo = xl / factor
-    hi = max(xr * factor, xl * factor)
+    if steps >= max_steps:
+        raise NumericFailure("bracket_min stopped still descending")
+    # xl's neighbours were probed and are no lower: the right one is the
+    # left walk's previous point, or the right walk's last
+    lo, hi = xl / factor, xl * factor
     return lo, hi, evals

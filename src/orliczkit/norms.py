@@ -1,4 +1,11 @@
-"""Modulars, Luxemburg and Amemiya norms, heart membership, dual pairing."""
+"""Modulars, Luxemburg and Amemiya norms, heart membership, dual pairing.
+
+Both norms are monotone switches found by one walk and one replayed
+bisection (``_switch``): the Luxemburg norm where the modular of Phi crosses
+1, the Amemiya (Orlicz) norm where the modular of Phi's companion
+``t Phi'(t) - Phi(t)`` does. Only custom callables, which have no
+derivative, take Brent's method on the Amemiya perspective instead.
+"""
 
 from __future__ import annotations
 
@@ -10,11 +17,20 @@ import numpy as np
 from ._search import bracket_min, brent_max
 from .errors import NumericFailure
 from .measure import MeasureSpace, Rv
-from .orlicz import OrliczFunction
+from .orlicz import CUSTOM, OrliczFunction, limit_slope
 
 
 @dataclass(frozen=True)
 class NormReport:
+    """A norm and how it was found.
+
+    ``bracket`` holds the answer's scale u: for the Luxemburg norm the
+    bisection's terminal cell in lam, whose upper end is ``value``; for the
+    Amemiya norm the cell in u = 1/k of the minimizer of
+    ``u (1 + modular(f, u))``. ``modular_at_value`` is the modular of Phi at
+    that u, and ``iterations`` the search's work, as each norm states.
+    """
+
     value: float
     iterations: int
     bracket: tuple[float, float]
@@ -32,14 +48,16 @@ def modular(f: Rv, lam: float, phi: OrliczFunction) -> float:
     if not lam > 0.0:
         raise ValueError(f"modular scale must be positive, got {lam}")
     with np.errstate(over="ignore"):
-        return _modular(f.space.weights, np.abs(f.values), lam, phi)
+        return _modular(f.space.weights, np.abs(f.values), lam, phi._values)
 
 
 def _modular(weights: np.ndarray, absf: np.ndarray, lam: float,
-             phi: OrliczFunction) -> float:
-    """``modular`` from a precomputed ``|f|``, inside the caller's
-    ``np.errstate(over="ignore")``; the norms' one modular evaluation."""
-    return float(np.dot(weights, phi._values(absf / lam)))
+             kernel) -> float:
+    """``sum_i w_i * kernel(|f_i| / lam)`` from a precomputed ``|f|``,
+    inside the caller's ``np.errstate(over="ignore")``: the norms' one
+    modular evaluation, of Phi (``phi._values``) or of its companion
+    (``phi._companion``)."""
+    return float(np.dot(weights, kernel(absf / lam)))
 
 
 def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
@@ -47,62 +65,75 @@ def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
     by a verified secant.
 
     The modular is nonincreasing in lam, so the predicate
-    ``modular <= 1`` is monotone. A walk from ``top = sup |f|`` halves or
-    doubles lam until it brackets the switch; the halving walk gives up
-    1e300 below ``top``. The answer is defined by a bisection of that
-    bracket down to relative width 1e-10, with no absolute floor, that stops
-    early when a midpoint rounds to an end (a subnormal bracket). The
-    feasible end is returned, so ``modular_at_value <= 1`` always holds in
-    the report.
-
-    The bisection is replayed rather than run (``_bisection_search``): a
-    secant in (log lam, log modular), exact for power functions, guesses the
-    switch, the bisection's midpoints are replayed in plain Python, and only
-    the ends of the terminal cell the guess leads to are evaluated. The
-    value, the bracket and ``modular_at_value`` are the bisection's bit for
-    bit wherever the computed modular is monotone. The search takes 2
-    modular calls after the walk for power functions, 4 to 5 for
-    ``exp_young`` and its conjugate, and 1 for ``linf_step``, where the
-    bisection took 34. ``iterations`` counts the walk's steps and the
-    modular calls after it, so the modular is evaluated ``iterations + 1``
-    times in all, ``top`` once. |f| is taken, and ``np.errstate`` entered,
-    once per norm. This is the scalar reference of ``_indicator_norms``.
+    ``modular <= 1`` is monotone. The answer is ``_switch``'s: the feasible
+    end of the bisection's terminal cell, so ``modular_at_value <= 1``
+    always holds in the report. The search takes 2 modular calls after the
+    walk for power functions, 4 to 5 for ``exp_young`` and its conjugate,
+    and 1 for ``linf_step``, where the bisection took 34. ``iterations``
+    counts the walk's steps and the modular calls after it, so the modular
+    is evaluated ``iterations + 1`` times in all, ``top`` once. |f| is
+    taken, and ``np.errstate`` entered, once per norm. This is the scalar
+    reference of ``_indicator_norms``.
     """
     top = f.sup_norm()
     if top == 0.0:
         return NormReport(0.0, 0, (0.0, 0.0), 0.0)
-    weights, absf = f.space.weights, np.abs(f.values)
+    weights, absf, kernel = f.space.weights, np.abs(f.values), phi._values
 
     def at(lam: float) -> float:
-        return _modular(weights, absf, lam, phi)
+        return _modular(weights, absf, lam, kernel)
 
     with np.errstate(over="ignore"):
-        # halve while feasible, or double until feasible; top is tested once
-        lo = hi = top
-        lo_mod = hi_mod = at(top)
-        expand = 0
-        if hi_mod <= 1.0:
-            while True:
-                hi, hi_mod, lo = lo, lo_mod, lo * 0.5
-                expand += 1
-                if not lo > 1e-300 * top or expand > 4000:
-                    raise NumericFailure(
-                        "Luxemburg bracket collapse: modular never exceeds 1")
-                lo_mod = at(lo)
-                if not lo_mod <= 1.0:
-                    break
-        else:
-            while True:
-                lo, lo_mod, hi = hi, hi_mod, hi * 2.0
-                expand += 1
-                if expand > 4000:
-                    raise NumericFailure(
-                        "Luxemburg bracket blow-up: modular never drops to 1")
-                hi_mod = at(hi)
-                if hi_mod <= 1.0:
-                    break
-        lo, hi, hi_mod, calls = _bisection_search(lo, hi, lo_mod, hi_mod, at)
-    return NormReport(hi, expand + calls, (lo, hi), hi_mod)
+        lo, hi, hi_mod, steps = _switch(top, at(top), at)
+    return NormReport(hi, steps, (lo, hi), hi_mod)
+
+
+def _switch(top: float, top_mod: float,
+            at) -> tuple[float, float, float, int]:
+    """Where a nonincreasing ``at`` crosses 1: the bisection's terminal cell
+    ``(lo, hi)``, ``at(hi)``, and the walk's steps plus the calls after it.
+
+    ``top_mod`` is ``at(top)``. A walk from ``top`` halves or doubles lam
+    until it brackets the switch; the halving walk gives up 1e300 below
+    ``top``, and either walk after 4000 steps. The answer is defined by a
+    bisection of that bracket down to relative width 1e-10, with no
+    absolute floor, that stops early when a midpoint rounds to an end (a
+    subnormal bracket). The feasible end ``hi`` (``at(hi) <= 1``) is the
+    answer.
+
+    The bisection is replayed rather than run (``_bisection_search``): a
+    secant in (log lam, log at), exact where ``at`` is a power of lam,
+    guesses the switch, the bisection's midpoints are replayed in plain
+    Python, and only the ends of the terminal cell the guess leads to are
+    evaluated. The cell and ``at(hi)`` are the bisection's bit for bit
+    wherever the computed ``at`` is monotone.
+    """
+    # halve while feasible, or double until feasible; top is tested once
+    lo = hi = top
+    lo_mod = hi_mod = top_mod
+    expand = 0
+    if hi_mod <= 1.0:
+        while True:
+            hi, hi_mod, lo = lo, lo_mod, lo * 0.5
+            expand += 1
+            if not lo > 1e-300 * top or expand > 4000:
+                raise NumericFailure(
+                    "norm bracket collapse: modular never exceeds 1")
+            lo_mod = at(lo)
+            if not lo_mod <= 1.0:
+                break
+    else:
+        while True:
+            lo, lo_mod, hi = hi, hi_mod, hi * 2.0
+            expand += 1
+            if expand > 4000:
+                raise NumericFailure(
+                    "norm bracket blow-up: modular never drops to 1")
+            hi_mod = at(hi)
+            if hi_mod <= 1.0:
+                break
+    lo, hi, hi_mod, calls = _bisection_search(lo, hi, lo_mod, hi_mod, at)
+    return lo, hi, hi_mod, expand + calls
 
 
 def _log_modular(value: float) -> float:
@@ -199,32 +230,88 @@ def _bisection_search(lo: float, hi: float, lo_mod: float, hi_mod: float,
 
 
 def amemiya_norm(f: Rv, phi: OrliczFunction) -> NormReport:
-    """``inf_{k>0} (1 + modular(f, 1/k)) / k`` by Brent's method.
+    """``inf_{k>0} (1 + modular(f, 1/k)) / k``, the Orlicz norm.
 
-    Substituting u = 1/k turns the objective into
-    ``u * (1 + modular(f, u))``, the perspective of the modular -- convex in
-    u -- so a bracketed Brent search (maximizing its negative) finds the
-    minimum. The search runs in s = u / sup|f|, where the objective of
-    ``c f`` is that of ``f`` up to rounding, and stops at a bracket of width
-    ``1e-10 * hi``, relative to its upper end, so the norm is as accurate at
-    any scale. ``bracket`` is the bracket in u. ``iterations`` counts
-    objective evaluations, bracketing included.
+    In u = 1/k the objective is ``g(u) = u (1 + modular(f, u))``, the
+    perspective of the modular, convex in u, with right derivative
+    ``1 - sum_i w_i C(|f_i| / u)``, C the companion ``t Phi'(t) - Phi(t)``
+    (``OrliczFunction._companion``, Phi' the left derivative). So the
+    minimizer is where the companion modular ``sum_i w_i C(|f_i| / u)``,
+    nonincreasing in u, crosses 1: where ``integral Psi(p(k|f|)) = 1``
+    with p the derivative of Phi (Krasnosel'skii & Rutickii, *Convex
+    Functions and Orlicz Spaces*, 1961; Hudzik & Maligranda, *Indag.
+    Math.* 11, 2000). That is the monotone switch of the Luxemburg
+    norm, found by the same walk and search (``_switch``); the answer is
+    ``g(hi)`` at the feasible end hi of the bisection's terminal cell.
+
+    A kind whose limit slope s_inf is finite (a table with a linear tail,
+    as ``linear``) has a constant C on its tail, so its companion modular
+    rises as u falls to a finite level: that constant times the mass where
+    f != 0. Where the level is at most 1 there is no switch: g is
+    nondecreasing, and the norm is its limit at u = 0,
+    ``s_inf * sum_i w_i |f_i|``, read without a walk.
+
+    ``custom`` callables have no derivative, so their norm is a bracketed
+    Brent minimization of g (``bracket_min``, ``brent_max``) in s = u /
+    sup|f|, to a bracket of width ``1e-10 * hi``.
+
+    ``bracket`` is the bracket in u, (0, 0) for the limit;
+    ``modular_at_value`` is the modular of Phi at the answer's u, +inf for
+    the limit. ``iterations`` counts the walk's steps, the companion calls
+    after it and the one call of Phi at hi, or Brent's objective
+    evaluations, bracketing included; on every path the kernels are
+    evaluated ``iterations + 1`` times in all.
     """
     top = f.sup_norm()
     if top == 0.0:
         return NormReport(0.0, 0, (0.0, 0.0), 0.0)
     weights, absf = f.space.weights, np.abs(f.values)
+    if phi.kind == CUSTOM:
+        return _amemiya_brent(weights, absf, top, phi)
+    companion = phi._companion
+
+    def at(lam: float) -> float:
+        return _modular(weights, absf, lam, companion)
+
+    with np.errstate(over="ignore"):
+        top_mod = at(top)
+        slope = limit_slope(phi)
+        if top_mod <= 1.0 and not slope.is_infinite:
+            level = (companion(np.array([math.inf]))[0]
+                     * float(np.sum(weights[absf > 0.0])))
+            if level <= 1.0:
+                return NormReport(slope.limit * float(np.dot(weights, absf)),
+                                  0, (0.0, 0.0), math.inf)
+        lo, hi, _, steps = _switch(top, top_mod, at)
+        at_value = _modular(weights, absf, hi, phi._values)
+    return NormReport(hi * (1.0 + at_value), steps + 1, (lo, hi), at_value)
+
+
+def _amemiya_brent(weights: np.ndarray, absf: np.ndarray, top: float,
+                   phi: OrliczFunction) -> NormReport:
+    """``amemiya_norm`` of a ``custom`` kind: Brent's method on the
+    perspective in s = u / sup|f|, where the objective of ``c f`` is that
+    of ``f`` up to rounding, so the norm is as accurate at any scale.
+
+    ``bracket_min``'s bracket [lo, hi] has ends that are powers of two, and
+    Brent runs in s / m, m = 2 lo: the same probes as in s, exactly, but
+    with ``brent_max``'s absolute width floor of about 1e-15 kept relative
+    to m, so a minimizer at s = 2^-498 is still resolved.
+    """
+    kernel = phi._values
 
     def obj(s: float) -> float:
         if not s > 0.0:
             return math.inf
-        return s * (1.0 + _modular(weights, absf, top * s, phi))
+        return s * (1.0 + _modular(weights, absf, top * s, kernel))
 
     with np.errstate(over="ignore"):
         lo, hi, evals = bracket_min(obj, 1.0)
-        s, neg, ev = brent_max(lambda t: -obj(t), lo, hi, 1e-10 * hi)
-        s_star = s if math.isfinite(neg) else hi
-        at_value = _modular(weights, absf, top * s_star, phi)
+        mid = 2.0 * lo
+        t, neg, ev = brent_max(lambda t: -obj(mid * t), 0.5, hi / mid,
+                               1e-10 * hi / mid)
+        s_star = mid * t if math.isfinite(neg) else hi
+        at_value = _modular(weights, absf, top * s_star, kernel)
     return NormReport(-neg * top, ev + evals, (top * lo, top * hi), at_value)
 
 

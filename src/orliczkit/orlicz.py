@@ -19,9 +19,10 @@ zero, is not identically zero and may take the value ``+inf`` (modelled by
 * ``custom(...)``        -- user evaluator with a declared finiteness horizon
 
 Every kind but ``custom`` has one numpy kernel, which serves scalar calls
-and arrays alike, so both give the same bits. Every kind but ``custom``
-answers ``conjugate``, ``check_delta2`` and ``limit_slope`` in closed form;
-only ``custom`` Python callables are probed.
+and arrays alike, so both give the same bits, and a second one for its
+companion ``t Phi'(t) - Phi(t)``, whose modular finds the Amemiya norm.
+Every kind but ``custom`` answers ``conjugate``, ``check_delta2`` and
+``limit_slope`` in closed form; only ``custom`` Python callables are probed.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ TAYLOR_BELOW = 2.0**-12
 _EXP_YOUNG_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(2, 6))
 _EXP_YOUNG_CONJUGATE_TAYLOR = tuple((-1.0) ** k / (k * (k - 1))
                                     for k in range(2, 8))
+# the same for their companions (t - 1) expm1(t) + t and s - log1p(s):
+# (k - 1) / k! and (-1)^k / k
+_EXP_YOUNG_COMPANION_TAYLOR = tuple((k - 1.0) / math.factorial(k)
+                                    for k in range(2, 6))
+_EXP_YOUNG_CONJUGATE_COMPANION_TAYLOR = tuple((-1.0) ** k / k
+                                              for k in range(2, 8))
 
 #: Tables are convex to this tolerance: ``specs.load_custom_table`` refuses
 #: a chord slope that falls by more than it times max(1, slope), and
@@ -275,6 +282,38 @@ class OrliczFunction:
             dst[i] = self.evaluator(float(t))
         return out
 
+    def _companion(self, ts: np.ndarray) -> np.ndarray:
+        """The companion ``C(t) = t Phi'(t) - Phi(t)`` on a float array known
+        to be nonnegative, with Phi' the left derivative; every kind but
+        ``custom``, whose callable has no derivative.
+
+        C is Psi(Phi'(t)), Psi the Young conjugate, by Young's equality, and
+        nondecreasing. Its modular crosses 1 at the Amemiya norm's minimizer
+        (``norms.amemiya_norm``). Callers enter ``np.errstate(over="ignore")``
+        as for ``_values``. Per kind: (p - 1) Phi for powers;
+        (t - 1) expm1(t) + t for ``exp_young`` and s - log1p(s) for its
+        conjugate, each with a Taylor polynomial below ``TAYLOR_BELOW`` as
+        in its Phi; constant levels on a table's segments
+        (``_table_companion``) and from the maximizing knot on its
+        conjugate (``_table_conjugate_companion``).
+        """
+        k = self.kind
+        if k == POWER:
+            return (self.p - 1.0) * np.power(ts, self.p)
+        if k == SCALED_POWER:
+            return (self.p - 1.0) * self.scale * np.power(ts, self.p)
+        if k == EXP_YOUNG:
+            return _taylor_below((ts - 1.0) * np.expm1(ts) + ts, ts,
+                                 _EXP_YOUNG_COMPANION_TAYLOR)
+        if k == EXP_YOUNG_CONJUGATE:
+            return _taylor_below(ts - np.log1p(ts), ts,
+                                 _EXP_YOUNG_CONJUGATE_COMPANION_TAYLOR)
+        if k == TABLE:
+            return _table_companion(self.knots, ts)
+        if k == TABLE_CONJUGATE:
+            return _table_conjugate_companion(self.knots, ts)
+        raise ValueError("a custom Orlicz function has no companion")
+
     @property
     def is_finite_everywhere(self) -> bool:
         return math.isinf(self.horizon)
@@ -359,6 +398,70 @@ def _table_conjugate_values(knots: Knots, ss: np.ndarray) -> np.ndarray:
         power = (g - 1.0) * knots.ys[-1] * np.power(s / sigma, g / (g - 1.0))
         at_wall = np.where(s < knots.wall_slope, power, at_wall)
     out[tail] = at_wall
+    return out.reshape(ss.shape)
+
+
+def _table_companion(knots: Knots, ts: np.ndarray) -> np.ndarray:
+    """A table's companion t Phi'(t-) - Phi(t) on ``ts >= 0``.
+
+    On a segment (t_i, t_{i+1}] of slope s_i it is the constant
+    s_i t_i - y_i, 0 on the first; on a power tail (gamma - 1) Phi(t); on a
+    linear tail the constant slope t_m - y_m; +inf beyond the horizon, and
+    finite at it, since the left derivative there is the tail's. Levels
+    that convexity makes nonnegative are clipped at 0 against rounding.
+    """
+    flat = ts.reshape(-1)
+    t_last, y_last = knots.ts[-1], knots.ys[-1]
+    levels = np.maximum(knots.dy / knots.dt * knots.ts[:-1] - knots.ys[:-1],
+                        0.0)
+    i = np.searchsorted(knots.ts, np.minimum(flat, t_last), side="left") - 1
+    out = levels[np.maximum(i, 0)]
+    tail = flat > t_last
+    if tail.any():
+        if knots.superlinear:
+            x = np.minimum(flat[tail], knots.horizon)
+            out[tail] = ((knots.gamma - 1.0) * y_last
+                         * np.power(x / t_last, knots.gamma))
+        else:
+            out[tail] = max(knots.slope * t_last - y_last, 0.0)
+    if knots.horizon < math.inf:
+        out[flat > knots.horizon] = math.inf
+    return out.reshape(ts.shape)
+
+
+def _table_conjugate_companion(knots: Knots, ss: np.ndarray) -> np.ndarray:
+    """The companion s Psi'(s-) - Psi(s) of a table's conjugate on
+    ``ss >= 0``, which is Phi(Psi'(s-)).
+
+    Up to the tail's slope sigma it is y_k of the first knot k whose line
+    s t_k - y_k is the maximum in ``_table_conjugate_values``, since
+    Psi'(s-) = t_k there. Beyond sigma: Phi(Psi'(s)) =
+    y_m (s / sigma)**(gamma / (gamma - 1)) on a power tail, Phi(h) past the
+    wall slope of a finite horizon h, and +inf past a linear tail without
+    one, where Psi is +inf.
+    """
+    flat = ss.reshape(-1)
+    sigma, h = knots.slope, knots.horizon
+    inside = np.minimum(flat, sigma)
+    best = np.zeros(flat.shape)  # the line of the knot t_0 = 0
+    out = np.zeros(flat.shape)
+    for t, y in zip(knots.ts[1:].tolist(), knots.ys[1:].tolist()):
+        line = inside * t - y
+        up = line > best
+        best[up] = line[up]
+        out[up] = y
+    tail = flat > sigma
+    if not tail.any():
+        return out.reshape(ss.shape)
+    s = flat[tail]
+    wall = _table_values(knots, np.array([h]))[0] if h < math.inf else math.inf
+    if knots.superlinear:
+        g = knots.gamma
+        out[tail] = np.where(s < knots.wall_slope,
+                             knots.ys[-1] * np.power(s / sigma, g / (g - 1.0)),
+                             wall)
+    else:
+        out[tail] = wall
     return out.reshape(ss.shape)
 
 

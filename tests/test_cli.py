@@ -65,6 +65,19 @@ def test_norm_sandwich_holds_at_every_scale(files, capsys, spec, scale):
     assert json.loads(out)["sandwich_ok"] is True
 
 
+def test_norm_sandwich_holds_on_a_heavy_atom(files, capsys):
+    # one atom of mass 1e250 under t^2: the Amemiya norm is 2e125, twice the
+    # Luxemburg norm; a bracket capped at 400 doublings read 1.9e4 times it
+    space = files("space.csv", "atom_id,weight,block_id\n0,1e250,0\n")
+    rv = files("f.csv", "atom_id,value\n0,1\n")
+    code, out, _ = run_cli(capsys, "norm", "--space", space, "--rv", rv,
+                           "--orlicz", "power:p=2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["amemiya"] == pytest.approx(2e125, rel=1e-9)
+    assert doc["sandwich_ok"] is True
+
+
 def test_norm_step_function_is_sup_norm(files, capsys):
     space = files("space.csv", SPACE3)
     rv = files("f.csv", "atom_id,value\n0,3\n1,-1\n2,0\n")

@@ -412,14 +412,51 @@ def test_amemiya_is_homogeneous_at_every_scale(phi):
         assert got == pytest.approx(c * unit, rel=1e-9, abs=0.0), c
 
 
+# the table of test_amemiya_walks_out_of_an_infinite_start: a kink at 0.25
+# and a wall at its last knot 0.5
+KINKED = OrliczFunction.table([0.0, 0.25, 0.5], [0.0, 0.0625, 0.25],
+                              horizon=0.5, label="kinked horizon")
+# a linear tail from t = 1 with slope 3: its companion is 3 past 1, so its
+# modular crosses 1 wherever f != 0 on more than a third of the mass
+CROSSING = OrliczFunction.table([0.0, 1.0, 2.0], [0.0, 0.0, 3.0],
+                                label="crossing linear tail")
+# 2t: a limit slope of 2 and a companion of 0, so no switch at any mass
+TWICE_LINEAR = OrliczFunction.table([0.0, 1.0], [0.0, 2.0],
+                                    label="twice linear")
+SQUARE = OrliczFunction.custom(lambda t: t * t, label="t^2")
+COUNT_KINDS = {
+    "power2": (POWER2, 4),
+    "scaled_power": (OrliczFunction.scaled_power(1.5), 4),
+    "exp_young": (OrliczFunction.exp_young(), 7),
+    "exp_young_conjugate": (OrliczFunction.exp_young_conjugate(), 6),
+    "conjugate_power2": (conjugate(POWER2), 4),
+    "linear": (OrliczFunction.linear(), 0), "linf_step": (STEP, 3),
+    "kinked_horizon": (KINKED, 35), "crossing_tail": (CROSSING, 3),
+    "custom_square": (SQUARE, 18),
+}
+COUNT_F = Rv(MeasureSpace.finite([0.5, 1.0, 0.25, 2.0, 0.75, 1.5]),
+             [1.0, -2.0, 0.5, 3.0, -0.25, 1.5])
+
+
 def test_amemiya_evaluation_count():
-    # iterations counts every objective evaluation, bracketing included:
-    # Brent's method makes 28-33 here, a golden-section search made 56-58
-    sp = MeasureSpace.finite([0.5, 1.0, 0.25, 2.0, 0.75, 1.5])
-    f = Rv(sp, [1.0, -2.0, 0.5, 3.0, -0.25, 1.5])
-    for phi in (POWER2, OrliczFunction.scaled_power(1.5),
-                OrliczFunction.exp_young()):
-        assert amemiya_norm(f, phi).iterations <= 45
+    # the walk's steps, the search's calls and one call of phi: 4 on
+    # powers, 6-7 on the exp pair, 0 for linear's limit and 35, the
+    # bisection's pace, against the kinked table's wall; Brent's method made
+    # 28-33 here on t^2, scaled_power(1.5) and exp_young, and makes 18 on
+    # the custom t^2
+    for label, (phi, count) in COUNT_KINDS.items():
+        assert amemiya_norm(COUNT_F, phi).iterations == count, label
+
+
+@pytest.mark.parametrize("label", COUNT_KINDS)
+def test_amemiya_evaluates_its_kernels_iterations_plus_one_times(
+        monkeypatch, label):
+    # one rule on every path: the companion at top, the walk's steps, the
+    # search's calls and one call of phi at the answer; Brent's objective
+    # evaluations and one call at the answer; linear's limit reads only top
+    calls = counting_modular(monkeypatch)
+    rep = amemiya_norm(COUNT_F, COUNT_KINDS[label][0])
+    assert len(calls) == rep.iterations + 1
 
 
 def test_heart_member():
@@ -523,3 +560,153 @@ def test_amemiya_walks_out_of_an_infinite_start(tmp_path):
     grid = min(u * (1.0 + modular(f, u, phi))
                for u in np.linspace(1.0, 8.0, 70001))
     assert grid - 1e-4 <= amemiya <= grid * (1.0 + 1e-9)
+
+
+FAR_CASES = {
+    # one atom of mass m under t^2: the norm is 2 sqrt(m), at s = 2^415 and
+    # 2^498 from the start s = 1 of the search in u / sup|f|
+    "mass_1e250": ([1e250], [1.0], 2e125),
+    "mass_1e300": ([1e300], [1.0], 2e150),
+    # a dominated atom sets sup|f| = 1e150; the norm 2 sqrt(1 + 1e-20)
+    # lies at s = 2^-498
+    "dominated_atom": ([1e-300, 1.0], [1e150, 1e-10], 2.0),
+}
+
+
+@pytest.mark.parametrize("phi", [POWER2, SQUARE], ids=["power2", "custom"])
+@pytest.mark.parametrize("case", FAR_CASES)
+def test_amemiya_finds_minimizers_far_from_the_start(phi, case):
+    # bracket_min stopped its walk at 400 steps while still descending, and
+    # Brent searched a bracket without the minimizer: 1.94e179 at mass
+    # 1e300, 3.87e29 on the dominated atom, 1.9e4 times the Luxemburg norm
+    # at mass 1e250
+    weights, values, exact = FAR_CASES[case]
+    f = Rv(MeasureSpace.finite(weights), values)
+    ame = amemiya_norm(f, phi).value
+    assert ame == pytest.approx(exact, rel=1e-9, abs=0.0)
+    lux = luxemburg_norm(f, phi).value
+    assert lux <= ame <= 2.0 * lux * (1.0 + 1e-9)
+
+
+def custom_twin(phi):
+    """``phi``'s values and horizon as a custom callable, whose Amemiya norm
+    takes Brent's path: the scalar reference of the root."""
+    return OrliczFunction.custom(phi, horizon=phi.horizon,
+                                 label=f"custom({phi.label or phi.kind})",
+                                 spot_check=False)
+
+
+ROOT_KINDS = {
+    **{f"power{p}": OrliczFunction.power(p) for p in (1.2, 2.0, 3.0)},
+    "scaled_power": OrliczFunction.scaled_power(2.5, 3.0),
+    "exp_young": OrliczFunction.exp_young(),
+    "exp_young_conjugate": OrliczFunction.exp_young_conjugate(),
+    "conjugate_power2": conjugate(POWER2), "linear": OrliczFunction.linear(),
+    "linf_step": STEP, "kinked_horizon": KINKED, "crossing_tail": CROSSING,
+    "twice_linear": TWICE_LINEAR,
+    # table conjugates past a power tail and past a wall
+    "conjugate_square_table": conjugate(OrliczFunction.table(
+        [0.0, 1.0, 2.0], [0.0, 1.0, 4.0])),
+    "conjugate_kinked_horizon": conjugate(KINKED),
+}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("label", ROOT_KINDS)
+def test_amemiya_root_matches_brent_on_a_custom_twin(label, seed):
+    # the root and Brent's search of the same perspective agree within
+    # 1e-9 relative, n = 1 .. 64 atoms, random weights and total mass, f
+    # at scales 1e-300 .. 1e6; the sandwich holds to the bisection's width
+    phi = ROOT_KINDS[label]
+    rng = np.random.default_rng([seed, 3701])
+    n = int(rng.integers(1, 65))
+    f = Rv(MeasureSpace.finite(rng.uniform(0.01, 3.0, n) / n),
+           rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-300.0, 6.0))
+    ame = amemiya_norm(f, phi).value
+    assert ame == pytest.approx(amemiya_norm(f, custom_twin(phi)).value,
+                                rel=1e-9, abs=0.0)
+    lux = luxemburg_norm(f, phi).value
+    assert lux * (1.0 - 1e-9) <= ame <= 2.0 * lux * (1.0 + 1e-9)
+
+
+def test_linear_tails_without_a_switch_take_the_limit():
+    # the companion modular tends to the tail's level times the mass where
+    # f != 0; at most 1, the norm is s_inf sum w |f| with no walk
+    f = Rv(MeasureSpace.finite([0.1, 0.05, 0.2]), [1.0, -4.0, 0.0])
+    for phi, slope in ((OrliczFunction.linear(), 1.0), (TWICE_LINEAR, 2.0),
+                       (CROSSING, 3.0)):  # 3 * 0.15 <= 1
+        rep = amemiya_norm(f, phi)
+        assert rep.value == pytest.approx(slope * 0.3, rel=1e-15)
+        assert (rep.iterations, rep.bracket) == (0, (0.0, 0.0))
+        assert rep.modular_at_value == math.inf
+    # on mass 0.5 the crossing tail's level 3 * 0.5 passes 1: a root
+    g = Rv(MeasureSpace.finite([0.25, 0.25]), [1.0, -4.0])
+    rep = amemiya_norm(g, CROSSING)
+    assert rep.iterations > 0
+    assert rep.value == pytest.approx(amemiya_norm(g, custom_twin(CROSSING))
+                                      .value, rel=1e-9)
+
+
+def exp_pair_companion(kind, t):
+    """The companion of ``exp_young`` or its conjugate at a small t, from
+    its series sum_k c_k t^k: (k - 1) / k! or (-1)^k / k, accurate to
+    rounding where the closed forms cancel."""
+    total, k = 0.0, 2
+    while True:
+        c = ((k - 1) / math.factorial(k) if kind == "exp_young"
+             else (-1.0) ** k / k)
+        term = c * t ** k
+        if abs(term) < 1e-20 * total:
+            return total + term
+        total, k = total + term, k + 1
+
+
+@pytest.mark.parametrize("phi", [OrliczFunction.exp_young(),
+                                 OrliczFunction.exp_young_conjugate()],
+                         ids=lambda phi: phi.kind)
+def test_amemiya_roots_of_heavy_indicators_hold_their_width(phi):
+    # one atom of mass 1e18 switches where C(1/u) = 1e-18, at 1/u near
+    # 1.4e-9, where the companions' closed forms cancel to about 1.6e-7
+    # relative; below TAYLOR_BELOW their series keep the bisection's cell
+    # around the exact switch, found here by bisecting the series
+    mass = 1e18
+    lo_t, hi_t = 1e-10, 1e-8
+    for _ in range(200):
+        mid = 0.5 * (lo_t + hi_t)
+        if mass * exp_pair_companion(phi.kind, mid) <= 1.0:
+            lo_t = mid
+        else:
+            hi_t = mid
+    switch = 1.0 / lo_t
+    rep = amemiya_norm(Rv(MeasureSpace.finite([mass]), [1.0]), phi)
+    lo, hi = rep.bracket
+    assert lo * (1.0 - 1e-14) <= switch <= hi * (1.0 + 1e-14)
+    assert hi - lo <= 1e-10 * hi
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_amemiya_sandwich_seeded(seed):
+    # the Hypothesis sandwich above with numpy-drawn values, whose examples
+    # do not move when a module gains a constant
+    rng = np.random.default_rng([seed, 3702])
+    f = Rv(uniform_probability(3), rng.uniform(-30.0, 30.0, 3))
+    for phi in (POWER2, OrliczFunction.scaled_power(1.5),
+                OrliczFunction.exp_young()):
+        lux = luxemburg_norm(f, phi).value
+        ame = amemiya_norm(f, phi).value
+        assert lux - 1e-9 <= ame <= 2.0 * lux + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_amemiya_power2_is_twice_the_weighted_2norm_seeded(seed):
+    # the Hypothesis property above with numpy draws: n = 1 .. 64 atoms,
+    # weights 0.01 .. 10, values -30 .. 30
+    rng = np.random.default_rng([seed, 3703])
+    n = int(rng.integers(1, 65))
+    sp = MeasureSpace.finite(rng.uniform(0.01, 10.0, n))
+    vals = rng.uniform(-30.0, 30.0, n)
+    top = float(np.max(np.abs(vals)))
+    expected = 2.0 * top * math.sqrt(float(np.dot(sp.weights,
+                                                  (vals / top) ** 2)))
+    assert amemiya_norm(Rv(sp, vals), POWER2).value == pytest.approx(
+        expected, rel=1e-9)

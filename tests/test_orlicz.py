@@ -290,6 +290,74 @@ def test_exp_young_pair_is_accurate_at_small_arguments(phi):
     assert all(phi(float(x)) == v for x, v in zip(t[::37], vec[::37]))
 
 
+def exact_companion(kind, t):
+    """The companion t Phi'(t) - Phi(t) of ``exp_young``, (t - 1)(e^t - 1)
+    + t, or of its conjugate, t - log(1 + t), in 320-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 320
+        d = Decimal(t)
+        if kind == "exp_young":
+            return float((d - 1) * (d.exp() - 1) + d)
+        return float(d - (1 + d).ln())
+
+
+@pytest.mark.parametrize("phi", [OrliczFunction.exp_young(),
+                                 OrliczFunction.exp_young_conjugate()],
+                         ids=lambda phi: phi.kind)
+def test_exp_young_pair_companions_are_accurate_at_small_arguments(phi):
+    # the companions' closed forms cancel below 1 as the functions' do;
+    # their Taylor branch below TAYLOR_BELOW keeps them within 3e-16
+    # relative there, 3e-12 above, and nondecreasing
+    t = np.concatenate((np.geomspace(1e-140, 50.0, 1201),
+                        TAYLOR_BELOW * np.linspace(0.99, 1.01, 41)))
+    t.sort()
+    vec = phi._companion(t)
+    exact = np.array([exact_companion(phi.kind, x) for x in t])
+    rel = np.abs(vec - exact) / exact
+    below = t < TAYLOR_BELOW
+    assert rel[below].max() <= 3e-16
+    assert rel[~below].max() <= 3e-12
+    assert np.all(np.diff(vec) >= 0.0)
+
+
+COMPANION_KINDS = [
+    *CATALOG_KINDS,
+    ("square_table", OrliczFunction.table([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])),
+    ("kinked_horizon", OrliczFunction.table([0.0, 0.25, 0.5],
+                                            [0.0, 0.0625, 0.25], horizon=0.5)),
+    ("crossing_tail", OrliczFunction.table([0.0, 1.0, 2.0], [0.0, 0.0, 3.0])),
+]
+COMPANION_KINDS += [(f"conjugate_of_{name}", conjugate(phi))
+                    for name, phi in COMPANION_KINDS[-3:]]
+
+
+@pytest.mark.parametrize("phi", [phi for _, phi in COMPANION_KINDS],
+                         ids=[name for name, _ in COMPANION_KINDS])
+def test_companions_are_t_times_the_left_derivative_less_phi(phi):
+    # C(t) = t Phi'(t-) - Phi(t) against a left difference quotient on a
+    # grid holding every kink (knots, chord slopes, walls at 0.5 and 1); it
+    # is nondecreasing and +inf exactly where Phi is. A quotient that
+    # straddles a kink reads a slope between the two sides, so each t is
+    # checked against the quotient over [t (1 - 1e-7), t] only when it
+    # agrees with the one over [t (1 - 2e-7), t (1 - 1e-7)]
+    t = np.unique(np.concatenate((np.linspace(0.0, 6.0, 1201),
+                                  [0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0])))
+    c = phi._companion(t)
+    assert c[0] == 0.0
+    assert np.all(np.isinf(c) == np.isinf(phi.values(t)))
+    finite = c[np.isfinite(c)]
+    assert np.all(np.diff(finite) >= -1e-12 * np.maximum(1.0, finite[1:]))
+    for x, cx in zip(t[1:], c[1:]):
+        if not math.isfinite(cx):
+            continue
+        at, near, far = phi.values(np.array([x, x * (1 - 1e-7),
+                                             x * (1 - 2e-7)]))
+        slope = (at - near) / (x * 1e-7)
+        if abs(slope - (near - far) / (x * 1e-7)) > 1e-5 * max(1.0, slope):
+            continue
+        assert cx == pytest.approx(x * slope - at, rel=1e-5, abs=1e-5)
+
+
 def test_exp_young_conjugate_exact_verdicts():
     psi = OrliczFunction.exp_young_conjugate()
     for regime in ("at_zero", "at_infinity"):
