@@ -259,6 +259,25 @@ MUTANTS = [
      "            if sweeps > 1 and coord_step is None:\n",
      "            if sweeps > 1:\n",
      [f"{STEPPED_LINES}[0]"]),
+    ("a stepped sweep is kept when its read does not gain",
+     DUALITY,
+     "                if not v > v_before:\n"
+     "                    g, v = g_start, v_before\n"
+     "                elif v >= stop_at:\n",
+     "                if v >= stop_at:\n",
+     ["tests/test_duality.py::"
+      "test_a_stepped_sweep_that_does_not_gain_is_dropped_whole",
+      "tests/test_duality.py::"
+      "test_a_coordinate_step_that_reads_minus_inf_is_not_taken"]),
+    ("a stepped ascent reads the objective after every step",
+     DUALITY,
+     "                    evals += reads\n",
+     "                    evals += reads + 1\n"
+     "                    objective(g)\n",
+     ["tests/test_duality.py::"
+      "test_stepped_ascents_read_each_coordinate_once_per_sweep",
+      "tests/test_duality.py::"
+      "test_a_stepped_sweep_that_does_not_gain_is_dropped_whole"]),
     ("a stepless ascent runs the pair transfers only when transfers only",
      DUALITY,
      "            if coord_step is None:\n",

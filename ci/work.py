@@ -15,6 +15,8 @@ count. The cases:
   ``cli.run_battery`` draws them;
 * numeric entropic and AVaR certificates at n = 16, 64 and 128, three draws
   of f ~ N(0, 1.5^2) each, with 2 restarts and 10 validation trials;
+* the stepped numeric Fenchel conjugate of the entropic at n = 1024, at the
+  density g proportional to |N(0, 1)| + 0.05, with 2 restarts;
 * Luxemburg and Amemiya norms of t^2 and of exp_young at N = 1024 and 4096,
   and at N = 1024 the Amemiya norms of paths no workload reaches:
   exp_young_conjugate, linear (the limit of a finite slope), linf_step (a
@@ -23,10 +25,11 @@ count. The cases:
 * Luxemburg and Amemiya norms of two Young tables at N = 256 atoms of total
   mass 1/8, with 1 <= |f| <= 1.25 as in the cli_session workload: the table
   ``0,0 1,1 2,4`` (tail t^2) and ``0,0 1,0.5 2,1.5 4,4`` (tail t^1.415...);
-* ``maximize_dual``'s line-search path, which no case above reaches: the
-  numeric Fenchel conjugates of the four catalog members with their
-  ``coordinate_step`` stripped, at each member's own maximizer for n = 3, 4
-  and 6, and ``reconstruct`` of the entropic and the worst case with their
+* the numeric Fenchel conjugates of the four catalog members at each
+  member's own maximizer for n = 3, 4 and 6, by their coordinate steps
+  (``stepped.*``) and, on ``maximize_dual``'s line-search path, which no
+  case above reaches, with their ``coordinate_step`` stripped; and
+  ``reconstruct`` of the entropic and the worst case with their
   closed-form conjugate and maximizer stripped, at n = 2 and 3, whose dual
   objective runs a numeric Fenchel conjugate per call.
 
@@ -130,6 +133,13 @@ def scale() -> dict[str, int]:
                                       validation_trials=10)
                 total += cert.evaluations
             counts[f"scale.{name}.n{n}.evaluations"] = total
+    n = 1024
+    sp = uniform_probability(n)
+    raw = np.abs(np.random.default_rng(41).normal(0.0, 1.0, n)) + 0.05
+    g = Rv(sp, raw / float(sp.weights @ raw))
+    counts[f"scale.fenchel.entropic.n{n}.evaluations"] = \
+        fenchel_conjugate_value(entropic(1.0, sp), g, restarts=2,
+                                force_numeric=True).evaluations
     return counts
 
 
@@ -193,6 +203,9 @@ def line_search() -> dict[str, int]:
         for name, phi in zip(CATALOG, increasing_catalog(sp, beta=1.0,
                                                          alpha=0.5)):
             g = phi.closed_form_maximizer(Rv(sp, rng.normal(0.0, 1.5, n)))
+            counts[f"stepped.fenchel.{name}.n{n}.evaluations"] = \
+                fenchel_conjugate_value(phi, g, seed=n, restarts=2,
+                                        force_numeric=True).evaluations
             bare = replace(phi, coordinate_step=None)
             counts[f"line_search.fenchel.{name}.n{n}.evaluations"] = \
                 fenchel_conjugate_value(bare, g, seed=n, restarts=2,

@@ -24,7 +24,8 @@ when the functional has a row kernel. A numeric Fenchel conjugate of a
 functional that declares its ``coordinate_step``, as every catalog member
 does, takes that step on each coordinate line and makes no other move: one
 step of iterative scaling for the entropic (Darroch & Ratcliff 1972), the
-best kink or segment end of a piecewise-linear line for the others.
+best kink or segment end of a piecewise-linear line for the others. The
+steps are exact, so it reads the objective once per sweep, not per step.
 """
 
 from __future__ import annotations
@@ -109,9 +110,11 @@ class AscentResult:
 
     ``sweeps`` belongs to the winning restart (``start_index``);
     ``evaluations`` counts every objective call over all restarts, and a
-    coordinate step adds the values of phi it read. The mass-multiplier
-    solve of a separable dual runs no sweep and no restart: ``start_index``
-    0, ``sweeps`` 0 and ``evaluations`` 1, the call that reads its value.
+    coordinate step adds the values of phi it read. With coordinate steps
+    a restart calls the objective once at its start (restart 0 twice when
+    its start reads -inf) and once per sweep. The mass-multiplier solve of
+    a separable dual runs no sweep and no restart: ``start_index`` 0,
+    ``sweeps`` 0 and ``evaluations`` 1, the call that reads its value.
     ``stop_reason`` says why the winning restart ended: ``"ceiling"`` (it
     came within ``CEILING_TOL`` of the caller's upper bound, and the call
     skipped every later sweep and restart), ``"flat"`` (a sweep gained at
@@ -180,16 +183,22 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     ``coord_step``, when given, is ``(g, i, lo, hi) -> (t, reads)``: the
     maximizer of the objective along ``g_i`` on ``[lo, hi]`` and the values
     of phi it read to find it, as ``fenchel_conjugate_value`` passes a
-    functional's declared ``coordinate_step``. The ascent then reads the
-    objective at t once per coordinate and sweep, one counted evaluation
-    plus the reads, and makes no other move; a step that reads -inf is not
-    taken, and no catalog step does. Exact coordinate maximization
-    converges for a smooth concave objective with a unique maximizer on
-    each coordinate line (Luo & Tseng 1992), which the entropic objective
-    is. A box-only member's phi is positively homogeneous, so its conjugate
-    is 0, reached at restart 0's constant start, or else the objective is
-    unbounded along a coordinate or ones ray, where a step takes the
-    segment's end and the segment grows with |f|.
+    functional's declared ``coordinate_step``. A sweep then sets each g_i
+    in turn to its step's t, on the segment above, and makes no other move.
+    Each step maximizes its line exactly, so a sweep loses nothing beyond
+    rounding, and the ascent reads the objective once, at the sweep's end:
+    one counted evaluation per sweep, plus the steps' reads. The sweep is
+    kept only when that read is strictly higher than the sweep's start;
+    otherwise it is dropped whole, g goes back to the sweep's start, and
+    the restart ends ``flat`` (or ``stuck_at_-inf``). So a step that
+    reads -inf drops its whole sweep, the others' steps with it; no
+    catalog step reads -inf. Exact coordinate maximization converges for a
+    smooth concave objective with a unique maximizer on each coordinate
+    line (Luo & Tseng 1992), which the entropic objective is. A box-only
+    member's phi is positively homogeneous, so its conjugate is 0, reached
+    at restart 0's constant start, or else the objective is unbounded along
+    a coordinate or ones ray, where a step takes the segment's end and the
+    segment grows with |f|.
 
     Each line search, on coordinate, pair and pattern lines alike, stops
     once its bracket is as narrow as ``INV_PHI**LINE_STEPS`` times its
@@ -204,6 +213,8 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     point or an accepted move reaches ``ceiling - CEILING_TOL * (1 +
     |ceiling|)``, skipping the remaining sweeps and restarts; below an upper
     bound, a point it stops at is within that distance of the supremum. A
+    stepped sweep is one move, checked after its one read, so a stepped
+    ascent passes its ceiling by at most one sweep. A
     ceiling the ascent never reaches, a non-finite one included, changes
     nothing. The result is deterministic in ``seed``: restart 0 starts at
     the constant density 1 / total mass, restart r > 0 draws from
@@ -252,7 +263,22 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
             v_before = v
             g_start = g.copy()
 
-            if not transfers_only:
+            if coord_step is not None:
+                # each step maximizes its line exactly, so the sweep loses
+                # nothing beyond rounding and one read at its end is enough;
+                # coordinate i keeps its start value until its own step
+                span = 2.0 * (1.0 + float(np.max(np.abs(g))))
+                for i, t0 in enumerate(g.tolist()):
+                    lo = max(0.0, t0 - span) if nonneg else t0 - span
+                    g[i], reads = coord_step(g, i, lo, t0 + span)
+                    evals += reads
+                v = objective(g)
+                evals += 1
+                if not v > v_before:
+                    g, v = g_start, v_before
+                elif v >= stop_at:
+                    return at_ceiling()
+            elif not transfers_only:
                 skipped = 0
                 span = 2.0 * (1.0 + float(np.max(np.abs(g))))
                 for i in range(n):
@@ -267,24 +293,19 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
                         g[i] = old
                         return val
 
-                    if coord_step is not None:
-                        t, reads = coord_step(g, i, lo, hi)
-                        step = (t, h(t))
-                        evals += 1 + reads
-                    else:
-                        # the guard: both shoulders -inf (the second probed
-                        # only when the first is) put all of the line bar
-                        # the current point outside the objective's domain,
-                        # as under an equality constraint on the mass
+                    # the guard: both shoulders -inf (the second probed only
+                    # when the first is) put all of the line bar the current
+                    # point outside the objective's domain, as under an
+                    # equality constraint on the mass
+                    evals += 1
+                    if h(lo + 0.25 * (hi - lo)) == -math.inf:
                         evals += 1
-                        if h(lo + 0.25 * (hi - lo)) == -math.inf:
-                            evals += 1
-                            if h(lo + 0.75 * (hi - lo)) == -math.inf:
-                                skipped += 1
-                                continue
-                        step, ev = _line_search(h, lo, hi, t0, v)
-                        evals += ev
-                    if step and step[1] > v:
+                        if h(lo + 0.75 * (hi - lo)) == -math.inf:
+                            skipped += 1
+                            continue
+                    step, ev = _line_search(h, lo, hi, t0, v)
+                    evals += ev
+                    if step:
                         g[i], v = step
                         if v >= stop_at:
                             return at_ceiling()
@@ -367,7 +388,8 @@ class ConjugateEstimate:
     """``evaluations`` counts the functional's evaluations, ``evaluate``
     calls and ``evaluate_rows`` rows alike: the ray probes plus the ascent's
     objective calls and the rows its coordinate steps read, 0 on the
-    closed-form path.
+    closed-form path. A stepped ascent calls the objective once per sweep,
+    not once per step.
     ``stop_reason`` says how the value was found: ``"closed_form"``,
     ``"ray"`` (a ray probe diverged), ``"unbounded"`` (the ascent passed
     ``DIVERGENCE_ASCENT``), or else the ascent's ``AscentResult.stop_reason``."""
@@ -470,16 +492,17 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     sign-free ascent over f (``maximize_dual`` on the ``_DualObjective`` of
     phi in the conjugate's place) estimates the supremum: by one
     ``phi.coordinate_step`` per coordinate line when phi declares one,
-    passed as the ascent's ``coord_step``, by line searches, pair transfers
-    and pattern moves otherwise. An ascent whose value passes
-    ``DIVERGENCE_ASCENT`` = 1e12 is reported as +inf along the direction of
-    its best point; since its value never falls, it stops at twice that
-    value. A ``g`` on another space than phi's raises SpaceMismatchError on
-    either path; ``restarts`` below 1 and ``seed`` below 0 raise ValueError
-    before the first probe, on the numeric path only. ``evaluations``
-    reports the rows and ``phi.evaluate`` calls this evaluated, a step's
-    rows included, and ``stop_reason`` says how the value was found
-    (``ConjugateEstimate``).
+    passed as the ascent's ``coord_step``, with one objective read per
+    sweep, by line searches, pair transfers and pattern moves otherwise. An
+    ascent whose value passes ``DIVERGENCE_ASCENT`` = 1e12 is reported as
+    +inf along the direction of its best point; since its value never
+    falls, it stops at twice that value, a stepped ascent at most one sweep
+    past it. A ``g`` on another space than phi's raises SpaceMismatchError
+    on either path; ``restarts`` below 1 and ``seed`` below 0 raise
+    ValueError before the first probe, on the numeric path only.
+    ``evaluations`` reports the rows and ``phi.evaluate`` calls this
+    evaluated, a step's rows included, and ``stop_reason`` says how the
+    value was found (``ConjugateEstimate``).
     """
     space = phi.space
     space.require_same(g.space)
@@ -494,9 +517,10 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
                                  diverged_ray=Rv(space, ray),
                                  evaluations=probes, stop_reason="ray")
 
-    step = phi.coordinate_step
+    step, gv = phi.coordinate_step, g.values
+    # maximize_dual hands a step its bounds as Python floats
     coord_step = (None if step is None else lambda f, i, lo, hi:
-                  step(f, i, g.values, float(lo), float(hi)))
+                  step(f, i, gv, lo, hi))
     # an ascent's value never falls, so once it passes DIVERGENCE_ASCENT the
     # answer is +inf whatever the rest of the search finds; the ceiling's
     # stop point, 2e12 less its tolerance, lies past it
