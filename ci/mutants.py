@@ -516,6 +516,35 @@ MUTANTS = [
      "        if not beta > 0.0:\n",
      "        if False:\n",
      [f"{BAD_BETA}[0.0]", f"{BAD_BETA}[-1.0]", f"{BAD_BETA}[nan]"]),
+    ("the spike bound is taken at the smallest visited weight",
+     CONVERGENCE,
+     "        worst = indicator_norm(phi, float(space.weights[:length].max()))\n",
+     "        worst = indicator_norm(phi, float(space.weights[:length].min()))\n",
+     ["tests/test_convergence.py::"
+      "test_spike_bound_covers_every_term_on_geometric_weights"]),
+    ("the first pairing of each later extraction block is doubled",
+     CONVERGENCE,
+     "            np.matmul(d, wg, out=pairings_all[start:start + len(rows)])\n",
+     "            np.matmul(d, wg, out=pairings_all[start:start + len(rows)])\n"
+     "            if start:\n"
+     "                pairings_all[start] *= 2.0\n",
+     ["tests/test_convergence_matrix.py::"
+      "test_extraction_picks_the_first_row_of_a_later_block"]),
+    ("SequenceFamily.terms views its rows in reverse order",
+     CONVERGENCE,
+     "        return tuple(Rv._wrap(self.limit.space, row) for row in "
+     "self.values)\n",
+     "        return tuple(Rv._wrap(self.limit.space, row) for row in "
+     "self.values[::-1])\n",
+     ["tests/test_convergence_matrix.py::"
+      "test_generated_values_match_their_formulas"]),
+    ("the scaled-power kernel drops its scale",
+     ORLICZ,
+     "            return self.scale * np.power(ts, self.p)\n",
+     "            return np.power(ts, self.p)\n",
+     ["tests/test_orlicz.py::test_catalog_evaluations",
+      "tests/test_orlicz.py::test_companions_are_t_times_the_left_"
+      "derivative_less_phi[scaled_power_2.5_c4]"]),
     ("generate_sequence accepts a negative seed",
      CONVERGENCE,
      "    if seed < 0:\n",

@@ -4,7 +4,7 @@ An Orlicz function here is convex, increasing, left-continuous, vanishes at
 zero, is not identically zero and may take the value ``+inf`` (modelled by
 ``math.inf``). The catalog covers the workhorse cases:
 
-* ``power(p)``           -- t**p, p > 1
+* ``power(p)``           -- t**p, p > 1: ``scaled_power(p, 1)``, relabelled
 * ``scaled_power(p, c)`` -- c * t**p; default c = 1/p (the normalized family)
 * ``exp_young()``        -- exp(t) - t - 1
 * ``exp_young_conjugate()`` -- (1+s) log(1+s) - s, the conjugate of exp_young
@@ -35,7 +35,6 @@ import numpy as np
 
 from ._search import brent_max, expand_max_bracket
 
-POWER = "power"
 SCALED_POWER = "scaled_power"
 EXP_YOUNG = "exp_young"
 EXP_YOUNG_CONJUGATE = "exp_young_conjugate"
@@ -141,8 +140,9 @@ class OrliczFunction:
 
     @staticmethod
     def power(p: float) -> "OrliczFunction":
-        _check_power(p, 1.0)
-        return OrliczFunction(POWER, p=float(p), label=f"power(p={p})")
+        """t**p, the scaled power with c = 1 (kind ``scaled_power``)."""
+        return replace(OrliczFunction.scaled_power(p, 1.0),
+                       label=f"power(p={p})")
 
     @staticmethod
     def scaled_power(p: float, c: float | None = None) -> "OrliczFunction":
@@ -262,8 +262,6 @@ class OrliczFunction:
         value beyond the float range.
         """
         k = self.kind
-        if k == POWER:
-            return np.power(ts, self.p)
         if k == SCALED_POWER:
             return self.scale * np.power(ts, self.p)
         if k == EXP_YOUNG:
@@ -298,8 +296,6 @@ class OrliczFunction:
         conjugate (``_table_conjugate_companion``).
         """
         k = self.kind
-        if k == POWER:
-            return (self.p - 1.0) * np.power(ts, self.p)
         if k == SCALED_POWER:
             return (self.p - 1.0) * self.scale * np.power(ts, self.p)
         if k == EXP_YOUNG:
@@ -567,35 +563,30 @@ def conjugate(phi: OrliczFunction) -> OrliczFunction:
     :func:`conjugate_value`.
     """
     k = phi.kind
-    if k in (POWER, SCALED_POWER):
-        # the power kind keeps scale 1
+    if k == SCALED_POWER:
         q, c_dual = _power_conjugate(phi.p, phi.scale)
         return OrliczFunction.scaled_power(q, c_dual)
     if k == EXP_YOUNG:
         return OrliczFunction.exp_young_conjugate()
     if k == EXP_YOUNG_CONJUGATE:
         return OrliczFunction.exp_young()
-    if k == TABLE:
-        slope = limit_slope(phi)
-        hz = math.inf if slope.is_infinite else slope.limit
-        return OrliczFunction(TABLE_CONJUGATE, horizon=hz, knots=phi.knots,
-                              label=f"conjugate({phi.label})")
+    label = f"conjugate({phi.label})"
     if k == TABLE_CONJUGATE:
         return OrliczFunction(TABLE, horizon=phi.knots.horizon,
-                              knots=phi.knots,
-                              label=f"conjugate({phi.label})")
-    # custom: numeric pointwise conjugate; its finiteness horizon is the
-    # limit slope of phi (the conjugate is finite exactly up to that slope),
-    # and beyond the horizon it is +inf without a search.
+                              knots=phi.knots, label=label)
+    # the conjugate is finite exactly up to phi's limit slope
     slope = limit_slope(phi)
     hz = math.inf if slope.is_infinite else slope.limit
+    if k == TABLE:
+        return OrliczFunction(TABLE_CONJUGATE, horizon=hz, knots=phi.knots,
+                              label=label)
 
+    # custom: numeric pointwise, +inf beyond the horizon without a search
     def _numeric_dual(s: float) -> float:
         return math.inf if s > hz else conjugate_value(phi, s)
 
-    return OrliczFunction.custom(
-        _numeric_dual, horizon=hz, label=f"conjugate({phi.label})", spot_check=False
-    )
+    return OrliczFunction.custom(_numeric_dual, horizon=hz, label=label,
+                                 spot_check=False)
 
 
 def conjugate_value(phi: OrliczFunction, s: float) -> float:
@@ -663,7 +654,7 @@ def check_delta2(phi: OrliczFunction, regime: Regime) -> Delta2Verdict:
     if regime not in _REGIMES:
         raise ValueError(f"regime must be one of {_REGIMES}, got {regime!r}")
     k = phi.kind
-    if k in (POWER, SCALED_POWER):
+    if k == SCALED_POWER:
         return Delta2Verdict(HOLDS, regime, k=_safe_pow(2.0, phi.p),
                              exact=True)
     if k == EXP_YOUNG:
@@ -791,7 +782,7 @@ def limit_slope(phi: OrliczFunction) -> SlopeClass:
     ``estimated=True`` when it comes from the probe.
     """
     k = phi.kind
-    if (k in (POWER, SCALED_POWER, EXP_YOUNG, EXP_YOUNG_CONJUGATE)
+    if (k in (SCALED_POWER, EXP_YOUNG, EXP_YOUNG_CONJUGATE)
             or math.isfinite(phi.horizon)):  # +inf beyond a horizon
         return SlopeClass(math.inf, True)
     if k == TABLE:

@@ -427,6 +427,33 @@ def test_usage_errors_exit_2(files, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("power:p=2,x", "malformed parameter 'x'"),
+    ("custom:file={table},y=1", "unknown parameters ['y']"),
+], ids=["malformed", "unknown"])
+def test_malformed_and_unknown_spec_parameters_exit_2(files, capsys, spec,
+                                                      message):
+    table = files("table.csv", "t,value\n0,0\n1,1\n2,4\n")
+    code, out, err = run_cli(capsys, "classify", "--orlicz",
+                             spec.format(table=table))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_a_modular_that_never_exceeds_1_exits_3(files, capsys):
+    # one atom of weight 1e-10 under the line 1e-300 t: the modular of
+    # f = 1 at lam is 1e-310 / lam, at most 1 until lam falls to 1e-310,
+    # past the halving walk's floor of 1e-300 times sup|f|
+    space = files("space.csv", "atom_id,weight,block_id\n0,1e-10,0\n")
+    rv = files("f.csv", "atom_id,value\n0,1\n")
+    table = files("table.csv", "t,value\n0,0\n1,1e-300\n")
+    code, out, err = run_cli(capsys, "norm", "--space", space, "--rv", rv,
+                             "--orlicz", f"custom:file={table}")
+    assert (code, out) == (3, "")
+    assert err == ("numeric failure: norm bracket collapse: modular never "
+                   "exceeds 1\n")
+
+
 @pytest.mark.parametrize("spec", [
     "power:p=inf", "power:p=1e300", "scaled_power:p=2,c=inf",
     "scaled_power:p=2,c=1e300", "scaled_power:p=2,c=1e-320",

@@ -257,6 +257,30 @@ def test_fatou_on_a_spike_layout_matches_a_dense_copy_bit_for_bit(past_n):
     assert got == fatou_check(phi, [dense]).rows
 
 
+def test_extraction_picks_the_first_row_of_a_later_block():
+    # at the real BLOCK_BYTES: pairings stay at 8 for one block of rows,
+    # then halve from 1/4, so every pick is the first row of the second
+    # block or a row after it; the property above meets block starts only
+    # under a shrunk budget, and only where its drawn examples put a pick
+    n = 16
+    rows = _block_rows(n)
+    space = uniform_probability(n)
+    f = Rv(space, np.linspace(-1.0, 1.0, n))
+    g0 = strictly_positive_witness(space, PSI2)
+    f0 = strictly_positive_witness(space, POWER2)
+    mass = float(np.dot(space.weights, g0.values))
+    steps = np.concatenate((np.full(rows, 8.0), 0.5 ** np.arange(2.0, 42.0)))
+    fam = SequenceFamily.from_terms(
+        [Rv(space, f.values + s / mass) for s in steps], f, POWER2)
+    res = extract_ae_subsequence(fam, f, g0, f0)
+    status, indices, pairings, trace, stalled_at, pointwise_ok = ref_extract(
+        fam, f, g0, f0)
+    assert indices[0] == rows
+    assert (res.status, list(res.indices)) == (status, indices)
+    assert_close(res.pairings, pairings, n)
+    assert_close(res.trace, trace, n)
+
+
 def test_decay_verdicts_on_both_sides(monkeypatch):
     sp = uniform_probability(3)
     limit = Rv(sp, np.zeros(3))

@@ -1150,6 +1150,39 @@ def test_numeric_entropic_reconstruct_resolves_a_tiny_gibbs_mass():
     assert cert.stop_reason == "ceiling"
 
 
+def _stripped(phi):
+    """phi without a closed-form conjugate or maximizer: the paper's general
+    case, whose certificate reads phi* by numeric Fenchel conjugates."""
+    return replace(phi, closed_form_conjugate=None,
+                   closed_form_maximizer=None)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("member", ["entropic", "worst_case", "avar"])
+def test_reconstruct_certifies_members_without_closed_forms(member, n):
+    # the ledger's line_search.reconstruct inputs, an AVaR draw added. The
+    # ascent stops within CEILING_TOL (1 + |phi(f)|) below phi(f); a numeric
+    # phi* approaches its supremum from below, within 1e-10 of the closed
+    # form at the members' own densities
+    # (test_fenchel_numeric_agrees_with_closed_form_seeded), so a dual value
+    # passes phi(f) by no more than that
+    sp = uniform_probability(n)
+    fs = np.random.default_rng([n, 31]).normal(0.0, 1.5, (3, n))
+    row, phi = {"entropic": (0, entropic(1.0, sp)),
+                "worst_case": (1, worst_case(sp)),
+                "avar": (2, average_value_at_risk(0.5, sp))}[member]
+    f = Rv(sp, fs[row])
+    _, cert = reconstruct(_stripped(phi), f, PSI2, seed=n, restarts=2,
+                          validation_trials=10)
+    primal = phi.evaluate(f)
+    assert cert.start_index is not None and cert.stop_reason == "ceiling"
+    assert -1e-10 <= cert.gap <= duality.CEILING_TOL * (1.0 + abs(primal))
+    exact = phi.closed_form_conjugate(cert.g)
+    assert abs(cert.conjugate_value - exact) <= 1e-10
+    assert cert.nonnegative_ok and cert.heart_ok
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(member=st.integers(0, 5), n=st.integers(2, 8),
        seed=st.integers(0, 2 ** 16), data=st.data())
@@ -1906,6 +1939,25 @@ def test_biconjugate_recovers_entropic():
     assert rep.max_deviation <= 1e-5
     assert rep.max_split <= 1e-6
     assert len(rep.deviations) == 6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3])
+def test_biconjugate_recovers_entropic_without_closed_forms(n):
+    # both ascents, sign-free and over g >= 0, read phi* numerically and
+    # stop within CEILING_TOL (1 + |phi(f)|) below phi(f), their ceiling;
+    # the numeric phi* reads at most 1e-10 low
+    # (test_fenchel_numeric_agrees_with_closed_form_seeded), so each value
+    # passes phi(f) by no more than that
+    sp = uniform_probability(n)
+    ent = entropic(1.0, sp)
+    probes = [Rv(sp, v) for v in
+              np.random.default_rng([n, 31]).normal(0.0, 1.5, (3, n))]
+    rep = biconjugate_check(_stripped(ent), probes, seed=n, restarts=2)
+    for f, deviation, split in zip(probes, rep.deviations, rep.splits):
+        below = duality.CEILING_TOL * (1.0 + abs(ent.evaluate(f)))
+        assert deviation <= max(below, 1e-10)
+        assert split <= below + 1e-10
 
 
 @pytest.mark.parametrize("make", [lambda sp: average_value_at_risk(0.5, sp),

@@ -72,6 +72,26 @@ def test_modular_equals_the_checked_reference(data, kind, n, lam):
     assert modular(f, lam, phi).hex() == expected.hex()
 
 
+@pytest.mark.parametrize("kind", range(len(MODULAR_KINDS)),
+                         ids=["power", "scaled_power", "linear", "exp_young",
+                              "exp_young_conjugate", "linf_step", "custom"])
+def test_modular_equals_the_checked_reference_seeded(kind):
+    # the numpy-seeded twin of the Hypothesis property above, whose
+    # derandomized examples move with any source constant: n, weights and
+    # values from the same ranges, lam log-uniform on the same interval
+    phi = MODULAR_KINDS[kind]
+    rng = np.random.default_rng([39, kind])
+    for _ in range(40):
+        n = int(rng.integers(1, 10))
+        f = Rv(MeasureSpace.finite(rng.uniform(1e-3, 10.0, n)),
+               rng.uniform(-800.0, 800.0, n))
+        lam = float(10.0 ** rng.uniform(-3.0, 3.0))
+        vals = phi.values(np.abs(f.values) / lam)
+        expected = (math.inf if np.any(np.isinf(vals))
+                    else float(np.dot(f.space.weights, vals)))
+        assert modular(f, lam, phi).hex() == expected.hex()
+
+
 def test_luxemburg_matches_weighted_pnorm():
     rng = np.random.default_rng(42)
     for p in (1.5, 2.0, 3.0):
@@ -397,7 +417,8 @@ def test_amemiya_power2_is_twice_the_weighted_2norm(atoms):
 @pytest.mark.parametrize("phi", [POWER2, OrliczFunction.scaled_power(1.5),
                                  OrliczFunction.exp_young(),
                                  OrliczFunction.exp_young_conjugate()],
-                         ids=lambda phi: phi.kind)
+                         ids=["power", "scaled_power", "exp_young",
+                              "exp_young_conjugate"])
 def test_amemiya_is_homogeneous_at_every_scale(phi):
     # the search runs in u / sup|f| with a width relative to its bracket;
     # with an absolute width below 1, the norm of c (1, 2, 3) under t^2 was

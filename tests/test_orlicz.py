@@ -70,6 +70,19 @@ def test_constructor_validation():
         OrliczFunction.custom(lambda t: t * t, horizon=0.0)
 
 
+@pytest.mark.parametrize("evaluator, horizon, message", [
+    (lambda t: 1.0 + t * t, math.inf, "must vanish at 0"),
+    (lambda t: 0.0, math.inf, "finite and positive somewhere"),
+    (lambda t: t * (2.0 - t), math.inf, "not increasing"),
+    (math.sqrt, math.inf, "midpoint convexity"),
+    (lambda t: t * t, 1.0, "not a horizon"),
+], ids=["one_plus_square", "zero", "hump", "sqrt", "square_horizon_1"])
+def test_custom_spot_check_refuses(evaluator, horizon, message):
+    # the spot check samples 25 points up to the horizon, or up to 8
+    with pytest.raises(ValueError, match=message):
+        OrliczFunction.custom(evaluator, horizon=horizon)
+
+
 def test_a_nan_horizon_is_refused():
     # nan <= 0 is false; the horizon would read as finite nowhere
     with pytest.raises(ValueError, match="horizon must be positive"):
