@@ -4,10 +4,11 @@
 
 Each entry of MUTANTS names a file, an exact text in it, the text that
 replaces it, and the test ids that must fail once it does. The script
-copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary directory,
-runs every named id there once unmutated (they must all pass, or a failure
-under a mutant would prove nothing), then applies each mutant alone and
-runs only its ids. It exits 1 when the unmutated run fails, when a mutant's
+copies ``src``, ``tests``, ``pyproject.toml`` and the work ledger
+``ci/work.json``, which tests read, to a temporary directory, runs every
+named id there once unmutated (they must all pass, or a failure under a
+mutant would prove nothing), then applies each mutant alone and runs only
+its ids. It exits 1 when the unmutated run fails, when a mutant's
 old text no longer occurs exactly once (so a refactor that moves the code
 must update the table), or when a named id passes under its mutant.
 Standard library only.
@@ -30,6 +31,9 @@ CONVERGENCE = "src/orliczkit/convergence.py"
 NORMS = "src/orliczkit/norms.py"
 SPECS = "src/orliczkit/specs.py"
 RISK = "src/orliczkit/risk.py"
+CLI = "src/orliczkit/cli.py"
+LEDGER_BATTERY = ("tests/test_cli.py::"
+                  "test_run_battery_reports_the_work_ledger_counts")
 BISECTION_PROPERTY = ("tests/test_norms.py::"
                       "test_luxemburg_equals_the_bisection_bit_for_bit")
 SPIKE_PROPERTY = ("tests/test_convergence_matrix.py::"
@@ -98,7 +102,9 @@ MUTANTS = [
      "                rays, traces.reshape(len(rays), -1).tolist()))):\n",
      ["tests/test_duality.py::"
       "test_fenchel_negative_coordinate_diverges_via_indicator_ray",
-      "tests/test_duality.py::test_row_probes_match_the_scalar_path"]),
+      "tests/test_duality.py::test_row_probes_match_the_scalar_path",
+      "tests/test_duality.py::"
+      "test_row_probes_match_the_scalar_path_seeded[5]"]),
     ("restart 0 never tries the unit density",
      DUALITY,
      "        if r == 0 and v == -math.inf:\n",
@@ -278,6 +284,20 @@ MUTANTS = [
       "test_stepped_ascents_read_each_coordinate_once_per_sweep",
       "tests/test_duality.py::"
       "test_a_stepped_sweep_that_does_not_gain_is_dropped_whole"]),
+    ("a stepped sweep counts its objective read twice",
+     DUALITY,
+     "                v = objective(g)\n"
+     "                evals += 1\n",
+     "                v = objective(g)\n"
+     "                evals += 2\n",
+     ["tests/test_duality.py::"
+      "test_stepped_ascents_read_each_coordinate_once_per_sweep",
+      LEDGER_BATTERY]),
+    ("run_battery leaves the determinism row out of its work",
+     CLI,
+     "    work[\"determinism\"] = c1.evaluations + c2.evaluations\n",
+     "",
+     [LEDGER_BATTERY]),
     ("a stepless ascent runs the pair transfers only when transfers only",
      DUALITY,
      "            if coord_step is None:\n",
@@ -577,7 +597,9 @@ def main() -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        (copy / "ci").mkdir()
+        for part in ("pyproject.toml", "ci/work.json"):
+            shutil.copy2(ROOT / part, copy / part)
 
         code, failed = run_tests(copy, sorted({i for *_, ids in MUTANTS
                                                for i in ids}))

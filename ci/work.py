@@ -10,9 +10,9 @@ count. The cases:
 
 * criterion 4's 50 numeric entropic certificates
   (``tests/test_acceptance.py``);
-* ``verify-all --seed 41``'s numeric certificates, its 64 numeric Fenchel
-  conjugates and its biconjugate check of 12 probes, drawn as
-  ``cli.run_battery`` draws them;
+* ``verify-all --seed 41``'s certificates, its 64 numeric Fenchel
+  conjugates, its biconjugate check of 12 probes and its two determinism
+  reconstructs, as ``cli.run_battery`` counts them;
 * numeric entropic and AVaR certificates at n = 16, 64 and 128, three draws
   of f ~ N(0, 1.5^2) each, with 2 restarts and 10 validation trials;
 * the stepped numeric Fenchel conjugate of the entropic at n = 1024, at the
@@ -47,10 +47,11 @@ from dataclasses import replace
 import numpy as np
 
 from orliczkit import (MeasureSpace, OrliczFunction, Rv, amemiya_norm,
-                       average_value_at_risk, biconjugate_check, conjugate,
-                       entropic, fenchel_conjugate_value, increasing_catalog,
+                       average_value_at_risk, conjugate, entropic,
+                       fenchel_conjugate_value, increasing_catalog,
                        load_custom_table, luxemburg_norm, reconstruct,
                        uniform_probability, worst_case)
+from orliczkit.cli import build_parser, run_battery
 
 PSI2 = conjugate(OrliczFunction.power(2.0))
 
@@ -70,51 +71,11 @@ def criterion_4() -> dict[str, int]:
     return {"criterion_4.certificates.evaluations": total}
 
 
-def verify_all(seed: int = 41) -> dict[str, int]:
-    sp3, sp4 = uniform_probability(3), uniform_probability(4)
-    catalog = increasing_catalog(sp4, beta=1.0, alpha=0.5)
-    ent3 = entropic(1.0, sp3)
-    counts = {}
-
-    # the certificate rows share one generator; only ent3's are numeric
-    rng = np.random.default_rng([seed, 3])
-    total = 0
-    for phi, draws, scale, numeric in (
-            (entropic(1.0, uniform_probability(6)), 8, 1.5, False),
-            (ent3, 4, 1.5, True), (catalog[3], 1, 1.0, False),
-            (catalog[1], 6, 2.0, False)):
-        for _ in range(draws):
-            f = Rv(phi.space, rng.normal(0.0, scale, phi.space.n_atoms))
-            _, cert = reconstruct(phi, f, PSI2, seed=seed, restarts=2,
-                                  force_numeric=numeric, validation_trials=40)
-            total += cert.evaluations
-    counts["verify_all_41.certificates.evaluations"] = total
-
-    # each member's own maximizers, and each with a negative dip
-    rng = np.random.default_rng([seed, 4])
-    total = 0
-    for phi in catalog:
-        for _ in range(8):
-            g = phi.closed_form_maximizer(Rv(sp4, rng.normal(0.0, 1.5, 4)))
-            dipped = g.values.copy()
-            dipped[int(rng.integers(0, 4))] = -0.5
-            for dual in (Rv(sp4, dipped), g):
-                total += fenchel_conjugate_value(
-                    phi, dual, seed=seed, restarts=2,
-                    force_numeric=True).evaluations
-    counts["verify_all_41.fenchel_conjugates.evaluations"] = total
-
-    rng = np.random.default_rng([seed, 6])
-    probes = [Rv(sp3, rng.normal(0.0, 1.5, 3)) for _ in range(12)]
-    counts["verify_all_41.biconjugate.evaluations"] = biconjugate_check(
-        ent3, probes, seed=seed, restarts=2).evaluations
-
-    # the closing determinism row certifies one more draw twice
-    f = Rv(sp3, rng.normal(0.0, 1.0, 3))
-    counts["verify_all_41.determinism.evaluations"] = sum(
-        reconstruct(ent3, f, PSI2, seed=seed, restarts=2, force_numeric=True,
-                    validation_trials=40)[1].evaluations for _ in range(2))
-    return counts
+def verify_all() -> dict[str, int]:
+    args = build_parser().parse_args(["verify-all", "--seed", "41"])
+    _, work = run_battery(args)
+    return {f"verify_all_41.{key}.evaluations": count
+            for key, count in work.items()}
 
 
 def scale() -> dict[str, int]:

@@ -225,10 +225,14 @@ def _cmd_closure_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_battery(args) -> list[dict]:
-    """The verify-all rows; deterministic given ``--seed``, ``--truncation``
-    and ``--tol``."""
+def run_battery(args) -> tuple[list[dict], dict[str, int]]:
+    """The verify-all rows, and the summed ``evaluations`` of the battery's
+    certificates, numeric Fenchel conjugates, biconjugate check and
+    determinism reconstructs (the work ledger's ``verify_all_41.*`` counts);
+    deterministic given ``--seed``, ``--truncation`` and ``--tol``."""
     rows: list[dict] = []
+    work = dict.fromkeys(("certificates", "fenchel_conjugates",
+                          "biconjugate", "determinism"), 0)
 
     def row(label: str, margin: float, default_tol: float,
             detail: str) -> None:
@@ -312,6 +316,7 @@ def run_battery(args) -> list[dict]:
                                   restarts=2, force_numeric=numeric,
                                   validation_trials=40)
             margin = max(margin, abs(cert.gap))
+            work["certificates"] += cert.evaluations
         row(label, margin, tol, detail)
 
     # dual positivity, both directions; each functional's own maximizer is a
@@ -332,9 +337,11 @@ def run_battery(args) -> list[dict]:
             mis_neg += not (est.stop_reason == "ray" and any(
                 np.array_equal(est.diverged_ray.values, -axis)
                 for axis in np.eye(4)[dipped < 0.0]))
+            work["fenchel_conjugates"] += est.evaluations
             est = fenchel_conjugate_value(functional, g, seed=args.seed,
                                           restarts=2, force_numeric=True)
             mis_pos += not math.isfinite(est.value)
+            work["fenchel_conjugates"] += est.evaluations
     row("dual_positivity_negative", float(mis_neg), 0.0,
         "negative-dip duals diverge with evidence, 8 draws x 4 functionals")
     row("dual_positivity_feasible", float(mis_pos), 0.0,
@@ -372,6 +379,7 @@ def run_battery(args) -> list[dict]:
     rng = np.random.default_rng([args.seed, 6])
     probes = [Rv(sp3, rng.normal(0.0, 1.5, 3)) for _ in range(12)]
     bi = biconjugate_check(ent3, probes, seed=args.seed, restarts=2)
+    work["biconjugate"] = bi.evaluations
     row("biconjugate_entropic", bi.max_deviation, 1e-5,
         "sign-free double conjugate vs entropic, 12 probes")
     row("biconjugate_split", bi.max_split, 1e-6,
@@ -387,17 +395,18 @@ def run_battery(args) -> list[dict]:
 
     # in-process determinism of a representative numeric search
     f = Rv(sp3, rng.normal(0.0, 1.0, 3))
-    v1, _ = reconstruct(ent3, f, psi2, seed=args.seed, restarts=2,
-                        force_numeric=True, validation_trials=40)
-    v2, _ = reconstruct(ent3, f, psi2, seed=args.seed, restarts=2,
-                        force_numeric=True, validation_trials=40)
+    v1, c1 = reconstruct(ent3, f, psi2, seed=args.seed, restarts=2,
+                         force_numeric=True, validation_trials=40)
+    v2, c2 = reconstruct(ent3, f, psi2, seed=args.seed, restarts=2,
+                         force_numeric=True, validation_trials=40)
     row("determinism_reprobe", 0.0 if v1 == v2 else 1.0, 0.0,
         "same seed, same numeric supremum bits")
-    return rows
+    work["determinism"] = c1.evaluations + c2.evaluations
+    return rows, work
 
 
 def _cmd_verify_all(args) -> int:
-    rows = run_battery(args)
+    rows, _ = run_battery(args)
     failures = sum(not r["passed"] for r in rows)
     if args.format == "csv":
         sys.stdout.write(render_table(

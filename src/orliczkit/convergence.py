@@ -587,6 +587,8 @@ class ClosureReport:
     distance_euclid: float
     distance_lux: float
     family: SequenceFamily
+    # True by construction: each term is the first iterate within its
+    # envelope, and the final iterate, at distance_lux, is within every one
     envelope_ok: bool
     sweeps: int
     vertex_shortcut: bool
@@ -668,21 +670,14 @@ def closure_demo(vertices: Sequence[Rv], f: Rv, phi: OrliczFunction, *,
 
     dist_lux = lux_at(len(snapshots) - 1)
     picks = []
-    envelope_ok = True
     cursor = 0
     for k in range(1, length + 1):
+        # every budget is at least dist_lux, also in floating point, so the
+        # search stops by the last snapshot at the latest
         budget = (1.0 + 1.0 / k) * dist_lux + 1.0 / k
-        chosen = None
-        for j in range(cursor, len(snapshots)):
-            if lux_at(j) <= budget:
-                chosen = j
-                break
-        if chosen is None:
-            chosen = len(snapshots) - 1
-            if lux_at(chosen) > budget:
-                envelope_ok = False
-        cursor = chosen
-        picks.append(snapshots[chosen])
+        cursor = next(j for j in range(cursor, len(snapshots))
+                      if lux_at(j) <= budget)
+        picks.append(snapshots[cursor])
     # the early snapshots meet the envelope but need not approach the
     # projection, so the family ends on the final iterate itself
     picks[-1] = snapshots[-1]
@@ -695,7 +690,7 @@ def closure_demo(vertices: Sequence[Rv], f: Rv, phi: OrliczFunction, *,
         distance_euclid=dist_e,
         distance_lux=dist_lux,
         family=fam,
-        envelope_ok=envelope_ok,
+        envelope_ok=True,
         sweeps=sweeps,
         vertex_shortcut=False,
     )

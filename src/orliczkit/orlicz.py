@@ -797,7 +797,7 @@ def limit_slope(phi: OrliczFunction) -> SlopeClass:
     while t <= SLOPE_RAY_END:
         v = phi(t)
         if math.isinf(v):
-            return SlopeClass(math.inf, True)
+            return SlopeClass(math.inf, True, estimated=True)
         prev, last = last, v / t
         t *= 2.0
     return _slope_from_ratios(prev, last)

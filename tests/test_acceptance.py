@@ -1,14 +1,16 @@
 """Acceptance battery: eleven end-to-end criteria, one pass/fail line each.
 
 Each criterion's test prints exactly one line naming the criterion and its
-verdict, then asserts it; criterion 4 has a second test, which counts its
-validations. Tolerances and workload sizes are part of the contract and are
-not adjustable here.
+verdict, then asserts it; criterion 4 has two more tests, which count its
+validations and tie its numeric certificates to the work ledger. Tolerances
+and workload sizes are part of the contract and are not adjustable here.
 """
 
 import itertools
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from orliczkit.cli import main
 
 POWER2 = OrliczFunction.power(2.0)
 PSI2 = conjugate(POWER2)
+WORK_LEDGER = Path(__file__).resolve().parent.parent / "ci" / "work.json"
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> bool:
@@ -148,6 +151,26 @@ def test_criterion_04_validates_each_functional_once(validations):
     # each: one validation per functional object, 53 in all
     _entropic_representations()
     assert len(validations) == len(set(map(id, validations))) == 53
+
+
+def test_criterion_04_numeric_certificates_are_the_work_ledger(monkeypatch):
+    # ci/work.py's criterion_4() replays the 50 numeric certificates; their
+    # evaluations must sum to its ledger row, or the copy has drifted
+    numeric = []
+    certify = reconstruct
+
+    def counted(*args, **kwargs):
+        value, cert = certify(*args, **kwargs)
+        if kwargs.get("force_numeric"):
+            numeric.append(cert.evaluations)
+        return value, cert
+
+    monkeypatch.setitem(globals(), "reconstruct", counted)
+    _entropic_representations()
+    with open(WORK_LEDGER, encoding="utf-8") as fh:
+        ledger = json.load(fh)
+    assert len(numeric) == 50
+    assert sum(numeric) == ledger["criterion_4.certificates.evaluations"]
 
 
 def _avar_vertex_oracle(f: np.ndarray, w: np.ndarray, alpha: float) -> float:

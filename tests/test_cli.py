@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from orliczkit.cli import main
 
 SPACE3 = "atom_id,weight,block_id\n0,1.0,0\n1,1.0,0\n2,1.0,1\n"
 PROB2 = "atom_id,weight,block_id\n0,0.5,0\n1,0.5,0\n"
+WORK_LEDGER = Path(__file__).resolve().parent.parent / "ci" / "work.json"
 
 
 @pytest.fixture
@@ -368,6 +370,19 @@ def test_verify_all_validates_each_certified_functional_once(capsys,
     assert len(validations) == len(set(map(id, validations))) == 4
 
 
+def test_run_battery_reports_the_work_ledger_counts():
+    # ci/work.py reads verify-all's four ledger rows from run_battery, so a
+    # change to the battery's draws or restarts moves them
+    with open(WORK_LEDGER, encoding="utf-8") as fh:
+        ledger = json.load(fh)
+    args = cli.build_parser().parse_args(["verify-all", "--seed", "41"])
+    _, work = cli.run_battery(args)
+    assert {f"verify_all_41.{key}.evaluations": count
+            for key, count in work.items()} == {
+        key: count for key, count in ledger.items()
+        if key.startswith("verify_all_41.")}
+
+
 def test_verify_all_zero_tolerance_diagnostic(files, capsys):
     code, out, _ = run_cli(capsys, "verify-all", "--seed", "7", "--tol", "0")
     assert code == 5
@@ -406,8 +421,8 @@ def test_young_sweep_draws_its_pairs_in_the_scalar_order(seed):
             t * s > phi.values(t) + psi.values(s) + 1e-9) == sum(
             a * b > phi(a) + psi(b) + 1e-9 for a, b in pairs.tolist())
     args = argparse.Namespace(seed=seed, tol=None, truncation=64)
-    young = [r for r in cli.run_battery(args)
-             if r["label"] == "young_inequality"]
+    rows, _ = cli.run_battery(args)
+    young = [r for r in rows if r["label"] == "young_inequality"]
     assert young == [{"label": "young_inequality", "passed": True,
                       "margin": 0.0, "tol": 0.0, "tolerance_induced": False,
                       "detail": "2000 (t,s) pairs across the catalog"}]
@@ -530,7 +545,7 @@ def test_run_flags_a_command_does_not_read_exit_2(capsys, command, flag):
     assert f"unrecognized arguments: {flag} {value}" in err
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1", "abc"])
 def test_grid_max_must_be_finite_and_positive(capsys, bad):
     code, out, err = run_cli(capsys, "conjugate", "--orlicz", "power:p=2",
                              "--grid-max", bad)

@@ -479,6 +479,20 @@ def test_closure_demo_face_projection():
     assert rep.envelope_ok
 
 
+def test_closure_demo_skips_a_repeated_vertex():
+    # a vertex listed twice gives a pair with a zero difference, which the
+    # projection skips; the point is still projected onto the hull
+    sp = uniform_probability(3)
+    verts = simplex_vertices(sp)
+    f = Rv(sp, [1.0, 1.0, 1.0])
+    rep = closure_demo([*verts, verts[1]], f, POWER2)
+    assert not rep.vertex_shortcut
+    assert rep.distance_euclid == pytest.approx(0.0, abs=1e-9)
+    assert sum(rep.weights) == pytest.approx(1.0, abs=1e-12)
+    assert rep.projection.values == pytest.approx(f.values, abs=1e-9)
+    assert rep.envelope_ok
+
+
 def test_closure_family_feeds_extraction():
     sp = uniform_probability(3)
     verts = simplex_vertices(sp)

@@ -1575,10 +1575,7 @@ def test_a_slow_ray_past_the_probes_diverges_without_overflow():
     assert est.evaluations < 10_000
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(member=st.integers(0, 4), n=st.integers(2, 8),
-       dip=st.one_of(st.none(), st.floats(-2.0, -0.5)), data=st.data())
-def test_row_probes_match_the_scalar_path(member, n, dip, data):
+def _check_row_probes_match_the_scalar_path(member, n, dip, values, dip_at):
     # the ray probes in one evaluate_rows call give the scalar path's value
     # and first diverging ray; member 4 is a custom functional with no row
     # kernel, which takes the scalar path either way
@@ -1588,11 +1585,10 @@ def test_row_probes_match_the_scalar_path(member, n, dip, data):
                              lambda f: catalog[0].evaluate(f) + 0.25,
                              zeros(sp))
     phi = (*catalog, shifted)[member]
-    f = Rv(sp, data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n,
-                                  max_size=n)))
+    f = Rv(sp, values)
     gv = catalog[member % 4].closed_form_maximizer(f).values.copy()
     if dip is not None:
-        gv[data.draw(st.integers(0, n - 1))] = dip
+        gv[dip_at] = dip
     g = Rv(sp, gv)
     rows = fenchel_conjugate_value(phi, g, seed=3, restarts=2,
                                    force_numeric=True)
@@ -1605,6 +1601,29 @@ def test_row_probes_match_the_scalar_path(member, n, dip, data):
     else:
         assert rows.diverged_ray.values.tobytes() == \
             scalar.diverged_ray.values.tobytes()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(member=st.integers(0, 4), n=st.integers(2, 8),
+       dip=st.one_of(st.none(), st.floats(-2.0, -0.5)), data=st.data())
+def test_row_probes_match_the_scalar_path(member, n, dip, data):
+    values = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n,
+                                max_size=n))
+    dip_at = None if dip is None else data.draw(st.integers(0, n - 1))
+    _check_row_probes_match_the_scalar_path(member, n, dip, values, dip_at)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_row_probes_match_the_scalar_path_seeded(seed):
+    # the Hypothesis property above with numpy draws, whose examples do not
+    # move when a module gains a constant: each member, with and without a
+    # dip
+    rng = np.random.default_rng([seed, 40])
+    n = int(rng.integers(2, 9))
+    values = rng.uniform(-2.0, 2.0, n).tolist()
+    dip = None if seed < 5 else float(rng.uniform(-2.0, -0.5))
+    dip_at = int(rng.integers(0, n))
+    _check_row_probes_match_the_scalar_path(seed % 5, n, dip, values, dip_at)
 
 
 @pytest.mark.parametrize("n", [74, 128, 300])

@@ -39,6 +39,10 @@ def test_space_validation():
         MeasureSpace.finite([1.0, 1.0], atom_ids=[5, 3])
     with pytest.raises(ValueError):
         MeasureSpace([1], [1.0], [0], "countable")
+    for atom_ids, block_ids in (([1], None), (None, [0, 0, 0])):
+        with pytest.raises(ValueError, match="must align"):
+            MeasureSpace.finite([0.5, 0.5], atom_ids=atom_ids,
+                                block_ids=block_ids)
 
 
 def test_truncated_space_dyadic_blocks():

@@ -21,6 +21,7 @@ from orliczkit import (
     uniform_probability,
 )
 from orliczkit.norms import _indicator_norms
+from orliczkit.orlicz import CUSTOM
 from orliczkit.specs import load_custom_table, parse_orlicz_spec
 
 POWER2 = OrliczFunction.power(2.0)
@@ -648,6 +649,17 @@ def test_amemiya_root_matches_brent_on_a_custom_twin(label, seed):
                                 rel=1e-9, abs=0.0)
     lux = luxemburg_norm(f, phi).value
     assert lux * (1.0 - 1e-9) <= ame <= 2.0 * lux * (1.0 + 1e-9)
+
+
+def test_amemiya_of_a_custom_wall_off_zero_is_a_numeric_failure():
+    # +inf off 0 (built directly, as the spot check would refuse it): with
+    # sup|f| <= 1 the objective is +inf at every s the walk reaches
+    wall = OrliczFunction(CUSTOM, evaluator=lambda t: 0.0 if t == 0.0
+                          else math.inf, label="wall")
+    f = Rv(uniform_probability(2), [1.0, -0.5])
+    with pytest.raises(NumericFailure,
+                       match="objective is \\+inf along the whole search ray"):
+        amemiya_norm(f, wall)
 
 
 def test_linear_tails_without_a_switch_take_the_limit():

@@ -213,6 +213,18 @@ def test_scalar_calls_run_the_array_kernel_bit_for_bit(phi):
                                 array[mismatch[:5]])
 
 
+def test_a_0d_argument_below_the_taylor_threshold_takes_the_kernel_bits():
+    # values of a 0-d array gives the exp kernel a numpy scalar to patch
+    # with its Taylor branch; it must patch it as it patches an array
+    phi = OrliczFunction.exp_young()
+    t = 1e-5
+    assert t < TAYLOR_BELOW
+    zero_d = phi.values(np.float64(t))
+    assert zero_d.shape == ()
+    one = phi.values(np.array([t]))[0]
+    assert zero_d.item().hex() == one.item().hex() == phi(t).hex()
+
+
 # -- conjugation -------------------------------------------------------------
 
 
@@ -516,6 +528,15 @@ def test_delta2_custom_heuristic():
                      "at_infinity")
     assert v.status == FAILS
 
+    # t^2 up to 2^-7 and +inf beyond: the probes at zero start above the
+    # horizon, where phi(u) = +inf is skipped, and fail at the first u whose
+    # double leaves it
+    h = 2.0**-7
+    v = check_delta2(OrliczFunction.custom(
+        lambda t: t * t if t <= h else math.inf, horizon=h), "at_zero")
+    assert (v.status, v.exact) == (FAILS, False)
+    assert h / 2.0 < v.witness <= h
+
     with pytest.raises(ValueError):
         check_delta2(quad, "somewhere")
 
@@ -533,6 +554,13 @@ def test_limit_slopes():
         lambda t: max(0.0, 2.0 * t - 1.0), label="ramp"))
     assert not ramp.is_infinite
     assert ramp.limit == pytest.approx(2.0, rel=1e-6)
+    assert ramp.estimated
+    # +inf beyond 4 with no declared horizon: the spot check's midpoint
+    # test skips the +inf values, and the doubling probe meets +inf at 8
+    wall = limit_slope(OrliczFunction.custom(
+        lambda t: t * t if t <= 4.0 else math.inf))
+    assert (wall.limit, wall.is_infinite, wall.estimated) == (
+        math.inf, True, True)
 
 
 def test_classify_power_reflexive():

@@ -420,10 +420,7 @@ def scalar_validate(fn, trials, seed):
     return mono, conv
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(n=st.integers(1, 60), trials=st.integers(1, 60),
-       seed=st.integers(0, 2**32 - 1), skew=st.floats(0.0, 4.0))
-def test_validate_agrees_with_scalar_loop(n, trials, seed, skew):
+def _check_validate_agrees_with_scalar_loop(n, trials, seed, skew):
     raw = np.random.default_rng(seed).uniform(0.01, 1.0, n) ** skew
     space = MeasureSpace.finite(raw / raw.sum())
     # the bump sits on validate's first draw, so the fallback path (no row
@@ -442,6 +439,23 @@ def test_validate_agrees_with_scalar_loop(n, trials, seed, skew):
             if want is not None:
                 assert np.array_equal(got[0], want[0]), fn.name
                 assert np.array_equal(got[1], want[1]), fn.name
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(1, 60), trials=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1), skew=st.floats(0.0, 4.0))
+def test_validate_agrees_with_scalar_loop(n, trials, seed, skew):
+    _check_validate_agrees_with_scalar_loop(n, trials, seed, skew)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_validate_agrees_with_scalar_loop_seeded(seed):
+    # the Hypothesis property above with numpy draws, whose examples do not
+    # move when a module gains a constant
+    rng = np.random.default_rng([seed, 40])
+    _check_validate_agrees_with_scalar_loop(
+        int(rng.integers(1, 61)), int(rng.integers(1, 61)),
+        int(rng.integers(0, 2**32)), float(rng.uniform(0.0, 4.0)))
 
 
 def test_validate_refuses_a_stale_row_kernel():

@@ -653,12 +653,15 @@ def test_readers_round_trip_bit_identical(tmp_path, data, ids, terms):
 
 def test_render_record_json_keeps_order_and_types():
     text = render_record({"b": 2, "a": True, "x": 0.1,
-                          "v": np.array([1.0, 2.0])}, "json")
+                          "v": np.array([1.0, 2.0]), "i": np.int64(3),
+                          "h": np.float32(0.5)}, "json")
     doc = json.loads(text)
-    assert list(doc) == ["b", "a", "x", "v"]
+    assert list(doc) == ["b", "a", "x", "v", "i", "h"]
     assert doc["a"] is True
     assert doc["x"] == 0.1
     assert doc["v"] == [1.0, 2.0]
+    # numpy scalars render as plain JSON numbers
+    assert '"i": 3,' in text and '"h": 0.5\n' in text
 
 
 def test_render_record_csv_cells():
@@ -680,6 +683,13 @@ def test_render_table_csv_and_json_agree():
     assert csv_text == "name,ok,value\na,true,1.5\nb,false,-2.0\n"
     doc = json.loads(render_table(cols, "json"))
     assert doc["value"] == [1.5, -2.0]
+
+
+def test_renderers_refuse_unknown_formats_and_empty_tables():
+    with pytest.raises(ParseError, match="unknown output format 'xml'"):
+        render_record({"a": 1}, "xml")
+    with pytest.raises(ValueError, match="no columns"):
+        render_table({}, "csv")
 
 
 def test_render_table_rejects_ragged_columns():
