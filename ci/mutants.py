@@ -36,6 +36,9 @@ LEDGER_BATTERY = ("tests/test_cli.py::"
                   "test_run_battery_reports_the_work_ledger_counts")
 BISECTION_PROPERTY = ("tests/test_norms.py::"
                       "test_luxemburg_equals_the_bisection_bit_for_bit")
+TINY_POWER_INDICATORS = ("tests/test_norms.py::"
+                         "test_power_indicator_norms_are_exact_down_to_tiny_"
+                         "masses")
 SPIKE_PROPERTY = ("tests/test_convergence_matrix.py::"
                   "test_spike_layout_readers_match_a_dense_copy_bit_for_bit")
 SEARCH = "src/orliczkit/_search.py"
@@ -133,38 +136,49 @@ MUTANTS = [
      ["tests/test_duality.py::"
       "test_fenchel_conjugate_refuses_a_stale_row_kernel",
       "tests/test_duality.py::test_results_report_their_evaluations"]),
-    ("the Luxemburg bisection keeps a 1e-14 absolute floor",
+    ("the Luxemburg search keeps a 1e-14 absolute floor",
      NORMS,
-     "    while hi - lo > 1e-10 * hi:\n",
-     "    while hi - lo > max(1e-10 * hi, 1e-14):\n",
-     ["tests/test_norms.py::test_luxemburg_is_accurate_at_tiny_scales"]),
-    ("the Luxemburg search returns its guessed cell without probing an "
-     "open lower end",
+     "            if ib - ia > (2 if terminal33 else 1):\n",
+     "            if ib - ia > (2 if terminal33 else 1) and (ib - ia) * s > 1e-14:\n",
+     [TINY_POWER_INDICATORS]),
+    ("the Luxemburg search returns a feasible probe's cell without probing "
+     "its open lower end",
      NORMS,
-     "        if not undecided:\n            return c_lo, c_hi, b_mod, calls\n",
-     "        if not undecided or c_hi >= b:\n"
-     "            return c_lo, c_hi, b_mod, calls\n",
+     "            if ib - ia > (2 if terminal33 else 1):\n",
+     "            if ib - ia > (2 if terminal33 else 1) and m > 1.0:\n",
      [f"{BISECTION_PROPERTY}[0]", f"{BISECTION_PROPERTY}[2]"]),
     ("the Luxemburg norm is the infeasible end of the terminal cell",
      NORMS,
-     "    return NormReport(hi, steps, (lo, hi), hi_mod)\n",
-     "    return NormReport(lo, steps, (lo, hi), hi_mod)\n",
+     "    return NormReport(top * hi, calls, (top * lo, top * hi), m)\n",
+     "    return NormReport(top * lo, calls, (top * lo, top * hi), m)\n",
      [f"{BISECTION_PROPERTY}[1]"]),
-    ("the lockstep norms are the infeasible ends of their grid cells",
+    ("the indicator norms are the infeasible ends of their grid cells",
      NORMS,
-     "    return np.where(2.0 * s > 1e-10 * hi33, lo + ib * s, hi33)\n",
-     "    return np.where(2.0 * s > 1e-10 * hi33, lo + (ib - 1.0) * s,\n"
-     "                    hi33 - 2.0 * s)\n",
+     "        return np.array(_switch(m, x, phi._values, top_mod)[1])\n",
+     "        return np.array(_switch(m, x, phi._values, top_mod)[0])\n",
      ["tests/test_norms.py::"
       "test_lockstep_indicator_norms_equal_the_scalar_reference_seeded[0]"]),
+    ("the walk skips the last scale of a call",
+     NORMS,
+     "        walking, e0 = going, e0 + k\n",
+     "        walking, e0 = going, e0 + k + 1\n",
+     ["tests/test_norms.py::"
+      "test_a_tiny_indicator_walks_sixteen_scales_per_call"]),
+    ("the search probes the wrong end of a grid cell",
+     NORMS,
+     "            near_hi = c_hi < ib and c_hi - guess <= guess - c_lo\n",
+     "            near_hi = c_hi < ib and c_hi - guess > guess - c_lo\n",
+     ["tests/test_norms.py::"
+      "test_the_search_probes_the_nearer_end_of_its_cell[exp_young-552]",
+      "tests/test_norms.py::"
+      "test_the_search_probes_the_nearer_end_of_its_cell"
+      "[exp_young_conjugate-515]"]),
     ("the Amemiya root answers at the infeasible end of the terminal cell",
      NORMS,
-     "        at_value = _modular(weights, absf, hi, phi._values)\n"
-     "    return NormReport(hi * (1.0 + at_value), steps + 1, (lo, hi), "
-     "at_value)\n",
-     "        at_value = _modular(weights, absf, lo, phi._values)\n"
-     "    return NormReport(lo * (1.0 + at_value), steps + 1, (lo, hi), "
-     "at_value)\n",
+     "        at_value = _modular(weights, x, np.array([[hi]]), phi._values)[0][0]\n"
+     "    return NormReport(top * hi * (1.0 + at_value), calls + 1,\n",
+     "        at_value = _modular(weights, x, np.array([[lo]]), phi._values)[0][0]\n"
+     "    return NormReport(top * lo * (1.0 + at_value), calls + 1,\n",
      [f"{ROOT_PROPERTY}[linf_step-0]", f"{ROOT_PROPERTY}[kinked_horizon-0]"]),
     ("the exp_young companion drops its Taylor branch",
      ORLICZ,
@@ -182,8 +196,8 @@ MUTANTS = [
     ("the finite-slope limit reads slope 1",
      NORMS,
      "                return NormReport(slope.limit * float(np.dot("
-     "weights, absf)),\n",
-     "                return NormReport(1.0 * float(np.dot(weights, absf)),\n",
+     "weights[0], absf)),\n",
+     "                return NormReport(1.0 * float(np.dot(weights[0], absf)),\n",
      ["tests/test_norms.py::"
       "test_linear_tails_without_a_switch_take_the_limit",
       f"{ROOT_PROPERTY}[twice_linear-0]"]),

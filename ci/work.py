@@ -17,6 +17,8 @@ count. The cases:
   of f ~ N(0, 1.5^2) each, with 2 restarts and 10 validation trials;
 * the stepped numeric Fenchel conjugate of the entropic at n = 1024, at the
   density g proportional to |N(0, 1)| + 0.05, with 2 restarts;
+* the Luxemburg norm of an indicator of mass 1e-300 under t^2, the
+  strictly positive witness's search with a walk of about 500 halvings;
 * Luxemburg and Amemiya norms of t^2 and of exp_young at N = 1024 and 4096,
   and at N = 1024 the Amemiya norms of paths no workload reaches:
   exp_young_conjugate, linear (the limit of a finite slope), linf_step (a
@@ -105,7 +107,9 @@ def scale() -> dict[str, int]:
 
 
 def norms() -> dict[str, int]:
-    counts = {}
+    counts = {"norms.indicator.power2.m1e-300.iterations": luxemburg_norm(
+        Rv(MeasureSpace.finite([1e-300]), [1.0]),
+        OrliczFunction.power(2.0)).iterations}
     for N in (1024, 4096):
         sp = uniform_probability(N, truncated=True)
         f = Rv(sp, np.random.default_rng([N, 28]).normal(0.0, 1.0, N))

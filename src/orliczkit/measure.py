@@ -235,8 +235,8 @@ def strictly_positive_witness(space: MeasureSpace, phi) -> Rv:
     strictly positive element whose norm is bounded by the triangle
     inequality by sum 2**-n <= 1. An indicator's norm depends only on the
     block's mass, so the distinct block masses take one lockstep search
-    (``norms._indicator_norms``), whatever the number of blocks and atoms
-    carrying them.
+    (``norms._indicator_norms``), a batch of the norms' one search, whatever
+    the number of blocks and atoms carrying them.
     """
     from .norms import _indicator_norms  # local import to avoid a module cycle
 

@@ -1,10 +1,12 @@
 """Modulars, Luxemburg and Amemiya norms, heart membership, dual pairing.
 
-Both norms are monotone switches found by one walk and one replayed
-bisection (``_switch``): the Luxemburg norm where the modular of Phi crosses
-1, the Amemiya (Orlicz) norm where the modular of Phi's companion
-``t Phi'(t) - Phi(t)`` does. Only custom callables, which have no
-derivative, take Brent's method on the Amemiya perspective instead.
+Both norms are monotone switches found by one search (``_switch``) in
+u = lam / sup|f|: the Luxemburg norm where the modular of Phi crosses 1,
+the Amemiya (Orlicz) norm where the modular of Phi's companion
+``t Phi'(t) - Phi(t)`` does, and the strictly positive witness's indicator
+norms as a batch of many one-atom problems. Only custom callables, which
+have no derivative, take Brent's method on the Amemiya perspective
+instead.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ from .orlicz import CUSTOM, OrliczFunction, limit_slope
 class NormReport:
     """A norm and how it was found.
 
-    ``bracket`` holds the answer's scale u: for the Luxemburg norm the
-    bisection's terminal cell in lam, whose upper end is ``value``; for the
-    Amemiya norm the cell in u = 1/k of the minimizer of
-    ``u (1 + modular(f, u))``. ``modular_at_value`` is the modular of Phi at
-    that u, and ``iterations`` the search's work, as each norm states.
+    ``bracket`` is the search's terminal cell in u = lam / sup|f|, scaled
+    back to lam = sup|f| u: for the Luxemburg norm its upper end is
+    ``value``; for the Amemiya norm it holds 1/k at the minimizer of
+    ``(1 + modular(f, 1/k)) / k``. ``modular_at_value`` is the modular of
+    Phi at the upper end, evaluated in u (``sum_i w_i Phi(x_i / u)``, x =
+    |f| / sup|f|), so at most 1 for the Luxemburg norm. ``iterations``
+    counts the kernel calls after the one at u = 1, or Brent's objective
+    evaluations, as each norm states.
     """
 
     value: float
@@ -48,16 +53,7 @@ def modular(f: Rv, lam: float, phi: OrliczFunction) -> float:
     if not lam > 0.0:
         raise ValueError(f"modular scale must be positive, got {lam}")
     with np.errstate(over="ignore"):
-        return _modular(f.space.weights, np.abs(f.values), lam, phi._values)
-
-
-def _modular(weights: np.ndarray, absf: np.ndarray, lam: float,
-             kernel) -> float:
-    """``sum_i w_i * kernel(|f_i| / lam)`` from a precomputed ``|f|``,
-    inside the caller's ``np.errstate(over="ignore")``: the norms' one
-    modular evaluation, of Phi (``phi._values``) or of its companion
-    (``phi._companion``)."""
-    return float(np.dot(weights, kernel(absf / lam)))
+        return float(np.dot(f.space.weights, phi._values(np.abs(f.values) / lam)))
 
 
 def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
@@ -65,75 +61,51 @@ def luxemburg_norm(f: Rv, phi: OrliczFunction) -> NormReport:
     by a verified secant.
 
     The modular is nonincreasing in lam, so the predicate
-    ``modular <= 1`` is monotone. The answer is ``_switch``'s: the feasible
-    end of the bisection's terminal cell, so ``modular_at_value <= 1``
-    always holds in the report. The search takes 2 modular calls after the
-    walk for power functions, 4 to 5 for ``exp_young`` and its conjugate,
-    and 1 for ``linf_step``, where the bisection took 34. ``iterations``
-    counts the walk's steps and the modular calls after it, so the modular
-    is evaluated ``iterations + 1`` times in all, ``top`` once. |f| is
-    taken, and ``np.errstate`` entered, once per norm. This is the scalar
-    reference of ``_indicator_norms``.
+    ``modular <= 1`` is monotone. The answer is ``_switch``'s, run in
+    u = lam / sup|f| on x = |f| / sup|f|: the feasible end u of the
+    bisection's terminal cell, reported as ``sup|f| * u``, which rounds
+    once. ``modular_at_value`` is the modular at that u, at most 1. The
+    search takes 2 kernel calls after the walk for power functions, 4 to 5
+    for ``exp_young`` and its conjugate, and 1 for ``linf_step``, where the
+    bisection took 34. ``iterations`` counts the kernel calls after the one
+    at u = 1, so the modular is evaluated ``iterations + 1`` times in all.
+    This is the batch of one of ``_indicator_norms``.
     """
-    top = f.sup_norm()
+    absf = np.abs(f.values)
+    top = float(absf.max())
     if top == 0.0:
         return NormReport(0.0, 0, (0.0, 0.0), 0.0)
-    weights, absf, kernel = f.space.weights, np.abs(f.values), phi._values
-
-    def at(lam: float) -> float:
-        return _modular(weights, absf, lam, kernel)
-
+    weights, x = f.space.weights[None], absf[None] / top
     with np.errstate(over="ignore"):
-        lo, hi, hi_mod, steps = _switch(top, at(top), at)
-    return NormReport(hi, steps, (lo, hi), hi_mod)
+        top_mod = _modular(weights, x, _ONE, phi._values)[0]
+        (lo,), (hi,), (m,), calls = _switch(weights, x, phi._values, top_mod)
+    return NormReport(top * hi, calls, (top * lo, top * hi), m)
 
 
-def _switch(top: float, top_mod: float,
-            at) -> tuple[float, float, float, int]:
-    """Where a nonincreasing ``at`` crosses 1: the bisection's terminal cell
-    ``(lo, hi)``, ``at(hi)``, and the walk's steps plus the calls after it.
+def _modular(weights: np.ndarray, x: np.ndarray, u: np.ndarray,
+             kernel) -> list[list[float]]:
+    """``sum_i w_i kernel(x_i / u)`` of every problem at each of its scales:
+    ``weights`` and ``x`` hold one problem per row, ``u`` its scales, and
+    the result is ``u`` as nested lists of those sums. The norms' one
+    kernel call, of Phi (``phi._values``) or of its companion
+    (``phi._companion``), inside the caller's ``np.errstate(over="ignore")``.
+    Each sum is ``np.dot``'s, or a stacked one-by-one matrix product, which
+    has its bits."""
+    if u.size == 1:
+        return [[float(np.dot(weights[0], kernel(x[0] / u[0, 0])))]]
+    values = kernel(x[:, None, :] / u[:, :, None])
+    return (values[:, :, None, :] @ weights[:, None, :, None])[:, :, 0, 0].tolist()
 
-    ``top_mod`` is ``at(top)``. A walk from ``top`` halves or doubles lam
-    until it brackets the switch; the halving walk gives up 1e300 below
-    ``top``, and either walk after 4000 steps. The answer is defined by a
-    bisection of that bracket down to relative width 1e-10, with no
-    absolute floor, that stops early when a midpoint rounds to an end (a
-    subnormal bracket). The feasible end ``hi`` (``at(hi) <= 1``) is the
-    answer.
 
-    The bisection is replayed rather than run (``_bisection_search``): a
-    secant in (log lam, log at), exact where ``at`` is a power of lam,
-    guesses the switch, the bisection's midpoints are replayed in plain
-    Python, and only the ends of the terminal cell the guess leads to are
-    evaluated. The cell and ``at(hi)`` are the bisection's bit for bit
-    wherever the computed ``at`` is monotone.
-    """
-    # halve while feasible, or double until feasible; top is tested once
-    lo = hi = top
-    lo_mod = hi_mod = top_mod
-    expand = 0
-    if hi_mod <= 1.0:
-        while True:
-            hi, hi_mod, lo = lo, lo_mod, lo * 0.5
-            expand += 1
-            if not lo > 1e-300 * top or expand > 4000:
-                raise NumericFailure(
-                    "norm bracket collapse: modular never exceeds 1")
-            lo_mod = at(lo)
-            if not lo_mod <= 1.0:
-                break
-    else:
-        while True:
-            lo, lo_mod, hi = hi, hi_mod, hi * 2.0
-            expand += 1
-            if expand > 4000:
-                raise NumericFailure(
-                    "norm bracket blow-up: modular never drops to 1")
-            hi_mod = at(hi)
-            if hi_mod <= 1.0:
-                break
-    lo, hi, hi_mod, calls = _bisection_search(lo, hi, lo_mod, hi_mod, at)
-    return lo, hi, hi_mod, expand + calls
+# scales a walking problem of one atom tests per kernel call; a problem of
+# n atoms tests max(1, _WALK_BATCH // n)
+_WALK_BATCH = 16
+# the walk's scales, 2^e in row 0 and 2^-e in row 1 for e = 1, 2, ...; the
+# doubling walk reaches +inf at e = 1024. _ONE is the scale u = 1.
+_ONE = np.ones((1, 1))
+with np.errstate(over="ignore"):
+    _WALK_SCALES = np.ldexp(1.0, np.arange(1, 1024 + 2 * _WALK_BATCH)
+                            * np.array([[1], [-1]]))
 
 
 def _log_modular(value: float) -> float:
@@ -151,82 +123,98 @@ def _kept_scale(y_new: float, y_old: float) -> float:
     return scale if scale > 0.0 else 0.5
 
 
-def _replay(lo: float, hi: float, a: float, b: float,
-            guess: float) -> tuple[float, float, float, int, int]:
-    """Replay the bisection of ``[lo, hi]`` with no modular call.
+def _switch(weights: np.ndarray, x: np.ndarray, kernel,
+            last: list[float]) -> tuple[list, list, list, int]:
+    """Where each problem's nonincreasing modular ``u -> sum_i w_i
+    kernel(x_i / u)`` (``_modular``) crosses 1: the lower and upper ends of
+    the bisection's terminal cell in u, the modular at the upper end, and
+    the kernel calls taken after ``last``, the modulars at u = 1, a list
+    the walk overwrites with each walking problem's last modular.
 
-    A midpoint ``<= a`` is infeasible and one ``>= b`` feasible, which the
-    monotone modular implies once ``a`` is known infeasible and ``b``
-    feasible; one strictly between them is feasible iff it is ``>= guess``
-    (never, for a nan guess). Returns the terminal cell ``(lo, hi)``, the
-    first midpoint strictly between ``a`` and ``b`` (nan if none), how many
-    such midpoints the path met, and how many midpoints it took.
+    A walk from u = 1 halves u while feasible (modular <= 1) or doubles it
+    until feasible, testing ``max(1, _WALK_BATCH // n)`` scales of each
+    problem per call; it gives up halving at 2^-996, just above 1e-300, and
+    doubling past 2^1024 = +inf, where the modular reads Phi(0): 0 for a
+    Young function, but a custom spot check admits |Phi(0)| <= 1e-12. Its
+    cell [lo, 2 lo] has ends that are powers of two, so
+    the bisection's midpoints are exact and its cells form a grid,
+    ``lo + i s`` with s = lo 2^-34: the bisection stops at width 1e-10 of
+    the upper end, at depth 33 where the cell's upper end is at least
+    1.164 lo and at depth 34 below. The search keeps a known infeasible
+    index ia and feasible ib on that terminal grid, and guesses the switch
+    by a secant in (log u, log modular) with the Anderson-Bjorck variant of
+    the Illinois step (``_kept_scale``), exact where the modular is a power
+    of u. Each round probes, for every pending problem, the end of the
+    terminal cell holding its guess that is nearer the guess and not yet
+    known, in one kernel call; a problem is done when ia and ib bound one
+    terminal cell, which is then the bisection's, bit for bit, wherever
+    the computed modular is monotone. A modular of 0 at ib (a step)
+    guesses ib; without a usable guess, or once a problem's calls since the
+    walk plus log2(ib - ia) pass 40, six behind the bisection's pace, the
+    guess is the middle of [ia, ib]. A walk that ends at u = +inf is the
+    bisection's answer at once.
     """
-    first, undecided, depth = math.nan, 0, 0
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float exhaustion
-            break
-        depth += 1
-        if mid >= b:
-            hi = mid
-        elif mid <= a:
-            lo = mid
-        else:
-            if not undecided:
-                first = mid
-            undecided += 1
-            if mid >= guess:
-                hi = mid
+    n_prob, n = x.shape
+    k = max(1, _WALK_BATCH // n)
+    down = (np.array(last) <= 1.0).astype(np.intp)
+    cells: list = [None] * n_prob
+    walking, e0, calls = list(range(n_prob)), 0, 0
+    while walking:
+        rows = slice(None) if len(walking) == n_prob else walking
+        scales = _WALK_SCALES[down[rows], e0:e0 + k]
+        value = _modular(weights[rows], x[rows], scales, kernel)
+        calls, going = calls + 1, []
+        for i, row in zip(walking, value):
+            d = last[i] <= 1.0
+            col = next((j for j, m in enumerate(row) if (m <= 1.0) != d), None)
+            end = e0 + (k if col is None else col) + 1
+            if end > (996 if d else 1024):
+                raise NumericFailure("norm bracket collapse: modular never exceeds 1" if d
+                                     else "norm bracket blow-up: modular never drops to 1")
+            if col is None:
+                last[i], going = row[-1], going + [i]
+                continue
+            before = row[col - 1] if col else last[i]
+            lo = math.ldexp(1.0, -end if d else end - 1)
+            a_mod, b_mod = (row[col], before) if d else (before, row[col])
+            ia = 2**34 - 1 if lo == 2.0**1023 else 0  # an infinite hi
+            cells[i] = [lo, lo * 2.0**-34, ia, 2**34, _log_modular(a_mod),
+                        _log_modular(b_mod), b_mod]
+        walking, e0 = going, e0 + k
+    pending, walked = [i for i in range(n_prob) if cells[i][2] == 0], calls
+    while pending:
+        probes, scales = [], []
+        for i in pending:
+            lo, s, ia, ib, ya, yb, b_mod = cells[i]
+            a, b = lo + ia * s, lo + ib * s
+            guess = (ib if b_mod == 0.0 else
+                     (a * math.exp(ya / (ya - yb) * math.log(b / a)) - lo) / s)
+            if guess != guess or calls - walked + math.log2(ib - ia) > 40.0:
+                guess = 0.5 * (ia + ib)
+            c = min(max(math.floor(guess), ia), ib - 1)
+            c_lo, c_hi = ((c - c % 2, c - c % 2 + 2) if 2.0 * s <= 1e-10 * (
+                lo + (c - c % 2 + 2) * s) else (c, c + 1))  # depth 33 or 34
+            near_hi = c_hi < ib and c_hi - guess <= guess - c_lo
+            probes.append(c_hi if c_lo <= ia or near_hi else c_lo)
+            scales.append([lo + probes[-1] * s])
+        rows = slice(None) if len(pending) == n_prob else pending
+        value = _modular(weights[rows], x[rows], np.array(scales), kernel)
+        calls, going = calls + 1, []
+        for i, p, (m,) in zip(pending, probes, value):
+            cell = cells[i]
+            y, ya, yb = _log_modular(m), cell[4], cell[5]
+            if m <= 1.0:
+                cell[3], cell[6], cell[4], cell[5] = p, m, ya * _kept_scale(y, yb), y
             else:
-                lo = mid
-    return lo, hi, first, undecided, depth
-
-
-def _bisection_search(lo: float, hi: float, lo_mod: float, hi_mod: float,
-                      at) -> tuple[float, float, float, int]:
-    """The terminal cell of the bisection of ``[lo, hi]``, the modular at its
-    upper end, and the modular calls ``at`` it took.
-
-    ``lo`` is infeasible and ``hi`` feasible, with modulars ``lo_mod`` and
-    ``hi_mod``. The search keeps a known infeasible ``a`` and feasible
-    ``b``, and guesses the switch by a secant in (log lam, log modular)
-    with the Anderson-Bjorck variant of the Illinois step (``_kept_scale``).
-    Each round replays the bisection (``_replay``), midpoints between ``a``
-    and ``b`` taken by the guess, and probes the unknown end of the terminal
-    cell nearer the guess. Every probe is a point of the bisection, so the
-    search is over when no midpoint of the replay lies between ``a`` and
-    ``b``: the terminal cell is then ``[a, b]``, both ends evaluated, and
-    every decision on its path is implied by the modulars there. Dyadic
-    masses under t^2 put the switch exactly on a cell end; its cell is
-    confirmed by one probe. A modular of 0 at ``b`` (a step) takes the guess
-    ``b``. Without a usable guess, or once the probes fall behind the
-    bisection's pace by two calls, the round probes the path's first
-    undecided midpoint instead, as the bisection would.
-    """
-    a, b, b_mod = lo, hi, hi_mod
-    ya, yb = _log_modular(lo_mod), _log_modular(hi_mod)
-    calls = 0
-    while True:
-        # where the chord through (log a, ya) and (log b, yb) crosses zero;
-        # nan when either log modular is
-        guess = b if b_mod == 0.0 else a * math.exp(ya / (ya - yb) * math.log(b / a))
-        c_lo, c_hi, first, undecided, depth = _replay(lo, hi, a, b, guess)
-        if not undecided:
-            return c_lo, c_hi, b_mod, calls
-        if guess != guess or calls + undecided > depth + 1:
-            p = first
-        elif c_lo <= a or (c_hi < b and c_hi - guess <= guess - c_lo):
-            p = c_hi
-        else:
-            p = c_lo
-        value = at(p)
-        calls += 1
-        y = _log_modular(value)
-        if value <= 1.0:
-            b, b_mod, ya, yb = p, value, ya * _kept_scale(y, yb), y
-        else:
-            a, ya, yb = p, y, yb * _kept_scale(y, ya)
+                cell[2], cell[4], cell[5] = p, y, yb * _kept_scale(y, ya)
+            lo, s, ia, ib = cell[:4]
+            terminal33 = ib % 2 == 0 and 2.0 * s <= 1e-10 * (lo + ib * s)
+            if ib - ia > (2 if terminal33 else 1):
+                going.append(i)
+        pending = going
+    return ([lo + ia * s for lo, s, ia, *_ in cells],
+            [lo + ib * s for lo, s, _, ib, *_ in cells],
+            [cell[6] for cell in cells], calls)
 
 
 def amemiya_norm(f: Rv, phi: OrliczFunction) -> NormReport:
@@ -241,8 +229,8 @@ def amemiya_norm(f: Rv, phi: OrliczFunction) -> NormReport:
     with p the derivative of Phi (Krasnosel'skii & Rutickii, *Convex
     Functions and Orlicz Spaces*, 1961; Hudzik & Maligranda, *Indag.
     Math.* 11, 2000). That is the monotone switch of the Luxemburg
-    norm, found by the same walk and search (``_switch``); the answer is
-    ``g(hi)`` at the feasible end hi of the bisection's terminal cell.
+    norm, found by the same search (``_switch``) in u / sup|f|; the answer
+    is ``g(hi)`` at the feasible end hi of the bisection's terminal cell.
 
     A kind whose limit slope s_inf is finite (a table with a linear tail,
     as ``linear``) has a constant C on its tail, so its companion modular
@@ -255,36 +243,33 @@ def amemiya_norm(f: Rv, phi: OrliczFunction) -> NormReport:
     Brent minimization of g (``bracket_min``, ``brent_max``) in s = u /
     sup|f|, to a bracket of width ``1e-10 * hi``.
 
-    ``bracket`` is the bracket in u, (0, 0) for the limit;
+    ``bracket`` is the terminal cell in u, (0, 0) for the limit;
     ``modular_at_value`` is the modular of Phi at the answer's u, +inf for
-    the limit. ``iterations`` counts the walk's steps, the companion calls
-    after it and the one call of Phi at hi, or Brent's objective
+    the limit. ``iterations`` counts the companion's kernel calls after the
+    one at u = sup|f| and the one call of Phi at hi, or Brent's objective
     evaluations, bracketing included; on every path the kernels are
     evaluated ``iterations + 1`` times in all.
     """
     top = f.sup_norm()
     if top == 0.0:
         return NormReport(0.0, 0, (0.0, 0.0), 0.0)
-    weights, absf = f.space.weights, np.abs(f.values)
+    absf = np.abs(f.values)
     if phi.kind == CUSTOM:
-        return _amemiya_brent(weights, absf, top, phi)
-    companion = phi._companion
-
-    def at(lam: float) -> float:
-        return _modular(weights, absf, lam, companion)
-
+        return _amemiya_brent(f.space.weights, absf, top, phi)
+    weights, x = f.space.weights[None], absf[None] / top
     with np.errstate(over="ignore"):
-        top_mod = at(top)
+        top_mod = _modular(weights, x, _ONE, phi._companion)[0]
         slope = limit_slope(phi)
-        if top_mod <= 1.0 and not slope.is_infinite:
-            level = (companion(np.array([math.inf]))[0]
-                     * float(np.sum(weights[absf > 0.0])))
+        if top_mod[0] <= 1.0 and not slope.is_infinite:
+            level = (phi._companion(np.array([math.inf]))[0]
+                     * float(np.sum(weights[x > 0.0])))
             if level <= 1.0:
-                return NormReport(slope.limit * float(np.dot(weights, absf)),
+                return NormReport(slope.limit * float(np.dot(weights[0], absf)),
                                   0, (0.0, 0.0), math.inf)
-        lo, hi, _, steps = _switch(top, top_mod, at)
-        at_value = _modular(weights, absf, hi, phi._values)
-    return NormReport(hi * (1.0 + at_value), steps + 1, (lo, hi), at_value)
+        (lo,), (hi,), _, calls = _switch(weights, x, phi._companion, top_mod)
+        at_value = _modular(weights, x, np.array([[hi]]), phi._values)[0][0]
+    return NormReport(top * hi * (1.0 + at_value), calls + 1,
+                      (top * lo, top * hi), at_value)
 
 
 def _amemiya_brent(weights: np.ndarray, absf: np.ndarray, top: float,
@@ -298,12 +283,16 @@ def _amemiya_brent(weights: np.ndarray, absf: np.ndarray, top: float,
     with ``brent_max``'s absolute width floor of about 1e-15 kept relative
     to m, so a minimizer at s = 2^-498 is still resolved.
     """
-    kernel = phi._values
+    kernel, weights, absf = phi._values, weights[None], absf[None]
 
     def obj(s: float) -> float:
-        if not s > 0.0:
+        # +inf wherever the scale is not a positive float: past the float
+        # range |f| / (top s) would read Phi(0) = 0
+        lam = top * s
+        if not 0.0 < lam < math.inf:
             return math.inf
-        return s * (1.0 + _modular(weights, absf, top * s, kernel))
+        return s * (1.0 + _modular(weights, absf, np.array([[lam]]),
+                                   kernel)[0][0])
 
     with np.errstate(over="ignore"):
         lo, hi, evals = bracket_min(obj, 1.0)
@@ -311,7 +300,8 @@ def _amemiya_brent(weights: np.ndarray, absf: np.ndarray, top: float,
         t, neg, ev = brent_max(lambda t: -obj(mid * t), 0.5, hi / mid,
                                1e-10 * hi / mid)
         s_star = mid * t if math.isfinite(neg) else hi
-        at_value = _modular(weights, absf, top * s_star, kernel)
+        at_value = _modular(weights, absf, np.array([[top * s_star]]),
+                            kernel)[0][0]
     return NormReport(-neg * top, ev + evals, (top * lo, top * hi), at_value)
 
 
@@ -338,7 +328,8 @@ def indicator_norm(phi: OrliczFunction, mass: float) -> float:
 
     It is ``luxemburg_norm`` on a one-atom space carrying that mass, so it
     agrees with the norm on any actual space up to bisection tolerance, and
-    bit for bit with ``_indicator_norms``.
+    bit for bit with ``_indicator_norms``, the same search on a batch. A
+    mass of 1e-300 under t^2 takes 34 kernel calls, 32 of them the walk's.
     """
     _indicator_masses([mass])
     return luxemburg_norm(Rv(MeasureSpace.finite([mass]), [1.0]), phi).value
@@ -355,111 +346,19 @@ def _indicator_masses(masses) -> np.ndarray:
     return m
 
 
-# scales per kernel call of the lockstep walk
-_WALK_BATCH = 16
-
-
 def _indicator_norms(phi: OrliczFunction, masses) -> np.ndarray:
     """Luxemburg norms of indicators of the given masses, all at once.
 
-    The norm of an indicator of mass m is ``inf { lam : m phi(1/lam) <= 1 }``.
-    Each mass has the answer of ``luxemburg_norm`` on a one-atom space of
-    that mass, whose walk starts at top = 1, and all of them are searched in
-    lockstep, one ``phi._values`` call per round over all masses. The walk
-    takes 16 of its scales per call. Its ends are then powers of two, so the
-    bisection's midpoints are exact and its cells form a grid: the search
-    runs the scalar one's guess-and-verify rounds on that grid, evaluating
-    both ends of each mass's guessed cell per round, and reads the terminal
-    cell off the grid instead of replaying the bisection. So each norm has
-    the bits of ``luxemburg_norm(Rv(MeasureSpace.finite([m]), [1.0]),
-    phi).value`` wherever the computed modular is monotone. Under a power
-    function the search takes one round, under ``exp_young`` and its
-    conjugate three to five, where the bisection took 34.
+    The norm of an indicator of mass m is ``inf { lam : m phi(1/lam) <= 1 }``:
+    ``luxemburg_norm`` on a one-atom space of that mass, whose sup|f| is 1.
+    Every mass is one problem of one ``_switch``, so each norm has the bits
+    of ``luxemburg_norm(Rv(MeasureSpace.finite([m]), [1.0]), phi).value``,
+    and each round is one ``phi._values`` call over the pending masses.
+    Under a power function the search takes two rounds after the walk,
+    under ``exp_young`` and its conjugate four to six.
     """
-    m = _indicator_masses(masses)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _lockstep_norms(phi, m)
-
-
-def _lockstep_norms(phi: OrliczFunction, m: np.ndarray) -> np.ndarray:
-    """``_indicator_norms`` of checked masses, inside the caller's
-    ``np.errstate``: logs of 0 and +inf, and the nan guesses they give, are
-    expected values here."""
-    # The walk from top = 1, _WALK_BATCH steps per kernel call: a halving
-    # walk stops at its first infeasible scale 2^-e, a doubling one at its
-    # first feasible 2^e, as the scalar walk does step by step.
-    top_mod = m * phi._values(np.ones(m.size))
-    down = top_mod <= 1.0
-    lo, lo_mod, hi_mod, last = (np.empty(m.size) for _ in range(4))
-    last[:] = top_mod
-    walking, e0, batch = np.arange(m.size), 0, np.arange(1, _WALK_BATCH + 1)
-    while walking.size:
-        if e0 >= 4000:
-            raise NumericFailure("Luxemburg bracket blow-up: modular never drops to 1")
-        d = down[walking]
-        e = np.where(d[:, None], -(e0 + batch), e0 + batch)
-        value = m[walking, None] * phi._values(1.0 / np.ldexp(1.0, e))
-        stop = (value <= 1.0) != d[:, None]
-        hit = stop.any(axis=1)
-        col = stop.argmax(axis=1)
-        # the scalar walk refuses to halve to 1e-300 or below: 2^-997
-        if np.any(d & (np.where(hit, col + 1, _WALK_BATCH + 1) + e0 > 996)):
-            raise NumericFailure("Luxemburg bracket collapse: modular never exceeds 1")
-        row, col, d, done = np.flatnonzero(hit), col[hit], d[hit], walking[hit]
-        at_stop = value[row, col]
-        before = np.where(col > 0, value[row, col - 1], last[done])
-        lo[done] = np.ldexp(1.0, np.where(d, e[row, col], e[row, col] - 1))
-        lo_mod[done] = np.where(d, at_stop, before)
-        hi_mod[done] = np.where(d, before, at_stop)
-        last[walking] = value[:, -1]
-        walking, e0 = walking[~hit], e0 + _WALK_BATCH
-    # lo is a power of two and hi = 2 lo, so the bisection of [lo, hi] takes
-    # exact midpoints: its cells at depth j are [lo + i s, lo + (i + 1) s]
-    # with s = lo 2^-j. Cells at depth 32 are wider than 1e-10 hi and cells
-    # at depth 34 are not, so the search runs on the depth-34 grid,
-    # i = 0 .. 2^34, with ia a known infeasible index and ib a feasible one.
-    # Each round evaluates, for every mass, the grid cell holding its secant
-    # guess (Anderson-Bjorck, as in the scalar search), both ends kept
-    # strictly between ia and ib, in one kernel call. A mass whose cell
-    # straddles the switch is done; a done mass re-evaluates its known ends,
-    # which moves nothing. As in the scalar search, a modular of 0 at ib
-    # guesses ib, and a mass without a usable guess, or more than six rounds
-    # behind the bisection's 34, guesses the middle index. An infinite hi
-    # (a doubling walk past the float range) is the bisection's answer at
-    # once.
-    s = lo * 2.0**-34
-    ib = np.full(m.size, 2.0**34)
-    ia = np.where(lo < 2.0**1023, 0.0, ib - 1.0)
-    ya, yb = np.log(lo_mod), np.log(hi_mod)
-    # both ends of every cell go through one kernel call: lower ends first
-    m2, lo2, s2 = (np.concatenate((v, v)) for v in (m, lo, s))
-    rounds = 0
-    while np.count_nonzero(ib - ia > 1.0):
-        a, b = lo + ia * s, lo + ib * s
-        guess = (a * np.exp(ya / (ya - yb) * np.log(b / a)) - lo) / s
-        guess = np.where(yb == -math.inf, ib, guess)
-        stray = np.isnan(guess) | ~(rounds + np.log2(ib - ia) <= 40.0)
-        first = ia + 1.0
-        upper = np.minimum(np.maximum(
-            np.ceil(np.where(stray, 0.5 * (ia + ib), guess)), first), ib - 1.0)
-        lower = np.maximum(upper - 1.0, first)
-        value = m2 * phi._values(1.0 / (lo2 + np.concatenate((lower, upper)) * s2))
-        y, ok = np.log(value), value <= 1.0
-        y_lo, y_up, ok_lo, ok_up = y[:m.size], y[m.size:], ok[:m.size], ok[m.size:]
-        keep_a, keep_b = _kept_scales(y_lo, yb), _kept_scales(y_up, ya)
-        ya, yb = (np.where(ok_lo, ya * keep_a, np.where(ok_up, y_lo, y_up)),
-                  np.where(ok_lo, y_lo, np.where(ok_up, y_up, yb * keep_b)))
-        ia, ib = (np.where(ok_lo, ia, np.where(ok_up, lower, upper)),
-                  np.where(ok_lo, lower, np.where(ok_up, upper, ib)))
-        rounds += 1
-    # the answer is the upper end of the bisection's terminal cell: the cell
-    # at depth 34 ending at ib, or the depth-33 cell holding it when that one
-    # is already no wider than 1e-10 of its upper end
-    hi33 = lo + 2.0 * np.ceil(0.5 * ib) * s
-    return np.where(2.0 * s > 1e-10 * hi33, lo + ib * s, hi33)
-
-
-def _kept_scales(y_new: np.ndarray, y_old: np.ndarray) -> np.ndarray:
-    """``_kept_scale`` elementwise."""
-    scale = 1.0 - y_new / y_old
-    return np.where(scale > 0.0, scale, 0.5)
+    m = _indicator_masses(masses)[:, None]
+    x = np.ones_like(m)
+    with np.errstate(over="ignore"):
+        top_mod = [row[0] for row in _modular(m, x, x, phi._values)]
+        return np.array(_switch(m, x, phi._values, top_mod)[1])
