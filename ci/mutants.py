@@ -92,6 +92,14 @@ HEAVY_ROOTS = ("tests/test_norms.py::"
                "test_amemiya_roots_of_heavy_indicators_hold_their_width")
 FAR_MINIMIZERS = ("tests/test_norms.py::"
                   "test_amemiya_finds_minimizers_far_from_the_start")
+FIRST_FLAT = ("tests/test_duality.py::"
+              "test_stepped_conjugates_stop_at_their_first_flat_restart")
+FEASIBLE_AVAR = ("tests/test_duality.py::"
+                 "test_a_feasible_avar_conjugate_stops_at_its_first_flat_"
+                 "restart")
+STEPPED_ONLY = ("tests/test_duality.py::"
+                "test_only_a_stepped_ascent_skips_the_restarts_after_a_flat_"
+                "one")
 AMEMIYA_CALLS = ("tests/test_norms.py::test_amemiya_evaluates_its_kernels_"
                  "iterations_plus_one_times")
 
@@ -113,6 +121,18 @@ MUTANTS = [
      "        if r == 0 and v == -math.inf:\n",
      "        if False:\n",
      ["tests/test_duality.py::test_numeric_expectation_on_a_space_of_mass_two"]),
+    ("a stepped ascent runs every restart again",
+     DUALITY,
+     "        if coord_step is not None and reason == \"flat\":\n"
+     "            break\n",
+     "",
+     [FEASIBLE_AVAR, f"{FIRST_FLAT}[0]", f"{FIRST_FLAT}[1]", STEPPED_ONLY,
+      LEDGER_BATTERY]),
+    ("a stepless ascent also stops at its first flat restart",
+     DUALITY,
+     "        if coord_step is not None and reason == \"flat\":\n",
+     "        if reason == \"flat\":\n",
+     [STEPPED_ONLY]),
     ("the ascent never switches to transfers only",
      DUALITY,
      "                transfers_only = r == 0 and sweeps == 1 and skipped == n\n",
@@ -508,6 +528,11 @@ MUTANTS = [
      "            return float(self._values(np.array([t], dtype=float))[0])\n",
      "        return float(self._values(np.array([t], dtype=float))[0])\n",
      [f"{ONE_KERNEL_PROPERTY}[exp_young]", f"{ONE_KERNEL_PROPERTY}[power_2]"]),
+    ("a custom Orlicz function's companion reads zeros",
+     ORLICZ,
+     "        raise ValueError(\"a custom Orlicz function has no companion\")\n",
+     "        return np.zeros_like(ts)\n",
+     ["tests/test_orlicz.py::test_a_custom_function_has_no_companion"]),
     ("the power check reads a numpy exponent in numpy arithmetic",
      ORLICZ,
      "    p = float(p)\n",

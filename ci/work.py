@@ -16,7 +16,9 @@ count. The cases:
 * numeric entropic and AVaR certificates at n = 16, 64 and 128, three draws
   of f ~ N(0, 1.5^2) each, with 2 restarts and 10 validation trials;
 * the stepped numeric Fenchel conjugate of the entropic at n = 1024, at the
-  density g proportional to |N(0, 1)| + 0.05, with 2 restarts;
+  density g proportional to |N(0, 1)| + 0.05, with 2 restarts, and AVaR
+  (alpha = 0.5) at the same draws clipped at 1 before normalizing, so
+  g <= 2 = 1 / alpha and its conjugate is 0 (``stepped.*``);
 * the Luxemburg norm of an indicator of mass 1e-300 under t^2, the
   strictly positive witness's search with a walk of about 500 halvings;
 * Luxemburg and Amemiya norms of t^2 and of exp_young at N = 1024 and 4096,
@@ -103,6 +105,11 @@ def scale() -> dict[str, int]:
     counts[f"scale.fenchel.entropic.n{n}.evaluations"] = \
         fenchel_conjugate_value(entropic(1.0, sp), g, restarts=2,
                                 force_numeric=True).evaluations
+    clipped = np.minimum(raw, 1.0)
+    feasible = Rv(sp, clipped / float(sp.weights @ clipped))
+    counts[f"stepped.fenchel.avar_feasible.n{n}.evaluations"] = \
+        fenchel_conjugate_value(average_value_at_risk(0.5, sp), feasible,
+                                restarts=2, force_numeric=True).evaluations
     return counts
 
 

@@ -25,7 +25,10 @@ functional that declares its ``coordinate_step``, as every catalog member
 does, takes that step on each coordinate line and makes no other move: one
 step of iterative scaling for the entropic (Darroch & Ratcliff 1972), the
 best kink or segment end of a piecewise-linear line for the others. The
-steps are exact, so it reads the objective once per sweep, not per step.
+steps are exact, so it reads the objective once per sweep, not per step,
+and no restart runs after one that ends flat: a point no exact coordinate
+step improves is the maximum (Luo & Tseng 1992; Rockafellar 1970, Thm 13.2
+for the positively homogeneous members).
 """
 
 from __future__ import annotations
@@ -106,11 +109,13 @@ def _line_search(h: Callable[[float], float], lo: float, hi: float, t0: float,
 
 @dataclass(frozen=True)
 class AscentResult:
-    """Best point over all restarts.
+    """Best point over the restarts that ran.
 
     ``sweeps`` belongs to the winning restart (``start_index``);
-    ``evaluations`` counts every objective call over all restarts, and a
-    coordinate step adds the values of phi it read. With coordinate steps
+    ``evaluations`` counts every objective call over the restarts that ran,
+    and a coordinate step adds the values of phi it read. A stepped ascent
+    runs no restart after one that ends ``"flat"`` (``maximize_dual``), so
+    it may run fewer than its ``restarts``. With coordinate steps
     a restart calls the objective once at its start (restart 0 twice when
     its start reads -inf) and once per sweep. The mass-multiplier solve of
     a separable dual runs no sweep and no restart: ``start_index`` 0,
@@ -223,6 +228,17 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
     before its first sweep: on a space of mass other than 1, the
     expectation's dual is finite at g = 1 only. ``restarts`` below 1 and
     ``seed`` below 0 raise ValueError before the first objective call.
+
+    With ``coord_step``, ``restarts`` is at most this many: the call returns
+    once a restart ends ``"flat"`` and skips the restarts after it, since a
+    point that no exact coordinate step improves is already the maximum. For
+    the entropic's smooth concave objective that is a global maximum (Luo &
+    Tseng 1992); a positively homogeneous phi (AVaR, the worst case, the
+    expectation) has phi* = the indicator of dphi(0) (Rockafellar 1970, Thm
+    13.2), so at a feasible g restart 0's constant start already reads
+    phi*(g) = 0. A restart that ends at ``"sweep_cap"`` or
+    ``"stuck_at_-inf"`` still hands over to the next. An ascent without
+    ``coord_step`` runs every restart: its line searches stall at kinks.
     """
     _check_restarts(restarts, seed)
     # nan compares false with every value, so a non-finite ceiling never fires
@@ -375,6 +391,10 @@ def maximize_dual(objective: Callable[[np.ndarray], float],
             best = AscentResult(g=g.copy(), value=v, start_index=r,
                                 sweeps=sweeps, evaluations=0,
                                 stop_reason=reason)
+        # no exact coordinate step gains at a flat stop, which certifies the
+        # maximum; stepless lines stall at kinks, so they keep every restart
+        if coord_step is not None and reason == "flat":
+            break
     return replace(best, evaluations=evals)
 
 
@@ -390,6 +410,8 @@ class ConjugateEstimate:
     objective calls and the rows its coordinate steps read, 0 on the
     closed-form path. A stepped ascent calls the objective once per sweep,
     not once per step.
+    A stepped ascent runs no restart after its first ``"flat"`` one, so
+    ``restarts`` bounds its restarts rather than fixing them.
     ``stop_reason`` says how the value was found: ``"closed_form"``,
     ``"ray"`` (a ray probe diverged), ``"unbounded"`` (the ascent passed
     ``DIVERGENCE_ASCENT``), or else the ascent's ``AscentResult.stop_reason``."""
@@ -493,7 +515,10 @@ def fenchel_conjugate_value(phi: RiskFunctional, g: Rv, *, seed: int = 0,
     phi in the conjugate's place) estimates the supremum: by one
     ``phi.coordinate_step`` per coordinate line when phi declares one,
     passed as the ascent's ``coord_step``, with one objective read per
-    sweep, by line searches, pair transfers and pattern moves otherwise. An
+    sweep, by line searches, pair transfers and pattern moves otherwise.
+    A stepped ascent runs at most ``restarts`` restarts: it returns after
+    the first that ends ``"flat"``, whose point no exact step improves; a
+    stepless one runs all of them. An
     ascent whose value passes ``DIVERGENCE_ASCENT`` = 1e12 is reported as
     +inf along the direction of its best point; since its value never
     falls, it stops at twice that value, a stepped ascent at most one sweep

@@ -383,6 +383,16 @@ def test_companions_are_t_times_the_left_derivative_less_phi(phi):
         assert cx == pytest.approx(x * slope - at, rel=1e-5, abs=1e-5)
 
 
+def test_a_custom_function_has_no_companion():
+    # a custom callable has no derivative to build C(t) = t Phi'(t) - Phi(t)
+    # from, so the companion kernel refuses it rather than read some other
+    # kind's formula; the custom Amemiya norm takes Brent instead
+    phi = OrliczFunction.custom(lambda t: t * t)
+    with pytest.raises(ValueError,
+                       match="^a custom Orlicz function has no companion$"):
+        phi._companion(np.array([0.0, 1.0, 2.0]))
+
+
 def test_exp_young_conjugate_exact_verdicts():
     psi = OrliczFunction.exp_young_conjugate()
     for regime in ("at_zero", "at_infinity"):
